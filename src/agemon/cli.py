@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -127,10 +128,20 @@ def _params(args: argparse.Namespace) -> SimParams:
     )
 
 
+def _strict_json(record: dict) -> str:
+    """`record` as JSON text with non-finite floats written as null, so that
+    strict parsers accept it (json.dumps would write NaN or Infinity)."""
+    clean = {
+        key: None if isinstance(value, float) and not math.isfinite(value) else value
+        for key, value in record.items()
+    }
+    return json.dumps(clean, indent=2, allow_nan=False)
+
+
 def _cmd_analytic(args: argparse.Namespace) -> int:
     report = analytic_report(args.lam, args.mu, args.nu, args.recovery)
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
+        print(_strict_json(report.to_dict()))
     else:
         for key, value in report.to_dict().items():
             print(f"{key} = {value}")
@@ -194,7 +205,7 @@ def _cmd_sweep(args: argparse.Namespace, command: str) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     report = monte_carlo_cross_check(_params(args), resamples=args.resamples)
-    text = json.dumps(report.to_dict(), indent=2)
+    text = _strict_json(report.to_dict())
     print(text)
     if args.out:
         path = _resolve(args.out)

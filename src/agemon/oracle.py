@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .analytics import (
     error_rate_closed_form,
@@ -29,6 +28,10 @@ _QUAD_MAX_ERR = 1e-10
 
 
 def _quad(fn, lo, hi, points=None) -> float:
+    # imported here: scipy.integrate costs more to import than the rest of
+    # agemon and numpy together, and only quadratures need it
+    from scipy import integrate
+
     out = integrate.quad(fn, lo, hi, epsabs=_QUAD_ABSTOL, epsrel=1e-11, limit=300, points=points, full_output=1)
     value, abserr = out[0], out[1]
     if len(out) > 3 or abserr > _QUAD_MAX_ERR:

@@ -11,15 +11,23 @@ with the first update generated after the previous recovery and contains:
   service completed by then were delivered to the monitor.
 
 The next period starts exactly at recovery completion.
+
+`simulate` is the batched production path: it seeds every period's
+substreams at once, draws period by period, solves the queues of a block
+of periods in lockstep and appends only the delivered packets to flat
+arrays. `period_streams`, `generate_period`, `PeriodTrace` and
+`Timeline.from_periods` are the per-period reference it reproduces bit for
+bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ParameterError, SimulationLimitError
 
@@ -27,6 +35,17 @@ from .errors import ParameterError, SimulationLimitError
 # parameters (e.g. enormous lam * T). Hitting it is an error, never a
 # silent truncation.
 EVENT_CAP = 10**9
+
+# Packets drawn before `simulate` solves the pending periods' queues and
+# keeps only their deliveries; bounds the transient memory held for
+# discarded generations and services, whatever the number of periods.
+BLOCK_PACKETS = 1 << 20
+
+# SeedSequence's hash constants (numpy.random.bit_generator)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -53,13 +72,17 @@ class SimParams:
             object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "periods", int(self.periods))
         object.__setattr__(self, "master_seed", int(self.master_seed))
+        for name in ("lam", "mu", "nu", "r"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("lam", "mu", "nu"):
             if not getattr(self, name) > 0.0:
                 raise ParameterError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.r < 0.0:
             raise ParameterError(f"r must be >= 0, got {self.r}")
-        if self.periods < 1:
-            raise ParameterError(f"periods must be >= 1, got {self.periods}")
+        # each period index is one uint32 word of its substreams' spawn key
+        if not 1 <= self.periods < 2**32:
+            raise ParameterError(f"periods must be in [1, 2**32), got {self.periods}")
         if not 0 <= self.master_seed < 2**64:
             raise ParameterError("master_seed must be an unsigned 64-bit integer")
 
@@ -99,6 +122,67 @@ def period_streams(master_seed: int, index: int) -> PeriodStreams:
             for k in range(3)
         )
     )
+
+
+def _substream_words(master_seed: int, indices: np.ndarray) -> np.ndarray:
+    """SeedSequence(master_seed, spawn_key=(p, k)).generate_state(4, np.uint64)
+    for every p in `indices` and k = 0, 1, 2, as an (n, 3, 4) uint64 array.
+
+    A vectorised transcription of SeedSequence's hash-mix. Its entropy is the
+    seed's two uint32 words, zero-padded to the 4-word pool (numpy pads when
+    a spawn key is present), then p and k, one uint32 word each. Only the
+    last two words differ between substreams.
+    """
+    u32 = np.uint32
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ u32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * u32(hash_const)
+        return value ^ value >> u32(16)
+
+    def mix(x, y):
+        result = u32(_MIX_MULT_L) * x - u32(_MIX_MULT_R) * y
+        return result ^ result >> u32(16)
+
+    with np.errstate(over="ignore"):
+        pool = [hashmix(u32(word)) for word in (master_seed & _MASK32, master_seed >> 32, 0, 0)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        spawn_key = (indices.astype(u32)[:, None], np.arange(3, dtype=u32))
+        for word in spawn_key:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        hash_const = _INIT_B
+        state = np.empty((len(indices), 3, 8), dtype=u32)
+        for i in range(8):
+            value = pool[i % 4] ^ u32(hash_const)
+            hash_const = hash_const * _MULT_B & _MASK32
+            value = value * u32(hash_const)
+            state[..., i] = value ^ value >> u32(16)
+    # pairs of uint32 words read as little-endian uint64, as SeedSequence does
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+class _StateWords(ISeedSequence):
+    """Hands PCG64 its precomputed generate_state(4, np.uint64) words (the
+    only request PCG64 makes of a seed sequence)."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _streams_from_words(words: np.ndarray) -> PeriodStreams:
+    """The substreams period_streams builds, seeded from their state words."""
+    failure, gaps, services = (np.random.Generator(np.random.PCG64(_StateWords(w))) for w in words)
+    return PeriodStreams(failure, gaps, services)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,18 +239,37 @@ class PeriodTrace:
         )
 
 
+def _lindley_lockstep(departures: np.ndarray, services: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """FCFS arrival times of several periods' queues, solved side by side.
+
+    `departures` and `services` hold the periods' packets back to back,
+    `counts` the packets per period. Step k applies a_k = max(d_k, a_{k-1})
+    + s_k to every period with more than k packets, so each period gets
+    exactly the floating-point operations of its own serial recursion.
+    """
+    order = np.argsort(-counts, kind="stable")
+    heads = (np.cumsum(counts) - counts)[order]
+    longest = counts[order]
+    # active[k]: periods with more than k packets (a prefix of `order`)
+    active = np.searchsorted(-longest, -np.arange(longest[0]), side="left")
+    arrivals = np.empty_like(departures)
+    last = np.full(counts.size, -np.inf)
+    for k, m in enumerate(active.tolist()):
+        idx = heads[:m] + k
+        current = np.maximum(departures[idx], last[:m])
+        current += services[idx]
+        last[:m] = current
+        arrivals[idx] = current
+    return arrivals
+
+
 def lindley_arrival_times(departures: np.ndarray, services: np.ndarray) -> np.ndarray:
     """FCFS arrival times from the recursion a_k = max(d_k, a_{k-1}) + s_k."""
+    departures = np.asarray(departures, dtype=np.float64)
+    services = np.asarray(services, dtype=np.float64)
     if departures.size != services.size:
         raise ParameterError("departures and services must have equal length")
-    arrivals = []
-    prev = -math.inf
-    for d, s in zip(departures.tolist(), services.tolist()):
-        if d > prev:
-            prev = d
-        prev = prev + s
-        arrivals.append(prev)
-    return np.asarray(arrivals, dtype=np.float64)
+    return _lindley_lockstep(departures, services, np.array([departures.size]))
 
 
 def _generation_times(rng: np.random.Generator, rate: float, horizon: float) -> np.ndarray:
@@ -193,23 +296,30 @@ def _generation_times(rng: np.random.Generator, rate: float, horizon: float) -> 
         last = float(cum[-1])
 
 
-def generate_period(params: SimParams, streams: PeriodStreams, start: float = 0.0) -> PeriodTrace:
-    """Generate one period whose first update departs exactly at `start`.
+def _draw_period(params: SimParams, streams: PeriodStreams) -> tuple[float, np.ndarray, np.ndarray]:
+    """(time to failure, relative departure times, services) of one period.
 
-    Draw order within the period is fixed (failure time, then generation
-    gaps, then one service per generation) so a trace is a pure function of
-    its substreams. With params.require_delivery the whole period is
-    redrawn until the first service completes before the failure.
+    Draw order is fixed (failure time, then generation gaps, then one
+    service per generation) so a period is a pure function of its
+    substreams. With params.require_delivery the whole period is redrawn
+    until the first update, which departs at 0 into an empty queue, is
+    delivered: its service completes by the failure.
     """
     while True:
         T = streams.failure.exponential(1.0 / params.nu)
         rel_gens = _generation_times(streams.gaps, params.lam, T)
         services = streams.services.exponential(1.0 / params.mu, size=rel_gens.size)
-        rel_arrivals = lindley_arrival_times(rel_gens, services)
-        # arrivals strictly increase, so delivered packets (a_k <= T) form a prefix
-        n_delivered = int(np.searchsorted(rel_arrivals, T, side="right"))
-        if n_delivered > 0 or not params.require_delivery:
-            break
+        if services[0] <= T or not params.require_delivery:
+            return T, rel_gens, services
+
+
+def generate_period(params: SimParams, streams: PeriodStreams, start: float = 0.0) -> PeriodTrace:
+    """Generate one period whose first update departs exactly at `start`
+    (the per-period reference for `simulate`)."""
+    T, rel_gens, services = _draw_period(params, streams)
+    rel_arrivals = lindley_arrival_times(rel_gens, services)
+    # arrivals strictly increase, so delivered packets (a_k <= T) form a prefix
+    n_delivered = int(np.searchsorted(rel_arrivals, T, side="right"))
     failure_time = start + T
     return PeriodTrace(
         start_time=start,
@@ -225,8 +335,12 @@ def generate_period(params: SimParams, streams: PeriodStreams, start: float = 0.
 
 @dataclass(frozen=True, eq=False)
 class Timeline:
-    """Concatenated periods on one absolute clock plus flattened views.
+    """Abutting periods on one absolute clock, as flat arrays.
 
+    Per-period arrays are indexed by period; arrival_times and
+    arrival_generations hold every delivery, period after period
+    (delivered_counts[p] of them for period p). generated_counts[p] counts
+    all of period p's updates, so generated - delivered were discarded.
     The true sensor state is failed exactly on the union of
     [failure_times[p], recovery_ends[p]) and working elsewhere.
     unstable_queue is set when rho >= 1: the trace is still valid but the
@@ -234,7 +348,6 @@ class Timeline:
     """
 
     params: SimParams
-    periods: tuple[PeriodTrace, ...]
     total_time: float
     start_times: np.ndarray
     failure_times: np.ndarray
@@ -243,6 +356,7 @@ class Timeline:
     arrival_times: np.ndarray
     arrival_generations: np.ndarray
     delivered_counts: np.ndarray
+    generated_counts: np.ndarray
     unstable_queue: bool
 
     @classmethod
@@ -256,7 +370,6 @@ class Timeline:
             raise ParameterError("periods must abut: each start must equal the previous recovery end")
         return cls(
             params=params,
-            periods=traces,
             total_time=float(ends[-1] - starts[0]),
             start_times=starts,
             failure_times=np.array([t.failure_time for t in traces]),
@@ -265,6 +378,7 @@ class Timeline:
             arrival_times=np.concatenate([t.arrival_times for t in traces]),
             arrival_generations=np.concatenate([t.delivery_generations for t in traces]),
             delivered_counts=np.array([t.delivered_count for t in traces], dtype=np.int64),
+            generated_counts=np.array([t.generations.size for t in traces], dtype=np.int64),
             unstable_queue=params.rho >= 1.0,
         )
 
@@ -289,21 +403,91 @@ class Timeline:
         """First arrival time per period, NaN where nothing was delivered."""
         offsets = np.concatenate(([0], np.cumsum(self.delivered_counts)[:-1]))
         idx = np.minimum(offsets, max(self.delivery_count - 1, 0))
-        first = self.arrival_times[idx] if self.delivery_count else np.zeros(len(self.periods))
+        first = self.arrival_times[idx] if self.delivery_count else np.zeros(self.start_times.size)
         return np.where(self.delivered_counts > 0, first, np.nan)
+
+
+def _deliveries(
+    times_to_failure: np.ndarray,
+    starts: np.ndarray,
+    counts: np.ndarray,
+    departures: Sequence[np.ndarray],
+    services: Sequence[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(delivered counts, absolute arrival times, absolute generation times)
+    of a block of periods, from their relative departures and services."""
+    departures = np.concatenate(departures)
+    arrivals = _lindley_lockstep(departures, np.concatenate(services), counts)
+    # arrivals increase within a period, so the delivered packets (a_k <= T)
+    # are a prefix of each period's packets
+    delivered = arrivals <= np.repeat(times_to_failure, counts)
+    delivered_counts = np.add.reduceat(delivered, np.cumsum(counts) - counts, dtype=np.int64)
+    offsets = np.repeat(starts, delivered_counts)
+    return delivered_counts, offsets + arrivals[delivered], offsets + departures[delivered]
 
 
 def simulate(params: SimParams) -> Timeline:
     """Run `params.periods` abutting periods starting at t = 0.
 
     The result is a pure function of (master_seed, params): period p only
-    consumes draws from period_streams(master_seed, p), so any evaluation
-    order (including parallel) assembles the identical timeline.
+    consumes draws from the substreams period_streams(master_seed, p)
+    builds, so it equals the per-period reference (generate_period for each
+    period at its start, then Timeline.from_periods) bit for bit.
+    Periods are drawn one at a time; each block of about BLOCK_PACKETS
+    generations is queued in lockstep and only its deliveries are kept.
     """
-    traces = []
+    n = params.periods
+    words = _substream_words(params.master_seed, np.arange(n, dtype=np.uint32))
+    times_to_failure = np.empty(n)
+    start_times = np.empty(n)
+    failure_times = np.empty(n)
+    recovery_ends = np.empty(n)
+    generated_counts = np.empty(n, dtype=np.int64)
+    delivered_counts = np.empty(n, dtype=np.int64)
+    # grown in place block by block: a final concatenation of per-block
+    # parts would briefly hold the run's largest arrays twice
+    arrival_times = np.empty(0)
+    arrival_generations = np.empty(0)
+    departures: list[np.ndarray] = []
+    services: list[np.ndarray] = []
+    block_start = 0
+    block_packets = 0
     start = 0.0
-    for index in range(params.periods):
-        trace = generate_period(params, period_streams(params.master_seed, index), start)
-        traces.append(trace)
-        start = trace.recovery_end
-    return Timeline.from_periods(params, traces)
+    for index in range(n):
+        T, rel_gens, period_services = _draw_period(params, _streams_from_words(words[index]))
+        failure = start + T
+        times_to_failure[index] = T
+        start_times[index] = start
+        failure_times[index] = failure
+        start = failure + params.r
+        recovery_ends[index] = start
+        generated_counts[index] = rel_gens.size
+        departures.append(rel_gens)
+        services.append(period_services)
+        block_packets += rel_gens.size
+        if block_packets >= BLOCK_PACKETS or index == n - 1:
+            block = slice(block_start, index + 1)
+            delivered_counts[block], arrivals, generations = _deliveries(
+                times_to_failure[block], start_times[block], generated_counts[block],
+                departures, services,
+            )
+            kept = arrival_times.size
+            arrival_times.resize(kept + arrivals.size)
+            arrival_generations.resize(kept + arrivals.size)
+            arrival_times[kept:] = arrivals
+            arrival_generations[kept:] = generations
+            departures, services = [], []
+            block_start, block_packets = index + 1, 0
+    return Timeline(
+        params=params,
+        total_time=float(recovery_ends[-1] - start_times[0]),
+        start_times=start_times,
+        failure_times=failure_times,
+        recovery_ends=recovery_ends,
+        times_to_failure=times_to_failure,
+        arrival_times=arrival_times,
+        arrival_generations=arrival_generations,
+        delivered_counts=delivered_counts,
+        generated_counts=generated_counts,
+        unstable_queue=params.rho >= 1.0,
+    )

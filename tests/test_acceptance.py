@@ -270,7 +270,7 @@ def test_criterion_9_distributional_properties(timeline_100k):
     offsets = np.concatenate(([0], np.cumsum(tl.delivered_counts)))
     gaps = np.concatenate([
         np.diff(tl.arrival_times[offsets[p]:offsets[p + 1]])[200:]
-        for p in range(len(tl.periods))
+        for p in range(tl.start_times.size)
         if tl.delivered_counts[p] > 220
     ])
     ks_burke = stats.kstest(gaps, "expon", args=(0, 1.0 / LAM))

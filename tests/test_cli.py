@@ -152,3 +152,18 @@ class TestValidate:
         assert abs(data["aoi_rel_dev"]) < 0.10
         printed = json.loads(stdout.split("wrote")[0])
         assert printed == data
+
+    def test_without_resamples_json_is_strict(self, capsys, tmp_path):
+        # no bootstrap: the half-widths are missing, written as null, not NaN
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        out = tmp_path / "report.json"
+        status, _, _ = run(
+            capsys, "validate", "--periods", "10000", "--resamples", "0", "--out", str(out)
+        )
+        assert status == 0
+        data = json.loads(out.read_text(encoding="utf-8"), parse_constant=reject)
+        assert data["aoi_ci_halfwidth"] is None
+        assert data["err_ci_halfwidth"] is None
+        assert isinstance(data["aoi_empirical"], float)

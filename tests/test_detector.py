@@ -14,7 +14,7 @@ from agemon import (
     map_threshold,
     mismatch_time_by_period,
 )
-from conftest import manual_timeline
+from conftest import manual_period, manual_timeline
 
 TAU_DEFAULT = 9.158362006503506  # log(0.5/0.005 + 2) / 0.505
 
@@ -198,7 +198,10 @@ class TestEmpiricalError:
         # dyadic values, shifted by a power of two: results are bit-identical
         specs = [(4.0, 2.0, [0.0, 1.0], [1.5, 3.0]), (3.0, 2.0, [0.0], [0.5])]
         base = manual_timeline(specs)
-        shifted_periods = [p.shifted(2048.0) for p in base.periods]
+        shifted_periods, start = [], 2048.0
+        for T, r, gens, arrs in specs:
+            shifted_periods.append(manual_period(start, T, r, gens, arrs))
+            start = shifted_periods[-1].recovery_end
         from agemon import Timeline
         shifted = Timeline.from_periods(base.params, shifted_periods)
         rule = DecisionRule.with_threshold(1.25, 2.0)

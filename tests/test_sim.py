@@ -1,8 +1,13 @@
 import concurrent.futures
+import dataclasses
+import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import agemon.sim as sim
@@ -32,9 +37,11 @@ class TestParams:
     @pytest.mark.parametrize("bad", [
         dict(lam=0.0), dict(lam=-1.0), dict(mu=0.0), dict(nu=-0.1),
         dict(r=-1.0), dict(periods=0), dict(master_seed=-1), dict(master_seed=2**64),
+        dict(lam=math.inf), dict(lam=-math.inf), dict(mu=math.inf), dict(nu=math.inf),
+        dict(r=math.inf), dict(r=-math.inf), dict(r=math.nan), dict(periods=2**32),
     ])
     def test_invalid_rejected(self, bad):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=next(iter(bad))):
             SimParams(**{**DEFAULTS, "periods": 10, **bad})
 
     def test_rho_and_stability(self):
@@ -48,7 +55,7 @@ class TestParams:
     def test_unstable_queue_flagged_but_simulable(self):
         tl = simulate(SimParams(lam=1.5, mu=1.0, nu=0.05, r=5, periods=20, master_seed=3))
         assert tl.unstable_queue
-        assert len(tl.periods) == 20
+        assert tl.start_times.size == 20
 
 
 class TestLindley:
@@ -154,15 +161,17 @@ class TestGeneratePeriod:
     def test_event_cap(self, monkeypatch):
         monkeypatch.setattr(sim, "EVENT_CAP", 10)
         params = SimParams(lam=5.0, mu=1.0, nu=0.01, r=1.0, periods=1, master_seed=1)
-        with pytest.raises(SimulationLimitError):
-            generate_period(params, period_streams(1, 0))
+        # the per-period reference and the batched path
+        for run in (lambda p: generate_period(p, period_streams(1, 0)), simulate):
+            with pytest.raises(SimulationLimitError):
+                run(params)
 
 
 class TestSimulate:
     def test_single_period_starts_at_zero(self):
         tl = simulate(SimParams(**DEFAULTS, periods=1, master_seed=4))
-        assert len(tl.periods) == 1
-        assert tl.periods[0].start_time == 0.0
+        assert tl.start_times.size == 1
+        assert tl.start_times[0] == 0.0
 
     def test_abutting_boundaries(self, small_timeline):
         starts = small_timeline.start_times
@@ -220,6 +229,93 @@ class TestSimulate:
             Timeline.from_periods(p, [t0, t1])
 
 
+def reference_timeline(params):
+    """simulate's per-period reference: each period generated alone from
+    period_streams, laid end to end, then flattened by Timeline.from_periods."""
+    traces, start = [], 0.0
+    for index in range(params.periods):
+        traces.append(generate_period(params, period_streams(params.master_seed, index), start))
+        start = traces[-1].recovery_end
+    return Timeline.from_periods(params, traces)
+
+
+def assert_same_timeline(a, b):
+    """Every field equal, arrays bit for bit and of the same dtype."""
+    for field in dataclasses.fields(Timeline):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype, field.name
+            assert np.array_equal(x, y), field.name
+        else:
+            assert x == y, field.name
+
+
+class TestBatchedSimulate:
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, SEED]
+    # a small packet budget so that a 40-period default run spans ~8 blocks
+    BUDGET = 500
+    MULTI_BLOCK = SimParams(**DEFAULTS, periods=40, master_seed=SEED)
+
+    @pytest.fixture(scope="class")
+    def indices(self):
+        """Period 0, the first period of the second block and the last period
+        of the multi-block run, and the largest index a run can have."""
+        with mock.patch.object(sim, "BLOCK_PACKETS", self.BUDGET):
+            counts = simulate(self.MULTI_BLOCK).generated_counts
+        # simulate closes a block once it holds at least BLOCK_PACKETS packets
+        boundary = int(np.argmax(np.cumsum(counts) >= self.BUDGET)) + 1
+        assert 0 < boundary < self.MULTI_BLOCK.periods - 1
+        return np.array([0, boundary, self.MULTI_BLOCK.periods - 1, 2**32 - 1])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_state_words_match_seed_sequence(self, seed, indices):
+        words = sim._substream_words(seed, indices)
+        assert words.shape == (indices.size, 3, 4) and words.dtype == np.uint64
+        for row, index in zip(words, indices.tolist()):
+            for k in range(3):
+                expected = np.random.SeedSequence(seed, spawn_key=(index, k)).generate_state(4, np.uint64)
+                assert np.array_equal(row[k], expected)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_first_draws_match_period_streams(self, seed, indices):
+        for words, index in zip(sim._substream_words(seed, indices), indices.tolist()):
+            batched = sim._streams_from_words(words)
+            reference = period_streams(seed, index)
+            for mine, theirs in zip(batched, reference):
+                assert mine.exponential(1.0, size=16).tolist() == theirs.exponential(1.0, size=16).tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lam=st.floats(0.05, 2.0),
+        mu=st.floats(0.2, 2.0),
+        nu=st.floats(0.01, 1.0),
+        r=st.floats(0.0, 30.0),
+        periods=st.integers(1, 25),
+        seed=st.integers(0, 2**64 - 1),
+        require_delivery=st.booleans(),
+        block_packets=st.sampled_from([1, 7, 64, sim.BLOCK_PACKETS]),
+    )
+    # rho >= 1; periods with no delivery (see the require_delivery test),
+    # then the same run conditioned; one period
+    @example(lam=1.5, mu=1.0, nu=0.05, r=5.0, periods=20, seed=3,
+             require_delivery=False, block_packets=64)
+    @example(lam=0.5, mu=1.0, nu=0.5, r=2.0, periods=300, seed=9,
+             require_delivery=False, block_packets=7)
+    @example(lam=0.5, mu=1.0, nu=0.5, r=2.0, periods=300, seed=9,
+             require_delivery=True, block_packets=7)
+    @example(lam=0.5, mu=1.0, nu=0.05, r=20.0, periods=1, seed=4,
+             require_delivery=False, block_packets=1)
+    def test_equals_per_period_reference(self, lam, mu, nu, r, periods, seed,
+                                         require_delivery, block_packets):
+        params = SimParams(lam=lam, mu=mu, nu=nu, r=r, periods=periods, master_seed=seed,
+                           require_delivery=require_delivery)
+        with mock.patch.object(sim, "BLOCK_PACKETS", block_packets):
+            batched = simulate(params)
+        assert_same_timeline(batched, reference_timeline(params))
+        if require_delivery:
+            assert np.all(batched.delivered_counts > 0)
+
+
 class TestDistributions:
     def test_failure_times_are_exponential(self, medium_timeline):
         result = stats.kstest(medium_timeline.times_to_failure, "expon",
@@ -236,7 +332,7 @@ class TestDistributions:
         offsets = np.concatenate(([0], np.cumsum(tl.delivered_counts)))
         gaps = [
             np.diff(tl.arrival_times[offsets[p]:offsets[p + 1]])[200:]
-            for p in range(len(tl.periods))
+            for p in range(tl.start_times.size)
             if tl.delivered_counts[p] > 220
         ]
         sample = np.concatenate(gaps)
@@ -253,7 +349,7 @@ class TestDistributions:
         offsets = np.concatenate(([0], np.cumsum(medium_timeline.delivered_counts)))
         gaps = [
             np.diff(medium_timeline.arrival_times[offsets[p]:offsets[p + 1]])[50:]
-            for p in range(len(medium_timeline.periods))
+            for p in range(medium_timeline.start_times.size)
             if medium_timeline.delivered_counts[p] > 52
         ]
         sample = np.concatenate(gaps)
