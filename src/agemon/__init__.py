@@ -18,8 +18,6 @@ from .aoi import (
     AoiTrajectory,
     RegionAverages,
     age_trajectory,
-    interval_age_areas,
-    region_average_aoi,
     time_average_aoi,
 )
 from .detector import (
@@ -28,10 +26,8 @@ from .detector import (
     SensorState,
     StateIntervals,
     decide,
-    empirical_error_rate,
     estimated_state_trajectory,
     map_threshold,
-    mismatch_time_by_period,
 )
 from .errors import EmptyTimelineError, OracleError, ParameterError, SimulationLimitError
 from .experiments import ResultRow, SweepSpec, run_sweep
@@ -53,7 +49,7 @@ from .sim import (
     period_streams,
     simulate,
 )
-from .summary import MetricsSummary, per_period_statistics, summarize
+from .summary import MetricsSummary, PeriodTable, period_table, summarize
 
 __version__ = "0.1.0"
 
@@ -71,6 +67,7 @@ __all__ = [
     "OracleError",
     "ParameterError",
     "PeriodStreams",
+    "PeriodTable",
     "PeriodTrace",
     "RegionAverages",
     "ResultRow",
@@ -84,24 +81,20 @@ __all__ = [
     "analytic_report",
     "aoi_mm1",
     "decide",
-    "empirical_error_rate",
     "error_rate_closed_form",
     "estimated_state_trajectory",
     "failure_prior",
     "generate_period",
-    "interval_age_areas",
     "lindley_arrival_times",
     "map_threshold",
     "mean_aoi_closed_form",
-    "mismatch_time_by_period",
     "monte_carlo_cross_check",
     "pdf_z_given_r2",
     "pdf_z_given_r3",
-    "per_period_statistics",
     "period_streams",
+    "period_table",
     "quadrature_error_rate",
     "read_csv",
-    "region_average_aoi",
     "region_means_closed_form",
     "render_svg",
     "run_sweep",

@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .detector import map_threshold
-from .errors import ParameterError
+from .errors import ParameterError, require_finite
 
 
 def _check_rates(lam: float, nu: float) -> None:
@@ -19,6 +19,7 @@ def _check_rates(lam: float, nu: float) -> None:
 
 def failure_prior(nu: float, r: float) -> float:
     """Long-run fraction of time the sensor is failed: r*nu / (1 + r*nu)."""
+    require_finite(nu=nu, r=r)
     if not nu > 0 or not r > 0:
         raise ParameterError("nu and r must be > 0")
     return r * nu / (1.0 + r * nu)
@@ -73,6 +74,7 @@ def error_rate_closed_form(lam: float, nu: float, r: float) -> float:
     For tau >= r the rule always declares WORKING, so the error is exactly
     the failed-time prior r nu / (1 + r nu).
     """
+    require_finite(lam=lam, nu=nu, r=r)
     _check_rates(lam, nu)
     if not r > 0:
         raise ParameterError("r must be > 0")
@@ -102,6 +104,7 @@ def aoi_mm1(rho: float, mu: float) -> float:
 def mean_aoi_closed_form(lam: float, mu: float, nu: float, r: float) -> float:
     """Mean age with failures: the M/M/1 value plus the outage penalty
     (r^2/2 + r/mu + 1/mu^2) * nu / (1 + r nu)."""
+    require_finite(lam=lam, mu=mu, nu=nu, r=r)
     _check_rates(lam, nu)
     if not mu > 0:
         raise ParameterError("mu must be > 0")
@@ -114,6 +117,7 @@ def mean_aoi_closed_form(lam: float, mu: float, nu: float, r: float) -> float:
 def region_means_closed_form(lam: float, mu: float, nu: float, r: float) -> tuple[float, float, float]:
     """Expected per-region mean ages (reacquisition, normal operation, outage):
     (mm1 + r + 1/(2 mu), mm1, mm1 + r/2)."""
+    require_finite(lam=lam, mu=mu, nu=nu, r=r)
     _check_rates(lam, nu)
     if not mu > 0:
         raise ParameterError("mu must be > 0")
@@ -143,6 +147,7 @@ class AnalyticReport:
 
 
 def analytic_report(lam: float, mu: float, nu: float, r: float) -> AnalyticReport:
+    require_finite(lam=lam, mu=mu, nu=nu, r=r)
     if not r > 0:
         raise ParameterError("r must be > 0")
     tau = map_threshold(lam, nu)

@@ -2,9 +2,10 @@
 
 The instantaneous age is the time since the generation of the freshest
 delivered update: a sawtooth that climbs with slope 1 and drops to the
-system time of each update on its arrival. All averages here integrate the
-piecewise-linear trajectory in closed form per segment (trapezoids); there
-is no time discretization anywhere.
+system time of each update on its arrival. Every age metric (here and in
+`summary.period_table`) integrates the piecewise-linear trajectory in
+closed form per segment with `_age_area`; there is no time discretization
+anywhere.
 """
 
 from __future__ import annotations
@@ -55,48 +56,19 @@ def age_trajectory(timeline: Timeline) -> AoiTrajectory:
     )
 
 
+def _age_area(length, start_age):
+    """Integral of the slope-1 age over `length` seconds from `start_age`:
+    the trapezoid length * (start_age + length/2)."""
+    return length * (start_age + 0.5 * length)
+
+
 def time_average_aoi(traj: AoiTrajectory) -> float:
-    """Exact time average: each slope-1 segment of length L starting at age y
-    contributes the trapezoid area L*(y + L/2)."""
+    """Exact time average: the sum of every segment's trapezoid over the span."""
     span = traj.measurement_end - traj.measurement_start
     if not span > 0.0:
         raise EmptyTimelineError("zero-length measurement span has no average")
     seg = np.append(traj.times[1:], traj.measurement_end) - traj.times
-    area = float(np.sum(seg * (traj.ages + 0.5 * seg)))
-    return area / span
-
-
-def interval_age_areas(timeline: Timeline, starts, ends) -> np.ndarray:
-    """Exact integrals of the age over each [starts[i], ends[i]).
-
-    Intervals must lie inside the measured span (callers clip first). The
-    slice [lo, hi) of the arrival segment starting at age y contributes the
-    trapezoid (hi - lo) * (y + (lo - segment start) + (hi - lo)/2); whole
-    segments in the middle of a span come from a prefix sum of segment
-    areas. Everything is computed from reset ages rather than absolute
-    generation times, which stays well conditioned on long runs.
-    """
-    arrivals = timeline.arrival_times
-    if arrivals.size == 0:
-        raise EmptyTimelineError("timeline has no deliveries")
-    us = np.asarray(starts, dtype=np.float64)
-    vs = np.asarray(ends, dtype=np.float64)
-    reset_ages = arrivals - timeline.arrival_generations
-    bounds = np.append(arrivals, timeline.end_time)
-    seg_len = np.diff(bounds)
-    prefix = np.concatenate(([0.0], np.cumsum(seg_len * (reset_ages + 0.5 * seg_len))))
-    j0 = np.clip(np.searchsorted(bounds, us, side="right") - 1, 0, arrivals.size - 1)
-    j1 = np.clip(np.searchsorted(bounds, vs, side="left") - 1, 0, arrivals.size - 1)
-
-    def part(j, lo, hi):
-        length = hi - lo
-        return length * (reset_ages[j] + (lo - bounds[j]) + 0.5 * length)
-
-    return np.where(
-        j0 == j1,
-        part(j0, us, vs),
-        part(j0, us, bounds[j0 + 1]) + (prefix[j1] - prefix[j0 + 1]) + part(j1, bounds[j1], vs),
-    )
+    return float(np.sum(_age_area(seg, traj.ages))) / span
 
 
 @dataclass(frozen=True)
@@ -122,31 +94,3 @@ class RegionAverages:
     @property
     def total_time(self) -> float:
         return self.time_r1 + self.time_r2 + self.time_r3
-
-
-def region_average_aoi(timeline: Timeline) -> RegionAverages:
-    """Per-region time-averaged age over the measured span."""
-    traj = age_trajectory(timeline)
-    m0, m1 = traj.measurement_start, traj.measurement_end
-    first = timeline.first_arrival_by_period()
-    has = timeline.delivered_counts > 0
-    spans = {
-        # (lo, hi) per period; no-delivery periods fold their pre-failure
-        # span into r1 and skip r2 entirely
-        1: (timeline.start_times, np.where(has, first, timeline.failure_times)),
-        2: (np.where(has, first, timeline.failure_times), timeline.failure_times),
-        3: (timeline.failure_times, timeline.recovery_ends),
-    }
-    areas = {}
-    times = {}
-    for region, (lo, hi) in spans.items():
-        lo = np.clip(lo, m0, m1)
-        hi = np.clip(hi, m0, m1)
-        keep = hi > lo
-        areas[region] = float(np.sum(interval_age_areas(timeline, lo[keep], hi[keep])))
-        times[region] = float(np.sum(hi[keep] - lo[keep]))
-    avg = {k: areas[k] / times[k] if times[k] > 0 else float("nan") for k in spans}
-    return RegionAverages(
-        avg_r1=avg[1], avg_r2=avg[2], avg_r3=avg[3],
-        time_r1=times[1], time_r2=times[2], time_r3=times[3],
-    )

@@ -16,12 +16,12 @@ import sys
 from pathlib import Path
 
 from .analytics import analytic_report, error_rate_closed_form, mean_aoi_closed_form
-from .errors import OracleError, ParameterError
+from .errors import EmptyTimelineError, OracleError, ParameterError
 from .experiments import ResultRow, SweepSpec, run_sweep
 from .oracle import monte_carlo_cross_check
 from .report import render_svg, write_csv
 from .sim import SimParams, simulate
-from .summary import summarize
+from .summary import period_table, summarize
 
 DEFAULT_SEED = 20260810
 
@@ -150,7 +150,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     params = _params(args)
-    summary = summarize(simulate(params), resamples=args.resamples)
+    summary = summarize(period_table(simulate(params)), resamples=args.resamples)
     for key, value in summary.to_dict().items():
         print(f"{key} = {value}")
     if args.out:
@@ -231,7 +231,7 @@ def run_subcommand(argv: list[str]) -> int:
         if args.command == "validate":
             return _cmd_validate(args)
         return _cmd_sweep(args, args.command)
-    except (ParameterError, OracleError, OSError) as exc:
+    except (ParameterError, EmptyTimelineError, OracleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

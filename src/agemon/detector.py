@@ -1,11 +1,12 @@
-"""Failure detection from update timings and its exact empirical error.
+"""Failure detection from update timings.
 
 The monitor never observes the sensor directly. It tracks the gap age
 z(t) = t - (last arrival at or before t) and declares a failure once z
 exceeds a threshold. The optimal threshold compares the prior-weighted
 densities of z under the two states and collapses to a single constant;
 when that constant is at least the recovery duration the rule degenerates
-to always declaring the sensor operational.
+to always declaring the sensor operational. `summary.PeriodTable.error`
+measures a rule's exact empirical error on a timeline.
 """
 
 from __future__ import annotations
@@ -152,109 +153,3 @@ class ErrorBreakdown:
         return (
             self.false_positive_time - self.reacquisition_fp_time + self.false_negative_time
         ) / self.measured_time
-
-
-def _false_negative_parts(timeline: Timeline, tau: float, m0: float):
-    """Per failure interval (clipped to the span): its measured length and the
-    time the estimate stays WORKING inside it (z crosses tau at a_last + tau)."""
-    arrivals = timeline.arrival_times
-    fails, ends = timeline.failure_intervals()
-    lo = np.maximum(fails, m0)
-    lengths = np.clip(ends - lo, 0.0, None)
-    j = np.searchsorted(arrivals, fails, side="right") - 1
-    a_last = np.where(j >= 0, arrivals[np.clip(j, 0, None)], -np.inf)
-    fn = np.clip(np.minimum(ends, a_last + tau) - lo, 0.0, None)
-    return np.where(lengths > 0, lengths, 0.0), np.where(lengths > 0, fn, 0.0)
-
-
-def empirical_error_rate(timeline: Timeline, rule: DecisionRule) -> ErrorBreakdown:
-    """Integrate |estimated - true| exactly over [first arrival, end of run].
-
-    Pure interval arithmetic on the arrival times and failure intervals; no
-    time grid is involved.
-    """
-    arrivals = timeline.arrival_times
-    if arrivals.size == 0:
-        raise EmptyTimelineError("timeline has no deliveries; nothing to estimate")
-    m0 = float(arrivals[0])
-    m1 = timeline.end_time
-    measured = m1 - m0
-    fail_lengths, fn_parts = _false_negative_parts(timeline, rule.tau, m0)
-    if rule.degenerate:
-        return ErrorBreakdown(
-            error_rate=float(fail_lengths.sum()) / measured,
-            false_positive_time=0.0,
-            false_negative_time=float(fail_lengths.sum()),
-            measured_time=measured,
-            reacquisition_fp_time=0.0,
-        )
-    fn = float(fn_parts.sum())
-    # total estimated-FAILED time: tail of every arrival gap beyond tau
-    gaps = np.append(arrivals[1:], m1) - arrivals
-    est_failed = float(np.clip(gaps - rule.tau, 0.0, None).sum())
-    true_positive = float(fail_lengths.sum()) - fn
-    fp = max(est_failed - true_positive, 0.0)
-    # reacquisition spans: period start -> first delivery (or failure when
-    # nothing was delivered); no arrival lies inside, so the estimate flips
-    # at most once, at a_last + tau
-    first = timeline.first_arrival_by_period()
-    cut = np.where(timeline.delivered_counts > 0, first, timeline.failure_times)
-    lo = np.maximum(timeline.start_times, m0)
-    j = np.searchsorted(arrivals, timeline.start_times, side="right") - 1
-    a_last = np.where(j >= 0, arrivals[np.clip(j, 0, None)], np.inf)
-    reacq = np.clip(cut - np.maximum(lo, a_last + rule.tau), 0.0, None)
-    reacq = float(np.where(cut > lo, reacq, 0.0).sum())
-    return ErrorBreakdown(
-        error_rate=(fp + fn) / measured,
-        false_positive_time=fp,
-        false_negative_time=fn,
-        measured_time=measured,
-        reacquisition_fp_time=reacq,
-    )
-
-
-def mismatch_time_by_period(timeline: Timeline, rule: DecisionRule) -> np.ndarray:
-    """Mismatch time of each period's clipped slice of the measured span.
-
-    Periods partition [first arrival, end of run], so the entries sum to the
-    total mismatch; used for per-period resampling.
-    """
-    arrivals = timeline.arrival_times
-    if arrivals.size == 0:
-        raise EmptyTimelineError("timeline has no deliveries; nothing to estimate")
-    m0 = float(arrivals[0])
-    m1 = timeline.end_time
-    lo = np.maximum(timeline.start_times, m0)
-    hi = np.minimum(timeline.recovery_ends, m1)
-    lo = np.minimum(lo, hi)
-    fail_lengths, fn_parts = _false_negative_parts(timeline, rule.tau, m0)
-    if rule.degenerate:
-        return fail_lengths
-    est_failed = _estimated_failed_overlap(arrivals, rule.tau, m1, lo, hi)
-    true_positive = fail_lengths - fn_parts
-    return np.clip(est_failed - true_positive, 0.0, None) + fn_parts
-
-
-def _estimated_failed_overlap(arrivals, tau, end, us, vs) -> np.ndarray:
-    """Time the estimate is FAILED inside each [us[i], vs[i]).
-
-    The FAILED stretches are [b_k + tau, b_{k+1}) per arrival-gap segment;
-    middle segments are accumulated via prefix sums, boundary segments get
-    their clipped overlap directly.
-    """
-    bounds = np.append(arrivals, end)
-    seg_failed = np.clip(np.diff(bounds) - tau, 0.0, None)
-    prefix = np.concatenate(([0.0], np.cumsum(seg_failed)))
-    last = arrivals.size - 1
-    j0 = np.clip(np.searchsorted(bounds, us, side="right") - 1, 0, last)
-    j1 = np.clip(np.searchsorted(bounds, vs, side="left") - 1, 0, last)
-
-    def edge(j, lo, hi):
-        return np.clip(np.minimum(hi, bounds[j + 1]) - np.maximum(lo, bounds[j] + tau), 0.0, None)
-
-    same = j0 == j1
-    return np.where(
-        same,
-        edge(j0, us, vs),
-        edge(j0, us, np.inf) + (prefix[j1] - prefix[j0 + 1]) + edge(j1, -np.inf, vs),
-    )

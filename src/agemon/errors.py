@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check that
+raises one of them."""
+
+import math
 
 
 class ParameterError(ValueError):
@@ -15,3 +18,10 @@ class SimulationLimitError(RuntimeError):
 
 class OracleError(RuntimeError):
     """Numerical verification (quadrature) failed to converge; no guess is returned."""
+
+
+def require_finite(**values: float) -> None:
+    """Raise ParameterError naming the first of `values` that is inf or NaN."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")

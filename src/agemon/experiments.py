@@ -17,7 +17,7 @@ from .detector import DecisionRule
 from .errors import ParameterError
 from .oracle import quadrature_error_rate
 from .sim import SimParams, simulate
-from .summary import summarize
+from .summary import period_table, summarize
 
 SWEEP_VARIABLES = ("rho", "expected_T", "threshold")
 
@@ -83,7 +83,7 @@ def _point_row(params: SimParams, var: str, value: float, with_sim: bool, resamp
         err_analytic=error_rate_closed_form(params.lam, params.nu, params.r),
     )
     if with_sim:
-        report = summarize(simulate(params), resamples=resamples)
+        report = summarize(period_table(simulate(params)), resamples=resamples)
         row.aoi_empirical = report.aoi_time_average
         row.err_empirical = report.error.error_rate
         row.fp_rate = report.error.fp_rate
@@ -111,11 +111,12 @@ def run_sweep(spec: SweepSpec, with_sim: bool = True, resamples: int = 1000) -> 
 
 def _threshold_sweep(spec: SweepSpec, with_sim: bool, resamples: int) -> list[ResultRow]:
     """One simulation, many rules: the error of each threshold is measured on
-    the same timeline, so differences between rows are not simulation noise."""
+    the same timeline, so differences between rows are not simulation noise.
+    The period table is built once; each rule recomputes only its own columns."""
     params = spec.fixed
     params.require_stable_queue()
     aoi_analytic = mean_aoi_closed_form(params.lam, params.mu, params.nu, params.r)
-    timeline = simulate(params) if with_sim else None
+    table = period_table(simulate(params)) if with_sim else None
     rows = []
     for value in spec.grid():
         rule = DecisionRule.with_threshold(float(value), params.r)
@@ -125,8 +126,8 @@ def _threshold_sweep(spec: SweepSpec, with_sim: bool, resamples: int) -> list[Re
             aoi_analytic=aoi_analytic,
             err_analytic=quadrature_error_rate(params.lam, params.nu, params.r, float(value)),
         )
-        if timeline is not None:
-            report = summarize(timeline, rule, resamples=resamples)
+        if table is not None:
+            report = summarize(table, rule, resamples=resamples)
             row.aoi_empirical = report.aoi_time_average
             row.err_empirical = report.error.error_rate
             row.fp_rate = report.error.fp_rate

@@ -21,7 +21,7 @@ from .analytics import (
 from .detector import DecisionRule, map_threshold
 from .errors import OracleError, ParameterError
 from .sim import SimParams, simulate
-from .summary import MetricsSummary, summarize
+from .summary import MetricsSummary, period_table, summarize
 
 _QUAD_ABSTOL = 1e-12
 _QUAD_MAX_ERR = 1e-10
@@ -134,8 +134,7 @@ def monte_carlo_cross_check(
     params.require_stable_queue()
     if rule is None:
         rule = DecisionRule.map_rule(params.lam, params.nu, params.r)
-    timeline = simulate(params)
-    report: MetricsSummary = summarize(timeline, rule, resamples=resamples)
+    report: MetricsSummary = summarize(period_table(simulate(params)), rule, resamples=resamples)
     aoi_analytic = mean_aoi_closed_form(params.lam, params.mu, params.nu, params.r)
     err_analytic = (
         error_rate_closed_form(params.lam, params.nu, params.r)

@@ -22,14 +22,13 @@ bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import ParameterError, SimulationLimitError
+from .errors import ParameterError, SimulationLimitError, require_finite
 
 # Generations allowed per period before aborting; guards pathological
 # parameters (e.g. enormous lam * T). Hitting it is an error, never a
@@ -72,9 +71,7 @@ class SimParams:
             object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "periods", int(self.periods))
         object.__setattr__(self, "master_seed", int(self.master_seed))
-        for name in ("lam", "mu", "nu", "r"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
+        require_finite(lam=self.lam, mu=self.mu, nu=self.nu, r=self.r)
         for name in ("lam", "mu", "nu"):
             if not getattr(self, name) > 0.0:
                 raise ParameterError(f"{name} must be > 0, got {getattr(self, name)}")
@@ -395,17 +392,6 @@ class Timeline:
     def end_time(self) -> float:
         return float(self.recovery_ends[-1])
 
-    def failure_intervals(self) -> tuple[np.ndarray, np.ndarray]:
-        """(starts, ends) of the spans where the true state is failed."""
-        return self.failure_times, self.recovery_ends
-
-    def first_arrival_by_period(self) -> np.ndarray:
-        """First arrival time per period, NaN where nothing was delivered."""
-        offsets = np.concatenate(([0], np.cumsum(self.delivered_counts)[:-1]))
-        idx = np.minimum(offsets, max(self.delivery_count - 1, 0))
-        first = self.arrival_times[idx] if self.delivery_count else np.zeros(self.start_times.size)
-        return np.where(self.delivered_counts > 0, first, np.nan)
-
 
 def _deliveries(
     times_to_failure: np.ndarray,
@@ -472,8 +458,12 @@ def simulate(params: SimParams) -> Timeline:
                 departures, services,
             )
             kept = arrival_times.size
-            arrival_times.resize(kept + arrivals.size)
-            arrival_generations.resize(kept + arrivals.size)
+            # refcheck=False is safe: both arrays are locals and no view of
+            # them outlives a statement. The check itself would fail under
+            # any sys.setprofile hook (cProfile, sampling profilers), which
+            # holds the bound resize method and so one more array reference.
+            arrival_times.resize(kept + arrivals.size, refcheck=False)
+            arrival_generations.resize(kept + arrivals.size, refcheck=False)
             arrival_times[kept:] = arrivals
             arrival_generations[kept:] = generations
             departures, services = [], []

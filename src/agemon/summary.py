@@ -1,8 +1,10 @@
-"""One-stop empirical summary of a timeline: age averages, detection error
-breakdown, and bootstrap confidence half-widths.
+"""One-stop empirical summary of a timeline: the per-period statistics
+table, age averages, detection error breakdown, and bootstrap confidence
+half-widths.
 
-Periods are the iid unit of the model, so resampling is over per-period
-(area, mismatch, length) triples rather than raw time.
+Every reported metric is a column sum or a ratio of column sums of the
+table. Periods are the iid unit of the model, so resampling is over
+per-period (area, mismatch, length) triples rather than raw time.
 """
 
 from __future__ import annotations
@@ -11,10 +13,163 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aoi import RegionAverages, age_trajectory, interval_age_areas, region_average_aoi, time_average_aoi
-from .detector import DecisionRule, ErrorBreakdown, empirical_error_rate, mismatch_time_by_period
+from .aoi import RegionAverages, _age_area, age_trajectory
+from .detector import DecisionRule, ErrorBreakdown
 from .errors import ParameterError
-from .sim import Timeline
+from .sim import SimParams, Timeline
+
+
+def _interval_integrals(bounds, whole, part, starts, ends) -> np.ndarray:
+    """Integrals of a piecewise function over each [starts[i], ends[i]).
+
+    Piece j spans [bounds[j], bounds[j + 1]); whole[j] is its integral and
+    part(j, lo, hi) its integral over [lo, hi) inside it. Intervals must lie
+    inside [bounds[0], bounds[-1]]; an empty one on a breakpoint gets a
+    rounding residue, not 0. Whole pieces come from a prefix sum.
+    """
+    prefix = np.concatenate(([0.0], np.cumsum(whole)))
+    last = whole.size - 1
+    j0 = np.clip(np.searchsorted(bounds, starts, side="right") - 1, 0, last)
+    j1 = np.clip(np.searchsorted(bounds, ends, side="left") - 1, 0, last)
+    return np.where(
+        j0 == j1,
+        part(j0, starts, ends),
+        part(j0, starts, bounds[j0 + 1]) + (prefix[j1] - prefix[j0 + 1]) + part(j1, bounds[j1], ends),
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class PeriodTable:
+    """Per-period statistics over the measured span [first arrival, end of run].
+
+    Period p's slice of the span is [edges[0, p], edges[3, p]), and its
+    regions (see RegionAverages) are [edges[k, p], edges[k + 1, p]) for
+    k = 0, 1, 2; slices before the first arrival are empty. Columns hold
+    each slice's length and age area and each region's time and age area
+    (0 when empty). The true state is failed exactly on r3, so
+    region_times[2] is also the failed time. last_arrivals holds the last
+    arrival at or before each period's start and failure (-inf if none).
+    `error` and `mismatch` add the columns of one decision rule.
+    """
+
+    params: SimParams
+    unstable_queue: bool
+    measured_time: float
+    age_area: float
+    regions: RegionAverages
+    lengths: np.ndarray
+    areas: np.ndarray
+    region_times: np.ndarray
+    region_areas: np.ndarray
+    edges: np.ndarray
+    last_arrivals: np.ndarray
+    bounds: np.ndarray
+
+    @property
+    def aoi(self) -> float:
+        return self.age_area / self.measured_time
+
+    def _failed_whole(self, tau: float) -> np.ndarray:
+        # the estimate is FAILED on the tail of each arrival gap beyond tau
+        return np.clip(np.diff(self.bounds) - tau, 0.0, None)
+
+    def _false_negatives(self, tau: float) -> np.ndarray:
+        # r3 holds no arrival: the estimate reads WORKING until last arrival + tau
+        missed = np.minimum(self.edges[3], self.last_arrivals[1] + tau) - self.edges[2]
+        return np.where(self.region_times[2] > 0, np.clip(missed, 0.0, None), 0.0)
+
+    def error(self, rule: DecisionRule) -> ErrorBreakdown:
+        """Exact mismatch between the rule's estimate and the true state."""
+        measured = self.measured_time
+        failed = float(self.region_times[2].sum())
+        if rule.degenerate:
+            return ErrorBreakdown(
+                error_rate=failed / measured,
+                false_positive_time=0.0,
+                false_negative_time=failed,
+                measured_time=measured,
+                reacquisition_fp_time=0.0,
+            )
+        fn = float(self._false_negatives(rule.tau).sum())
+        fp = max(float(self._failed_whole(rule.tau).sum()) - (failed - fn), 0.0)
+        # r1 holds no arrival either: the estimate flips once, at last arrival + tau
+        flip = np.maximum(self.edges[0], self.last_arrivals[0] + rule.tau)
+        reacq = np.where(self.region_times[0] > 0, np.clip(self.edges[1] - flip, 0.0, None), 0.0)
+        return ErrorBreakdown(
+            error_rate=(fp + fn) / measured,
+            false_positive_time=fp,
+            false_negative_time=fn,
+            measured_time=measured,
+            reacquisition_fp_time=float(reacq.sum()),
+        )
+
+    def mismatch(self, rule: DecisionRule) -> np.ndarray:
+        """Mismatch time of each slice; the entries sum to fp + fn time."""
+        failed = self.region_times[2]
+        if rule.degenerate:
+            return failed
+        tau, bounds = rule.tau, self.bounds
+
+        def part(j, lo, hi):
+            return np.clip(np.minimum(hi, bounds[j + 1]) - np.maximum(lo, bounds[j] + tau), 0.0, None)
+
+        est_failed = _interval_integrals(
+            bounds, self._failed_whole(tau), part, self.edges[0], self.edges[3]
+        )
+        fn = self._false_negatives(tau)
+        return np.clip(est_failed - (failed - fn), 0.0, None) + fn
+
+
+def period_table(timeline: Timeline) -> PeriodTable:
+    """The rule-independent columns of a timeline's period table. Ages are
+    integrated from reset ages, not absolute generation times, which stays
+    well conditioned on long runs."""
+    traj = age_trajectory(timeline)
+    m0, m1 = traj.measurement_start, traj.measurement_end
+    bounds = np.append(traj.times, m1)
+    whole = _age_area(np.diff(bounds), traj.ages)
+
+    def part(j, lo, hi):
+        return _age_area(hi - lo, traj.ages[j] + (lo - bounds[j]))
+
+    # r1 ends at the first delivery, or at the failure when nothing was delivered
+    counts = timeline.delivered_counts
+    first = traj.times[np.minimum(np.cumsum(counts) - counts, traj.times.size - 1)]
+    cut = np.where(counts > 0, first, timeline.failure_times)
+    edges = np.clip(
+        np.vstack((timeline.start_times, cut, timeline.failure_times, timeline.recovery_ends)), m0, m1
+    )
+    n = edges.shape[1]
+    # one call for the slices and the three regions
+    areas = _interval_integrals(
+        bounds, whole, part,
+        np.concatenate((edges[0], edges[:3].ravel())),
+        np.concatenate((edges[3], edges[1:].ravel())),
+    )
+    region_times = edges[1:] - edges[:3]
+    keep = region_times > 0
+    region_areas = np.where(keep, areas[n:].reshape(3, n), 0.0)
+    # totals over non-empty regions only: summing the zeros too would
+    # regroup numpy's pairwise summation and change the rounding
+    times = [float(np.sum(t[k])) for t, k in zip(region_times, keep)]
+    sums = [float(np.sum(a[k])) for a, k in zip(region_areas, keep)]
+    last = np.searchsorted(
+        traj.times, np.vstack((timeline.start_times, timeline.failure_times)), side="right"
+    ) - 1
+    return PeriodTable(
+        params=timeline.params,
+        unstable_queue=timeline.unstable_queue,
+        measured_time=m1 - m0,
+        age_area=float(np.sum(whole)),
+        regions=RegionAverages(*(a / t if t > 0 else float("nan") for a, t in zip(sums, times)), *times),
+        lengths=edges[3] - edges[0],
+        areas=areas[:n],
+        region_times=region_times,
+        region_areas=region_areas,
+        edges=edges,
+        last_arrivals=np.where(last >= 0, traj.times[np.maximum(last, 0)], -np.inf),
+        bounds=bounds,
+    )
 
 
 @dataclass(frozen=True)
@@ -52,18 +207,6 @@ class MetricsSummary:
         }
 
 
-def per_period_statistics(timeline: Timeline, rule: DecisionRule):
-    """(age areas, mismatch times, lengths) of each period's slice of the
-    measured span. Sums reproduce the whole-run numerators exactly."""
-    traj = age_trajectory(timeline)
-    lo = np.maximum(timeline.start_times, traj.measurement_start)
-    hi = np.minimum(timeline.recovery_ends, traj.measurement_end)
-    lo = np.minimum(lo, hi)
-    areas = interval_age_areas(timeline, lo, hi)
-    mismatch = mismatch_time_by_period(timeline, rule)
-    return areas, mismatch, hi - lo
-
-
 def _bootstrap_halfwidth(rng, numerators, lengths, resamples: int, confidence: float):
     n = lengths.size
     stats = np.empty((resamples, numerators.shape[0]))
@@ -76,46 +219,42 @@ def _bootstrap_halfwidth(rng, numerators, lengths, resamples: int, confidence: f
 
 
 def summarize(
-    timeline: Timeline,
+    table: PeriodTable,
     rule: DecisionRule | None = None,
     resamples: int = 1000,
     confidence: float = 0.95,
 ) -> MetricsSummary:
     """Empirical metrics plus bootstrap half-widths at the given confidence.
 
-    The rule defaults to the optimal threshold for the timeline's own
+    The rule defaults to the optimal threshold for the run's own
     parameters. resamples=0 skips the bootstrap (half-widths become NaN).
     The bootstrap stream is derived from the master seed, so summaries are
     reproducible.
     """
-    params = timeline.params
+    params = table.params
     if rule is None:
         params.require_stable_queue()
         rule = DecisionRule.map_rule(params.lam, params.nu, params.r)
     if not 0 < confidence < 1:
         raise ParameterError("confidence must be in (0, 1)")
-    traj = age_trajectory(timeline)
-    aoi = time_average_aoi(traj)
-    regions = region_average_aoi(timeline)
-    error = empirical_error_rate(timeline, rule)
+    error = table.error(rule)
     if resamples > 0:
-        areas, mismatch, lengths = per_period_statistics(timeline, rule)
         rng = np.random.default_rng(
             np.random.SeedSequence(params.master_seed, spawn_key=(0x0B00, 0))
         )
         aoi_hw, err_hw = _bootstrap_halfwidth(
-            rng, np.vstack((areas, mismatch)), lengths, resamples, confidence
+            rng, np.vstack((table.areas, table.mismatch(rule))), table.lengths, resamples, confidence
         )
     else:
         aoi_hw = err_hw = float("nan")
     return MetricsSummary(
-        aoi_time_average=aoi,
-        regions=regions,
+        aoi_time_average=table.aoi,
+        regions=table.regions,
         error=error,
         aoi_ci_halfwidth=float(aoi_hw),
         error_ci_halfwidth=float(err_hw),
-        measured_time=error.measured_time,
+        measured_time=table.measured_time,
         periods=params.periods,
         seed=params.master_seed,
-        unstable_queue=timeline.unstable_queue,
+        unstable_queue=table.unstable_queue,
     )

@@ -15,15 +15,14 @@ from agemon import (
     SimParams,
     Timeline,
     age_trajectory,
-    empirical_error_rate,
     error_rate_closed_form,
     generate_period,
     lindley_arrival_times,
     map_threshold,
     mean_aoi_closed_form,
     period_streams,
+    period_table,
     quadrature_error_rate,
-    region_average_aoi,
     run_sweep,
     scan_optimal_threshold,
     simulate,
@@ -49,8 +48,13 @@ def timeline_100k():
 
 
 @pytest.fixture(scope="module")
-def error_default_rule(timeline_100k):
-    return empirical_error_rate(timeline_100k, DecisionRule.map_rule(LAM, NU, R))
+def table_100k(timeline_100k):
+    return period_table(timeline_100k)
+
+
+@pytest.fixture(scope="module")
+def error_default_rule(table_100k):
+    return table_100k.error(DecisionRule.map_rule(LAM, NU, R))
 
 
 def test_criterion_1_threshold_reproduction():
@@ -81,7 +85,7 @@ def test_criterion_2_oracle_formula_agreement():
     note(f"criterion 2 PASS: oracle vs formula on {checked} grid cells, worst gap {worst:.2e}")
 
 
-def test_criterion_3_threshold_optimality(timeline_100k, error_default_rule):
+def test_criterion_3_threshold_optimality(table_100k, error_default_rule):
     # analytical scan at 0.02 resolution over [0, 2r]
     grid = np.round(np.arange(0.0, 2 * R + 0.01, 0.02), 10)
     best = scan_optimal_threshold(LAM, NU, R, grid)
@@ -90,15 +94,13 @@ def test_criterion_3_threshold_optimality(timeline_100k, error_default_rule):
     sweep = {}
     for t in range(1, 21):
         rule = DecisionRule.with_threshold(float(t), R)
-        sweep[t] = empirical_error_rate(timeline_100k, rule).error_rate
+        sweep[t] = table_100k.error(rule).error_rate
     empirical_best = min(sweep, key=sweep.get)
     assert empirical_best == 9  # grid point nearest 9.16
     # the optimal threshold also beats the coarse comparison rules empirically
     e_map = error_default_rule.error_rate
     for factor in (0.25, 0.5, 2.0, 4.0):
-        rival = empirical_error_rate(
-            timeline_100k, DecisionRule.with_threshold(factor * TAU, R)
-        ).error_rate
+        rival = table_100k.error(DecisionRule.with_threshold(factor * TAU, R)).error_rate
         assert e_map <= rival
     note(
         f"criterion 3 PASS: quadrature argmin {best:.2f} (9.16 +- 0.02), "
@@ -165,8 +167,8 @@ def test_criterion_6_tradeoff_reproduction():
     )
 
 
-def test_criterion_7_region_structure(timeline_100k):
-    regions = region_average_aoi(timeline_100k)
+def test_criterion_7_region_structure(table_100k):
+    regions = table_100k.regions
     gap_32 = regions.avg_r3 - regions.avg_r2
     gap_12 = regions.avg_r1 - regions.avg_r2
     assert gap_32 == pytest.approx(R / 2, rel=0.05)
@@ -222,7 +224,7 @@ def test_criterion_8_exactness_properties():
         (3.0, 2.0, [0.0], [0.5]),
         (2.0, 2.0, [0.0], [1.0]),
     ])
-    breakdown = empirical_error_rate(tl, DecisionRule.with_threshold(100.0, 2.0))
+    breakdown = period_table(tl).error(DecisionRule.with_threshold(100.0, 2.0))
     failed_time = sum(
         max(0.0, end - max(fail, tl.arrival_times[0]))
         for fail, end in zip(tl.failure_times, tl.recovery_ends)

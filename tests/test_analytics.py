@@ -19,6 +19,7 @@ from agemon import (
 )
 
 LAM, MU, NU, R = 0.5, 1.0, 0.005, 20.0
+STANDARD = dict(lam=LAM, mu=MU, nu=NU, r=R)
 # frozen by direct evaluation of the formulas at the standard configuration
 ERROR_RATE_DEFAULT = 0.041628918211379574
 MEAN_AOI_DEFAULT = 4.504545454545454
@@ -167,3 +168,21 @@ class TestReport:
             "lam", "mu", "nu", "r", "tau", "degenerate",
             "error_rate", "aoi_mm1", "mean_aoi", "prior_s1",
         }
+
+
+@pytest.mark.parametrize("fn,fields,field,value", [
+    pytest.param(fn, fields, field, value, id=f"{fn.__name__}-{field}-{value}")
+    for fn, fields in (
+        (failure_prior, ("nu", "r")),
+        (error_rate_closed_form, ("lam", "nu", "r")),
+        (mean_aoi_closed_form, ("lam", "mu", "nu", "r")),
+        (region_means_closed_form, ("lam", "mu", "nu", "r")),
+        (analytic_report, ("lam", "mu", "nu", "r")),
+    )
+    for field in fields
+    for value in (math.inf, math.nan)
+])
+def test_non_finite_input_rejected(fn, fields, field, value):
+    args = {name: STANDARD[name] for name in fields}
+    with pytest.raises(ParameterError, match=f"{field} must be finite"):
+        fn(**{**args, field: value})

@@ -8,8 +8,7 @@ from agemon import (
     EmptyTimelineError,
     SimParams,
     age_trajectory,
-    interval_age_areas,
-    region_average_aoi,
+    period_table,
     simulate,
     time_average_aoi,
 )
@@ -110,17 +109,14 @@ class TestIntervalAreas:
     def test_matches_segment_sum(self, small_timeline):
         traj = age_trajectory(small_timeline)
         total = time_average_aoi(traj) * (traj.measurement_end - traj.measurement_start)
-        areas = interval_age_areas(
-            small_timeline,
-            np.maximum(small_timeline.start_times, traj.measurement_start),
-            small_timeline.recovery_ends,
-        )
+        areas = period_table(small_timeline).areas
         assert float(areas.sum()) == pytest.approx(total, rel=1e-9)
 
     def test_single_segment_interval(self):
-        tl = manual_timeline([(5.0, 20.0, [0.0, 1.0, 1.5], [2.0, 2.4])])
-        # inside [2.4, 4.4): age from 1.4 to 3.4 over 2 s
-        area = interval_age_areas(tl, [2.4], [4.4])
+        # the outage r3 = [2.4, 4.4) lies inside the segment after the last
+        # arrival: age from 1.4 to 3.4 over 2 s
+        tl = manual_timeline([(2.4, 2.0, [0.0, 1.0, 1.5], [2.0, 2.4])])
+        area = period_table(tl).region_areas[2]
         assert area[0] == pytest.approx(2.0 * (1.4 + 3.4) / 2)
 
 
@@ -132,7 +128,7 @@ class TestRegions:
             (1.0, 2.0, [0.0], []),
             (4.0, 2.0, [0.0, 2.0], [1.0, 3.5]),
         ])
-        regions = region_average_aoi(tl)
+        regions = period_table(tl).regions
         # measured span starts at the first arrival 1.5
         # r1: [6, 7) from period 2 (no delivery: pre-failure span) and [9, 10) from period 3
         assert regions.time_r1 == pytest.approx(2.0)
@@ -144,7 +140,7 @@ class TestRegions:
         assert regions.total_time == pytest.approx(span)
 
     def test_weighted_combination_is_overall_average(self, small_timeline):
-        regions = region_average_aoi(small_timeline)
+        regions = period_table(small_timeline).regions
         traj = age_trajectory(small_timeline)
         overall = time_average_aoi(traj)
         combined = (
@@ -159,5 +155,5 @@ class TestRegions:
 
     def test_region_ordering_statistical(self, small_timeline):
         # outage and reacquisition run at much higher age than normal operation
-        regions = region_average_aoi(small_timeline)
+        regions = period_table(small_timeline).regions
         assert regions.avg_r1 > regions.avg_r3 > regions.avg_r2

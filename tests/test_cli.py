@@ -57,6 +57,19 @@ class TestErrors:
         assert status == 1
         assert "rho" in err
 
+    def test_non_finite_recovery_rejected(self, capsys):
+        status, out, err = run(capsys, "analytic", "--recovery", "inf", "--json")
+        assert status == 1 and out == ""
+        assert "r must be finite" in err
+
+    @pytest.mark.parametrize("lam", ["0.5", "2.0"])
+    def test_run_without_deliveries(self, capsys, lam):
+        # failures within ~0.01 s leave no time to deliver anything
+        status, _, err = run(capsys, "simulate", "--lambda", lam, "--nu", "100",
+                             "--periods", "1", "--resamples", "0")
+        assert status == 1
+        assert "error:" in err and ("deliveries" in err or "rho" in err)
+
     def test_unwritable_output(self, capsys, tmp_path):
         status, _, err = run(capsys, "simulate", *FAST, "--out", str(tmp_path / "no" / "x.csv"))
         assert status == 1

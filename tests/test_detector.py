@@ -9,10 +9,9 @@ from agemon import (
     ParameterError,
     SensorState,
     decide,
-    empirical_error_rate,
     estimated_state_trajectory,
     map_threshold,
-    mismatch_time_by_period,
+    period_table,
 )
 from conftest import manual_period, manual_timeline
 
@@ -117,7 +116,7 @@ def naive_error_times(timeline, rule):
     """Reference mismatch accounting: walk the estimated intervals and clip
     each against every true-failure interval."""
     intervals = estimated_state_trajectory(timeline, rule)
-    fails, ends = timeline.failure_intervals()
+    fails, ends = timeline.failure_times, timeline.recovery_ends
     fp = fn = 0.0
     for lo, hi, state in intervals:
         failed_overlap = sum(
@@ -136,7 +135,7 @@ class TestEmpiricalError:
         # the estimate turns FAILED at 12.56, so [5, 12.56] is missed outage
         tau = 9.16
         tl = manual_timeline([(5.0, 20.0, [0.0, 1.0, 1.5], [2.0, 2.4, 3.4])])
-        breakdown = empirical_error_rate(tl, DecisionRule.with_threshold(tau, 20.0))
+        breakdown = period_table(tl).error(DecisionRule.with_threshold(tau, 20.0))
         assert breakdown.false_negative_time == pytest.approx(3.4 + tau - 5.0)
         assert breakdown.false_positive_time == pytest.approx(0.0, abs=1e-12)
         assert breakdown.measured_time == pytest.approx(23.0)
@@ -145,7 +144,7 @@ class TestEmpiricalError:
     def test_short_working_gap_no_false_positive(self):
         tau = 5.0
         tl = single_span_timeline([1.0, 4.0], T=10.0, r=100.0)
-        breakdown = empirical_error_rate(tl, DecisionRule.with_threshold(tau, 1000.0))
+        breakdown = period_table(tl).error(DecisionRule.with_threshold(tau, 1000.0))
         assert breakdown.reacquisition_fp_time == 0.0
         # the only false positive is the tail of the final gap before failure
         assert breakdown.false_positive_time == pytest.approx(10.0 - 4.0 - tau)
@@ -153,7 +152,7 @@ class TestEmpiricalError:
     def test_long_working_gap_contributes_gap_minus_tau(self):
         tau = 2.0
         tl = single_span_timeline([1.0, 9.0], T=9.5, r=100.0)
-        breakdown = empirical_error_rate(tl, DecisionRule.with_threshold(tau, 1000.0))
+        breakdown = period_table(tl).error(DecisionRule.with_threshold(tau, 1000.0))
         # gap of 8 inside the working span -> 8 - tau, plus (9.5 - 9 - tau)+ = 0 tail
         assert breakdown.false_positive_time == pytest.approx(8.0 - tau)
 
@@ -164,7 +163,7 @@ class TestEmpiricalError:
         ])
         rule = DecisionRule.with_threshold(10.0, 2.0)
         assert rule.degenerate
-        breakdown = empirical_error_rate(tl, rule)
+        breakdown = period_table(tl).error(rule)
         in_failure = sum(
             max(0.0, e - max(f, tl.arrival_times[0]))
             for f, e in zip(tl.failure_times, tl.recovery_ends)
@@ -189,7 +188,7 @@ class TestEmpiricalError:
                 continue
             tl = manual_timeline(specs)
             rule = DecisionRule.with_threshold(float(rng.uniform(0.3, 6.0)), 1e9)
-            breakdown = empirical_error_rate(tl, rule)
+            breakdown = period_table(tl).error(rule)
             fp, fn = naive_error_times(tl, rule)
             assert breakdown.false_positive_time == pytest.approx(fp, abs=1e-10)
             assert breakdown.false_negative_time == pytest.approx(fn, abs=1e-10)
@@ -205,15 +204,16 @@ class TestEmpiricalError:
         from agemon import Timeline
         shifted = Timeline.from_periods(base.params, shifted_periods)
         rule = DecisionRule.with_threshold(1.25, 2.0)
-        a = empirical_error_rate(base, rule)
-        b = empirical_error_rate(shifted, rule)
+        a = period_table(base).error(rule)
+        b = period_table(shifted).error(rule)
         assert a.false_positive_time == b.false_positive_time
         assert a.false_negative_time == b.false_negative_time
         assert a.error_rate == b.error_rate
 
     def test_reacquisition_split_consistency(self, small_timeline):
         rule = DecisionRule.map_rule(0.5, 0.005, 20.0)
-        breakdown = empirical_error_rate(small_timeline, rule)
+        table = period_table(small_timeline)
+        breakdown = table.error(rule)
         assert 0.0 <= breakdown.reacquisition_fp_time <= breakdown.false_positive_time
         assert breakdown.detection_error_rate < breakdown.error_rate
         assert breakdown.error_rate == pytest.approx(
@@ -222,14 +222,14 @@ class TestEmpiricalError:
         )
         # with tau < r, z exceeds tau during every reacquisition span, so the
         # reacquisition false-positive time is exactly the r1 time
-        from agemon import region_average_aoi
-        regions = region_average_aoi(small_timeline)
+        regions = table.regions
         assert breakdown.reacquisition_fp_time == pytest.approx(regions.time_r1, rel=1e-12)
 
     def test_per_period_mismatch_sums_to_total(self, small_timeline):
         rule = DecisionRule.map_rule(0.5, 0.005, 20.0)
-        per_period = mismatch_time_by_period(small_timeline, rule)
-        breakdown = empirical_error_rate(small_timeline, rule)
+        table = period_table(small_timeline)
+        per_period = table.mismatch(rule)
+        breakdown = table.error(rule)
         assert per_period.sum() == pytest.approx(
             breakdown.false_positive_time + breakdown.false_negative_time, rel=1e-9
         )

@@ -1,4 +1,5 @@
 import concurrent.futures
+import cProfile
 import dataclasses
 import math
 import random
@@ -314,6 +315,14 @@ class TestBatchedSimulate:
         assert_same_timeline(batched, reference_timeline(params))
         if require_delivery:
             assert np.all(batched.delivered_counts > 0)
+
+    def test_runs_under_a_profiler(self):
+        # a sys.setprofile hook holds a reference to the arrays simulate
+        # grows in place after each block
+        with mock.patch.object(sim, "BLOCK_PACKETS", self.BUDGET):
+            profiled = cProfile.Profile().runcall(simulate, self.MULTI_BLOCK)
+            plain = simulate(self.MULTI_BLOCK)
+        assert_same_timeline(profiled, plain)
 
 
 class TestDistributions:

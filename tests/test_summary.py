@@ -1,42 +1,90 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from agemon import (
     DecisionRule,
     ParameterError,
     SimParams,
     age_trajectory,
-    empirical_error_rate,
-    per_period_statistics,
+    period_table,
     simulate,
     summarize,
     time_average_aoi,
 )
-from conftest import DEFAULTS, SEED
+from conftest import DEFAULTS, SEED, manual_timeline
+
+# float.hex of every float in summarize(...).to_dict() at 300 periods and 50
+# resamples, recorded with the per-function metric paths the period table
+# replaced; every later change must reproduce them bit for bit
+GOLDEN = {
+    20.0: {
+        "aoi_time_average": "0x1.22da738826da9p+2",
+        "aoi_ci_halfwidth": "0x1.7232f8525bf40p-4",
+        "avg_r1": "0x1.868d0cb6c87f3p+4",
+        "avg_r2": "0x1.c073b7df8b078p+1",
+        "avg_r3": "0x1.b31391eb8dfe5p+3",
+        "time_r1": "0x1.376e6dae2c426p+8",
+        "time_r2": "0x1.c5fcae298c779p+15",
+        "time_r3": "0x1.7700000000000p+12",
+        "error_rate": "0x1.8fdf1ff91dea2p-5",
+        "detection_error_rate": "0x1.6844f45516d86p-5",
+        "error_ci_halfwidth": "0x1.7964a048e35e0p-9",
+        "fp_rate": "0x1.f678560a71bebp-7",
+        "fn_rate": "0x1.12410a76817a7p-5",
+        "reacquisition_fp_time": "0x1.376e6dae2c426p+8",
+        "measured_time": "0x1.f74b8b04e8d01p+15",
+    },
+    # r = 5 <= tau: the optimal rule is degenerate
+    5.0: {
+        "aoi_time_average": "0x1.cc2dd620df13ep+1",
+        "aoi_ci_halfwidth": "0x1.f29af79dc3420p-5",
+        "avg_r1": "0x1.2bbbbc560ac1cp+3",
+        "avg_r2": "0x1.c073b7df8b04cp+1",
+        "avg_r3": "0x1.7c8d8a3d82613p+2",
+        "time_r1": "0x1.376e6dae2c44ep+8",
+        "time_r2": "0x1.c5fcae298c779p+15",
+        "time_r3": "0x1.7700000000000p+10",
+        "error_rate": "0x1.9a227e1eb8c6dp-6",
+        "detection_error_rate": "0x1.9a227e1eb8c6dp-6",
+        "error_ci_halfwidth": "0x1.d8d3dc55c4ee8p-10",
+        "fp_rate": "0x0.0p+0",
+        "fn_rate": "0x1.9a227e1eb8c6dp-6",
+        "reacquisition_fp_time": "0x0.0p+0",
+        "measured_time": "0x1.d4238b04e8d01p+15",
+    },
+}
 
 
 @pytest.fixture(scope="module")
-def summary(small_timeline):
-    return summarize(small_timeline, resamples=300)
+def small_table(small_timeline):
+    return period_table(small_timeline)
+
+
+@pytest.fixture(scope="module")
+def summary(small_table):
+    return summarize(small_table, resamples=300)
 
 
 class TestSummarize:
-    def test_matches_direct_metrics(self, small_timeline, summary):
+    def test_matches_direct_metrics(self, small_timeline, small_table, summary):
         traj = age_trajectory(small_timeline)
         assert summary.aoi_time_average == time_average_aoi(traj)
         rule = DecisionRule.map_rule(DEFAULTS["lam"], DEFAULTS["nu"], DEFAULTS["r"])
-        direct = empirical_error_rate(small_timeline, rule)
+        direct = small_table.error(rule)
         assert summary.error.error_rate == direct.error_rate
         assert summary.measured_time == direct.measured_time
         assert summary.periods == 2000
         assert summary.seed == SEED
 
-    def test_confidence_intervals_positive_and_reproducible(self, small_timeline, summary):
+    def test_confidence_intervals_positive_and_reproducible(self, small_table, summary):
         assert summary.aoi_ci_halfwidth > 0
         assert summary.error_ci_halfwidth > 0
-        again = summarize(small_timeline, resamples=300)
+        again = summarize(small_table, resamples=300)
         assert again.aoi_ci_halfwidth == summary.aoi_ci_halfwidth
         assert again.error_ci_halfwidth == summary.error_ci_halfwidth
 
@@ -45,14 +93,14 @@ class TestSummarize:
         assert summary.aoi_ci_halfwidth < 0.5
         assert abs(summary.aoi_time_average - 4.5045) < 3 * summary.aoi_ci_halfwidth
 
-    def test_skipping_bootstrap(self, small_timeline):
-        s = summarize(small_timeline, resamples=0)
+    def test_skipping_bootstrap(self, small_table):
+        s = summarize(small_table, resamples=0)
         assert math.isnan(s.aoi_ci_halfwidth)
         assert math.isnan(s.error_ci_halfwidth)
 
-    def test_confidence_domain(self, small_timeline):
+    def test_confidence_domain(self, small_table):
         with pytest.raises(ParameterError):
-            summarize(small_timeline, resamples=10, confidence=1.5)
+            summarize(small_table, resamples=10, confidence=1.5)
 
     def test_to_dict_keys(self, summary):
         d = summary.to_dict()
@@ -63,22 +111,107 @@ class TestSummarize:
     def test_explicit_rule_on_unstable_queue(self):
         tl = simulate(SimParams(lam=1.2, mu=1.0, nu=0.05, r=5.0, periods=50, master_seed=5))
         with pytest.raises(ParameterError):
-            summarize(tl)  # the optimal rule needs rho < 1
-        s = summarize(tl, rule=DecisionRule.with_threshold(3.0, 5.0), resamples=0)
+            summarize(period_table(tl))  # the optimal rule needs rho < 1
+        s = summarize(period_table(tl), rule=DecisionRule.with_threshold(3.0, 5.0), resamples=0)
         assert s.unstable_queue
 
 
 class TestPerPeriodStatistics:
-    def test_sums_reproduce_whole_run(self, small_timeline):
+    def test_sums_reproduce_whole_run(self, small_timeline, small_table):
         rule = DecisionRule.map_rule(DEFAULTS["lam"], DEFAULTS["nu"], DEFAULTS["r"])
-        areas, mismatch, lengths = per_period_statistics(small_timeline, rule)
+        areas, mismatch, lengths = small_table.areas, small_table.mismatch(rule), small_table.lengths
         traj = age_trajectory(small_timeline)
         span = traj.measurement_end - traj.measurement_start
         assert lengths.sum() == pytest.approx(span, rel=1e-12)
         assert areas.sum() == pytest.approx(time_average_aoi(traj) * span, rel=1e-9)
-        direct = empirical_error_rate(small_timeline, rule)
+        direct = small_table.error(rule)
         assert mismatch.sum() == pytest.approx(
             direct.false_positive_time + direct.false_negative_time, rel=1e-9
         )
         assert np.all(lengths >= 0)
         assert np.all(areas >= 0)
+
+
+@pytest.mark.parametrize("r", sorted(GOLDEN))
+def test_summary_bit_identical_to_recorded(r):
+    tl = simulate(SimParams(**{**DEFAULTS, "r": r}, periods=300, master_seed=SEED))
+    record = summarize(period_table(tl), resamples=50).to_dict()
+    floats = {key: float.hex(value) for key, value in record.items() if isinstance(value, float)}
+    assert floats == GOLDEN[r]
+
+
+def dyadic(low, high):
+    """Multiples of 1/8: sums and trapezoids of a few of them are exact."""
+    return st.integers(low, high).map(lambda k: k / 8)
+
+
+@st.composite
+def dyadic_timeline_specs(draw):
+    """manual_timeline specs with dyadic times; deliveries follow the FCFS
+    recursion, and any period may deliver nothing."""
+    specs = []
+    for _ in range(draw(st.integers(1, 4))):
+        gens = np.cumsum([0.0] + draw(st.lists(dyadic(1, 16), max_size=5)))
+        if draw(st.booleans()):
+            arrivals, last = [], 0.0
+            for g in gens:
+                last = max(last, g) + draw(dyadic(1, 16))
+                arrivals.append(last)
+            T = arrivals[-1] + draw(dyadic(1, 16))
+        else:
+            arrivals, T = [], draw(dyadic(1, 16))
+        specs.append((T, draw(dyadic(0, 64)), gens.tolist(), arrivals))
+    assume(any(spec[3] for spec in specs))
+    return specs
+
+
+class TestPeriodTableProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lam=st.floats(0.05, 0.95),
+        nu=st.floats(0.005, 0.5),
+        r=st.floats(0.0, 30.0),
+        periods=st.integers(1, 40),
+        seed=st.integers(0, 2**64 - 1),
+        tau=st.floats(0.0, 40.0),
+    )
+    def test_column_sums_reproduce_whole_run(self, lam, nu, r, periods, seed, tau):
+        tl = simulate(SimParams(lam=lam, mu=1.0, nu=nu, r=r, periods=periods, master_seed=seed))
+        assume(tl.delivery_count > 0)
+        table = period_table(tl)
+        rule = DecisionRule.with_threshold(tau, r)
+        error = table.error(rule)
+        span = table.measured_time
+        assert table.lengths.sum() == pytest.approx(span, rel=1e-12)
+        assert table.areas.sum() == pytest.approx(table.aoi * span, rel=1e-12)
+        assert table.mismatch(rule).sum() == pytest.approx(
+            error.false_positive_time + error.false_negative_time, rel=1e-12
+        )
+        assert table.regions.total_time == pytest.approx(span, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(specs=dyadic_timeline_specs(), data=st.data())
+    def test_age_columns_split_invariant(self, specs, data):
+        # the production-path counterpart of acceptance criterion 8(b): a
+        # delivery that carries the previous delivery's generation time adds
+        # a breakpoint to the age without resetting it
+        delivering = [i for i, spec in enumerate(specs) if spec[3]]
+        p = data.draw(st.sampled_from(delivering))
+        T, r, gens, arrivals = specs[p]
+        k = data.draw(st.integers(0, len(arrivals) - 1))
+        following = arrivals[k + 1] if k + 1 < len(arrivals) else T
+        split = list(specs)
+        split[p] = (
+            T, r,
+            gens[: k + 1] + [gens[k]] + gens[k + 1:],
+            arrivals[: k + 1] + [(arrivals[k] + following) / 2] + arrivals[k + 1:],
+        )
+        base, more = period_table(manual_timeline(specs)), period_table(manual_timeline(split))
+        assert more.bounds.size == base.bounds.size + 1
+        assert more.age_area == base.age_area
+        assert more.aoi == base.aoi
+        assert np.array_equal(more.areas, base.areas)
+        assert np.array_equal(more.region_areas, base.region_areas)
+        assert np.array_equal(
+            dataclasses.astuple(more.regions), dataclasses.astuple(base.regions), equal_nan=True
+        )
