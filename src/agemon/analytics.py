@@ -17,11 +17,18 @@ def _check_rates(lam: float, nu: float) -> None:
         raise ParameterError("lam and nu must be > 0")
 
 
+def _check_recovery(r: float) -> None:
+    # the domain SimParams accepts: r = 0 is a run without outages
+    if r < 0:
+        raise ParameterError(f"r must be >= 0, got {r}")
+
+
 def failure_prior(nu: float, r: float) -> float:
     """Long-run fraction of time the sensor is failed: r*nu / (1 + r*nu)."""
     require_finite(nu=nu, r=r)
-    if not nu > 0 or not r > 0:
-        raise ParameterError("nu and r must be > 0")
+    if not nu > 0:
+        raise ParameterError("nu must be > 0")
+    _check_recovery(r)
     return r * nu / (1.0 + r * nu)
 
 
@@ -72,12 +79,11 @@ def error_rate_closed_form(lam: float, nu: float, r: float) -> float:
         E = 1/(1 + r nu) * nu/(lam + 2 nu)
           + nu/(1 + r nu) * (log(lam/nu + 2) + nu/(lam + 2 nu) - 1) / (lam + nu)
     For tau >= r the rule always declares WORKING, so the error is exactly
-    the failed-time prior r nu / (1 + r nu).
+    the failed-time prior r nu / (1 + r nu), which is 0 at r = 0.
     """
     require_finite(lam=lam, nu=nu, r=r)
     _check_rates(lam, nu)
-    if not r > 0:
-        raise ParameterError("r must be > 0")
+    _check_recovery(r)
     tau = map_threshold(lam, nu)
     if tau >= r:
         return failure_prior(nu, r)
@@ -108,8 +114,7 @@ def mean_aoi_closed_form(lam: float, mu: float, nu: float, r: float) -> float:
     _check_rates(lam, nu)
     if not mu > 0:
         raise ParameterError("mu must be > 0")
-    if r < 0:
-        raise ParameterError("r must be >= 0")
+    _check_recovery(r)
     base = aoi_mm1(lam / mu, mu)
     return base + (r * r / 2.0 + r / mu + 1.0 / (mu * mu)) * nu / (1.0 + r * nu)
 
@@ -121,8 +126,7 @@ def region_means_closed_form(lam: float, mu: float, nu: float, r: float) -> tupl
     _check_rates(lam, nu)
     if not mu > 0:
         raise ParameterError("mu must be > 0")
-    if r < 0:
-        raise ParameterError("r must be >= 0")
+    _check_recovery(r)
     base = aoi_mm1(lam / mu, mu)
     return base + r + 0.5 / mu, base, base + 0.5 * r
 
@@ -148,8 +152,6 @@ class AnalyticReport:
 
 def analytic_report(lam: float, mu: float, nu: float, r: float) -> AnalyticReport:
     require_finite(lam=lam, mu=mu, nu=nu, r=r)
-    if not r > 0:
-        raise ParameterError("r must be > 0")
     tau = map_threshold(lam, nu)
     return AnalyticReport(
         lam=lam,

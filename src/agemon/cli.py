@@ -154,19 +154,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     for key, value in summary.to_dict().items():
         print(f"{key} = {value}")
     if args.out:
-        row = ResultRow(
-            swept_var="rho",
-            swept_value=params.rho,
-            aoi_empirical=summary.aoi_time_average,
-            err_empirical=summary.error.error_rate,
-            fp_rate=summary.error.fp_rate,
-            fn_rate=summary.error.fn_rate,
-            seed=params.master_seed,
-        )
-        if args.resamples > 0:
-            row.aoi_ci = summary.aoi_ci_halfwidth
-            row.err_ci = summary.error_ci_halfwidth
-        if params.rho < 1.0:
+        row = ResultRow(swept_var="rho", swept_value=params.rho)
+        row.add_empirical(summary, args.resamples)
+        if not params.unstable_queue:
             row.aoi_analytic = mean_aoi_closed_form(params.lam, params.mu, params.nu, params.r)
             row.err_analytic = error_rate_closed_form(params.lam, params.nu, params.r)
         path = write_csv([row], _resolve(args.out), params)

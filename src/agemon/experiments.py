@@ -14,10 +14,10 @@ import numpy as np
 
 from .analytics import error_rate_closed_form, mean_aoi_closed_form
 from .detector import DecisionRule
-from .errors import ParameterError
+from .errors import ParameterError, require_finite
 from .oracle import quadrature_error_rate
 from .sim import SimParams, simulate
-from .summary import period_table, summarize
+from .summary import MetricsSummary, period_table, summarize
 
 SWEEP_VARIABLES = ("rho", "expected_T", "threshold")
 
@@ -40,6 +40,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.variable not in SWEEP_VARIABLES:
             raise ParameterError(f"unknown sweep variable {self.variable!r}")
+        require_finite(start=self.start, stop=self.stop, step=self.step)
         if not self.step > 0:
             raise ParameterError("step must be > 0")
         if not self.start < self.stop:
@@ -73,6 +74,18 @@ class ResultRow:
     fn_rate: Optional[float] = None
     seed: Optional[int] = None
 
+    def add_empirical(self, report: MetricsSummary, resamples: int) -> None:
+        """Fill the empirical columns from `report`; the half-widths only
+        when a bootstrap ran (resamples > 0)."""
+        self.aoi_empirical = report.aoi_time_average
+        self.err_empirical = report.error.error_rate
+        self.fp_rate = report.error.fp_rate
+        self.fn_rate = report.error.fn_rate
+        self.seed = report.seed
+        if resamples > 0:
+            self.aoi_ci = report.aoi_ci_halfwidth
+            self.err_ci = report.error_ci_halfwidth
+
 
 def _point_row(params: SimParams, var: str, value: float, with_sim: bool, resamples: int) -> ResultRow:
     params.require_stable_queue()
@@ -83,15 +96,7 @@ def _point_row(params: SimParams, var: str, value: float, with_sim: bool, resamp
         err_analytic=error_rate_closed_form(params.lam, params.nu, params.r),
     )
     if with_sim:
-        report = summarize(period_table(simulate(params)), resamples=resamples)
-        row.aoi_empirical = report.aoi_time_average
-        row.err_empirical = report.error.error_rate
-        row.fp_rate = report.error.fp_rate
-        row.fn_rate = report.error.fn_rate
-        row.seed = params.master_seed
-        if resamples > 0:
-            row.aoi_ci = report.aoi_ci_halfwidth
-            row.err_ci = report.error_ci_halfwidth
+        row.add_empirical(summarize(period_table(simulate(params)), resamples=resamples), resamples)
     return row
 
 
@@ -112,29 +117,24 @@ def run_sweep(spec: SweepSpec, with_sim: bool = True, resamples: int = 1000) -> 
 def _threshold_sweep(spec: SweepSpec, with_sim: bool, resamples: int) -> list[ResultRow]:
     """One simulation, many rules: the error of each threshold is measured on
     the same timeline, so differences between rows are not simulation noise.
-    The period table is built once; each rule recomputes only its own columns."""
+    The period table is built once; each rule recomputes only its own columns.
+    The analytic columns come first, so a point outside their domain fails
+    before the simulation runs."""
     params = spec.fixed
     params.require_stable_queue()
     aoi_analytic = mean_aoi_closed_form(params.lam, params.mu, params.nu, params.r)
-    table = period_table(simulate(params)) if with_sim else None
-    rows = []
-    for value in spec.grid():
-        rule = DecisionRule.with_threshold(float(value), params.r)
-        row = ResultRow(
+    rows = [
+        ResultRow(
             swept_var="threshold",
             swept_value=float(value),
             aoi_analytic=aoi_analytic,
             err_analytic=quadrature_error_rate(params.lam, params.nu, params.r, float(value)),
         )
-        if table is not None:
-            report = summarize(table, rule, resamples=resamples)
-            row.aoi_empirical = report.aoi_time_average
-            row.err_empirical = report.error.error_rate
-            row.fp_rate = report.error.fp_rate
-            row.fn_rate = report.error.fn_rate
-            row.seed = params.master_seed
-            if resamples > 0:
-                row.aoi_ci = report.aoi_ci_halfwidth
-                row.err_ci = report.error_ci_halfwidth
-        rows.append(row)
+        for value in spec.grid()
+    ]
+    if with_sim:
+        table = period_table(simulate(params))
+        for row in rows:
+            rule = DecisionRule.with_threshold(row.swept_value, params.r)
+            row.add_empirical(summarize(table, rule, resamples=resamples), resamples)
     return rows

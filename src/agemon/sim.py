@@ -12,18 +12,17 @@ with the first update generated after the previous recovery and contains:
 
 The next period starts exactly at recovery completion.
 
-`simulate` is the batched production path: it seeds every period's
-substreams at once, draws period by period, solves the queues of a block
-of periods in lockstep and appends only the delivered packets to flat
-arrays. `period_streams`, `generate_period`, `PeriodTrace` and
-`Timeline.from_periods` are the per-period reference it reproduces bit for
-bit.
+`simulate` seeds every period's substreams at once, draws period by
+period, solves the queues of a block of periods in lockstep and appends
+only the delivered packets to flat arrays. The test suite keeps a
+per-period reference (tests/reference.py: each period generated alone from
+its own substreams) and checks that `simulate` reproduces it bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -87,43 +86,30 @@ class SimParams:
     def rho(self) -> float:
         return self.lam / self.mu
 
+    @property
+    def unstable_queue(self) -> bool:
+        """rho >= 1: a run is still valid, but the queue has no steady state,
+        so the closed forms and the optimal detector do not apply."""
+        return self.rho >= 1.0
+
     def require_stable_queue(self) -> None:
         """Raise unless rho < 1 (needed by the closed forms and the detector)."""
-        if not self.rho < 1.0:
+        if self.unstable_queue:
             raise ParameterError(
                 f"rho = lam/mu = {self.rho} must be < 1 for analytics/detection"
             )
 
 
-class PeriodStreams(NamedTuple):
-    """Independent random substreams for one period."""
-
-    failure: np.random.Generator
-    gaps: np.random.Generator
-    services: np.random.Generator
-
-
-def period_streams(master_seed: int, index: int) -> PeriodStreams:
-    """Derive the three substreams used by period `index`.
-
-    Children are SeedSequence(master_seed, spawn_key=(index, k)) with
-    k = 0 (failure clock), 1 (generation gaps), 2 (service times), so any
-    period can be generated in isolation and parallel or out-of-order
-    evaluation reproduces a serial run bit for bit. Dedicating a stream to
-    each draw type also keeps sample paths coupled across parameter sweeps
-    that share a master seed (common random numbers).
-    """
-    return PeriodStreams(
-        *(
-            np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index, k)))
-            for k in range(3)
-        )
-    )
-
-
 def _substream_words(master_seed: int, indices: np.ndarray) -> np.ndarray:
     """SeedSequence(master_seed, spawn_key=(p, k)).generate_state(4, np.uint64)
     for every p in `indices` and k = 0, 1, 2, as an (n, 3, 4) uint64 array.
+
+    Period p draws only from these three substreams: k = 0 (failure clock),
+    1 (generation gaps), 2 (service times). Any period can therefore be
+    generated in isolation, and parallel or out-of-order evaluation
+    reproduces a serial run bit for bit. Dedicating a stream to each draw
+    type also keeps sample paths coupled across parameter sweeps that share
+    a master seed (common random numbers).
 
     A vectorised transcription of SeedSequence's hash-mix. Its entropy is the
     seed's two uint32 words, zero-padded to the 4-word pool (numpy pads when
@@ -176,64 +162,11 @@ class _StateWords(ISeedSequence):
         return self.words
 
 
-def _streams_from_words(words: np.ndarray) -> PeriodStreams:
-    """The substreams period_streams builds, seeded from their state words."""
-    failure, gaps, services = (np.random.Generator(np.random.PCG64(_StateWords(w))) for w in words)
-    return PeriodStreams(failure, gaps, services)
-
-
-@dataclass(frozen=True, eq=False)
-class PeriodTrace:
-    """One failure-to-failure period.
-
-    `generations` holds every departure time (absolute seconds, first entry
-    equals start_time); `arrival_times` holds the monitor-side arrival of
-    the delivered prefix. Deliveries are always a prefix of the generations
-    because FCFS arrival times are strictly increasing. failure_time and
-    recovery_end are constructed as start_time + time_to_failure and
-    failure_time + recovery_duration; the drawn durations are kept so the
-    exact values survive the absolute-clock rounding.
-    """
-
-    start_time: float
-    failure_time: float
-    recovery_end: float
-    time_to_failure: float
-    recovery_duration: float
-    generations: np.ndarray
-    arrival_times: np.ndarray
-    discarded_count: int
-
-    @property
-    def delivered_count(self) -> int:
-        return int(self.arrival_times.size)
-
-    @property
-    def delivery_generations(self) -> np.ndarray:
-        return self.generations[: self.arrival_times.size]
-
-    @property
-    def deliveries(self) -> np.ndarray:
-        """Delivered updates as an (n, 2) array of (generation, arrival) times."""
-        return np.column_stack((self.delivery_generations, self.arrival_times))
-
-    @property
-    def duration(self) -> float:
-        return self.time_to_failure + self.recovery_duration
-
-    def shifted(self, offset: float) -> "PeriodTrace":
-        """The same trace moved by `offset` seconds on the absolute clock."""
-        failure = self.start_time + offset + self.time_to_failure
-        return PeriodTrace(
-            start_time=self.start_time + offset,
-            failure_time=failure,
-            recovery_end=failure + self.recovery_duration,
-            time_to_failure=self.time_to_failure,
-            recovery_duration=self.recovery_duration,
-            generations=self.generations + offset,
-            arrival_times=self.arrival_times + offset,
-            discarded_count=self.discarded_count,
-        )
+def _streams_from_words(words: np.ndarray) -> tuple[np.random.Generator, ...]:
+    """A period's (failure, gaps, services) generators: each the one
+    np.random.default_rng(SeedSequence(master_seed, spawn_key=(p, k))) builds,
+    seeded from its precomputed state words."""
+    return tuple(np.random.Generator(np.random.PCG64(_StateWords(w))) for w in words)
 
 
 def _lindley_lockstep(departures: np.ndarray, services: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -260,15 +193,6 @@ def _lindley_lockstep(departures: np.ndarray, services: np.ndarray, counts: np.n
     return arrivals
 
 
-def lindley_arrival_times(departures: np.ndarray, services: np.ndarray) -> np.ndarray:
-    """FCFS arrival times from the recursion a_k = max(d_k, a_{k-1}) + s_k."""
-    departures = np.asarray(departures, dtype=np.float64)
-    services = np.asarray(services, dtype=np.float64)
-    if departures.size != services.size:
-        raise ParameterError("departures and services must have equal length")
-    return _lindley_lockstep(departures, services, np.array([departures.size]))
-
-
 def _generation_times(rng: np.random.Generator, rate: float, horizon: float) -> np.ndarray:
     """Departure times relative to the period start: 0, then Exp(rate) gaps,
     stopping at the first departure that would land beyond `horizon`."""
@@ -293,8 +217,9 @@ def _generation_times(rng: np.random.Generator, rate: float, horizon: float) -> 
         last = float(cum[-1])
 
 
-def _draw_period(params: SimParams, streams: PeriodStreams) -> tuple[float, np.ndarray, np.ndarray]:
-    """(time to failure, relative departure times, services) of one period.
+def _draw_period(params: SimParams, streams: Sequence) -> tuple[float, np.ndarray, np.ndarray]:
+    """(time to failure, relative departure times, services) of one period,
+    from its (failure, gaps, services) streams.
 
     Draw order is fixed (failure time, then generation gaps, then one
     service per generation) so a period is a pure function of its
@@ -302,32 +227,13 @@ def _draw_period(params: SimParams, streams: PeriodStreams) -> tuple[float, np.n
     until the first update, which departs at 0 into an empty queue, is
     delivered: its service completes by the failure.
     """
+    failure_rng, gaps_rng, services_rng = streams
     while True:
-        T = streams.failure.exponential(1.0 / params.nu)
-        rel_gens = _generation_times(streams.gaps, params.lam, T)
-        services = streams.services.exponential(1.0 / params.mu, size=rel_gens.size)
+        T = failure_rng.exponential(1.0 / params.nu)
+        rel_gens = _generation_times(gaps_rng, params.lam, T)
+        services = services_rng.exponential(1.0 / params.mu, size=rel_gens.size)
         if services[0] <= T or not params.require_delivery:
             return T, rel_gens, services
-
-
-def generate_period(params: SimParams, streams: PeriodStreams, start: float = 0.0) -> PeriodTrace:
-    """Generate one period whose first update departs exactly at `start`
-    (the per-period reference for `simulate`)."""
-    T, rel_gens, services = _draw_period(params, streams)
-    rel_arrivals = lindley_arrival_times(rel_gens, services)
-    # arrivals strictly increase, so delivered packets (a_k <= T) form a prefix
-    n_delivered = int(np.searchsorted(rel_arrivals, T, side="right"))
-    failure_time = start + T
-    return PeriodTrace(
-        start_time=start,
-        failure_time=failure_time,
-        recovery_end=failure_time + params.r,
-        time_to_failure=T,
-        recovery_duration=params.r,
-        generations=start + rel_gens,
-        arrival_times=start + rel_arrivals[:n_delivered],
-        discarded_count=int(rel_gens.size) - n_delivered,
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,12 +246,9 @@ class Timeline:
     all of period p's updates, so generated - delivered were discarded.
     The true sensor state is failed exactly on the union of
     [failure_times[p], recovery_ends[p]) and working elsewhere.
-    unstable_queue is set when rho >= 1: the trace is still valid but the
-    queue has no steady state, so analytics and detection do not apply.
     """
 
     params: SimParams
-    total_time: float
     start_times: np.ndarray
     failure_times: np.ndarray
     recovery_ends: np.ndarray
@@ -354,35 +257,6 @@ class Timeline:
     arrival_generations: np.ndarray
     delivered_counts: np.ndarray
     generated_counts: np.ndarray
-    unstable_queue: bool
-
-    @classmethod
-    def from_periods(cls, params: SimParams, traces: Sequence[PeriodTrace]) -> "Timeline":
-        traces = tuple(traces)
-        if not traces:
-            raise ParameterError("a timeline needs at least one period")
-        starts = np.array([t.start_time for t in traces])
-        ends = np.array([t.recovery_end for t in traces])
-        if starts.size > 1 and not np.array_equal(starts[1:], ends[:-1]):
-            raise ParameterError("periods must abut: each start must equal the previous recovery end")
-        return cls(
-            params=params,
-            total_time=float(ends[-1] - starts[0]),
-            start_times=starts,
-            failure_times=np.array([t.failure_time for t in traces]),
-            recovery_ends=ends,
-            times_to_failure=np.array([t.time_to_failure for t in traces]),
-            arrival_times=np.concatenate([t.arrival_times for t in traces]),
-            arrival_generations=np.concatenate([t.delivery_generations for t in traces]),
-            delivered_counts=np.array([t.delivered_count for t in traces], dtype=np.int64),
-            generated_counts=np.array([t.generations.size for t in traces], dtype=np.int64),
-            unstable_queue=params.rho >= 1.0,
-        )
-
-    @property
-    def all_arrivals(self) -> np.ndarray:
-        """Every delivery as an (n, 2) array of (generation, arrival) times."""
-        return np.column_stack((self.arrival_generations, self.arrival_times))
 
     @property
     def delivery_count(self) -> int:
@@ -416,9 +290,8 @@ def simulate(params: SimParams) -> Timeline:
     """Run `params.periods` abutting periods starting at t = 0.
 
     The result is a pure function of (master_seed, params): period p only
-    consumes draws from the substreams period_streams(master_seed, p)
-    builds, so it equals the per-period reference (generate_period for each
-    period at its start, then Timeline.from_periods) bit for bit.
+    consumes draws from its own substreams (see _substream_words), so it
+    equals each period generated alone at its start time, bit for bit.
     Periods are drawn one at a time; each block of about BLOCK_PACKETS
     generations is queued in lockstep and only its deliveries are kept.
     """
@@ -470,7 +343,6 @@ def simulate(params: SimParams) -> Timeline:
             block_start, block_packets = index + 1, 0
     return Timeline(
         params=params,
-        total_time=float(recovery_ends[-1] - start_times[0]),
         start_times=start_times,
         failure_times=failure_times,
         recovery_ends=recovery_ends,
@@ -479,5 +351,4 @@ def simulate(params: SimParams) -> Timeline:
         arrival_generations=arrival_generations,
         delivered_counts=delivered_counts,
         generated_counts=generated_counts,
-        unstable_queue=params.rho >= 1.0,
     )

@@ -2,6 +2,12 @@
 table, age averages, detection error breakdown, and bootstrap confidence
 half-widths.
 
+The instantaneous age is the time since the generation of the freshest
+delivered update: a sawtooth that climbs with slope 1 and drops to the
+system time of each update on its arrival. Every age metric integrates that
+piecewise-linear trajectory in closed form per segment with `_age_area`;
+there is no time discretization anywhere.
+
 Every reported metric is a column sum or a ratio of column sums of the
 table. Periods are the iid unit of the model, so resampling is over
 per-period (area, mismatch, length) triples rather than raw time.
@@ -13,10 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aoi import RegionAverages, _age_area, age_trajectory
 from .detector import DecisionRule, ErrorBreakdown
-from .errors import ParameterError
+from .errors import EmptyTimelineError, ParameterError
 from .sim import SimParams, Timeline
+
+
+def _age_area(length, start_age):
+    """Integral of the slope-1 age over `length` seconds from `start_age`:
+    the trapezoid length * (start_age + length/2)."""
+    return length * (start_age + 0.5 * length)
 
 
 def _interval_integrals(bounds, whole, part, starts, ends) -> np.ndarray:
@@ -38,6 +49,31 @@ def _interval_integrals(bounds, whole, part, starts, ends) -> np.ndarray:
     )
 
 
+@dataclass(frozen=True)
+class RegionAverages:
+    """Time-averaged age and total duration per region of the period cycle:
+
+    r1: from the first post-recovery generation until its delivery (for
+        periods with no delivery, the whole pre-failure span),
+    r2: normal operation, from the first delivery until the failure,
+    r3: the outage, from the failure until recovery completes.
+
+    Averages are time-weighted across the whole run; a region nobody entered
+    has zero time and a NaN average.
+    """
+
+    avg_r1: float
+    avg_r2: float
+    avg_r3: float
+    time_r1: float
+    time_r2: float
+    time_r3: float
+
+    @property
+    def total_time(self) -> float:
+        return self.time_r1 + self.time_r2 + self.time_r3
+
+
 @dataclass(frozen=True, eq=False)
 class PeriodTable:
     """Per-period statistics over the measured span [first arrival, end of run].
@@ -53,7 +89,6 @@ class PeriodTable:
     """
 
     params: SimParams
-    unstable_queue: bool
     measured_time: float
     age_area: float
     regions: RegionAverages
@@ -124,17 +159,23 @@ def period_table(timeline: Timeline) -> PeriodTable:
     """The rule-independent columns of a timeline's period table. Ages are
     integrated from reset ages, not absolute generation times, which stays
     well conditioned on long runs."""
-    traj = age_trajectory(timeline)
-    m0, m1 = traj.measurement_start, traj.measurement_end
-    bounds = np.append(traj.times, m1)
-    whole = _age_area(np.diff(bounds), traj.ages)
+    arrivals = timeline.arrival_times
+    if arrivals.size == 0:
+        raise EmptyTimelineError("timeline has no deliveries; the age is undefined")
+    # the age is undefined before the first arrival
+    m0, m1 = float(arrivals[0]), timeline.end_time
+    if not m1 > m0:
+        raise EmptyTimelineError("zero-length measured span has no average")
+    ages = arrivals - timeline.arrival_generations
+    bounds = np.append(arrivals, m1)
+    whole = _age_area(np.diff(bounds), ages)
 
     def part(j, lo, hi):
-        return _age_area(hi - lo, traj.ages[j] + (lo - bounds[j]))
+        return _age_area(hi - lo, ages[j] + (lo - bounds[j]))
 
     # r1 ends at the first delivery, or at the failure when nothing was delivered
     counts = timeline.delivered_counts
-    first = traj.times[np.minimum(np.cumsum(counts) - counts, traj.times.size - 1)]
+    first = arrivals[np.minimum(np.cumsum(counts) - counts, arrivals.size - 1)]
     cut = np.where(counts > 0, first, timeline.failure_times)
     edges = np.clip(
         np.vstack((timeline.start_times, cut, timeline.failure_times, timeline.recovery_ends)), m0, m1
@@ -154,11 +195,10 @@ def period_table(timeline: Timeline) -> PeriodTable:
     times = [float(np.sum(t[k])) for t, k in zip(region_times, keep)]
     sums = [float(np.sum(a[k])) for a, k in zip(region_areas, keep)]
     last = np.searchsorted(
-        traj.times, np.vstack((timeline.start_times, timeline.failure_times)), side="right"
+        arrivals, np.vstack((timeline.start_times, timeline.failure_times)), side="right"
     ) - 1
     return PeriodTable(
         params=timeline.params,
-        unstable_queue=timeline.unstable_queue,
         measured_time=m1 - m0,
         age_area=float(np.sum(whole)),
         regions=RegionAverages(*(a / t if t > 0 else float("nan") for a, t in zip(sums, times)), *times),
@@ -167,7 +207,7 @@ def period_table(timeline: Timeline) -> PeriodTable:
         region_times=region_times,
         region_areas=region_areas,
         edges=edges,
-        last_arrivals=np.where(last >= 0, traj.times[np.maximum(last, 0)], -np.inf),
+        last_arrivals=np.where(last >= 0, arrivals[np.maximum(last, 0)], -np.inf),
         bounds=bounds,
     )
 
@@ -227,7 +267,8 @@ def summarize(
     """Empirical metrics plus bootstrap half-widths at the given confidence.
 
     The rule defaults to the optimal threshold for the run's own
-    parameters. resamples=0 skips the bootstrap (half-widths become NaN).
+    parameters. resamples=0 skips the bootstrap (half-widths become NaN);
+    a negative count is an error.
     The bootstrap stream is derived from the master seed, so summaries are
     reproducible.
     """
@@ -237,6 +278,8 @@ def summarize(
         rule = DecisionRule.map_rule(params.lam, params.nu, params.r)
     if not 0 < confidence < 1:
         raise ParameterError("confidence must be in (0, 1)")
+    if resamples < 0:
+        raise ParameterError(f"resamples must be >= 0, got {resamples}")
     error = table.error(rule)
     if resamples > 0:
         rng = np.random.default_rng(
@@ -256,5 +299,5 @@ def summarize(
         measured_time=table.measured_time,
         periods=params.periods,
         seed=params.master_seed,
-        unstable_queue=table.unstable_queue,
+        unstable_queue=params.unstable_queue,
     )

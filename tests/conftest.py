@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from agemon import PeriodTrace, SimParams, Timeline, simulate
+from agemon import SimParams, simulate
+from reference import PeriodTrace, timeline_from_periods
 
 # Standard configuration used throughout: lambda=0.5, mu=1, nu=1/200, r=20.
 DEFAULTS = dict(lam=0.5, mu=1.0, nu=0.005, r=20.0)
@@ -11,8 +12,8 @@ SEED = 20260810
 class ScriptedStream:
     """Stands in for a numpy Generator: serves preset values, then a filler.
 
-    Lets tests drive generate_period with hand-picked draws; exponential()
-    ignores the scale and simply pops the script.
+    Lets tests drive reference.generate_period with hand-picked draws;
+    exponential() ignores the scale and simply pops the script.
     """
 
     def __init__(self, values, filler=1e9):
@@ -55,7 +56,21 @@ def manual_timeline(period_specs, lam=0.5, mu=1.0, nu=0.005, seed=1):
         traces.append(manual_period(start, T, r, gens, arrs, discarded))
         start = traces[-1].recovery_end
     params = SimParams(lam=lam, mu=mu, nu=nu, r=period_specs[0][1], periods=len(traces), master_seed=seed)
-    return Timeline.from_periods(params, traces)
+    return timeline_from_periods(params, traces)
+
+
+def sawtooth_timeline(times, ages, end, cuts=()):
+    """One period, failing at `end` with r = 0, whose age drops to ages[k]
+    at times[k]. Each cut adds a delivery that carries the generation time
+    of the delivery before it: a breakpoint that leaves the age unchanged."""
+    times = np.asarray(times, dtype=np.float64)
+    gens = times - np.asarray(ages, dtype=np.float64)
+    cuts = np.asarray(cuts, dtype=np.float64)
+    cut_gens = gens[np.searchsorted(times, cuts, side="right") - 1]
+    order = np.argsort(np.concatenate((times, cuts)), kind="stable")
+    arrivals = np.concatenate((times, cuts))[order]
+    gens = np.concatenate((gens, cut_gens))[order]
+    return manual_timeline([(end, 0.0, gens.tolist(), arrivals.tolist())])
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,166 @@
+"""Per-period reference implementations that the library is checked against.
+
+`simulate` seeds, draws and queues all periods of a run at once. The
+reference generates each period alone from its own freshly built
+substreams, as one `PeriodTrace` object, and lays the traces end to end;
+tests require the two to agree bit for bit. It draws through the library's
+private `_draw_period` and queues through `_lindley_lockstep`, so what it
+checks independently is the seeding, the blocking and the flattening.
+
+`estimated_state_trajectory` builds the detector's estimated state as
+explicit intervals, the oracle behind the interval-walk check of
+`PeriodTable.error`.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from agemon import EmptyTimelineError, ParameterError, SimParams, Timeline
+from agemon.sim import _draw_period, _lindley_lockstep
+
+
+def period_streams(master_seed: int, index: int) -> tuple[np.random.Generator, ...]:
+    """Period `index`'s (failure, gaps, services) substreams, built from
+    SeedSequence(master_seed, spawn_key=(index, k)) for k = 0, 1, 2."""
+    return tuple(
+        np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index, k)))
+        for k in range(3)
+    )
+
+
+def lindley_arrival_times(departures, services) -> np.ndarray:
+    """FCFS arrival times from the recursion a_k = max(d_k, a_{k-1}) + s_k."""
+    departures = np.asarray(departures, dtype=np.float64)
+    services = np.asarray(services, dtype=np.float64)
+    if departures.size != services.size:
+        raise ParameterError("departures and services must have equal length")
+    return _lindley_lockstep(departures, services, np.array([departures.size]))
+
+
+@dataclass(frozen=True, eq=False)
+class PeriodTrace:
+    """One failure-to-failure period.
+
+    `generations` holds every departure time (absolute seconds, first entry
+    equals start_time); `arrival_times` holds the monitor-side arrival of
+    the delivered prefix. Deliveries are always a prefix of the generations
+    because FCFS arrival times are strictly increasing. failure_time and
+    recovery_end are constructed as start_time + time_to_failure and
+    failure_time + recovery_duration; the drawn durations are kept so the
+    exact values survive the absolute-clock rounding.
+    """
+
+    start_time: float
+    failure_time: float
+    recovery_end: float
+    time_to_failure: float
+    recovery_duration: float
+    generations: np.ndarray
+    arrival_times: np.ndarray
+    discarded_count: int
+
+    @property
+    def delivered_count(self) -> int:
+        return int(self.arrival_times.size)
+
+    @property
+    def delivery_generations(self) -> np.ndarray:
+        return self.generations[: self.arrival_times.size]
+
+    def shifted(self, offset: float) -> "PeriodTrace":
+        """The same trace moved by `offset` seconds on the absolute clock."""
+        failure = self.start_time + offset + self.time_to_failure
+        return PeriodTrace(
+            start_time=self.start_time + offset,
+            failure_time=failure,
+            recovery_end=failure + self.recovery_duration,
+            time_to_failure=self.time_to_failure,
+            recovery_duration=self.recovery_duration,
+            generations=self.generations + offset,
+            arrival_times=self.arrival_times + offset,
+            discarded_count=self.discarded_count,
+        )
+
+
+def generate_period(params: SimParams, streams, start: float = 0.0) -> PeriodTrace:
+    """One period whose first update departs exactly at `start`."""
+    T, rel_gens, services = _draw_period(params, streams)
+    rel_arrivals = lindley_arrival_times(rel_gens, services)
+    # arrivals strictly increase, so delivered packets (a_k <= T) form a prefix
+    n_delivered = int(np.searchsorted(rel_arrivals, T, side="right"))
+    failure_time = start + T
+    return PeriodTrace(
+        start_time=start,
+        failure_time=failure_time,
+        recovery_end=failure_time + params.r,
+        time_to_failure=T,
+        recovery_duration=params.r,
+        generations=start + rel_gens,
+        arrival_times=start + rel_arrivals[:n_delivered],
+        discarded_count=int(rel_gens.size) - n_delivered,
+    )
+
+
+def timeline_from_periods(params: SimParams, traces) -> Timeline:
+    """The flat Timeline of abutting period traces."""
+    traces = tuple(traces)
+    if not traces:
+        raise ParameterError("a timeline needs at least one period")
+    starts = np.array([t.start_time for t in traces])
+    ends = np.array([t.recovery_end for t in traces])
+    if starts.size > 1 and not np.array_equal(starts[1:], ends[:-1]):
+        raise ParameterError("periods must abut: each start must equal the previous recovery end")
+    return Timeline(
+        params=params,
+        start_times=starts,
+        failure_times=np.array([t.failure_time for t in traces]),
+        recovery_ends=ends,
+        times_to_failure=np.array([t.time_to_failure for t in traces]),
+        arrival_times=np.concatenate([t.arrival_times for t in traces]),
+        arrival_generations=np.concatenate([t.delivery_generations for t in traces]),
+        delivered_counts=np.array([t.delivered_count for t in traces], dtype=np.int64),
+        generated_counts=np.array([t.generations.size for t in traces], dtype=np.int64),
+    )
+
+
+def reference_timeline(params: SimParams) -> Timeline:
+    """What `simulate(params)` must return: each period generated alone from
+    its own substreams, laid end to end from t = 0."""
+    traces, start = [], 0.0
+    for index in range(params.periods):
+        traces.append(generate_period(params, period_streams(params.master_seed, index), start))
+        start = traces[-1].recovery_end
+    return timeline_from_periods(params, traces)
+
+
+def estimated_state_trajectory(timeline: Timeline, rule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rule's estimate from the first arrival to the end of the last
+    period, as ordered, gap-free intervals (starts, ends, failed).
+
+    z runs straight through failures and recoveries (the monitor cannot see
+    them), so the estimate flips to FAILED at a + tau whenever the next
+    arrival is more than tau after a, and back to WORKING on each arrival.
+    """
+    arrivals = timeline.arrival_times
+    if arrivals.size == 0:
+        raise EmptyTimelineError("timeline has no deliveries; nothing to estimate")
+    end = timeline.end_time
+    if rule.degenerate:
+        return np.array([arrivals[0]]), np.array([end]), np.array([False])
+    nxt = np.append(arrivals[1:], end)
+    long = (nxt - arrivals) > rule.tau
+    n = arrivals.size + int(long.sum())
+    starts = np.empty(n)
+    ends = np.empty(n)
+    failed = np.zeros(n, dtype=bool)
+    pos = np.arange(arrivals.size) + np.concatenate(([0], np.cumsum(long[:-1])))
+    starts[pos] = arrivals
+    ends[pos] = np.minimum(arrivals + rule.tau, nxt)
+    flip = pos[long] + 1
+    starts[flip] = arrivals[long] + rule.tau
+    ends[flip] = nxt[long]
+    failed[flip] = True
+    return starts, ends, failed

@@ -10,26 +10,20 @@ import pytest
 from scipy import stats
 
 from agemon import (
-    AoiTrajectory,
     DecisionRule,
     SimParams,
-    Timeline,
-    age_trajectory,
     error_rate_closed_form,
-    generate_period,
-    lindley_arrival_times,
     map_threshold,
     mean_aoi_closed_form,
-    period_streams,
     period_table,
     quadrature_error_rate,
     run_sweep,
     scan_optimal_threshold,
     simulate,
     SweepSpec,
-    time_average_aoi,
 )
-from conftest import DEFAULTS, SEED, manual_timeline
+from conftest import DEFAULTS, SEED, manual_timeline, sawtooth_timeline
+from reference import generate_period, lindley_arrival_times, period_streams, timeline_from_periods
 
 LAM, MU, NU, R = DEFAULTS["lam"], DEFAULTS["mu"], DEFAULTS["nu"], DEFAULTS["r"]
 TAU = map_threshold(LAM, NU)
@@ -109,13 +103,13 @@ def test_criterion_3_threshold_optimality(table_100k, error_default_rule):
     )
 
 
-def test_criterion_4_aoi_closed_form_vs_monte_carlo(timeline_100k):
-    aoi = time_average_aoi(age_trajectory(timeline_100k))
+def test_criterion_4_aoi_closed_form_vs_monte_carlo(table_100k):
+    aoi = table_100k.aoi
     rel = abs(aoi / MEAN_AOI_CF - 1.0)
     assert rel < 0.02
     # shorter working spans break the steady-state premise: deviation grows
     short = simulate(SimParams(lam=LAM, mu=MU, nu=0.05, r=R, periods=100_000, master_seed=SEED))
-    aoi_short = time_average_aoi(age_trajectory(short))
+    aoi_short = period_table(short).aoi
     rel_short = abs(aoi_short / mean_aoi_closed_form(LAM, MU, 0.05, R) - 1.0)
     assert rel_short > rel
     note(
@@ -204,19 +198,12 @@ def test_criterion_8_exactness_properties():
         assert np.array_equal(direct, np.asarray(out))
 
     # (b) trapezoid additivity under segment splitting, bit-exact on dyadics
-    times = np.array([0.0, 1.0, 2.5, 4.0])
-    ages = np.array([0.5, 0.25, 1.0, 0.75])
-    traj = AoiTrajectory(times, ages, 0.0, 8.0)
-    cuts = np.array([0.5, 1.5, 3.0, 6.0])
-    cut_ages = traj.age_at(cuts)
-    merged = np.argsort(np.concatenate((times, cuts)), kind="stable")
-    split = AoiTrajectory(
-        np.concatenate((times, cuts))[merged],
-        np.concatenate((ages, cut_ages))[merged],
-        0.0,
-        8.0,
-    )
-    assert time_average_aoi(split) == time_average_aoi(traj)
+    times = [0.0, 1.0, 2.5, 4.0]
+    ages = [0.5, 0.25, 1.0, 0.75]
+    whole = period_table(sawtooth_timeline(times, ages, 8.0))
+    split = period_table(sawtooth_timeline(times, ages, 8.0, cuts=[0.5, 1.5, 3.0, 6.0]))
+    assert split.bounds.size == whole.bounds.size + 4
+    assert split.age_area == whole.age_area
 
     # (c) degenerate rule: error == fraction of time failed, exactly
     tl = manual_timeline([
@@ -248,7 +235,7 @@ def test_criterion_8_exactness_properties():
     for i in range(params.periods):
         traces.append(built[i].shifted(start))
         start = traces[-1].recovery_end
-    parallel = Timeline.from_periods(params, traces)
+    parallel = timeline_from_periods(params, traces)
     assert np.array_equal(serial.arrival_times, parallel.arrival_times)
     assert np.array_equal(serial.failure_times, parallel.failure_times)
     rerun = simulate(params)

@@ -3,93 +3,83 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agemon import (
-    AoiTrajectory,
-    EmptyTimelineError,
-    SimParams,
-    age_trajectory,
-    period_table,
-    simulate,
-    time_average_aoi,
-)
-from conftest import manual_timeline
-
-
-def split_trajectory(traj, extra_times):
-    """The same piecewise-linear age with additional breakpoints inserted."""
-    extra_times = np.asarray(extra_times, dtype=np.float64)
-    extra_ages = traj.age_at(extra_times)
-    times = np.concatenate((traj.times, extra_times))
-    ages = np.concatenate((traj.ages, extra_ages))
-    order = np.argsort(times, kind="stable")
-    return AoiTrajectory(times[order], ages[order], traj.measurement_start, traj.measurement_end)
+from agemon import EmptyTimelineError, period_table
+from conftest import manual_timeline, sawtooth_timeline
 
 
 class TestTrajectory:
     def test_two_deliveries(self):
-        # deliveries (d, a) = (0, 2), (1, 2.4) inside one period
+        # deliveries (d, a) = (0, 2), (1, 2.4) inside one period: the age is
+        # 2 at 2.0, climbs to 2.4 just before the reset at 2.4, drops to 1.4
+        # there, and is 4.0 at the failure at 5 and 24 at the recovery end
         tl = manual_timeline([(5.0, 20.0, [0.0, 1.0, 1.5], [2.0, 2.4])])
-        traj = age_trajectory(tl)
-        assert traj.measurement_start == 2.0
-        assert traj.measurement_end == 25.0
-        assert traj.age_at(2.0) == 2.0
-        assert traj.age_at(2.375) == pytest.approx(2.375)  # just before the reset
-        assert traj.age_at(2.4) == pytest.approx(1.4)      # right-continuous drop
-        assert traj.age_at(4.4) == pytest.approx(3.4)
+        table = period_table(tl)
+        assert table.bounds[0] == 2.0
+        assert table.bounds[-1] == 25.0
+        assert table.measured_time == 23.0
+        r2, r3 = table.region_areas[1:, 0]
+        assert r2 == pytest.approx(0.4 * (2.0 + 2.4) / 2 + 2.6 * (1.4 + 4.0) / 2)
+        assert r3 == pytest.approx(20.0 * (4.0 + 24.0) / 2)
 
     def test_single_delivery_linear(self):
+        # age 1 at the arrival at 1.0, rising linearly to 3 at the end, 3.0
         tl = manual_timeline([(2.0, 1.0, [0.0], [1.0])])
-        traj = age_trajectory(tl)
-        assert traj.age_at(1.0) == 1.0
-        assert traj.age_at(3.0) == 3.0
-        assert traj.measurement_end == 3.0
+        table = period_table(tl)
+        assert table.bounds[-1] == 3.0
+        assert table.age_area == 2.0 * (1.0 + 3.0) / 2
+        assert table.aoi == 2.0
 
     def test_zero_service_resets_to_zero(self):
+        # the update generated at 1.0 arrives at once: the age restarts from
+        # 0 at 1.0 and is 1.0 at the failure at 2.0
         tl = manual_timeline([(2.0, 1.0, [0.0, 1.0], [0.5, 1.0])])
-        traj = age_trajectory(tl)
-        assert traj.age_at(1.0) == 0.0
+        table = period_table(tl)
+        assert table.region_areas[2, 0] == 1.0 * (1.0 + 2.0) / 2
+        assert table.age_area == 0.5 * (0.5 + 1.0) / 2 + 2.0 * (0.0 + 2.0) / 2
 
     def test_no_deliveries(self):
         tl = manual_timeline([(1.0, 2.0, [0.0], [])])
         with pytest.raises(EmptyTimelineError):
-            age_trajectory(tl)
+            period_table(tl)
 
     def test_everywhere_nonnegative(self, small_timeline):
-        traj = age_trajectory(small_timeline)
-        assert np.all(traj.ages >= 0)
+        assert np.all(small_timeline.arrival_times - small_timeline.arrival_generations >= 0)
+        table = period_table(small_timeline)
+        assert np.all(table.areas >= 0)
+        assert np.all(table.region_areas >= 0)
 
 
 class TestTimeAverage:
     def test_trapezoid_by_hand(self):
         # span [2, 2.4] starting at age 2: (2 + 2.4)/2
-        traj = AoiTrajectory(np.array([2.0]), np.array([2.0]), 2.0, 2.4)
-        assert time_average_aoi(traj) == pytest.approx(2.2)
+        table = period_table(sawtooth_timeline([2.0], [2.0], 2.4))
+        assert table.aoi == pytest.approx(2.2)
 
     def test_pedestal(self):
         # age A over length L with no resets averages A + L/2
-        traj = AoiTrajectory(np.array([0.0]), np.array([7.0]), 0.0, 5.0)
-        assert time_average_aoi(traj) == pytest.approx(7.0 + 2.5)
+        table = period_table(sawtooth_timeline([0.0], [7.0], 5.0))
+        assert table.aoi == pytest.approx(7.0 + 2.5)
 
     def test_deterministic_sawtooth(self):
         # resets to age y every g seconds: average y + g/2
         y, g, teeth = 1.5, 4.0, 50
-        times = g * np.arange(teeth)
-        traj = AoiTrajectory(times, np.full(teeth, y), 0.0, g * teeth)
-        assert time_average_aoi(traj) == pytest.approx(y + g / 2)
+        table = period_table(sawtooth_timeline(g * np.arange(teeth), np.full(teeth, y), g * teeth))
+        assert table.aoi == pytest.approx(y + g / 2)
 
     def test_zero_span(self):
-        traj = AoiTrajectory(np.array([1.0]), np.array([1.0]), 1.0, 1.0)
         with pytest.raises(EmptyTimelineError):
-            time_average_aoi(traj)
+            period_table(sawtooth_timeline([1.0], [1.0], 1.0))
 
     def test_split_additivity_exact_on_dyadic_grid(self):
         # all values are small dyadics, so every intermediate float op is
         # exact and splitting changes nothing, bit for bit
-        times = np.array([0.0, 1.0, 2.5, 4.0])
-        ages = np.array([0.5, 0.25, 1.0, 0.75])
-        traj = AoiTrajectory(times, ages, 0.0, 8.0)
-        split = split_trajectory(traj, [0.5, 1.5, 3.0, 6.0])
-        assert time_average_aoi(split) == time_average_aoi(traj)
+        times = [0.0, 1.0, 2.5, 4.0]
+        ages = [0.5, 0.25, 1.0, 0.75]
+        base = period_table(sawtooth_timeline(times, ages, 8.0))
+        split = period_table(sawtooth_timeline(times, ages, 8.0, cuts=[0.5, 1.5, 3.0, 6.0]))
+        assert split.bounds.size == base.bounds.size + 4
+        assert split.age_area == base.age_area
+        assert split.aoi == base.aoi
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(0.01, 50.0), min_size=1, max_size=30), st.integers(0, 2**32 - 1))
@@ -98,19 +88,16 @@ class TestTimeAverage:
         times = np.concatenate(([0.0], np.cumsum(gaps)[:-1])) if len(gaps) > 1 else np.array([0.0])
         ages = rng.uniform(0.0, 10.0, size=times.size)
         end = float(times[-1] + gaps[-1])
-        traj = AoiTrajectory(times, ages, 0.0, end)
         cuts = rng.uniform(0.0, end, size=7)
-        assert time_average_aoi(split_trajectory(traj, cuts)) == pytest.approx(
-            time_average_aoi(traj), rel=1e-12
+        assert period_table(sawtooth_timeline(times, ages, end, cuts)).aoi == pytest.approx(
+            period_table(sawtooth_timeline(times, ages, end)).aoi, rel=1e-12
         )
 
 
 class TestIntervalAreas:
     def test_matches_segment_sum(self, small_timeline):
-        traj = age_trajectory(small_timeline)
-        total = time_average_aoi(traj) * (traj.measurement_end - traj.measurement_start)
-        areas = period_table(small_timeline).areas
-        assert float(areas.sum()) == pytest.approx(total, rel=1e-9)
+        table = period_table(small_timeline)
+        assert float(table.areas.sum()) == pytest.approx(table.age_area, rel=1e-9)
 
     def test_single_segment_interval(self):
         # the outage r3 = [2.4, 4.4) lies inside the segment after the last
@@ -140,9 +127,9 @@ class TestRegions:
         assert regions.total_time == pytest.approx(span)
 
     def test_weighted_combination_is_overall_average(self, small_timeline):
-        regions = period_table(small_timeline).regions
-        traj = age_trajectory(small_timeline)
-        overall = time_average_aoi(traj)
+        table = period_table(small_timeline)
+        regions = table.regions
+        overall = table.aoi
         combined = (
             regions.avg_r1 * regions.time_r1
             + regions.avg_r2 * regions.time_r2
@@ -150,7 +137,7 @@ class TestRegions:
         ) / regions.total_time
         assert combined == pytest.approx(overall, rel=1e-12)
         assert regions.total_time == pytest.approx(
-            traj.measurement_end - traj.measurement_start, rel=1e-12
+            small_timeline.end_time - small_timeline.arrival_times[0], rel=1e-12
         )
 
     def test_region_ordering_statistical(self, small_timeline):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import agemon.experiments
 from agemon import read_csv
 from agemon.cli import run_subcommand
 
@@ -36,6 +37,14 @@ class TestAnalytic:
         assert data["degenerate"] is True
         assert data["error_rate"] == pytest.approx(data["prior_s1"])
 
+    def test_zero_recovery(self, capsys):
+        # no outage: the rule is degenerate and never wrong
+        status, out, _ = run(capsys, "analytic", "--json", "--recovery", "0")
+        assert status == 0
+        data = json.loads(out)
+        assert data["degenerate"] is True
+        assert data["error_rate"] == 0.0 and data["prior_s1"] == 0.0
+
 
 class TestErrors:
     def test_bad_flag_usage_error(self, capsys):
@@ -61,6 +70,26 @@ class TestErrors:
         status, out, err = run(capsys, "analytic", "--recovery", "inf", "--json")
         assert status == 1 and out == ""
         assert "r must be finite" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["sweep-threshold", "--grid", "1:inf:1"], "stop must be finite"),
+        (["sweep-threshold", "--grid", "20:nan:20"], "stop must be finite"),
+        (["simulate", *FAST, "--resamples", "-5"], "resamples must be >= 0"),
+    ])
+    def test_bad_sweep_input_fails_with_named_field(self, capsys, argv, message):
+        status, _, err = run(capsys, *argv)
+        assert status == 1
+        assert message in err
+
+    def test_threshold_sweep_at_zero_recovery_fails_before_simulating(self, capsys, monkeypatch):
+        # the quadrature's outage density divides by r
+        def no_simulation(params):
+            raise AssertionError("simulated before the analytic column was checked")
+
+        monkeypatch.setattr(agemon.experiments, "simulate", no_simulation)
+        status, _, err = run(capsys, "sweep-threshold", *FAST, "--recovery", "0")
+        assert status == 1
+        assert "error:" in err and "r must be > 0" in err
 
     @pytest.mark.parametrize("lam", ["0.5", "2.0"])
     def test_run_without_deliveries(self, capsys, lam):
@@ -88,6 +117,15 @@ class TestSimulate:
         assert rows[0].seed == 20260810
         assert rows[0].aoi_empirical is not None
         assert rows[0].aoi_analytic is not None
+
+    def test_zero_recovery_writes_csv(self, capsys, tmp_path):
+        out_csv = tmp_path / "run.csv"
+        status, out, _ = run(capsys, "simulate", *FAST, "--recovery", "0", "--out", str(out_csv))
+        assert status == 0
+        assert "error_rate = 0.0" in out
+        [row] = read_csv(out_csv)
+        assert row.err_empirical == 0.0 and row.err_analytic == 0.0
+        assert row.aoi_analytic is not None
 
     def test_seed_flag_changes_result(self, capsys, tmp_path):
         a = tmp_path / "a.csv"
@@ -147,6 +185,17 @@ class TestSweeps:
         # longer working spans -> lower mean age
         aois = [r.aoi_analytic for r in rows]
         assert aois == sorted(aois, reverse=True)
+
+    @pytest.mark.parametrize("command,grid", [("sweep-rho", "0.3:0.5:0.2"),
+                                              ("sweep-expected-t", "100:200:100")])
+    def test_zero_recovery_sweeps(self, capsys, tmp_path, command, grid):
+        out_csv = tmp_path / "zero.csv"
+        status, _, _ = run(capsys, command, *FAST, "--recovery", "0", "--grid", grid,
+                           "--out", str(out_csv))
+        assert status == 0
+        rows = read_csv(out_csv)
+        assert len(rows) == 2
+        assert all(r.err_analytic == 0.0 and r.err_empirical == 0.0 for r in rows)
 
     def test_bad_grid_spec(self, capsys):
         status, _, err = run(capsys, "sweep-rho", "--grid", "nope")

@@ -3,17 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from agemon import (
-    DecisionRule,
-    EmptyTimelineError,
-    ParameterError,
-    SensorState,
-    decide,
-    estimated_state_trajectory,
-    map_threshold,
-    period_table,
-)
+from agemon import DecisionRule, EmptyTimelineError, ParameterError, map_threshold, period_table
 from conftest import manual_period, manual_timeline
+from reference import estimated_state_trajectory, timeline_from_periods
 
 TAU_DEFAULT = 9.158362006503506  # log(0.5/0.005 + 2) / 0.505
 
@@ -47,23 +39,6 @@ class TestThreshold:
             DecisionRule.with_threshold(-1.0, 20.0)
 
 
-class TestDecide:
-    def test_degenerate_always_working(self):
-        rule = DecisionRule.with_threshold(30.0, 20.0)
-        for z in (0.0, 5.0, 100.0, 1e9):
-            assert decide(z, rule) is SensorState.WORKING
-
-    def test_threshold_crossing(self):
-        rule = DecisionRule.with_threshold(TAU_DEFAULT, 20.0)
-        assert decide(0.0, rule) is SensorState.WORKING
-        assert decide(TAU_DEFAULT, rule) is SensorState.WORKING  # tie -> working
-        assert decide(TAU_DEFAULT + 0.001, rule) is SensorState.FAILED
-
-    def test_negative_z(self):
-        with pytest.raises(ParameterError):
-            decide(-0.1, DecisionRule.with_threshold(1.0, 20.0))
-
-
 def single_span_timeline(arrivals, T=None, r=50.0):
     """One period whose deliveries arrive at the given times."""
     arrivals = list(arrivals)
@@ -77,34 +52,32 @@ class TestEstimatedTrajectory:
     def test_short_gap_never_flips(self):
         tau = 4.0
         tl = single_span_timeline([0.5, 0.5 + 0.5 * tau], T=0.5 + 0.5 * tau + 0.1, r=tau)
-        intervals = list(estimated_state_trajectory(tl, DecisionRule.with_threshold(tau, 100.0)))
-        assert all(state is SensorState.WORKING for _, _, state in intervals[:2])
+        _, _, failed = estimated_state_trajectory(tl, DecisionRule.with_threshold(tau, 100.0))
+        assert not failed[:2].any()
 
     def test_single_crossing(self):
         tau = 4.0
         tl = single_span_timeline([1.0, 1.0 + 2 * tau], T=1.0 + 2 * tau + 0.1, r=100.0)
-        traj = estimated_state_trajectory(tl, DecisionRule.with_threshold(tau, 1000.0))
-        intervals = list(traj)
+        starts, ends, failed = estimated_state_trajectory(tl, DecisionRule.with_threshold(tau, 1000.0))
+        intervals = list(zip(starts.tolist(), ends.tolist(), failed.tolist()))
         # working on [1, 1+tau), failed on [1+tau, 1+2tau), working again after
-        assert intervals[0] == (1.0, 1.0 + tau, SensorState.WORKING)
-        assert intervals[1] == (1.0 + tau, 1.0 + 2 * tau, SensorState.FAILED)
-        assert intervals[2][2] is SensorState.WORKING
-        assert traj.state_at(1.0 + 1.5 * tau) is SensorState.FAILED
+        assert intervals[0] == (1.0, 1.0 + tau, False)
+        assert intervals[1] == (1.0 + tau, 1.0 + 2 * tau, True)
+        assert intervals[2][2] is False
 
     def test_degenerate_single_interval(self):
         tl = single_span_timeline([1.0, 30.0], T=31.0, r=2.0)
-        traj = estimated_state_trajectory(tl, DecisionRule.with_threshold(5.0, 2.0))
-        assert len(traj) == 1
-        start, end, state = next(iter(traj))
-        assert (start, end, state) == (1.0, tl.end_time, SensorState.WORKING)
+        starts, ends, failed = estimated_state_trajectory(tl, DecisionRule.with_threshold(5.0, 2.0))
+        assert starts.size == 1
+        assert (starts[0], ends[0], failed[0]) == (1.0, tl.end_time, False)
 
     def test_contiguous_cover(self, small_timeline):
         rule = DecisionRule.map_rule(0.5, 0.005, 20.0)
-        traj = estimated_state_trajectory(small_timeline, rule)
-        assert np.array_equal(traj.starts[1:], traj.ends[:-1])
-        assert traj.starts[0] == small_timeline.arrival_times[0]
-        assert traj.ends[-1] == small_timeline.end_time
-        assert np.all(traj.ends > traj.starts)
+        starts, ends, _ = estimated_state_trajectory(small_timeline, rule)
+        assert np.array_equal(starts[1:], ends[:-1])
+        assert starts[0] == small_timeline.arrival_times[0]
+        assert ends[-1] == small_timeline.end_time
+        assert np.all(ends > starts)
 
     def test_empty_timeline(self):
         tl = manual_timeline([(1.0, 2.0, [0.0], [])])
@@ -115,14 +88,14 @@ class TestEstimatedTrajectory:
 def naive_error_times(timeline, rule):
     """Reference mismatch accounting: walk the estimated intervals and clip
     each against every true-failure interval."""
-    intervals = estimated_state_trajectory(timeline, rule)
-    fails, ends = timeline.failure_times, timeline.recovery_ends
+    starts, ends, failed = estimated_state_trajectory(timeline, rule)
+    fails, recoveries = timeline.failure_times, timeline.recovery_ends
     fp = fn = 0.0
-    for lo, hi, state in intervals:
+    for lo, hi, is_failed in zip(starts.tolist(), ends.tolist(), failed.tolist()):
         failed_overlap = sum(
-            max(0.0, min(hi, e) - max(lo, f)) for f, e in zip(fails, ends)
+            max(0.0, min(hi, e) - max(lo, f)) for f, e in zip(fails, recoveries)
         )
-        if state is SensorState.FAILED:
+        if is_failed:
             fp += (hi - lo) - failed_overlap
         else:
             fn += failed_overlap
@@ -201,8 +174,7 @@ class TestEmpiricalError:
         for T, r, gens, arrs in specs:
             shifted_periods.append(manual_period(start, T, r, gens, arrs))
             start = shifted_periods[-1].recovery_end
-        from agemon import Timeline
-        shifted = Timeline.from_periods(base.params, shifted_periods)
+        shifted = timeline_from_periods(base.params, shifted_periods)
         rule = DecisionRule.with_threshold(1.25, 2.0)
         a = period_table(base).error(rule)
         b = period_table(shifted).error(rule)

@@ -12,26 +12,20 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import agemon.sim as sim
-from agemon import (
-    ParameterError,
-    PeriodStreams,
-    SimParams,
-    SimulationLimitError,
-    Timeline,
+from agemon import ParameterError, SimParams, SimulationLimitError, Timeline, simulate
+from conftest import DEFAULTS, SEED, ScriptedStream
+from reference import (
     generate_period,
     lindley_arrival_times,
     period_streams,
-    simulate,
+    reference_timeline,
+    timeline_from_periods,
 )
-from conftest import DEFAULTS, SEED, ScriptedStream
 
 
 def scripted_streams(T, gaps, services):
-    return PeriodStreams(
-        failure=ScriptedStream([T]),
-        gaps=ScriptedStream(gaps),
-        services=ScriptedStream(services),
-    )
+    """(failure, gaps, services) streams serving the given draws."""
+    return ScriptedStream([T]), ScriptedStream(gaps), ScriptedStream(services)
 
 
 class TestParams:
@@ -55,7 +49,7 @@ class TestParams:
 
     def test_unstable_queue_flagged_but_simulable(self):
         tl = simulate(SimParams(lam=1.5, mu=1.0, nu=0.05, r=5, periods=20, master_seed=3))
-        assert tl.unstable_queue
+        assert tl.params.unstable_queue
         assert tl.start_times.size == 20
 
 
@@ -131,7 +125,7 @@ class TestGeneratePeriod:
         params = SimParams(**DEFAULTS, periods=1, master_seed=11)
         for idx in range(20):
             tr = generate_period(params, period_streams(11, idx), start=float(idx))
-            assert tr.duration == tr.time_to_failure + tr.recovery_duration
+            assert tr.failure_time == tr.start_time + tr.time_to_failure
             assert tr.recovery_end == tr.failure_time + params.r
             assert tr.recovery_duration == params.r
 
@@ -178,7 +172,6 @@ class TestSimulate:
         starts = small_timeline.start_times
         ends = small_timeline.recovery_ends
         assert np.array_equal(starts[1:], ends[:-1])
-        assert small_timeline.total_time == ends[-1]
 
     def test_deterministic_for_seed(self):
         p = SimParams(**DEFAULTS, periods=50, master_seed=123)
@@ -206,7 +199,7 @@ class TestSimulate:
             tr = built[idx].shifted(start)
             traces.append(tr)
             start = tr.recovery_end
-        parallel = Timeline.from_periods(p, traces)
+        parallel = timeline_from_periods(p, traces)
         assert np.array_equal(serial.arrival_times, parallel.arrival_times)
         assert np.array_equal(serial.recovery_ends, parallel.recovery_ends)
         assert np.array_equal(serial.arrival_generations, parallel.arrival_generations)
@@ -216,28 +209,12 @@ class TestSimulate:
         expected = 1.0 / DEFAULTS["nu"] + DEFAULTS["r"]
         assert abs(durations.mean() / expected - 1.0) < 0.02
 
-    def test_all_arrivals_pairs(self, small_timeline):
-        pairs = small_timeline.all_arrivals
-        assert pairs.shape == (small_timeline.delivery_count, 2)
-        assert np.all(pairs[:, 1] > pairs[:, 0])
-        assert np.all(np.diff(pairs[:, 1]) > 0)
-
     def test_non_abutting_rejected(self):
         p = SimParams(**DEFAULTS, periods=2, master_seed=1)
         t0 = generate_period(p, period_streams(1, 0), 0.0)
         t1 = generate_period(p, period_streams(1, 1), t0.recovery_end + 1.0)
         with pytest.raises(ParameterError):
-            Timeline.from_periods(p, [t0, t1])
-
-
-def reference_timeline(params):
-    """simulate's per-period reference: each period generated alone from
-    period_streams, laid end to end, then flattened by Timeline.from_periods."""
-    traces, start = [], 0.0
-    for index in range(params.periods):
-        traces.append(generate_period(params, period_streams(params.master_seed, index), start))
-        start = traces[-1].recovery_end
-    return Timeline.from_periods(params, traces)
+            timeline_from_periods(p, [t0, t1])
 
 
 def assert_same_timeline(a, b):

@@ -6,16 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from agemon import (
-    DecisionRule,
-    ParameterError,
-    SimParams,
-    age_trajectory,
-    period_table,
-    simulate,
-    summarize,
-    time_average_aoi,
-)
+from agemon import DecisionRule, ParameterError, SimParams, period_table, simulate, summarize
 from conftest import DEFAULTS, SEED, manual_timeline
 
 # float.hex of every float in summarize(...).to_dict() at 300 periods and 50
@@ -71,9 +62,8 @@ def summary(small_table):
 
 
 class TestSummarize:
-    def test_matches_direct_metrics(self, small_timeline, small_table, summary):
-        traj = age_trajectory(small_timeline)
-        assert summary.aoi_time_average == time_average_aoi(traj)
+    def test_matches_direct_metrics(self, small_table, summary):
+        assert summary.aoi_time_average == small_table.aoi
         rule = DecisionRule.map_rule(DEFAULTS["lam"], DEFAULTS["nu"], DEFAULTS["r"])
         direct = small_table.error(rule)
         assert summary.error.error_rate == direct.error_rate
@@ -120,10 +110,9 @@ class TestPerPeriodStatistics:
     def test_sums_reproduce_whole_run(self, small_timeline, small_table):
         rule = DecisionRule.map_rule(DEFAULTS["lam"], DEFAULTS["nu"], DEFAULTS["r"])
         areas, mismatch, lengths = small_table.areas, small_table.mismatch(rule), small_table.lengths
-        traj = age_trajectory(small_timeline)
-        span = traj.measurement_end - traj.measurement_start
+        span = small_timeline.end_time - small_timeline.arrival_times[0]
         assert lengths.sum() == pytest.approx(span, rel=1e-12)
-        assert areas.sum() == pytest.approx(time_average_aoi(traj) * span, rel=1e-9)
+        assert areas.sum() == pytest.approx(small_table.age_area, rel=1e-9)
         direct = small_table.error(rule)
         assert mismatch.sum() == pytest.approx(
             direct.false_positive_time + direct.false_negative_time, rel=1e-9
