@@ -32,6 +32,20 @@ def failure_prior(nu: float, r: float) -> float:
     return r * nu / (1.0 + r * nu)
 
 
+# Each density branch once, unchecked, for a float or an array z and a = lam + nu.
+# numpy's exp/expm1 give a float the same bits as an array element; math's do not.
+def _working_density(z, a):
+    return a * np.exp(-a * z)
+
+
+def _outage_density_before(z, a, r):
+    return -np.expm1(-a * z) / r
+
+
+def _outage_density_after(z, a, r):
+    return np.exp(-a * z) * np.expm1(a * r) / r
+
+
 def pdf_z_given_r2(z, lam: float, nu: float):
     """Density of the gap age during normal operation.
 
@@ -43,8 +57,7 @@ def pdf_z_given_r2(z, lam: float, nu: float):
     z = np.asarray(z, dtype=np.float64)
     if np.any(z < 0):
         raise ParameterError("z must be >= 0")
-    a = lam + nu
-    out = a * np.exp(-a * z)
+    out = _working_density(z, lam + nu)
     return float(out) if out.ndim == 0 else out
 
 
@@ -64,11 +77,7 @@ def pdf_z_given_r3(z, lam: float, nu: float, r: float):
     if np.any(z < 0):
         raise ParameterError("z must be >= 0")
     a = lam + nu
-    out = np.where(
-        z < r,
-        -np.expm1(-a * z) / r,
-        np.exp(-a * z) * np.expm1(a * r) / r,
-    )
+    out = np.where(z < r, _outage_density_before(z, a, r), _outage_density_after(z, a, r))
     return float(out) if out.ndim == 0 else out
 
 

@@ -21,7 +21,7 @@ from .experiments import ResultRow, SweepSpec, run_sweep
 from .oracle import monte_carlo_cross_check
 from .report import render_svg, write_csv
 from .sim import SimParams, simulate
-from .summary import period_table, summarize
+from .summary import check_resamples, period_table, summarize
 
 DEFAULT_SEED = 20260810
 
@@ -149,6 +149,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    check_resamples(args.resamples)
     params = _params(args)
     summary = summarize(period_table(simulate(params)), resamples=args.resamples)
     for key, value in summary.to_dict().items():

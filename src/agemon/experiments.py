@@ -17,9 +17,11 @@ from .detector import DecisionRule
 from .errors import ParameterError, require_finite
 from .oracle import quadrature_error_rate
 from .sim import SimParams, simulate
-from .summary import MetricsSummary, period_table, summarize
+from .summary import MetricsSummary, check_resamples, period_table, summarize
 
 SWEEP_VARIABLES = ("rho", "expected_T", "threshold")
+# checked before a grid is allocated; far above any grid the CLI uses by default
+MAX_GRID_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -45,6 +47,9 @@ class SweepSpec:
             raise ParameterError("step must be > 0")
         if not self.start < self.stop:
             raise ParameterError("start must be < stop")
+        points = (self.stop - self.start) / self.step + 1
+        if not points <= MAX_GRID_POINTS:
+            raise ParameterError(f"grid has {points:.3g} points, more than the {MAX_GRID_POINTS} allowed")
         if self.variable == "rho" and (self.start <= 0 or self.stop >= 1):
             raise ParameterError("swept rho values must stay in (0, 1)")
         if self.variable == "expected_T" and self.start <= 0:
@@ -102,6 +107,7 @@ def _point_row(params: SimParams, var: str, value: float, with_sim: bool, resamp
 
 def run_sweep(spec: SweepSpec, with_sim: bool = True, resamples: int = 1000) -> list[ResultRow]:
     """Evaluate every grid point in grid order."""
+    check_resamples(resamples)
     if spec.variable == "threshold":
         return _threshold_sweep(spec, with_sim, resamples)
     rows = []

@@ -12,16 +12,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import (
+    _outage_density_after,
+    _outage_density_before,
+    _working_density,
     error_rate_closed_form,
     failure_prior,
     mean_aoi_closed_form,
-    pdf_z_given_r2,
-    pdf_z_given_r3,
 )
 from .detector import DecisionRule, map_threshold
-from .errors import OracleError, ParameterError
+from .errors import OracleError, ParameterError, require_finite
 from .sim import SimParams, simulate
-from .summary import MetricsSummary, period_table, summarize
+from .summary import MetricsSummary, check_resamples, period_table, summarize
 
 _QUAD_ABSTOL = 1e-12
 _QUAD_MAX_ERR = 1e-10
@@ -46,14 +47,19 @@ def quadrature_error_rate(lam: float, nu: float, r: float, tau: float) -> float:
 
         P(working) * integral_tau^inf density(z | working) dz     (false positives)
       + P(failed)  * integral_0^tau  density(z | failed)  dz      (false negatives)
+
+    The integrands are the unsimplified densities of pdf_z_given_r2/_r3,
+    evaluated on plain floats after one check of the parameters.
     """
+    require_finite(lam=lam, nu=nu, r=r)
     if not lam > 0 or not nu > 0 or not r > 0:
         raise ParameterError("lam, nu and r must be > 0")
-    if tau < 0:
-        raise ParameterError("tau must be >= 0")
+    if not tau >= 0:
+        raise ParameterError(f"tau must be >= 0, got {tau}")
     p_failed = failure_prior(nu, r)
-    fp = _quad(lambda z: pdf_z_given_r2(z, lam, nu), tau, np.inf)
-    outage = lambda z: pdf_z_given_r3(z, lam, nu, r)
+    a = lam + nu
+    fp = _quad(lambda z: _working_density(z, a), tau, np.inf)
+    outage = lambda z: _outage_density_before(z, a, r) if z < r else _outage_density_after(z, a, r)
     if tau == 0:
         fn = 0.0
     elif tau <= r:
@@ -70,7 +76,7 @@ def scan_optimal_threshold(lam: float, nu: float, r: float, grid) -> float:
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise ParameterError("threshold grid must be non-empty")
-    if np.any(grid < 0):
+    if not np.all(grid >= 0):
         raise ParameterError("thresholds must be >= 0")
     errors = np.array([quadrature_error_rate(lam, nu, r, t) for t in grid])
     return float(grid[int(np.argmin(errors))])
@@ -131,6 +137,7 @@ def monte_carlo_cross_check(
     """
     if params.periods < 10_000:
         raise ParameterError("cross checks need periods >= 10000")
+    check_resamples(resamples)
     params.require_stable_queue()
     if rule is None:
         rule = DecisionRule.map_rule(params.lam, params.nu, params.r)

@@ -258,6 +258,12 @@ def _bootstrap_halfwidth(rng, numerators, lengths, resamples: int, confidence: f
     return (hi - lo) / 2.0
 
 
+def check_resamples(resamples: int) -> None:
+    """Reject a negative bootstrap size; callers run this before any work."""
+    if resamples < 0:
+        raise ParameterError(f"resamples must be >= 0, got {resamples}")
+
+
 def summarize(
     table: PeriodTable,
     rule: DecisionRule | None = None,
@@ -278,8 +284,7 @@ def summarize(
         rule = DecisionRule.map_rule(params.lam, params.nu, params.r)
     if not 0 < confidence < 1:
         raise ParameterError("confidence must be in (0, 1)")
-    if resamples < 0:
-        raise ParameterError(f"resamples must be >= 0, got {resamples}")
+    check_resamples(resamples)
     error = table.error(rule)
     if resamples > 0:
         rng = np.random.default_rng(

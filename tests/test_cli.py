@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import agemon.cli
 import agemon.experiments
+import agemon.oracle
 from agemon import read_csv
 from agemon.cli import run_subcommand
 
@@ -75,6 +77,7 @@ class TestErrors:
         (["sweep-threshold", "--grid", "1:inf:1"], "stop must be finite"),
         (["sweep-threshold", "--grid", "20:nan:20"], "stop must be finite"),
         (["simulate", *FAST, "--resamples", "-5"], "resamples must be >= 0"),
+        (["sweep-threshold", "--grid", "0:1e300:1e-300", "--analytic-only"], "more than the 1000000 allowed"),
     ])
     def test_bad_sweep_input_fails_with_named_field(self, capsys, argv, message):
         status, _, err = run(capsys, *argv)
@@ -90,6 +93,21 @@ class TestErrors:
         status, _, err = run(capsys, "sweep-threshold", *FAST, "--recovery", "0")
         assert status == 1
         assert "error:" in err and "r must be > 0" in err
+
+    @pytest.mark.parametrize("argv,module", [
+        (["simulate", "--periods", "300"], agemon.cli),
+        (["sweep-threshold", "--periods", "300"], agemon.experiments),
+        (["sweep-rho", "--periods", "300"], agemon.experiments),
+        (["validate", "--periods", "10000"], agemon.oracle),
+    ])
+    def test_negative_resamples_fails_before_simulating(self, capsys, monkeypatch, argv, module):
+        def no_simulation(params):
+            raise AssertionError("simulated before the resample count was checked")
+
+        monkeypatch.setattr(module, "simulate", no_simulation)
+        status, _, err = run(capsys, *argv, "--resamples", "-5")
+        assert status == 1
+        assert "error: resamples must be >= 0, got -5" in err
 
     @pytest.mark.parametrize("lam", ["0.5", "2.0"])
     def test_run_without_deliveries(self, capsys, lam):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from agemon import ParameterError, SimParams, SweepSpec, run_sweep
+from agemon.experiments import MAX_GRID_POINTS
 from conftest import DEFAULTS
 
 
@@ -18,10 +19,17 @@ class TestSweepSpec:
         dict(variable="rho", start=0.1, stop=1.0, step=0.1),
         dict(variable="expected_T", start=0.0, stop=10.0, step=1.0),
         dict(variable="threshold", start=-1.0, stop=10.0, step=1.0),
+        # too many points: rejected before the grid is allocated
+        dict(variable="threshold", start=0.0, stop=1e300, step=1e-300),
+        dict(variable="threshold", start=0.0, stop=float(MAX_GRID_POINTS), step=1.0),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ParameterError):
             SweepSpec(fixed=fixed(), **kwargs)
+
+    def test_grid_at_the_point_cap(self):
+        spec = SweepSpec(variable="threshold", start=0.0, stop=MAX_GRID_POINTS - 1.0, step=1.0, fixed=fixed())
+        assert spec.grid().size == MAX_GRID_POINTS
 
     def test_grid_is_inclusive(self):
         spec = SweepSpec(variable="rho", start=0.05, stop=0.95, step=0.05, fixed=fixed())

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+import agemon.oracle
 from agemon import (
     DecisionRule,
     OracleError,
@@ -10,6 +13,8 @@ from agemon import (
     failure_prior,
     map_threshold,
     monte_carlo_cross_check,
+    pdf_z_given_r2,
+    pdf_z_given_r3,
     quadrature_error_rate,
     scan_optimal_threshold,
 )
@@ -17,6 +22,65 @@ from conftest import DEFAULTS, SEED
 
 LAM, NU, R = 0.5, 0.005, 20.0
 TAU = map_threshold(LAM, NU)
+
+# float.hex of quadrature_error_rate(lam, nu, r, tau), recorded while the
+# integrands still called pdf_z_given_r2/pdf_z_given_r3 per abscissa: tau = 0,
+# 0 < tau < r, the MAP threshold, tau = r, tau > r and a far tail, at the paper
+# defaults and at two more points (the last one degenerate, tau_MAP > r)
+GOLDEN = {
+    (0.5, 0.005, 20.0): {
+        0.0: "0x1.d1745d1745d19p-1",
+        5.0: "0x1.654867aa9fe1cp-4",
+        9.158362006503506: "0x1.55062b4924bbdp-5",
+        20.0: "0x1.4fa6828b04efcp-4",
+        30.0: "0x1.7420da2e58d21p-4",
+        1e6: "0x1.745d1745d1746p-4",
+    },
+    (0.1, 0.05, 50.0): {
+        0.0: "0x1.2492492492492p-2",
+        12.5: "0x1.22501077b46cbp-3",
+        9.241962407465936: "0x1.0e64b6cef6918p-3",
+        50.0: "0x1.3d0f6d1dedce1p-1",
+        75.0: "0x1.6c91eef8d3de1p-1",
+        1e6: "0x1.6db6db6db6db7p-1",
+    },
+    (0.9, 0.001, 5.0): {
+        0.0: "0x1.fd73e68701460p-1",
+        1.25: "0x1.4ae2ead15d0a7p-2",
+        7.552291365219339: "0x1.872a7188d0b76p-8",
+        5.0: "0x1.e7a3adb321636p-7",
+        7.5: "0x1.8a4e9fd179ef8p-8",
+        1e6: "0x1.460cbc7f5cf9ap-8",
+    },
+}
+
+
+@pytest.mark.parametrize("point", sorted(GOLDEN))
+def test_quadrature_bit_identical_to_recorded(point):
+    lam, nu, r = point
+    got = {tau: float.hex(quadrature_error_rate(lam, nu, r, tau)) for tau in GOLDEN[point]}
+    assert got == GOLDEN[point]
+
+
+@pytest.mark.parametrize("lam,nu,r", sorted(GOLDEN))
+def test_integrands_equal_public_densities(monkeypatch, lam, nu, r):
+    # the oracle integrates plain-float closures; each must return exactly
+    # what the validating public density returns at the same abscissa
+    integrands = []
+
+    def record(fn, lo, hi, points=None):
+        integrands.append(fn)
+        return 0.0
+
+    monkeypatch.setattr(agemon.oracle, "_quad", record)
+    quadrature_error_rate(lam, nu, r, 2.0 * r)  # fp, then three outage integrals
+    working, *outage = integrands
+    assert len(outage) == 3
+    grid = [0.0, 1e-9, 0.5 * r, math.nextafter(r, 0.0), r, math.nextafter(r, math.inf), 3.0 * r, 1e4]
+    for z in grid:
+        assert float.hex(float(working(z))) == float.hex(pdf_z_given_r2(z, lam, nu))
+        for fn in outage:
+            assert float.hex(float(fn(z))) == float.hex(pdf_z_given_r3(z, lam, nu, r))
 
 
 class TestQuadrature:
@@ -46,6 +110,22 @@ class TestQuadrature:
             quadrature_error_rate(-1.0, NU, R, 1.0)
         with pytest.raises(ParameterError):
             quadrature_error_rate(LAM, NU, R, -0.5)
+
+    @pytest.mark.parametrize("args,message", [
+        ((LAM, NU, R, math.nan), "tau must be >= 0"),
+        ((math.inf, NU, R, 5.0), "lam must be finite"),
+        ((math.nan, NU, R, 5.0), "lam must be finite"),
+        ((LAM, math.inf, R, 5.0), "nu must be finite"),
+        ((LAM, NU, math.inf, 5.0), "r must be finite"),
+        ((LAM, NU, math.nan, 5.0), "r must be finite"),
+    ])
+    def test_non_finite_input_rejected_before_integrating(self, args, message):
+        # used to end in "quadrature ... did not converge (abserr=nan)"
+        with pytest.raises(ParameterError, match=message):
+            quadrature_error_rate(*args)
+
+    def test_infinite_threshold_is_the_failure_prior(self):
+        assert quadrature_error_rate(LAM, NU, R, math.inf) == pytest.approx(failure_prior(NU, R), rel=1e-12)
 
     def test_agreement_grid_subset(self):
         # the full 75-cell grid runs in the acceptance suite
@@ -85,6 +165,10 @@ class TestScan:
     def test_empty_grid(self):
         with pytest.raises(ParameterError):
             scan_optimal_threshold(LAM, NU, R, [])
+
+    def test_nan_grid_point(self):
+        with pytest.raises(ParameterError, match="thresholds must be >= 0"):
+            scan_optimal_threshold(LAM, NU, R, [1.0, math.nan, 9.0])
 
 
 class TestCrossCheck:
