@@ -17,7 +17,7 @@ from .detector import DecisionRule
 from .errors import ParameterError, require_finite
 from .oracle import quadrature_error_rate
 from .sim import SimParams, simulate
-from .summary import MetricsSummary, check_resamples, period_table, summarize
+from .summary import MetricsSummary, check_resamples, period_table, summarize, summarize_rules
 
 SWEEP_VARIABLES = ("rho", "expected_T", "threshold")
 # checked before a grid is allocated; far above any grid the CLI uses by default
@@ -123,7 +123,8 @@ def run_sweep(spec: SweepSpec, with_sim: bool = True, resamples: int = 1000) -> 
 def _threshold_sweep(spec: SweepSpec, with_sim: bool, resamples: int) -> list[ResultRow]:
     """One simulation, many rules: the error of each threshold is measured on
     the same timeline, so differences between rows are not simulation noise.
-    The period table is built once; each rule recomputes only its own columns.
+    The period table is built once; each rule recomputes only its own columns,
+    and one bootstrap serves every rule.
     The analytic columns come first, so a point outside their domain fails
     before the simulation runs."""
     params = spec.fixed
@@ -139,8 +140,8 @@ def _threshold_sweep(spec: SweepSpec, with_sim: bool, resamples: int) -> list[Re
         for value in spec.grid()
     ]
     if with_sim:
-        table = period_table(simulate(params))
-        for row in rows:
-            rule = DecisionRule.with_threshold(row.swept_value, params.r)
-            row.add_empirical(summarize(table, rule, resamples=resamples), resamples)
+        rules = [DecisionRule.with_threshold(row.swept_value, params.r) for row in rows]
+        reports = summarize_rules(period_table(simulate(params)), rules, resamples=resamples)
+        for row, report in zip(rows, reports):
+            row.add_empirical(report, resamples)
     return rows

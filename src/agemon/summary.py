@@ -247,21 +247,46 @@ class MetricsSummary:
         }
 
 
-def _bootstrap_halfwidth(rng, numerators, lengths, resamples: int, confidence: float):
-    n = lengths.size
-    stats = np.empty((resamples, numerators.shape[0]))
+# rules stacked into one bootstrap pass; bounds the (rules + 1, periods)
+# buffers a long threshold sweep would otherwise allocate at once
+RULES_PER_PASS = 32
+# checked before anything is simulated; at the cap one pass's statistics
+# array, (RULES_PER_PASS + 1) floats per resample, takes 264 MB
+MAX_RESAMPLES = 10**6
+
+
+def _bootstrap_halfwidths(seed: int, numerators, lengths, resamples: int, confidence: float):
+    """Half-widths of the ratios numerators[i].sum() / lengths.sum() over
+    period resamples. Every call replays the same index stream, so a row's
+    half-width does not depend on which rows are stacked with it."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0x0B00, 0)))
+    k, n = numerators.shape
+    gathered = np.empty((k, n))
+    picked = np.empty(n)
+    stats = np.empty((resamples, k))
     for b in range(resamples):
         idx = rng.integers(0, n, size=n)
-        stats[b] = numerators[:, idx].sum(axis=1) / lengths[idx].sum()
+        # idx is in range, so mode="clip" only skips take's buffered copy.
+        # Each numerator is summed left to right (a row-wise cumsum): the
+        # order numpy used on the F-ordered numerators[:, idx] these
+        # half-widths were first computed from (F-ordered because there
+        # are always two or more rows; one row would be summed pairwise)
+        np.take(numerators, idx, axis=1, out=gathered, mode="clip")
+        # the denominator keeps numpy's pairwise sum of a contiguous vector
+        denominator = np.take(lengths, idx, out=picked, mode="clip").sum()
+        stats[b] = np.cumsum(gathered, axis=1, out=gathered)[:, -1] / denominator
     tail = 100.0 * (1.0 - confidence) / 2.0
     lo, hi = np.percentile(stats, [tail, 100.0 - tail], axis=0)
     return (hi - lo) / 2.0
 
 
 def check_resamples(resamples: int) -> None:
-    """Reject a negative bootstrap size; callers run this before any work."""
+    """Reject a bootstrap size outside [0, MAX_RESAMPLES]; callers run this
+    before any work."""
     if resamples < 0:
         raise ParameterError(f"resamples must be >= 0, got {resamples}")
+    if resamples > MAX_RESAMPLES:
+        raise ParameterError(f"resamples must be <= {MAX_RESAMPLES}, got {resamples}")
 
 
 def summarize(
@@ -274,7 +299,7 @@ def summarize(
 
     The rule defaults to the optimal threshold for the run's own
     parameters. resamples=0 skips the bootstrap (half-widths become NaN);
-    a negative count is an error.
+    a count outside [0, MAX_RESAMPLES] is an error.
     The bootstrap stream is derived from the master seed, so summaries are
     reproducible.
     """
@@ -282,27 +307,44 @@ def summarize(
     if rule is None:
         params.require_stable_queue()
         rule = DecisionRule.map_rule(params.lam, params.nu, params.r)
+    return summarize_rules(table, [rule], resamples, confidence)[0]
+
+
+def summarize_rules(
+    table: PeriodTable,
+    rules: list[DecisionRule],
+    resamples: int = 1000,
+    confidence: float = 0.95,
+) -> list[MetricsSummary]:
+    """`summarize` of each rule on one table, equal to it bit for bit.
+
+    All rules share the resample indices that `summarize` draws, so one
+    bootstrap pass covers the age row and up to RULES_PER_PASS mismatch rows.
+    """
     if not 0 < confidence < 1:
         raise ParameterError("confidence must be in (0, 1)")
     check_resamples(resamples)
-    error = table.error(rule)
+    params = table.params
+    aoi_hw = float("nan")
+    err_hws = [float("nan")] * len(rules)
     if resamples > 0:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(params.master_seed, spawn_key=(0x0B00, 0))
+        for start in range(0, len(rules), RULES_PER_PASS):
+            chunk = rules[start:start + RULES_PER_PASS]
+            numerators = np.vstack([table.areas, *(table.mismatch(rule) for rule in chunk)])
+            hws = _bootstrap_halfwidths(params.master_seed, numerators, table.lengths, resamples, confidence)
+            aoi_hw = float(hws[0])
+            err_hws[start:start + len(chunk)] = hws[1:].tolist()
+    return [
+        MetricsSummary(
+            aoi_time_average=table.aoi,
+            regions=table.regions,
+            error=table.error(rule),
+            aoi_ci_halfwidth=aoi_hw,
+            error_ci_halfwidth=err_hw,
+            measured_time=table.measured_time,
+            periods=params.periods,
+            seed=params.master_seed,
+            unstable_queue=params.unstable_queue,
         )
-        aoi_hw, err_hw = _bootstrap_halfwidth(
-            rng, np.vstack((table.areas, table.mismatch(rule))), table.lengths, resamples, confidence
-        )
-    else:
-        aoi_hw = err_hw = float("nan")
-    return MetricsSummary(
-        aoi_time_average=table.aoi,
-        regions=table.regions,
-        error=error,
-        aoi_ci_halfwidth=float(aoi_hw),
-        error_ci_halfwidth=float(err_hw),
-        measured_time=table.measured_time,
-        periods=params.periods,
-        seed=params.master_seed,
-        unstable_queue=params.unstable_queue,
-    )
+        for rule, err_hw in zip(rules, err_hws)
+    ]

@@ -5,10 +5,18 @@ import pytest
 import agemon.cli
 import agemon.experiments
 import agemon.oracle
-from agemon import read_csv
+from agemon import ParameterError, read_csv
 from agemon.cli import run_subcommand
+from agemon.summary import MAX_RESAMPLES
 
 FAST = ["--periods", "300", "--resamples", "20"]
+# each command with the module whose `simulate` it calls
+SIMULATING = [
+    (["simulate", "--periods", "300"], agemon.cli),
+    (["sweep-threshold", "--periods", "300"], agemon.experiments),
+    (["sweep-rho", "--periods", "300"], agemon.experiments),
+    (["validate", "--periods", "10000"], agemon.oracle),
+]
 
 
 def run(capsys, *argv):
@@ -94,12 +102,7 @@ class TestErrors:
         assert status == 1
         assert "error:" in err and "r must be > 0" in err
 
-    @pytest.mark.parametrize("argv,module", [
-        (["simulate", "--periods", "300"], agemon.cli),
-        (["sweep-threshold", "--periods", "300"], agemon.experiments),
-        (["sweep-rho", "--periods", "300"], agemon.experiments),
-        (["validate", "--periods", "10000"], agemon.oracle),
-    ])
+    @pytest.mark.parametrize("argv,module", SIMULATING)
     def test_negative_resamples_fails_before_simulating(self, capsys, monkeypatch, argv, module):
         def no_simulation(params):
             raise AssertionError("simulated before the resample count was checked")
@@ -108,6 +111,27 @@ class TestErrors:
         status, _, err = run(capsys, *argv, "--resamples", "-5")
         assert status == 1
         assert "error: resamples must be >= 0, got -5" in err
+
+    @pytest.mark.parametrize("argv,module", SIMULATING)
+    def test_oversized_resamples_fails_before_simulating(self, capsys, monkeypatch, argv, module):
+        # 10^12 resamples once simulated first, then failed allocating 14.6 TiB
+        def no_simulation(params):
+            raise AssertionError("simulated before the resample count was checked")
+
+        monkeypatch.setattr(module, "simulate", no_simulation)
+        status, _, err = run(capsys, *argv, "--resamples", "1000000000000")
+        assert status == 1
+        assert f"error: resamples must be <= {MAX_RESAMPLES}, got 1000000000000" in err
+
+    @pytest.mark.parametrize("argv,module", SIMULATING)
+    def test_resamples_at_the_cap_reach_the_simulation(self, capsys, monkeypatch, argv, module):
+        def reached(params):
+            raise ParameterError("reached the simulation")
+
+        monkeypatch.setattr(module, "simulate", reached)
+        status, _, err = run(capsys, *argv, "--resamples", str(MAX_RESAMPLES))
+        assert status == 1
+        assert "error: reached the simulation" in err
 
     @pytest.mark.parametrize("lam", ["0.5", "2.0"])
     def test_run_without_deliveries(self, capsys, lam):

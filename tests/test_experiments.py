@@ -1,9 +1,24 @@
 import numpy as np
 import pytest
 
-from agemon import ParameterError, SimParams, SweepSpec, run_sweep
+import agemon.summary
+from agemon import ParameterError, SimParams, SweepSpec, map_threshold, run_sweep
 from agemon.experiments import MAX_GRID_POINTS
-from conftest import DEFAULTS
+from conftest import DEFAULTS, SEED
+
+# float.hex of (aoi_ci, err_ci) per row of a threshold sweep at 300 periods
+# and 50 resamples, grid 0, tau*/2, ..., 5 tau*/2 with tau* the MAP threshold
+# (row 2); the last row exceeds r = 20, so its rule is degenerate. Recorded
+# with one bootstrap per threshold; every later change must reproduce them
+# bit for bit
+SWEEP_GOLDEN = [
+    ("0x1.7232f8525bf40p-4", "0x1.990291ef41dc0p-8"),
+    ("0x1.7232f8525bf40p-4", "0x1.22f975af07920p-8"),
+    ("0x1.7232f8525bf40p-4", "0x1.7964a048e35e0p-9"),
+    ("0x1.7232f8525bf40p-4", "0x1.1a24f3c12f3d0p-8"),
+    ("0x1.7232f8525bf40p-4", "0x1.703177c1818b8p-8"),
+    ("0x1.7232f8525bf40p-4", "0x1.990291ef41d08p-8"),
+]
 
 
 def fixed(periods=200, seed=11):
@@ -73,3 +88,23 @@ class TestRunSweep:
         a = run_sweep(spec, resamples=50)
         b = run_sweep(spec, resamples=50)
         assert a == b
+
+
+def recorded_sweep_rows():
+    step = map_threshold(DEFAULTS["lam"], DEFAULTS["nu"]) / 2
+    params = SimParams(**DEFAULTS, periods=300, master_seed=SEED)
+    spec = SweepSpec(variable="threshold", start=0.0, stop=5 * step, step=step, fixed=params)
+    rows = run_sweep(spec, resamples=50)
+    assert rows[2].swept_value == 2 * step
+    assert rows[-1].swept_value > DEFAULTS["r"]
+    return [(float.hex(r.aoi_ci), float.hex(r.err_ci)) for r in rows]
+
+
+def test_threshold_sweep_bit_identical_to_recorded():
+    assert recorded_sweep_rows() == SWEEP_GOLDEN
+
+
+@pytest.mark.parametrize("per_pass", [1, 3])
+def test_threshold_sweep_over_several_bootstrap_passes(monkeypatch, per_pass):
+    monkeypatch.setattr(agemon.summary, "RULES_PER_PASS", per_pass)
+    assert recorded_sweep_rows() == SWEEP_GOLDEN

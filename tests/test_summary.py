@@ -6,7 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import agemon.summary
 from agemon import DecisionRule, ParameterError, SimParams, period_table, simulate, summarize
+from agemon.summary import _bootstrap_halfwidths, summarize_rules
 from conftest import DEFAULTS, SEED, manual_timeline
 
 # float.hex of every float in summarize(...).to_dict() at 300 periods and 50
@@ -127,6 +129,55 @@ def test_summary_bit_identical_to_recorded(r):
     record = summarize(period_table(tl), resamples=50).to_dict()
     floats = {key: float.hex(value) for key, value in record.items() if isinstance(value, float)}
     assert floats == GOLDEN[r]
+
+
+def hex_fields(summary):
+    """Every field of a MetricsSummary, floats as float.hex (NaN included)."""
+    return [float.hex(v) if isinstance(v, float) else v for v in dataclasses.astuple(summary)]
+
+
+class TestSummarizeRules:
+    # 0, below, at and above the MAP threshold (~9.158), then r itself and
+    # one above it (degenerate), then one more, so passes mix both kinds
+    TAUS = (0.0, 4.0, 9.158362006503506, 15.0, 20.0, 31.5, 7.25)
+
+    @pytest.mark.parametrize("per_pass", [1, 3, agemon.summary.RULES_PER_PASS])
+    @pytest.mark.parametrize("periods,resamples", [(300, 40), (1, 10), (300, 0)])
+    def test_equals_summarize_per_rule(self, monkeypatch, per_pass, periods, resamples):
+        table = period_table(simulate(SimParams(**DEFAULTS, periods=periods, master_seed=SEED)))
+        rules = [DecisionRule.with_threshold(tau, DEFAULTS["r"]) for tau in self.TAUS]
+        expected = [hex_fields(summarize(table, rule, resamples=resamples)) for rule in rules]
+        monkeypatch.setattr(agemon.summary, "RULES_PER_PASS", per_pass)
+        batched = summarize_rules(table, rules, resamples=resamples)
+        assert [hex_fields(s) for s in batched] == expected
+        if resamples == 0:
+            assert all(math.isnan(s.aoi_ci_halfwidth) and math.isnan(s.error_ci_halfwidth) for s in batched)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(2, 40),
+        n=st.integers(1, 300),
+        resamples=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(1e-3, 1e6),
+    )
+    def test_bootstrap_equals_fancy_index_loop(self, k, n, resamples, seed, scale):
+        # the per-resample loop the gather-and-cumsum bootstrap replaced. It
+        # always had the age row and at least one rule row: with one row,
+        # numerators[:, idx] is C-contiguous and its sum would be pairwise
+        data = np.random.default_rng(seed)
+        numerators = data.lognormal(sigma=3.0, size=(k, n)) * scale
+        lengths = data.lognormal(sigma=2.0, size=n)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0x0B00, 0)))
+        stats = np.empty((resamples, k))
+        for b in range(resamples):
+            idx = rng.integers(0, n, size=n)
+            stats[b] = numerators[:, idx].sum(axis=1) / lengths[idx].sum()
+        tail = 100.0 * (1.0 - 0.9) / 2.0
+        lo, hi = np.percentile(stats, [tail, 100.0 - tail], axis=0)
+        expected = (hi - lo) / 2.0
+        got = _bootstrap_halfwidths(seed, numerators, lengths, resamples, 0.9)
+        assert got.tobytes() == expected.tobytes()
 
 
 def dyadic(low, high):
