@@ -23,7 +23,7 @@ from .oracle import (
     quadrature_error_rate,
     scan_optimal_threshold,
 )
-from .report import CSV_COLUMNS, CSV_HEADER, read_csv, render_svg, write_csv
+from .report import CSV_COLUMNS, render_svg, write_csv
 from .sim import EVENT_CAP, SimParams, Timeline, simulate
 from .summary import MetricsSummary, PeriodTable, RegionAverages, period_table, summarize
 
@@ -32,7 +32,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyticReport",
     "CSV_COLUMNS",
-    "CSV_HEADER",
     "CrossCheckReport",
     "DecisionRule",
     "EVENT_CAP",
@@ -59,7 +58,6 @@ __all__ = [
     "pdf_z_given_r3",
     "period_table",
     "quadrature_error_rate",
-    "read_csv",
     "region_means_closed_form",
     "render_svg",
     "run_sweep",

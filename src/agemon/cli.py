@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .analytics import analytic_report, error_rate_closed_form, mean_aoi_closed_form
-from .errors import EmptyTimelineError, OracleError, ParameterError
+from .errors import EmptyTimelineError, OracleError, ParameterError, SimulationLimitError
 from .experiments import ResultRow, SweepSpec, run_sweep
 from .oracle import monte_carlo_cross_check
 from .report import render_svg, write_csv
@@ -222,7 +222,7 @@ def run_subcommand(argv: list[str]) -> int:
         if args.command == "validate":
             return _cmd_validate(args)
         return _cmd_sweep(args, args.command)
-    except (ParameterError, EmptyTimelineError, OracleError, OSError) as exc:
+    except (ParameterError, EmptyTimelineError, OracleError, SimulationLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,7 +13,8 @@ class EmptyTimelineError(ValueError):
 
 
 class SimulationLimitError(RuntimeError):
-    """The per-period event cap was hit; the run is aborted rather than truncated."""
+    """A run's packet budget or a period's event cap was hit; the run is
+    aborted rather than truncated."""
 
 
 class OracleError(RuntimeError):

@@ -1,8 +1,9 @@
 """Parameter sweeps producing rows of analytic and empirical metrics.
 
-Every grid point reuses the same master seed, so sample paths are coupled
-across the sweep (common random numbers) and each row's empirical columns
-can be reproduced from the recorded seed alone.
+Every grid point reuses the same master seed, so each row's empirical
+columns can be reproduced from the recorded seed alone. The points of a rho
+sweep share their failure clocks bit for bit (the simulator draws them
+before anything that depends on lam); gaps and services are not coupled.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .errors import ParameterError
 from .experiments import ResultRow
-from .sim import SimParams
+from .sim import STREAM_CONTRACT, SimParams
 
 CSV_COLUMNS = (
     "swept_var",
@@ -31,7 +31,6 @@ CSV_COLUMNS = (
     "fn_rate",
     "seed",
 )
-CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
 def _format(value) -> str:
@@ -51,6 +50,7 @@ def _params_comment(params: SimParams) -> str:
         f"# lambda={_format(params.lam)} mu={_format(params.mu)} nu={_format(params.nu)}"
         f" recovery={_format(params.r)} periods={params.periods}"
         f" seed={params.master_seed} require_delivery={_format(params.require_delivery)}"
+        f" contract={STREAM_CONTRACT}"
     )
 
 
@@ -70,35 +70,6 @@ def write_csv(rows: Sequence[ResultRow], path, params: Optional[SimParams] = Non
     except OSError as exc:
         raise OSError(f"could not write CSV {path}: {exc}") from exc
     return path
-
-
-def read_csv(path) -> list[ResultRow]:
-    """Parse a file written by write_csv back into equal rows."""
-    path = Path(path)
-    rows = []
-    try:
-        with path.open("r", encoding="utf-8", newline="") as fh:
-            lines = [ln for ln in fh if not ln.startswith("#")]
-    except OSError as exc:
-        raise OSError(f"could not read CSV {path}: {exc}") from exc
-    reader = csv.reader(lines)
-    header = next(reader)
-    if tuple(header) != CSV_COLUMNS:
-        raise ParameterError(f"unexpected CSV header in {path}")
-    for record in reader:
-        values = dict(zip(CSV_COLUMNS, record))
-        rows.append(
-            ResultRow(
-                swept_var=values["swept_var"],
-                swept_value=float(values["swept_value"]),
-                seed=int(values["seed"]) if values["seed"] else None,
-                **{
-                    name: float(values[name]) if values[name] else None
-                    for name in CSV_COLUMNS[2:-1]
-                },
-            )
-        )
-    return rows
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")

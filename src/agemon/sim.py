@@ -12,11 +12,12 @@ with the first update generated after the previous recovery and contains:
 
 The next period starts exactly at recovery completion.
 
-`simulate` seeds every period's substreams at once, draws period by
-period, solves the queues of a block of periods in lockstep and appends
-only the delivered packets to flat arrays. The test suite keeps a
-per-period reference (tests/reference.py: each period generated alone from
-its own substreams) and checks that `simulate` reproduces it bit for bit.
+Periods are cut into blocks of PERIODS_PER_BLOCK, and block b draws only
+from its streams SeedSequence(master_seed, spawn_key=(b, k)), one per kind
+of draw k. `simulate` draws each stream in a few array calls per block,
+queues many periods in lockstep and keeps only the delivered packets. The
+test suite keeps a serial reference (tests/reference.py: each period drawn
+after the one before it) and checks that `simulate` reproduces it bit for bit.
 """
 
 from __future__ import annotations
@@ -25,25 +26,34 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ParameterError, SimulationLimitError, require_finite
 
-# Generations allowed per period before aborting; guards pathological
+# Gaps a period may draw in its first chunk, 1.25 * lam * T, checked for
+# every period of the run before any gap is drawn; guards pathological
 # parameters (e.g. enormous lam * T). Hitting it is an error, never a
 # silent truncation.
 EVENT_CAP = 10**9
+
+# Expected packets per run, periods * (1 + lam/nu), allowed before anything
+# is drawn. The deliveries alone take 16 bytes each in a Timeline, so a run
+# beyond it could not be held in memory.
+MAX_EXPECTED_PACKETS = 10**9
 
 # Packets drawn before `simulate` solves the pending periods' queues and
 # keeps only their deliveries; bounds the transient memory held for
 # discarded generations and services, whatever the number of periods.
 BLOCK_PACKETS = 1 << 20
 
-# SeedSequence's hash constants (numpy.random.bit_generator)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
+# Periods that share one set of streams. Part of the stream contract:
+# changing it changes every seeded output, unlike BLOCK_PACKETS.
+PERIODS_PER_BLOCK = 4096
+
+# Version of the seed-to-stream contract, recorded in CSV headers.
+STREAM_CONTRACT = 2
+
+# The kinds of draw k of a block's streams spawn_key=(block, k)
+_CLOCKS, _FIRST_SERVICES, _GAPS, _REFILLS, _SERVICES = range(5)
 
 
 @dataclass(frozen=True)
@@ -76,7 +86,7 @@ class SimParams:
                 raise ParameterError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.r < 0.0:
             raise ParameterError(f"r must be >= 0, got {self.r}")
-        # each period index is one uint32 word of its substreams' spawn key
+        # far beyond any run's packet budget; rejected here by name
         if not 1 <= self.periods < 2**32:
             raise ParameterError(f"periods must be in [1, 2**32), got {self.periods}")
         if not 0 <= self.master_seed < 2**64:
@@ -98,75 +108,6 @@ class SimParams:
             raise ParameterError(
                 f"rho = lam/mu = {self.rho} must be < 1 for analytics/detection"
             )
-
-
-def _substream_words(master_seed: int, indices: np.ndarray) -> np.ndarray:
-    """SeedSequence(master_seed, spawn_key=(p, k)).generate_state(4, np.uint64)
-    for every p in `indices` and k = 0, 1, 2, as an (n, 3, 4) uint64 array.
-
-    Period p draws only from these three substreams: k = 0 (failure clock),
-    1 (generation gaps), 2 (service times). Any period can therefore be
-    generated in isolation, and parallel or out-of-order evaluation
-    reproduces a serial run bit for bit. Dedicating a stream to each draw
-    type also keeps sample paths coupled across parameter sweeps that share
-    a master seed (common random numbers).
-
-    A vectorised transcription of SeedSequence's hash-mix. Its entropy is the
-    seed's two uint32 words, zero-padded to the 4-word pool (numpy pads when
-    a spawn key is present), then p and k, one uint32 word each. Only the
-    last two words differ between substreams.
-    """
-    u32 = np.uint32
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ u32(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * u32(hash_const)
-        return value ^ value >> u32(16)
-
-    def mix(x, y):
-        result = u32(_MIX_MULT_L) * x - u32(_MIX_MULT_R) * y
-        return result ^ result >> u32(16)
-
-    with np.errstate(over="ignore"):
-        pool = [hashmix(u32(word)) for word in (master_seed & _MASK32, master_seed >> 32, 0, 0)]
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
-        spawn_key = (indices.astype(u32)[:, None], np.arange(3, dtype=u32))
-        for word in spawn_key:
-            for dst in range(4):
-                pool[dst] = mix(pool[dst], hashmix(word))
-        hash_const = _INIT_B
-        state = np.empty((len(indices), 3, 8), dtype=u32)
-        for i in range(8):
-            value = pool[i % 4] ^ u32(hash_const)
-            hash_const = hash_const * _MULT_B & _MASK32
-            value = value * u32(hash_const)
-            state[..., i] = value ^ value >> u32(16)
-    # pairs of uint32 words read as little-endian uint64, as SeedSequence does
-    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
-
-
-class _StateWords(ISeedSequence):
-    """Hands PCG64 its precomputed generate_state(4, np.uint64) words (the
-    only request PCG64 makes of a seed sequence)."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-def _streams_from_words(words: np.ndarray) -> tuple[np.random.Generator, ...]:
-    """A period's (failure, gaps, services) generators: each the one
-    np.random.default_rng(SeedSequence(master_seed, spawn_key=(p, k))) builds,
-    seeded from its precomputed state words."""
-    return tuple(np.random.Generator(np.random.PCG64(_StateWords(w))) for w in words)
 
 
 def _lindley_lockstep(departures: np.ndarray, services: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -191,49 +132,6 @@ def _lindley_lockstep(departures: np.ndarray, services: np.ndarray, counts: np.n
         last[:m] = current
         arrivals[idx] = current
     return arrivals
-
-
-def _generation_times(rng: np.random.Generator, rate: float, horizon: float) -> np.ndarray:
-    """Departure times relative to the period start: 0, then Exp(rate) gaps,
-    stopping at the first departure that would land beyond `horizon`."""
-    parts = [np.zeros(1)]
-    count = 1
-    last = 0.0
-    # bounded draw buffer: large enough to usually finish in one pass, small
-    # enough that pathological rate * horizon hits EVENT_CAP, not the allocator
-    chunk = min(max(8, int(1.25 * rate * horizon) + 8), 1 << 22)
-    while True:
-        cum = last + np.cumsum(rng.exponential(1.0 / rate, size=chunk))
-        keep = int(np.searchsorted(cum, horizon, side="right"))
-        if keep:
-            parts.append(cum[:keep])
-            count += keep
-            if count > EVENT_CAP:
-                raise SimulationLimitError(
-                    f"period exceeded the {EVENT_CAP} generation cap"
-                )
-        if keep < chunk:
-            return np.concatenate(parts)
-        last = float(cum[-1])
-
-
-def _draw_period(params: SimParams, streams: Sequence) -> tuple[float, np.ndarray, np.ndarray]:
-    """(time to failure, relative departure times, services) of one period,
-    from its (failure, gaps, services) streams.
-
-    Draw order is fixed (failure time, then generation gaps, then one
-    service per generation) so a period is a pure function of its
-    substreams. With params.require_delivery the whole period is redrawn
-    until the first update, which departs at 0 into an empty queue, is
-    delivered: its service completes by the failure.
-    """
-    failure_rng, gaps_rng, services_rng = streams
-    while True:
-        T = failure_rng.exponential(1.0 / params.nu)
-        rel_gens = _generation_times(gaps_rng, params.lam, T)
-        services = services_rng.exponential(1.0 / params.mu, size=rel_gens.size)
-        if services[0] <= T or not params.require_delivery:
-            return T, rel_gens, services
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,48 +184,148 @@ def _deliveries(
     return delivered_counts, offsets + arrivals[delivered], offsets + departures[delivered]
 
 
+def _stream(master_seed: int, block: int, kind: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(block, kind)))
+
+
+def _clocks(params: SimParams) -> tuple[np.ndarray, np.ndarray]:
+    """(time to failure, first service) of every period.
+
+    Block b draws one clock per period from stream (b, 0) and one first
+    service per period from (b, 1). With params.require_delivery the
+    periods whose first update is lost (first service > clock) redraw both
+    from the same streams, in rounds over the periods still lost, in
+    period order. The rest of a period depends only on its clock, so this
+    conditions the whole period on one delivery.
+    """
+    n = params.periods
+    clocks = np.empty(n)
+    firsts = np.empty(n)
+    for block, lo in enumerate(range(0, n, PERIODS_PER_BLOCK)):
+        hi = min(lo + PERIODS_PER_BLOCK, n)
+        clock_rng = _stream(params.master_seed, block, _CLOCKS)
+        first_rng = _stream(params.master_seed, block, _FIRST_SERVICES)
+        clocks[lo:hi] = clock_rng.exponential(1.0 / params.nu, size=hi - lo)
+        firsts[lo:hi] = first_rng.exponential(1.0 / params.mu, size=hi - lo)
+        lost = lo + np.flatnonzero(firsts[lo:hi] > clocks[lo:hi])
+        while params.require_delivery and lost.size:
+            clocks[lost] = clock_rng.exponential(1.0 / params.nu, size=lost.size)
+            firsts[lost] = first_rng.exponential(1.0 / params.mu, size=lost.size)
+            lost = lost[firsts[lost] > clocks[lost]]
+    return clocks, firsts
+
+
+def _departures(clocks: np.ndarray, chunks: np.ndarray, total: float, gaps_rng, refills_rng,
+                lam: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """(departure times relative to each period start, back to back;
+    generations per period; the block's running gap sum after them) of
+    consecutive periods of one block, given the running sum before them.
+
+    Period p takes the next chunks[p] gaps of the block's stream k = 2.
+    Its departures are 0 and its gaps' running sums up to its clock. The
+    running sum is taken over the whole block in draw order (one cumsum),
+    and each period subtracts the sum at its start. A period whose chunk
+    ends at or before its clock draws further chunks of the same size from
+    stream k = 3, continuing its own running sum, until one passes the
+    clock; such periods refill in period order.
+    """
+    scale = 1.0 / lam
+    slots = chunks + 1
+    heads = np.cumsum(slots) - slots
+    # a zero gap ahead of each chunk is the period's departure at 0
+    sums = np.insert(gaps_rng.exponential(scale, size=int(chunks.sum())), heads - np.arange(heads.size), 0.0)
+    sums[0] = total
+    np.cumsum(sums, out=sums)
+    total = float(sums[-1])
+    sums -= np.repeat(sums[heads], slots)
+    # the running sums increase, so each period keeps a prefix of its slots
+    kept = sums <= np.repeat(clocks, slots)
+    counts = np.add.reduceat(kept, heads, dtype=np.int64)
+    departures = sums[kept]
+    exhausted = np.flatnonzero(kept[heads + chunks])
+    if exhausted.size:
+        ends = np.cumsum(counts)[exhausted]
+        extra = [_refill(sums[heads[p] + chunks[p]], clocks[p], chunks[p], refills_rng, scale) for p in exhausted]
+        sizes = [part.size for part in extra]
+        departures = np.insert(departures, np.repeat(ends, sizes), np.concatenate(extra))
+        counts[exhausted] += sizes
+    return departures, counts, total
+
+
+def _refill(last: float, clock: float, chunk: int, rng: np.random.Generator, scale: float) -> np.ndarray:
+    """The departures after `last` (<= clock) of a period whose chunk ran out."""
+    parts = []
+    while last <= clock:
+        run = np.cumsum(np.concatenate(([last], rng.exponential(scale, size=chunk))))[1:]
+        parts.append(run[run <= clock])
+        last = run[-1]
+    return np.concatenate(parts)
+
+
 def simulate(params: SimParams) -> Timeline:
     """Run `params.periods` abutting periods starting at t = 0.
 
-    The result is a pure function of (master_seed, params): period p only
-    consumes draws from its own substreams (see _substream_words), so it
-    equals each period generated alone at its start time, bit for bit.
-    Periods are drawn one at a time; each block of about BLOCK_PACKETS
-    generations is queued in lockstep and only its deliveries are kept.
+    The result is a pure function of (master_seed, params), and block b
+    only draws from its own streams, so blocks built in any order and laid
+    end to end reproduce it bit for bit. All clocks are drawn first, then
+    each block's gaps and services in runs of about BLOCK_PACKETS; every
+    BLOCK_PACKETS generations are queued in lockstep.
     """
     n = params.periods
-    words = _substream_words(params.master_seed, np.arange(n, dtype=np.uint32))
-    times_to_failure = np.empty(n)
-    start_times = np.empty(n)
-    failure_times = np.empty(n)
-    recovery_ends = np.empty(n)
+    expected = n * (1.0 + params.lam / params.nu)
+    if expected > MAX_EXPECTED_PACKETS:
+        raise SimulationLimitError(
+            f"the run expects {expected:.3g} packets, periods * (1 + lam/nu), "
+            f"over the cap MAX_EXPECTED_PACKETS = {MAX_EXPECTED_PACKETS}"
+        )
+    times_to_failure, first_services = _clocks(params)
+    # the float product: no chunk size is converted or allocated before this
+    longest = 1.25 * params.lam * float(times_to_failure.max())
+    if longest > EVENT_CAP:
+        raise SimulationLimitError(
+            f"a period would draw {longest:.3g} gaps, over the per-period "
+            f"generation cap EVENT_CAP = {EVENT_CAP}"
+        )
+    # T_0, r, T_1, r, ... added left to right: each failure is start + T and
+    # each recovery end failure + r, as one period after another computes them
+    bounds = np.cumsum(np.column_stack((times_to_failure, np.full(n, params.r))))
+    failure_times, recovery_ends = bounds.reshape(n, 2).T.copy()
+    start_times = np.concatenate(([0.0], recovery_ends[:-1]))
     generated_counts = np.empty(n, dtype=np.int64)
     delivered_counts = np.empty(n, dtype=np.int64)
-    # grown in place block by block: a final concatenation of per-block
+    # grown in place batch by batch: a final concatenation of per-batch
     # parts would briefly hold the run's largest arrays twice
     arrival_times = np.empty(0)
     arrival_generations = np.empty(0)
     departures: list[np.ndarray] = []
     services: list[np.ndarray] = []
-    block_start = 0
-    block_packets = 0
-    start = 0.0
-    for index in range(n):
-        T, rel_gens, period_services = _draw_period(params, _streams_from_words(words[index]))
-        failure = start + T
-        times_to_failure[index] = T
-        start_times[index] = start
-        failure_times[index] = failure
-        start = failure + params.r
-        recovery_ends[index] = start
-        generated_counts[index] = rel_gens.size
-        departures.append(rel_gens)
-        services.append(period_services)
-        block_packets += rel_gens.size
-        if block_packets >= BLOCK_PACKETS or index == n - 1:
-            block = slice(block_start, index + 1)
-            delivered_counts[block], arrivals, generations = _deliveries(
-                times_to_failure[block], start_times[block], generated_counts[block],
+    queued = 0
+    packets = 0
+    for block, lo in enumerate(range(0, n, PERIODS_PER_BLOCK)):
+        hi = min(lo + PERIODS_PER_BLOCK, n)
+        gaps_rng, refills_rng, services_rng = (
+            _stream(params.master_seed, block, kind) for kind in (_GAPS, _REFILLS, _SERVICES)
+        )
+        chunks = (1.25 * params.lam * times_to_failure[lo:hi]).astype(np.int64) + 8
+        # runs of consecutive periods that draw about BLOCK_PACKETS gaps
+        cuts = lo + 1 + np.flatnonzero(np.diff((np.cumsum(chunks) - chunks) // BLOCK_PACKETS))
+        total = 0.0
+        for i, j in zip((lo, *cuts.tolist()), (*cuts.tolist(), hi)):
+            run_departures, counts, total = _departures(
+                times_to_failure[i:j], chunks[i - lo:j - lo], total, gaps_rng, refills_rng, params.lam,
+            )
+            # each period's first service was drawn with its clock
+            heads = np.cumsum(counts) - counts
+            later = services_rng.exponential(1.0 / params.mu, size=run_departures.size - (j - i))
+            services.append(np.insert(later, heads - np.arange(j - i), first_services[i:j]))
+            departures.append(run_departures)
+            generated_counts[i:j] = counts
+            packets += run_departures.size
+            if packets < BLOCK_PACKETS and j < n:
+                continue
+            batch = slice(queued, j)
+            delivered_counts[batch], arrivals, generations = _deliveries(
+                times_to_failure[batch], start_times[batch], generated_counts[batch],
                 departures, services,
             )
             kept = arrival_times.size
@@ -340,7 +338,7 @@ def simulate(params: SimParams) -> Timeline:
             arrival_times[kept:] = arrivals
             arrival_generations[kept:] = generations
             departures, services = [], []
-            block_start, block_packets = index + 1, 0
+            queued, packets = j, 0
     return Timeline(
         params=params,
         start_times=start_times,

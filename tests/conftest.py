@@ -1,32 +1,33 @@
+import csv
+
 import numpy as np
 import pytest
 
-from agemon import SimParams, simulate
+from agemon import CSV_COLUMNS, ParameterError, ResultRow, SimParams, simulate
 from reference import PeriodTrace, timeline_from_periods
 
 # Standard configuration used throughout: lambda=0.5, mu=1, nu=1/200, r=20.
 DEFAULTS = dict(lam=0.5, mu=1.0, nu=0.005, r=20.0)
 SEED = 20260810
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
-class ScriptedStream:
-    """Stands in for a numpy Generator: serves preset values, then a filler.
-
-    Lets tests drive reference.generate_period with hand-picked draws;
-    exponential() ignores the scale and simply pops the script.
-    """
-
-    def __init__(self, values, filler=1e9):
-        self.values = list(values)
-        self.filler = filler
-
-    def exponential(self, scale, size=None):
-        if size is None:
-            return self.values.pop(0) if self.values else self.filler
-        out = []
-        for _ in range(size):
-            out.append(self.values.pop(0) if self.values else self.filler)
-        return np.asarray(out)
+def read_csv(path) -> list[ResultRow]:
+    """Parse a file written by agemon.write_csv back into equal rows."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(line for line in fh if not line.startswith("#"))
+        if tuple(next(reader)) != CSV_COLUMNS:
+            raise ParameterError(f"unexpected CSV header in {path}")
+        records = [dict(zip(CSV_COLUMNS, record)) for record in reader]
+    return [
+        ResultRow(
+            swept_var=values["swept_var"],
+            swept_value=float(values["swept_value"]),
+            seed=int(values["seed"]) if values["seed"] else None,
+            **{name: float(values[name]) if values[name] else None for name in CSV_COLUMNS[2:-1]},
+        )
+        for values in records
+    ]
 
 
 def manual_period(start, T, r, generations, arrivals, discarded=0):

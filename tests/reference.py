@@ -1,11 +1,13 @@
-"""Per-period reference implementations that the library is checked against.
+"""Serial reference implementations that the library is checked against.
 
-`simulate` seeds, draws and queues all periods of a run at once. The
-reference generates each period alone from its own freshly built
-substreams, as one `PeriodTrace` object, and lays the traces end to end;
-tests require the two to agree bit for bit. It draws through the library's
-private `_draw_period` and queues through `_lindley_lockstep`, so what it
-checks independently is the seeding, the blocking and the flattening.
+`simulate` draws each of a block's streams in a few array calls and queues
+many periods at once. The reference draws each period one after another,
+in plain scalar code, from its block's streams
+SeedSequence(master_seed, spawn_key=(block, k)), builds it as one
+`PeriodTrace` object and lays the traces end to end; tests require the two
+to agree bit for bit. It queues through the library's `_lindley_lockstep`,
+so what it checks independently is the stream contract, the blocking and
+the flattening.
 
 `estimated_state_trajectory` builds the detector's estimated state as
 explicit intervals, the oracle behind the interval-walk check of
@@ -18,17 +20,60 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import agemon.sim as sim
 from agemon import EmptyTimelineError, ParameterError, SimParams, Timeline
-from agemon.sim import _draw_period, _lindley_lockstep
+from agemon.sim import _lindley_lockstep
 
 
-def period_streams(master_seed: int, index: int) -> tuple[np.random.Generator, ...]:
-    """Period `index`'s (failure, gaps, services) substreams, built from
-    SeedSequence(master_seed, spawn_key=(index, k)) for k = 0, 1, 2."""
+def block_streams(master_seed: int, block: int) -> tuple[np.random.Generator, ...]:
+    """Block `block`'s streams, SeedSequence(master_seed, spawn_key=(block, k))
+    for k = 0 (clocks), 1 (first services), 2 (gaps), 3 (refill gaps) and
+    4 (the other services)."""
     return tuple(
-        np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index, k)))
-        for k in range(3)
+        np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(block, k)))
+        for k in range(5)
     )
+
+
+def block_count(params: SimParams) -> int:
+    return -(-params.periods // sim.PERIODS_PER_BLOCK)
+
+
+def block_draws(params: SimParams, block: int) -> tuple[list, dict]:
+    """(time to failure, relative departures, services) of each period of
+    `block`, in period order, and how many first-update redraws and chunk
+    refills the block needed."""
+    lo = block * sim.PERIODS_PER_BLOCK
+    size = min(sim.PERIODS_PER_BLOCK, params.periods - lo)
+    clocks, firsts, gaps, refills, services = block_streams(params.master_seed, block)
+    T = [clocks.exponential(1.0 / params.nu) for _ in range(size)]
+    first = [firsts.exponential(1.0 / params.mu) for _ in range(size)]
+    counts = {"redraws": 0, "refills": 0}
+    # conditioning: every period whose first update is lost redraws its
+    # clock and first service, round after round, in period order
+    lost = [p for p in range(size) if params.require_delivery and first[p] > T[p]]
+    while lost:
+        for p in lost:
+            T[p] = clocks.exponential(1.0 / params.nu)
+            first[p] = firsts.exponential(1.0 / params.mu)
+        counts["redraws"] += len(lost)
+        lost = [p for p in lost if first[p] > T[p]]
+    total = 0.0  # the running sum of the block's gaps, in draw order
+    draws = []
+    for p in range(size):
+        chunk = int(1.25 * params.lam * T[p]) + 8
+        sums = np.cumsum([total, *gaps.exponential(1.0 / params.lam, size=chunk)])
+        total = sums[-1]
+        relative = list(sums - sums[0])
+        while relative[-1] <= T[p]:
+            # the chunk ran out before the failure: refill, continuing the sum
+            more = refills.exponential(1.0 / params.lam, size=chunk)
+            relative.extend(np.cumsum([relative[-1], *more])[1:])
+            counts["refills"] += 1
+        departures = np.array([d for d in relative if d <= T[p]])
+        later = services.exponential(1.0 / params.mu, size=departures.size - 1)
+        draws.append((T[p], departures, np.array([first[p], *later])))
+    return draws, counts
 
 
 def lindley_arrival_times(departures, services) -> np.ndarray:
@@ -85,10 +130,12 @@ class PeriodTrace:
         )
 
 
-def generate_period(params: SimParams, streams, start: float = 0.0) -> PeriodTrace:
-    """One period whose first update departs exactly at `start`."""
-    T, rel_gens, services = _draw_period(params, streams)
-    rel_arrivals = lindley_arrival_times(rel_gens, services)
+def generate_period(params: SimParams, T: float, departures, services, start: float = 0.0) -> PeriodTrace:
+    """One period from its draws: time to failure T, departure times
+    relative to the period start (the first is 0) and one service each.
+    Its first update departs exactly at `start`."""
+    departures = np.asarray(departures, dtype=np.float64)
+    rel_arrivals = lindley_arrival_times(departures, services)
     # arrivals strictly increase, so delivered packets (a_k <= T) form a prefix
     n_delivered = int(np.searchsorted(rel_arrivals, T, side="right"))
     failure_time = start + T
@@ -98,10 +145,25 @@ def generate_period(params: SimParams, streams, start: float = 0.0) -> PeriodTra
         recovery_end=failure_time + params.r,
         time_to_failure=T,
         recovery_duration=params.r,
-        generations=start + rel_gens,
+        generations=start + departures,
         arrival_times=start + rel_arrivals[:n_delivered],
-        discarded_count=int(rel_gens.size) - n_delivered,
+        discarded_count=int(departures.size) - n_delivered,
     )
+
+
+def block_traces(params: SimParams, block: int) -> list[PeriodTrace]:
+    """Each period of `block`, generated alone from t = 0."""
+    return [generate_period(params, *draws) for draws in block_draws(params, block)[0]]
+
+
+def lay_end_to_end(params: SimParams, traces) -> Timeline:
+    """The Timeline of period traces built from t = 0, each shifted to
+    start at the recovery end of the one before it."""
+    laid, start = [], 0.0
+    for trace in traces:
+        laid.append(trace.shifted(start))
+        start = laid[-1].recovery_end
+    return timeline_from_periods(params, laid)
 
 
 def timeline_from_periods(params: SimParams, traces) -> Timeline:
@@ -127,13 +189,10 @@ def timeline_from_periods(params: SimParams, traces) -> Timeline:
 
 
 def reference_timeline(params: SimParams) -> Timeline:
-    """What `simulate(params)` must return: each period generated alone from
-    its own substreams, laid end to end from t = 0."""
-    traces, start = [], 0.0
-    for index in range(params.periods):
-        traces.append(generate_period(params, period_streams(params.master_seed, index), start))
-        start = traces[-1].recovery_end
-    return timeline_from_periods(params, traces)
+    """What `simulate(params)` must return: block after block, each period
+    drawn after the one before it, laid end to end from t = 0."""
+    blocks = range(block_count(params))
+    return lay_end_to_end(params, [trace for block in blocks for trace in block_traces(params, block)])
 
 
 def estimated_state_trajectory(timeline: Timeline, rule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -5,7 +5,6 @@ import agemon
 PUBLIC_NAMES = [
     "AnalyticReport",
     "CSV_COLUMNS",
-    "CSV_HEADER",
     "CrossCheckReport",
     "DecisionRule",
     "EVENT_CAP",
@@ -32,7 +31,6 @@ PUBLIC_NAMES = [
     "pdf_z_given_r3",
     "period_table",
     "quadrature_error_rate",
-    "read_csv",
     "region_means_closed_form",
     "render_svg",
     "run_sweep",
@@ -44,6 +42,6 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_pinned():
-    assert len(PUBLIC_NAMES) == 37
+    assert len(PUBLIC_NAMES) == 35
     assert sorted(agemon.__all__) == PUBLIC_NAMES
     assert all(hasattr(agemon, name) for name in PUBLIC_NAMES)

@@ -5,9 +5,11 @@ import pytest
 import agemon.cli
 import agemon.experiments
 import agemon.oracle
-from agemon import ParameterError, read_csv
+import agemon.sim
+from agemon import ParameterError
 from agemon.cli import run_subcommand
 from agemon.summary import MAX_RESAMPLES
+from conftest import read_csv
 
 FAST = ["--periods", "300", "--resamples", "20"]
 # each command with the module whose `simulate` it calls
@@ -140,6 +142,16 @@ class TestErrors:
                              "--periods", "1", "--resamples", "0")
         assert status == 1
         assert "error:" in err and ("deliveries" in err or "rho" in err)
+
+    @pytest.mark.parametrize("argv, cap", [
+        (["--lambda", "5", "--nu", "0.01", "--periods", "1"], "EVENT_CAP = 10"),
+        (["--lambda", "1e9", "--nu", "1e-9", "--periods", "1"], "MAX_EXPECTED_PACKETS"),
+    ])
+    def test_simulation_limit_names_the_cap(self, capsys, monkeypatch, argv, cap):
+        monkeypatch.setattr(agemon.sim, "EVENT_CAP", 10)
+        status, _, err = run(capsys, "simulate", *argv, "--resamples", "0")
+        assert status == 1
+        assert err.startswith("error:") and cap in err
 
     def test_unwritable_output(self, capsys, tmp_path):
         status, _, err = run(capsys, "simulate", *FAST, "--out", str(tmp_path / "no" / "x.csv"))

@@ -8,16 +8,17 @@ from conftest import DEFAULTS, SEED
 
 # float.hex of (aoi_ci, err_ci) per row of a threshold sweep at 300 periods
 # and 50 resamples, grid 0, tau*/2, ..., 5 tau*/2 with tau* the MAP threshold
-# (row 2); the last row exceeds r = 20, so its rule is degenerate. Recorded
-# with one bootstrap per threshold; every later change must reproduce them
-# bit for bit
+# (row 2); the last row exceeds r = 20, so its rule is degenerate. The shared
+# bootstrap reproduced the one-bootstrap-per-threshold values bit for bit;
+# these were recorded once more when the stream contract changed to
+# per-block streams, and every later change must reproduce them
 SWEEP_GOLDEN = [
-    ("0x1.7232f8525bf40p-4", "0x1.990291ef41dc0p-8"),
-    ("0x1.7232f8525bf40p-4", "0x1.22f975af07920p-8"),
-    ("0x1.7232f8525bf40p-4", "0x1.7964a048e35e0p-9"),
-    ("0x1.7232f8525bf40p-4", "0x1.1a24f3c12f3d0p-8"),
-    ("0x1.7232f8525bf40p-4", "0x1.703177c1818b8p-8"),
-    ("0x1.7232f8525bf40p-4", "0x1.990291ef41d08p-8"),
+    ("0x1.b66c4cd215240p-4", "0x1.2bcbd1fdccf20p-7"),
+    ("0x1.b66c4cd215240p-4", "0x1.ea13913871b00p-9"),
+    ("0x1.b66c4cd215240p-4", "0x1.08d058a6cebc0p-8"),
+    ("0x1.b66c4cd215240p-4", "0x1.8631b5d0efb78p-8"),
+    ("0x1.b66c4cd215240p-4", "0x1.04b46fa149b48p-7"),
+    ("0x1.b66c4cd215240p-4", "0x1.2bcbd1fdcce54p-7"),
 ]
 
 

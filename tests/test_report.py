@@ -1,15 +1,7 @@
 import pytest
 
-from agemon import (
-    CSV_HEADER,
-    ParameterError,
-    ResultRow,
-    SimParams,
-    read_csv,
-    render_svg,
-    write_csv,
-)
-from conftest import DEFAULTS
+from agemon import ParameterError, ResultRow, SimParams, render_svg, write_csv
+from conftest import CSV_HEADER, DEFAULTS, read_csv
 
 
 def sample_rows():
@@ -44,7 +36,8 @@ class TestCsv:
         path = write_csv(sample_rows(), tmp_path / "out.csv", params)
         first = path.read_text(encoding="utf-8").splitlines()[0]
         assert first.startswith("#")
-        for token in ("lambda=0.5", "mu=1.0", "nu=0.005", "recovery=20.0", "periods=10", "seed=42"):
+        for token in ("lambda=0.5", "mu=1.0", "nu=0.005", "recovery=20.0", "periods=10", "seed=42",
+                      "contract=2"):
             assert token in first
 
     def test_analytic_only_row_leaves_empirical_empty(self, tmp_path):

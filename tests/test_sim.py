@@ -3,6 +3,7 @@ import cProfile
 import dataclasses
 import math
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -13,19 +14,18 @@ from scipy import stats
 
 import agemon.sim as sim
 from agemon import ParameterError, SimParams, SimulationLimitError, Timeline, simulate
-from conftest import DEFAULTS, SEED, ScriptedStream
+from conftest import DEFAULTS, SEED
 from reference import (
+    block_count,
+    block_draws,
+    block_streams,
+    block_traces,
     generate_period,
+    lay_end_to_end,
     lindley_arrival_times,
-    period_streams,
     reference_timeline,
     timeline_from_periods,
 )
-
-
-def scripted_streams(T, gaps, services):
-    """(failure, gaps, services) streams serving the given draws."""
-    return ScriptedStream([T]), ScriptedStream(gaps), ScriptedStream(services)
 
 
 class TestParams:
@@ -100,7 +100,7 @@ class TestGeneratePeriod:
     def test_fixed_draws_all_delivered(self):
         # d=(0, 1.0, 1.5), S=(2.0, 0.4, 1.0), T=5, r=2
         params = SimParams(lam=1.0, mu=1.0, nu=1.0, r=2.0, periods=1)
-        tr = generate_period(params, scripted_streams(5.0, [1.0, 0.5], [2.0, 0.4, 1.0]))
+        tr = generate_period(params, 5.0, [0.0, 1.0, 1.5], [2.0, 0.4, 1.0])
         assert tr.generations.tolist() == [0.0, 1.0, 1.5]
         assert tr.arrival_times.tolist() == [2.0, 2.4, 3.4]
         assert tr.discarded_count == 0
@@ -109,7 +109,7 @@ class TestGeneratePeriod:
 
     def test_failure_before_first_service(self):
         params = SimParams(lam=1.0, mu=1.0, nu=1.0, r=1.0, periods=1)
-        tr = generate_period(params, scripted_streams(2.0, [], [3.0]))
+        tr = generate_period(params, 2.0, [0.0], [3.0])
         assert tr.arrival_times.size == 0
         assert tr.discarded_count == 1
         assert tr.recovery_end == 3.0
@@ -117,22 +117,22 @@ class TestGeneratePeriod:
     def test_in_service_packet_discarded_not_completed(self):
         # second packet is mid-service when the failure hits
         params = SimParams(lam=1.0, mu=1.0, nu=1.0, r=1.0, periods=1)
-        tr = generate_period(params, scripted_streams(3.0, [1.0], [2.0, 5.0]))
+        tr = generate_period(params, 3.0, [0.0, 1.0], [2.0, 5.0])
         assert tr.arrival_times.tolist() == [2.0]
         assert tr.discarded_count == 1
 
     def test_duration_is_draw_plus_recovery(self):
-        params = SimParams(**DEFAULTS, periods=1, master_seed=11)
-        for idx in range(20):
-            tr = generate_period(params, period_streams(11, idx), start=float(idx))
+        params = SimParams(**DEFAULTS, periods=20, master_seed=11)
+        for idx, draws in enumerate(block_draws(params, 0)[0]):
+            tr = generate_period(params, *draws, start=float(idx))
             assert tr.failure_time == tr.start_time + tr.time_to_failure
             assert tr.recovery_end == tr.failure_time + params.r
             assert tr.recovery_duration == params.r
 
     def test_structure_invariants(self):
-        params = SimParams(**DEFAULTS, periods=1, master_seed=2)
-        for idx in range(200):
-            tr = generate_period(params, period_streams(2, idx), start=5.0)
+        params = SimParams(**DEFAULTS, periods=200, master_seed=2)
+        for draws in block_draws(params, 0)[0]:
+            tr = generate_period(params, *draws, start=5.0)
             assert tr.generations[0] == 5.0
             assert np.all(np.diff(tr.generations) > 0)
             assert np.all(tr.generations <= tr.failure_time)
@@ -156,10 +156,25 @@ class TestGeneratePeriod:
     def test_event_cap(self, monkeypatch):
         monkeypatch.setattr(sim, "EVENT_CAP", 10)
         params = SimParams(lam=5.0, mu=1.0, nu=0.01, r=1.0, periods=1, master_seed=1)
-        # the per-period reference and the batched path
-        for run in (lambda p: generate_period(p, period_streams(1, 0)), simulate):
-            with pytest.raises(SimulationLimitError):
-                run(params)
+        with pytest.raises(SimulationLimitError, match="EVENT_CAP = 10"):
+            simulate(params)
+
+    @pytest.mark.parametrize("params, cap", [
+        # expects 1e18 packets: refused before any draw
+        (SimParams(lam=1e9, mu=1.0, nu=1e-9, r=1.0, periods=1), "MAX_EXPECTED_PACKETS"),
+        # expects 8e8 packets, within the run's budget, but this seed's
+        # clock (~2.7e9 s) asks for a 3.4e9-gap chunk
+        (SimParams(lam=1.0, mu=1.0, nu=1.25e-9, r=1.0, periods=1, master_seed=2), "EVENT_CAP"),
+    ])
+    def test_limits_trip_before_allocating(self, params, cap):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SimulationLimitError, match=cap):
+                simulate(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestSimulate:
@@ -180,29 +195,19 @@ class TestSimulate:
         assert np.array_equal(a.failure_times, b.failure_times)
         assert np.array_equal(a.arrival_generations, b.arrival_generations)
 
+    @mock.patch.object(sim, "PERIODS_PER_BLOCK", 7)
     def test_order_and_parallelism_independent(self):
-        """Periods generated out of order in a thread pool, then shifted into
-        place, reproduce the serial run bit for bit."""
+        """Blocks generated out of order in a thread pool, each from t = 0,
+        then shifted into place, reproduce the serial run bit for bit."""
         p = SimParams(**DEFAULTS, periods=40, master_seed=77)
         serial = simulate(p)
-
-        def build(idx):
-            return idx, generate_period(p, period_streams(p.master_seed, idx), start=0.0)
-
-        order = list(range(p.periods))
+        order = list(range(block_count(p)))
         random.Random(0).shuffle(order)
-        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-            built = dict(pool.map(build, order))
-        traces = []
-        start = 0.0
-        for idx in range(p.periods):
-            tr = built[idx].shifted(start)
-            traces.append(tr)
-            start = tr.recovery_end
-        parallel = timeline_from_periods(p, traces)
-        assert np.array_equal(serial.arrival_times, parallel.arrival_times)
-        assert np.array_equal(serial.recovery_ends, parallel.recovery_ends)
-        assert np.array_equal(serial.arrival_generations, parallel.arrival_generations)
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            built = dict(pool.map(lambda block: (block, block_traces(p, block)), order))
+        assert len(built) == 6
+        parallel = lay_end_to_end(p, [trace for block in sorted(built) for trace in built[block]])
+        assert_same_timeline(serial, parallel)
 
     def test_mean_period_duration(self, medium_timeline):
         durations = medium_timeline.times_to_failure + DEFAULTS["r"]
@@ -211,8 +216,9 @@ class TestSimulate:
 
     def test_non_abutting_rejected(self):
         p = SimParams(**DEFAULTS, periods=2, master_seed=1)
-        t0 = generate_period(p, period_streams(1, 0), 0.0)
-        t1 = generate_period(p, period_streams(1, 1), t0.recovery_end + 1.0)
+        first, second = block_draws(p, 0)[0]
+        t0 = generate_period(p, *first, 0.0)
+        t1 = generate_period(p, *second, t0.recovery_end + 1.0)
         with pytest.raises(ParameterError):
             timeline_from_periods(p, [t0, t1])
 
@@ -230,37 +236,18 @@ def assert_same_timeline(a, b):
 
 class TestBatchedSimulate:
     SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, SEED]
-    # a small packet budget so that a 40-period default run spans ~8 blocks
+    # a small packet budget so that a 40-period default run spans ~8 batches
     BUDGET = 500
     MULTI_BLOCK = SimParams(**DEFAULTS, periods=40, master_seed=SEED)
 
-    @pytest.fixture(scope="class")
-    def indices(self):
-        """Period 0, the first period of the second block and the last period
-        of the multi-block run, and the largest index a run can have."""
-        with mock.patch.object(sim, "BLOCK_PACKETS", self.BUDGET):
-            counts = simulate(self.MULTI_BLOCK).generated_counts
-        # simulate closes a block once it holds at least BLOCK_PACKETS packets
-        boundary = int(np.argmax(np.cumsum(counts) >= self.BUDGET)) + 1
-        assert 0 < boundary < self.MULTI_BLOCK.periods - 1
-        return np.array([0, boundary, self.MULTI_BLOCK.periods - 1, 2**32 - 1])
-
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_state_words_match_seed_sequence(self, seed, indices):
-        words = sim._substream_words(seed, indices)
-        assert words.shape == (indices.size, 3, 4) and words.dtype == np.uint64
-        for row, index in zip(words, indices.tolist()):
-            for k in range(3):
-                expected = np.random.SeedSequence(seed, spawn_key=(index, k)).generate_state(4, np.uint64)
-                assert np.array_equal(row[k], expected)
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_first_draws_match_period_streams(self, seed, indices):
-        for words, index in zip(sim._substream_words(seed, indices), indices.tolist()):
-            batched = sim._streams_from_words(words)
-            reference = period_streams(seed, index)
-            for mine, theirs in zip(batched, reference):
-                assert mine.exponential(1.0, size=16).tolist() == theirs.exponential(1.0, size=16).tolist()
+    def test_first_draws_match_period_streams(self, seed):
+        """Each period draws from its block's streams, spawn_key=(block, k):
+        the first, the second and the last block a run can have."""
+        for block in (0, 1, (2**32 - 2) // sim.PERIODS_PER_BLOCK):
+            for k, reference in enumerate(block_streams(seed, block)):
+                mine = sim._stream(seed, block, k)
+                assert mine.exponential(1.0, size=16).tolist() == reference.exponential(1.0, size=16).tolist()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -272,34 +259,87 @@ class TestBatchedSimulate:
         seed=st.integers(0, 2**64 - 1),
         require_delivery=st.booleans(),
         block_packets=st.sampled_from([1, 7, 64, sim.BLOCK_PACKETS]),
+        periods_per_block=st.sampled_from([1, 4, 16, sim.PERIODS_PER_BLOCK]),
     )
     # rho >= 1; periods with no delivery (see the require_delivery test),
-    # then the same run conditioned; one period
+    # then the same run conditioned over several blocks; one period; a
+    # refill in the last of seven blocks
     @example(lam=1.5, mu=1.0, nu=0.05, r=5.0, periods=20, seed=3,
-             require_delivery=False, block_packets=64)
+             require_delivery=False, block_packets=64, periods_per_block=4096)
     @example(lam=0.5, mu=1.0, nu=0.5, r=2.0, periods=300, seed=9,
-             require_delivery=False, block_packets=7)
+             require_delivery=False, block_packets=7, periods_per_block=4096)
     @example(lam=0.5, mu=1.0, nu=0.5, r=2.0, periods=300, seed=9,
-             require_delivery=True, block_packets=7)
+             require_delivery=True, block_packets=7, periods_per_block=16)
     @example(lam=0.5, mu=1.0, nu=0.05, r=20.0, periods=1, seed=4,
-             require_delivery=False, block_packets=1)
+             require_delivery=False, block_packets=1, periods_per_block=4096)
+    @example(lam=1.0, mu=1.0, nu=0.04, r=5.0, periods=25, seed=0,
+             require_delivery=False, block_packets=64, periods_per_block=4)
     def test_equals_per_period_reference(self, lam, mu, nu, r, periods, seed,
-                                         require_delivery, block_packets):
+                                         require_delivery, block_packets, periods_per_block):
         params = SimParams(lam=lam, mu=mu, nu=nu, r=r, periods=periods, master_seed=seed,
                            require_delivery=require_delivery)
-        with mock.patch.object(sim, "BLOCK_PACKETS", block_packets):
-            batched = simulate(params)
-        assert_same_timeline(batched, reference_timeline(params))
+        with mock.patch.object(sim, "PERIODS_PER_BLOCK", periods_per_block):
+            with mock.patch.object(sim, "BLOCK_PACKETS", block_packets):
+                batched = simulate(params)
+            assert_same_timeline(batched, reference_timeline(params))
         if require_delivery:
             assert np.all(batched.delivered_counts > 0)
 
     def test_runs_under_a_profiler(self):
         # a sys.setprofile hook holds a reference to the arrays simulate
-        # grows in place after each block
+        # grows in place after each batch
         with mock.patch.object(sim, "BLOCK_PACKETS", self.BUDGET):
             profiled = cProfile.Profile().runcall(simulate, self.MULTI_BLOCK)
             plain = simulate(self.MULTI_BLOCK)
         assert_same_timeline(profiled, plain)
+
+
+class TestStreamContract:
+    # 400 periods in 25 blocks of 16 whose draws include a chunk refill and
+    # first-update redraws (counted by the reference below)
+    PINNED = SimParams(lam=1.0, mu=1.0, nu=0.04, r=5.0, periods=400, master_seed=SEED,
+                       require_delivery=True)
+    # float.hex of the sum of every float field and the sum of every count
+    # field of simulate(PINNED); any change to the stream contract changes them
+    GOLDEN = {
+        "start_times": "0x1.2a4fc8f64891fp+21",
+        "failure_times": "0x1.2b85e2194f082p+21",
+        "recovery_ends": "0x1.2bc462194f082p+21",
+        "times_to_failure": "0x1.361923067631fp+13",
+        "arrival_times": "0x1.7b28f446f88abp+25",
+        "arrival_generations": "0x1.7adf39efc0ec9p+25",
+        "delivered_counts": 8413,
+        "generated_counts": 10398,
+    }
+
+    @mock.patch.object(sim, "PERIODS_PER_BLOCK", 16)
+    def test_multi_block_run_pinned(self):
+        coverage = [block_draws(self.PINNED, block)[1] for block in range(block_count(self.PINNED))]
+        assert len(coverage) == 25
+        assert sum(c["refills"] for c in coverage) >= 1
+        assert sum(c["redraws"] for c in coverage) >= 1
+        timeline = simulate(self.PINNED)
+        assert pinned_sums(timeline) == self.GOLDEN
+
+    @pytest.mark.parametrize("require_delivery", [False, True])
+    def test_failure_clocks_shared_across_a_rho_sweep(self, require_delivery):
+        """Clocks do not depend on lam, nor do the redraws that condition
+        them (those compare clocks with first services, which depend on mu
+        only): every point of a rho sweep at one seed sees the same
+        failures. Criterion 6 relies on this coupling."""
+        base = SimParams(**DEFAULTS, periods=5000, master_seed=SEED, require_delivery=require_delivery)
+        clocks = [simulate(dataclasses.replace(base, lam=rho * base.mu)).times_to_failure
+                  for rho in (0.05, 0.5, 0.95)]
+        assert all(np.array_equal(clocks[0], other) for other in clocks[1:])
+
+
+def pinned_sums(timeline):
+    sums = {}
+    for field in dataclasses.fields(Timeline):
+        value = getattr(timeline, field.name)
+        if isinstance(value, np.ndarray):
+            sums[field.name] = float.hex(float(value.sum())) if value.dtype.kind == "f" else int(value.sum())
+    return sums
 
 
 class TestDistributions:

@@ -12,43 +12,44 @@ from agemon.summary import _bootstrap_halfwidths, summarize_rules
 from conftest import DEFAULTS, SEED, manual_timeline
 
 # float.hex of every float in summarize(...).to_dict() at 300 periods and 50
-# resamples, recorded with the per-function metric paths the period table
-# replaced; every later change must reproduce them bit for bit
+# resamples. The metric paths reproduced the earlier per-function paths bit
+# for bit; these values were recorded once more when the stream contract
+# changed to per-block streams, and every later change must reproduce them
 GOLDEN = {
     20.0: {
-        "aoi_time_average": "0x1.22da738826da9p+2",
-        "aoi_ci_halfwidth": "0x1.7232f8525bf40p-4",
-        "avg_r1": "0x1.868d0cb6c87f3p+4",
-        "avg_r2": "0x1.c073b7df8b078p+1",
-        "avg_r3": "0x1.b31391eb8dfe5p+3",
-        "time_r1": "0x1.376e6dae2c426p+8",
-        "time_r2": "0x1.c5fcae298c779p+15",
+        "aoi_time_average": "0x1.1fc125ced74d2p+2",
+        "aoi_ci_halfwidth": "0x1.b66c4cd215240p-4",
+        "avg_r1": "0x1.8b73a67dfceaep+4",
+        "avg_r2": "0x1.b61e70dc3d349p+1",
+        "avg_r3": "0x1.b86fdeeeaf682p+3",
+        "time_r1": "0x1.36f942a5f74e5p+8",
+        "time_r2": "0x1.c27d2e954ba51p+15",
         "time_r3": "0x1.7700000000000p+12",
-        "error_rate": "0x1.8fdf1ff91dea2p-5",
-        "detection_error_rate": "0x1.6844f45516d86p-5",
-        "error_ci_halfwidth": "0x1.7964a048e35e0p-9",
-        "fp_rate": "0x1.f678560a71bebp-7",
-        "fn_rate": "0x1.12410a76817a7p-5",
-        "reacquisition_fp_time": "0x1.376e6dae2c426p+8",
-        "measured_time": "0x1.f74b8b04e8d01p+15",
+        "error_rate": "0x1.7590fa0fd51f3p-5",
+        "detection_error_rate": "0x1.4dbec7dedbff8p-5",
+        "error_ci_halfwidth": "0x1.08d058a6cebc0p-8",
+        "fp_rate": "0x1.8b6c779e8868cp-7",
+        "fn_rate": "0x1.12b5dc2833050p-5",
+        "reacquisition_fp_time": "0x1.36f942a5f74e5p+8",
+        "measured_time": "0x1.f3cb211a9793bp+15",
     },
     # r = 5 <= tau: the optimal rule is degenerate
     5.0: {
-        "aoi_time_average": "0x1.cc2dd620df13ep+1",
-        "aoi_ci_halfwidth": "0x1.f29af79dc3420p-5",
-        "avg_r1": "0x1.2bbbbc560ac1cp+3",
-        "avg_r2": "0x1.c073b7df8b04cp+1",
-        "avg_r3": "0x1.7c8d8a3d82613p+2",
-        "time_r1": "0x1.376e6dae2c44ep+8",
-        "time_r2": "0x1.c5fcae298c779p+15",
+        "aoi_time_average": "0x1.c2ff063389bc8p+1",
+        "aoi_ci_halfwidth": "0x1.4680535022700p-5",
+        "avg_r1": "0x1.35e1293c448d2p+3",
+        "avg_r2": "0x1.b61e70dc3d369p+1",
+        "avg_r3": "0x1.87462443c5353p+2",
+        "time_r1": "0x1.36f942a5f74adp+8",
+        "time_r2": "0x1.c27d2e954ba52p+15",
         "time_r3": "0x1.7700000000000p+10",
-        "error_rate": "0x1.9a227e1eb8c6dp-6",
-        "detection_error_rate": "0x1.9a227e1eb8c6dp-6",
-        "error_ci_halfwidth": "0x1.d8d3dc55c4ee8p-10",
+        "error_rate": "0x1.9d39c18a26ecep-6",
+        "detection_error_rate": "0x1.9d39c18a26ecep-6",
+        "error_ci_halfwidth": "0x1.5a06ee126f1a4p-9",
         "fp_rate": "0x0.0p+0",
-        "fn_rate": "0x1.9a227e1eb8c6dp-6",
+        "fn_rate": "0x1.9d39c18a26ecep-6",
         "reacquisition_fp_time": "0x0.0p+0",
-        "measured_time": "0x1.d4238b04e8d01p+15",
+        "measured_time": "0x1.d0a3211a9793bp+15",
     },
 }
 
