@@ -255,26 +255,38 @@ RULES_PER_PASS = 32
 MAX_RESAMPLES = 10**6
 
 
+# A batch of B resamples gathers (n periods, B, k rows) floats, at most
+# _BOOTSTRAP_CELLS of them (2 MB) unless that leaves fewer than
+# _BOOTSTRAP_MIN_SUMS running sums, B * k: summing the periods costs one
+# numpy inner loop per period, which is slow when it adds only a few
+# columns. Neither is part of the contract: any batch size gives the same
+# half-widths.
+_BOOTSTRAP_CELLS = 2**18
+_BOOTSTRAP_MIN_SUMS = 16
+
+
 def _bootstrap_halfwidths(seed: int, numerators, lengths, resamples: int, confidence: float):
     """Half-widths of the ratios numerators[i].sum() / lengths.sum() over
     period resamples. Every call replays the same index stream, so a row's
-    half-width does not depend on which rows are stacked with it."""
+    half-width does not depend on which rows are stacked with it. Resamples
+    are gathered in batches; the batch size changes no bit."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0x0B00, 0)))
     k, n = numerators.shape
-    gathered = np.empty((k, n))
-    picked = np.empty(n)
+    cols = np.ascontiguousarray(numerators.T)
+    batch = max(-(-_BOOTSTRAP_MIN_SUMS // k), _BOOTSTRAP_CELLS // (n * k))
     stats = np.empty((resamples, k))
-    for b in range(resamples):
-        idx = rng.integers(0, n, size=n)
-        # idx is in range, so mode="clip" only skips take's buffered copy.
-        # Each numerator is summed left to right (a row-wise cumsum): the
-        # order numpy used on the F-ordered numerators[:, idx] these
-        # half-widths were first computed from (F-ordered because there
-        # are always two or more rows; one row would be summed pairwise)
-        np.take(numerators, idx, axis=1, out=gathered, mode="clip")
-        # the denominator keeps numpy's pairwise sum of a contiguous vector
-        denominator = np.take(lengths, idx, out=picked, mode="clip").sum()
-        stats[b] = np.cumsum(gathered, axis=1, out=gathered)[:, -1] / denominator
+    for start in range(0, resamples, batch):
+        # each index takes the generator's next 32-bit draw, so one (B, n)
+        # call draws what B calls of n indices would
+        idx = rng.integers(0, n, size=(min(batch, resamples - start), n))
+        # Reducing the outer axis of the (n, B, k) gather adds one period
+        # after another, the order numpy used on the F-ordered
+        # numerators[:, idx] these half-widths were first computed from
+        # (F-ordered because there are always two or more rows; one row
+        # would be summed pairwise). Each denominator row is contiguous, so
+        # it keeps numpy's pairwise sum of one resample's lengths.
+        totals = np.take(cols, idx.T, axis=0).sum(axis=0)
+        stats[start:start + idx.shape[0]] = totals / np.take(lengths, idx).sum(axis=1)[:, None]
     tail = 100.0 * (1.0 - confidence) / 2.0
     lo, hi = np.percentile(stats, [tail, 100.0 - tail], axis=0)
     return (hi - lo) / 2.0

@@ -5,9 +5,11 @@ many periods at once. The reference draws each period one after another,
 in plain scalar code, from its block's streams
 SeedSequence(master_seed, spawn_key=(block, k)), builds it as one
 `PeriodTrace` object and lays the traces end to end; tests require the two
-to agree bit for bit. It queues through the library's `_lindley_lockstep`,
-so what it checks independently is the stream contract, the blocking and
-the flattening.
+to agree bit for bit. It queues each period alone through the library's
+`_lindley_lockstep`, which solves a single period on its serial Python-float
+path, while `simulate` queues up to a block of periods at once and takes mostly
+the numpy steps. So besides the stream contract, the blocking and the
+flattening, the comparison checks the lockstep arithmetic independently.
 
 `estimated_state_trajectory` builds the detector's estimated state as
 explicit intervals, the oracle behind the interval-walk check of

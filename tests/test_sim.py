@@ -53,6 +53,28 @@ class TestParams:
         assert tl.start_times.size == 20
 
 
+def event_driven_arrivals(departures, services):
+    """Independent oracle: a single-server event loop over the same draws."""
+    arrivals = []
+    waiting = []        # service times of queued packets, FIFO
+    busy_until = None   # completion time of the packet in service
+    pending = list(zip(departures.tolist(), services.tolist()))
+    i = 0
+    while i < len(pending) or waiting or busy_until is not None:
+        next_dep = pending[i][0] if i < len(pending) else None
+        if busy_until is not None and (next_dep is None or busy_until <= next_dep):
+            arrivals.append(busy_until)
+            busy_until = busy_until + waiting.pop(0) if waiting else None
+        else:
+            d, svc = pending[i]
+            i += 1
+            if busy_until is None:
+                busy_until = d + svc
+            else:
+                waiting.append(svc)
+    return np.asarray(arrivals)
+
+
 class TestLindley:
     def test_recursion_by_hand(self):
         d = np.array([0.0, 1.0, 1.5])
@@ -60,36 +82,31 @@ class TestLindley:
         assert lindley_arrival_times(d, s).tolist() == [2.0, 2.4, 3.4]
 
     def test_matches_event_driven_queue_exactly(self):
-        # independent oracle: a single-server event loop over the same draws
-        def event_driven(departures, services):
-            arrivals = []
-            waiting = []        # service times of queued packets, FIFO
-            busy_until = None   # completion time of the packet in service
-            pending = list(zip(departures.tolist(), services.tolist()))
-            i = 0
-            while i < len(pending) or waiting or busy_until is not None:
-                next_dep = pending[i][0] if i < len(pending) else None
-                if busy_until is not None and (next_dep is None or busy_until <= next_dep):
-                    arrivals.append(busy_until)
-                    busy_until = busy_until + waiting.pop(0) if waiting else None
-                else:
-                    d, svc = pending[i]
-                    i += 1
-                    if busy_until is None:
-                        busy_until = d + svc
-                    else:
-                        waiting.append(svc)
-            return np.asarray(arrivals)
-
         rng = np.random.default_rng(5)
         for _ in range(50):
             n = int(rng.integers(1, 60))
             d = np.cumsum(rng.exponential(2.0, size=n))
             s = rng.exponential(1.0, size=n)
             direct = lindley_arrival_times(d, s)
-            looped = event_driven(d, s)
+            looped = event_driven_arrivals(d, s)
             # exact float equality: both paths perform the same max/add ops
             assert np.array_equal(direct, looped)
+
+    @pytest.mark.parametrize("cutoff", [None, 1, 10**6])
+    def test_ragged_periods_match_event_driven_queue(self, monkeypatch, cutoff):
+        # 96 periods of 1-299 packets in one call: the longest run serially
+        # after the numpy steps; cutoff 1 steps every packet in numpy, and
+        # a cutoff above the period count runs every period serially
+        rng = np.random.default_rng(8)
+        counts = rng.integers(1, 300, size=96)
+        assert np.sort(counts)[-sim._LOCKSTEP_MIN_PERIODS] < counts.max()
+        if cutoff is not None:
+            monkeypatch.setattr(sim, "_LOCKSTEP_MIN_PERIODS", cutoff)
+        d = [np.cumsum(rng.exponential(2.0, size=c)) for c in counts]
+        s = [rng.exponential(1.0, size=c) for c in counts]
+        arrivals = sim._lindley_lockstep(np.concatenate(d), np.concatenate(s), counts)
+        for p, got in enumerate(np.split(arrivals, np.cumsum(counts)[:-1])):
+            assert np.array_equal(got, event_driven_arrivals(d[p], s[p])), p
 
     def test_mismatched_lengths(self):
         with pytest.raises(ParameterError):
@@ -263,7 +280,8 @@ class TestBatchedSimulate:
     )
     # rho >= 1; periods with no delivery (see the require_delivery test),
     # then the same run conditioned over several blocks; one period; a
-    # refill in the last of seven blocks
+    # refill in the last of seven blocks; 300 periods queued at once, in
+    # numpy steps and then serial tails
     @example(lam=1.5, mu=1.0, nu=0.05, r=5.0, periods=20, seed=3,
              require_delivery=False, block_packets=64, periods_per_block=4096)
     @example(lam=0.5, mu=1.0, nu=0.5, r=2.0, periods=300, seed=9,
@@ -274,6 +292,8 @@ class TestBatchedSimulate:
              require_delivery=False, block_packets=1, periods_per_block=4096)
     @example(lam=1.0, mu=1.0, nu=0.04, r=5.0, periods=25, seed=0,
              require_delivery=False, block_packets=64, periods_per_block=4)
+    @example(lam=1.0, mu=1.0, nu=0.05, r=5.0, periods=300, seed=5,
+             require_delivery=False, block_packets=sim.BLOCK_PACKETS, periods_per_block=sim.PERIODS_PER_BLOCK)
     def test_equals_per_period_reference(self, lam, mu, nu, r, periods, seed,
                                          require_delivery, block_packets, periods_per_block):
         params = SimParams(lam=lam, mu=mu, nu=nu, r=r, periods=periods, master_seed=seed,

@@ -1,9 +1,10 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import agemon.summary
@@ -162,9 +163,11 @@ class TestSummarizeRules:
         seed=st.integers(0, 2**32 - 1),
         scale=st.floats(1e-3, 1e6),
     )
+    # a full pass: the age row and RULES_PER_PASS rule rows
+    @example(k=agemon.summary.RULES_PER_PASS + 1, n=300, resamples=30, seed=SEED, scale=1.0)
     def test_bootstrap_equals_fancy_index_loop(self, k, n, resamples, seed, scale):
-        # the per-resample loop the gather-and-cumsum bootstrap replaced. It
-        # always had the age row and at least one rule row: with one row,
+        # the per-resample loop that the batched gather-and-reduce replaced.
+        # It always had the age row and at least one rule row: with one row,
         # numerators[:, idx] is C-contiguous and its sum would be pairwise
         data = np.random.default_rng(seed)
         numerators = data.lognormal(sigma=3.0, size=(k, n)) * scale
@@ -177,8 +180,13 @@ class TestSummarizeRules:
         tail = 100.0 * (1.0 - 0.9) / 2.0
         lo, hi = np.percentile(stats, [tail, 100.0 - tail], axis=0)
         expected = (hi - lo) / 2.0
-        got = _bootstrap_halfwidths(seed, numerators, lengths, resamples, 0.9)
-        assert got.tobytes() == expected.tobytes()
+        # one resample per batch, batches that do not divide `resamples`
+        # (from 3 on), and one batch of every resample
+        for batch in (1, resamples // 2 + 1, resamples):
+            with mock.patch.multiple(agemon.summary, _BOOTSTRAP_CELLS=batch * n * k, _BOOTSTRAP_MIN_SUMS=1):
+                got = _bootstrap_halfwidths(seed, numerators, lengths, resamples, 0.9)
+            assert got.tobytes() == expected.tobytes(), batch
+        assert _bootstrap_halfwidths(seed, numerators, lengths, resamples, 0.9).tobytes() == expected.tobytes()
 
 
 def dyadic(low, high):
