@@ -161,6 +161,9 @@ class AnalyticReport:
 
 def analytic_report(lam: float, mu: float, nu: float, r: float) -> AnalyticReport:
     require_finite(lam=lam, mu=mu, nu=nu, r=r)
+    # before aoi_mm1's lam / mu below
+    if not mu > 0:
+        raise ParameterError("mu must be > 0")
     tau = map_threshold(lam, nu)
     return AnalyticReport(
         lam=lam,

@@ -133,12 +133,15 @@ def monte_carlo_cross_check(
     """Simulate, measure, and compare against the closed forms.
 
     Needs at least 10^4 periods; with fewer the Monte Carlo noise swamps the
-    deviations this report is meant to expose.
+    deviations this report is meant to expose. Needs r > 0: without outages
+    the closed-form error rate is 0, and err_rel_dev divides by it.
     """
     if params.periods < 10_000:
         raise ParameterError("cross checks need periods >= 10000")
     check_resamples(resamples)
     params.require_stable_queue()
+    if not params.r > 0:
+        raise ParameterError(f"cross checks need r > 0, got {params.r}")
     if rule is None:
         rule = DecisionRule.map_rule(params.lam, params.nu, params.r)
     report: MetricsSummary = summarize(period_table(simulate(params)), rule, resamples=resamples)

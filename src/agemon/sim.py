@@ -23,7 +23,6 @@ after the one before it) and checks that `simulate` reproduces it bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -40,8 +39,8 @@ EVENT_CAP = 10**9
 # beyond it could not be held in memory.
 MAX_EXPECTED_PACKETS = 10**9
 
-# Packets drawn before `simulate` solves the pending periods' queues and
-# keeps only their deliveries; bounds the transient memory held for
+# Gaps drawn for one run of periods, whose queues are then solved at once
+# and only their deliveries kept; bounds the transient memory held for
 # discarded generations and services, whatever the number of periods.
 BLOCK_PACKETS = 1 << 20
 
@@ -175,10 +174,6 @@ class Timeline:
     generated_counts: np.ndarray
 
     @property
-    def delivery_count(self) -> int:
-        return int(self.arrival_times.size)
-
-    @property
     def end_time(self) -> float:
         return float(self.recovery_ends[-1])
 
@@ -187,13 +182,12 @@ def _deliveries(
     times_to_failure: np.ndarray,
     starts: np.ndarray,
     counts: np.ndarray,
-    departures: Sequence[np.ndarray],
-    services: Sequence[np.ndarray],
+    departures: np.ndarray,
+    services: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(delivered counts, absolute arrival times, absolute generation times)
-    of a block of periods, from their relative departures and services."""
-    departures = np.concatenate(departures)
-    arrivals = _lindley_lockstep(departures, np.concatenate(services), counts)
+    of a run of periods, from their relative departures and services."""
+    arrivals = _lindley_lockstep(departures, services, counts)
     # arrivals increase within a period, so the delivered packets (a_k <= T)
     # are a prefix of each period's packets
     delivered = arrivals <= np.repeat(times_to_failure, counts)
@@ -286,8 +280,8 @@ def simulate(params: SimParams) -> Timeline:
     The result is a pure function of (master_seed, params), and block b
     only draws from its own streams, so blocks built in any order and laid
     end to end reproduce it bit for bit. All clocks are drawn first, then
-    each block's gaps and services in runs of about BLOCK_PACKETS; every
-    BLOCK_PACKETS generations are queued in lockstep.
+    each block's gaps and services in runs of about BLOCK_PACKETS gaps;
+    each run's periods are queued in lockstep as soon as it is drawn.
     """
     n = params.periods
     expected = n * (1.0 + params.lam / params.nu)
@@ -311,14 +305,10 @@ def simulate(params: SimParams) -> Timeline:
     start_times = np.concatenate(([0.0], recovery_ends[:-1]))
     generated_counts = np.empty(n, dtype=np.int64)
     delivered_counts = np.empty(n, dtype=np.int64)
-    # grown in place batch by batch: a final concatenation of per-batch
-    # parts would briefly hold the run's largest arrays twice
+    # grown in place run by run: a final concatenation of per-run parts
+    # would briefly hold the run's largest arrays twice
     arrival_times = np.empty(0)
     arrival_generations = np.empty(0)
-    departures: list[np.ndarray] = []
-    services: list[np.ndarray] = []
-    queued = 0
-    packets = 0
     for block, lo in enumerate(range(0, n, PERIODS_PER_BLOCK)):
         hi = min(lo + PERIODS_PER_BLOCK, n)
         gaps_rng, refills_rng, services_rng = (
@@ -329,22 +319,16 @@ def simulate(params: SimParams) -> Timeline:
         cuts = lo + 1 + np.flatnonzero(np.diff((np.cumsum(chunks) - chunks) // BLOCK_PACKETS))
         total = 0.0
         for i, j in zip((lo, *cuts.tolist()), (*cuts.tolist(), hi)):
-            run_departures, counts, total = _departures(
+            departures, counts, total = _departures(
                 times_to_failure[i:j], chunks[i - lo:j - lo], total, gaps_rng, refills_rng, params.lam,
             )
             # each period's first service was drawn with its clock
             heads = np.cumsum(counts) - counts
-            later = services_rng.exponential(1.0 / params.mu, size=run_departures.size - (j - i))
-            services.append(np.insert(later, heads - np.arange(j - i), first_services[i:j]))
-            departures.append(run_departures)
+            later = services_rng.exponential(1.0 / params.mu, size=departures.size - (j - i))
+            services = np.insert(later, heads - np.arange(j - i), first_services[i:j])
             generated_counts[i:j] = counts
-            packets += run_departures.size
-            if packets < BLOCK_PACKETS and j < n:
-                continue
-            batch = slice(queued, j)
-            delivered_counts[batch], arrivals, generations = _deliveries(
-                times_to_failure[batch], start_times[batch], generated_counts[batch],
-                departures, services,
+            delivered_counts[i:j], arrivals, generations = _deliveries(
+                times_to_failure[i:j], start_times[i:j], counts, departures, services,
             )
             kept = arrival_times.size
             # refcheck=False is safe: both arrays are locals and no view of
@@ -355,8 +339,9 @@ def simulate(params: SimParams) -> Timeline:
             arrival_generations.resize(kept + arrivals.size, refcheck=False)
             arrival_times[kept:] = arrivals
             arrival_generations[kept:] = generations
-            departures, services = [], []
-            queued, packets = j, 0
+            # freed before the next run is drawn, so no two runs' packet
+            # arrays are live at once and the next run's reuse their memory
+            del departures, services, later, arrivals, generations
     return Timeline(
         params=params,
         start_times=start_times,

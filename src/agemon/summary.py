@@ -8,9 +8,11 @@ system time of each update on its arrival. Every age metric integrates that
 piecewise-linear trajectory in closed form per segment with `_age_area`;
 there is no time discretization anywhere.
 
-Every reported metric is a column sum or a ratio of column sums of the
-table. Periods are the iid unit of the model, so resampling is over
-per-period (area, mismatch, length) triples rather than raw time.
+The mean age and the false-positive time are whole-run totals, over every
+arrival segment and gap; they equal the table's column sums to rounding.
+The other metrics are column sums or ratios of them. Periods are the iid
+unit of the model, so the bootstrap resamples per-period (area, mismatch,
+length) triples of the table rather than raw time.
 """
 
 from __future__ import annotations

@@ -78,6 +78,13 @@ class TestErrors:
         assert status == 1
         assert "rho" in err
 
+    # 0 once raised a ZeroDivisionError, -1 a misleading rho message
+    @pytest.mark.parametrize("mu", ["0", "-1"])
+    def test_non_positive_service_rate_named(self, capsys, mu):
+        status, out, err = run(capsys, "analytic", "--mu", mu)
+        assert status == 1 and out == ""
+        assert "error: mu must be > 0" in err
+
     def test_non_finite_recovery_rejected(self, capsys):
         status, out, err = run(capsys, "analytic", "--recovery", "inf", "--json")
         assert status == 1 and out == ""
@@ -103,6 +110,16 @@ class TestErrors:
         status, _, err = run(capsys, "sweep-threshold", *FAST, "--recovery", "0")
         assert status == 1
         assert "error:" in err and "r must be > 0" in err
+
+    def test_validate_at_zero_recovery_fails_before_simulating(self, capsys, monkeypatch):
+        # the closed-form error rate is 0 at r = 0 and divides err_rel_dev
+        def no_simulation(params):
+            raise AssertionError("simulated before the recovery was checked")
+
+        monkeypatch.setattr(agemon.oracle, "simulate", no_simulation)
+        status, _, err = run(capsys, "validate", "--periods", "10000", "--recovery", "0")
+        assert status == 1
+        assert "error:" in err and "r > 0" in err
 
     @pytest.mark.parametrize("argv,module", SIMULATING)
     def test_negative_resamples_fails_before_simulating(self, capsys, monkeypatch, argv, module):

@@ -307,11 +307,34 @@ class TestBatchedSimulate:
 
     def test_runs_under_a_profiler(self):
         # a sys.setprofile hook holds a reference to the arrays simulate
-        # grows in place after each batch
+        # grows in place after each run
         with mock.patch.object(sim, "BLOCK_PACKETS", self.BUDGET):
             profiled = cProfile.Profile().runcall(simulate, self.MULTI_BLOCK)
             plain = simulate(self.MULTI_BLOCK)
         assert_same_timeline(profiled, plain)
+
+    def test_transient_memory_is_a_few_runs(self):
+        # The traced peak above the returned arrays, in units of one run's
+        # gaps (8 * BLOCK_PACKETS bytes), is what simulate holds for the
+        # draws, services and lockstep temporaries of the runs in flight.
+        # Measured at this seed: 4.0x with each run queued as soon as it is
+        # drawn and its arrays freed before the next is drawn; 5.5x while
+        # the previous run's arrays stayed referenced; 11.7x when runs were
+        # collected until BLOCK_PACKETS packets were pending and
+        # concatenated before queueing.
+        block = 2**16
+        params = SimParams(**DEFAULTS, periods=3000, master_seed=SEED)
+        # a process's first call allocates numpy state (~1.3x more) untraced here
+        simulate(SimParams(**DEFAULTS, periods=1))
+        with mock.patch.object(sim, "BLOCK_PACKETS", block):
+            tracemalloc.start()
+            try:
+                tl = simulate(params)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        own = sum(getattr(tl, f.name).nbytes for f in dataclasses.fields(tl) if f.name != "params")
+        assert peak - own < 8 * (8 * block)
 
 
 class TestStreamContract:
