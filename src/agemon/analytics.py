@@ -9,26 +9,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .detector import map_threshold
-from .errors import ParameterError, require_finite
-
-
-def _check_rates(lam: float, nu: float) -> None:
-    if not lam > 0 or not nu > 0:
-        raise ParameterError("lam and nu must be > 0")
-
-
-def _check_recovery(r: float) -> None:
-    # the domain SimParams accepts: r = 0 is a run without outages
-    if r < 0:
-        raise ParameterError(f"r must be >= 0, got {r}")
+from .errors import ParameterError, check_params
 
 
 def failure_prior(nu: float, r: float) -> float:
     """Long-run fraction of time the sensor is failed: r*nu / (1 + r*nu)."""
-    require_finite(nu=nu, r=r)
-    if not nu > 0:
-        raise ParameterError("nu must be > 0")
-    _check_recovery(r)
+    check_params(nu=nu, r=r)
     return r * nu / (1.0 + r * nu)
 
 
@@ -53,9 +39,9 @@ def pdf_z_given_r2(z, lam: float, nu: float):
     seconds, so z is exponential with rate lam + nu:
     f(z) = (lam + nu) * exp(-(lam + nu) z).
     """
-    _check_rates(lam, nu)
+    check_params(lam=lam, nu=nu)
     z = np.asarray(z, dtype=np.float64)
-    if np.any(z < 0):
+    if not np.all(z >= 0):
         raise ParameterError("z must be >= 0")
     out = _working_density(z, lam + nu)
     return float(out) if out.ndim == 0 else out
@@ -70,11 +56,11 @@ def pdf_z_given_r3(z, lam: float, nu: float, r: float):
         exp(-(lam+nu) z) (exp((lam+nu) r) - 1) / r    for z >= r,
     continuous at z = r.
     """
-    _check_rates(lam, nu)
+    check_params(lam=lam, nu=nu, r=r)
     if not r > 0:
-        raise ParameterError("r must be > 0")
+        raise ParameterError(f"r must be > 0, got {r}")
     z = np.asarray(z, dtype=np.float64)
-    if np.any(z < 0):
+    if not np.all(z >= 0):
         raise ParameterError("z must be >= 0")
     a = lam + nu
     out = np.where(z < r, _outage_density_before(z, a, r), _outage_density_after(z, a, r))
@@ -90,9 +76,7 @@ def error_rate_closed_form(lam: float, nu: float, r: float) -> float:
     For tau >= r the rule always declares WORKING, so the error is exactly
     the failed-time prior r nu / (1 + r nu), which is 0 at r = 0.
     """
-    require_finite(lam=lam, nu=nu, r=r)
-    _check_rates(lam, nu)
-    _check_recovery(r)
+    check_params(lam=lam, nu=nu, r=r)
     tau = map_threshold(lam, nu)
     if tau >= r:
         return failure_prior(nu, r)
@@ -109,21 +93,16 @@ def error_rate_closed_form(lam: float, nu: float, r: float) -> float:
 def aoi_mm1(rho: float, mu: float) -> float:
     """Steady-state mean age of a stable M/M/1 FCFS update stream:
     (1/mu) * (1 + 1/rho + rho^2 / (1 - rho))."""
+    check_params(mu=mu)
     if not 0 < rho < 1:
         raise ParameterError(f"rho must be in (0, 1), got {rho}")
-    if not mu > 0:
-        raise ParameterError("mu must be > 0")
     return (1.0 + 1.0 / rho + rho * rho / (1.0 - rho)) / mu
 
 
 def mean_aoi_closed_form(lam: float, mu: float, nu: float, r: float) -> float:
     """Mean age with failures: the M/M/1 value plus the outage penalty
     (r^2/2 + r/mu + 1/mu^2) * nu / (1 + r nu)."""
-    require_finite(lam=lam, mu=mu, nu=nu, r=r)
-    _check_rates(lam, nu)
-    if not mu > 0:
-        raise ParameterError("mu must be > 0")
-    _check_recovery(r)
+    check_params(lam=lam, mu=mu, nu=nu, r=r)
     base = aoi_mm1(lam / mu, mu)
     return base + (r * r / 2.0 + r / mu + 1.0 / (mu * mu)) * nu / (1.0 + r * nu)
 
@@ -131,11 +110,7 @@ def mean_aoi_closed_form(lam: float, mu: float, nu: float, r: float) -> float:
 def region_means_closed_form(lam: float, mu: float, nu: float, r: float) -> tuple[float, float, float]:
     """Expected per-region mean ages (reacquisition, normal operation, outage):
     (mm1 + r + 1/(2 mu), mm1, mm1 + r/2)."""
-    require_finite(lam=lam, mu=mu, nu=nu, r=r)
-    _check_rates(lam, nu)
-    if not mu > 0:
-        raise ParameterError("mu must be > 0")
-    _check_recovery(r)
+    check_params(lam=lam, mu=mu, nu=nu, r=r)
     base = aoi_mm1(lam / mu, mu)
     return base + r + 0.5 / mu, base, base + 0.5 * r
 
@@ -160,10 +135,8 @@ class AnalyticReport:
 
 
 def analytic_report(lam: float, mu: float, nu: float, r: float) -> AnalyticReport:
-    require_finite(lam=lam, mu=mu, nu=nu, r=r)
     # before aoi_mm1's lam / mu below
-    if not mu > 0:
-        raise ParameterError("mu must be > 0")
+    check_params(lam=lam, mu=mu, nu=nu, r=r)
     tau = map_threshold(lam, nu)
     return AnalyticReport(
         lam=lam,

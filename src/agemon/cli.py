@@ -151,24 +151,25 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     check_resamples(args.resamples)
     params = _params(args)
+    # the default MAP rule needs rho < 1: fail before simulating, not after
+    params.require_stable_queue()
     summary = summarize(period_table(simulate(params)), resamples=args.resamples)
     for key, value in summary.to_dict().items():
         print(f"{key} = {value}")
     if args.out:
         row = ResultRow(swept_var="rho", swept_value=params.rho)
         row.add_empirical(summary, args.resamples)
-        if not params.unstable_queue:
-            row.aoi_analytic = mean_aoi_closed_form(params.lam, params.mu, params.nu, params.r)
-            row.err_analytic = error_rate_closed_form(params.lam, params.nu, params.r)
+        row.aoi_analytic = mean_aoi_closed_form(params.lam, params.mu, params.nu, params.r)
+        row.err_analytic = error_rate_closed_form(params.lam, params.nu, params.r)
         path = write_csv([row], _resolve(args.out), params)
         print(f"wrote {path}")
     return 0
 
 
 _SVG_COLUMNS = {
-    "rho": ("swept_value", ("aoi_analytic", "aoi_empirical", "err_analytic", "err_empirical")),
-    "expected_T": ("swept_value", ("aoi_analytic", "aoi_empirical")),
-    "threshold": ("swept_value", ("err_analytic", "err_empirical")),
+    "sweep-rho": ("swept_value", ("aoi_analytic", "aoi_empirical", "err_analytic", "err_empirical")),
+    "sweep-expected-t": ("swept_value", ("aoi_analytic", "aoi_empirical")),
+    "sweep-threshold": ("swept_value", ("err_analytic", "err_empirical")),
     "tradeoff": ("aoi_empirical", ("err_empirical",)),
 }
 
@@ -182,13 +183,10 @@ def _cmd_sweep(args: argparse.Namespace, command: str) -> int:
     path = write_csv(rows, out, spec.fixed)
     print(f"wrote {path}")
     if args.svg:
-        key = "tradeoff" if command == "tradeoff" else variable
-        x_col, y_cols = _SVG_COLUMNS[key]
+        x_col, y_cols = _SVG_COLUMNS[command]
         if args.analytic_only:
-            y_cols = tuple(c for c in y_cols if "analytic" in c) or y_cols
-            if key == "tradeoff":
-                x_col = "aoi_analytic"
-                y_cols = ("err_analytic",)
+            x_col = x_col.replace("empirical", "analytic")
+            y_cols = tuple(dict.fromkeys(c.replace("empirical", "analytic") for c in y_cols))
         svg_path = render_svg(rows, x_col, y_cols, _resolve(args.svg), title=command)
         print(f"wrote {svg_path}")
     return 0

@@ -17,13 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError
+from .errors import check_params
 
 
 def map_threshold(lam: float, nu: float) -> float:
     """Optimal gap-age threshold log(lam/nu + 2) / (lam + nu)."""
-    if not lam > 0 or not nu > 0:
-        raise ParameterError("lam and nu must be > 0")
+    check_params(lam=lam, nu=nu)
     return math.log(lam / nu + 2.0) / (lam + nu)
 
 
@@ -41,13 +40,13 @@ class DecisionRule:
     @classmethod
     def map_rule(cls, lam: float, nu: float, r: float) -> "DecisionRule":
         tau = map_threshold(lam, nu)
+        check_params(r=r)
         return cls(tau=tau, degenerate=tau >= r)
 
     @classmethod
     def with_threshold(cls, tau: float, r: float) -> "DecisionRule":
         """A (generally suboptimal) rule with an explicit threshold."""
-        if tau < 0:
-            raise ParameterError("tau must be >= 0")
+        check_params(tau=tau, r=r)
         return cls(tau=float(tau), degenerate=tau >= r)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .analytics import error_rate_closed_form, mean_aoi_closed_form
 from .detector import DecisionRule
-from .errors import ParameterError, require_finite
+from .errors import ParameterError, check_params
 from .oracle import quadrature_error_rate
 from .sim import SimParams, simulate
 from .summary import MetricsSummary, check_resamples, period_table, summarize, summarize_rules
@@ -43,7 +43,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.variable not in SWEEP_VARIABLES:
             raise ParameterError(f"unknown sweep variable {self.variable!r}")
-        require_finite(start=self.start, stop=self.stop, step=self.step)
+        check_params(start=self.start, stop=self.stop, step=self.step)
         if not self.step > 0:
             raise ParameterError("step must be > 0")
         if not self.start < self.stop:

@@ -20,7 +20,7 @@ from .analytics import (
     mean_aoi_closed_form,
 )
 from .detector import DecisionRule, map_threshold
-from .errors import OracleError, ParameterError, require_finite
+from .errors import OracleError, ParameterError, check_params
 from .sim import SimParams, simulate
 from .summary import MetricsSummary, check_resamples, period_table, summarize
 
@@ -51,11 +51,9 @@ def quadrature_error_rate(lam: float, nu: float, r: float, tau: float) -> float:
     The integrands are the unsimplified densities of pdf_z_given_r2/_r3,
     evaluated on plain floats after one check of the parameters.
     """
-    require_finite(lam=lam, nu=nu, r=r)
-    if not lam > 0 or not nu > 0 or not r > 0:
-        raise ParameterError("lam, nu and r must be > 0")
-    if not tau >= 0:
-        raise ParameterError(f"tau must be >= 0, got {tau}")
+    check_params(lam=lam, nu=nu, r=r, tau=tau)
+    if not r > 0:
+        raise ParameterError(f"r must be > 0, got {r}")
     p_failed = failure_prior(nu, r)
     a = lam + nu
     fp = _quad(lambda z: _working_density(z, a), tau, np.inf)

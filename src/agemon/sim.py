@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SimulationLimitError, require_finite
+from .errors import ParameterError, SimulationLimitError, check_params
 
 # Gaps a period may draw in its first chunk, 1.25 * lam * T, checked for
 # every period of the run before any gap is drawn; guards pathological
@@ -85,12 +85,7 @@ class SimParams:
             object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "periods", int(self.periods))
         object.__setattr__(self, "master_seed", int(self.master_seed))
-        require_finite(lam=self.lam, mu=self.mu, nu=self.nu, r=self.r)
-        for name in ("lam", "mu", "nu"):
-            if not getattr(self, name) > 0.0:
-                raise ParameterError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.r < 0.0:
-            raise ParameterError(f"r must be >= 0, got {self.r}")
+        check_params(lam=self.lam, mu=self.mu, nu=self.nu, r=self.r)
         # far beyond any run's packet budget; rejected here by name
         if not 1 <= self.periods < 2**32:
             raise ParameterError(f"periods must be in [1, 2**32), got {self.periods}")

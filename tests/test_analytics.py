@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 
 from agemon import (
+    DecisionRule,
     ParameterError,
     analytic_report,
     aoi_mm1,
@@ -170,19 +171,25 @@ class TestReport:
         }
 
 
-@pytest.mark.parametrize("fn,fields,field,value", [
-    pytest.param(fn, fields, field, value, id=f"{fn.__name__}-{field}-{value}")
-    for fn, fields in (
-        (failure_prior, ("nu", "r")),
-        (error_rate_closed_form, ("lam", "nu", "r")),
-        (mean_aoi_closed_form, ("lam", "mu", "nu", "r")),
-        (region_means_closed_form, ("lam", "mu", "nu", "r")),
-        (analytic_report, ("lam", "mu", "nu", "r")),
+@pytest.mark.parametrize("fn,fixed,fields,field,value", [
+    pytest.param(fn, fixed, fields, field, value, id=f"{fn.__qualname__}-{field}-{value}")
+    for fn, fixed, fields in (
+        (failure_prior, (), ("nu", "r")),
+        (error_rate_closed_form, (), ("lam", "nu", "r")),
+        (mean_aoi_closed_form, (), ("lam", "mu", "nu", "r")),
+        (region_means_closed_form, (), ("lam", "mu", "nu", "r")),
+        (analytic_report, (), ("lam", "mu", "nu", "r")),
+        (pdf_z_given_r2, (1.0,), ("lam", "nu")),
+        (pdf_z_given_r3, (1.0,), ("lam", "nu", "r")),
+        (aoi_mm1, (0.5,), ("mu",)),
+        (map_threshold, (), ("lam", "nu")),
+        (DecisionRule.map_rule, (), ("lam", "nu", "r")),
     )
     for field in fields
     for value in (math.inf, math.nan)
 ])
-def test_non_finite_input_rejected(fn, fields, field, value):
+def test_non_finite_input_rejected(fn, fixed, fields, field, value):
+    # fixed: the leading z or rho, which are not model parameters
     args = {name: STANDARD[name] for name in fields}
     with pytest.raises(ParameterError, match=f"{field} must be finite"):
-        fn(**{**args, field: value})
+        fn(*fixed, **{**args, field: value})

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -73,7 +74,11 @@ class TestErrors:
         assert status == 1
         assert "error:" in err and "lam" in err
 
-    def test_unstable_rho_named(self, capsys):
+    def test_unstable_rho_named(self, capsys, monkeypatch):
+        def no_simulation(params):
+            raise AssertionError("simulated before rho was checked")
+
+        monkeypatch.setattr(agemon.cli, "simulate", no_simulation)
         status, _, err = run(capsys, "simulate", "--lambda", "2.0", *FAST)
         assert status == 1
         assert "rho" in err
@@ -160,9 +165,10 @@ class TestErrors:
         assert status == 1
         assert "error:" in err and ("deliveries" in err or "rho" in err)
 
+    # stable queues: simulate rejects rho >= 1 before it runs
     @pytest.mark.parametrize("argv, cap", [
-        (["--lambda", "5", "--nu", "0.01", "--periods", "1"], "EVENT_CAP = 10"),
-        (["--lambda", "1e9", "--nu", "1e-9", "--periods", "1"], "MAX_EXPECTED_PACKETS"),
+        (["--lambda", "5", "--mu", "10", "--nu", "0.01", "--periods", "1"], "EVENT_CAP = 10"),
+        (["--lambda", "1e9", "--mu", "2e9", "--nu", "1e-9", "--periods", "1"], "MAX_EXPECTED_PACKETS"),
     ])
     def test_simulation_limit_names_the_cap(self, capsys, monkeypatch, argv, cap):
         monkeypatch.setattr(agemon.sim, "EVENT_CAP", 10)
@@ -256,6 +262,22 @@ class TestSweeps:
         # longer working spans -> lower mean age
         aois = [r.aoi_analytic for r in rows]
         assert aois == sorted(aois, reverse=True)
+
+    @pytest.mark.parametrize("command,grid,x_col,legend", [
+        ("sweep-rho", "0.2:0.8:0.2", "swept_value", ["aoi_analytic", "err_analytic"]),
+        ("sweep-expected-t", "50:200:50", "swept_value", ["aoi_analytic"]),
+        ("sweep-threshold", "4:14:2", "swept_value", ["err_analytic"]),
+        ("tradeoff", "0.3:0.7:0.2", "aoi_analytic", ["err_analytic"]),
+    ])
+    def test_analytic_only_svg_series(self, capsys, tmp_path, command, grid, x_col, legend):
+        out_svg = tmp_path / "chart.svg"
+        status, _, _ = run(capsys, command, "--analytic-only", "--grid", grid,
+                           "--out", str(tmp_path / "chart.csv"), "--svg", str(out_svg))
+        assert status == 0
+        svg = out_svg.read_text(encoding="utf-8")
+        # legend entries are the only text elements without an anchor
+        assert re.findall(r'<text x="[^"]*" y="[^"]*">(\w+)</text>', svg) == legend
+        assert f'text-anchor="middle">{x_col}</text>' in svg
 
     @pytest.mark.parametrize("command,grid", [("sweep-rho", "0.3:0.5:0.2"),
                                               ("sweep-expected-t", "100:200:100")])

@@ -25,9 +25,14 @@ class TestThreshold:
         # scaling both rates by c scales the threshold by 1/c
         assert map_threshold(0.5 * c, 0.005 * c) == pytest.approx(TAU_DEFAULT / c, rel=1e-12)
 
-    @pytest.mark.parametrize("lam,nu", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
+    @pytest.mark.parametrize("lam,nu", [
+        (0.0, 1.0), (1.0, 0.0), (-1.0, 1.0),
+        (math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan),
+    ])
     def test_invalid_rates(self, lam, nu):
-        with pytest.raises(ParameterError):
+        # each case breaks one rate and leaves the other at 1.0
+        field = "nu" if lam == 1.0 else "lam"
+        with pytest.raises(ParameterError, match=f"^{field} must be"):
             map_threshold(lam, nu)
 
     def test_rule_constructors(self):
@@ -37,6 +42,8 @@ class TestThreshold:
         assert DecisionRule.with_threshold(20.0, 20.0).degenerate
         with pytest.raises(ParameterError):
             DecisionRule.with_threshold(-1.0, 20.0)
+        with pytest.raises(ParameterError, match="tau must be >= 0"):
+            DecisionRule.with_threshold(math.nan, 20.0)
 
 
 def single_span_timeline(arrivals, T=None, r=50.0):

@@ -118,6 +118,7 @@ class TestQuadrature:
         ((LAM, math.inf, R, 5.0), "nu must be finite"),
         ((LAM, NU, math.inf, 5.0), "r must be finite"),
         ((LAM, NU, math.nan, 5.0), "r must be finite"),
+        ((0.0, NU, R, 5.0), "lam must be > 0"),
     ])
     def test_non_finite_input_rejected_before_integrating(self, args, message):
         # used to end in "quadrature ... did not converge (abserr=nan)"
