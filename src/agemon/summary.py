@@ -8,11 +8,17 @@ system time of each update on its arrival. Every age metric integrates that
 piecewise-linear trajectory in closed form per segment with `_age_area`;
 there is no time discretization anywhere.
 
+Deliveries are stored period after period, so cumsum(delivered_counts)
+locates each period's own arrival gaps: a per-period integral is one piece
+from the last earlier arrival, plus one `np.add.reduceat` of the period's
+own gaps with the last one cut at the period's edge. Nothing searches the
+deliveries and nothing is a difference of run-wide prefix sums.
+
 The mean age and the false-positive time are whole-run totals, over every
-arrival segment and gap; they equal the table's column sums to rounding.
-The other metrics are column sums or ratios of them. Periods are the iid
-unit of the model, so the bootstrap resamples per-period (area, mismatch,
-length) triples of the table rather than raw time.
+arrival gap; they equal the table's column sums to rounding. The other
+metrics are column sums or ratios of them. Periods are the iid unit of the
+model, so the bootstrap resamples per-period (area, mismatch, length)
+triples of the table rather than raw time.
 """
 
 from __future__ import annotations
@@ -30,25 +36,6 @@ def _age_area(length, start_age):
     """Integral of the slope-1 age over `length` seconds from `start_age`:
     the trapezoid length * (start_age + length/2)."""
     return length * (start_age + 0.5 * length)
-
-
-def _interval_integrals(bounds, whole, part, starts, ends) -> np.ndarray:
-    """Integrals of a piecewise function over each [starts[i], ends[i]).
-
-    Piece j spans [bounds[j], bounds[j + 1]); whole[j] is its integral and
-    part(j, lo, hi) its integral over [lo, hi) inside it. Intervals must lie
-    inside [bounds[0], bounds[-1]]; an empty one on a breakpoint gets a
-    rounding residue, not 0. Whole pieces come from a prefix sum.
-    """
-    prefix = np.concatenate(([0.0], np.cumsum(whole)))
-    last = whole.size - 1
-    j0 = np.clip(np.searchsorted(bounds, starts, side="right") - 1, 0, last)
-    j1 = np.clip(np.searchsorted(bounds, ends, side="left") - 1, 0, last)
-    return np.where(
-        j0 == j1,
-        part(j0, starts, ends),
-        part(j0, starts, bounds[j0 + 1]) + (prefix[j1] - prefix[j0 + 1]) + part(j1, bounds[j1], ends),
-    )
 
 
 @dataclass(frozen=True)
@@ -85,9 +72,14 @@ class PeriodTable:
     k = 0, 1, 2; slices before the first arrival are empty. Columns hold
     each slice's length and age area and each region's time and age area
     (0 when empty). The true state is failed exactly on r3, so
-    region_times[2] is also the failed time. last_arrivals holds the last
-    arrival at or before each period's start and failure (-inf if none).
-    `error` and `mismatch` add the columns of one decision rule.
+    region_times[2] is also the failed time.
+
+    Period p's deliveries are [heads[p], heads[p] + counts[p]) in storage
+    order, and gaps[j] is the time from delivery j to the next one (the
+    last to the end of the run). last_arrivals holds the last arrival
+    before each period's own deliveries and the last at or before its
+    failure (-inf if none). `error` and `mismatch` add the columns of one
+    decision rule.
     """
 
     params: SimParams
@@ -100,15 +92,13 @@ class PeriodTable:
     region_areas: np.ndarray
     edges: np.ndarray
     last_arrivals: np.ndarray
-    bounds: np.ndarray
+    heads: np.ndarray
+    counts: np.ndarray
+    gaps: np.ndarray
 
     @property
     def aoi(self) -> float:
         return self.age_area / self.measured_time
-
-    def _failed_whole(self, tau: float) -> np.ndarray:
-        # the estimate is FAILED on the tail of each arrival gap beyond tau
-        return np.clip(np.diff(self.bounds) - tau, 0.0, None)
 
     def _false_negatives(self, tau: float) -> np.ndarray:
         # r3 holds no arrival: the estimate reads WORKING until last arrival + tau
@@ -128,7 +118,9 @@ class PeriodTable:
                 reacquisition_fp_time=0.0,
             )
         fn = float(self._false_negatives(rule.tau).sum())
-        fp = max(float(self._failed_whole(rule.tau).sum()) - (failed - fn), 0.0)
+        # the estimate is FAILED on the tail of each arrival gap beyond tau
+        est_failed = float(np.clip(self.gaps - rule.tau, 0.0, None).sum())
+        fp = max(est_failed - (failed - fn), 0.0)
         # r1 holds no arrival either: the estimate flips once, at last arrival + tau
         flip = np.maximum(self.edges[0], self.last_arrivals[0] + rule.tau)
         reacq = np.where(self.region_times[0] > 0, np.clip(self.edges[1] - flip, 0.0, None), 0.0)
@@ -145,14 +137,16 @@ class PeriodTable:
         failed = self.region_times[2]
         if rule.degenerate:
             return failed
-        tau, bounds = rule.tau, self.bounds
-
-        def part(j, lo, hi):
-            return np.clip(np.minimum(hi, bounds[j + 1]) - np.maximum(lo, bounds[j] + tau), 0.0, None)
-
-        est_failed = _interval_integrals(
-            bounds, self._failed_whole(tau), part, self.edges[0], self.edges[3]
-        )
+        tau, (start, cut, _, end) = rule.tau, self.edges
+        before, last = self.last_arrivals
+        own = self.counts > 0
+        # estimated-failed time of the gap that starts before the slice: it
+        # ends at the first delivery, or runs through a slice that has none
+        est_failed = np.clip(np.where(own, cut, end) - np.maximum(start, before + tau), 0.0, None)
+        # and of the slice's own gaps, the last one cut at the slice end
+        tails = np.clip(self.gaps - tau, 0.0, None)
+        tails[(self.heads + self.counts - 1)[own]] = np.clip(end[own] - last[own] - tau, 0.0, None)
+        est_failed[own] += np.add.reduceat(tails, self.heads[own])
         fn = self._false_negatives(tau)
         return np.clip(est_failed - (failed - fn), 0.0, None) + fn
 
@@ -169,48 +163,49 @@ def period_table(timeline: Timeline) -> PeriodTable:
     if not m1 > m0:
         raise EmptyTimelineError("zero-length measured span has no average")
     ages = arrivals - timeline.arrival_generations
-    bounds = np.append(arrivals, m1)
-    whole = _age_area(np.diff(bounds), ages)
-
-    def part(j, lo, hi):
-        return _age_area(hi - lo, ages[j] + (lo - bounds[j]))
-
-    # r1 ends at the first delivery, or at the failure when nothing was delivered
+    gaps = np.diff(arrivals, append=m1)
+    trapezoids = _age_area(gaps, ages)
+    age_area = float(np.sum(trapezoids))
     counts = timeline.delivered_counts
-    first = arrivals[np.minimum(np.cumsum(counts) - counts, arrivals.size - 1)]
-    cut = np.where(counts > 0, first, timeline.failure_times)
+    heads = np.cumsum(counts) - counts
+    own = counts > 0
+    # r1 ends at the first delivery, or at the failure when nothing was delivered
+    cut = np.where(own, arrivals[np.minimum(heads, arrivals.size - 1)], timeline.failure_times)
     edges = np.clip(
         np.vstack((timeline.start_times, cut, timeline.failure_times, timeline.recovery_ends)), m0, m1
     )
-    n = edges.shape[1]
-    # one call for the slices and the three regions
-    areas = _interval_integrals(
-        bounds, whole, part,
-        np.concatenate((edges[0], edges[:3].ravel())),
-        np.concatenate((edges[3], edges[1:].ravel())),
-    )
+    # the last arrival before the period's own deliveries and its last one
+    # (the same one when it has none); -1 before the first arrival
+    last = np.vstack((heads, heads + counts)) - 1
+    at = np.maximum(last, 0)
+    region_areas = np.zeros((3, edges.shape[1]))
+    # r1 and r3 hold no arrival: one trapezoid each, from the last one before them
+    region_areas[::2] = _age_area(edges[1::2] - edges[::2], ages[at] + (edges[::2] - arrivals[at]))
+    # r2 is the sum of the period's own gaps, the last one cut at the failure
+    tails = last[1][own]
+    trapezoids[tails] = _age_area(edges[2][own] - arrivals[tails], ages[tails])
+    region_areas[1][own] = np.add.reduceat(trapezoids, heads[own])
     region_times = edges[1:] - edges[:3]
     keep = region_times > 0
-    region_areas = np.where(keep, areas[n:].reshape(3, n), 0.0)
+    region_areas = np.where(keep, region_areas, 0.0)
     # totals over non-empty regions only: summing the zeros too would
     # regroup numpy's pairwise summation and change the rounding
     times = [float(np.sum(t[k])) for t, k in zip(region_times, keep)]
     sums = [float(np.sum(a[k])) for a, k in zip(region_areas, keep)]
-    last = np.searchsorted(
-        arrivals, np.vstack((timeline.start_times, timeline.failure_times)), side="right"
-    ) - 1
     return PeriodTable(
         params=timeline.params,
         measured_time=m1 - m0,
-        age_area=float(np.sum(whole)),
+        age_area=age_area,
         regions=RegionAverages(*(a / t if t > 0 else float("nan") for a, t in zip(sums, times)), *times),
         lengths=edges[3] - edges[0],
-        areas=areas[:n],
+        areas=region_areas.sum(axis=0),
         region_times=region_times,
         region_areas=region_areas,
         edges=edges,
-        last_arrivals=np.where(last >= 0, arrivals[np.maximum(last, 0)], -np.inf),
-        bounds=bounds,
+        last_arrivals=np.where(last >= 0, arrivals[at], -np.inf),
+        heads=heads,
+        counts=counts,
+        gaps=gaps,
     )
 
 

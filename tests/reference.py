@@ -12,12 +12,15 @@ the numpy steps. So besides the stream contract, the blocking and the
 flattening, the comparison checks the lockstep arithmetic independently.
 
 `estimated_state_trajectory` builds the detector's estimated state as
-explicit intervals, the oracle behind the interval-walk check of
-`PeriodTable.error`.
+explicit intervals, the oracle behind the interval-walk checks of
+`PeriodTable.error` and `.mismatch`. `age_pieces` cuts the age sawtooth
+into the trapezoids that `period_table` integrates, so a test can add them
+up with `math.fsum`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,3 +228,62 @@ def estimated_state_trajectory(timeline: Timeline, rule) -> tuple[np.ndarray, np
     ends[flip] = nxt[long]
     failed[flip] = True
     return starts, ends, failed
+
+
+def naive_error_times(timeline, rule):
+    """Reference mismatch accounting: walk the estimated intervals and clip
+    each against every true-failure interval."""
+    starts, ends, failed = estimated_state_trajectory(timeline, rule)
+    fails, recoveries = timeline.failure_times, timeline.recovery_ends
+    fp = fn = 0.0
+    for lo, hi, is_failed in zip(starts.tolist(), ends.tolist(), failed.tolist()):
+        failed_overlap = sum(
+            max(0.0, min(hi, e) - max(lo, f)) for f, e in zip(fails, recoveries)
+        )
+        if is_failed:
+            fp += (hi - lo) - failed_overlap
+        else:
+            fn += failed_overlap
+    return fp, fn
+
+
+def naive_slice_mismatch(timeline, rule) -> list[float]:
+    """Reference per-period mismatch: walk the estimated intervals and clip
+    each against every period's slice [start, recovery end) of the measured
+    span and against the slice's failure [failure, recovery end)."""
+    starts, ends, failed = estimated_state_trajectory(timeline, rule)
+    first, end = float(timeline.arrival_times[0]), timeline.end_time
+
+    def clip(t):
+        return min(max(t, first), end)
+
+    periods = [
+        (clip(s), clip(f), clip(e))
+        for s, f, e in zip(timeline.start_times.tolist(), timeline.failure_times.tolist(),
+                           timeline.recovery_ends.tolist())
+    ]
+    mismatch = [0.0] * len(periods)
+    for lo, hi, is_failed in zip(starts.tolist(), ends.tolist(), failed.tolist()):
+        for p, (s, f, e) in enumerate(periods):
+            in_slice = max(0.0, min(hi, e) - max(lo, s))
+            in_failure = max(0.0, min(hi, e) - max(lo, f))
+            mismatch[p] += in_slice - in_failure if is_failed else in_failure
+    return mismatch
+
+
+def age_pieces(arrivals: list[float], ages: list[float], lo: float, hi: float) -> list[float]:
+    """The age sawtooth's trapezoids over [lo, hi), one per arrival gap that
+    meets it, cut at lo and hi, in plain floats. `ages` holds each arrival's
+    age (arrival minus generation time); lo must not precede the first
+    arrival."""
+    j = bisect_right(arrivals, lo) - 1
+    t, age = lo, ages[j] + (lo - arrivals[j])
+    pieces = []
+    while True:
+        end = min(arrivals[j + 1], hi) if j + 1 < len(arrivals) else hi
+        length = end - t
+        pieces.append(length * (age + 0.5 * length))
+        if end == hi:
+            return pieces
+        j += 1
+        t, age = arrivals[j], ages[j]

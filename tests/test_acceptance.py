@@ -212,9 +212,10 @@ def test_criterion_8_exactness_properties():
     # (b) trapezoid additivity under segment splitting, bit-exact on dyadics
     times = [0.0, 1.0, 2.5, 4.0]
     ages = [0.5, 0.25, 1.0, 0.75]
-    whole = period_table(sawtooth_timeline(times, ages, 8.0))
-    split = period_table(sawtooth_timeline(times, ages, 8.0, cuts=[0.5, 1.5, 3.0, 6.0]))
-    assert split.bounds.size == whole.bounds.size + 4
+    whole_timeline = sawtooth_timeline(times, ages, 8.0)
+    split_timeline = sawtooth_timeline(times, ages, 8.0, cuts=[0.5, 1.5, 3.0, 6.0])
+    whole, split = period_table(whole_timeline), period_table(split_timeline)
+    assert split_timeline.arrival_times.size == whole_timeline.arrival_times.size + 4
     assert split.age_area == whole.age_area
 
     # (c) degenerate rule: error == fraction of time failed, exactly

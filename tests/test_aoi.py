@@ -14,8 +14,8 @@ class TestTrajectory:
         # there, and is 4.0 at the failure at 5 and 24 at the recovery end
         tl = manual_timeline([(5.0, 20.0, [0.0, 1.0, 1.5], [2.0, 2.4])])
         table = period_table(tl)
-        assert table.bounds[0] == 2.0
-        assert table.bounds[-1] == 25.0
+        assert tl.arrival_times[0] == 2.0
+        assert tl.end_time == 25.0
         assert table.measured_time == 23.0
         r2, r3 = table.region_areas[1:, 0]
         assert r2 == pytest.approx(0.4 * (2.0 + 2.4) / 2 + 2.6 * (1.4 + 4.0) / 2)
@@ -25,7 +25,7 @@ class TestTrajectory:
         # age 1 at the arrival at 1.0, rising linearly to 3 at the end, 3.0
         tl = manual_timeline([(2.0, 1.0, [0.0], [1.0])])
         table = period_table(tl)
-        assert table.bounds[-1] == 3.0
+        assert tl.end_time == 3.0
         assert table.age_area == 2.0 * (1.0 + 3.0) / 2
         assert table.aoi == 2.0
 
@@ -75,9 +75,10 @@ class TestTimeAverage:
         # exact and splitting changes nothing, bit for bit
         times = [0.0, 1.0, 2.5, 4.0]
         ages = [0.5, 0.25, 1.0, 0.75]
-        base = period_table(sawtooth_timeline(times, ages, 8.0))
-        split = period_table(sawtooth_timeline(times, ages, 8.0, cuts=[0.5, 1.5, 3.0, 6.0]))
-        assert split.bounds.size == base.bounds.size + 4
+        base_timeline = sawtooth_timeline(times, ages, 8.0)
+        split_timeline = sawtooth_timeline(times, ages, 8.0, cuts=[0.5, 1.5, 3.0, 6.0])
+        base, split = period_table(base_timeline), period_table(split_timeline)
+        assert split_timeline.arrival_times.size == base_timeline.arrival_times.size + 4
         assert split.age_area == base.age_area
         assert split.aoi == base.aoi
 

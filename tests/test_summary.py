@@ -11,6 +11,7 @@ import agemon.summary
 from agemon import DecisionRule, ParameterError, SimParams, period_table, simulate, summarize
 from agemon.summary import _bootstrap_halfwidths, summarize_rules
 from conftest import DEFAULTS, SEED, manual_timeline
+from reference import age_pieces
 
 # float.hex of every float in summarize(...).to_dict() at 300 periods and 50
 # resamples. The metric paths reproduced the earlier per-function paths bit
@@ -19,16 +20,16 @@ from conftest import DEFAULTS, SEED, manual_timeline
 GOLDEN = {
     20.0: {
         "aoi_time_average": "0x1.1fc125ced74d2p+2",
-        "aoi_ci_halfwidth": "0x1.b66c4cd215240p-4",
+        "aoi_ci_halfwidth": "0x1.b66c4cd215400p-4",
         "avg_r1": "0x1.8b73a67dfceaep+4",
-        "avg_r2": "0x1.b61e70dc3d349p+1",
+        "avg_r2": "0x1.b61e70dc3d319p+1",
         "avg_r3": "0x1.b86fdeeeaf682p+3",
         "time_r1": "0x1.36f942a5f74e5p+8",
         "time_r2": "0x1.c27d2e954ba51p+15",
         "time_r3": "0x1.7700000000000p+12",
         "error_rate": "0x1.7590fa0fd51f3p-5",
         "detection_error_rate": "0x1.4dbec7dedbff8p-5",
-        "error_ci_halfwidth": "0x1.08d058a6cebc0p-8",
+        "error_ci_halfwidth": "0x1.08d058a6cec74p-8",
         "fp_rate": "0x1.8b6c779e8868cp-7",
         "fn_rate": "0x1.12b5dc2833050p-5",
         "reacquisition_fp_time": "0x1.36f942a5f74e5p+8",
@@ -37,9 +38,9 @@ GOLDEN = {
     # r = 5 <= tau: the optimal rule is degenerate
     5.0: {
         "aoi_time_average": "0x1.c2ff063389bc8p+1",
-        "aoi_ci_halfwidth": "0x1.4680535022700p-5",
+        "aoi_ci_halfwidth": "0x1.4680535021e00p-5",
         "avg_r1": "0x1.35e1293c448d2p+3",
-        "avg_r2": "0x1.b61e70dc3d369p+1",
+        "avg_r2": "0x1.b61e70dc3d30dp+1",
         "avg_r3": "0x1.87462443c5353p+2",
         "time_r1": "0x1.36f942a5f74adp+8",
         "time_r2": "0x1.c27d2e954ba52p+15",
@@ -123,6 +124,20 @@ class TestPerPeriodStatistics:
         )
         assert np.all(lengths >= 0)
         assert np.all(areas >= 0)
+
+    def test_areas_match_fsum_of_pieces(self, small_timeline, small_table):
+        # each slice and region sums a few hundred trapezoids; its area is
+        # checked against the correctly rounded sum of the same pieces
+        arrivals = small_timeline.arrival_times.tolist()
+        ages = (small_timeline.arrival_times - small_timeline.arrival_generations).tolist()
+        edges = small_table.edges.tolist()
+        intervals = [(0, 3, small_table.areas), (0, 1, small_table.region_areas[0]),
+                     (1, 2, small_table.region_areas[1]), (2, 3, small_table.region_areas[2])]
+        for lo_row, hi_row, got in intervals:
+            lo, hi = edges[lo_row], edges[hi_row]
+            kept = [p for p in range(len(lo)) if hi[p] > lo[p]]
+            want = [math.fsum(age_pieces(arrivals, ages, lo[p], hi[p])) for p in kept]
+            np.testing.assert_allclose(got[kept], want, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("r", sorted(GOLDEN))
@@ -255,8 +270,9 @@ class TestPeriodTableProperties:
             gens[: k + 1] + [gens[k]] + gens[k + 1:],
             arrivals[: k + 1] + [(arrivals[k] + following) / 2] + arrivals[k + 1:],
         )
-        base, more = period_table(manual_timeline(specs)), period_table(manual_timeline(split))
-        assert more.bounds.size == base.bounds.size + 1
+        base_timeline, more_timeline = manual_timeline(specs), manual_timeline(split)
+        base, more = period_table(base_timeline), period_table(more_timeline)
+        assert more_timeline.arrival_times.size == base_timeline.arrival_times.size + 1
         assert more.age_area == base.age_area
         assert more.aoi == base.aoi
         assert np.array_equal(more.areas, base.areas)
