@@ -49,7 +49,7 @@ BLOCK_PACKETS = 1 << 20
 PERIODS_PER_BLOCK = 4096
 
 # Version of the seed-to-stream contract, recorded in CSV headers.
-STREAM_CONTRACT = 2
+STREAM_CONTRACT = 3
 
 # Periods still queueing below which `_lindley_lockstep` stops its numpy
 # steps: one costs ~2.5-5 us however many periods it updates, a Python
@@ -59,6 +59,8 @@ _LOCKSTEP_MIN_PERIODS = 32
 
 # The kinds of draw k of a block's streams spawn_key=(block, k)
 _CLOCKS, _FIRST_SERVICES, _GAPS, _REFILLS, _SERVICES = range(5)
+# The bootstrap's resample indices: a sixth kind, which no block draws
+BOOTSTRAP_KEY = (0, 5)
 
 
 @dataclass(frozen=True)

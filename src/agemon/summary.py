@@ -29,7 +29,7 @@ import numpy as np
 
 from .detector import DecisionRule, ErrorBreakdown
 from .errors import EmptyTimelineError, ParameterError
-from .sim import SimParams, Timeline
+from .sim import BOOTSTRAP_KEY, SimParams, Timeline
 
 
 def _age_area(length, start_age):
@@ -267,7 +267,7 @@ def _bootstrap_halfwidths(seed: int, numerators, lengths, resamples: int, confid
     period resamples. Every call replays the same index stream, so a row's
     half-width does not depend on which rows are stacked with it. Resamples
     are gathered in batches; the batch size changes no bit."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0x0B00, 0)))
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=BOOTSTRAP_KEY))
     k, n = numerators.shape
     cols = np.ascontiguousarray(numerators.T)
     batch = max(-(-_BOOTSTRAP_MIN_SUMS // k), _BOOTSTRAP_CELLS // (n * k))

@@ -11,14 +11,16 @@ from conftest import DEFAULTS, SEED
 # (row 2); the last row exceeds r = 20, so its rule is degenerate. The shared
 # bootstrap reproduced the one-bootstrap-per-threshold values bit for bit;
 # these were recorded once more when the stream contract changed to
-# per-block streams, and every later change must reproduce them
+# per-block streams, and again when per-period sums replaced run-wide
+# prefix-sum differences and then when the bootstrap's stream key moved
+# (contract 3). Every later change must reproduce them
 SWEEP_GOLDEN = [
-    ("0x1.b66c4cd215400p-4", "0x1.2bcbd1fdccee0p-7"),
-    ("0x1.b66c4cd215400p-4", "0x1.ea139138724e0p-9"),
-    ("0x1.b66c4cd215400p-4", "0x1.08d058a6cec74p-8"),
-    ("0x1.b66c4cd215400p-4", "0x1.8631b5d0efa80p-8"),
-    ("0x1.b66c4cd215400p-4", "0x1.04b46fa149b10p-7"),
-    ("0x1.b66c4cd215400p-4", "0x1.2bcbd1fdcce54p-7"),
+    ("0x1.df778d400aec0p-4", "0x1.3e83109541ec0p-7"),
+    ("0x1.df778d400aec0p-4", "0x1.02b3a700e1e38p-8"),
+    ("0x1.df778d400aec0p-4", "0x1.46164f1707b98p-8"),
+    ("0x1.df778d400aec0p-4", "0x1.c6abf116c2b04p-8"),
+    ("0x1.df778d400aec0p-4", "0x1.2ff6c8c48e7a0p-7"),
+    ("0x1.df778d400aec0p-4", "0x1.3e83109541eecp-7"),
 ]
 
 

@@ -37,7 +37,7 @@ class TestCsv:
         first = path.read_text(encoding="utf-8").splitlines()[0]
         assert first.startswith("#")
         for token in ("lambda=0.5", "mu=1.0", "nu=0.005", "recovery=20.0", "periods=10", "seed=42",
-                      "contract=2"):
+                      "contract=3"):
             assert token in first
 
     def test_analytic_only_row_leaves_empirical_empty(self, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import agemon.sim as sim
 import agemon.summary
 from agemon import DecisionRule, ParameterError, SimParams, period_table, simulate, summarize
 from agemon.summary import _bootstrap_halfwidths, summarize_rules
@@ -16,11 +17,14 @@ from reference import age_pieces
 # float.hex of every float in summarize(...).to_dict() at 300 periods and 50
 # resamples. The metric paths reproduced the earlier per-function paths bit
 # for bit; these values were recorded once more when the stream contract
-# changed to per-block streams, and every later change must reproduce them
+# changed to per-block streams, and the avg_r* and half-width fields again
+# when per-period sums replaced run-wide prefix-sum differences (their last
+# bits moved) and then when the bootstrap's stream key moved (contract 3).
+# Every later change must reproduce them
 GOLDEN = {
     20.0: {
         "aoi_time_average": "0x1.1fc125ced74d2p+2",
-        "aoi_ci_halfwidth": "0x1.b66c4cd215400p-4",
+        "aoi_ci_halfwidth": "0x1.df778d400aec0p-4",
         "avg_r1": "0x1.8b73a67dfceaep+4",
         "avg_r2": "0x1.b61e70dc3d319p+1",
         "avg_r3": "0x1.b86fdeeeaf682p+3",
@@ -29,7 +33,7 @@ GOLDEN = {
         "time_r3": "0x1.7700000000000p+12",
         "error_rate": "0x1.7590fa0fd51f3p-5",
         "detection_error_rate": "0x1.4dbec7dedbff8p-5",
-        "error_ci_halfwidth": "0x1.08d058a6cec74p-8",
+        "error_ci_halfwidth": "0x1.46164f1707b98p-8",
         "fp_rate": "0x1.8b6c779e8868cp-7",
         "fn_rate": "0x1.12b5dc2833050p-5",
         "reacquisition_fp_time": "0x1.36f942a5f74e5p+8",
@@ -38,7 +42,7 @@ GOLDEN = {
     # r = 5 <= tau: the optimal rule is degenerate
     5.0: {
         "aoi_time_average": "0x1.c2ff063389bc8p+1",
-        "aoi_ci_halfwidth": "0x1.4680535021e00p-5",
+        "aoi_ci_halfwidth": "0x1.4de0eeb6b0800p-5",
         "avg_r1": "0x1.35e1293c448d2p+3",
         "avg_r2": "0x1.b61e70dc3d30dp+1",
         "avg_r3": "0x1.87462443c5353p+2",
@@ -47,7 +51,7 @@ GOLDEN = {
         "time_r3": "0x1.7700000000000p+10",
         "error_rate": "0x1.9d39c18a26ecep-6",
         "detection_error_rate": "0x1.9d39c18a26ecep-6",
-        "error_ci_halfwidth": "0x1.5a06ee126f1a4p-9",
+        "error_ci_halfwidth": "0x1.70f79efd362e4p-9",
         "fp_rate": "0x0.0p+0",
         "fn_rate": "0x1.9d39c18a26ecep-6",
         "reacquisition_fp_time": "0x0.0p+0",
@@ -187,7 +191,7 @@ class TestSummarizeRules:
         data = np.random.default_rng(seed)
         numerators = data.lognormal(sigma=3.0, size=(k, n)) * scale
         lengths = data.lognormal(sigma=2.0, size=n)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0x0B00, 0)))
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=sim.BOOTSTRAP_KEY))
         stats = np.empty((resamples, k))
         for b in range(resamples):
             idx = rng.integers(0, n, size=n)
@@ -202,6 +206,19 @@ class TestSummarizeRules:
                 got = _bootstrap_halfwidths(seed, numerators, lengths, resamples, 0.9)
             assert got.tobytes() == expected.tobytes(), batch
         assert _bootstrap_halfwidths(seed, numerators, lengths, resamples, 0.9).tobytes() == expected.tobytes()
+
+
+def test_bootstrap_key_is_no_simulation_stream():
+    # a run of fewer than 2**32 periods has blocks [0, ceil(2**32 / PERIODS_PER_BLOCK))
+    blocks = range(-(-2**32 // sim.PERIODS_PER_BLOCK))
+    kinds = (sim._CLOCKS, sim._FIRST_SERVICES, sim._GAPS, sim._REFILLS, sim._SERVICES)
+    block, kind = sim.BOOTSTRAP_KEY
+    assert block not in blocks or kind not in kinds
+    # and its draws are none of the first, a middle or the last block's
+    first = np.random.default_rng(np.random.SeedSequence(SEED, spawn_key=sim.BOOTSTRAP_KEY)).integers(0, 2**62, 4)
+    for b in (0, 0x0B00, blocks[-1]):
+        for k in kinds:
+            assert not np.array_equal(sim._stream(SEED, b, k).integers(0, 2**62, 4), first), (b, k)
 
 
 def dyadic(low, high):
