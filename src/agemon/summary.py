@@ -10,9 +10,7 @@ there is no time discretization anywhere.
 
 Deliveries are stored period after period, so cumsum(delivered_counts)
 locates each period's own arrival gaps: a per-period integral is one piece
-from the last earlier arrival, plus one `np.add.reduceat` of the period's
-own gaps with the last one cut at the period's edge. Nothing searches the
-deliveries and nothing is a difference of run-wide prefix sums.
+from the last earlier arrival plus one `np.add.reduceat` of its own gaps.
 
 The mean age and the false-positive time are whole-run totals, over every
 arrival gap; they equal the table's column sums to rounding. The other
@@ -76,10 +74,10 @@ class PeriodTable:
 
     Period p's deliveries are [heads[p], heads[p] + counts[p]) in storage
     order, and gaps[j] is the time from delivery j to the next one (the
-    last to the end of the run). last_arrivals holds the last arrival
-    before each period's own deliveries and the last at or before its
-    failure (-inf if none). `error` and `mismatch` add the columns of one
-    decision rule.
+    last to the end of the run). last_arrivals holds each period's last
+    arrival from an earlier period and its last arrival of all (the same
+    when it delivered nothing), -inf if none. `error` and `mismatch` add
+    the columns of one decision rule.
     """
 
     params: SimParams
@@ -139,14 +137,15 @@ class PeriodTable:
             return failed
         tau, (start, cut, _, end) = rule.tau, self.edges
         before, last = self.last_arrivals
-        own = self.counts > 0
+        delivered = self.counts > 0
         # estimated-failed time of the gap that starts before the slice: it
         # ends at the first delivery, or runs through a slice that has none
-        est_failed = np.clip(np.where(own, cut, end) - np.maximum(start, before + tau), 0.0, None)
+        est_failed = np.clip(np.where(delivered, cut, end) - np.maximum(start, before + tau), 0.0, None)
         # and of the slice's own gaps, the last one cut at the slice end
-        tails = np.clip(self.gaps - tau, 0.0, None)
-        tails[(self.heads + self.counts - 1)[own]] = np.clip(end[own] - last[own] - tau, 0.0, None)
-        est_failed[own] += np.add.reduceat(tails, self.heads[own])
+        beyond = np.clip(self.gaps - tau, 0.0, None)
+        tails = (self.heads + self.counts - 1)[delivered]
+        beyond[tails] = np.clip(end[delivered] - last[delivered] - tau, 0.0, None)
+        est_failed[delivered] += np.add.reduceat(beyond, self.heads[delivered])
         fn = self._false_negatives(tau)
         return np.clip(est_failed - (failed - fn), 0.0, None) + fn
 
@@ -168,9 +167,9 @@ def period_table(timeline: Timeline) -> PeriodTable:
     age_area = float(np.sum(trapezoids))
     counts = timeline.delivered_counts
     heads = np.cumsum(counts) - counts
-    own = counts > 0
+    delivered = counts > 0
     # r1 ends at the first delivery, or at the failure when nothing was delivered
-    cut = np.where(own, arrivals[np.minimum(heads, arrivals.size - 1)], timeline.failure_times)
+    cut = np.where(delivered, arrivals[np.minimum(heads, arrivals.size - 1)], timeline.failure_times)
     edges = np.clip(
         np.vstack((timeline.start_times, cut, timeline.failure_times, timeline.recovery_ends)), m0, m1
     )
@@ -182,9 +181,9 @@ def period_table(timeline: Timeline) -> PeriodTable:
     # r1 and r3 hold no arrival: one trapezoid each, from the last one before them
     region_areas[::2] = _age_area(edges[1::2] - edges[::2], ages[at] + (edges[::2] - arrivals[at]))
     # r2 is the sum of the period's own gaps, the last one cut at the failure
-    tails = last[1][own]
-    trapezoids[tails] = _age_area(edges[2][own] - arrivals[tails], ages[tails])
-    region_areas[1][own] = np.add.reduceat(trapezoids, heads[own])
+    tails = last[1][delivered]
+    trapezoids[tails] = _age_area(edges[2][delivered] - arrivals[tails], ages[tails])
+    region_areas[1][delivered] = np.add.reduceat(trapezoids, heads[delivered])
     region_times = edges[1:] - edges[:3]
     keep = region_times > 0
     region_areas = np.where(keep, region_areas, 0.0)
