@@ -16,7 +16,7 @@ import numpy as np
 from .analytics import error_rate_closed_form, mean_aoi_closed_form
 from .detector import DecisionRule
 from .errors import ParameterError, check_params
-from .oracle import quadrature_error_rate
+from .oracle import quadrature_error_rates
 from .sim import SimParams, simulate
 from .summary import MetricsSummary, check_resamples, period_table, summarize, summarize_rules
 
@@ -131,14 +131,10 @@ def _threshold_sweep(spec: SweepSpec, with_sim: bool, resamples: int) -> list[Re
     params = spec.fixed
     params.require_stable_queue()
     aoi_analytic = mean_aoi_closed_form(params.lam, params.mu, params.nu, params.r)
+    grid = spec.grid()
     rows = [
-        ResultRow(
-            swept_var="threshold",
-            swept_value=float(value),
-            aoi_analytic=aoi_analytic,
-            err_analytic=quadrature_error_rate(params.lam, params.nu, params.r, float(value)),
-        )
-        for value in spec.grid()
+        ResultRow(swept_var="threshold", swept_value=float(value), aoi_analytic=aoi_analytic, err_analytic=err)
+        for value, err in zip(grid, quadrature_error_rates(params.lam, params.nu, params.r, grid))
     ]
     if with_sim:
         rules = [DecisionRule.with_threshold(row.swept_value, params.r) for row in rows]

@@ -28,12 +28,12 @@ _QUAD_ABSTOL = 1e-12
 _QUAD_MAX_ERR = 1e-10
 
 
-def _quad(fn, lo, hi, points=None) -> float:
+def _quad(fn, lo, hi) -> float:
     # imported here: scipy.integrate costs more to import than the rest of
     # agemon and numpy together, and only quadratures need it
     from scipy import integrate
 
-    out = integrate.quad(fn, lo, hi, epsabs=_QUAD_ABSTOL, epsrel=1e-11, limit=300, points=points, full_output=1)
+    out = integrate.quad(fn, lo, hi, epsabs=_QUAD_ABSTOL, epsrel=1e-11, limit=300, full_output=1)
     value, abserr = out[0], out[1]
     if len(out) > 3 or abserr > _QUAD_MAX_ERR:
         raise OracleError(
@@ -51,33 +51,44 @@ def quadrature_error_rate(lam: float, nu: float, r: float, tau: float) -> float:
     The integrands are the unsimplified densities of pdf_z_given_r2/_r3,
     evaluated on plain floats after one check of the parameters.
     """
-    check_params(lam=lam, nu=nu, r=r, tau=tau)
+    return quadrature_error_rates(lam, nu, r, [tau])[0]
+
+
+def quadrature_error_rates(lam: float, nu: float, r: float, taus) -> list[float]:
+    """quadrature_error_rate at each of `taus`, all checked before any integral; the
+    tau-independent outage integrals over [0, r] and [r, inf) are taken once, if a tau > r needs them."""
+    check_params(lam=lam, nu=nu, r=r)
+    for tau in taus:
+        check_params(tau=tau)
     if not r > 0:
         raise ParameterError(f"r must be > 0, got {r}")
     p_failed = failure_prior(nu, r)
     a = lam + nu
-    fp = _quad(lambda z: _working_density(z, a), tau, np.inf)
     outage = lambda z: _outage_density_before(z, a, r) if z < r else _outage_density_after(z, a, r)
-    if tau == 0:
-        fn = 0.0
-    elif tau <= r:
-        fn = _quad(outage, 0.0, tau)
-    else:
-        # the density has a kink at z = r; past it, integrate the decaying
-        # tail against an infinite limit (stable however large tau is)
-        fn = _quad(outage, 0.0, r) + _quad(outage, r, np.inf) - _quad(outage, tau, np.inf)
-    return (1.0 - p_failed) * fp + p_failed * fn
+    whole = None
+    rates = []
+    for tau in taus:
+        fp = _quad(lambda z: _working_density(z, a), tau, np.inf)
+        if tau <= r:
+            fn = _quad(outage, 0.0, tau) if tau > 0 else 0.0
+        else:
+            # the density has a kink at z = r; past it, integrate the decaying
+            # tail against an infinite limit (stable however large tau is)
+            if whole is None:
+                whole = _quad(outage, 0.0, r) + _quad(outage, r, np.inf)
+            fn = whole - _quad(outage, tau, np.inf)
+        rates.append((1.0 - p_failed) * fp + p_failed * fn)
+    return rates
 
 
 def scan_optimal_threshold(lam: float, nu: float, r: float, grid) -> float:
-    """Grid argmin of quadrature_error_rate; ties keep the first grid point."""
+    """Grid argmin of quadrature_error_rates; ties keep the first grid point."""
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise ParameterError("threshold grid must be non-empty")
     if not np.all(grid >= 0):
         raise ParameterError("thresholds must be >= 0")
-    errors = np.array([quadrature_error_rate(lam, nu, r, t) for t in grid])
-    return float(grid[int(np.argmin(errors))])
+    return float(grid[int(np.argmin(quadrature_error_rates(lam, nu, r, grid)))])
 
 
 @dataclass(frozen=True)

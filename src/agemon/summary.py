@@ -117,7 +117,8 @@ class PeriodTable:
             )
         fn = float(self._false_negatives(rule.tau).sum())
         # the estimate is FAILED on the tail of each arrival gap beyond tau
-        est_failed = float(np.clip(self.gaps - rule.tau, 0.0, None).sum())
+        beyond = self.gaps - rule.tau
+        est_failed = float(np.maximum(beyond, 0.0, out=beyond).sum())
         fp = max(est_failed - (failed - fn), 0.0)
         # r1 holds no arrival either: the estimate flips once, at last arrival + tau
         flip = np.maximum(self.edges[0], self.last_arrivals[0] + rule.tau)
@@ -142,7 +143,8 @@ class PeriodTable:
         # ends at the first delivery, or runs through a slice that has none
         est_failed = np.clip(np.where(delivered, cut, end) - np.maximum(start, before + tau), 0.0, None)
         # and of the slice's own gaps, the last one cut at the slice end
-        beyond = np.clip(self.gaps - tau, 0.0, None)
+        beyond = self.gaps - tau
+        np.maximum(beyond, 0.0, out=beyond)
         tails = (self.heads + self.counts - 1)[delivered]
         beyond[tails] = np.clip(end[delivered] - last[delivered] - tau, 0.0, None)
         est_failed[delivered] += np.add.reduceat(beyond, self.heads[delivered])

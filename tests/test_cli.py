@@ -7,10 +7,10 @@ import agemon.cli
 import agemon.experiments
 import agemon.oracle
 import agemon.sim
-from agemon import ParameterError
+from agemon import ParameterError, quadrature_error_rate
 from agemon.cli import run_subcommand
 from agemon.summary import MAX_RESAMPLES
-from conftest import read_csv
+from conftest import DEFAULTS, read_csv
 
 FAST = ["--periods", "300", "--resamples", "20"]
 # each command with the module whose `simulate` it calls
@@ -235,6 +235,19 @@ class TestSweeps:
         # one shared simulation: the age column is constant across thresholds
         assert len({r.aoi_empirical for r in rows}) == 1
         assert out_svg.exists()
+
+    def test_threshold_sweep_analytic_matches_one_point_quadrature(self, capsys, tmp_path):
+        # two points above the default r = 20 share the grid's outage integrals
+        out_csv = tmp_path / "thr.csv"
+        status, _, _ = run(capsys, "sweep-threshold", "--analytic-only", "--grid", "15:25:2.5",
+                           "--out", str(out_csv))
+        assert status == 0
+        rows = read_csv(out_csv)
+        assert [r.swept_value for r in rows] == [15.0, 17.5, 20.0, 22.5, 25.0]
+        assert [float.hex(r.err_analytic) for r in rows] == [
+            float.hex(quadrature_error_rate(DEFAULTS["lam"], DEFAULTS["nu"], DEFAULTS["r"], r.swept_value))
+            for r in rows
+        ]
 
     def test_rho_sweep_analytic_only(self, capsys, tmp_path):
         out_csv = tmp_path / "rho.csv"

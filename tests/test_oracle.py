@@ -18,6 +18,7 @@ from agemon import (
     quadrature_error_rate,
     scan_optimal_threshold,
 )
+from agemon.oracle import quadrature_error_rates
 from conftest import DEFAULTS, SEED
 
 LAM, NU, R = 0.5, 0.005, 20.0
@@ -81,6 +82,49 @@ def test_integrands_equal_public_densities(monkeypatch, lam, nu, r):
         assert float.hex(float(working(z))) == float.hex(pdf_z_given_r2(z, lam, nu))
         for fn in outage:
             assert float.hex(float(fn(z))) == float.hex(pdf_z_given_r3(z, lam, nu, r))
+
+
+@pytest.mark.parametrize("lam,nu,r", sorted(GOLDEN))
+def test_grid_bit_identical_to_one_point(lam, nu, r):
+    taus = [0.0, r / 4, map_threshold(lam, nu), r, math.nextafter(r, math.inf), 2.0 * r, 1e6, math.inf]
+    got = [float.hex(e) for e in quadrature_error_rates(lam, nu, r, taus)]
+    assert got == [float.hex(quadrature_error_rate(lam, nu, r, tau)) for tau in taus]
+
+
+@pytest.fixture
+def quad_calls(monkeypatch):
+    calls = []
+    real = agemon.oracle._quad
+
+    def counted(fn, lo, hi):
+        calls.append((lo, hi))
+        return real(fn, lo, hi)
+
+    monkeypatch.setattr(agemon.oracle, "_quad", counted)
+    return calls
+
+
+@pytest.mark.parametrize("grid", [
+    [0.0, 5.0, TAU, R],
+    [30.0],
+    [0.0, 5.0, R, math.nextafter(R, math.inf), 2.0 * R, 1e6, math.inf],
+    list(np.arange(0.15, 39.9 + 0.125, 0.25)),
+])
+def test_grid_takes_tau_independent_integrals_once(quad_calls, grid):
+    below = sum(0 < tau <= R for tau in grid)
+    above = sum(tau > R for tau in grid)
+    quadrature_error_rates(LAM, NU, R, grid)
+    # one false-positive integral per threshold, one outage integral per
+    # threshold in (0, r], one tail per threshold above r, and [0, r] and
+    # [r, inf) once for the grid when some threshold lies above r
+    assert len(quad_calls) == len(grid) + below + above + (2 if above else 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0])
+def test_grid_checks_every_threshold_before_integrating(quad_calls, bad):
+    with pytest.raises(ParameterError, match="tau must be >= 0"):
+        quadrature_error_rates(LAM, NU, R, [0.0, 5.0, 30.0, bad])
+    assert quad_calls == []
 
 
 class TestQuadrature:
