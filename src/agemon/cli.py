@@ -51,8 +51,8 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
                              "delivered before the failure (conditioned runs)")
 
 
-def _add_output_flags(parser: argparse.ArgumentParser, svg: bool = True) -> None:
-    parser.add_argument("--out", help="CSV output path")
+def _add_output_flags(parser: argparse.ArgumentParser, svg: bool = True, out: str = "CSV") -> None:
+    parser.add_argument("--out", help=f"{out} output path")
     if svg:
         parser.add_argument("--svg", help="SVG chart output path")
     parser.add_argument("--resamples", type=int, default=1000,
@@ -92,8 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="quadrature and Monte Carlo cross-check report")
     _add_param_flags(p)
-    p.add_argument("--out", help="JSON output path")
-    p.add_argument("--resamples", type=int, default=1000)
+    _add_output_flags(p, svg=False, out="JSON")
     return parser
 
 

@@ -8,8 +8,8 @@ when that constant is at least the recovery duration the rule degenerates
 to always declaring the sensor operational.
 
 This module holds the rule and `ErrorBreakdown`, the record of its errors;
-`summary.PeriodTable.error` and `.mismatch` measure a rule's exact empirical
-error on a timeline.
+`summary.PeriodTable.error_columns` measures a rule's exact empirical error
+on each period of a timeline, and `.error` sums it.
 """
 
 from __future__ import annotations
@@ -63,11 +63,14 @@ class ErrorBreakdown:
     matching the scope of the closed-form error rate.
     """
 
-    error_rate: float
     false_positive_time: float
     false_negative_time: float
-    measured_time: float
     reacquisition_fp_time: float
+    measured_time: float
+
+    @property
+    def error_rate(self) -> float:
+        return (self.false_positive_time + self.false_negative_time) / self.measured_time
 
     @property
     def fp_rate(self) -> float:

@@ -14,6 +14,8 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import ParameterError
 from .experiments import ResultRow
 from .sim import STREAM_CONTRACT, SimParams
@@ -34,6 +36,8 @@ CSV_COLUMNS = (
 
 
 def _format(value) -> str:
+    if isinstance(value, np.generic):
+        value = value.item()  # numpy 2 reprs its scalars as np.float64(...)
     if value is None:
         return ""
     if isinstance(value, bool):

@@ -12,11 +12,12 @@ Deliveries are stored period after period, so cumsum(delivered_counts)
 locates each period's own arrival gaps: a per-period integral is one piece
 from the last earlier arrival plus one `np.add.reduceat` of its own gaps.
 
-The mean age and the false-positive time are whole-run totals, over every
-arrival gap; they equal the table's column sums to rounding. The other
-metrics are column sums or ratios of them. Periods are the iid unit of the
-model, so the bootstrap resamples per-period (area, mismatch, length)
-triples of the table rather than raw time.
+Every reported number is a column sum of the table or a ratio of such
+sums: the mean age sums the slice areas, the region averages sum the region
+columns, and a rule's error breakdown sums its per-slice columns from
+`PeriodTable.error_columns`. Periods are the iid unit of the model (its
+renewal cycle), so the bootstrap resamples the same per-period (area,
+mismatch, length) columns rather than raw time.
 """
 
 from __future__ import annotations
@@ -76,13 +77,12 @@ class PeriodTable:
     order, and gaps[j] is the time from delivery j to the next one (the
     last to the end of the run). last_arrivals holds each period's last
     arrival from an earlier period and its last arrival of all (the same
-    when it delivered nothing), -inf if none. `error` and `mismatch` add
-    the columns of one decision rule.
+    when it delivered nothing), -inf if none. `error_columns` adds one
+    decision rule's columns, and `error` sums them.
     """
 
     params: SimParams
     measured_time: float
-    age_area: float
     regions: RegionAverages
     lengths: np.ndarray
     areas: np.ndarray
@@ -96,60 +96,44 @@ class PeriodTable:
 
     @property
     def aoi(self) -> float:
-        return self.age_area / self.measured_time
+        return float(self.areas.sum()) / self.measured_time
 
-    def _false_negatives(self, tau: float) -> np.ndarray:
-        # r3 holds no arrival: the estimate reads WORKING until last arrival + tau
-        missed = np.minimum(self.edges[3], self.last_arrivals[1] + tau) - self.edges[2]
-        return np.where(self.region_times[2] > 0, np.clip(missed, 0.0, None), 0.0)
-
-    def error(self, rule: DecisionRule) -> ErrorBreakdown:
-        """Exact mismatch between the rule's estimate and the true state."""
-        measured = self.measured_time
-        failed = float(self.region_times[2].sum())
-        if rule.degenerate:
-            return ErrorBreakdown(
-                error_rate=failed / measured,
-                false_positive_time=0.0,
-                false_negative_time=failed,
-                measured_time=measured,
-                reacquisition_fp_time=0.0,
-            )
-        fn = float(self._false_negatives(rule.tau).sum())
-        # the estimate is FAILED on the tail of each arrival gap beyond tau
-        beyond = self.gaps - rule.tau
-        est_failed = float(np.maximum(beyond, 0.0, out=beyond).sum())
-        fp = max(est_failed - (failed - fn), 0.0)
-        # r1 holds no arrival either: the estimate flips once, at last arrival + tau
-        flip = np.maximum(self.edges[0], self.last_arrivals[0] + rule.tau)
-        reacq = np.where(self.region_times[0] > 0, np.clip(self.edges[1] - flip, 0.0, None), 0.0)
-        return ErrorBreakdown(
-            error_rate=(fp + fn) / measured,
-            false_positive_time=fp,
-            false_negative_time=fn,
-            measured_time=measured,
-            reacquisition_fp_time=float(reacq.sum()),
-        )
-
-    def mismatch(self, rule: DecisionRule) -> np.ndarray:
-        """Mismatch time of each slice; the entries sum to fp + fn time."""
+    def error_columns(self, rule: DecisionRule) -> np.ndarray:
+        """Each slice's false-positive, false-negative and reacquisition
+        false-positive time under the rule, as the rows of a (3, periods)
+        array. Their sum over a slice, fp + fn, is its mismatch time."""
         failed = self.region_times[2]
         if rule.degenerate:
-            return failed
-        tau, (start, cut, _, end) = rule.tau, self.edges
+            zeros = np.zeros_like(failed)
+            return np.vstack((zeros, failed, zeros))
+        tau, (start, cut, fail, end) = rule.tau, self.edges
         before, last = self.last_arrivals
         delivered = self.counts > 0
-        # estimated-failed time of the gap that starts before the slice: it
-        # ends at the first delivery, or runs through a slice that has none
-        est_failed = np.clip(np.where(delivered, cut, end) - np.maximum(start, before + tau), 0.0, None)
+        # the gap that starts before the slice turns FAILED here; it ends at
+        # the first delivery, or runs through a slice that has none
+        flip = np.maximum(start, before + tau)
+        est_failed = np.clip(np.where(delivered, cut, end) - flip, 0.0, None)
         # and of the slice's own gaps, the last one cut at the slice end
         beyond = self.gaps - tau
         np.maximum(beyond, 0.0, out=beyond)
         tails = (self.heads + self.counts - 1)[delivered]
         beyond[tails] = np.clip(end[delivered] - last[delivered] - tau, 0.0, None)
         est_failed[delivered] += np.add.reduceat(beyond, self.heads[delivered])
-        fn = self._false_negatives(tau)
-        return np.clip(est_failed - (failed - fn), 0.0, None) + fn
+        # r3 holds no arrival: the estimate reads WORKING until last arrival + tau
+        fn = np.where(failed > 0, np.clip(np.minimum(end, last + tau) - fail, 0.0, None), 0.0)
+        fp = np.clip(est_failed - (failed - fn), 0.0, None)
+        # r1 holds no arrival either: its estimate turns FAILED once, at flip
+        reacq = np.where(self.region_times[0] > 0, np.clip(cut - flip, 0.0, None), 0.0)
+        return np.vstack((fp, fn, reacq))
+
+    def error(self, rule: DecisionRule) -> ErrorBreakdown:
+        """Exact mismatch between the rule's estimate and the true state."""
+        return _breakdown(self.error_columns(rule), self.measured_time)
+
+
+def _breakdown(columns: np.ndarray, measured_time: float) -> ErrorBreakdown:
+    """The breakdown whose times are the sums of a rule's error columns."""
+    return ErrorBreakdown(*columns.sum(axis=1).tolist(), measured_time)
 
 
 def period_table(timeline: Timeline) -> PeriodTable:
@@ -166,7 +150,6 @@ def period_table(timeline: Timeline) -> PeriodTable:
     ages = arrivals - timeline.arrival_generations
     gaps = np.diff(arrivals, append=m1)
     trapezoids = _age_area(gaps, ages)
-    age_area = float(np.sum(trapezoids))
     counts = timeline.delivered_counts
     heads = np.cumsum(counts) - counts
     delivered = counts > 0
@@ -187,16 +170,12 @@ def period_table(timeline: Timeline) -> PeriodTable:
     trapezoids[tails] = _age_area(edges[2][delivered] - arrivals[tails], ages[tails])
     region_areas[1][delivered] = np.add.reduceat(trapezoids, heads[delivered])
     region_times = edges[1:] - edges[:3]
-    keep = region_times > 0
-    region_areas = np.where(keep, region_areas, 0.0)
-    # totals over non-empty regions only: summing the zeros too would
-    # regroup numpy's pairwise summation and change the rounding
-    times = [float(np.sum(t[k])) for t, k in zip(region_times, keep)]
-    sums = [float(np.sum(a[k])) for a, k in zip(region_areas, keep)]
+    region_areas = np.where(region_times > 0, region_areas, 0.0)
+    times = region_times.sum(axis=1).tolist()
+    sums = region_areas.sum(axis=1).tolist()
     return PeriodTable(
         params=timeline.params,
         measured_time=m1 - m0,
-        age_area=age_area,
         regions=RegionAverages(*(a / t if t > 0 else float("nan") for a, t in zip(sums, times)), *times),
         lengths=edges[3] - edges[0],
         areas=region_areas.sum(axis=0),
@@ -328,19 +307,25 @@ def summarize_rules(
 ) -> list[MetricsSummary]:
     """`summarize` of each rule on one table, equal to it bit for bit.
 
-    All rules share the resample indices that `summarize` draws, so one
-    bootstrap pass covers the age row and up to RULES_PER_PASS mismatch rows.
+    Each rule is scored once, by `PeriodTable.error_columns`. All rules share
+    the resample indices that `summarize` draws, so one bootstrap pass covers
+    the age row and up to RULES_PER_PASS mismatch rows.
     """
     if not 0 < confidence < 1:
         raise ParameterError("confidence must be in (0, 1)")
     check_resamples(resamples)
     params = table.params
-    aoi_hw = float("nan")
+    aoi_hw, errors = float("nan"), []
     err_hws = [float("nan")] * len(rules)
-    if resamples > 0:
-        for start in range(0, len(rules), RULES_PER_PASS):
-            chunk = rules[start:start + RULES_PER_PASS]
-            numerators = np.vstack([table.areas, *(table.mismatch(rule) for rule in chunk)])
+    for start in range(0, len(rules), RULES_PER_PASS):
+        chunk = rules[start:start + RULES_PER_PASS]
+        numerators = np.empty((len(chunk) + 1, table.lengths.size))
+        numerators[0] = table.areas
+        for row, rule in zip(numerators[1:], chunk):
+            columns = table.error_columns(rule)
+            errors.append(_breakdown(columns, table.measured_time))
+            np.add(columns[0], columns[1], out=row)
+        if resamples > 0:
             hws = _bootstrap_halfwidths(params.master_seed, numerators, table.lengths, resamples, confidence)
             aoi_hw = float(hws[0])
             err_hws[start:start + len(chunk)] = hws[1:].tolist()
@@ -348,7 +333,7 @@ def summarize_rules(
         MetricsSummary(
             aoi_time_average=table.aoi,
             regions=table.regions,
-            error=table.error(rule),
+            error=error,
             aoi_ci_halfwidth=aoi_hw,
             error_ci_halfwidth=err_hw,
             measured_time=table.measured_time,
@@ -356,5 +341,5 @@ def summarize_rules(
             seed=params.master_seed,
             unstable_queue=params.unstable_queue,
         )
-        for rule, err_hw in zip(rules, err_hws)
+        for error, err_hw in zip(errors, err_hws)
     ]

@@ -13,7 +13,7 @@ flattening, the comparison checks the lockstep arithmetic independently.
 
 `estimated_state_trajectory` builds the detector's estimated state as
 explicit intervals, the oracle behind the interval-walk checks of
-`PeriodTable.error` and `.mismatch`. `age_pieces` cuts the age sawtooth
+`PeriodTable.error` and `.error_columns`. `age_pieces` cuts the age sawtooth
 into the trapezoids that `period_table` integrates, so a test can add them
 up with `math.fsum`.
 """
@@ -247,28 +247,38 @@ def naive_error_times(timeline, rule):
     return fp, fn
 
 
-def naive_slice_mismatch(timeline, rule) -> list[float]:
-    """Reference per-period mismatch: walk the estimated intervals and clip
-    each against every period's slice [start, recovery end) of the measured
-    span and against the slice's failure [failure, recovery end)."""
+def naive_slice_mismatch(timeline, rule) -> list[list[float]]:
+    """Reference per-period (false-positive, false-negative, reacquisition
+    false-positive) times: walk the estimated intervals and clip each against
+    every period's slice [start, recovery end) of the measured span, against
+    the slice's failure [failure, recovery end) and against its r1, [start,
+    first delivery), or [start, failure) when it delivers nothing."""
     starts, ends, failed = estimated_state_trajectory(timeline, rule)
-    first, end = float(timeline.arrival_times[0]), timeline.end_time
+    arrivals = timeline.arrival_times.tolist()
+    first, end = arrivals[0], timeline.end_time
 
     def clip(t):
         return min(max(t, first), end)
 
-    periods = [
-        (clip(s), clip(f), clip(e))
-        for s, f, e in zip(timeline.start_times.tolist(), timeline.failure_times.tolist(),
-                           timeline.recovery_ends.tolist())
-    ]
-    mismatch = [0.0] * len(periods)
+    periods, head = [], 0
+    for s, f, e, count in zip(timeline.start_times.tolist(), timeline.failure_times.tolist(),
+                              timeline.recovery_ends.tolist(), timeline.delivered_counts.tolist()):
+        periods.append((clip(s), clip(arrivals[head] if count else f), clip(f), clip(e)))
+        head += count
+
+    def overlap(lo, hi, a, b):
+        return max(0.0, min(hi, b) - max(lo, a))
+
+    fp, fn, reacq = ([0.0] * len(periods) for _ in range(3))
     for lo, hi, is_failed in zip(starts.tolist(), ends.tolist(), failed.tolist()):
-        for p, (s, f, e) in enumerate(periods):
-            in_slice = max(0.0, min(hi, e) - max(lo, s))
-            in_failure = max(0.0, min(hi, e) - max(lo, f))
-            mismatch[p] += in_slice - in_failure if is_failed else in_failure
-    return mismatch
+        for p, (s, c, f, e) in enumerate(periods):
+            in_failure = overlap(lo, hi, f, e)
+            if is_failed:
+                fp[p] += overlap(lo, hi, s, e) - in_failure
+                reacq[p] += overlap(lo, hi, s, c)
+            else:
+                fn[p] += in_failure
+    return [fp, fn, reacq]
 
 
 def age_pieces(arrivals: list[float], ages: list[float], lo: float, hi: float) -> list[float]:

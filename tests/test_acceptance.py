@@ -216,7 +216,8 @@ def test_criterion_8_exactness_properties():
     split_timeline = sawtooth_timeline(times, ages, 8.0, cuts=[0.5, 1.5, 3.0, 6.0])
     whole, split = period_table(whole_timeline), period_table(split_timeline)
     assert split_timeline.arrival_times.size == whole_timeline.arrival_times.size + 4
-    assert split.age_area == whole.age_area
+    assert np.array_equal(split.areas, whole.areas)
+    assert split.aoi == whole.aoi
 
     # (c) degenerate rule: error == fraction of time failed, exactly
     tl = manual_timeline([

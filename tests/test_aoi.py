@@ -26,7 +26,7 @@ class TestTrajectory:
         tl = manual_timeline([(2.0, 1.0, [0.0], [1.0])])
         table = period_table(tl)
         assert tl.end_time == 3.0
-        assert table.age_area == 2.0 * (1.0 + 3.0) / 2
+        assert float(table.areas.sum()) == 2.0 * (1.0 + 3.0) / 2
         assert table.aoi == 2.0
 
     def test_zero_service_resets_to_zero(self):
@@ -35,7 +35,7 @@ class TestTrajectory:
         tl = manual_timeline([(2.0, 1.0, [0.0, 1.0], [0.5, 1.0])])
         table = period_table(tl)
         assert table.region_areas[2, 0] == 1.0 * (1.0 + 2.0) / 2
-        assert table.age_area == 0.5 * (0.5 + 1.0) / 2 + 2.0 * (0.0 + 2.0) / 2
+        assert float(table.areas.sum()) == 0.5 * (0.5 + 1.0) / 2 + 2.0 * (0.0 + 2.0) / 2
 
     def test_no_deliveries(self):
         tl = manual_timeline([(1.0, 2.0, [0.0], [])])
@@ -79,7 +79,7 @@ class TestTimeAverage:
         split_timeline = sawtooth_timeline(times, ages, 8.0, cuts=[0.5, 1.5, 3.0, 6.0])
         base, split = period_table(base_timeline), period_table(split_timeline)
         assert split_timeline.arrival_times.size == base_timeline.arrival_times.size + 4
-        assert split.age_area == base.age_area
+        assert np.array_equal(split.areas, base.areas)
         assert split.aoi == base.aoi
 
     @settings(max_examples=50, deadline=None)
@@ -97,8 +97,12 @@ class TestTimeAverage:
 
 class TestIntervalAreas:
     def test_matches_segment_sum(self, small_timeline):
+        # the slices' areas add up to the trapezoids of every arrival gap
         table = period_table(small_timeline)
-        assert float(table.areas.sum()) == pytest.approx(table.age_area, rel=1e-9)
+        arrivals = small_timeline.arrival_times
+        gaps = np.diff(arrivals, append=small_timeline.end_time)
+        ages = arrivals - small_timeline.arrival_generations
+        assert float(table.areas.sum()) == pytest.approx(float(np.sum(gaps * (ages + 0.5 * gaps))), rel=1e-9)
 
     def test_single_segment_interval(self):
         # the outage r3 = [2.4, 4.4) lies inside the segment after the last

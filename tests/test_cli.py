@@ -309,6 +309,12 @@ class TestSweeps:
 
 
 class TestValidate:
+    @pytest.mark.parametrize("command", ["simulate", "sweep-rho", "validate"])
+    def test_resamples_flag_has_help(self, capsys, command):
+        status, out, _ = run(capsys, command, "--help")
+        assert status == 0
+        assert re.search(r"--resamples RESAMPLES\s+bootstrap resamples", out)
+
     def test_writes_json_report(self, capsys, tmp_path):
         out = tmp_path / "report.json"
         status, stdout, _ = run(

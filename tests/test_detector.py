@@ -199,8 +199,9 @@ class TestEmpiricalError:
 
     def test_per_slice_mismatch_matches_naive_interval_walk(self):
         for tl, rule in random_manual_timelines():
-            got = period_table(tl).mismatch(rule)
-            assert got == pytest.approx(naive_slice_mismatch(tl, rule), abs=1e-12)
+            got = period_table(tl).error_columns(rule)
+            for row, want in zip(got, naive_slice_mismatch(tl, rule)):
+                assert row == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("timeline", [
         # the middle period delivers nothing
@@ -226,15 +227,22 @@ class TestEmpiricalError:
         DecisionRule.with_threshold(2.0, 2.0),
     ], ids=["tau0", "tau0.25", "tau1", "tau2.5", "tau6", "degenerate"])
     def test_per_slice_mismatch_edge_cases(self, timeline, rule):
-        got = period_table(timeline).mismatch(rule)
-        assert got == pytest.approx(naive_slice_mismatch(timeline, rule), abs=1e-12)
+        got = period_table(timeline).error_columns(rule)
+        for row, want in zip(got, naive_slice_mismatch(timeline, rule)):
+            assert row == pytest.approx(want, abs=1e-12)
 
     def test_per_period_mismatch_sums_to_total(self, small_timeline):
         rule = DecisionRule.map_rule(0.5, 0.005, 20.0)
         table = period_table(small_timeline)
-        per_period = table.mismatch(rule)
+        fp, fn, reacq = table.error_columns(rule)
         breakdown = table.error(rule)
-        assert per_period.sum() == pytest.approx(
+        assert (fp + fn).sum() == pytest.approx(
             breakdown.false_positive_time + breakdown.false_negative_time, rel=1e-9
         )
-        assert np.all(per_period >= 0)
+        # each slice's mismatch fits in the slice, its missed outage in r3,
+        # and its reacquisition false positives in its false positives, up to
+        # rounding at the run's absolute times
+        slack = 4 * np.spacing(small_timeline.end_time)
+        assert np.all(fp + fn <= table.lengths + slack)
+        assert np.all(fn <= table.region_times[2] + slack)
+        assert np.all((0 <= reacq) & (reacq <= fp + slack))

@@ -1,6 +1,10 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
 from agemon import ParameterError, ResultRow, SimParams, render_svg, write_csv
+from agemon.report import _format
 from conftest import CSV_HEADER, DEFAULTS, read_csv
 
 
@@ -39,6 +43,23 @@ class TestCsv:
         for token in ("lambda=0.5", "mu=1.0", "nu=0.005", "recovery=20.0", "periods=10", "seed=42",
                       "contract=3"):
             assert token in first
+
+    def test_numpy_scalars_written_as_python_scalars(self, tmp_path):
+        rows = sample_rows()
+        numpy_rows = [
+            dataclasses.replace(
+                row,
+                **{f.name: np.float64(getattr(row, f.name)) for f in dataclasses.fields(row)
+                   if isinstance(getattr(row, f.name), float)},
+                seed=np.int64(row.seed),
+            )
+            for row in rows
+        ]
+        python_csv = write_csv(rows, tmp_path / "python.csv")
+        numpy_csv = write_csv(numpy_rows, tmp_path / "numpy.csv")
+        assert read_csv(numpy_csv) == rows
+        assert numpy_csv.read_bytes() == python_csv.read_bytes()
+        assert [_format(v) for v in (np.bool_(True), np.bool_(False))] == ["true", "false"]
 
     def test_analytic_only_row_leaves_empirical_empty(self, tmp_path):
         row = ResultRow("rho", 0.5, aoi_analytic=4.5045, err_analytic=0.0416)

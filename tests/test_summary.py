@@ -19,31 +19,33 @@ from reference import age_pieces
 # for bit; these values were recorded once more when the stream contract
 # changed to per-block streams, and the avg_r* and half-width fields again
 # when per-period sums replaced run-wide prefix-sum differences (their last
-# bits moved) and then when the bootstrap's stream key moved (contract 3).
+# bits moved), then when the bootstrap's stream key moved (contract 3), and
+# once more when every total became a column sum of the period table (the
+# mean age, region and false-positive totals moved by <= 5.8e-16 relative).
 # Every later change must reproduce them
 GOLDEN = {
     20.0: {
         "aoi_time_average": "0x1.1fc125ced74d2p+2",
         "aoi_ci_halfwidth": "0x1.df778d400aec0p-4",
-        "avg_r1": "0x1.8b73a67dfceaep+4",
-        "avg_r2": "0x1.b61e70dc3d319p+1",
+        "avg_r1": "0x1.8b73a67dfceadp+4",
+        "avg_r2": "0x1.b61e70dc3d318p+1",
         "avg_r3": "0x1.b86fdeeeaf682p+3",
         "time_r1": "0x1.36f942a5f74e5p+8",
-        "time_r2": "0x1.c27d2e954ba51p+15",
+        "time_r2": "0x1.c27d2e954ba52p+15",
         "time_r3": "0x1.7700000000000p+12",
-        "error_rate": "0x1.7590fa0fd51f3p-5",
-        "detection_error_rate": "0x1.4dbec7dedbff8p-5",
+        "error_rate": "0x1.7590fa0fd51f2p-5",
+        "detection_error_rate": "0x1.4dbec7dedbff7p-5",
         "error_ci_halfwidth": "0x1.46164f1707b98p-8",
-        "fp_rate": "0x1.8b6c779e8868cp-7",
+        "fp_rate": "0x1.8b6c779e88688p-7",
         "fn_rate": "0x1.12b5dc2833050p-5",
         "reacquisition_fp_time": "0x1.36f942a5f74e5p+8",
         "measured_time": "0x1.f3cb211a9793bp+15",
     },
     # r = 5 <= tau: the optimal rule is degenerate
     5.0: {
-        "aoi_time_average": "0x1.c2ff063389bc8p+1",
+        "aoi_time_average": "0x1.c2ff063389bc9p+1",
         "aoi_ci_halfwidth": "0x1.4de0eeb6b0800p-5",
-        "avg_r1": "0x1.35e1293c448d2p+3",
+        "avg_r1": "0x1.35e1293c448d3p+3",
         "avg_r2": "0x1.b61e70dc3d30dp+1",
         "avg_r3": "0x1.87462443c5353p+2",
         "time_r1": "0x1.36f942a5f74adp+8",
@@ -106,6 +108,8 @@ class TestSummarize:
         for key in ("aoi_time_average", "error_rate", "detection_error_rate",
                     "avg_r1", "avg_r2", "avg_r3", "fp_rate", "fn_rate", "seed"):
             assert key in d
+        # Python scalars, not numpy ones, which would print as np.float64(...)
+        assert {type(v) for v in d.values()} <= {float, int, bool}
 
     def test_explicit_rule_on_unstable_queue(self):
         tl = simulate(SimParams(lam=1.2, mu=1.0, nu=0.05, r=5.0, periods=50, master_seed=5))
@@ -115,19 +119,26 @@ class TestSummarize:
         assert s.unstable_queue
 
 
+def assert_totals_are_column_sums(table, rule):
+    """Every whole-run total of the table is, bit for bit, a column sum."""
+    assert table.aoi == float(table.areas.sum()) / table.measured_time
+    error = table.error(rule)
+    totals = [error.false_positive_time, error.false_negative_time, error.reacquisition_fp_time]
+    assert totals == [float(row.sum()) for row in table.error_columns(rule)]
+    regions = table.regions
+    assert [regions.time_r1, regions.time_r2, regions.time_r3] == [float(t.sum()) for t in table.region_times]
+
+
 class TestPerPeriodStatistics:
     def test_sums_reproduce_whole_run(self, small_timeline, small_table):
         rule = DecisionRule.map_rule(DEFAULTS["lam"], DEFAULTS["nu"], DEFAULTS["r"])
-        areas, mismatch, lengths = small_table.areas, small_table.mismatch(rule), small_table.lengths
+        areas, columns, lengths = small_table.areas, small_table.error_columns(rule), small_table.lengths
         span = small_timeline.end_time - small_timeline.arrival_times[0]
         assert lengths.sum() == pytest.approx(span, rel=1e-12)
-        assert areas.sum() == pytest.approx(small_table.age_area, rel=1e-9)
-        direct = small_table.error(rule)
-        assert mismatch.sum() == pytest.approx(
-            direct.false_positive_time + direct.false_negative_time, rel=1e-9
-        )
+        assert_totals_are_column_sums(small_table, rule)
         assert np.all(lengths >= 0)
         assert np.all(areas >= 0)
+        assert np.all(columns >= 0)
 
     def test_areas_match_fsum_of_pieces(self, small_timeline, small_table):
         # each slice and region sums a few hundred trapezoids; its area is
@@ -173,6 +184,22 @@ class TestSummarizeRules:
         assert [hex_fields(s) for s in batched] == expected
         if resamples == 0:
             assert all(math.isnan(s.aoi_ci_halfwidth) and math.isnan(s.error_ci_halfwidth) for s in batched)
+
+    @pytest.mark.parametrize("resamples", [0, 20])
+    def test_scores_each_rule_once(self, monkeypatch, resamples):
+        table = period_table(simulate(SimParams(**DEFAULTS, periods=50, master_seed=SEED)))
+        rules = [DecisionRule.with_threshold(tau, DEFAULTS["r"]) for tau in self.TAUS]
+        scored = []
+        error_columns = agemon.summary.PeriodTable.error_columns
+
+        def counted(self, rule):
+            scored.append(rule)
+            return error_columns(self, rule)
+
+        monkeypatch.setattr(agemon.summary.PeriodTable, "error_columns", counted)
+        monkeypatch.setattr(agemon.summary, "RULES_PER_PASS", 3)  # three passes
+        summarize_rules(table, rules, resamples=resamples)
+        assert scored == rules
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -261,13 +288,9 @@ class TestPeriodTableProperties:
         assume(tl.arrival_times.size > 0)
         table = period_table(tl)
         rule = DecisionRule.with_threshold(tau, r)
-        error = table.error(rule)
         span = table.measured_time
         assert table.lengths.sum() == pytest.approx(span, rel=1e-12)
-        assert table.areas.sum() == pytest.approx(table.aoi * span, rel=1e-12)
-        assert table.mismatch(rule).sum() == pytest.approx(
-            error.false_positive_time + error.false_negative_time, rel=1e-12
-        )
+        assert_totals_are_column_sums(table, rule)
         assert table.regions.total_time == pytest.approx(span, rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
@@ -290,7 +313,6 @@ class TestPeriodTableProperties:
         base_timeline, more_timeline = manual_timeline(specs), manual_timeline(split)
         base, more = period_table(base_timeline), period_table(more_timeline)
         assert more_timeline.arrival_times.size == base_timeline.arrival_times.size + 1
-        assert more.age_area == base.age_area
         assert more.aoi == base.aoi
         assert np.array_equal(more.areas, base.areas)
         assert np.array_equal(more.region_areas, base.region_areas)
