@@ -244,10 +244,10 @@ class TestSweeps:
         assert status == 0
         rows = read_csv(out_csv)
         assert [r.swept_value for r in rows] == [15.0, 17.5, 20.0, 22.5, 25.0]
-        assert [float.hex(r.err_analytic) for r in rows] == [
-            float.hex(quadrature_error_rate(DEFAULTS["lam"], DEFAULTS["nu"], DEFAULTS["r"], r.swept_value))
-            for r in rows
-        ]
+        # a grid value is a chain of segment integrals: its one-point value to rounding
+        for r in rows:
+            one_point = quadrature_error_rate(DEFAULTS["lam"], DEFAULTS["nu"], DEFAULTS["r"], r.swept_value)
+            assert abs(r.err_analytic - one_point) <= 1e-13
 
     def test_rho_sweep_analytic_only(self, capsys, tmp_path):
         out_csv = tmp_path / "rho.csv"

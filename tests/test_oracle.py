@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import agemon.oracle
 from agemon import (
@@ -23,6 +26,9 @@ from conftest import DEFAULTS, SEED
 
 LAM, NU, R = 0.5, 0.005, 20.0
 TAU = map_threshold(LAM, NU)
+# a grid value sums segment integrals where the one-point value takes one
+# integral; the two agree to rounding, well inside _QUAD_ABSTOL
+GRID_ATOL = 1e-13
 
 # float.hex of quadrature_error_rate(lam, nu, r, tau), recorded while the
 # integrands still called pdf_z_given_r2/pdf_z_given_r3 per abscissa: tau = 0,
@@ -69,9 +75,9 @@ def test_integrands_equal_public_densities(monkeypatch, lam, nu, r):
     # what the validating public density returns at the same abscissa
     integrands = []
 
-    def record(fn, lo, hi, points=None):
+    def record(fn, lo, hi):
         integrands.append(fn)
-        return 0.0
+        return 0.0, 0.0
 
     monkeypatch.setattr(agemon.oracle, "_quad", record)
     quadrature_error_rate(lam, nu, r, 2.0 * r)  # fp, then three outage integrals
@@ -86,9 +92,53 @@ def test_integrands_equal_public_densities(monkeypatch, lam, nu, r):
 
 @pytest.mark.parametrize("lam,nu,r", sorted(GOLDEN))
 def test_grid_bit_identical_to_one_point(lam, nu, r):
+    # a grid value is a sum of segment integrals, so only its last bits may
+    # move; the [2r, 1e6] span loses its mass unless the fp chain restarts
     taus = [0.0, r / 4, map_threshold(lam, nu), r, math.nextafter(r, math.inf), 2.0 * r, 1e6, math.inf]
-    got = [float.hex(e) for e in quadrature_error_rates(lam, nu, r, taus)]
-    assert got == [float.hex(quadrature_error_rate(lam, nu, r, tau)) for tau in taus]
+    got = quadrature_error_rates(lam, nu, r, taus)
+    want = [quadrature_error_rate(lam, nu, r, tau) for tau in taus]
+    assert max(abs(g - w) for g, w in zip(got, want)) <= GRID_ATOL
+
+
+@settings(max_examples=30, deadline=None)
+@given(point=st.sampled_from(sorted(GOLDEN)), data=st.data())
+def test_grid_values_depend_only_on_the_set_of_thresholds(point, data):
+    lam, nu, r = point
+    special = st.sampled_from([0.0, r, math.nextafter(r, math.inf), math.inf, map_threshold(lam, nu)])
+    near = st.floats(0.0, 3.0 * r)
+    far = st.floats(0.0, 1e6)
+    taus = data.draw(st.lists(st.one_of(special, near, far), min_size=1, max_size=8))
+    shuffled = data.draw(st.permutations(taus + data.draw(st.lists(st.sampled_from(taus), max_size=4))))
+    got = quadrature_error_rates(lam, nu, r, taus)
+    for tau, value in zip(taus, got):
+        assert abs(value - quadrature_error_rate(lam, nu, r, tau)) <= GRID_ATOL
+    # the chains run over the sorted distinct thresholds, so order and
+    # repeats cannot move a bit
+    by_tau = {tau: float.hex(value) for tau, value in zip(taus, got)}
+    again = quadrature_error_rates(lam, nu, r, shuffled)
+    assert [float.hex(value) for value in again] == [by_tau[tau] for tau in shuffled]
+
+
+def test_thresholds_read_once_from_any_iterable():
+    taus = [1.0, 5.0, 30.0]
+    want = quadrature_error_rates(LAM, NU, R, taus)
+    assert len(want) == 3
+    for given_taus in ((tau for tau in taus), tuple(taus), np.array(taus)):
+        assert quadrature_error_rates(LAM, NU, R, given_taus) == want
+
+
+def test_error_bound_sums_every_integral_a_value_adds(monkeypatch):
+    real = agemon.oracle._quad
+
+    def loose(fn, lo, hi):
+        return real(fn, lo, hi)[0], 0.4 * agemon.oracle._QUAD_MAX_ERR
+
+    monkeypatch.setattr(agemon.oracle, "_quad", loose)
+    # one point below r adds two integrals: fp to infinity and fn from 0
+    quadrature_error_rate(LAM, NU, R, R / 2)
+    # on the grid, r/4's fp adds the segment [r/4, r/2] to r/2's fp: three
+    with pytest.raises(OracleError, match=re.escape(f"tau={R / 4}")):
+        quadrature_error_rates(LAM, NU, R, [R / 4, R / 2])
 
 
 @pytest.fixture
@@ -212,7 +262,7 @@ class TestScan:
             scan_optimal_threshold(LAM, NU, R, [])
 
     def test_nan_grid_point(self):
-        with pytest.raises(ParameterError, match="thresholds must be >= 0"):
+        with pytest.raises(ParameterError, match="tau must be >= 0"):
             scan_optimal_threshold(LAM, NU, R, [1.0, math.nan, 9.0])
 
 
