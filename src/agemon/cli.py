@@ -59,40 +59,44 @@ def _add_output_flags(parser: argparse.ArgumentParser, svg: bool = True, out: st
                         help="bootstrap resamples for confidence half-widths (0 disables)")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_COMMAND_HELP = {
+    "analytic": "print the closed-form report",
+    "simulate": "simulate one configuration and print its metrics",
+    "sweep-rho": "sweep the service utilization (analytic + empirical age and error)",
+    "sweep-expected-t": "sweep the mean working time E[T] = 1/nu",
+    "sweep-threshold": "sweep the detector threshold on one shared simulation",
+    "tradeoff": "age/error pairs over the utilization grid",
+    "validate": "quadrature and Monte Carlo cross-check report",
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The agemon parser. It lists every subcommand but defines the flags of
+    `command` only, the one subcommand a command line can name."""
     parser = argparse.ArgumentParser(
         prog="agemon",
         description="Freshness and failure-detection metrics for an update stream "
                     "from an intermittently failing sensor behind an M/M/1 queue.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analytic", help="print the closed-form report")
-    _add_param_flags(p)
-    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-
-    p = sub.add_parser("simulate", help="simulate one configuration and print its metrics")
-    _add_param_flags(p)
-    _add_output_flags(p, svg=False)
-
-    for name, (variable, default_grid) in _SWEEP_DEFAULTS.items():
-        help_text = {
-            "sweep-rho": "sweep the service utilization (analytic + empirical age and error)",
-            "sweep-expected-t": "sweep the mean working time E[T] = 1/nu",
-            "sweep-threshold": "sweep the detector threshold on one shared simulation",
-            "tradeoff": "age/error pairs over the utilization grid",
-        }[name]
+    for name, help_text in _COMMAND_HELP.items():
         p = sub.add_parser(name, help=help_text)
+        if name != command:
+            continue
         _add_param_flags(p)
-        _add_output_flags(p)
-        p.add_argument("--grid", default=default_grid,
-                       help=f"sweep grid as start:stop:step (default {default_grid})")
-        p.add_argument("--analytic-only", action="store_true",
-                       help="skip simulation, emit analytic columns only")
-
-    p = sub.add_parser("validate", help="quadrature and Monte Carlo cross-check report")
-    _add_param_flags(p)
-    _add_output_flags(p, svg=False, out="JSON")
+        if name == "analytic":
+            p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+        elif name == "simulate":
+            _add_output_flags(p, svg=False)
+        elif name == "validate":
+            _add_output_flags(p, svg=False, out="JSON")
+        else:
+            default_grid = _SWEEP_DEFAULTS[name][1]
+            _add_output_flags(p)
+            p.add_argument("--grid", default=default_grid,
+                           help=f"sweep grid as start:stop:step (default {default_grid})")
+            p.add_argument("--analytic-only", action="store_true",
+                           help="skip simulation, emit analytic columns only")
     return parser
 
 
@@ -206,7 +210,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def run_subcommand(argv: list[str]) -> int:
-    parser = _build_parser()
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

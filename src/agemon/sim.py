@@ -175,24 +175,6 @@ class Timeline:
         return float(self.recovery_ends[-1])
 
 
-def _deliveries(
-    times_to_failure: np.ndarray,
-    starts: np.ndarray,
-    counts: np.ndarray,
-    departures: np.ndarray,
-    services: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(delivered counts, absolute arrival times, absolute generation times)
-    of a run of periods, from their relative departures and services."""
-    arrivals = _lindley_lockstep(departures, services, counts)
-    # arrivals increase within a period, so the delivered packets (a_k <= T)
-    # are a prefix of each period's packets
-    delivered = arrivals <= np.repeat(times_to_failure, counts)
-    delivered_counts = np.add.reduceat(delivered, np.cumsum(counts) - counts, dtype=np.int64)
-    offsets = np.repeat(starts, delivered_counts)
-    return delivered_counts, offsets + arrivals[delivered], offsets + departures[delivered]
-
-
 def _stream(master_seed: int, block: int, kind: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(block, kind)))
 
@@ -319,14 +301,29 @@ def simulate(params: SimParams) -> Timeline:
             departures, counts, total = _departures(
                 times_to_failure[i:j], chunks[i - lo:j - lo], total, gaps_rng, refills_rng, params.lam,
             )
-            # each period's first service was drawn with its clock
+            # each period's first service was drawn with its clock; every
+            # packet-length array is dropped as soon as it has been used, so
+            # the run's working set stays a few of them
             heads = np.cumsum(counts) - counts
-            later = services_rng.exponential(1.0 / params.mu, size=departures.size - (j - i))
-            services = np.insert(later, heads - np.arange(j - i), first_services[i:j])
-            generated_counts[i:j] = counts
-            delivered_counts[i:j], arrivals, generations = _deliveries(
-                times_to_failure[i:j], start_times[i:j], counts, departures, services,
+            services = np.insert(
+                services_rng.exponential(1.0 / params.mu, size=departures.size - (j - i)),
+                heads - np.arange(j - i), first_services[i:j],
             )
+            arrivals = _lindley_lockstep(departures, services, counts)
+            del services
+            generated_counts[i:j] = counts
+            # arrivals increase within a period, so the delivered packets
+            # (a_k <= T) are a prefix of each period's packets
+            delivered = arrivals <= np.repeat(times_to_failure[i:j], counts)
+            delivered_counts[i:j] = np.add.reduceat(delivered, heads, dtype=np.int64)
+            generations = departures[delivered]
+            del departures
+            arrivals = arrivals[delivered]
+            del delivered
+            offsets = np.repeat(start_times[i:j], delivered_counts[i:j])
+            generations += offsets
+            arrivals += offsets
+            del offsets
             kept = arrival_times.size
             # refcheck=False is safe: both arrays are locals and no view of
             # them outlives a statement. The check itself would fail under
@@ -338,7 +335,7 @@ def simulate(params: SimParams) -> Timeline:
             arrival_generations[kept:] = generations
             # freed before the next run is drawn, so no two runs' packet
             # arrays are live at once and the next run's reuse their memory
-            del departures, services, later, arrivals, generations
+            del arrivals, generations
     return Timeline(
         params=params,
         start_times=start_times,

@@ -11,6 +11,10 @@ there is no time discretization anywhere.
 Deliveries are stored period after period, so cumsum(delivered_counts)
 locates each period's own arrival gaps: a per-period integral is one piece
 from the last earlier arrival plus one `np.add.reduceat` of its own gaps.
+The per-delivery terms of those sums are built over groups of whole
+periods with a bounded number of deliveries, so beyond the timeline the
+table holds one per-delivery array (the gaps) and no stage holds a
+temporary that spans the run.
 
 Every reported number is a column sum of the table or a ratio of such
 sums: the mean age sums the slice areas, the region averages sum the region
@@ -29,6 +33,12 @@ import numpy as np
 from .detector import DecisionRule, ErrorBreakdown
 from .errors import EmptyTimelineError, ParameterError
 from .sim import BOOTSTRAP_KEY, SimParams, Timeline
+
+
+# Deliveries per group of whole periods that the per-delivery terms are
+# built over; bounds their temporaries. Not part of any contract: any value
+# gives the same table.
+_GROUP_DELIVERIES = 2**16
 
 
 def _age_area(length, start_age):
@@ -114,11 +124,12 @@ class PeriodTable:
         flip = np.maximum(start, before + tau)
         est_failed = np.clip(np.where(delivered, cut, end) - flip, 0.0, None)
         # and of the slice's own gaps, the last one cut at the slice end
-        beyond = self.gaps - tau
-        np.maximum(beyond, 0.0, out=beyond)
-        tails = (self.heads + self.counts - 1)[delivered]
-        beyond[tails] = np.clip(end[delivered] - last[delivered] - tau, 0.0, None)
-        est_failed[delivered] += np.add.reduceat(beyond, self.heads[delivered])
+        def beyond(lo, hi):
+            part = self.gaps[lo:hi] - tau
+            return np.maximum(part, 0.0, out=part)
+
+        tails = np.clip(end[delivered] - last[delivered] - tau, 0.0, None)
+        est_failed[delivered] += _period_sums(self.heads, self.counts, beyond, tails)
         # r3 holds no arrival: the estimate reads WORKING until last arrival + tau
         fn = np.where(failed > 0, np.clip(np.minimum(end, last + tau) - fail, 0.0, None), 0.0)
         fp = np.clip(est_failed - (failed - fn), 0.0, None)
@@ -136,20 +147,44 @@ def _breakdown(columns: np.ndarray, measured_time: float) -> ErrorBreakdown:
     return ErrorBreakdown(*columns.sum(axis=1).tolist(), measured_time)
 
 
+def _period_sums(heads, counts, pieces, tails):
+    """Each delivered period's sum of pieces(lo, hi), a fresh array of one
+    term per delivery in [lo, hi), with its last term replaced by tails[i].
+
+    The deliveries are taken in groups of whole periods with at most
+    _GROUP_DELIVERIES of them (a longer period alone), so no temporary
+    spans the run. Each period is one `np.add.reduceat` segment of its own
+    terms, whatever group it falls in, so the grouping changes no bit.
+    """
+    delivered = np.flatnonzero(counts)
+    starts = heads[delivered]
+    ends = starts + counts[delivered]
+    sums = np.empty(delivered.size)
+    a = 0
+    while a < delivered.size:
+        b = max(a + 1, int(np.searchsorted(ends, starts[a] + _GROUP_DELIVERIES, side="right")))
+        lo = starts[a]
+        part = pieces(lo, ends[b - 1])
+        part[ends[a:b] - 1 - lo] = tails[a:b]
+        sums[a:b] = np.add.reduceat(part, starts[a:b] - lo)
+        a = b
+    return sums
+
+
 def period_table(timeline: Timeline) -> PeriodTable:
     """The rule-independent columns of a timeline's period table. Ages are
     integrated from reset ages, not absolute generation times, which stays
     well conditioned on long runs."""
-    arrivals = timeline.arrival_times
+    arrivals, generations = timeline.arrival_times, timeline.arrival_generations
     if arrivals.size == 0:
         raise EmptyTimelineError("timeline has no deliveries; the age is undefined")
     # the age is undefined before the first arrival
     m0, m1 = float(arrivals[0]), timeline.end_time
     if not m1 > m0:
         raise EmptyTimelineError("zero-length measured span has no average")
-    ages = arrivals - timeline.arrival_generations
-    gaps = np.diff(arrivals, append=m1)
-    trapezoids = _age_area(gaps, ages)
+    gaps = np.empty_like(arrivals)
+    np.subtract(arrivals[1:], arrivals[:-1], out=gaps[:-1])
+    gaps[-1] = m1 - arrivals[-1]
     counts = timeline.delivered_counts
     heads = np.cumsum(counts) - counts
     delivered = counts > 0
@@ -162,13 +197,17 @@ def period_table(timeline: Timeline) -> PeriodTable:
     # (the same one when it has none); -1 before the first arrival
     last = np.vstack((heads, heads + counts)) - 1
     at = np.maximum(last, 0)
+    ages = arrivals[at] - generations[at]
     region_areas = np.zeros((3, edges.shape[1]))
     # r1 and r3 hold no arrival: one trapezoid each, from the last one before them
-    region_areas[::2] = _age_area(edges[1::2] - edges[::2], ages[at] + (edges[::2] - arrivals[at]))
-    # r2 is the sum of the period's own gaps, the last one cut at the failure
-    tails = last[1][delivered]
-    trapezoids[tails] = _age_area(edges[2][delivered] - arrivals[tails], ages[tails])
-    region_areas[1][delivered] = np.add.reduceat(trapezoids, heads[delivered])
+    region_areas[::2] = _age_area(edges[1::2] - edges[::2], ages + (edges[::2] - arrivals[at]))
+    # r2 is the sum of the period's own gap trapezoids, the last one cut at the failure
+    tails = at[1][delivered]
+    region_areas[1][delivered] = _period_sums(
+        heads, counts,
+        lambda lo, hi: _age_area(gaps[lo:hi], arrivals[lo:hi] - generations[lo:hi]),
+        _age_area(edges[2][delivered] - arrivals[tails], ages[1][delivered]),
+    )
     region_times = edges[1:] - edges[:3]
     region_areas = np.where(region_times > 0, region_areas, 0.0)
     times = region_times.sum(axis=1).tolist()

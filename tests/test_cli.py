@@ -28,6 +28,38 @@ def run(capsys, *argv):
     return status, captured.out, captured.err
 
 
+PARAM_FLAGS = {"--help", "--lambda", "--mu", "--nu", "--recovery", "--periods", "--seed",
+               "--enforce-assumption3"}
+SWEEP_FLAGS = {"--out", "--svg", "--resamples", "--grid", "--analytic-only"}
+COMMAND_FLAGS = {
+    "analytic": {"--json"},
+    "simulate": {"--out", "--resamples"},
+    "sweep-rho": SWEEP_FLAGS,
+    "sweep-expected-t": SWEEP_FLAGS,
+    "sweep-threshold": SWEEP_FLAGS,
+    "tradeoff": SWEEP_FLAGS,
+    "validate": {"--out", "--resamples"},
+}
+
+
+class TestParser:
+    # the parser defines the flags of the named subcommand only
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_help_lists_the_subcommands_own_flags(self, capsys, command):
+        status, out, _ = run(capsys, command, "--help")
+        assert status == 0
+        assert set(re.findall(r"--[a-z0-9-]+", out)) == PARAM_FLAGS | COMMAND_FLAGS[command]
+
+    def test_top_level_help_lists_every_subcommand(self, capsys):
+        status, out, _ = run(capsys, "--help")
+        assert status == 0
+        listed = re.search(r"\{([a-z,-]+)\}", out).group(1).split(",")
+        assert listed == list(agemon.cli._COMMAND_HELP)
+        assert set(listed) == set(COMMAND_FLAGS)
+        text = " ".join(out.split())  # argparse wraps long help lines
+        assert all(help_text in text for help_text in agemon.cli._COMMAND_HELP.values())
+
+
 class TestAnalytic:
     def test_default_values(self, capsys):
         status, out, _ = run(capsys, "analytic")
@@ -68,6 +100,8 @@ class TestErrors:
     def test_unknown_command(self, capsys):
         status, _, err = run(capsys, "frobnicate")
         assert status == 2
+        assert "invalid choice: 'frobnicate'" in err
+        assert all(f"'{command}'" in err for command in COMMAND_FLAGS)
 
     def test_domain_violation_named(self, capsys):
         status, _, err = run(capsys, "analytic", "--lambda", "-3")

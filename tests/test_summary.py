@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -153,6 +154,71 @@ class TestPerPeriodStatistics:
             kept = [p for p in range(len(lo)) if hi[p] > lo[p]]
             want = [math.fsum(age_pieces(arrivals, ages, lo[p], hi[p])) for p in kept]
             np.testing.assert_allclose(got[kept], want, rtol=1e-14, atol=0)
+
+
+def traced_peak(call):
+    """The traced peak of call() above the memory held before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestDeliveryGroups:
+    # the per-delivery terms are built over groups of whole periods; a small
+    # group makes one group's temporaries negligible next to a run's arrays
+    GROUP = 2**10
+
+    @pytest.fixture(scope="class")
+    def timeline(self):
+        # ~295k deliveries in 3000 periods; a warm-up call keeps the first
+        # call's numpy allocations out of the measurements
+        period_table(simulate(SimParams(**DEFAULTS, periods=2, master_seed=SEED)))
+        return simulate(SimParams(**DEFAULTS, periods=3000, master_seed=SEED))
+
+    def test_period_table_holds_one_delivery_array(self, timeline):
+        # Above its inputs the table keeps `gaps` (1x of 8 B per delivery)
+        # and a few per-period columns. Measured: 1.26x with the terms built
+        # per group; 3.2x when ages, gaps, the concatenated copy np.diff
+        # makes and the trapezoids of the whole run were live at once.
+        with mock.patch.object(agemon.summary, "_GROUP_DELIVERIES", self.GROUP):
+            peak = traced_peak(lambda: period_table(timeline))
+        assert peak < 1.5 * 8 * timeline.arrival_times.size
+
+    def test_error_columns_peak_at_a_group(self, timeline):
+        # Measured: 0.09x of 8 B per delivery, mostly per-period columns;
+        # 1.09x when one clipped copy of every gap was made per rule.
+        table = period_table(timeline)
+        rule = DecisionRule.map_rule(DEFAULTS["lam"], DEFAULTS["nu"], DEFAULTS["r"])
+        with mock.patch.object(agemon.summary, "_GROUP_DELIVERIES", self.GROUP):
+            peak = traced_peak(lambda: table.error_columns(rule))
+        assert peak < 0.25 * 8 * timeline.arrival_times.size
+
+    @pytest.mark.parametrize("require_delivery", [False, True])
+    def test_group_size_changes_no_bit(self, require_delivery):
+        # two blocks; at nu = 0.04 about 4% of faithful periods deliver
+        # nothing and many deliver more than 2**6
+        params = SimParams(lam=1.0, mu=1.0, nu=0.04, r=5.0, periods=sim.PERIODS_PER_BLOCK + 500,
+                           master_seed=SEED, require_delivery=require_delivery)
+        tl = simulate(params)
+        assert (tl.delivered_counts == 0).any() != require_delivery
+        assert tl.delivered_counts.max() > 2**6
+        rules = [DecisionRule.with_threshold(tau, params.r) for tau in (0.5, 2.0, 4.0)]
+
+        def columns():
+            table = period_table(tl)
+            fields = [getattr(table, f.name) for f in dataclasses.fields(table)]
+            return fields + [table.error_columns(rule) for rule in rules]
+
+        want = columns()
+        for group in (1, 2**6):
+            with mock.patch.object(agemon.summary, "_GROUP_DELIVERIES", group):
+                got = columns()
+            for a, b in zip(got, want, strict=True):
+                assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
 
 
 @pytest.mark.parametrize("r", sorted(GOLDEN))
