@@ -32,6 +32,30 @@ def _outage_density_after(z, a, r):
     return np.exp(-a * z) * np.expm1(a * r) / r
 
 
+def _outage_density(z, a, r):
+    """The outage density at a float or an array z, each point on the branch
+    that z < r picks; a branch is evaluated only where it is taken."""
+    if isinstance(z, float):
+        return _outage_density_before(z, a, r) if z < r else _outage_density_after(z, a, r)
+    out = np.empty_like(z)
+    before = z < r
+    out[before] = _outage_density_before(z[before], a, r)
+    if not before.all():
+        out[~before] = _outage_density_after(z[~before], a, r)
+    return out
+
+
+def _check_outage_tail(a, r):
+    """Raise unless expm1(a r) is finite: past r the outage density would be
+    exp(-a z) * inf, inf or NaN."""
+    try:
+        math.expm1(a * r)
+    except OverflowError:
+        raise ParameterError(
+            f"(lam + nu) * r = {a * r:.6g} overflows exp in the outage density past r (limit ~709.78)"
+        ) from None
+
+
 def pdf_z_given_r2(z, lam: float, nu: float):
     """Density of the gap age during normal operation.
 
@@ -54,7 +78,8 @@ def pdf_z_given_r3(z, lam: float, nu: float, r: float):
     elapsed time in [0, r]; convolving the two gives
         (1 - exp(-(lam+nu) z)) / r                    for 0 <= z < r,
         exp(-(lam+nu) z) (exp((lam+nu) r) - 1) / r    for z >= r,
-    continuous at z = r.
+    continuous at z = r. Raises ParameterError for z >= r if (lam + nu) * r
+    overflows exp.
     """
     check_params(lam=lam, nu=nu, r=r)
     if not r > 0:
@@ -63,7 +88,9 @@ def pdf_z_given_r3(z, lam: float, nu: float, r: float):
     if not np.all(z >= 0):
         raise ParameterError("z must be >= 0")
     a = lam + nu
-    out = np.where(z < r, _outage_density_before(z, a, r), _outage_density_after(z, a, r))
+    if np.any(z >= r):
+        _check_outage_tail(a, r)
+    out = _outage_density(z, a, r)
     return float(out) if out.ndim == 0 else out
 
 

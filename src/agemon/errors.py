@@ -20,8 +20,8 @@ class EmptyTimelineError(ValueError):
 
 
 class SimulationLimitError(RuntimeError):
-    """A run's packet budget or a period's event cap was hit; the run is
-    aborted rather than truncated."""
+    """A run's packet budget, a period's event cap or the conditioning's
+    redraw-round cap was hit; the run is aborted rather than truncated."""
 
 
 class OracleError(RuntimeError):

@@ -5,20 +5,25 @@ directly (the unsimplified expressions), so agreement with the algebraic
 error-rate formula is a genuine cross-check rather than a tautology.
 
 A threshold grid chains its integrals between consecutive thresholds
-(quadrature_error_rates), so each QUADPACK call covers a short segment;
-a one-point grid is exactly the single-threshold computation.
+(quadrature_error_rates). QUADPACK's first qagse step, the 21-point
+Gauss-Kronrod rule and its stopping test, runs on all of a chain's finite
+segments in one numpy pass and in QUADPACK's order of arithmetic, so each
+value has the bits scipy.integrate.quad gives it. Only the segments on which
+qagse would go on, and the integrals to infinity, call scipy.integrate.quad.
+A one-point grid is exactly the single-threshold computation.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .analytics import (
-    _outage_density_after,
-    _outage_density_before,
+    _check_outage_tail,
+    _outage_density,
     _working_density,
     error_rate_closed_form,
     failure_prior,
@@ -29,7 +34,7 @@ from .errors import OracleError, ParameterError, check_params
 from .sim import SimParams, simulate
 from .summary import MetricsSummary, check_resamples, period_table, summarize
 
-_QUAD_ABSTOL = 1e-12
+_QUAD_EPSABS, _QUAD_EPSREL = 1e-12, 1e-11
 _QUAD_MAX_ERR = 1e-10
 # A decaying chain (an integral to infinity, extended downward threshold by
 # threshold) restarts from a fresh integral to infinity where the segment to
@@ -39,13 +44,38 @@ _QUAD_MAX_ERR = 1e-10
 # reports convergence, and the chain loses the segment's whole mass.
 _RESTART_DECAY_LENGTHS = 32.0
 
+# QUADPACK's dqk21 (Piessens et al., QUADPACK, 1983), in its decimals: the
+# Kronrod nodes x_0 > ... > x_9 > 0 (the odd ones are the 10-point Gauss
+# nodes), the Kronrod weights of x_0, ..., x_9 and of the centre 0, and the
+# Gauss weights
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452, 0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493, 0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784, 0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390, 0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190, 0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208794696163, 0.134709217311473325928054001771707, 0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068, 0.149445554002916905664936468389821,
+])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697, 0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469, 0.295524224714752870173892994651338,
+])
+_EPMACH, _UFLOW = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
+# relative distance from qagse's acceptance bounds inside which a segment
+# goes to _quad: numpy's ** and C's pow may differ in the last bit of abserr
+_ACCEPT_MARGIN = 1e-9
+
 
 def _quad(fn, lo, hi) -> tuple[float, float]:
     # imported here: scipy.integrate costs more to import than the rest of
     # agemon and numpy together, and only quadratures need it
     from scipy import integrate
 
-    out = integrate.quad(fn, lo, hi, epsabs=_QUAD_ABSTOL, epsrel=1e-11, limit=300, full_output=1)
+    out = integrate.quad(fn, lo, hi, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL, limit=300, full_output=1)
     value, abserr = out[0], out[1]
     if len(out) > 3 or abserr > _QUAD_MAX_ERR:
         raise OracleError(
@@ -54,31 +84,73 @@ def _quad(fn, lo, hi) -> tuple[float, float]:
     return value, abserr
 
 
+def _kronrod21(density, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """QUADPACK's first qagse step on each finite segment [lo_i, hi_i] of two
+    arrays: dqk21's value and abserr, in dqk21's order of arithmetic, and
+    whether qagse would return them after that step. `density` is evaluated
+    once, on the (21, m) array of abscissae."""
+    centr, hlgth = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    absc = hlgth * _XGK[:, None]
+    f = density(np.concatenate((centr[None], centr - absc, centr + absc)))
+    fc, fv1, fv2 = f[0], f[1:11], f[11:]
+    # each weighted term as dqk21 forms it; builtin sum adds the rows left
+    # to right onto its start, as dqk21's loops do (the Gauss nodes first)
+    order = [1, 3, 5, 7, 9, 0, 2, 4, 6, 8]
+    wgk = _WGK[:10, None]
+    resg = sum(_WG[:, None] * (fv1[1::2] + fv2[1::2]), 0.0)
+    resk = sum((wgk * (fv1 + fv2))[order], _WGK[10] * fc)
+    resabs = sum((wgk * (np.abs(fv1) + np.abs(fv2)))[order], np.abs(_WGK[10] * fc))
+    reskh = resk * 0.5
+    resasc = sum(wgk * (np.abs(fv1 - reskh) + np.abs(fv2 - reskh)), _WGK[10] * np.abs(fc - reskh))
+    result = resk * hlgth
+    resabs, resasc = resabs * np.abs(hlgth), resasc * np.abs(hlgth)
+    abserr = np.abs((resk - resg) * hlgth)
+    scaled = (resasc != 0.0) & (abserr != 0.0)
+    ratio = 200.0 * abserr / np.where(scaled, resasc, 1.0)
+    abserr = np.where(scaled, resasc * np.minimum(1.0, ratio**1.5), abserr)
+    floor = resabs > _UFLOW / (50.0 * _EPMACH)
+    abserr = np.where(floor, np.maximum((_EPMACH * 50.0) * resabs, abserr), abserr)
+    # qagse stops if abserr <= max(epsabs, epsrel |result|) and abserr !=
+    # resasc, or if abserr == 0
+    errbnd = np.maximum(_QUAD_EPSABS, _QUAD_EPSREL * np.abs(result))
+    stops = (abserr <= (1.0 - _ACCEPT_MARGIN) * errbnd) & (np.abs(abserr - resasc) > _ACCEPT_MARGIN * resasc)
+    return result, abserr, stops | (abserr == 0.0)
+
+
+def _integrals(density, lo, hi) -> tuple[list[float], list[float]]:
+    """integral_lo_i^hi_i density and its abserr over finite segments: one
+    _kronrod21 pass, then _quad on each segment where qagse would go on."""
+    if not lo:
+        return [], []
+    lo, hi = np.array(lo), np.array(hi)
+    values, errs, stops = _kronrod21(density, lo, hi)
+    values, errs = values.tolist(), errs.tolist()
+    for i in np.flatnonzero(~stops).tolist():
+        values[i], errs[i] = _quad(density, float(lo[i]), float(hi[i]))
+    return values, errs
+
+
 def _head_chain(fn, ts) -> tuple[list[float], list[float]]:
     """integral_0^t fn and its error bound at each of the ascending `ts`, each
     value the previous one plus the segment from the previous threshold."""
-    values, errs = [], []
-    value, err, lo = 0.0, 0.0, 0.0
-    for t in ts:
-        if t > 0:  # t = 0 adds nothing and takes no integral
-            seg, seg_err = _quad(fn, lo, t)
-            value, err, lo = seg + value, seg_err + err, t
-        values.append(value)
-        errs.append(err)
-    return values, errs
+    cuts = [0.0] + [t for t in ts if t > 0]
+    zeros = [0.0] * (len(ts) + 1 - len(cuts))  # t = 0 adds nothing and takes no integral
+    segs, seg_errs = _integrals(fn, cuts[:-1], cuts[1:])
+    return zeros + list(accumulate(segs)), zeros + list(accumulate(seg_errs))
 
 
 def _tail_chain(fn, ts, restart: float) -> tuple[list[float], list[float]]:
     """integral_t^inf fn and its error bound at each of the ascending `ts`, each
     value the segment to the next threshold plus that threshold's value, or a
     fresh integral to infinity where the segment is longer than `restart`."""
+    chained = [i for i in range(len(ts) - 1) if not ts[i + 1] - ts[i] > restart]
+    segs = dict(zip(chained, zip(*_integrals(fn, [ts[i] for i in chained], [ts[i + 1] for i in chained]))))
     values, errs = [0.0] * len(ts), [0.0] * len(ts)
     for i in range(len(ts) - 1, -1, -1):
-        if i == len(ts) - 1 or ts[i + 1] - ts[i] > restart:
-            values[i], errs[i] = _quad(fn, ts[i], np.inf)
+        if i in segs:
+            values[i], errs[i] = segs[i][0] + values[i + 1], segs[i][1] + errs[i + 1]
         else:
-            seg, seg_err = _quad(fn, ts[i], ts[i + 1])
-            values[i], errs[i] = seg + values[i + 1], seg_err + errs[i + 1]
+            values[i], errs[i] = _quad(fn, ts[i], np.inf)
     return values, errs
 
 
@@ -108,7 +180,8 @@ def quadrature_error_rates(lam: float, nu: float, r: float, taus) -> list[float]
     _RESTART_DECAY_LENGTHS / (lam + nu). A one-point grid is the plain
     one-point quadrature; a longer grid's values agree with it to rounding.
     Raises OracleError if the summed abserr of the integrals a value adds
-    exceeds _QUAD_MAX_ERR.
+    exceeds _QUAD_MAX_ERR, and ParameterError before any integral if a
+    threshold lies above r and (lam + nu) * r overflows exp.
     """
     taus = [float(tau) for tau in taus]
     check_params(lam=lam, nu=nu, r=r)
@@ -121,14 +194,16 @@ def quadrature_error_rates(lam: float, nu: float, r: float, taus) -> list[float]
     p_failed = failure_prior(nu, r)
     a = lam + nu
     restart = _RESTART_DECAY_LENGTHS / a
-    outage = lambda z: _outage_density_before(z, a, r) if z < r else _outage_density_after(z, a, r)
-    fp, fp_err = _tail_chain(lambda z: _working_density(z, a), ts, restart)
     split = bisect.bisect_right(ts, r)
+    if split < len(ts):
+        _check_outage_tail(a, r)
+    outage = lambda z: _outage_density(z, a, r)
+    fp, fp_err = _tail_chain(lambda z: _working_density(z, a), ts, restart)
     fn, fn_err = _head_chain(outage, ts[:split])
     if split < len(ts):
         # the density has a kink at z = r; past it, integrate the decaying
         # tail against an infinite limit (stable however large tau is)
-        (head, head_err), (rest, rest_err) = _quad(outage, 0.0, r), _quad(outage, r, np.inf)
+        ([head], [head_err]), (rest, rest_err) = _integrals(outage, [0.0], [r]), _quad(outage, r, np.inf)
         whole, whole_err = head + rest, head_err + rest_err
         tail, tail_err = _tail_chain(outage, ts[split:], restart)
         fn += [whole - t for t in tail]

@@ -39,6 +39,11 @@ EVENT_CAP = 10**9
 # beyond it could not be held in memory.
 MAX_EXPECTED_PACKETS = 10**9
 
+# Expected rounds, (mu + nu) / mu, in which require_delivery redraws a lost
+# period, checked before any draw. For 100 periods the rounds take 0.034 s
+# at 10^3 and 0.34 s at 10^4 (2-vCPU Xeon); their number grows as 1/mu.
+MAX_REDRAW_ROUNDS = 10**3
+
 # Gaps drawn for one run of periods, whose queues are then solved at once
 # and only their deliveries kept; bounds the transient memory held for
 # discarded generations and services, whatever the number of periods.
@@ -268,6 +273,12 @@ def simulate(params: SimParams) -> Timeline:
         raise SimulationLimitError(
             f"the run expects {expected:.3g} packets, periods * (1 + lam/nu), "
             f"over the cap MAX_EXPECTED_PACKETS = {MAX_EXPECTED_PACKETS}"
+        )
+    rounds = (params.mu + params.nu) / params.mu
+    if params.require_delivery and rounds > MAX_REDRAW_ROUNDS:
+        raise SimulationLimitError(
+            f"conditioning on a delivery expects {rounds:.3g} redraw rounds, (mu + nu) / mu, "
+            f"over the cap MAX_REDRAW_ROUNDS = {MAX_REDRAW_ROUNDS}"
         )
     times_to_failure, first_services = _clocks(params)
     # the float product: no chunk size is converted or allocated before this

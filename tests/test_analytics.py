@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +51,15 @@ class TestGapDensities:
         assert at == pytest.approx(expected, rel=1e-12)
         assert below == pytest.approx(at, rel=1e-9)
 
+    def test_outage_density_takes_the_branch_past_r_at_r(self):
+        # z < r picks the branch; at this point the two differ at z = r
+        lam, nu, r = 0.9, 0.001, 5.0
+        a = lam + nu
+        past = np.exp(-a * r) * np.expm1(a * r) / r
+        assert past != -np.expm1(-a * r) / r
+        assert pdf_z_given_r3(r, lam, nu, r) == past
+        assert pdf_z_given_r3([r, r], lam, nu, r).tolist() == [past, past]
+
     def test_outage_density_normalizes(self):
         head, _ = quad(lambda z: pdf_z_given_r3(z, LAM, NU, R), 0, R)
         tail, _ = quad(lambda z: pdf_z_given_r3(z, LAM, NU, R), R, np.inf)
@@ -58,6 +69,15 @@ class TestGapDensities:
         z = np.linspace(0.0, 200.0, 5001)
         assert np.all(pdf_z_given_r2(z, LAM, NU) >= 0)
         assert np.all(pdf_z_given_r3(z, LAM, NU, R) >= 0)
+
+    def test_outage_density_past_r_refuses_an_overflowing_rate(self):
+        # (lam + nu) * r = 1000.2: exp(-a z) * expm1(a r) would be 0 * inf
+        with pytest.raises(ParameterError, match=re.escape("(lam + nu) * r = 1000.2")):
+            pdf_z_given_r3([1.0, 25.0], 50.0, 0.01, 20.0)
+        # below r the density never evaluates the overflowing branch
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pdf_z_given_r3(5.0, 50.0, 0.01, 20.0) == 0.05
 
     def test_invalid_arguments(self):
         with pytest.raises(ParameterError):

@@ -1,5 +1,9 @@
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -203,6 +207,9 @@ class TestErrors:
     @pytest.mark.parametrize("argv, cap", [
         (["--lambda", "5", "--mu", "10", "--nu", "0.01", "--periods", "1"], "EVENT_CAP = 10"),
         (["--lambda", "1e9", "--mu", "2e9", "--nu", "1e-9", "--periods", "1"], "MAX_EXPECTED_PACKETS"),
+        # 1001 expected redraw rounds: over the cap, yet quick to draw
+        (["--lambda", "1e-4", "--mu", "1e-3", "--nu", "1", "--periods", "1", "--enforce-assumption3"],
+         "MAX_REDRAW_ROUNDS = 1000"),
     ])
     def test_simulation_limit_names_the_cap(self, capsys, monkeypatch, argv, cap):
         monkeypatch.setattr(agemon.sim, "EVENT_CAP", 10)
@@ -282,6 +289,17 @@ class TestSweeps:
         for r in rows:
             one_point = quadrature_error_rate(DEFAULTS["lam"], DEFAULTS["nu"], DEFAULTS["r"], r.swept_value)
             assert abs(r.err_analytic - one_point) <= 1e-13
+
+    def test_threshold_sweep_past_an_overflowing_outage_tail(self, capsys, tmp_path):
+        # (lam + nu) * r = 1000.2: past r the outage density overflows exp
+        argv = ["sweep-threshold", "--analytic-only", "--lambda", "50", "--mu", "100", "--nu", "0.01",
+                "--recovery", "20", "--out", str(tmp_path / "thr.csv")]
+        status, _, err = run(capsys, *argv, "--grid", "5:30:5")
+        assert status == 1
+        assert err.startswith("error: (lam + nu) * r = 1000.2")
+        status, _, err = run(capsys, *argv, "--grid", "5:20:5")
+        assert status == 0 and err == ""
+        assert len(read_csv(tmp_path / "thr.csv")) == 4
 
     def test_rho_sweep_analytic_only(self, capsys, tmp_path):
         out_csv = tmp_path / "rho.csv"
@@ -375,3 +393,13 @@ class TestValidate:
         assert data["aoi_ci_halfwidth"] is None
         assert data["err_ci_halfwidth"] is None
         assert isinstance(data["aoi_empirical"], float)
+
+
+def test_importing_the_cli_leaves_scipy_unimported():
+    # scipy.integrate costs more to import than agemon and numpy together;
+    # only a quadrature imports it
+    src = str(pathlib.Path(agemon.cli.__file__).parents[1])
+    code = "import sys, agemon.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

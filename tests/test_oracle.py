@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from agemon import (
     quadrature_error_rate,
     scan_optimal_threshold,
 )
+from agemon.analytics import _outage_density, _working_density
 from agemon.oracle import quadrature_error_rates
 from conftest import DEFAULTS, SEED
 
@@ -71,23 +73,34 @@ def test_quadrature_bit_identical_to_recorded(point):
 
 @pytest.mark.parametrize("lam,nu,r", sorted(GOLDEN))
 def test_integrands_equal_public_densities(monkeypatch, lam, nu, r):
-    # the oracle integrates plain-float closures; each must return exactly
-    # what the validating public density returns at the same abscissa
-    integrands = []
+    # the oracle integrates closures over floats (_quad) and over arrays of
+    # abscissae (_kronrod21); each must return exactly what the validating
+    # public density returns at the same abscissa
+    on_floats, on_arrays = [], []
 
-    def record(fn, lo, hi):
-        integrands.append(fn)
+    def record_quad(fn, lo, hi):
+        on_floats.append(fn)
         return 0.0, 0.0
 
-    monkeypatch.setattr(agemon.oracle, "_quad", record)
-    quadrature_error_rate(lam, nu, r, 2.0 * r)  # fp, then three outage integrals
-    working, *outage = integrands
-    assert len(outage) == 3
+    def record_kronrod(density, lo, hi):
+        on_arrays.append(density)
+        return np.zeros_like(lo), np.zeros_like(lo), np.ones(lo.shape, dtype=bool)
+
+    monkeypatch.setattr(agemon.oracle, "_quad", record_quad)
+    monkeypatch.setattr(agemon.oracle, "_kronrod21", record_kronrod)
+    # on floats: fp over [2r, inf), the outage over [r, inf) and [2r, inf);
+    # on arrays: fp over [r/2, 2r], the outage over [0, r/2] and [0, r]
+    quadrature_error_rates(lam, nu, r, [0.5 * r, 2.0 * r])
+    assert len(on_floats) == len(on_arrays) == 3
     grid = [0.0, 1e-9, 0.5 * r, math.nextafter(r, 0.0), r, math.nextafter(r, math.inf), 3.0 * r, 1e4]
-    for z in grid:
-        assert float.hex(float(working(z))) == float.hex(pdf_z_given_r2(z, lam, nu))
+    zs = np.array(grid).reshape(2, 4)  # the kernel passes a (21, m) array
+    for (working, *outage), evaluate in ((on_floats, lambda fn: [fn(z) for z in grid]),
+                                         (on_arrays, lambda fn: fn(zs).ravel().tolist())):
+        assert [float.hex(float(v)) for v in evaluate(working)] == [
+            float.hex(pdf_z_given_r2(z, lam, nu)) for z in grid]
         for fn in outage:
-            assert float.hex(float(fn(z))) == float.hex(pdf_z_given_r3(z, lam, nu, r))
+            assert [float.hex(float(v)) for v in evaluate(fn)] == [
+                float.hex(pdf_z_given_r3(z, lam, nu, r)) for z in grid]
 
 
 @pytest.mark.parametrize("lam,nu,r", sorted(GOLDEN))
@@ -128,12 +141,18 @@ def test_thresholds_read_once_from_any_iterable():
 
 
 def test_error_bound_sums_every_integral_a_value_adds(monkeypatch):
-    real = agemon.oracle._quad
+    real_quad, real_kronrod = agemon.oracle._quad, agemon.oracle._kronrod21
+    loose = 0.4 * agemon.oracle._QUAD_MAX_ERR
 
-    def loose(fn, lo, hi):
-        return real(fn, lo, hi)[0], 0.4 * agemon.oracle._QUAD_MAX_ERR
+    def loose_quad(fn, lo, hi):
+        return real_quad(fn, lo, hi)[0], loose
 
-    monkeypatch.setattr(agemon.oracle, "_quad", loose)
+    def loose_kronrod(density, lo, hi):
+        values, errs, stops = real_kronrod(density, lo, hi)
+        return values, np.full_like(errs, loose), stops
+
+    monkeypatch.setattr(agemon.oracle, "_quad", loose_quad)
+    monkeypatch.setattr(agemon.oracle, "_kronrod21", loose_kronrod)
     # one point below r adds two integrals: fp to infinity and fn from 0
     quadrature_error_rate(LAM, NU, R, R / 2)
     # on the grid, r/4's fp adds the segment [r/4, r/2] to r/2's fp: three
@@ -142,16 +161,24 @@ def test_error_bound_sums_every_integral_a_value_adds(monkeypatch):
 
 
 @pytest.fixture
-def quad_calls(monkeypatch):
-    calls = []
-    real = agemon.oracle._quad
+def integrals(monkeypatch):
+    """(lo, hi, how) of every integral taken: "first step" for each segment
+    whose _kronrod21 value is kept, "quad" for each _quad call."""
+    taken = []
+    real_quad, real_kronrod = agemon.oracle._quad, agemon.oracle._kronrod21
 
-    def counted(fn, lo, hi):
-        calls.append((lo, hi))
-        return real(fn, lo, hi)
+    def counted_quad(fn, lo, hi):
+        taken.append((lo, hi, "quad"))
+        return real_quad(fn, lo, hi)
 
-    monkeypatch.setattr(agemon.oracle, "_quad", counted)
-    return calls
+    def counted_kronrod(density, lo, hi):
+        values, errs, stops = real_kronrod(density, lo, hi)
+        taken.extend((a, b, "first step") for a, b in zip(lo[stops].tolist(), hi[stops].tolist()))
+        return values, errs, stops
+
+    monkeypatch.setattr(agemon.oracle, "_quad", counted_quad)
+    monkeypatch.setattr(agemon.oracle, "_kronrod21", counted_kronrod)
+    return taken
 
 
 @pytest.mark.parametrize("grid", [
@@ -160,21 +187,112 @@ def quad_calls(monkeypatch):
     [0.0, 5.0, R, math.nextafter(R, math.inf), 2.0 * R, 1e6, math.inf],
     list(np.arange(0.15, 39.9 + 0.125, 0.25)),
 ])
-def test_grid_takes_tau_independent_integrals_once(quad_calls, grid):
+def test_grid_takes_tau_independent_integrals_once(integrals, grid):
     below = sum(0 < tau <= R for tau in grid)
     above = sum(tau > R for tau in grid)
     quadrature_error_rates(LAM, NU, R, grid)
     # one false-positive integral per threshold, one outage integral per
     # threshold in (0, r], one tail per threshold above r, and [0, r] and
     # [r, inf) once for the grid when some threshold lies above r
-    assert len(quad_calls) == len(grid) + below + above + (2 if above else 0)
+    assert len(integrals) == len(grid) + below + above + (2 if above else 0)
+
+
+def test_scan_grid_integrates_only_to_infinity_adaptively(integrals):
+    # the oracle-scan grid: its 319 finite segments stop after QUADPACK's
+    # first step, and _quad takes only fp's, the tail's and [r, inf)
+    quadrature_error_rates(LAM, NU, R, list(np.arange(0.15, 39.9 + 0.125, 0.25)))
+    adaptive = sorted((lo, hi) for lo, hi, how in integrals if how == "quad")
+    assert adaptive == [(R, math.inf), (39.9, math.inf), (39.9, math.inf)]
+    assert sum(how == "first step" for *_, how in integrals) == 319
 
 
 @pytest.mark.parametrize("bad", [math.nan, -1.0])
-def test_grid_checks_every_threshold_before_integrating(quad_calls, bad):
+def test_grid_checks_every_threshold_before_integrating(integrals, bad):
     with pytest.raises(ParameterError, match="tau must be >= 0"):
         quadrature_error_rates(LAM, NU, R, [0.0, 5.0, 30.0, bad])
-    assert quad_calls == []
+    assert integrals == []
+
+
+# the GOLDEN points and two with extreme lam + nu: 50.01 and 1.1e-3
+KERNEL_POINTS = sorted(GOLDEN) + [(50.0, 0.01, 3.0), (1e-3, 1e-4, 1e3)]
+
+
+def quadpack(density, lo, hi):
+    from scipy import integrate
+
+    return integrate.quad(density, lo, hi, epsabs=agemon.oracle._QUAD_EPSABS,
+                          epsrel=agemon.oracle._QUAD_EPSREL, limit=300, full_output=1)
+
+
+@pytest.mark.parametrize("lam,nu,r", KERNEL_POINTS)
+@pytest.mark.parametrize("branch", ["working", "outage"])
+def test_kronrod21_is_quadpacks_first_step(lam, nu, r, branch):
+    a = lam + nu
+    density = (lambda z: _working_density(z, a)) if branch == "working" else (lambda z: _outage_density(z, a, r))
+    rng = np.random.default_rng(SEED)
+    # starts up to 3r, where the outage density turns, and up to 3 decay
+    # lengths, where most of the working density's mass lies
+    lo = np.concatenate((rng.uniform(0.0, 3.0 * r, 75), rng.uniform(0.0, 3.0 / a, 75)))
+    # log-uniform widths from 1e-6 to 40 decay lengths 1/a
+    hi = lo + np.exp(rng.uniform(math.log(1e-6 / a), math.log(40.0 / a), lo.size))
+    values, errs, stops = agemon.oracle._kronrod21(density, lo, hi)
+    one_step = []
+    for i in range(lo.size):
+        value, abserr, info = quadpack(density, float(lo[i]), float(hi[i]))[:3]
+        one_step.append(info["neval"] == 21)
+        if stops[i]:
+            assert float.hex(float(values[i])) == float.hex(value)
+            # numpy's ** and C's pow may differ in abserr's last bit
+            assert errs[i] == pytest.approx(abserr, rel=1e-14, abs=0.0)
+    assert stops.tolist() == one_step
+    assert 0 < stops.sum() < stops.size  # both kinds of segment were drawn
+
+
+def test_segment_beyond_one_step_goes_to_quad_with_its_bits(integrals):
+    # 30 decay lengths: under the restart, too steep for one 21-point step
+    wide = 1.0 + 30.0 / (LAM + NU)
+    quadrature_error_rates(LAM, NU, R, [1.0, wide])
+    assert (1.0, wide, "quad") in integrals and (1.0, wide, "first step") not in integrals
+    density = lambda z: _working_density(z, LAM + NU)
+    [value], _ = agemon.oracle._integrals(density, [1.0], [wide])
+    assert float.hex(value) == float.hex(quadpack(density, 1.0, wide)[0])
+
+
+@pytest.mark.parametrize("lam,nu,r", KERNEL_POINTS)
+def test_density_on_the_abscissae_equals_public_densities(monkeypatch, lam, nu, r):
+    # the kernel's values are QUADPACK's only if its one evaluation on the
+    # (21, m) abscissae gives each float the density's bits at that float
+    evaluated = []
+    real = agemon.oracle._kronrod21
+
+    def record(density, lo, hi):
+        def recorded(z):
+            evaluated.append((z, density(z)))
+            return evaluated[-1][1]
+        return real(recorded, lo, hi)
+
+    monkeypatch.setattr(agemon.oracle, "_kronrod21", record)
+    # fp's segments; the outage's up to r, over [0, r], and above r
+    quadrature_error_rates(lam, nu, r, np.linspace(0.0, 2.0 * r, 41))
+    (z, f), *outage = evaluated
+    assert z.shape == (21, 40) and len(outage) == 3
+    hexes = lambda values: [float.hex(float(v)) for v in values]
+    assert hexes(f.ravel()) == hexes(pdf_z_given_r2(x, lam, nu) for x in z.ravel())
+    for z, f in outage:
+        assert hexes(f.ravel()) == hexes(pdf_z_given_r3(x, lam, nu, r) for x in z.ravel())
+
+
+def test_overflowing_outage_tail_fails_fast(integrals):
+    # (lam + nu) * r = 1000.2: past r, exp(-a z) * expm1(a r) was 0 * inf,
+    # and the oracle ended in "quadrature ... did not converge (abserr=nan)"
+    with pytest.raises(ParameterError, match=re.escape("(lam + nu) * r = 1000.2")):
+        quadrature_error_rates(50.0, 0.01, 20.0, [5.0, 30.0])
+    assert integrals == []
+    # thresholds at or below r never evaluate the density past r
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [float.hex(quadrature_error_rate(50.0, 0.01, 20.0, tau)) for tau in (5.0, 20.0)] == [
+            "0x1.53f7e0bd786a7p-5", "0x1.54fdf82f5e1abp-3"]
 
 
 class TestQuadrature:

@@ -194,6 +194,25 @@ class TestGeneratePeriod:
         assert peak < 4 * 2**20
 
 
+    def test_conditioning_refuses_endless_redraws_before_drawing(self, monkeypatch):
+        # mu = 1e-12, nu = 1: a period would be redrawn ~10^12 times before
+        # it delivers
+        monkeypatch.setattr(sim, "_clocks", lambda params: pytest.fail("drew clocks"))
+        params = SimParams(lam=1e-13, mu=1e-12, nu=1.0, r=1.0, periods=100, require_delivery=True)
+        with pytest.raises(SimulationLimitError, match=r"1e\+12 redraw rounds.*MAX_REDRAW_ROUNDS = 1000"):
+            simulate(params)
+
+    def test_redraw_cap_bounds_the_expected_rounds(self, monkeypatch):
+        monkeypatch.setattr(sim, "MAX_REDRAW_ROUNDS", 2)
+        # (mu + nu) / mu = 2.5 rounds
+        conditioned = SimParams(lam=0.5, mu=1.0, nu=1.5, r=1.0, periods=10, require_delivery=True)
+        with pytest.raises(SimulationLimitError, match="MAX_REDRAW_ROUNDS = 2"):
+            simulate(conditioned)
+        # an unconditioned run redraws nothing; 2 expected rounds are allowed
+        simulate(dataclasses.replace(conditioned, require_delivery=False))
+        simulate(dataclasses.replace(conditioned, nu=1.0))
+
+
 class TestSimulate:
     def test_single_period_starts_at_zero(self):
         tl = simulate(SimParams(**DEFAULTS, periods=1, master_seed=4))
