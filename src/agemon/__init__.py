@@ -4,7 +4,6 @@ age-of-information metrics, timing-based failure detection, and Monte Carlo
 validation of the analytical expressions."""
 
 from .analytics import (
-    AnalyticReport,
     analytic_report,
     aoi_mm1,
     error_rate_closed_form,
@@ -16,23 +15,19 @@ from .analytics import (
 )
 from .detector import DecisionRule, ErrorBreakdown, map_threshold
 from .errors import EmptyTimelineError, OracleError, ParameterError, SimulationLimitError
-from .experiments import ResultRow, SweepSpec, run_sweep
+from .experiments import SweepSpec, run_sweep
 from .oracle import (
-    CrossCheckReport,
     monte_carlo_cross_check,
     quadrature_error_rate,
     scan_optimal_threshold,
 )
-from .report import CSV_COLUMNS, render_svg, write_csv
+from .report import render_svg, write_csv
 from .sim import EVENT_CAP, SimParams, Timeline, simulate
 from .summary import MetricsSummary, PeriodTable, RegionAverages, period_table, summarize
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticReport",
-    "CSV_COLUMNS",
-    "CrossCheckReport",
     "DecisionRule",
     "EVENT_CAP",
     "EmptyTimelineError",
@@ -42,7 +37,6 @@ __all__ = [
     "ParameterError",
     "PeriodTable",
     "RegionAverages",
-    "ResultRow",
     "SimParams",
     "SimulationLimitError",
     "SweepSpec",

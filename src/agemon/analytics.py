@@ -4,7 +4,6 @@ the mean age of information with failures and recoveries."""
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -142,38 +141,21 @@ def region_means_closed_form(lam: float, mu: float, nu: float, r: float) -> tupl
     return base + r + 0.5 / mu, base, base + 0.5 * r
 
 
-@dataclass(frozen=True)
-class AnalyticReport:
-    """Every closed form evaluated at one parameter point."""
-
-    lam: float
-    mu: float
-    nu: float
-    r: float
-    tau: float
-    degenerate: bool
-    error_rate: float
-    aoi_mm1: float
-    mean_aoi: float
-    prior_s1: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def analytic_report(lam: float, mu: float, nu: float, r: float) -> AnalyticReport:
+def analytic_report(lam: float, mu: float, nu: float, r: float) -> dict:
+    """Every closed form at one parameter point, keyed by its column in
+    `report.COLUMNS` (the rule is the optimal one)."""
     # before aoi_mm1's lam / mu below
     check_params(lam=lam, mu=mu, nu=nu, r=r)
     tau = map_threshold(lam, nu)
-    return AnalyticReport(
+    return dict(
         lam=lam,
         mu=mu,
         nu=nu,
         r=r,
         tau=tau,
         degenerate=tau >= r,
-        error_rate=error_rate_closed_form(lam, nu, r),
+        err_analytic=error_rate_closed_form(lam, nu, r),
         aoi_mm1=aoi_mm1(lam / mu, mu),
-        mean_aoi=mean_aoi_closed_form(lam, mu, nu, r),
+        aoi_analytic=mean_aoi_closed_form(lam, mu, nu, r),
         prior_s1=failure_prior(nu, r),
     )

@@ -9,17 +9,15 @@ Relative output paths resolve against $AGEMON_OUT_DIR when it is set.
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import os
 import sys
 from pathlib import Path
 
 from .analytics import analytic_report, error_rate_closed_form, mean_aoi_closed_form
 from .errors import EmptyTimelineError, OracleError, ParameterError, SimulationLimitError
-from .experiments import ResultRow, SweepSpec, run_sweep
+from .experiments import SweepSpec, run_sweep
 from .oracle import monte_carlo_cross_check
-from .report import render_svg, write_csv
+from .report import CHARTS, json_text, project, render_svg, run_row, text_lines, write_csv
 from .sim import SimParams, simulate
 from .summary import check_resamples, period_table, summarize
 
@@ -131,23 +129,9 @@ def _params(args: argparse.Namespace) -> SimParams:
     )
 
 
-def _strict_json(record: dict) -> str:
-    """`record` as JSON text with non-finite floats written as null, so that
-    strict parsers accept it (json.dumps would write NaN or Infinity)."""
-    clean = {
-        key: None if isinstance(value, float) and not math.isfinite(value) else value
-        for key, value in record.items()
-    }
-    return json.dumps(clean, indent=2, allow_nan=False)
-
-
 def _cmd_analytic(args: argparse.Namespace) -> int:
-    report = analytic_report(args.lam, args.mu, args.nu, args.recovery)
-    if args.json:
-        print(_strict_json(report.to_dict()))
-    else:
-        for key, value in report.to_dict().items():
-            print(f"{key} = {value}")
+    record = project(analytic_report(args.lam, args.mu, args.nu, args.recovery), "analytic")
+    print(json_text(record) if args.json else text_lines(record))
     return 0
 
 
@@ -157,24 +141,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     # the default MAP rule needs rho < 1: fail before simulating, not after
     params.require_stable_queue()
     summary = summarize(period_table(simulate(params)), resamples=args.resamples)
-    for key, value in summary.to_dict().items():
-        print(f"{key} = {value}")
+    row = run_row(
+        params, summary, args.resamples, swept_var="rho", swept_value=params.rho,
+        aoi_analytic=mean_aoi_closed_form(params.lam, params.mu, params.nu, params.r),
+        err_analytic=error_rate_closed_form(params.lam, params.nu, params.r),
+    )
+    print(text_lines(project(row, "simulate")))
     if args.out:
-        row = ResultRow(swept_var="rho", swept_value=params.rho)
-        row.add_empirical(summary, args.resamples)
-        row.aoi_analytic = mean_aoi_closed_form(params.lam, params.mu, params.nu, params.r)
-        row.err_analytic = error_rate_closed_form(params.lam, params.nu, params.r)
         path = write_csv([row], _resolve(args.out), params)
         print(f"wrote {path}")
     return 0
-
-
-_SVG_COLUMNS = {
-    "sweep-rho": ("swept_value", ("aoi_analytic", "aoi_empirical", "err_analytic", "err_empirical")),
-    "sweep-expected-t": ("swept_value", ("aoi_analytic", "aoi_empirical")),
-    "sweep-threshold": ("swept_value", ("err_analytic", "err_empirical")),
-    "tradeoff": ("aoi_empirical", ("err_empirical",)),
-}
 
 
 def _cmd_sweep(args: argparse.Namespace, command: str) -> int:
@@ -186,18 +162,15 @@ def _cmd_sweep(args: argparse.Namespace, command: str) -> int:
     path = write_csv(rows, out, spec.fixed)
     print(f"wrote {path}")
     if args.svg:
-        x_col, y_cols = _SVG_COLUMNS[command]
-        if args.analytic_only:
-            x_col = x_col.replace("empirical", "analytic")
-            y_cols = tuple(dict.fromkeys(c.replace("empirical", "analytic") for c in y_cols))
+        chart = f"{command} --analytic-only" if args.analytic_only else command
+        x_col, y_cols = CHARTS.get(chart, CHARTS[command])
         svg_path = render_svg(rows, x_col, y_cols, _resolve(args.svg), title=command)
         print(f"wrote {svg_path}")
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    report = monte_carlo_cross_check(_params(args), resamples=args.resamples)
-    text = _strict_json(report.to_dict())
+    text = json_text(project(monte_carlo_cross_check(_params(args), resamples=args.resamples), "validate"))
     print(text)
     if args.out:
         path = _resolve(args.out)

@@ -9,7 +9,6 @@ before anything that depends on lam); gaps and services are not coupled.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -17,8 +16,9 @@ from .analytics import error_rate_closed_form, mean_aoi_closed_form
 from .detector import DecisionRule
 from .errors import ParameterError, check_params
 from .oracle import quadrature_error_rates
+from .report import run_row
 from .sim import SimParams, simulate
-from .summary import MetricsSummary, check_resamples, period_table, summarize, summarize_rules
+from .summary import check_resamples, period_table, summarize, summarize_rules
 
 SWEEP_VARIABLES = ("rho", "expected_T", "threshold")
 # checked before a grid is allocated; far above any grid the CLI uses by default
@@ -64,50 +64,18 @@ class SweepSpec:
         return values[values <= self.stop + 1e-9 * self.step]
 
 
-@dataclass
-class ResultRow:
-    """One CSV row; empirical fields are None for analytic-only runs."""
-
-    swept_var: str
-    swept_value: float
-    aoi_analytic: Optional[float] = None
-    aoi_empirical: Optional[float] = None
-    aoi_ci: Optional[float] = None
-    err_analytic: Optional[float] = None
-    err_empirical: Optional[float] = None
-    err_ci: Optional[float] = None
-    fp_rate: Optional[float] = None
-    fn_rate: Optional[float] = None
-    seed: Optional[int] = None
-
-    def add_empirical(self, report: MetricsSummary, resamples: int) -> None:
-        """Fill the empirical columns from `report`; the half-widths only
-        when a bootstrap ran (resamples > 0)."""
-        self.aoi_empirical = report.aoi_time_average
-        self.err_empirical = report.error.error_rate
-        self.fp_rate = report.error.fp_rate
-        self.fn_rate = report.error.fn_rate
-        self.seed = report.seed
-        if resamples > 0:
-            self.aoi_ci = report.aoi_ci_halfwidth
-            self.err_ci = report.error_ci_halfwidth
-
-
-def _point_row(params: SimParams, var: str, value: float, with_sim: bool, resamples: int) -> ResultRow:
+def _point_row(params: SimParams, var: str, value: float, with_sim: bool, resamples: int) -> dict:
     params.require_stable_queue()
-    row = ResultRow(
-        swept_var=var,
-        swept_value=float(value),
+    closed = dict(
         aoi_analytic=mean_aoi_closed_form(params.lam, params.mu, params.nu, params.r),
         err_analytic=error_rate_closed_form(params.lam, params.nu, params.r),
     )
-    if with_sim:
-        row.add_empirical(summarize(period_table(simulate(params)), resamples=resamples), resamples)
-    return row
+    summary = summarize(period_table(simulate(params)), resamples=resamples) if with_sim else None
+    return run_row(params, summary, resamples, swept_var=var, swept_value=float(value), **closed)
 
 
-def run_sweep(spec: SweepSpec, with_sim: bool = True, resamples: int = 1000) -> list[ResultRow]:
-    """Evaluate every grid point in grid order."""
+def run_sweep(spec: SweepSpec, with_sim: bool = True, resamples: int = 1000) -> list[dict]:
+    """Evaluate every grid point in grid order, one `report.run_row` each."""
     check_resamples(resamples)
     if spec.variable == "threshold":
         return _threshold_sweep(spec, with_sim, resamples)
@@ -121,7 +89,7 @@ def run_sweep(spec: SweepSpec, with_sim: bool = True, resamples: int = 1000) -> 
     return rows
 
 
-def _threshold_sweep(spec: SweepSpec, with_sim: bool, resamples: int) -> list[ResultRow]:
+def _threshold_sweep(spec: SweepSpec, with_sim: bool, resamples: int) -> list[dict]:
     """One simulation, many rules: the error of each threshold is measured on
     the same timeline, so differences between rows are not simulation noise.
     The period table is built once; each rule recomputes only its own columns,
@@ -131,14 +99,14 @@ def _threshold_sweep(spec: SweepSpec, with_sim: bool, resamples: int) -> list[Re
     params = spec.fixed
     params.require_stable_queue()
     aoi_analytic = mean_aoi_closed_form(params.lam, params.mu, params.nu, params.r)
-    grid = spec.grid()
-    rows = [
-        ResultRow(swept_var="threshold", swept_value=float(value), aoi_analytic=aoi_analytic, err_analytic=err)
-        for value, err in zip(grid, quadrature_error_rates(params.lam, params.nu, params.r, grid))
-    ]
+    grid = spec.grid().tolist()
+    errs = quadrature_error_rates(params.lam, params.nu, params.r, grid)
+    summaries = [None] * len(grid)
     if with_sim:
-        rules = [DecisionRule.with_threshold(row.swept_value, params.r) for row in rows]
-        reports = summarize_rules(period_table(simulate(params)), rules, resamples=resamples)
-        for row, report in zip(rows, reports):
-            row.add_empirical(report, resamples)
-    return rows
+        rules = [DecisionRule.with_threshold(value, params.r) for value in grid]
+        summaries = summarize_rules(period_table(simulate(params)), rules, resamples=resamples)
+    return [
+        run_row(params, summary, resamples, swept_var="threshold", swept_value=value,
+                aoi_analytic=aoi_analytic, err_analytic=err)
+        for value, err, summary in zip(grid, errs, summaries)
+    ]

@@ -16,7 +16,6 @@ A one-point grid is exactly the single-threshold computation.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -32,7 +31,8 @@ from .analytics import (
 from .detector import DecisionRule, map_threshold
 from .errors import OracleError, ParameterError, check_params
 from .sim import SimParams, simulate
-from .summary import MetricsSummary, check_resamples, period_table, summarize
+from .report import run_row
+from .summary import check_resamples, period_table, summarize
 
 _QUAD_EPSABS, _QUAD_EPSREL = 1e-12, 1e-11
 _QUAD_MAX_ERR = 1e-10
@@ -224,55 +224,18 @@ def scan_optimal_threshold(lam: float, nu: float, r: float, grid) -> float:
     return float(grid[int(np.argmin(quadrature_error_rates(lam, nu, r, grid)))])
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
-    """Simulation vs closed forms at one parameter point.
-
-    The closed-form error rate models the post-recovery reacquisition span
-    as ordinary working time, so err_rel_dev compares it with the
-    detection-scope empirical rate; the full-span rate is reported alongside
-    and exceeds the detection-scope one by about (1/mu) / (1/nu + r).
-    """
-
-    params: SimParams
-    tau: float
-    degenerate: bool
-    aoi_empirical: float
-    aoi_analytic: float
-    aoi_rel_dev: float
-    aoi_ci_halfwidth: float
-    err_empirical: float
-    err_empirical_full: float
-    err_analytic: float
-    err_rel_dev: float
-    err_ci_halfwidth: float
-    fp_rate: float
-    fn_rate: float
-
-    def to_dict(self) -> dict:
-        d = {
-            "lam": self.params.lam,
-            "mu": self.params.mu,
-            "nu": self.params.nu,
-            "r": self.params.r,
-            "periods": self.params.periods,
-            "seed": self.params.master_seed,
-        }
-        for name in (
-            "tau", "degenerate", "aoi_empirical", "aoi_analytic", "aoi_rel_dev",
-            "aoi_ci_halfwidth", "err_empirical", "err_empirical_full",
-            "err_analytic", "err_rel_dev", "err_ci_halfwidth", "fp_rate", "fn_rate",
-        ):
-            d[name] = getattr(self, name)
-        return d
-
-
 def monte_carlo_cross_check(
     params: SimParams,
     rule: DecisionRule | None = None,
     resamples: int = 1000,
-) -> CrossCheckReport:
-    """Simulate, measure, and compare against the closed forms.
+) -> dict:
+    """Simulate, measure, and compare against the closed forms; returns the
+    run's `report.run_row` with the rule and the relative deviations.
+
+    The closed-form error rate models the post-recovery reacquisition span
+    as ordinary working time, so err_rel_dev compares it with the
+    detection-scope empirical rate, err_detection; the full-span rate
+    err_empirical exceeds it by about (1/mu) / (1/nu + r).
 
     Needs at least 10^4 periods; with fewer the Monte Carlo noise swamps the
     deviations this report is meant to expose. Needs r > 0: without outages
@@ -286,27 +249,15 @@ def monte_carlo_cross_check(
         raise ParameterError(f"cross checks need r > 0, got {params.r}")
     if rule is None:
         rule = DecisionRule.map_rule(params.lam, params.nu, params.r)
-    report: MetricsSummary = summarize(period_table(simulate(params)), rule, resamples=resamples)
+    summary = summarize(period_table(simulate(params)), rule, resamples=resamples)
     aoi_analytic = mean_aoi_closed_form(params.lam, params.mu, params.nu, params.r)
     err_analytic = (
         error_rate_closed_form(params.lam, params.nu, params.r)
         if rule.tau == map_threshold(params.lam, params.nu)
         else quadrature_error_rate(params.lam, params.nu, params.r, rule.tau)
     )
-    err_emp = report.error.detection_error_rate
-    return CrossCheckReport(
-        params=params,
-        tau=rule.tau,
-        degenerate=rule.degenerate,
-        aoi_empirical=report.aoi_time_average,
-        aoi_analytic=aoi_analytic,
-        aoi_rel_dev=report.aoi_time_average / aoi_analytic - 1.0,
-        aoi_ci_halfwidth=report.aoi_ci_halfwidth,
-        err_empirical=err_emp,
-        err_empirical_full=report.error.error_rate,
-        err_analytic=err_analytic,
-        err_rel_dev=err_emp / err_analytic - 1.0,
-        err_ci_halfwidth=report.error_ci_halfwidth,
-        fp_rate=report.error.fp_rate,
-        fn_rate=report.error.fn_rate,
+    return run_row(
+        params, summary, resamples, tau=rule.tau, degenerate=rule.degenerate,
+        aoi_analytic=aoi_analytic, aoi_rel_dev=summary.aoi_time_average / aoi_analytic - 1.0,
+        err_analytic=err_analytic, err_rel_dev=summary.error.detection_error_rate / err_analytic - 1.0,
     )

@@ -1,76 +1,162 @@
-"""CSV and SVG emitters for sweep results.
+"""The output schema and its emitters.
 
-The CSV schema is fixed: comment lines starting with '#' record the fixed
-configuration, then the pinned header, then one row per grid point with
-full-precision decimal numbers (empty cells for missing fields). The SVG
-renderer is deliberately minimal and byte-deterministic for identical
-input.
+Every command reports one run's values (or, for `analytic`, the closed
+forms) as a row: a dict keyed by the canonical column names of COLUMNS,
+built by `run_row`. Each output is a projection of that row (OUTPUTS): an
+ordered selection of columns under the keys it publishes. README's
+"Outputs" table gives each column's meaning and its key in every output.
+
+The CSV is one comment line recording the fixed configuration, the header,
+then one row per grid point with full-precision decimal numbers (empty
+cells for missing values). The SVG renderer is deliberately minimal and
+byte-deterministic for identical input.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import fields
+import json
+import math
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ParameterError
-from .experiments import ResultRow
 from .sim import STREAM_CONTRACT, SimParams
+from .summary import MetricsSummary
 
-CSV_COLUMNS = (
-    "swept_var",
-    "swept_value",
-    "aoi_analytic",
-    "aoi_empirical",
-    "aoi_ci",
-    "err_analytic",
-    "err_empirical",
-    "err_ci",
-    "fp_rate",
-    "fn_rate",
-    "seed",
+COLUMNS = (
+    "swept_var", "swept_value", "lam", "mu", "nu", "r", "periods", "seed", "unstable_queue",
+    "measured_time", "tau", "degenerate",
+    "aoi_analytic", "aoi_mm1", "aoi_empirical", "aoi_ci", "aoi_rel_dev",
+    "avg_r1", "avg_r2", "avg_r3", "time_r1", "time_r2", "time_r3",
+    "err_analytic", "prior_s1", "err_empirical", "err_detection", "err_ci", "err_rel_dev",
+    "fp_rate", "fn_rate", "reacquisition_fp_time",
 )
 
 
-def _format(value) -> str:
-    if isinstance(value, np.generic):
-        value = value.item()  # numpy 2 reprs its scalars as np.float64(...)
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)  # shortest round-tripping decimal
-    return str(value)
+def _projection(columns: str, **keys: str) -> dict[str, str]:
+    """The columns (space-separated, in output order), each mapped to the
+    key it is published under: its own name unless `keys` gives another."""
+    return {name: keys.get(name, name) for name in columns.split()}
+
+
+OUTPUTS = {
+    "simulate": _projection(
+        "aoi_empirical aoi_ci avg_r1 avg_r2 avg_r3 time_r1 time_r2 time_r3 err_empirical err_detection"
+        " err_ci fp_rate fn_rate reacquisition_fp_time measured_time periods seed unstable_queue",
+        aoi_empirical="aoi_time_average", aoi_ci="aoi_ci_halfwidth", err_empirical="error_rate",
+        err_detection="detection_error_rate", err_ci="error_ci_halfwidth",
+    ),
+    "csv": _projection(
+        "swept_var swept_value aoi_analytic aoi_empirical aoi_ci err_analytic err_empirical err_ci"
+        " fp_rate fn_rate seed"
+    ),
+    "validate": _projection(
+        "lam mu nu r periods seed tau degenerate aoi_empirical aoi_analytic aoi_rel_dev aoi_ci"
+        " err_detection err_empirical err_analytic err_rel_dev err_ci fp_rate fn_rate",
+        aoi_ci="aoi_ci_halfwidth", err_detection="err_empirical", err_empirical="err_empirical_full",
+        err_ci="err_ci_halfwidth",
+    ),
+    "analytic": _projection(
+        "lam mu nu r tau degenerate err_analytic aoi_mm1 aoi_analytic prior_s1",
+        err_analytic="error_rate", aoi_analytic="mean_aoi",
+    ),
+}
+
+# Each sweep's chart, (x column, y columns). A series with fewer than two
+# points is left out, so without a simulation only the analytic ones show.
+CHARTS = {
+    "sweep-rho": ("swept_value", ("aoi_analytic", "aoi_empirical", "err_analytic", "err_empirical")),
+    "sweep-expected-t": ("swept_value", ("aoi_analytic", "aoi_empirical")),
+    "sweep-threshold": ("swept_value", ("err_analytic", "err_empirical")),
+    "tradeoff": ("aoi_empirical", ("err_empirical",)),
+    "tradeoff --analytic-only": ("aoi_analytic", ("err_analytic",)),
+}
+
+_NO_VALUES = dict.fromkeys(COLUMNS)
+
+
+def run_row(params: SimParams, summary: Optional[MetricsSummary] = None, resamples: int = 0, **columns) -> dict:
+    """One run's row: the params' columns, then the summary's (None without
+    a summary; its half-widths None unless a bootstrap ran, resamples > 0),
+    then `columns`: the closed forms, the rule, the swept point. Every other
+    column is None."""
+    row = {**_NO_VALUES, "lam": params.lam, "mu": params.mu, "nu": params.nu, "r": params.r}
+    if summary is not None:
+        regions, error = summary.regions, summary.error
+        row.update(
+            periods=summary.periods, seed=summary.seed, unstable_queue=summary.unstable_queue,
+            measured_time=summary.measured_time, aoi_empirical=summary.aoi_time_average,
+            avg_r1=regions.avg_r1, avg_r2=regions.avg_r2, avg_r3=regions.avg_r3,
+            time_r1=regions.time_r1, time_r2=regions.time_r2, time_r3=regions.time_r3,
+            err_empirical=error.error_rate, err_detection=error.detection_error_rate,
+            fp_rate=error.fp_rate, fn_rate=error.fn_rate, reacquisition_fp_time=error.reacquisition_fp_time,
+        )
+        if resamples > 0:
+            row.update(aoi_ci=summary.aoi_ci_halfwidth, err_ci=summary.error_ci_halfwidth)
+    row.update(columns)
+    return row
+
+
+def project(row: dict, output: str) -> dict:
+    """The row's values under `output`'s keys, in its order."""
+    return {key: row[name] for name, key in OUTPUTS[output].items()}
+
+
+def text_lines(record: dict) -> str:
+    """`key = value` lines; a missing value reads nan."""
+    return "\n".join(f"{key} = {math.nan if value is None else value}" for key, value in record.items())
+
+
+def json_text(record: dict) -> str:
+    """`record` as JSON text with non-finite floats written as null, so that
+    strict parsers accept it (json.dumps would write NaN or Infinity)."""
+    clean = {
+        key: None if isinstance(value, float) and not math.isfinite(value) else value
+        for key, value in record.items()
+    }
+    return json.dumps(clean, indent=2, allow_nan=False)
+
+
+# a column of only these types is formatted by str alone
+_PLAIN_TYPES = {type(None), float, int, str}
+
+
+def _cells(values) -> list[str]:
+    """A column's CSV cells: empty for None, true/false for a boolean, and
+    otherwise str of the Python scalar (a float's shortest round-tripping
+    decimal); numpy 2 would repr its scalars as np.float64(...)."""
+    if not set(map(type, values)) <= _PLAIN_TYPES:
+        values = [v.item() if isinstance(v, np.generic) else v for v in values]
+        return ["" if v is None else ("true" if v else "false") if isinstance(v, bool) else str(v) for v in values]
+    return ["" if v is None else str(v) for v in values]
 
 
 def _params_comment(params: SimParams) -> str:
+    lam, mu, nu, r, delivery = _cells((params.lam, params.mu, params.nu, params.r, params.require_delivery))
     return (
-        f"# lambda={_format(params.lam)} mu={_format(params.mu)} nu={_format(params.nu)}"
-        f" recovery={_format(params.r)} periods={params.periods}"
-        f" seed={params.master_seed} require_delivery={_format(params.require_delivery)}"
-        f" contract={STREAM_CONTRACT}"
+        f"# lambda={lam} mu={mu} nu={nu} recovery={r} periods={params.periods}"
+        f" seed={params.master_seed} require_delivery={delivery} contract={STREAM_CONTRACT}"
     )
 
 
-def write_csv(rows: Sequence[ResultRow], path, params: Optional[SimParams] = None) -> Path:
-    """Write rows (grid order) to `path`; returns the path written."""
+def write_csv(rows: Sequence[dict], path, params: Optional[SimParams] = None) -> Path:
+    """Write the CSV projection of rows (grid order) to `path`; returns the
+    path written. Cells are formatted a column at a time."""
     if not rows:
         raise ParameterError("refusing to write an empty CSV")
+    projection = OUTPUTS["csv"]
+    cells = [_cells([row[name] for row in rows]) for name in projection]
     path = Path(path)
     try:
         with path.open("w", encoding="utf-8", newline="") as fh:
             if params is not None:
                 fh.write(_params_comment(params) + "\n")
             writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for row in rows:
-                writer.writerow([_format(getattr(row, name)) for name in CSV_COLUMNS])
+            writer.writerow(projection.values())
+            writer.writerows(zip(*cells))
     except OSError as exc:
         raise OSError(f"could not write CSV {path}: {exc}") from exc
     return path
@@ -87,21 +173,16 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
-def render_svg(rows: Sequence[ResultRow], x_column: str, y_columns: Sequence[str], path, title: str = "") -> Path:
-    """Line chart of y_columns against x_column; deterministic bytes."""
+def render_svg(rows: Sequence[dict], x_column: str, y_columns: Sequence[str], path, title: str = "") -> Path:
+    """Line chart of the rows' y_columns against x_column; deterministic bytes."""
     if len(rows) < 2:
         raise ParameterError("an SVG chart needs at least 2 rows")
-    valid = {f.name for f in fields(ResultRow)}
     for name in (x_column, *y_columns):
-        if name not in valid:
+        if name not in COLUMNS:
             raise ParameterError(f"unknown column {name!r}")
     series = []
     for name in y_columns:
-        pts = [
-            (getattr(r, x_column), getattr(r, name))
-            for r in rows
-            if getattr(r, x_column) is not None and getattr(r, name) is not None
-        ]
+        pts = [(r[x_column], r[name]) for r in rows if r[x_column] is not None and r[name] is not None]
         if len(pts) >= 2:
             series.append((name, pts))
     if not series:

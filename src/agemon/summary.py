@@ -240,28 +240,6 @@ class MetricsSummary:
     seed: int
     unstable_queue: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "aoi_time_average": self.aoi_time_average,
-            "aoi_ci_halfwidth": self.aoi_ci_halfwidth,
-            "avg_r1": self.regions.avg_r1,
-            "avg_r2": self.regions.avg_r2,
-            "avg_r3": self.regions.avg_r3,
-            "time_r1": self.regions.time_r1,
-            "time_r2": self.regions.time_r2,
-            "time_r3": self.regions.time_r3,
-            "error_rate": self.error.error_rate,
-            "detection_error_rate": self.error.detection_error_rate,
-            "error_ci_halfwidth": self.error_ci_halfwidth,
-            "fp_rate": self.error.fp_rate,
-            "fn_rate": self.error.fn_rate,
-            "reacquisition_fp_time": self.error.reacquisition_fp_time,
-            "measured_time": self.measured_time,
-            "periods": self.periods,
-            "seed": self.seed,
-            "unstable_queue": self.unstable_queue,
-        }
-
 
 # rules stacked into one bootstrap pass; bounds the (rules + 1, periods)
 # buffers a long threshold sweep would otherwise allocate at once

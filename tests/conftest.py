@@ -3,24 +3,26 @@ import csv
 import numpy as np
 import pytest
 
-from agemon import CSV_COLUMNS, ParameterError, ResultRow, SimParams, simulate
+from agemon import ParameterError, SimParams, simulate
+from agemon.report import OUTPUTS
 from reference import PeriodTrace, timeline_from_periods
 
 # Standard configuration used throughout: lambda=0.5, mu=1, nu=1/200, r=20.
 DEFAULTS = dict(lam=0.5, mu=1.0, nu=0.005, r=20.0)
 SEED = 20260810
+CSV_COLUMNS = tuple(OUTPUTS["csv"].values())
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
-def read_csv(path) -> list[ResultRow]:
-    """Parse a file written by agemon.write_csv back into equal rows."""
+def read_csv(path) -> list[dict]:
+    """Parse a file written by agemon.write_csv back into its rows' CSV columns."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(line for line in fh if not line.startswith("#"))
         if tuple(next(reader)) != CSV_COLUMNS:
             raise ParameterError(f"unexpected CSV header in {path}")
         records = [dict(zip(CSV_COLUMNS, record)) for record in reader]
     return [
-        ResultRow(
+        dict(
             swept_var=values["swept_var"],
             swept_value=float(values["swept_value"]),
             seed=int(values["seed"]) if values["seed"] else None,

@@ -152,18 +152,18 @@ def test_criterion_6_tradeoff_reproduction():
         lambda rho: aoi_mm1(rho, MU), bounds=(0.05, 0.95), method="bounded", options={"xatol": 1e-10}
     ).x
     assert rho_star == pytest.approx(0.531010056459569, abs=1e-6)
-    target = min((row.swept_value for row in rows), key=lambda rho: abs(rho - rho_star))
-    aois = np.array([row.aoi_empirical for row in rows])
-    best_rho = rows[int(np.argmin(aois))].swept_value
+    target = min((row["swept_value"] for row in rows), key=lambda rho: abs(rho - rho_star))
+    aois = np.array([row["aoi_empirical"] for row in rows])
+    best_rho = rows[int(np.argmin(aois))]["swept_value"]
     assert best_rho == pytest.approx(target)
     # strict decrease applies where the rule is non-degenerate (tau < r);
     # below that the optimal policy is constant and so is its error
     prior = R * NU / (1.0 + R * NU)
-    live = [row for row in rows if map_threshold(row.swept_value * MU, NU) < R]
+    live = [row for row in rows if map_threshold(row["swept_value"] * MU, NU) < R]
     degenerate = [row for row in rows if row not in live]
-    assert all(row.err_analytic == pytest.approx(prior, rel=1e-12) for row in degenerate)
+    assert all(row["err_analytic"] == pytest.approx(prior, rel=1e-12) for row in degenerate)
     for column in ("err_analytic", "err_empirical"):
-        values = [getattr(row, column) for row in live]
+        values = [row[column] for row in live]
         assert all(a > b for a, b in zip(values, values[1:])), column
     note(
         f"criterion 6 PASS: empirical AoI minimized at rho={best_rho:.2f} "

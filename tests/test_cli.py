@@ -13,6 +13,7 @@ import agemon.oracle
 import agemon.sim
 from agemon import ParameterError, quadrature_error_rate
 from agemon.cli import run_subcommand
+from agemon.report import OUTPUTS
 from agemon.summary import MAX_RESAMPLES
 from conftest import DEFAULTS, read_csv
 
@@ -64,11 +65,15 @@ class TestParser:
         assert all(help_text in text for help_text in agemon.cli._COMMAND_HELP.values())
 
 
+ANALYTIC_KEYS = ["lam", "mu", "nu", "r", "tau", "degenerate", "error_rate", "aoi_mm1", "mean_aoi", "prior_s1"]
+
+
 class TestAnalytic:
     def test_default_values(self, capsys):
         status, out, _ = run(capsys, "analytic")
         assert status == 0
         values = dict(line.split(" = ") for line in out.strip().splitlines())
+        assert list(values) == ANALYTIC_KEYS
         assert float(values["tau"]) == pytest.approx(9.16, abs=0.005)
         assert float(values["mean_aoi"]) == pytest.approx(4.5045, abs=1e-3)
         assert float(values["error_rate"]) == pytest.approx(0.04163, abs=1e-4)
@@ -77,6 +82,7 @@ class TestAnalytic:
         status, out, _ = run(capsys, "analytic", "--json", "--nu", "0.01")
         assert status == 0
         data = json.loads(out)
+        assert list(data) == ANALYTIC_KEYS
         assert data["nu"] == 0.01
         assert data["aoi_mm1"] == 3.5
 
@@ -232,9 +238,25 @@ class TestSimulate:
         assert "error_rate" in out
         rows = read_csv(out_csv)
         assert len(rows) == 1
-        assert rows[0].seed == 20260810
-        assert rows[0].aoi_empirical is not None
-        assert rows[0].aoi_analytic is not None
+        assert rows[0]["seed"] == 20260810
+        assert rows[0]["aoi_empirical"] is not None
+        assert rows[0]["aoi_analytic"] is not None
+
+    def test_csv_row_equals_stdout(self, capsys, tmp_path):
+        out_csv = tmp_path / "run.csv"
+        status, out, _ = run(capsys, "simulate", *FAST, "--seed", "5", "--out", str(out_csv))
+        assert status == 0
+        *lines, wrote = out.splitlines()
+        assert wrote == f"wrote {out_csv}"
+        printed = dict(line.split(" = ") for line in lines)
+        assert list(printed) == list(OUTPUTS["simulate"].values())
+        header, values = out_csv.read_text(encoding="utf-8").splitlines()[1:]
+        cells = dict(zip(header.split(","), values.split(",")))
+        same = {"aoi_empirical": "aoi_time_average", "err_empirical": "error_rate",
+                "aoi_ci": "aoi_ci_halfwidth", "err_ci": "error_ci_halfwidth",
+                "fp_rate": "fp_rate", "fn_rate": "fn_rate", "seed": "seed"}
+        assert {column: cells[column] for column in same} == {column: printed[key] for column, key in same.items()}
+        assert cells["seed"] == "5"
 
     def test_zero_recovery_writes_csv(self, capsys, tmp_path):
         out_csv = tmp_path / "run.csv"
@@ -242,15 +264,15 @@ class TestSimulate:
         assert status == 0
         assert "error_rate = 0.0" in out
         [row] = read_csv(out_csv)
-        assert row.err_empirical == 0.0 and row.err_analytic == 0.0
-        assert row.aoi_analytic is not None
+        assert row["err_empirical"] == 0.0 and row["err_analytic"] == 0.0
+        assert row["aoi_analytic"] is not None
 
     def test_seed_flag_changes_result(self, capsys, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
         run(capsys, "simulate", *FAST, "--seed", "1", "--out", str(a))
         run(capsys, "simulate", *FAST, "--seed", "2", "--out", str(b))
-        assert read_csv(a)[0].aoi_empirical != read_csv(b)[0].aoi_empirical
+        assert read_csv(a)[0]["aoi_empirical"] != read_csv(b)[0]["aoi_empirical"]
 
     def test_rerun_reproduces_empirical_columns(self, capsys, tmp_path):
         a = tmp_path / "a.csv"
@@ -271,10 +293,10 @@ class TestSweeps:
         assert status == 0
         rows = read_csv(out_csv)
         assert len(rows) == 6
-        assert [r.swept_value for r in rows] == [4.0, 6.0, 8.0, 10.0, 12.0, 14.0]
-        assert all(r.swept_var == "threshold" for r in rows)
+        assert [r["swept_value"] for r in rows] == [4.0, 6.0, 8.0, 10.0, 12.0, 14.0]
+        assert all(r["swept_var"] == "threshold" for r in rows)
         # one shared simulation: the age column is constant across thresholds
-        assert len({r.aoi_empirical for r in rows}) == 1
+        assert len({r["aoi_empirical"] for r in rows}) == 1
         assert out_svg.exists()
 
     def test_threshold_sweep_analytic_matches_one_point_quadrature(self, capsys, tmp_path):
@@ -284,11 +306,11 @@ class TestSweeps:
                            "--out", str(out_csv))
         assert status == 0
         rows = read_csv(out_csv)
-        assert [r.swept_value for r in rows] == [15.0, 17.5, 20.0, 22.5, 25.0]
+        assert [r["swept_value"] for r in rows] == [15.0, 17.5, 20.0, 22.5, 25.0]
         # a grid value is a chain of segment integrals: its one-point value to rounding
         for r in rows:
-            one_point = quadrature_error_rate(DEFAULTS["lam"], DEFAULTS["nu"], DEFAULTS["r"], r.swept_value)
-            assert abs(r.err_analytic - one_point) <= 1e-13
+            one_point = quadrature_error_rate(DEFAULTS["lam"], DEFAULTS["nu"], DEFAULTS["r"], r["swept_value"])
+            assert abs(r["err_analytic"] - one_point) <= 1e-13
 
     def test_threshold_sweep_past_an_overflowing_outage_tail(self, capsys, tmp_path):
         # (lam + nu) * r = 1000.2: past r the outage density overflows exp
@@ -308,8 +330,8 @@ class TestSweeps:
         assert status == 0
         rows = read_csv(out_csv)
         assert len(rows) == 4
-        assert all(r.aoi_empirical is None and r.err_empirical is None for r in rows)
-        assert all(r.aoi_analytic is not None for r in rows)
+        assert all(r["aoi_empirical"] is None and r["err_empirical"] is None for r in rows)
+        assert all(r["aoi_analytic"] is not None for r in rows)
 
     def test_tradeoff_default_name_in_env_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("AGEMON_OUT_DIR", str(tmp_path))
@@ -323,9 +345,9 @@ class TestSweeps:
                            "--grid", "50:200:50", "--out", str(out_csv))
         assert status == 0
         rows = read_csv(out_csv)
-        assert [r.swept_value for r in rows] == [50.0, 100.0, 150.0, 200.0]
+        assert [r["swept_value"] for r in rows] == [50.0, 100.0, 150.0, 200.0]
         # longer working spans -> lower mean age
-        aois = [r.aoi_analytic for r in rows]
+        aois = [r["aoi_analytic"] for r in rows]
         assert aois == sorted(aois, reverse=True)
 
     @pytest.mark.parametrize("command,grid,x_col,legend", [
@@ -353,7 +375,7 @@ class TestSweeps:
         assert status == 0
         rows = read_csv(out_csv)
         assert len(rows) == 2
-        assert all(r.err_analytic == 0.0 and r.err_empirical == 0.0 for r in rows)
+        assert all(r["err_analytic"] == 0.0 and r["err_empirical"] == 0.0 for r in rows)
 
     def test_bad_grid_spec(self, capsys):
         status, _, err = run(capsys, "sweep-rho", "--grid", "nope")
@@ -374,6 +396,12 @@ class TestValidate:
         )
         assert status == 0
         data = json.loads(out.read_text(encoding="utf-8"))
+        assert list(data) == [
+            "lam", "mu", "nu", "r", "periods", "seed", "tau", "degenerate",
+            "aoi_empirical", "aoi_analytic", "aoi_rel_dev", "aoi_ci_halfwidth",
+            "err_empirical", "err_empirical_full", "err_analytic", "err_rel_dev",
+            "err_ci_halfwidth", "fp_rate", "fn_rate",
+        ]
         assert data["periods"] == 10000
         assert abs(data["aoi_rel_dev"]) < 0.10
         printed = json.loads(stdout.split("wrote")[0])

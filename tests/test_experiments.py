@@ -63,28 +63,28 @@ class TestRunSweep:
         spec = SweepSpec(variable="rho", start=0.2, stop=0.8, step=0.2, fixed=fixed())
         rows = run_sweep(spec, with_sim=False)
         assert len(rows) == 4
-        assert all(r.aoi_empirical is None and r.seed is None for r in rows)
-        assert all(r.err_analytic is not None for r in rows)
+        assert all(r["aoi_empirical"] is None and r["seed"] is None for r in rows)
+        assert all(r["err_analytic"] is not None for r in rows)
 
     def test_rho_sweep_rows_record_seed(self):
         spec = SweepSpec(variable="rho", start=0.3, stop=0.7, step=0.2, fixed=fixed())
         rows = run_sweep(spec, resamples=0)
-        assert [r.swept_value for r in rows] == pytest.approx([0.3, 0.5, 0.7])
-        assert all(r.seed == 11 for r in rows)
-        assert all(r.aoi_ci is None for r in rows)  # bootstrap disabled
-        assert all(r.fp_rate is not None and r.fn_rate is not None for r in rows)
+        assert [r["swept_value"] for r in rows] == pytest.approx([0.3, 0.5, 0.7])
+        assert all(r["seed"] == 11 for r in rows)
+        assert all(r["aoi_ci"] is None for r in rows)  # bootstrap disabled
+        assert all(r["fp_rate"] is not None and r["fn_rate"] is not None for r in rows)
 
     def test_threshold_sweep_shares_one_timeline(self):
         spec = SweepSpec(variable="threshold", start=2.0, stop=12.0, step=5.0, fixed=fixed())
         rows = run_sweep(spec, resamples=0)
-        assert len({r.aoi_empirical for r in rows}) == 1
-        assert len({r.err_empirical for r in rows}) == 3
+        assert len({r["aoi_empirical"] for r in rows}) == 1
+        assert len({r["err_empirical"] for r in rows}) == 3
 
     def test_expected_t_maps_to_failure_rate(self):
         spec = SweepSpec(variable="expected_T", start=100.0, stop=200.0, step=100.0, fixed=fixed())
         rows = run_sweep(spec, with_sim=False)
         # E[T] = 200 is the standard configuration
-        assert rows[1].aoi_analytic == pytest.approx(4.504545454545454, rel=1e-12)
+        assert rows[1]["aoi_analytic"] == pytest.approx(4.504545454545454, rel=1e-12)
 
     def test_rerun_reproduces_empirical_columns(self):
         spec = SweepSpec(variable="rho", start=0.4, stop=0.6, step=0.2, fixed=fixed())
@@ -98,9 +98,9 @@ def recorded_sweep_rows():
     params = SimParams(**DEFAULTS, periods=300, master_seed=SEED)
     spec = SweepSpec(variable="threshold", start=0.0, stop=5 * step, step=step, fixed=params)
     rows = run_sweep(spec, resamples=50)
-    assert rows[2].swept_value == 2 * step
-    assert rows[-1].swept_value > DEFAULTS["r"]
-    return [(float.hex(r.aoi_ci), float.hex(r.err_ci)) for r in rows]
+    assert rows[2]["swept_value"] == 2 * step
+    assert rows[-1]["swept_value"] > DEFAULTS["r"]
+    return [(float.hex(r["aoi_ci"]), float.hex(r["err_ci"])) for r in rows]
 
 
 def test_threshold_sweep_bit_identical_to_recorded():

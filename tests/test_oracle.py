@@ -393,24 +393,24 @@ class TestCrossCheck:
         report = monte_carlo_cross_check(
             SimParams(**DEFAULTS, periods=10_000, master_seed=SEED), resamples=200
         )
-        assert report.tau == pytest.approx(TAU)
-        assert not report.degenerate
-        assert abs(report.aoi_rel_dev) < 0.05
-        assert abs(report.err_rel_dev) < 0.10
-        assert report.err_empirical_full > report.err_empirical
-        assert report.aoi_ci_halfwidth > 0
-        assert report.err_ci_halfwidth > 0
-        d = report.to_dict()
-        assert d["seed"] == SEED and d["periods"] == 10_000
+        assert report["tau"] == pytest.approx(TAU)
+        assert not report["degenerate"]
+        assert abs(report["aoi_rel_dev"]) < 0.05
+        assert abs(report["err_rel_dev"]) < 0.10
+        # the full-span rate exceeds the detection-scope one
+        assert report["err_empirical"] > report["err_detection"]
+        assert report["aoi_ci"] > 0
+        assert report["err_ci"] > 0
+        assert report["seed"] == SEED and report["periods"] == 10_000
 
     def test_custom_rule_uses_quadrature_reference(self):
         rule = DecisionRule.with_threshold(4.0, R)
         report = monte_carlo_cross_check(
             SimParams(**DEFAULTS, periods=10_000, master_seed=SEED), rule=rule, resamples=0
         )
-        assert report.err_analytic == pytest.approx(quadrature_error_rate(LAM, NU, R, 4.0), rel=1e-9)
+        assert report["err_analytic"] == pytest.approx(quadrature_error_rate(LAM, NU, R, 4.0), rel=1e-9)
         # suboptimal threshold must measure worse than the optimal one
         best = monte_carlo_cross_check(
             SimParams(**DEFAULTS, periods=10_000, master_seed=SEED), resamples=0
         )
-        assert report.err_empirical > best.err_empirical
+        assert report["err_detection"] > best["err_detection"]

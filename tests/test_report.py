@@ -1,24 +1,29 @@
-import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
 
-from agemon import ParameterError, ResultRow, SimParams, render_svg, write_csv
-from agemon.report import _format
-from conftest import CSV_HEADER, DEFAULTS, read_csv
+from agemon import ParameterError, SimParams, render_svg, write_csv
+from agemon.report import CHARTS, COLUMNS, OUTPUTS, _cells
+from conftest import CSV_COLUMNS, CSV_HEADER, DEFAULTS, read_csv
+
+
+def row(swept_var, swept_value, **values):
+    """A row with the CSV's columns, None where not given."""
+    return dict.fromkeys(CSV_COLUMNS) | dict(swept_var=swept_var, swept_value=swept_value, **values)
 
 
 def sample_rows():
     return [
-        ResultRow("rho", 0.25, aoi_analytic=5.631333, aoi_empirical=5.62011,
-                  aoi_ci=0.0123, err_analytic=0.0611, err_empirical=0.0615,
-                  err_ci=0.0007, fp_rate=0.02, fn_rate=0.0415, seed=42),
-        ResultRow("rho", 0.5, aoi_analytic=4.504545454545454, aoi_empirical=4.4809,
-                  aoi_ci=0.009, err_analytic=0.041628918211379574, err_empirical=0.046,
-                  err_ci=0.0005, fp_rate=0.012, fn_rate=0.034, seed=42),
-        ResultRow("rho", 0.75, aoi_analytic=4.3, aoi_empirical=4.29,
-                  aoi_ci=0.01, err_analytic=0.031, err_empirical=0.032,
-                  err_ci=0.0004, fp_rate=0.009, fn_rate=0.023, seed=42),
+        row("rho", 0.25, aoi_analytic=5.631333, aoi_empirical=5.62011,
+            aoi_ci=0.0123, err_analytic=0.0611, err_empirical=0.0615,
+            err_ci=0.0007, fp_rate=0.02, fn_rate=0.0415, seed=42),
+        row("rho", 0.5, aoi_analytic=4.504545454545454, aoi_empirical=4.4809,
+            aoi_ci=0.009, err_analytic=0.041628918211379574, err_empirical=0.046,
+            err_ci=0.0005, fp_rate=0.012, fn_rate=0.034, seed=42),
+        row("rho", 0.75, aoi_analytic=4.3, aoi_empirical=4.29,
+            aoi_ci=0.01, err_analytic=0.031, err_empirical=0.032,
+            err_ci=0.0004, fp_rate=0.009, fn_rate=0.023, seed=42),
     ]
 
 
@@ -47,34 +52,30 @@ class TestCsv:
     def test_numpy_scalars_written_as_python_scalars(self, tmp_path):
         rows = sample_rows()
         numpy_rows = [
-            dataclasses.replace(
-                row,
-                **{f.name: np.float64(getattr(row, f.name)) for f in dataclasses.fields(row)
-                   if isinstance(getattr(row, f.name), float)},
-                seed=np.int64(row.seed),
-            )
+            {name: np.float64(value) if isinstance(value, float) else value for name, value in row.items()}
+            | {"seed": np.int64(row["seed"])}
             for row in rows
         ]
         python_csv = write_csv(rows, tmp_path / "python.csv")
         numpy_csv = write_csv(numpy_rows, tmp_path / "numpy.csv")
         assert read_csv(numpy_csv) == rows
         assert numpy_csv.read_bytes() == python_csv.read_bytes()
-        assert [_format(v) for v in (np.bool_(True), np.bool_(False))] == ["true", "false"]
+        assert _cells([np.bool_(True), np.bool_(False)]) == ["true", "false"]
 
     def test_analytic_only_row_leaves_empirical_empty(self, tmp_path):
-        row = ResultRow("rho", 0.5, aoi_analytic=4.5045, err_analytic=0.0416)
-        path = write_csv([row], tmp_path / "out.csv")
+        analytic = row("rho", 0.5, aoi_analytic=4.5045, err_analytic=0.0416)
+        path = write_csv([analytic], tmp_path / "out.csv")
         data_line = path.read_text(encoding="utf-8").splitlines()[1]
         assert data_line == "rho,0.5,4.5045,,,0.0416,,,,,"
-        assert read_csv(path) == [row]
+        assert read_csv(path) == [analytic]
 
     def test_full_precision_survives(self, tmp_path):
         value = 0.1234567890123456789
-        row = ResultRow("threshold", value, err_analytic=1.0 / 3.0)
-        path = write_csv([row], tmp_path / "x.csv")
+        written = row("threshold", value, err_analytic=1.0 / 3.0)
+        path = write_csv([written], tmp_path / "x.csv")
         back = read_csv(path)[0]
-        assert back.swept_value == row.swept_value
-        assert back.err_analytic == row.err_analytic
+        assert back["swept_value"] == written["swept_value"]
+        assert back["err_analytic"] == written["err_analytic"]
 
     def test_row_count_matches(self, tmp_path):
         path = write_csv(sample_rows(), tmp_path / "out.csv")
@@ -123,7 +124,29 @@ class TestSvg:
 
     def test_none_points_skipped(self, tmp_path):
         rows = sample_rows()
-        rows[1].aoi_empirical = None
+        rows[1]["aoi_empirical"] = None
         path = render_svg(rows, "swept_value", ["aoi_empirical"], tmp_path / "g.svg")
         points = path.read_text(encoding="utf-8").split('points="')[1].split('"')[0]
         assert len(points.split()) == 2
+
+
+class TestSchema:
+    def test_outputs_and_charts_take_schema_columns(self):
+        for projection in OUTPUTS.values():
+            assert set(projection) <= set(COLUMNS)
+            assert len(set(projection.values())) == len(projection)
+        for x_column, y_columns in CHARTS.values():
+            assert {x_column, *y_columns} <= set(OUTPUTS["csv"])
+
+    def test_readme_table_states_the_schema(self):
+        lines = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+        start = lines.index("| column | meaning | `simulate` | CSV | `validate` | `analytic` |")
+        table = []
+        for line in lines[start + 2:]:
+            if not line.startswith("|"):
+                break
+            table.append([cell.strip().strip("`") for cell in line.strip("|").split("|")])
+        assert [cells[0] for cells in table] == list(COLUMNS)
+        for i, output in enumerate(["simulate", "csv", "validate", "analytic"], start=2):
+            assert {cells[0]: cells[i] for cells in table if cells[i]} == OUTPUTS[output], output
+        assert len(OUTPUTS) == 4

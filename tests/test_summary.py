@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 import agemon.sim as sim
 import agemon.summary
 from agemon import DecisionRule, ParameterError, SimParams, period_table, simulate, summarize
+from agemon.report import project, run_row
 from agemon.summary import _bootstrap_halfwidths, summarize_rules
 from conftest import DEFAULTS, SEED, manual_timeline
 from reference import age_pieces
 
-# float.hex of every float in summarize(...).to_dict() at 300 periods and 50
+# float.hex of every float of summarize(...) in `simulate`'s output at 300 periods and 50
 # resamples. The metric paths reproduced the earlier per-function paths bit
 # for bit; these values were recorded once more when the stream contract
 # changed to per-block streams, and the avg_r* and half-width fields again
@@ -104,11 +105,14 @@ class TestSummarize:
         with pytest.raises(ParameterError):
             summarize(small_table, resamples=10, confidence=1.5)
 
-    def test_to_dict_keys(self, summary):
-        d = summary.to_dict()
-        for key in ("aoi_time_average", "error_rate", "detection_error_rate",
-                    "avg_r1", "avg_r2", "avg_r3", "fp_rate", "fn_rate", "seed"):
-            assert key in d
+    def test_simulate_keys_pinned(self, small_table, summary):
+        d = project(run_row(small_table.params, summary, 300), "simulate")
+        assert list(d) == [
+            "aoi_time_average", "aoi_ci_halfwidth", "avg_r1", "avg_r2", "avg_r3",
+            "time_r1", "time_r2", "time_r3", "error_rate", "detection_error_rate",
+            "error_ci_halfwidth", "fp_rate", "fn_rate", "reacquisition_fp_time",
+            "measured_time", "periods", "seed", "unstable_queue",
+        ]
         # Python scalars, not numpy ones, which would print as np.float64(...)
         assert {type(v) for v in d.values()} <= {float, int, bool}
 
@@ -224,7 +228,7 @@ class TestDeliveryGroups:
 @pytest.mark.parametrize("r", sorted(GOLDEN))
 def test_summary_bit_identical_to_recorded(r):
     tl = simulate(SimParams(**{**DEFAULTS, "r": r}, periods=300, master_seed=SEED))
-    record = summarize(period_table(tl), resamples=50).to_dict()
+    record = project(run_row(tl.params, summarize(period_table(tl), resamples=50), 50), "simulate")
     floats = {key: float.hex(value) for key, value in record.items() if isinstance(value, float)}
     assert floats == GOLDEN[r]
 
