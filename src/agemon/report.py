@@ -50,8 +50,8 @@ OUTPUTS = {
         err_detection="detection_error_rate", err_ci="error_ci_halfwidth",
     ),
     "csv": _projection(
-        "swept_var swept_value aoi_analytic aoi_empirical aoi_ci err_analytic err_empirical err_ci"
-        " fp_rate fn_rate seed"
+        "swept_var swept_value aoi_analytic aoi_empirical aoi_ci err_analytic err_empirical err_detection"
+        " err_ci fp_rate fn_rate seed"
     ),
     "validate": _projection(
         "lam mu nu r periods seed tau degenerate aoi_empirical aoi_analytic aoi_rel_dev aoi_ci"
@@ -68,9 +68,9 @@ OUTPUTS = {
 # Each sweep's chart, (x column, y columns). A series with fewer than two
 # points is left out, so without a simulation only the analytic ones show.
 CHARTS = {
-    "sweep-rho": ("swept_value", ("aoi_analytic", "aoi_empirical", "err_analytic", "err_empirical")),
+    "sweep-rho": ("swept_value", ("aoi_analytic", "aoi_empirical", "err_analytic", "err_detection")),
     "sweep-expected-t": ("swept_value", ("aoi_analytic", "aoi_empirical")),
-    "sweep-threshold": ("swept_value", ("err_analytic", "err_empirical")),
+    "sweep-threshold": ("swept_value", ("err_analytic", "err_detection")),
     "tradeoff": ("aoi_empirical", ("err_empirical",)),
     "tradeoff --analytic-only": ("aoi_analytic", ("err_analytic",)),
 }

@@ -253,6 +253,7 @@ class TestSimulate:
         header, values = out_csv.read_text(encoding="utf-8").splitlines()[1:]
         cells = dict(zip(header.split(","), values.split(",")))
         same = {"aoi_empirical": "aoi_time_average", "err_empirical": "error_rate",
+                "err_detection": "detection_error_rate",
                 "aoi_ci": "aoi_ci_halfwidth", "err_ci": "error_ci_halfwidth",
                 "fp_rate": "fp_rate", "fn_rate": "fn_rate", "seed": "seed"}
         assert {column: cells[column] for column in same} == {column: printed[key] for column, key in same.items()}
@@ -297,7 +298,10 @@ class TestSweeps:
         assert all(r["swept_var"] == "threshold" for r in rows)
         # one shared simulation: the age column is constant across thresholds
         assert len({r["aoi_empirical"] for r in rows}) == 1
-        assert out_svg.exists()
+        # the same-scope rate, below the full-span one by the reacquisition false positives
+        assert all(0 < r["err_detection"] < r["err_empirical"] for r in rows)
+        svg = out_svg.read_text(encoding="utf-8")
+        assert re.findall(r'<text x="[^"]*" y="[^"]*">(\w+)</text>', svg) == ["err_analytic", "err_detection"]
 
     def test_threshold_sweep_analytic_matches_one_point_quadrature(self, capsys, tmp_path):
         # two points above the default r = 20 share the grid's outage integrals
@@ -331,6 +335,7 @@ class TestSweeps:
         rows = read_csv(out_csv)
         assert len(rows) == 4
         assert all(r["aoi_empirical"] is None and r["err_empirical"] is None for r in rows)
+        assert all(r["err_detection"] is None for r in rows)
         assert all(r["aoi_analytic"] is not None for r in rows)
 
     def test_tradeoff_default_name_in_env_dir(self, capsys, tmp_path, monkeypatch):
@@ -365,6 +370,15 @@ class TestSweeps:
         # legend entries are the only text elements without an anchor
         assert re.findall(r'<text x="[^"]*" y="[^"]*">(\w+)</text>', svg) == legend
         assert f'text-anchor="middle">{x_col}</text>' in svg
+
+    def test_rho_sweep_svg_plots_the_same_scope_error(self, capsys, tmp_path):
+        out_svg = tmp_path / "rho.svg"
+        status, _, _ = run(capsys, "sweep-rho", *FAST, "--grid", "0.3:0.5:0.2",
+                           "--out", str(tmp_path / "rho.csv"), "--svg", str(out_svg))
+        assert status == 0
+        svg = out_svg.read_text(encoding="utf-8")
+        legend = re.findall(r'<text x="[^"]*" y="[^"]*">(\w+)</text>', svg)
+        assert legend == ["aoi_analytic", "aoi_empirical", "err_analytic", "err_detection"]
 
     @pytest.mark.parametrize("command,grid", [("sweep-rho", "0.3:0.5:0.2"),
                                               ("sweep-expected-t", "100:200:100")])

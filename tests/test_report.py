@@ -16,13 +16,13 @@ def row(swept_var, swept_value, **values):
 def sample_rows():
     return [
         row("rho", 0.25, aoi_analytic=5.631333, aoi_empirical=5.62011,
-            aoi_ci=0.0123, err_analytic=0.0611, err_empirical=0.0615,
+            aoi_ci=0.0123, err_analytic=0.0611, err_empirical=0.0615, err_detection=0.0581,
             err_ci=0.0007, fp_rate=0.02, fn_rate=0.0415, seed=42),
         row("rho", 0.5, aoi_analytic=4.504545454545454, aoi_empirical=4.4809,
-            aoi_ci=0.009, err_analytic=0.041628918211379574, err_empirical=0.046,
+            aoi_ci=0.009, err_analytic=0.041628918211379574, err_empirical=0.046, err_detection=0.0419,
             err_ci=0.0005, fp_rate=0.012, fn_rate=0.034, seed=42),
         row("rho", 0.75, aoi_analytic=4.3, aoi_empirical=4.29,
-            aoi_ci=0.01, err_analytic=0.031, err_empirical=0.032,
+            aoi_ci=0.01, err_analytic=0.031, err_empirical=0.032, err_detection=0.0297,
             err_ci=0.0004, fp_rate=0.009, fn_rate=0.023, seed=42),
     ]
 
@@ -30,7 +30,7 @@ def sample_rows():
 class TestCsv:
     def test_header_is_pinned(self, tmp_path):
         assert CSV_HEADER == ("swept_var,swept_value,aoi_analytic,aoi_empirical,"
-                              "aoi_ci,err_analytic,err_empirical,err_ci,fp_rate,fn_rate,seed")
+                              "aoi_ci,err_analytic,err_empirical,err_detection,err_ci,fp_rate,fn_rate,seed")
         path = write_csv(sample_rows(), tmp_path / "out.csv")
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == CSV_HEADER
@@ -66,7 +66,7 @@ class TestCsv:
         analytic = row("rho", 0.5, aoi_analytic=4.5045, err_analytic=0.0416)
         path = write_csv([analytic], tmp_path / "out.csv")
         data_line = path.read_text(encoding="utf-8").splitlines()[1]
-        assert data_line == "rho,0.5,4.5045,,,0.0416,,,,,"
+        assert data_line == "rho,0.5,4.5045,,,0.0416,,,,,,"
         assert read_csv(path) == [analytic]
 
     def test_full_precision_survives(self, tmp_path):
