@@ -27,8 +27,8 @@ from .sim import STREAM_CONTRACT, SimParams
 from .summary import MetricsSummary
 
 COLUMNS = (
-    "swept_var", "swept_value", "lam", "mu", "nu", "r", "periods", "seed", "unstable_queue",
-    "measured_time", "tau", "degenerate",
+    "swept_var", "swept_value", "lam", "mu", "nu", "r", "periods", "seed", "require_delivery",
+    "unstable_queue", "measured_time", "tau", "degenerate",
     "aoi_analytic", "aoi_mm1", "aoi_empirical", "aoi_ci", "aoi_rel_dev",
     "avg_r1", "avg_r2", "avg_r3", "time_r1", "time_r2", "time_r3",
     "err_analytic", "prior_s1", "err_empirical", "err_detection", "err_ci", "err_rel_dev",
@@ -54,7 +54,7 @@ OUTPUTS = {
         " err_ci fp_rate fn_rate seed"
     ),
     "validate": _projection(
-        "lam mu nu r periods seed tau degenerate aoi_empirical aoi_analytic aoi_rel_dev aoi_ci"
+        "lam mu nu r periods seed require_delivery tau degenerate aoi_empirical aoi_analytic aoi_rel_dev aoi_ci"
         " err_detection err_empirical err_analytic err_rel_dev err_ci fp_rate fn_rate",
         aoi_ci="aoi_ci_halfwidth", err_detection="err_empirical", err_empirical="err_empirical_full",
         err_ci="err_ci_halfwidth",
@@ -83,7 +83,8 @@ def run_row(params: SimParams, summary: Optional[MetricsSummary] = None, resampl
     a summary; its half-widths None unless a bootstrap ran, resamples > 0),
     then `columns`: the closed forms, the rule, the swept point. Every other
     column is None."""
-    row = {**_NO_VALUES, "lam": params.lam, "mu": params.mu, "nu": params.nu, "r": params.r}
+    row = {**_NO_VALUES, "lam": params.lam, "mu": params.mu, "nu": params.nu, "r": params.r,
+           "require_delivery": params.require_delivery}
     if summary is not None:
         regions, error = summary.regions, summary.error
         row.update(

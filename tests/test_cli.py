@@ -411,15 +411,26 @@ class TestValidate:
         assert status == 0
         data = json.loads(out.read_text(encoding="utf-8"))
         assert list(data) == [
-            "lam", "mu", "nu", "r", "periods", "seed", "tau", "degenerate",
+            "lam", "mu", "nu", "r", "periods", "seed", "require_delivery", "tau", "degenerate",
             "aoi_empirical", "aoi_analytic", "aoi_rel_dev", "aoi_ci_halfwidth",
             "err_empirical", "err_empirical_full", "err_analytic", "err_rel_dev",
             "err_ci_halfwidth", "fp_rate", "fn_rate",
         ]
         assert data["periods"] == 10000
+        assert data["require_delivery"] is False
         assert abs(data["aoi_rel_dev"]) < 0.10
         printed = json.loads(stdout.split("wrote")[0])
         assert printed == data
+
+    def test_conditioned_run_says_so(self, capsys, tmp_path):
+        # compared with the unconditioned closed forms, so the report flags it
+        out = tmp_path / "report.json"
+        status, stdout, _ = run(capsys, "validate", "--periods", "10000", "--resamples", "0",
+                                "--enforce-assumption3", "--out", str(out))
+        assert status == 0
+        data = json.loads(out.read_text(encoding="utf-8"))
+        assert data["require_delivery"] is True
+        assert json.loads(stdout.split("wrote")[0]) == data
 
     def test_without_resamples_json_is_strict(self, capsys, tmp_path):
         # no bootstrap: the half-widths are missing, written as null, not NaN

@@ -135,6 +135,8 @@ class TestSchema:
         for projection in OUTPUTS.values():
             assert set(projection) <= set(COLUMNS)
             assert len(set(projection.values())) == len(projection)
+        # and every column is published
+        assert set(COLUMNS) == {name for projection in OUTPUTS.values() for name in projection}
         for x_column, y_columns in CHARTS.values():
             assert {x_column, *y_columns} <= set(OUTPUTS["csv"])
 
