@@ -75,7 +75,7 @@ CHARTS = {
     "tradeoff --analytic-only": ("aoi_analytic", ("err_analytic",)),
 }
 
-_NO_VALUES = dict.fromkeys(COLUMNS)
+_EMPTY_ROW = dict.fromkeys(COLUMNS)
 
 
 def run_row(params: SimParams, summary: Optional[MetricsSummary] = None, resamples: int = 0, **columns) -> dict:
@@ -83,7 +83,7 @@ def run_row(params: SimParams, summary: Optional[MetricsSummary] = None, resampl
     a summary; its half-widths None unless a bootstrap ran, resamples > 0),
     then `columns`: the closed forms, the rule, the swept point. Every other
     column is None."""
-    row = {**_NO_VALUES, "lam": params.lam, "mu": params.mu, "nu": params.nu, "r": params.r,
+    row = {**_EMPTY_ROW, "lam": params.lam, "mu": params.mu, "nu": params.nu, "r": params.r,
            "require_delivery": params.require_delivery}
     if summary is not None:
         regions, error = summary.regions, summary.error
@@ -121,7 +121,8 @@ def json_text(record: dict) -> str:
     return json.dumps(clean, indent=2, allow_nan=False)
 
 
-# a column of only these types is formatted by str alone
+# a column of only these types, as every column the commands write, is
+# formatted by str alone
 _PLAIN_TYPES = {type(None), float, int, str}
 
 

@@ -141,7 +141,9 @@ class TestSchema:
             assert {x_column, *y_columns} <= set(OUTPUTS["csv"])
 
     def test_readme_table_states_the_schema(self):
-        lines = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+        text = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        assert f"\n```\n{CSV_HEADER}\n```\n" in text
+        lines = text.splitlines()
         start = lines.index("| column | meaning | `simulate` | CSV | `validate` | `analytic` |")
         table = []
         for line in lines[start + 2:]:
