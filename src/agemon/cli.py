@@ -142,7 +142,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     params.require_stable_queue()
     summary = summarize(period_table(simulate(params)), resamples=args.resamples)
     row = run_row(
-        params, summary, args.resamples, swept_var="rho", swept_value=params.rho,
+        params, summary, swept_var="rho", swept_value=params.rho,
         aoi_analytic=mean_aoi_closed_form(params.lam, params.mu, params.nu, params.r),
         err_analytic=error_rate_closed_form(params.lam, params.nu, params.r),
     )

@@ -71,7 +71,7 @@ def _point_row(params: SimParams, var: str, value: float, with_sim: bool, resamp
         err_analytic=error_rate_closed_form(params.lam, params.nu, params.r),
     )
     summary = summarize(period_table(simulate(params)), resamples=resamples) if with_sim else None
-    return run_row(params, summary, resamples, swept_var=var, swept_value=float(value), **closed)
+    return run_row(params, summary, swept_var=var, swept_value=float(value), **closed)
 
 
 def run_sweep(spec: SweepSpec, with_sim: bool = True, resamples: int = 1000) -> list[dict]:
@@ -106,7 +106,7 @@ def _threshold_sweep(spec: SweepSpec, with_sim: bool, resamples: int) -> list[di
         rules = [DecisionRule.with_threshold(value, params.r) for value in grid]
         summaries = summarize_rules(period_table(simulate(params)), rules, resamples=resamples)
     return [
-        run_row(params, summary, resamples, swept_var="threshold", swept_value=value,
+        run_row(params, summary, swept_var="threshold", swept_value=value,
                 aoi_analytic=aoi_analytic, err_analytic=err)
         for value, err, summary in zip(grid, errs, summaries)
     ]

@@ -257,7 +257,7 @@ def monte_carlo_cross_check(
         else quadrature_error_rate(params.lam, params.nu, params.r, rule.tau)
     )
     return run_row(
-        params, summary, resamples, tau=rule.tau, degenerate=rule.degenerate,
+        params, summary, tau=rule.tau, degenerate=rule.degenerate,
         aoi_analytic=aoi_analytic, aoi_rel_dev=summary.aoi_time_average / aoi_analytic - 1.0,
         err_analytic=err_analytic, err_rel_dev=summary.error.detection_error_rate / err_analytic - 1.0,
     )

@@ -78,11 +78,10 @@ CHARTS = {
 _EMPTY_ROW = dict.fromkeys(COLUMNS)
 
 
-def run_row(params: SimParams, summary: Optional[MetricsSummary] = None, resamples: int = 0, **columns) -> dict:
+def run_row(params: SimParams, summary: Optional[MetricsSummary] = None, **columns) -> dict:
     """One run's row: the params' columns, then the summary's (None without
-    a summary; its half-widths None unless a bootstrap ran, resamples > 0),
-    then `columns`: the closed forms, the rule, the swept point. Every other
-    column is None."""
+    a summary), then `columns`: the closed forms, the rule, the swept point.
+    Every other column is None."""
     row = {**_EMPTY_ROW, "lam": params.lam, "mu": params.mu, "nu": params.nu, "r": params.r,
            "require_delivery": params.require_delivery}
     if summary is not None:
@@ -94,10 +93,11 @@ def run_row(params: SimParams, summary: Optional[MetricsSummary] = None, resampl
             time_r1=regions.time_r1, time_r2=regions.time_r2, time_r3=regions.time_r3,
             err_empirical=error.error_rate, err_detection=error.detection_error_rate,
             fp_rate=error.fp_rate, fn_rate=error.fn_rate, reacquisition_fp_time=error.reacquisition_fp_time,
+            aoi_ci=summary.aoi_ci_halfwidth, err_ci=summary.error_ci_halfwidth,
         )
-        if resamples > 0:
-            row.update(aoi_ci=summary.aoi_ci_halfwidth, err_ci=summary.error_ci_halfwidth)
     row.update(columns)
+    if len(row) > len(_EMPTY_ROW):
+        raise ParameterError(f"unknown columns {sorted(row.keys() - _EMPTY_ROW.keys())}")
     return row
 
 
@@ -121,19 +121,15 @@ def json_text(record: dict) -> str:
     return json.dumps(clean, indent=2, allow_nan=False)
 
 
-# a column of only these types, as every column the commands write, is
-# formatted by str alone
-_PLAIN_TYPES = {type(None), float, int, str}
-
-
 def _cells(values) -> list[str]:
     """A column's CSV cells: empty for None, true/false for a boolean, and
     otherwise str of the Python scalar (a float's shortest round-tripping
     decimal); numpy 2 would repr its scalars as np.float64(...)."""
-    if not set(map(type, values)) <= _PLAIN_TYPES:
-        values = [v.item() if isinstance(v, np.generic) else v for v in values]
-        return ["" if v is None else ("true" if v else "false") if isinstance(v, bool) else str(v) for v in values]
-    return ["" if v is None else str(v) for v in values]
+    return [
+        "" if v is None else "true" if v is True or v is np.True_ else "false" if v is False or v is np.False_
+        else str(v.item() if isinstance(v, np.generic) else v)
+        for v in values
+    ]
 
 
 def _params_comment(params: SimParams) -> str:

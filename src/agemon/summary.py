@@ -233,8 +233,8 @@ class MetricsSummary:
     aoi_time_average: float
     regions: RegionAverages
     error: ErrorBreakdown
-    aoi_ci_halfwidth: float
-    error_ci_halfwidth: float
+    aoi_ci_halfwidth: float | None  # None when the bootstrap was skipped
+    error_ci_halfwidth: float | None
     measured_time: float
     periods: int
     seed: int
@@ -304,7 +304,7 @@ def summarize(
     """Empirical metrics plus bootstrap half-widths at the given confidence.
 
     The rule defaults to the optimal threshold for the run's own
-    parameters. resamples=0 skips the bootstrap (half-widths become NaN);
+    parameters. resamples=0 skips the bootstrap (half-widths become None);
     a count outside [0, MAX_RESAMPLES] is an error.
     The bootstrap stream is derived from the master seed, so summaries are
     reproducible.
@@ -332,8 +332,8 @@ def summarize_rules(
         raise ParameterError("confidence must be in (0, 1)")
     check_resamples(resamples)
     params = table.params
-    aoi_hw, errors = float("nan"), []
-    err_hws = [float("nan")] * len(rules)
+    aoi_hw, errors = None, []
+    err_hws = [None] * len(rules)
     for start in range(0, len(rules), RULES_PER_PASS):
         chunk = rules[start:start + RULES_PER_PASS]
         numerators = np.empty((len(chunk) + 1, table.lengths.size))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from agemon import ParameterError, SimParams, render_svg, write_csv
-from agemon.report import CHARTS, COLUMNS, OUTPUTS, _cells
+from agemon.report import CHARTS, COLUMNS, OUTPUTS, _cells, run_row
 from conftest import CSV_COLUMNS, CSV_HEADER, DEFAULTS, read_csv
 
 
@@ -61,6 +61,10 @@ class TestCsv:
         assert read_csv(numpy_csv) == rows
         assert numpy_csv.read_bytes() == python_csv.read_bytes()
         assert _cells([np.bool_(True), np.bool_(False)]) == ["true", "false"]
+
+    def test_skipped_bootstrap_empty_and_nan_halfwidth_written(self):
+        # None (no bootstrap) is an empty cell; a bootstrap's NaN reads nan
+        assert _cells([None, float("nan"), 0.5]) == ["", "nan", "0.5"]
 
     def test_analytic_only_row_leaves_empirical_empty(self, tmp_path):
         analytic = row("rho", 0.5, aoi_analytic=4.5045, err_analytic=0.0416)
@@ -154,3 +158,7 @@ class TestSchema:
         for i, output in enumerate(["simulate", "csv", "validate", "analytic"], start=2):
             assert {cells[0]: cells[i] for cells in table if cells[i]} == OUTPUTS[output], output
         assert len(OUTPUTS) == 4
+
+    def test_run_row_rejects_unknown_column(self):
+        with pytest.raises(ParameterError, match="err_anlytic"):
+            run_row(SimParams(**DEFAULTS, periods=10, master_seed=1), err_anlytic=0.04)
