@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -446,6 +447,28 @@ class TestValidate:
         assert data["aoi_ci_halfwidth"] is None
         assert data["err_ci_halfwidth"] is None
         assert isinstance(data["aoi_empirical"], float)
+
+
+class TestBytePins:
+    # sha256 of whole outputs at the pinned seed, so a change to how runs
+    # are queued or summed is shown to keep every byte: simulate at the
+    # dense regime (rho = 0.9, E[T] = 2000, ~1800 packets per period, few
+    # long ragged periods) and a threshold sweep's CSV at the defaults
+    # (~100 packets per period, many periods queued side by side)
+    def test_dense_simulate_stdout(self, capsys):
+        status, out, _ = run(capsys, "simulate", "--lambda", "0.9", "--nu", "0.0005",
+                             "--periods", "200", "--resamples", "100", "--seed", "20260810")
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "06ca514b485a75906ed6e07069ecb97ab7be2ae7f2bba1af6535368e67a9329e")
+
+    def test_threshold_sweep_csv(self, capsys, tmp_path):
+        out_csv = tmp_path / "thr.csv"
+        status, _, _ = run(capsys, "sweep-threshold", *FAST, "--grid", "4:14:2",
+                           "--seed", "20260810", "--out", str(out_csv))
+        assert status == 0
+        assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == (
+            "00b22ad3eea6aec6321e6774a48a99cd9d482de9c21a6daef3c6a9a0d6e04eb5")
 
 
 def test_importing_the_cli_leaves_scipy_unimported():
