@@ -22,6 +22,7 @@ after the one before it) and checks that `simulate` reproduces it bit for bit.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,10 +58,15 @@ PERIODS_PER_BLOCK = 4096
 STREAM_CONTRACT = 3
 
 # Periods still queueing below which `_lindley_lockstep` stops its numpy
-# steps: one costs ~2.5-5 us however many periods it updates, a Python
-# float step ~0.08 us per packet. Not part of the contract: any value gives
-# the same arrivals.
-_LOCKSTEP_MIN_PERIODS = 32
+# steps: inside a block one costs ~1 us (two ufunc calls) however many
+# periods it updates, a Python float step ~0.15 us per packet. Not part of
+# the contract: any value gives the same arrivals.
+_LOCKSTEP_MIN_PERIODS = 8
+
+# Cells (steps x periods) of one lockstep block: bounds its index,
+# departure and service buffers to 8 * _BLOCK_CELLS bytes each. Not part of
+# the contract either.
+_BLOCK_CELLS = 2**14
 
 # The kinds of draw k of a block's streams spawn_key=(block, k)
 _CLOCKS, _FIRST_SERVICES, _GAPS, _REFILLS, _SERVICES = range(5)
@@ -122,26 +128,61 @@ def _lindley_lockstep(departures: np.ndarray, services: np.ndarray, counts: np.n
 
     `departures` and `services` hold the periods' packets back to back,
     `counts` the packets per period. Step k applies a_k = max(d_k, a_{k-1})
-    + s_k to every period with more than k packets, as one numpy step while
-    at least _LOCKSTEP_MIN_PERIODS periods have a k-th packet. The fewer
-    periods left then finish one after another on Python floats, with the
-    same IEEE max and add, so each period gets exactly the floating-point
-    operations of its own serial recursion either way.
+    + s_k to every period with more than k packets, while at least
+    _LOCKSTEP_MIN_PERIODS periods have a k-th packet. The periods, longest
+    first, are stepped in blocks: a block starting at step k with m periods
+    gathers their next b steps' departures and services into (b, m) arrays
+    (one call each), runs two in-place ufunc calls per step and scatters
+    the b * m arrivals back (one call). b is at most _BLOCK_CELLS // m, and
+    the block ends early once a quarter of its m periods have run out of
+    packets. A period's steps past its end in a block use index -1: they
+    read its inputs' last packet and write a spare slot past the end of the
+    arrivals, so they cost cells but change nothing. The fewer periods left
+    then finish one after another on Python floats. Every packet gets the
+    same IEEE max and add, in its period's own order, as one period's
+    serial recursion, whatever the blocks or the cutoff.
     """
-    order = np.argsort(-counts, kind="stable")
+    # any order of equal counts gives the same arrivals, so the sort need not be stable
+    order = np.argsort(-counts)
     heads = (np.cumsum(counts) - counts)[order]
     longest = counts[order]
     # active[k]: periods with more than k packets (a prefix of `order`)
     active = np.searchsorted(-longest, -np.arange(longest[0]), side="left")
     steps = int(np.searchsorted(-active, -_LOCKSTEP_MIN_PERIODS, side="right"))
-    arrivals = np.empty_like(departures)
+    # one block's indices, departures and services, reused block after
+    # block. Allocated before `arrivals`: allocated after it, their release
+    # left the heap split, and repeated dense runs in one process peaked
+    # 15 MB higher than the first.
+    size = max(_BLOCK_CELLS, counts.size) if steps else 0
+    index_buffer, d_buffer, s_buffer = np.empty(size, dtype=np.int64), np.empty(size), np.empty(size)
+    arrivals = np.empty(departures.size + 1)
     last = np.full(counts.size, -np.inf)
-    for k, m in enumerate(active[:steps].tolist()):
-        idx = heads[:m] + k
-        current = np.maximum(departures[idx], last[:m])
-        current += services[idx]
+    falling = (-active[:steps]).tolist()
+    ends = heads + longest
+    k = 0
+    while k < steps:
+        m = -falling[k]
+        stop = min(k + max(1, _BLOCK_CELLS // m), bisect_left(falling, -(3 * m // 4), k + 1))
+        b = stop - k
+        idx = index_buffer[:b * m].reshape(b, m)
+        np.add(np.arange(k, stop)[:, None], heads[:m], out=idx)
+        # periods [full, m) run out within the block
+        full = -falling[stop - 1]
+        if full < m:
+            ended = idx[:, full:]
+            np.copyto(ended, -1, where=ended >= ends[full:m])
+        # "wrap" reads index -1 as plain indexing does; "raise" would copy
+        # each gather through a temporary before filling its buffer
+        d = departures.take(idx, out=d_buffer[:b * m].reshape(b, m), mode="wrap")
+        s = services.take(idx, out=s_buffer[:b * m].reshape(b, m), mode="wrap")
+        current = last[:m]
+        for d_k, s_k in zip(d, s):
+            np.maximum(d_k, current, out=d_k)
+            current = np.add(d_k, s_k, out=s_k)
         last[:m] = current
-        arrivals[idx] = current
+        arrivals[idx] = s
+        k = stop
+    arrivals = arrivals[:-1]
     tail = int(active[steps]) if steps < active.size else 0
     for head, count, a in zip(heads[:tail].tolist(), longest[:tail].tolist(), last[:tail].tolist()):
         lo, hi = head + steps, head + count

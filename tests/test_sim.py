@@ -108,6 +108,68 @@ class TestLindley:
         for p, got in enumerate(np.split(arrivals, np.cumsum(counts)[:-1])):
             assert np.array_equal(got, event_driven_arrivals(d[p], s[p])), p
 
+    @staticmethod
+    def assert_lockstep_is_serial(counts, seed):
+        rng = np.random.default_rng(seed)
+        d = [np.cumsum(rng.exponential(2.0, size=c)) for c in counts]
+        s = [rng.exponential(1.0, size=c) for c in counts]
+        arrivals = sim._lindley_lockstep(np.concatenate(d), np.concatenate(s), np.asarray(counts))
+        assert arrivals.size == sum(counts)
+        for p, got in enumerate(np.split(arrivals, np.cumsum(counts)[:-1])):
+            assert np.array_equal(got, event_driven_arrivals(d[p], s[p])), p
+
+    # block cells 1 steps once per block; 10**9 makes each block as long as
+    # the quarter rule and the numpy steps allow
+    @pytest.mark.parametrize("cells", [1, 10**9])
+    @pytest.mark.parametrize("cutoff", [None, 1, 10**6])
+    def test_ragged_periods_in_blocks_of_any_size(self, monkeypatch, cutoff, cells):
+        counts = np.random.default_rng(8).integers(1, 300, size=96)
+        if cutoff is not None:
+            monkeypatch.setattr(sim, "_LOCKSTEP_MIN_PERIODS", cutoff)
+        monkeypatch.setattr(sim, "_BLOCK_CELLS", cells)
+        self.assert_lockstep_is_serial(counts.tolist(), seed=9)
+
+    MIN = sim._LOCKSTEP_MIN_PERIODS
+    SHAPES = {
+        # no period runs out early, so every block runs to its cell cap
+        "equal": [40] * 64,
+        # the last period in storage runs out first: its steps past its end
+        # would index past the end of the arrays
+        "shortest-last": [60] * 40 + [3],
+        "one-packet": [1] * 100,
+        # the numpy steps end with exactly the cutoff's periods still queueing
+        "cutoff-exactly": [12] * 20 + [30] * MIN,
+        # one period fewer: those go to the serial tail instead
+        "cutoff-minus-one": [12] * 20 + [30] * (MIN - 1),
+    }
+
+    @pytest.mark.parametrize("cells", [None, 1, 10**9])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_lockstep_edge_shapes(self, monkeypatch, shape, cells):
+        if cells is not None:
+            monkeypatch.setattr(sim, "_BLOCK_CELLS", cells)
+        self.assert_lockstep_is_serial(self.SHAPES[shape], seed=10)
+
+    def test_lockstep_memory_is_one_block(self):
+        # 4096 periods of equal length make the widest blocks. Beyond its
+        # inputs and output the lockstep holds per-period arrays and one
+        # block's buffers (index, departures, services, 8 * _BLOCK_CELLS
+        # bytes each), never a copy of the run's 409600 packets (3.3 MB).
+        periods, length = 4096, 100
+        rng = np.random.default_rng(11)
+        departures = np.cumsum(rng.exponential(2.0, size=(periods, length)), axis=1).ravel()
+        services = rng.exponential(1.0, size=periods * length)
+        counts = np.full(periods, length)
+        sim._lindley_lockstep(departures[:16 * length], services[:16 * length], counts[:16])
+        tracemalloc.start()
+        try:
+            arrivals = sim._lindley_lockstep(departures, services, counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = arrivals.nbytes + 8  # and the spare slot
+        assert peak - output < 4 * 8 * sim._BLOCK_CELLS + 16 * 8 * periods
+
     def test_mismatched_lengths(self):
         with pytest.raises(ParameterError):
             lindley_arrival_times(np.zeros(3), np.zeros(2))
