@@ -263,12 +263,15 @@ def _bootstrap_halfwidths(seed: int, numerators, lengths, resamples: int, confid
     """Half-widths of the ratios numerators[i].sum() / lengths.sum() over
     period resamples. Every call replays the same index stream, so a row's
     half-width does not depend on which rows are stacked with it. Resamples
-    are gathered in batches; the batch size changes no bit."""
+    are gathered in batches; the batch size changes no bit. A resample of
+    only zero-length periods (before the first delivery) has no ratio, so
+    any such draw raises EmptyTimelineError."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=BOOTSTRAP_KEY))
     k, n = numerators.shape
     cols = np.ascontiguousarray(numerators.T)
     batch = max(-(-_BOOTSTRAP_MIN_SUMS // k), _BOOTSTRAP_CELLS // (n * k))
     stats = np.empty((resamples, k))
+    empty = 0
     for start in range(0, resamples, batch):
         # each index takes the generator's next 32-bit draw, so one (B, n)
         # call draws what B calls of n indices would
@@ -280,7 +283,15 @@ def _bootstrap_halfwidths(seed: int, numerators, lengths, resamples: int, confid
         # would be summed pairwise). Each denominator row is contiguous, so
         # it keeps numpy's pairwise sum of one resample's lengths.
         totals = np.take(cols, idx.T, axis=0).sum(axis=0)
-        stats[start:start + idx.shape[0]] = totals / np.take(lengths, idx).sum(axis=1)[:, None]
+        spans = np.take(lengths, idx).sum(axis=1)
+        empty += int(np.count_nonzero(spans == 0.0))
+        if not empty:
+            stats[start:start + idx.shape[0]] = totals / spans[:, None]
+    if empty:
+        raise EmptyTimelineError(
+            f"{empty} of {resamples} bootstrap resamples drew only periods with no measured time "
+            f"(before the first delivery); more periods are needed for a half-width"
+        )
     tail = 100.0 * (1.0 - confidence) / 2.0
     lo, hi = np.percentile(stats, [tail, 100.0 - tail], axis=0)
     return (hi - lo) / 2.0

@@ -5,6 +5,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -268,6 +269,24 @@ class TestSimulate:
         [row] = read_csv(out_csv)
         assert row["err_empirical"] == 0.0 and row["err_analytic"] == 0.0
         assert row["aoi_analytic"] is not None
+
+    def test_resamples_of_empty_periods_fail_with_a_count(self, capsys):
+        # Two periods at nu = 0.5: a resample that draws only the period
+        # before the first delivery has no measured time. At seed 1, 11 of
+        # 50 do, which once printed nan half-widths with a RuntimeWarning.
+        argv = ["simulate", "--periods", "2", "--nu", "0.5", "--recovery", "1", "--resamples", "50"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, out, err = run(capsys, *argv, "--seed", "1")
+        assert status == 1 and out == ""
+        assert err == ("error: 11 of 50 bootstrap resamples drew only periods with no measured time "
+                       "(before the first delivery); more periods are needed for a half-width\n")
+        # at seed 2 every resample has some time: the half-widths keep their bits
+        status, out, _ = run(capsys, *argv, "--seed", "2")
+        assert status == 0
+        printed = dict(line.split(" = ") for line in out.splitlines())
+        assert printed["aoi_ci_halfwidth"] == "1.4404563771523091"
+        assert printed["error_ci_halfwidth"] == "0.23359510193342148"
 
     def test_seed_flag_changes_result(self, capsys, tmp_path):
         a = tmp_path / "a.csv"
