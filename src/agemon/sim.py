@@ -63,9 +63,9 @@ STREAM_CONTRACT = 3
 # the contract: any value gives the same arrivals.
 _LOCKSTEP_MIN_PERIODS = 8
 
-# Cells (steps x periods) of one lockstep block: bounds its index,
-# departure and service buffers to 8 * _BLOCK_CELLS bytes each. Not part of
-# the contract either.
+# Cells (steps x periods) of one `_lindley_lockstep` block: its index,
+# departure and service buffers take 8 * _BLOCK_CELLS bytes each (8 bytes
+# per period if there are more periods). Not part of the contract either.
 _BLOCK_CELLS = 2**14
 
 # The kinds of draw k of a block's streams spawn_key=(block, k)
@@ -133,13 +133,13 @@ def _lindley_lockstep(departures: np.ndarray, services: np.ndarray, counts: np.n
     first, are stepped in blocks: a block starting at step k with m periods
     gathers their next b steps' departures and services into (b, m) arrays
     (one call each), runs two in-place ufunc calls per step and scatters
-    the b * m arrivals back (one call). b is at most _BLOCK_CELLS // m, and
-    the block ends early once a quarter of its m periods have run out of
-    packets. A period's steps past its end in a block use index -1: they
-    read its inputs' last packet and write a spare slot past the end of the
-    arrivals, so they cost cells but change nothing. The fewer periods left
-    then finish one after another on Python floats. Every packet gets the
-    same IEEE max and add, in its period's own order, as one period's
+    the b * m arrivals back (one call). b is at most max(1, _BLOCK_CELLS //
+    m), and the block ends early once a quarter of its m periods have run
+    out of packets. A period's steps past its end in a block use index -1:
+    they read the inputs' last packet and write a spare slot past the end of
+    the arrivals, so they cost cells but change nothing. The fewer periods
+    left then finish one after another on Python floats. Every packet gets
+    the same IEEE max and add, in its period's own order, as one period's
     serial recursion, whatever the blocks or the cutoff.
     """
     # any order of equal counts gives the same arrivals, so the sort need not be stable

@@ -6,10 +6,12 @@ in plain scalar code, from its block's streams
 SeedSequence(master_seed, spawn_key=(block, k)), builds it as one
 `PeriodTrace` object and lays the traces end to end; tests require the two
 to agree bit for bit. It queues each period alone through the library's
-`_lindley_lockstep`, which solves a single period on its serial Python-float
-path, while `simulate` queues up to a block of periods at once and takes mostly
-the numpy steps. So besides the stream contract, the blocking and the
-flattening, the comparison checks the lockstep arithmetic independently.
+`_lindley_lockstep`: one period is below the lockstep's cutoff of
+`_LOCKSTEP_MIN_PERIODS`, so it is solved on the serial Python-float path.
+`simulate` queues a run of up to PERIODS_PER_BLOCK periods at once and takes
+mostly the numpy steps, in blocks that gather (steps, periods) cells at a
+time. So besides the stream contract, the blocking and the flattening, the
+comparison checks the lockstep arithmetic independently.
 
 `estimated_state_trajectory` builds the detector's estimated state as
 explicit intervals, the oracle behind the interval-walk checks of
