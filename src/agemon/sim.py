@@ -128,21 +128,20 @@ def _lindley_lockstep(departures: np.ndarray, services: np.ndarray, counts: np.n
 
     `departures` and `services` hold the periods' packets back to back,
     `counts` the packets per period. Step k applies a_k = max(d_k, a_{k-1})
-    + s_k to every period with more than k packets, while at least
-    _LOCKSTEP_MIN_PERIODS periods have a k-th packet. The periods, longest
-    first, are stepped in blocks: a block starting at step k with m periods
-    gathers their next b steps' departures and services into (b, m) arrays
-    (one call each), runs two in-place ufunc calls per step and scatters
-    the b * m arrivals back (one call). b is at most max(1, _BLOCK_CELLS //
-    m), and the block ends early once a quarter of its m periods have run
-    out of packets. A period's steps past its end in a block use index -1:
-    they read the inputs' last packet and write a spare slot past the end of
-    the arrivals, so they cost cells but change nothing. The fewer periods
-    left then finish one after another on Python floats. Every packet gets
-    the same IEEE max and add, in its period's own order, as one period's
-    serial recursion, whatever the blocks or the cutoff.
+    + s_k to every period with more than k packets. While at least
+    _LOCKSTEP_MIN_PERIODS periods have a k-th packet, the steps run in numpy
+    blocks: the m periods still queueing, longest first, gather their next b
+    steps into (b, m) arrays, take two in-place ufunc calls per step and
+    scatter the arrivals back. A block has at most max(1, _BLOCK_CELLS // m)
+    steps and ends once a quarter of its periods have run out; a period's
+    steps past its end use index -1, which reads the inputs' last packet and
+    writes a spare slot past the end of the arrivals. The fewer periods left
+    then finish one after another on Python floats. Every packet gets the
+    same IEEE max and add, in its period's own order, as one period's serial
+    recursion, whatever the blocks or the cutoff.
     """
-    # any order of equal counts gives the same arrivals, so the sort need not be stable
+    # any order of equal counts gives the same arrivals, so the sort need not
+    # be stable (a stable one took 3.7x as long on 4096 periods)
     order = np.argsort(-counts)
     heads = (np.cumsum(counts) - counts)[order]
     longest = counts[order]

@@ -272,8 +272,8 @@ class TestSimulate:
 
     def test_resamples_of_empty_periods_fail_with_a_count(self, capsys):
         # Two periods at nu = 0.5: a resample that draws only the period
-        # before the first delivery has no measured time. At seed 1, 11 of
-        # 50 do, which once printed nan half-widths with a RuntimeWarning.
+        # before the first delivery has no measured time, and at seed 1, 11
+        # of 50 do. Warnings are errors here, so a 0/0 division would fail.
         argv = ["simulate", "--periods", "2", "--nu", "0.5", "--recovery", "1", "--resamples", "50"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
