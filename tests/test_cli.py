@@ -489,6 +489,35 @@ class TestBytePins:
         assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == (
             "00b22ad3eea6aec6321e6774a48a99cd9d482de9c21a6daef3c6a9a0d6e04eb5")
 
+    # every other way a run becomes rows: the cross-check report, a sweep
+    # with one simulation per point and its chart, and a threshold grid's
+    # closed forms alone (spanning r, so all three quadrature chains)
+    def test_validate_json(self, capsys, tmp_path):
+        out = tmp_path / "report.json"
+        status, _, _ = run(capsys, "validate", "--periods", "10000", "--resamples", "100",
+                           "--seed", "20260810", "--out", str(out))
+        assert status == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "0ef542aacdd91608f64b6c9120e0be8eea59b50aeb77ccf5478406e42a7c3f18")
+
+    def test_rho_sweep_csv_and_svg(self, capsys, tmp_path):
+        out_csv, out_svg = tmp_path / "rho.csv", tmp_path / "rho.svg"
+        status, _, _ = run(capsys, "sweep-rho", *FAST, "--grid", "0.2:0.8:0.2", "--seed", "20260810",
+                           "--out", str(out_csv), "--svg", str(out_svg))
+        assert status == 0
+        assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == (
+            "4483470cde67211813275d658cc15f1bc0e7eb1a250fda1d4b931c36557d7c8c")
+        assert hashlib.sha256(out_svg.read_bytes()).hexdigest() == (
+            "095c7fce0758810b4c583d05a7889c281a9c303603d43655136f34468a040447")
+
+    def test_analytic_only_threshold_sweep_csv(self, capsys, tmp_path):
+        out_csv = tmp_path / "thr.csv"
+        status, _, _ = run(capsys, "sweep-threshold", "--analytic-only", "--grid", "1:30:1",
+                           "--seed", "20260810", "--out", str(out_csv))
+        assert status == 0
+        assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == (
+            "251a2808e1e11a526586d121e33fd088d99aa1c6bb4d26720106875abd2f8391")
+
 
 def test_importing_the_cli_leaves_scipy_unimported():
     # scipy.integrate costs more to import than agemon and numpy together;
