@@ -15,12 +15,8 @@ from .analytics import (
 )
 from .detector import DecisionRule, ErrorBreakdown, map_threshold
 from .errors import EmptyTimelineError, OracleError, ParameterError, SimulationLimitError
-from .experiments import SweepSpec, run_sweep
-from .oracle import (
-    monte_carlo_cross_check,
-    quadrature_error_rate,
-    scan_optimal_threshold,
-)
+from .experiments import SweepSpec, monte_carlo_cross_check, run_sweep
+from .oracle import quadrature_error_rate
 from .report import render_svg, write_csv
 from .sim import EVENT_CAP, SimParams, Timeline, simulate
 from .summary import MetricsSummary, PeriodTable, RegionAverages, period_table, summarize
@@ -55,7 +51,6 @@ __all__ = [
     "region_means_closed_form",
     "render_svg",
     "run_sweep",
-    "scan_optimal_threshold",
     "simulate",
     "summarize",
     "write_csv",

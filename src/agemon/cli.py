@@ -13,13 +13,11 @@ import os
 import sys
 from pathlib import Path
 
-from .analytics import analytic_report, error_rate_closed_form, mean_aoi_closed_form
+from .analytics import analytic_report
 from .errors import EmptyTimelineError, OracleError, ParameterError, SimulationLimitError
-from .experiments import SweepSpec, run_sweep
-from .oracle import monte_carlo_cross_check
-from .report import CHARTS, json_text, project, render_svg, run_row, text_lines, write_csv
-from .sim import SimParams, simulate
-from .summary import check_resamples, period_table, summarize
+from .experiments import SweepSpec, measure, monte_carlo_cross_check, run_sweep
+from .report import CHARTS, json_text, project, render_svg, text_lines, write_csv
+from .sim import SimParams
 
 DEFAULT_SEED = 20260810
 
@@ -136,16 +134,8 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    check_resamples(args.resamples)
     params = _params(args)
-    # the default MAP rule needs rho < 1: fail before simulating, not after
-    params.require_stable_queue()
-    summary = summarize(period_table(simulate(params)), resamples=args.resamples)
-    row = run_row(
-        params, summary, swept_var="rho", swept_value=params.rho,
-        aoi_analytic=mean_aoi_closed_form(params.lam, params.mu, params.nu, params.r),
-        err_analytic=error_rate_closed_form(params.lam, params.nu, params.r),
-    )
+    [row] = measure(params, resamples=args.resamples, swept_var="rho", swept_value=params.rho)
     print(text_lines(project(row, "simulate")))
     if args.out:
         path = write_csv([row], _resolve(args.out), params)

@@ -1,4 +1,5 @@
-"""Parameter sweeps producing rows of analytic and empirical metrics.
+"""How a run becomes rows of analytic and empirical metrics (`measure`),
+and the parameter sweeps and the Monte Carlo cross-check built on it.
 
 Every grid point reuses the same master seed, so each row's empirical
 columns can be reproduced from the recorded seed alone. The points of a rho
@@ -13,12 +14,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytics import error_rate_closed_form, mean_aoi_closed_form
-from .detector import DecisionRule
+from .detector import DecisionRule, map_threshold
 from .errors import ParameterError, check_params
 from .oracle import quadrature_error_rates
 from .report import run_row
 from .sim import SimParams, simulate
-from .summary import check_resamples, period_table, summarize, summarize_rules
+from .summary import check_resamples, period_table, summarize
 
 SWEEP_VARIABLES = ("rho", "expected_T", "threshold")
 # checked before a grid is allocated; far above any grid the CLI uses by default
@@ -64,49 +65,84 @@ class SweepSpec:
         return values[values <= self.stop + 1e-9 * self.step]
 
 
-def _point_row(params: SimParams, var: str, value: float, with_sim: bool, resamples: int) -> dict:
+def measure(params: SimParams, taus=None, with_sim: bool = True, resamples: int = 1000, **columns) -> list[dict]:
+    """A run's rows: one `report.run_row` per threshold of `taus` (any
+    iterable), or one for the optimal threshold when taus is None, each with
+    `columns` added.
+
+    Whatever can fail without a simulation fails first: the resample count,
+    rho < 1, then the closed forms. err_analytic is the closed-form error
+    rate at the optimal threshold and the quadrature at any other. With
+    `with_sim`, one simulation and one period table serve every threshold
+    and one bootstrap every rule, so differences between rows are not
+    simulation noise; each row then also records its rule's tau and
+    degenerate.
+    """
+    check_resamples(resamples)
     params.require_stable_queue()
-    closed = dict(
-        aoi_analytic=mean_aoi_closed_form(params.lam, params.mu, params.nu, params.r),
-        err_analytic=error_rate_closed_form(params.lam, params.nu, params.r),
-    )
-    summary = summarize(period_table(simulate(params)), resamples=resamples) if with_sim else None
-    return run_row(params, summary, swept_var=var, swept_value=float(value), **closed)
+    lam, nu, r = params.lam, params.nu, params.r
+    aoi_analytic = mean_aoi_closed_form(lam, params.mu, nu, r)
+    optimal = map_threshold(lam, nu)
+    taus = [optimal] if taus is None else list(taus)
+    closed = error_rate_closed_form(lam, nu, r)
+    errs = [closed] * len(taus)
+    if any(tau != optimal for tau in taus):
+        # over every threshold, so that no value's chain depends on which one is optimal
+        quadrature = quadrature_error_rates(lam, nu, r, taus)
+        errs = [closed if tau == optimal else err for tau, err in zip(taus, quadrature)]
+    if not with_sim:
+        row = run_row(params, aoi_analytic=aoi_analytic, **columns)
+        return [dict(row, err_analytic=err) for err in errs]
+    rules = [DecisionRule.with_threshold(tau, r) for tau in taus]
+    summaries = summarize(period_table(simulate(params)), rules, resamples)
+    return [
+        run_row(params, summary, tau=rule.tau, degenerate=rule.degenerate,
+                aoi_analytic=aoi_analytic, err_analytic=err, **columns)
+        for rule, err, summary in zip(rules, errs, summaries)
+    ]
 
 
 def run_sweep(spec: SweepSpec, with_sim: bool = True, resamples: int = 1000) -> list[dict]:
-    """Evaluate every grid point in grid order, one `report.run_row` each."""
-    check_resamples(resamples)
+    """Evaluate every grid point in grid order, one `report.run_row` each. A
+    threshold sweep scores every threshold on one simulation."""
+    grid = spec.grid().tolist()
     if spec.variable == "threshold":
-        return _threshold_sweep(spec, with_sim, resamples)
+        rows = measure(spec.fixed, grid, with_sim, resamples, swept_var="threshold")
+        for row, value in zip(rows, grid):
+            row["swept_value"] = value
+        return rows
     rows = []
-    for value in spec.grid():
+    for value in grid:
         if spec.variable == "rho":
-            params = replace(spec.fixed, lam=float(value) * spec.fixed.mu)
+            params = replace(spec.fixed, lam=value * spec.fixed.mu)
         else:
-            params = replace(spec.fixed, nu=1.0 / float(value))
-        rows.append(_point_row(params, spec.variable, float(value), with_sim, resamples))
+            params = replace(spec.fixed, nu=1.0 / value)
+        rows += measure(params, with_sim=with_sim, resamples=resamples, swept_var=spec.variable, swept_value=value)
     return rows
 
 
-def _threshold_sweep(spec: SweepSpec, with_sim: bool, resamples: int) -> list[dict]:
-    """One simulation, many rules: the error of each threshold is measured on
-    the same timeline, so differences between rows are not simulation noise.
-    The period table is built once; each rule recomputes only its own columns,
-    and one bootstrap serves every rule.
-    The analytic columns come first, so a point outside their domain fails
-    before the simulation runs."""
-    params = spec.fixed
-    params.require_stable_queue()
-    aoi_analytic = mean_aoi_closed_form(params.lam, params.mu, params.nu, params.r)
-    grid = spec.grid().tolist()
-    errs = quadrature_error_rates(params.lam, params.nu, params.r, grid)
-    summaries = [None] * len(grid)
-    if with_sim:
-        rules = [DecisionRule.with_threshold(value, params.r) for value in grid]
-        summaries = summarize_rules(period_table(simulate(params)), rules, resamples=resamples)
-    return [
-        run_row(params, summary, swept_var="threshold", swept_value=value,
-                aoi_analytic=aoi_analytic, err_analytic=err)
-        for value, err, summary in zip(grid, errs, summaries)
-    ]
+def monte_carlo_cross_check(params: SimParams, rule: DecisionRule | None = None, resamples: int = 1000) -> dict:
+    """Simulate, measure, and compare against the closed forms; returns the
+    run's `measure` row for the rule (the optimal one by default) with the
+    relative deviations.
+
+    The closed-form error rate models the post-recovery reacquisition span
+    as ordinary working time, so err_rel_dev compares it with the
+    detection-scope empirical rate, err_detection; the full-span rate
+    err_empirical exceeds it by about (1/mu) / (1/nu + r). The one error
+    half-width, err_ci, is that of the full-span err_empirical, not of
+    err_detection (validate publishes these as err_ci_halfwidth,
+    err_empirical_full and err_empirical).
+
+    Needs at least 10^4 periods; with fewer the Monte Carlo noise swamps the
+    deviations this report is meant to expose. Needs r > 0: without outages
+    the closed-form error rate is 0, and err_rel_dev divides by it.
+    """
+    if params.periods < 10_000:
+        raise ParameterError("cross checks need periods >= 10000")
+    if not params.r > 0:
+        raise ParameterError(f"cross checks need r > 0, got {params.r}")
+    [row] = measure(params, None if rule is None else [rule.tau], resamples=resamples)
+    row.update(aoi_rel_dev=row["aoi_empirical"] / row["aoi_analytic"] - 1.0,
+               err_rel_dev=row["err_detection"] / row["err_analytic"] - 1.0)
+    return row

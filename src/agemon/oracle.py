@@ -20,19 +20,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .analytics import (
-    _check_outage_tail,
-    _outage_density,
-    _working_density,
-    error_rate_closed_form,
-    failure_prior,
-    mean_aoi_closed_form,
-)
-from .detector import DecisionRule, map_threshold
+from .analytics import _check_outage_tail, _outage_density, _working_density, failure_prior
 from .errors import OracleError, ParameterError, check_params
-from .sim import SimParams, simulate
-from .report import run_row
-from .summary import check_resamples, period_table, summarize
 
 _QUAD_EPSABS, _QUAD_EPSREL = 1e-12, 1e-11
 _QUAD_MAX_ERR = 1e-10
@@ -214,50 +203,3 @@ def quadrature_error_rates(lam: float, nu: float, r: float, taus) -> list[float]
             raise OracleError(f"quadrature error bound {err:.2e} at tau={tau} exceeds {_QUAD_MAX_ERR:.0e}")
         rates.append((1.0 - p_failed) * f_p + p_failed * f_n)
     return [rates[i] for i in where.tolist()]
-
-
-def scan_optimal_threshold(lam: float, nu: float, r: float, grid) -> float:
-    """Grid argmin of quadrature_error_rates; ties keep the first grid point."""
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.size == 0:
-        raise ParameterError("threshold grid must be non-empty")
-    return float(grid[int(np.argmin(quadrature_error_rates(lam, nu, r, grid)))])
-
-
-def monte_carlo_cross_check(
-    params: SimParams,
-    rule: DecisionRule | None = None,
-    resamples: int = 1000,
-) -> dict:
-    """Simulate, measure, and compare against the closed forms; returns the
-    run's `report.run_row` with the rule and the relative deviations.
-
-    The closed-form error rate models the post-recovery reacquisition span
-    as ordinary working time, so err_rel_dev compares it with the
-    detection-scope empirical rate, err_detection; the full-span rate
-    err_empirical exceeds it by about (1/mu) / (1/nu + r).
-
-    Needs at least 10^4 periods; with fewer the Monte Carlo noise swamps the
-    deviations this report is meant to expose. Needs r > 0: without outages
-    the closed-form error rate is 0, and err_rel_dev divides by it.
-    """
-    if params.periods < 10_000:
-        raise ParameterError("cross checks need periods >= 10000")
-    check_resamples(resamples)
-    params.require_stable_queue()
-    if not params.r > 0:
-        raise ParameterError(f"cross checks need r > 0, got {params.r}")
-    if rule is None:
-        rule = DecisionRule.map_rule(params.lam, params.nu, params.r)
-    summary = summarize(period_table(simulate(params)), rule, resamples=resamples)
-    aoi_analytic = mean_aoi_closed_form(params.lam, params.mu, params.nu, params.r)
-    err_analytic = (
-        error_rate_closed_form(params.lam, params.nu, params.r)
-        if rule.tau == map_threshold(params.lam, params.nu)
-        else quadrature_error_rate(params.lam, params.nu, params.r, rule.tau)
-    )
-    return run_row(
-        params, summary, tau=rule.tau, degenerate=rule.degenerate,
-        aoi_analytic=aoi_analytic, aoi_rel_dev=summary.aoi_time_average / aoi_analytic - 1.0,
-        err_analytic=err_analytic, err_rel_dev=summary.error.detection_error_rate / err_analytic - 1.0,
-    )

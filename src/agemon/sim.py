@@ -22,6 +22,7 @@ after the one before it) and checks that `simulate` reproduces it bit for bit.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -96,8 +97,11 @@ class SimParams:
     def __post_init__(self) -> None:
         for name in ("lam", "mu", "nu", "r"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        object.__setattr__(self, "periods", int(self.periods))
-        object.__setattr__(self, "master_seed", int(self.master_seed))
+        for name in ("periods", "master_seed"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ParameterError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         check_params(lam=self.lam, mu=self.mu, nu=self.nu, r=self.r)
         # far beyond any run's packet budget; rejected here by name
         if not 1 <= self.periods < 2**32:

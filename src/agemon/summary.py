@@ -308,36 +308,19 @@ def check_resamples(resamples: int) -> None:
 
 def summarize(
     table: PeriodTable,
-    rule: DecisionRule | None = None,
-    resamples: int = 1000,
-    confidence: float = 0.95,
-) -> MetricsSummary:
-    """Empirical metrics plus bootstrap half-widths at the given confidence.
-
-    The rule defaults to the optimal threshold for the run's own
-    parameters. resamples=0 skips the bootstrap (half-widths become None);
-    a count outside [0, MAX_RESAMPLES] is an error.
-    The bootstrap stream is derived from the master seed, so summaries are
-    reproducible.
-    """
-    params = table.params
-    if rule is None:
-        params.require_stable_queue()
-        rule = DecisionRule.map_rule(params.lam, params.nu, params.r)
-    return summarize_rules(table, [rule], resamples, confidence)[0]
-
-
-def summarize_rules(
-    table: PeriodTable,
     rules: list[DecisionRule],
     resamples: int = 1000,
     confidence: float = 0.95,
 ) -> list[MetricsSummary]:
-    """`summarize` of each rule on one table, equal to it bit for bit.
+    """Each rule's empirical metrics on one table, plus bootstrap half-widths
+    at the given confidence.
 
-    Each rule is scored once, by `PeriodTable.error_columns`. All rules share
-    the resample indices that `summarize` draws, so one bootstrap pass covers
-    the age row and up to RULES_PER_PASS mismatch rows.
+    resamples=0 skips the bootstrap (half-widths become None); a count
+    outside [0, MAX_RESAMPLES] is an error. The bootstrap stream is derived
+    from the master seed, so summaries are reproducible, and a rule's
+    summary does not depend on the rules beside it. Each rule is scored
+    once, by `PeriodTable.error_columns`, and one bootstrap pass covers the
+    age row and up to RULES_PER_PASS mismatch rows.
     """
     if not 0 < confidence < 1:
         raise ParameterError("confidence must be in (0, 1)")

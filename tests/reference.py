@@ -17,7 +17,8 @@ comparison checks the lockstep arithmetic independently.
 explicit intervals, the oracle behind the interval-walk checks of
 `PeriodTable.error` and `.error_columns`. `age_pieces` cuts the age sawtooth
 into the trapezoids that `period_table` integrates, so a test can add them
-up with `math.fsum`.
+up with `math.fsum`. `scan_optimal_threshold` finds the optimal threshold
+by a grid scan of the quadrature, independently of its closed form.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 
 import agemon.sim as sim
 from agemon import EmptyTimelineError, ParameterError, SimParams, Timeline
+from agemon.oracle import quadrature_error_rates
 from agemon.sim import _lindley_lockstep
 
 
@@ -299,3 +301,11 @@ def age_pieces(arrivals: list[float], ages: list[float], lo: float, hi: float) -
             return pieces
         j += 1
         t, age = arrivals[j], ages[j]
+
+
+def scan_optimal_threshold(lam: float, nu: float, r: float, grid) -> float:
+    """Grid argmin of quadrature_error_rates; ties keep the first grid point."""
+    grid = np.asarray(grid, dtype=np.float64)
+    if grid.size == 0:
+        raise ParameterError("threshold grid must be non-empty")
+    return float(grid[int(np.argmin(quadrature_error_rates(lam, nu, r, grid)))])

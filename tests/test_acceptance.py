@@ -22,12 +22,11 @@ from agemon import (
     period_table,
     quadrature_error_rate,
     run_sweep,
-    scan_optimal_threshold,
     simulate,
     SweepSpec,
 )
 from conftest import DEFAULTS, SEED, manual_timeline, sawtooth_timeline
-from reference import block_count, block_traces, lay_end_to_end, lindley_arrival_times
+from reference import block_count, block_traces, lay_end_to_end, lindley_arrival_times, scan_optimal_threshold
 
 LAM, MU, NU, R = DEFAULTS["lam"], DEFAULTS["mu"], DEFAULTS["nu"], DEFAULTS["r"]
 TAU = map_threshold(LAM, NU)

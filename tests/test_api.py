@@ -30,7 +30,6 @@ PUBLIC_NAMES = [
     "region_means_closed_form",
     "render_svg",
     "run_sweep",
-    "scan_optimal_threshold",
     "simulate",
     "summarize",
     "write_csv",
@@ -38,6 +37,6 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_pinned():
-    assert len(PUBLIC_NAMES) == 31
+    assert len(PUBLIC_NAMES) == 30
     assert sorted(agemon.__all__) == PUBLIC_NAMES
     assert all(hasattr(agemon, name) for name in PUBLIC_NAMES)

@@ -11,7 +11,6 @@ import pytest
 
 import agemon.cli
 import agemon.experiments
-import agemon.oracle
 import agemon.sim
 from agemon import ParameterError, quadrature_error_rate
 from agemon.cli import run_subcommand
@@ -20,13 +19,14 @@ from agemon.summary import MAX_RESAMPLES
 from conftest import DEFAULTS, read_csv
 
 FAST = ["--periods", "300", "--resamples", "20"]
-# each command with the module whose `simulate` it calls
-SIMULATING = [
-    (["simulate", "--periods", "300"], agemon.cli),
-    (["sweep-threshold", "--periods", "300"], agemon.experiments),
-    (["sweep-rho", "--periods", "300"], agemon.experiments),
-    (["validate", "--periods", "10000"], agemon.oracle),
-]
+# the commands that simulate, all through experiments.measure; each case id
+# names the module whose `simulate` the command once called, so ids stay stable
+SIMULATING = pytest.mark.parametrize("argv", [
+    pytest.param(["simulate", "--periods", "300"], id="argv0-agemon.cli"),
+    pytest.param(["sweep-threshold", "--periods", "300"], id="argv1-agemon.experiments"),
+    pytest.param(["sweep-rho", "--periods", "300"], id="argv2-agemon.experiments"),
+    pytest.param(["validate", "--periods", "10000"], id="argv3-agemon.oracle"),
+])
 
 
 def run(capsys, *argv):
@@ -124,7 +124,7 @@ class TestErrors:
         def no_simulation(params):
             raise AssertionError("simulated before rho was checked")
 
-        monkeypatch.setattr(agemon.cli, "simulate", no_simulation)
+        monkeypatch.setattr(agemon.experiments, "simulate", no_simulation)
         status, _, err = run(capsys, "simulate", "--lambda", "2.0", *FAST)
         assert status == 1
         assert "rho" in err
@@ -167,38 +167,38 @@ class TestErrors:
         def no_simulation(params):
             raise AssertionError("simulated before the recovery was checked")
 
-        monkeypatch.setattr(agemon.oracle, "simulate", no_simulation)
+        monkeypatch.setattr(agemon.experiments, "simulate", no_simulation)
         status, _, err = run(capsys, "validate", "--periods", "10000", "--recovery", "0")
         assert status == 1
         assert "error:" in err and "r > 0" in err
 
-    @pytest.mark.parametrize("argv,module", SIMULATING)
-    def test_negative_resamples_fails_before_simulating(self, capsys, monkeypatch, argv, module):
+    @SIMULATING
+    def test_negative_resamples_fails_before_simulating(self, capsys, monkeypatch, argv):
         def no_simulation(params):
             raise AssertionError("simulated before the resample count was checked")
 
-        monkeypatch.setattr(module, "simulate", no_simulation)
+        monkeypatch.setattr(agemon.experiments, "simulate", no_simulation)
         status, _, err = run(capsys, *argv, "--resamples", "-5")
         assert status == 1
         assert "error: resamples must be >= 0, got -5" in err
 
-    @pytest.mark.parametrize("argv,module", SIMULATING)
-    def test_oversized_resamples_fails_before_simulating(self, capsys, monkeypatch, argv, module):
+    @SIMULATING
+    def test_oversized_resamples_fails_before_simulating(self, capsys, monkeypatch, argv):
         # 10^12 resamples once simulated first, then failed allocating 14.6 TiB
         def no_simulation(params):
             raise AssertionError("simulated before the resample count was checked")
 
-        monkeypatch.setattr(module, "simulate", no_simulation)
+        monkeypatch.setattr(agemon.experiments, "simulate", no_simulation)
         status, _, err = run(capsys, *argv, "--resamples", "1000000000000")
         assert status == 1
         assert f"error: resamples must be <= {MAX_RESAMPLES}, got 1000000000000" in err
 
-    @pytest.mark.parametrize("argv,module", SIMULATING)
-    def test_resamples_at_the_cap_reach_the_simulation(self, capsys, monkeypatch, argv, module):
+    @SIMULATING
+    def test_resamples_at_the_cap_reach_the_simulation(self, capsys, monkeypatch, argv):
         def reached(params):
             raise ParameterError("reached the simulation")
 
-        monkeypatch.setattr(module, "simulate", reached)
+        monkeypatch.setattr(agemon.experiments, "simulate", reached)
         status, _, err = run(capsys, *argv, "--resamples", str(MAX_RESAMPLES))
         assert status == 1
         assert "error: reached the simulation" in err

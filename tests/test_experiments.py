@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
 
+import agemon.experiments
 import agemon.summary
-from agemon import ParameterError, SimParams, SweepSpec, map_threshold, run_sweep
-from agemon.experiments import MAX_GRID_POINTS
+from agemon import (
+    ParameterError,
+    SimParams,
+    SweepSpec,
+    error_rate_closed_form,
+    map_threshold,
+    quadrature_error_rate,
+    run_sweep,
+)
+from agemon.experiments import MAX_GRID_POINTS, measure
+from agemon.oracle import quadrature_error_rates
 from conftest import DEFAULTS, SEED
 
 # float.hex of (aoi_ci, err_ci) per row of a threshold sweep at 300 periods
@@ -91,6 +101,33 @@ class TestRunSweep:
         a = run_sweep(spec, resamples=50)
         b = run_sweep(spec, resamples=50)
         assert a == b
+
+
+class TestMeasure:
+    def test_closed_form_at_the_optimal_threshold_quadrature_elsewhere(self):
+        lam, nu, r = DEFAULTS["lam"], DEFAULTS["nu"], DEFAULTS["r"]
+        optimal = map_threshold(lam, nu)
+        grid = [4.0, optimal, 30.0]
+        rows = measure(fixed(), grid, with_sim=False)
+        assert rows[1]["err_analytic"] == error_rate_closed_form(lam, nu, r)
+        # the other values keep the bits of the whole grid's chains
+        whole = quadrature_error_rates(lam, nu, r, grid)
+        assert [rows[0]["err_analytic"], rows[2]["err_analytic"]] == [whole[0], whole[2]]
+        assert abs(whole[0] - quadrature_error_rate(lam, nu, r, 4.0)) <= 1e-13
+        [row] = measure(fixed(), with_sim=False)
+        assert row["err_analytic"] == error_rate_closed_form(lam, nu, r)
+
+    def test_analytic_only_rows_build_no_rule(self, monkeypatch):
+        monkeypatch.setattr(agemon.experiments, "DecisionRule", None)
+        rows = measure(fixed(), [1.0, 2.0, 30.0], with_sim=False, swept_var="threshold")
+        assert [row["swept_var"] for row in rows] == ["threshold"] * 3
+        assert all(row["tau"] is None and row["aoi_empirical"] is None for row in rows)
+
+    def test_simulated_rows_record_their_rule(self):
+        rows = measure(fixed(), [4.0, 25.0], resamples=0)
+        assert [(row["tau"], row["degenerate"]) for row in rows] == [(4.0, False), (25.0, True)]
+        # one simulation serves both rules
+        assert rows[0]["aoi_empirical"] == rows[1]["aoi_empirical"]
 
 
 def recorded_sweep_rows():

@@ -20,11 +20,11 @@ from agemon import (
     pdf_z_given_r2,
     pdf_z_given_r3,
     quadrature_error_rate,
-    scan_optimal_threshold,
 )
 from agemon.analytics import _outage_density, _working_density
 from agemon.oracle import quadrature_error_rates
 from conftest import DEFAULTS, SEED
+from reference import scan_optimal_threshold
 
 LAM, NU, R = 0.5, 0.005, 20.0
 TAU = map_threshold(LAM, NU)
@@ -402,6 +402,18 @@ class TestCrossCheck:
         assert report["aoi_ci"] > 0
         assert report["err_ci"] > 0
         assert report["seed"] == SEED and report["periods"] == 10_000
+
+    def test_custom_rule_fails_before_simulating(self, monkeypatch):
+        # (lam + nu) * r = 757.5: the rule's quadrature past r overflows exp,
+        # which the check raises before anything is simulated
+        def no_simulation(params):
+            raise AssertionError("simulated before the rule's quadrature")
+
+        # the `simulate` that monte_carlo_cross_check calls, wherever it lives
+        monkeypatch.setitem(monte_carlo_cross_check.__globals__, "simulate", no_simulation)
+        params = SimParams(**{**DEFAULTS, "r": 1500.0}, periods=10_000, master_seed=SEED)
+        with pytest.raises(ParameterError, match=re.escape("(lam + nu) * r = 757.5 overflows exp")):
+            monte_carlo_cross_check(params, rule=DecisionRule.with_threshold(2000.0, 1500.0), resamples=0)
 
     def test_custom_rule_uses_quadrature_reference(self):
         rule = DecisionRule.with_threshold(4.0, R)

@@ -3,6 +3,7 @@ import cProfile
 import dataclasses
 import math
 import random
+import re
 import tracemalloc
 from unittest import mock
 
@@ -38,6 +39,18 @@ class TestParams:
     def test_invalid_rejected(self, bad):
         with pytest.raises(ParameterError, match=next(iter(bad))):
             SimParams(**{**DEFAULTS, "periods": 10, **bad})
+
+    # once truncated silently: periods=2.7 ran 2 periods, master_seed=1.9 seeded 1
+    @pytest.mark.parametrize("bad", [dict(periods=2.7), dict(master_seed=1.9), dict(periods=np.float64(3.0))])
+    def test_non_integral_count_or_seed_rejected(self, bad):
+        name, value = next(iter(bad.items()))
+        with pytest.raises(ParameterError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+            SimParams(**{**DEFAULTS, "periods": 10, **bad})
+
+    def test_numpy_integers_accepted(self):
+        p = SimParams(**DEFAULTS, periods=np.int32(7), master_seed=np.uint64(2**63))
+        assert (p.periods, p.master_seed) == (7, 2**63)
+        assert type(p.periods) is int and type(p.master_seed) is int
 
     def test_rho_and_stability(self):
         p = SimParams(**DEFAULTS, periods=1)

@@ -12,12 +12,13 @@ import agemon.sim as sim
 import agemon.summary
 from agemon import DecisionRule, ParameterError, SimParams, period_table, simulate, summarize
 from agemon.report import project, run_row
-from agemon.summary import _bootstrap_halfwidths, summarize_rules
+from agemon.experiments import measure
+from agemon.summary import _bootstrap_halfwidths
 from conftest import DEFAULTS, SEED, manual_timeline
 from reference import age_pieces
 
-# float.hex of every float of summarize(...) in `simulate`'s output at 300 periods and 50
-# resamples. The metric paths reproduced the earlier per-function paths bit
+# float.hex of every float of the optimal rule's summarize(...) in `simulate`'s
+# output at 300 periods and 50 resamples. The metric paths reproduced the earlier per-function paths bit
 # for bit; these values were recorded once more when the stream contract
 # changed to per-block streams, and the avg_r* and half-width fields again
 # when per-period sums replaced run-wide prefix-sum differences (their last
@@ -69,16 +70,19 @@ def small_table(small_timeline):
     return period_table(small_timeline)
 
 
+MAP_RULE = DecisionRule.map_rule(DEFAULTS["lam"], DEFAULTS["nu"], DEFAULTS["r"])
+
+
 @pytest.fixture(scope="module")
 def summary(small_table):
-    return summarize(small_table, resamples=300)
+    [summary] = summarize(small_table, [MAP_RULE], resamples=300)
+    return summary
 
 
 class TestSummarize:
     def test_matches_direct_metrics(self, small_table, summary):
         assert summary.aoi_time_average == small_table.aoi
-        rule = DecisionRule.map_rule(DEFAULTS["lam"], DEFAULTS["nu"], DEFAULTS["r"])
-        direct = small_table.error(rule)
+        direct = small_table.error(MAP_RULE)
         assert summary.error.error_rate == direct.error_rate
         assert summary.measured_time == direct.measured_time
         assert summary.periods == 2000
@@ -87,7 +91,7 @@ class TestSummarize:
     def test_confidence_intervals_positive_and_reproducible(self, small_table, summary):
         assert summary.aoi_ci_halfwidth > 0
         assert summary.error_ci_halfwidth > 0
-        again = summarize(small_table, resamples=300)
+        [again] = summarize(small_table, [MAP_RULE], resamples=300)
         assert again.aoi_ci_halfwidth == summary.aoi_ci_halfwidth
         assert again.error_ci_halfwidth == summary.error_ci_halfwidth
 
@@ -97,13 +101,13 @@ class TestSummarize:
         assert abs(summary.aoi_time_average - 4.5045) < 3 * summary.aoi_ci_halfwidth
 
     def test_skipping_bootstrap(self, small_table):
-        s = summarize(small_table, resamples=0)
+        [s] = summarize(small_table, [MAP_RULE], resamples=0)
         assert s.aoi_ci_halfwidth is None
         assert s.error_ci_halfwidth is None
 
     def test_confidence_domain(self, small_table):
         with pytest.raises(ParameterError):
-            summarize(small_table, resamples=10, confidence=1.5)
+            summarize(small_table, [MAP_RULE], resamples=10, confidence=1.5)
 
     def test_simulate_keys_pinned(self, small_table, summary):
         d = project(run_row(small_table.params, summary), "simulate")
@@ -119,8 +123,8 @@ class TestSummarize:
     def test_explicit_rule_on_unstable_queue(self):
         tl = simulate(SimParams(lam=1.2, mu=1.0, nu=0.05, r=5.0, periods=50, master_seed=5))
         with pytest.raises(ParameterError):
-            summarize(period_table(tl))  # the optimal rule needs rho < 1
-        s = summarize(period_table(tl), rule=DecisionRule.with_threshold(3.0, 5.0), resamples=0)
+            measure(tl.params)  # the optimal rule needs rho < 1
+        [s] = summarize(period_table(tl), [DecisionRule.with_threshold(3.0, 5.0)], resamples=0)
         assert s.unstable_queue
 
 
@@ -228,7 +232,9 @@ class TestDeliveryGroups:
 @pytest.mark.parametrize("r", sorted(GOLDEN))
 def test_summary_bit_identical_to_recorded(r):
     tl = simulate(SimParams(**{**DEFAULTS, "r": r}, periods=300, master_seed=SEED))
-    record = project(run_row(tl.params, summarize(period_table(tl), resamples=50)), "simulate")
+    rule = DecisionRule.map_rule(DEFAULTS["lam"], DEFAULTS["nu"], r)
+    [summary] = summarize(period_table(tl), [rule], resamples=50)
+    record = project(run_row(tl.params, summary), "simulate")
     floats = {key: float.hex(value) for key, value in record.items() if isinstance(value, float)}
     assert floats == GOLDEN[r]
 
@@ -248,9 +254,10 @@ class TestSummarizeRules:
     def test_equals_summarize_per_rule(self, monkeypatch, per_pass, periods, resamples):
         table = period_table(simulate(SimParams(**DEFAULTS, periods=periods, master_seed=SEED)))
         rules = [DecisionRule.with_threshold(tau, DEFAULTS["r"]) for tau in self.TAUS]
-        expected = [hex_fields(summarize(table, rule, resamples=resamples)) for rule in rules]
+        # each rule alone, then all rules at once
+        expected = [hex_fields(summary) for rule in rules for summary in summarize(table, [rule], resamples)]
         monkeypatch.setattr(agemon.summary, "RULES_PER_PASS", per_pass)
-        batched = summarize_rules(table, rules, resamples=resamples)
+        batched = summarize(table, rules, resamples=resamples)
         assert [hex_fields(s) for s in batched] == expected
         if resamples == 0:
             assert all(s.aoi_ci_halfwidth is None and s.error_ci_halfwidth is None for s in batched)
@@ -268,7 +275,7 @@ class TestSummarizeRules:
 
         monkeypatch.setattr(agemon.summary.PeriodTable, "error_columns", counted)
         monkeypatch.setattr(agemon.summary, "RULES_PER_PASS", 3)  # three passes
-        summarize_rules(table, rules, resamples=resamples)
+        summarize(table, rules, resamples=resamples)
         assert scored == rules
 
     @settings(max_examples=40, deadline=None)
