@@ -51,8 +51,9 @@ def _add_output_flags(parser: argparse.ArgumentParser, svg: bool = True, out: st
     parser.add_argument("--out", help=f"{out} output path")
     if svg:
         parser.add_argument("--svg", help="SVG chart output path")
-    parser.add_argument("--resamples", type=int, default=1000,
-                        help="bootstrap resamples for confidence half-widths (0 disables)")
+    parser.add_argument("--resamples", type=int,
+                        help="deprecated and unused: the 95%% half-widths come from the ratio "
+                             "estimator; 0 still skips them")
 
 
 _COMMAND_HELP = {
@@ -127,6 +128,21 @@ def _params(args: argparse.Namespace) -> SimParams:
     )
 
 
+def _confidence(args: argparse.Namespace) -> float | None:
+    """The half-widths' confidence level, None under --resamples 0. Any
+    other count is unused and says so once on stderr; a negative one is an
+    error."""
+    if args.resamples is None:
+        return 0.95
+    if args.resamples < 0:
+        raise ParameterError(f"resamples must be >= 0, got {args.resamples}")
+    if args.resamples == 0:
+        return None
+    print(f"note: --resamples {args.resamples} is unused; the half-widths now come from the "
+          f"regenerative ratio estimator", file=sys.stderr)
+    return 0.95
+
+
 def _cmd_analytic(args: argparse.Namespace) -> int:
     record = project(analytic_report(args.lam, args.mu, args.nu, args.recovery), "analytic")
     print(json_text(record) if args.json else text_lines(record))
@@ -135,7 +151,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     params = _params(args)
-    [row] = measure(params, resamples=args.resamples, swept_var="rho", swept_value=params.rho)
+    [row] = measure(params, confidence=_confidence(args), swept_var="rho", swept_value=params.rho)
     print(text_lines(project(row, "simulate")))
     if args.out:
         path = write_csv([row], _resolve(args.out), params)
@@ -147,7 +163,7 @@ def _cmd_sweep(args: argparse.Namespace, command: str) -> int:
     variable, _ = _SWEEP_DEFAULTS[command]
     start, stop, step = _parse_grid(args.grid)
     spec = SweepSpec(variable=variable, start=start, stop=stop, step=step, fixed=_params(args))
-    rows = run_sweep(spec, with_sim=not args.analytic_only, resamples=args.resamples)
+    rows = run_sweep(spec, with_sim=not args.analytic_only, confidence=_confidence(args))
     out = _resolve(args.out) if args.out else _resolve(f"{command}.csv")
     path = write_csv(rows, out, spec.fixed)
     print(f"wrote {path}")
@@ -160,7 +176,7 @@ def _cmd_sweep(args: argparse.Namespace, command: str) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    text = json_text(project(monte_carlo_cross_check(_params(args), resamples=args.resamples), "validate"))
+    text = json_text(project(monte_carlo_cross_check(_params(args), confidence=_confidence(args)), "validate"))
     print(text)
     if args.out:
         path = _resolve(args.out)

@@ -19,7 +19,7 @@ from .errors import ParameterError, check_params
 from .oracle import quadrature_error_rates
 from .report import run_row
 from .sim import SimParams, simulate
-from .summary import check_resamples, period_table, summarize
+from .summary import check_confidence, period_table, summarize
 
 SWEEP_VARIABLES = ("rho", "expected_T", "threshold")
 # checked before a grid is allocated; far above any grid the CLI uses by default
@@ -65,20 +65,21 @@ class SweepSpec:
         return values[values <= self.stop + 1e-9 * self.step]
 
 
-def measure(params: SimParams, taus=None, with_sim: bool = True, resamples: int = 1000, **columns) -> list[dict]:
+def measure(params: SimParams, taus=None, with_sim: bool = True, confidence: float | None = 0.95,
+            **columns) -> list[dict]:
     """A run's rows: one `report.run_row` per threshold of `taus` (any
     iterable), or one for the optimal threshold when taus is None, each with
     `columns` added.
 
-    Whatever can fail without a simulation fails first: the resample count,
-    rho < 1, then the closed forms. err_analytic is the closed-form error
+    Whatever can fail without a simulation fails first: the confidence
+    level, rho < 1, then the closed forms. err_analytic is the closed-form error
     rate at the optimal threshold and the quadrature at any other. With
     `with_sim`, one simulation and one period table serve every threshold
-    and one bootstrap every rule, so differences between rows are not
+    and `summarize` every rule, so differences between rows are not
     simulation noise; each row then also records its rule's tau and
-    degenerate.
+    degenerate. confidence=None skips the half-widths.
     """
-    check_resamples(resamples)
+    check_confidence(confidence)
     params.require_stable_queue()
     lam, nu, r = params.lam, params.nu, params.r
     aoi_analytic = mean_aoi_closed_form(lam, params.mu, nu, r)
@@ -94,7 +95,7 @@ def measure(params: SimParams, taus=None, with_sim: bool = True, resamples: int 
         row = run_row(params, aoi_analytic=aoi_analytic, **columns)
         return [dict(row, err_analytic=err) for err in errs]
     rules = [DecisionRule.with_threshold(tau, r) for tau in taus]
-    summaries = summarize(period_table(simulate(params)), rules, resamples)
+    summaries = summarize(period_table(simulate(params)), rules, confidence)
     return [
         run_row(params, summary, tau=rule.tau, degenerate=rule.degenerate,
                 aoi_analytic=aoi_analytic, err_analytic=err, **columns)
@@ -102,12 +103,12 @@ def measure(params: SimParams, taus=None, with_sim: bool = True, resamples: int 
     ]
 
 
-def run_sweep(spec: SweepSpec, with_sim: bool = True, resamples: int = 1000) -> list[dict]:
+def run_sweep(spec: SweepSpec, with_sim: bool = True, confidence: float | None = 0.95) -> list[dict]:
     """Evaluate every grid point in grid order, one `report.run_row` each. A
     threshold sweep scores every threshold on one simulation."""
     grid = spec.grid().tolist()
     if spec.variable == "threshold":
-        rows = measure(spec.fixed, grid, with_sim, resamples, swept_var="threshold")
+        rows = measure(spec.fixed, grid, with_sim, confidence, swept_var="threshold")
         for row, value in zip(rows, grid):
             row["swept_value"] = value
         return rows
@@ -117,11 +118,12 @@ def run_sweep(spec: SweepSpec, with_sim: bool = True, resamples: int = 1000) -> 
             params = replace(spec.fixed, lam=value * spec.fixed.mu)
         else:
             params = replace(spec.fixed, nu=1.0 / value)
-        rows += measure(params, with_sim=with_sim, resamples=resamples, swept_var=spec.variable, swept_value=value)
+        rows += measure(params, with_sim=with_sim, confidence=confidence, swept_var=spec.variable, swept_value=value)
     return rows
 
 
-def monte_carlo_cross_check(params: SimParams, rule: DecisionRule | None = None, resamples: int = 1000) -> dict:
+def monte_carlo_cross_check(params: SimParams, rule: DecisionRule | None = None,
+                            confidence: float | None = 0.95) -> dict:
     """Simulate, measure, and compare against the closed forms; returns the
     run's `measure` row for the rule (the optimal one by default) with the
     relative deviations.
@@ -129,10 +131,10 @@ def monte_carlo_cross_check(params: SimParams, rule: DecisionRule | None = None,
     The closed-form error rate models the post-recovery reacquisition span
     as ordinary working time, so err_rel_dev compares it with the
     detection-scope empirical rate, err_detection; the full-span rate
-    err_empirical exceeds it by about (1/mu) / (1/nu + r). The one error
-    half-width, err_ci, is that of the full-span err_empirical, not of
-    err_detection (validate publishes these as err_ci_halfwidth,
-    err_empirical_full and err_empirical).
+    err_empirical exceeds it by about (1/mu) / (1/nu + r). Each rate has
+    its own half-width, err_detection_ci and err_ci (validate publishes the
+    detection-scope rate and its half-width as err_empirical and
+    err_ci_halfwidth, and the full-span rate as err_empirical_full).
 
     Needs at least 10^4 periods; with fewer the Monte Carlo noise swamps the
     deviations this report is meant to expose. Needs r > 0: without outages
@@ -142,7 +144,7 @@ def monte_carlo_cross_check(params: SimParams, rule: DecisionRule | None = None,
         raise ParameterError("cross checks need periods >= 10000")
     if not params.r > 0:
         raise ParameterError(f"cross checks need r > 0, got {params.r}")
-    [row] = measure(params, None if rule is None else [rule.tau], resamples=resamples)
+    [row] = measure(params, None if rule is None else [rule.tau], confidence=confidence)
     row.update(aoi_rel_dev=row["aoi_empirical"] / row["aoi_analytic"] - 1.0,
                err_rel_dev=row["err_detection"] / row["err_analytic"] - 1.0)
     return row

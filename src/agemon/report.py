@@ -31,7 +31,7 @@ COLUMNS = (
     "unstable_queue", "measured_time", "tau", "degenerate",
     "aoi_analytic", "aoi_mm1", "aoi_empirical", "aoi_ci", "aoi_rel_dev",
     "avg_r1", "avg_r2", "avg_r3", "time_r1", "time_r2", "time_r3",
-    "err_analytic", "prior_s1", "err_empirical", "err_detection", "err_ci", "err_rel_dev",
+    "err_analytic", "prior_s1", "err_empirical", "err_detection", "err_detection_ci", "err_ci", "err_rel_dev",
     "fp_rate", "fn_rate", "reacquisition_fp_time",
 )
 
@@ -45,19 +45,21 @@ def _projection(columns: str, **keys: str) -> dict[str, str]:
 OUTPUTS = {
     "simulate": _projection(
         "aoi_empirical aoi_ci avg_r1 avg_r2 avg_r3 time_r1 time_r2 time_r3 err_empirical err_detection"
-        " err_ci fp_rate fn_rate reacquisition_fp_time measured_time periods seed unstable_queue",
+        " err_detection_ci err_ci fp_rate fn_rate reacquisition_fp_time measured_time periods seed"
+        " unstable_queue",
         aoi_empirical="aoi_time_average", aoi_ci="aoi_ci_halfwidth", err_empirical="error_rate",
-        err_detection="detection_error_rate", err_ci="error_ci_halfwidth",
+        err_detection="detection_error_rate", err_detection_ci="detection_error_ci_halfwidth",
+        err_ci="error_ci_halfwidth",
     ),
     "csv": _projection(
         "swept_var swept_value aoi_analytic aoi_empirical aoi_ci err_analytic err_empirical err_detection"
-        " err_ci fp_rate fn_rate seed"
+        " err_detection_ci err_ci fp_rate fn_rate seed"
     ),
     "validate": _projection(
         "lam mu nu r periods seed require_delivery tau degenerate aoi_empirical aoi_analytic aoi_rel_dev aoi_ci"
-        " err_detection err_empirical err_analytic err_rel_dev err_ci fp_rate fn_rate",
+        " err_detection err_empirical err_analytic err_rel_dev err_detection_ci fp_rate fn_rate",
         aoi_ci="aoi_ci_halfwidth", err_detection="err_empirical", err_empirical="err_empirical_full",
-        err_ci="err_ci_halfwidth",
+        err_detection_ci="err_ci_halfwidth",
     ),
     "analytic": _projection(
         "lam mu nu r tau degenerate err_analytic aoi_mm1 aoi_analytic prior_s1",
@@ -94,6 +96,7 @@ def run_row(params: SimParams, summary: Optional[MetricsSummary] = None, **colum
             err_empirical=error.error_rate, err_detection=error.detection_error_rate,
             fp_rate=error.fp_rate, fn_rate=error.fn_rate, reacquisition_fp_time=error.reacquisition_fp_time,
             aoi_ci=summary.aoi_ci_halfwidth, err_ci=summary.error_ci_halfwidth,
+            err_detection_ci=summary.detection_error_ci_halfwidth,
         )
     row.update(columns)
     if len(row) > len(_EMPTY_ROW):

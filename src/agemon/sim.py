@@ -71,8 +71,6 @@ _BLOCK_CELLS = 2**14
 
 # The kinds of draw k of a block's streams spawn_key=(block, k)
 _CLOCKS, _FIRST_SERVICES, _GAPS, _REFILLS, _SERVICES = range(5)
-# The bootstrap's resample indices: a sixth kind, which no block draws
-BOOTSTRAP_KEY = (0, 5)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """One-stop empirical summary of a timeline: the per-period statistics
-table, age averages, detection error breakdown, and bootstrap confidence
-half-widths.
+table, age averages, detection error breakdown, and regenerative
+confidence half-widths.
 
 The instantaneous age is the time since the generation of the freshest
 delivered update: a sawtooth that climbs with slope 1 and drops to the
@@ -20,19 +20,20 @@ Every reported number is a column sum of the table or a ratio of such
 sums: the mean age sums the slice areas, the region averages sum the region
 columns, and a rule's error breakdown sums its per-slice columns from
 `PeriodTable.error_columns`. Periods are the iid unit of the model (its
-renewal cycle), so the bootstrap resamples the same per-period (area,
-mismatch, length) columns rather than raw time.
+renewal cycle), so each half-width is that of a ratio estimator over the
+same per-period (area, mismatch, length) columns rather than raw time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .detector import DecisionRule, ErrorBreakdown
 from .errors import EmptyTimelineError, ParameterError
-from .sim import BOOTSTRAP_KEY, SimParams, Timeline
+from .sim import SimParams, Timeline
 
 
 # Deliveries per group of whole periods that the per-delivery terms are
@@ -233,124 +234,81 @@ class MetricsSummary:
     aoi_time_average: float
     regions: RegionAverages
     error: ErrorBreakdown
-    aoi_ci_halfwidth: float | None  # None when the bootstrap was skipped
+    aoi_ci_halfwidth: float | None  # None when the half-widths were skipped
     error_ci_halfwidth: float | None
+    detection_error_ci_halfwidth: float | None
     measured_time: float
     periods: int
     seed: int
     unstable_queue: bool
 
 
-# rules stacked into one bootstrap pass; bounds the (rules + 1, periods)
-# buffers a long threshold sweep would otherwise allocate at once
-RULES_PER_PASS = 32
-# checked before anything is simulated; at the cap one pass's statistics
-# array, (RULES_PER_PASS + 1) floats per resample, takes 264 MB
-MAX_RESAMPLES = 10**6
+def check_confidence(confidence: float | None) -> None:
+    """Reject a confidence level outside (0, 1); None (no half-widths) is
+    valid. Callers run this before any work."""
+    if confidence is not None and not 0 < confidence < 1:
+        raise ParameterError(f"confidence must be in (0, 1) or None, got {confidence}")
 
 
-# A batch of B resamples gathers (n periods, B, k rows) floats, at most
-# _BOOTSTRAP_CELLS of them (2 MB) unless that leaves fewer than
-# _BOOTSTRAP_MIN_SUMS running sums, B * k: summing the periods costs one
-# numpy inner loop per period, which is slow when it adds only a few
-# columns. Neither is part of the contract: any batch size gives the same
-# half-widths.
-_BOOTSTRAP_CELLS = 2**18
-_BOOTSTRAP_MIN_SUMS = 16
-
-
-def _bootstrap_halfwidths(seed: int, numerators, lengths, resamples: int, confidence: float):
-    """Half-widths of the ratios numerators[i].sum() / lengths.sum() over
-    period resamples. Every call replays the same index stream, so a row's
-    half-width does not depend on which rows are stacked with it. Resamples
-    are gathered in batches; the batch size changes no bit. A resample of
-    only zero-length periods (before the first delivery) has no ratio, so
-    any such draw raises EmptyTimelineError."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=BOOTSTRAP_KEY))
-    k, n = numerators.shape
-    cols = np.ascontiguousarray(numerators.T)
-    batch = max(-(-_BOOTSTRAP_MIN_SUMS // k), _BOOTSTRAP_CELLS // (n * k))
-    stats = np.empty((resamples, k))
-    empty = 0
-    for start in range(0, resamples, batch):
-        # each index takes the generator's next 32-bit draw, so one (B, n)
-        # call draws what B calls of n indices would
-        idx = rng.integers(0, n, size=(min(batch, resamples - start), n))
-        # Reducing the outer axis of the (n, B, k) gather adds one period
-        # after another, the order numpy used on the F-ordered
-        # numerators[:, idx] these half-widths were first computed from
-        # (F-ordered because there are always two or more rows; one row
-        # would be summed pairwise). Each denominator row is contiguous, so
-        # it keeps numpy's pairwise sum of one resample's lengths.
-        totals = np.take(cols, idx.T, axis=0).sum(axis=0)
-        spans = np.take(lengths, idx).sum(axis=1)
-        empty += int(np.count_nonzero(spans == 0.0))
-        if not empty:
-            stats[start:start + idx.shape[0]] = totals / spans[:, None]
-    if empty:
-        raise EmptyTimelineError(
-            f"{empty} of {resamples} bootstrap resamples drew only periods with no measured time "
-            f"(before the first delivery); more periods are needed for a half-width"
-        )
-    tail = 100.0 * (1.0 - confidence) / 2.0
-    lo, hi = np.percentile(stats, [tail, 100.0 - tail], axis=0)
-    return (hi - lo) / 2.0
-
-
-def check_resamples(resamples: int) -> None:
-    """Reject a bootstrap size outside [0, MAX_RESAMPLES]; callers run this
-    before any work."""
-    if resamples < 0:
-        raise ParameterError(f"resamples must be >= 0, got {resamples}")
-    if resamples > MAX_RESAMPLES:
-        raise ParameterError(f"resamples must be <= {MAX_RESAMPLES}, got {resamples}")
+def _ratio_halfwidth(numerator, table: PeriodTable, measured: int, z: float) -> float:
+    """Regenerative half-width of numerator.sum() / measured_time over the
+    `measured` periods with measured time: z * sd(a - R * L) / (mean(L) *
+    sqrt(n)), the residual sd taken with n - 1 degrees of freedom (Crane &
+    Iglehart, 1975; Asmussen & Glynn, Stochastic Simulation, ch. IV). A
+    period before the first delivery has a = L = 0, so its residual is 0
+    and summing over every period gives the same sum of squares."""
+    residual = numerator - (float(numerator.sum()) / table.measured_time) * table.lengths
+    return z * math.sqrt(float(residual @ residual) * measured / (measured - 1)) / table.measured_time
 
 
 def summarize(
     table: PeriodTable,
     rules: list[DecisionRule],
-    resamples: int = 1000,
-    confidence: float = 0.95,
+    confidence: float | None = 0.95,
 ) -> list[MetricsSummary]:
-    """Each rule's empirical metrics on one table, plus bootstrap half-widths
-    at the given confidence.
+    """Each rule's empirical metrics on one table, plus regenerative ratio
+    half-widths at the given confidence for the mean age, the full-span
+    error and the detection-scope error.
 
-    resamples=0 skips the bootstrap (half-widths become None); a count
-    outside [0, MAX_RESAMPLES] is an error. The bootstrap stream is derived
-    from the master seed, so summaries are reproducible, and a rule's
-    summary does not depend on the rules beside it. Each rule is scored
-    once, by `PeriodTable.error_columns`, and one bootstrap pass covers the
-    age row and up to RULES_PER_PASS mismatch rows.
+    confidence=None skips the half-widths (they become None). The periods
+    are the model's iid cycles, so each half-width is that of a ratio of
+    per-period sums (`_ratio_halfwidth`); it needs two or more periods with
+    measured time, and fewer raise EmptyTimelineError. Each rule is scored
+    once, by `PeriodTable.error_columns`, and its half-widths come from its
+    own columns, so a rule's summary does not depend on the rules beside it.
     """
-    if not 0 < confidence < 1:
-        raise ParameterError("confidence must be in (0, 1)")
-    check_resamples(resamples)
+    check_confidence(confidence)
     params = table.params
-    aoi_hw, errors = None, []
-    err_hws = [None] * len(rules)
-    for start in range(0, len(rules), RULES_PER_PASS):
-        chunk = rules[start:start + RULES_PER_PASS]
-        numerators = np.empty((len(chunk) + 1, table.lengths.size))
-        numerators[0] = table.areas
-        for row, rule in zip(numerators[1:], chunk):
-            columns = table.error_columns(rule)
-            errors.append(_breakdown(columns, table.measured_time))
-            np.add(columns[0], columns[1], out=row)
-        if resamples > 0:
-            hws = _bootstrap_halfwidths(params.master_seed, numerators, table.lengths, resamples, confidence)
-            aoi_hw = float(hws[0])
-            err_hws[start:start + len(chunk)] = hws[1:].tolist()
-    return [
-        MetricsSummary(
+    aoi_hw = z = None
+    if confidence is not None:
+        measured = int(np.count_nonzero(table.lengths))
+        if measured < 2:
+            raise EmptyTimelineError(
+                f"{measured} of {table.lengths.size} periods have measured time (from the first "
+                f"delivery on); a half-width needs at least 2"
+            )
+        from statistics import NormalDist  # imported here: `import agemon.cli` stays lean
+
+        z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
+        aoi_hw = _ratio_halfwidth(table.areas, table, measured, z)
+    summaries = []
+    for rule in rules:
+        columns = table.error_columns(rule)
+        err_hw = detection_hw = None
+        if z is not None:
+            fp, fn, reacq = columns
+            err_hw = _ratio_halfwidth(fp + fn, table, measured, z)
+            detection_hw = _ratio_halfwidth(fp - reacq + fn, table, measured, z)
+        summaries.append(MetricsSummary(
             aoi_time_average=table.aoi,
             regions=table.regions,
-            error=error,
+            error=_breakdown(columns, table.measured_time),
             aoi_ci_halfwidth=aoi_hw,
             error_ci_halfwidth=err_hw,
+            detection_error_ci_halfwidth=detection_hw,
             measured_time=table.measured_time,
             periods=params.periods,
             seed=params.master_seed,
             unstable_queue=params.unstable_queue,
-        )
-        for error, err_hw in zip(errors, err_hws)
-    ]
+        ))
+    return summaries

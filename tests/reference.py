@@ -19,6 +19,10 @@ explicit intervals, the oracle behind the interval-walk checks of
 into the trapezoids that `period_table` integrates, so a test can add them
 up with `math.fsum`. `scan_optimal_threshold` finds the optimal threshold
 by a grid scan of the quadrature, independently of its closed form.
+
+`bootstrap_halfwidths` is the percentile bootstrap over periods that the
+library's confidence half-widths came from before the regenerative ratio
+estimator replaced it; tests check that the two agree.
 """
 
 from __future__ import annotations
@@ -301,6 +305,69 @@ def age_pieces(arrivals: list[float], ages: list[float], lo: float, hi: float) -
             return pieces
         j += 1
         t, age = arrivals[j], ages[j]
+
+
+# The bootstrap's resample indices: a sixth kind of draw, which no block of
+# the simulation draws
+BOOTSTRAP_KEY = (0, 5)
+# at the cap, the statistics array of 33 rows (the age and 32 rules) takes 264 MB
+MAX_RESAMPLES = 10**6
+
+# A batch of B resamples gathers (n periods, B, k rows) floats, at most
+# _BOOTSTRAP_CELLS of them (2 MB) unless that leaves fewer than
+# _BOOTSTRAP_MIN_SUMS running sums, B * k: summing the periods costs one
+# numpy inner loop per period, which is slow when it adds only a few
+# columns. Neither is part of the contract: any batch size gives the same
+# half-widths.
+_BOOTSTRAP_CELLS = 2**18
+_BOOTSTRAP_MIN_SUMS = 16
+
+
+def check_resamples(resamples: int) -> None:
+    """Reject a bootstrap size outside [0, MAX_RESAMPLES]."""
+    if resamples < 0:
+        raise ParameterError(f"resamples must be >= 0, got {resamples}")
+    if resamples > MAX_RESAMPLES:
+        raise ParameterError(f"resamples must be <= {MAX_RESAMPLES}, got {resamples}")
+
+
+def bootstrap_halfwidths(seed: int, numerators, lengths, resamples: int, confidence: float):
+    """Percentile-bootstrap half-widths of the ratios numerators[i].sum() /
+    lengths.sum() over period resamples. Every call replays the same index
+    stream, so a row's half-width does not depend on which rows are stacked
+    with it. Resamples are gathered in batches; the batch size changes no
+    bit. A resample of only zero-length periods (before the first delivery)
+    has no ratio, so any such draw raises EmptyTimelineError."""
+    check_resamples(resamples)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=BOOTSTRAP_KEY))
+    k, n = numerators.shape
+    cols = np.ascontiguousarray(numerators.T)
+    batch = max(-(-_BOOTSTRAP_MIN_SUMS // k), _BOOTSTRAP_CELLS // (n * k))
+    stats = np.empty((resamples, k))
+    empty = 0
+    for start in range(0, resamples, batch):
+        # each index takes the generator's next 32-bit draw, so one (B, n)
+        # call draws what B calls of n indices would
+        idx = rng.integers(0, n, size=(min(batch, resamples - start), n))
+        # Reducing the outer axis of the (n, B, k) gather adds one period
+        # after another, the order numpy used on the F-ordered
+        # numerators[:, idx] of a per-resample loop (F-ordered when there
+        # are two or more rows; one row would be summed pairwise). Each
+        # denominator row is contiguous, so it keeps numpy's pairwise sum
+        # of one resample's lengths.
+        totals = np.take(cols, idx.T, axis=0).sum(axis=0)
+        spans = np.take(lengths, idx).sum(axis=1)
+        empty += int(np.count_nonzero(spans == 0.0))
+        if not empty:
+            stats[start:start + idx.shape[0]] = totals / spans[:, None]
+    if empty:
+        raise EmptyTimelineError(
+            f"{empty} of {resamples} bootstrap resamples drew only periods with no measured time "
+            f"(before the first delivery); more periods are needed for a half-width"
+        )
+    tail = 100.0 * (1.0 - confidence) / 2.0
+    lo, hi = np.percentile(stats, [tail, 100.0 - tail], axis=0)
+    return (hi - lo) / 2.0
 
 
 def scan_optimal_threshold(lam: float, nu: float, r: float, grid) -> float:

@@ -12,13 +12,14 @@ import pytest
 import agemon.cli
 import agemon.experiments
 import agemon.sim
-from agemon import ParameterError, quadrature_error_rate
+from agemon import ParameterError, SimParams, monte_carlo_cross_check, quadrature_error_rate
 from agemon.cli import run_subcommand
 from agemon.report import OUTPUTS
-from agemon.summary import MAX_RESAMPLES
 from conftest import DEFAULTS, read_csv
+from reference import MAX_RESAMPLES
 
-FAST = ["--periods", "300", "--resamples", "20"]
+FAST = ["--periods", "300"]
+NOTE = "note: --resamples {} is unused; the half-widths now come from the regenerative ratio estimator\n"
 # the commands that simulate, all through experiments.measure; each case id
 # names the module whose `simulate` the command once called, so ids stay stable
 SIMULATING = pytest.mark.parametrize("argv", [
@@ -183,16 +184,18 @@ class TestErrors:
         assert "error: resamples must be >= 0, got -5" in err
 
     @SIMULATING
-    def test_oversized_resamples_fails_before_simulating(self, capsys, monkeypatch, argv):
-        # 10^12 resamples once simulated first, then failed allocating 14.6 TiB
-        def no_simulation(params):
-            raise AssertionError("simulated before the resample count was checked")
+    def test_oversized_resamples_are_unused(self, capsys, monkeypatch, argv):
+        # 10^12 resamples once simulated first, then failed allocating
+        # 14.6 TiB; the count is unused now, so nothing is allocated for it
+        def reached(params):
+            raise ParameterError("reached the simulation")
 
-        monkeypatch.setattr(agemon.experiments, "simulate", no_simulation)
+        monkeypatch.setattr(agemon.experiments, "simulate", reached)
         status, _, err = run(capsys, *argv, "--resamples", "1000000000000")
         assert status == 1
-        assert f"error: resamples must be <= {MAX_RESAMPLES}, got 1000000000000" in err
+        assert err == NOTE.format(1000000000000) + "error: reached the simulation\n"
 
+    # the cap of the bootstrap that --resamples once sized
     @SIMULATING
     def test_resamples_at_the_cap_reach_the_simulation(self, capsys, monkeypatch, argv):
         def reached(params):
@@ -255,7 +258,7 @@ class TestSimulate:
         header, values = out_csv.read_text(encoding="utf-8").splitlines()[1:]
         cells = dict(zip(header.split(","), values.split(",")))
         same = {"aoi_empirical": "aoi_time_average", "err_empirical": "error_rate",
-                "err_detection": "detection_error_rate",
+                "err_detection": "detection_error_rate", "err_detection_ci": "detection_error_ci_halfwidth",
                 "aoi_ci": "aoi_ci_halfwidth", "err_ci": "error_ci_halfwidth",
                 "fp_rate": "fp_rate", "fn_rate": "fn_rate", "seed": "seed"}
         assert {column: cells[column] for column in same} == {column: printed[key] for column, key in same.items()}
@@ -270,23 +273,27 @@ class TestSimulate:
         assert row["err_empirical"] == 0.0 and row["err_analytic"] == 0.0
         assert row["aoi_analytic"] is not None
 
+    # The name is kept from the bootstrap, which failed here when a resample
+    # drew only the period before the first delivery
     def test_resamples_of_empty_periods_fail_with_a_count(self, capsys):
-        # Two periods at nu = 0.5: a resample that draws only the period
-        # before the first delivery has no measured time, and at seed 1, 11
-        # of 50 do. Warnings are errors here, so a 0/0 division would fail.
-        argv = ["simulate", "--periods", "2", "--nu", "0.5", "--recovery", "1", "--resamples", "50"]
+        # Two periods at nu = 0.5: at seed 1 the first one delivers nothing,
+        # so only one period has measured time, and its residual sd of
+        # exactly 0 would read as certainty. Warnings are errors here, so a
+        # 0/0 division would fail.
+        argv = ["simulate", "--periods", "2", "--nu", "0.5", "--recovery", "1"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             status, out, err = run(capsys, *argv, "--seed", "1")
         assert status == 1 and out == ""
-        assert err == ("error: 11 of 50 bootstrap resamples drew only periods with no measured time "
-                       "(before the first delivery); more periods are needed for a half-width\n")
-        # at seed 2 every resample has some time: the half-widths keep their bits
+        assert err == ("error: 1 of 2 periods have measured time (from the first delivery on); "
+                       "a half-width needs at least 2\n")
+        # at seed 2 both periods have measured time: finite half-widths
         status, out, _ = run(capsys, *argv, "--seed", "2")
         assert status == 0
         printed = dict(line.split(" = ") for line in out.splitlines())
-        assert printed["aoi_ci_halfwidth"] == "1.4404563771523091"
-        assert printed["error_ci_halfwidth"] == "0.23359510193342148"
+        assert printed["aoi_ci_halfwidth"] == "1.8620833193907258"
+        assert printed["error_ci_halfwidth"] == "0.30196925759148346"
+        assert printed["detection_error_ci_halfwidth"] == "0.30196925759148346"
 
     def test_seed_flag_changes_result(self, capsys, tmp_path):
         a = tmp_path / "a.csv"
@@ -421,13 +428,11 @@ class TestValidate:
     def test_resamples_flag_has_help(self, capsys, command):
         status, out, _ = run(capsys, command, "--help")
         assert status == 0
-        assert re.search(r"--resamples RESAMPLES\s+bootstrap resamples", out)
+        assert re.search(r"--resamples RESAMPLES\s+deprecated and unused: the 95% half-widths", out)
 
     def test_writes_json_report(self, capsys, tmp_path):
         out = tmp_path / "report.json"
-        status, stdout, _ = run(
-            capsys, "validate", "--periods", "10000", "--resamples", "50", "--out", str(out)
-        )
+        status, stdout, _ = run(capsys, "validate", "--periods", "10000", "--out", str(out))
         assert status == 0
         data = json.loads(out.read_text(encoding="utf-8"))
         assert list(data) == [
@@ -441,6 +446,9 @@ class TestValidate:
         assert abs(data["aoi_rel_dev"]) < 0.10
         printed = json.loads(stdout.split("wrote")[0])
         assert printed == data
+        # the error half-width has the scope of the rate err_rel_dev compares
+        row = monte_carlo_cross_check(SimParams(**DEFAULTS, periods=10_000, master_seed=agemon.cli.DEFAULT_SEED))
+        assert data["err_ci_halfwidth"] == row["err_detection_ci"] != row["err_ci"]
 
     def test_conditioned_run_says_so(self, capsys, tmp_path):
         # compared with the unconditioned closed forms, so the report flags it
@@ -468,18 +476,47 @@ class TestValidate:
         assert isinstance(data["aoi_empirical"], float)
 
 
+class TestResamplesFlag:
+    # --resamples is deprecated: 0 still skips the half-widths, any other
+    # count is unused and says so once, a negative one is an error (TestErrors)
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--periods", "300"],
+        ["sweep-threshold", "--periods", "300", "--grid", "4:8:2"],
+        ["validate", "--periods", "10000"],
+    ], ids=["simulate", "sweep-threshold", "validate"])
+    def test_a_count_is_unused_and_zero_skips_the_halfwidths(self, capsys, tmp_path, argv):
+        argv = [*argv, "--out", str(tmp_path / "out")]
+        status, plain, err = run(capsys, *argv)
+        assert status == 0 and err == ""
+        written = (tmp_path / "out").read_bytes()
+        status, out, err = run(capsys, *argv, "--resamples", "7")
+        assert status == 0 and out == plain and (tmp_path / "out").read_bytes() == written
+        assert err == NOTE.format(7)
+        status, out, err = run(capsys, *argv, "--resamples", "0")
+        assert status == 0 and err == ""
+        skipped = (tmp_path / "out").read_text(encoding="utf-8")
+        if argv[0] == "validate":
+            assert json.loads(skipped)["err_ci_halfwidth"] is None
+        else:
+            assert all(r["aoi_ci"] is None and r["err_detection_ci"] is None for r in read_csv(tmp_path / "out"))
+
+
 class TestBytePins:
     # sha256 of whole outputs at the pinned seed, so a change to how runs
     # are queued or summed is shown to keep every byte: simulate at the
     # dense regime (rho = 0.9, E[T] = 2000, ~1800 packets per period, few
     # long ragged periods) and a threshold sweep's CSV at the defaults
-    # (~100 packets per period, many periods queued side by side)
+    # (~100 packets per period, many periods queued side by side). Every
+    # hash with a half-width, and the analytic-only CSV, whose header and
+    # empty cells gained err_detection_ci, was recorded again when the
+    # regenerative ratio half-widths replaced the bootstrap; the rho
+    # sweep's SVG kept its bytes
     def test_dense_simulate_stdout(self, capsys):
         status, out, _ = run(capsys, "simulate", "--lambda", "0.9", "--nu", "0.0005",
-                             "--periods", "200", "--resamples", "100", "--seed", "20260810")
+                             "--periods", "200", "--seed", "20260810")
         assert status == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "06ca514b485a75906ed6e07069ecb97ab7be2ae7f2bba1af6535368e67a9329e")
+            "abb32687caaa22cb1930657a5b2c3003ee0c9a25c4713669b6767da980ac7bf9")
 
     def test_threshold_sweep_csv(self, capsys, tmp_path):
         out_csv = tmp_path / "thr.csv"
@@ -487,18 +524,17 @@ class TestBytePins:
                            "--seed", "20260810", "--out", str(out_csv))
         assert status == 0
         assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == (
-            "00b22ad3eea6aec6321e6774a48a99cd9d482de9c21a6daef3c6a9a0d6e04eb5")
+            "2d36f69b7ac85138131bfb059316667f7b9a03d12551c78530b3c11982ce65a0")
 
     # every other way a run becomes rows: the cross-check report, a sweep
     # with one simulation per point and its chart, and a threshold grid's
     # closed forms alone (spanning r, so all three quadrature chains)
     def test_validate_json(self, capsys, tmp_path):
         out = tmp_path / "report.json"
-        status, _, _ = run(capsys, "validate", "--periods", "10000", "--resamples", "100",
-                           "--seed", "20260810", "--out", str(out))
+        status, _, _ = run(capsys, "validate", "--periods", "10000", "--seed", "20260810", "--out", str(out))
         assert status == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "0ef542aacdd91608f64b6c9120e0be8eea59b50aeb77ccf5478406e42a7c3f18")
+            "c31198d41deff9dedd2eb120ea367ed7962e1df5464867bfe6079e5976a3ab06")
 
     def test_rho_sweep_csv_and_svg(self, capsys, tmp_path):
         out_csv, out_svg = tmp_path / "rho.csv", tmp_path / "rho.svg"
@@ -506,7 +542,7 @@ class TestBytePins:
                            "--out", str(out_csv), "--svg", str(out_svg))
         assert status == 0
         assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == (
-            "4483470cde67211813275d658cc15f1bc0e7eb1a250fda1d4b931c36557d7c8c")
+            "567749cf7a79b0805703fe2880a67fe0d5c3922c7591da4b2dda7e75dd43ccca")
         assert hashlib.sha256(out_svg.read_bytes()).hexdigest() == (
             "095c7fce0758810b4c583d05a7889c281a9c303603d43655136f34468a040447")
 
@@ -516,14 +552,26 @@ class TestBytePins:
                            "--seed", "20260810", "--out", str(out_csv))
         assert status == 0
         assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == (
-            "251a2808e1e11a526586d121e33fd088d99aa1c6bb4d26720106875abd2f8391")
+            "62e188885bf89208edaae5bb0e0fcf237a2fad8d326d61c7e97ee71a061a28a4")
+
+
+def modules_after_importing_the_cli(package: str) -> str:
+    """The modules of `package` that `import agemon.cli` loads in a fresh
+    interpreter, as printed by it."""
+    src = str(pathlib.Path(agemon.cli.__file__).parents[1])
+    code = f"import sys, agemon.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == {package!r}))"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    return done.stdout
 
 
 def test_importing_the_cli_leaves_scipy_unimported():
     # scipy.integrate costs more to import than agemon and numpy together;
     # only a quadrature imports it
-    src = str(pathlib.Path(agemon.cli.__file__).parents[1])
-    code = "import sys, agemon.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
-    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True, check=True)
-    assert done.stdout == "[]\n"
+    assert modules_after_importing_the_cli("scipy") == "[]\n"
+
+
+def test_importing_the_cli_leaves_statistics_unimported():
+    # statistics (with fractions and decimal) gives the half-widths' normal
+    # quantile; only a run that forms half-widths imports it
+    assert modules_after_importing_the_cli("statistics") == "[]\n"

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import agemon.experiments
-import agemon.summary
 from agemon import (
     ParameterError,
     SimParams,
@@ -16,21 +15,21 @@ from agemon.experiments import MAX_GRID_POINTS, measure
 from agemon.oracle import quadrature_error_rates
 from conftest import DEFAULTS, SEED
 
-# float.hex of (aoi_ci, err_ci) per row of a threshold sweep at 300 periods
-# and 50 resamples, grid 0, tau*/2, ..., 5 tau*/2 with tau* the MAP threshold
-# (row 2); the last row exceeds r = 20, so its rule is degenerate. The shared
-# bootstrap reproduced the one-bootstrap-per-threshold values bit for bit;
-# these were recorded once more when the stream contract changed to
-# per-block streams, and again when per-period sums replaced run-wide
-# prefix-sum differences and then when the bootstrap's stream key moved
-# (contract 3). Every later change must reproduce them
+# float.hex of (aoi_ci, err_detection_ci, err_ci) per row of a threshold
+# sweep at 300 periods, grid 0, tau*/2, ..., 5 tau*/2 with tau* the MAP
+# threshold (row 2); the last row exceeds r = 20, so its rule is degenerate.
+# The bootstrap half-widths these replaced were recorded when the stream
+# contract changed to per-block streams, again when per-period sums replaced
+# run-wide prefix-sum differences and then when the bootstrap's stream key
+# moved (contract 3); the regenerative ratio half-widths were recorded when
+# they replaced the bootstrap. Every later change must reproduce them
 SWEEP_GOLDEN = [
-    ("0x1.df778d400aec0p-4", "0x1.3e83109541ec0p-7"),
-    ("0x1.df778d400aec0p-4", "0x1.02b3a700e1e38p-8"),
-    ("0x1.df778d400aec0p-4", "0x1.46164f1707b98p-8"),
-    ("0x1.df778d400aec0p-4", "0x1.c6abf116c2b04p-8"),
-    ("0x1.df778d400aec0p-4", "0x1.2ff6c8c48e7a0p-7"),
-    ("0x1.df778d400aec0p-4", "0x1.3e83109541eecp-7"),
+    ("0x1.1b6a48c3980afp-3", "0x1.74485594a04eep-7", "0x1.61e1c7078acc6p-7"),
+    ("0x1.1b6a48c3980afp-3", "0x1.0f3766745f8d7p-8", "0x1.188587fe35df8p-8"),
+    ("0x1.1b6a48c3980afp-3", "0x1.1fe95068610f5p-8", "0x1.4232d432c10b1p-8"),
+    ("0x1.1b6a48c3980afp-3", "0x1.ac94a6115729cp-8", "0x1.d1108591ff8bcp-8"),
+    ("0x1.1b6a48c3980afp-3", "0x1.24cf248d9a3eep-7", "0x1.3718f928ee666p-7"),
+    ("0x1.1b6a48c3980afp-3", "0x1.61e1c7078acc4p-7", "0x1.61e1c7078acc4p-7"),
 ]
 
 
@@ -78,15 +77,15 @@ class TestRunSweep:
 
     def test_rho_sweep_rows_record_seed(self):
         spec = SweepSpec(variable="rho", start=0.3, stop=0.7, step=0.2, fixed=fixed())
-        rows = run_sweep(spec, resamples=0)
+        rows = run_sweep(spec, confidence=None)
         assert [r["swept_value"] for r in rows] == pytest.approx([0.3, 0.5, 0.7])
         assert all(r["seed"] == 11 for r in rows)
-        assert all(r["aoi_ci"] is None for r in rows)  # bootstrap disabled
+        assert all(r["aoi_ci"] is None for r in rows)  # half-widths skipped
         assert all(r["fp_rate"] is not None and r["fn_rate"] is not None for r in rows)
 
     def test_threshold_sweep_shares_one_timeline(self):
         spec = SweepSpec(variable="threshold", start=2.0, stop=12.0, step=5.0, fixed=fixed())
-        rows = run_sweep(spec, resamples=0)
+        rows = run_sweep(spec, confidence=None)
         assert len({r["aoi_empirical"] for r in rows}) == 1
         assert len({r["err_empirical"] for r in rows}) == 3
 
@@ -98,8 +97,8 @@ class TestRunSweep:
 
     def test_rerun_reproduces_empirical_columns(self):
         spec = SweepSpec(variable="rho", start=0.4, stop=0.6, step=0.2, fixed=fixed())
-        a = run_sweep(spec, resamples=50)
-        b = run_sweep(spec, resamples=50)
+        a = run_sweep(spec)
+        b = run_sweep(spec)
         assert a == b
 
 
@@ -124,27 +123,36 @@ class TestMeasure:
         assert all(row["tau"] is None and row["aoi_empirical"] is None for row in rows)
 
     def test_simulated_rows_record_their_rule(self):
-        rows = measure(fixed(), [4.0, 25.0], resamples=0)
+        rows = measure(fixed(), [4.0, 25.0], confidence=None)
         assert [(row["tau"], row["degenerate"]) for row in rows] == [(4.0, False), (25.0, True)]
         # one simulation serves both rules
         assert rows[0]["aoi_empirical"] == rows[1]["aoi_empirical"]
 
 
-def recorded_sweep_rows():
+def sweep_params():
     step = map_threshold(DEFAULTS["lam"], DEFAULTS["nu"]) / 2
-    params = SimParams(**DEFAULTS, periods=300, master_seed=SEED)
-    spec = SweepSpec(variable="threshold", start=0.0, stop=5 * step, step=step, fixed=params)
-    rows = run_sweep(spec, resamples=50)
-    assert rows[2]["swept_value"] == 2 * step
-    assert rows[-1]["swept_value"] > DEFAULTS["r"]
-    return [(float.hex(r["aoi_ci"]), float.hex(r["err_ci"])) for r in rows]
+    return SimParams(**DEFAULTS, periods=300, master_seed=SEED), step
+
+
+def halfwidths(rows):
+    return [(float.hex(r["aoi_ci"]), float.hex(r["err_detection_ci"]), float.hex(r["err_ci"])) for r in rows]
 
 
 def test_threshold_sweep_bit_identical_to_recorded():
-    assert recorded_sweep_rows() == SWEEP_GOLDEN
+    params, step = sweep_params()
+    spec = SweepSpec(variable="threshold", start=0.0, stop=5 * step, step=step, fixed=params)
+    rows = run_sweep(spec)
+    assert rows[2]["swept_value"] == 2 * step
+    assert rows[-1]["swept_value"] > DEFAULTS["r"]
+    assert halfwidths(rows) == SWEEP_GOLDEN
 
 
+# The name is kept from when the library stacked up to 32 rules in one
+# bootstrap pass: the grid measured in passes of `per_pass` thresholds,
+# each on its own simulation of the same seed, gives the same half-widths
 @pytest.mark.parametrize("per_pass", [1, 3])
-def test_threshold_sweep_over_several_bootstrap_passes(monkeypatch, per_pass):
-    monkeypatch.setattr(agemon.summary, "RULES_PER_PASS", per_pass)
-    assert recorded_sweep_rows() == SWEEP_GOLDEN
+def test_threshold_sweep_over_several_bootstrap_passes(per_pass):
+    params, step = sweep_params()
+    grid = [step * k for k in range(6)]
+    rows = [row for i in range(0, len(grid), per_pass) for row in measure(params, grid[i:i + per_pass])]
+    assert halfwidths(rows) == SWEEP_GOLDEN

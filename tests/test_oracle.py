@@ -391,7 +391,7 @@ class TestCrossCheck:
 
     def test_smoke_at_ten_thousand_periods(self):
         report = monte_carlo_cross_check(
-            SimParams(**DEFAULTS, periods=10_000, master_seed=SEED), resamples=200
+            SimParams(**DEFAULTS, periods=10_000, master_seed=SEED)
         )
         assert report["tau"] == pytest.approx(TAU)
         assert not report["degenerate"]
@@ -401,6 +401,7 @@ class TestCrossCheck:
         assert report["err_empirical"] > report["err_detection"]
         assert report["aoi_ci"] > 0
         assert report["err_ci"] > 0
+        assert report["err_detection_ci"] > 0
         assert report["seed"] == SEED and report["periods"] == 10_000
 
     def test_custom_rule_fails_before_simulating(self, monkeypatch):
@@ -413,16 +414,16 @@ class TestCrossCheck:
         monkeypatch.setitem(monte_carlo_cross_check.__globals__, "simulate", no_simulation)
         params = SimParams(**{**DEFAULTS, "r": 1500.0}, periods=10_000, master_seed=SEED)
         with pytest.raises(ParameterError, match=re.escape("(lam + nu) * r = 757.5 overflows exp")):
-            monte_carlo_cross_check(params, rule=DecisionRule.with_threshold(2000.0, 1500.0), resamples=0)
+            monte_carlo_cross_check(params, rule=DecisionRule.with_threshold(2000.0, 1500.0), confidence=None)
 
     def test_custom_rule_uses_quadrature_reference(self):
         rule = DecisionRule.with_threshold(4.0, R)
         report = monte_carlo_cross_check(
-            SimParams(**DEFAULTS, periods=10_000, master_seed=SEED), rule=rule, resamples=0
+            SimParams(**DEFAULTS, periods=10_000, master_seed=SEED), rule=rule, confidence=None
         )
         assert report["err_analytic"] == pytest.approx(quadrature_error_rate(LAM, NU, R, 4.0), rel=1e-9)
         # suboptimal threshold must measure worse than the optimal one
         best = monte_carlo_cross_check(
-            SimParams(**DEFAULTS, periods=10_000, master_seed=SEED), resamples=0
+            SimParams(**DEFAULTS, periods=10_000, master_seed=SEED), confidence=None
         )
         assert report["err_detection"] > best["err_detection"]

@@ -30,7 +30,7 @@ def sample_rows():
 class TestCsv:
     def test_header_is_pinned(self, tmp_path):
         assert CSV_HEADER == ("swept_var,swept_value,aoi_analytic,aoi_empirical,"
-                              "aoi_ci,err_analytic,err_empirical,err_detection,err_ci,fp_rate,fn_rate,seed")
+                              "aoi_ci,err_analytic,err_empirical,err_detection,err_detection_ci,err_ci,fp_rate,fn_rate,seed")
         path = write_csv(sample_rows(), tmp_path / "out.csv")
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == CSV_HEADER
@@ -63,14 +63,14 @@ class TestCsv:
         assert _cells([np.bool_(True), np.bool_(False)]) == ["true", "false"]
 
     def test_skipped_bootstrap_empty_and_nan_halfwidth_written(self):
-        # None (no bootstrap) is an empty cell; a bootstrap's NaN reads nan
+        # None (no half-width) is an empty cell; a NaN reads nan
         assert _cells([None, float("nan"), 0.5]) == ["", "nan", "0.5"]
 
     def test_analytic_only_row_leaves_empirical_empty(self, tmp_path):
         analytic = row("rho", 0.5, aoi_analytic=4.5045, err_analytic=0.0416)
         path = write_csv([analytic], tmp_path / "out.csv")
         data_line = path.read_text(encoding="utf-8").splitlines()[1]
-        assert data_line == "rho,0.5,4.5045,,,0.0416,,,,,,"
+        assert data_line == "rho,0.5,4.5045,,,0.0416,,,,,,,"
         assert read_csv(path) == [analytic]
 
     def test_full_precision_survives(self, tmp_path):

@@ -10,26 +10,29 @@ from hypothesis import strategies as st
 
 import agemon.sim as sim
 import agemon.summary
-from agemon import DecisionRule, ParameterError, SimParams, period_table, simulate, summarize
+import reference
+from agemon import DecisionRule, EmptyTimelineError, ParameterError, SimParams, period_table, simulate, summarize
 from agemon.report import project, run_row
 from agemon.experiments import measure
-from agemon.summary import _bootstrap_halfwidths
+from agemon.summary import _ratio_halfwidth
 from conftest import DEFAULTS, SEED, manual_timeline
-from reference import age_pieces
+from reference import age_pieces, bootstrap_halfwidths
 
 # float.hex of every float of the optimal rule's summarize(...) in `simulate`'s
-# output at 300 periods and 50 resamples. The metric paths reproduced the earlier per-function paths bit
+# output at 300 periods. The metric paths reproduced the earlier per-function paths bit
 # for bit; these values were recorded once more when the stream contract
 # changed to per-block streams, and the avg_r* and half-width fields again
 # when per-period sums replaced run-wide prefix-sum differences (their last
 # bits moved), then when the bootstrap's stream key moved (contract 3), and
 # once more when every total became a column sum of the period table (the
 # mean age, region and false-positive totals moved by <= 5.8e-16 relative).
+# The half-widths were recorded again when the regenerative ratio estimator
+# replaced the 50-resample bootstrap, which added the detection-scope one.
 # Every later change must reproduce them
 GOLDEN = {
     20.0: {
         "aoi_time_average": "0x1.1fc125ced74d2p+2",
-        "aoi_ci_halfwidth": "0x1.df778d400aec0p-4",
+        "aoi_ci_halfwidth": "0x1.1b6a48c3980afp-3",
         "avg_r1": "0x1.8b73a67dfceadp+4",
         "avg_r2": "0x1.b61e70dc3d318p+1",
         "avg_r3": "0x1.b86fdeeeaf682p+3",
@@ -38,7 +41,8 @@ GOLDEN = {
         "time_r3": "0x1.7700000000000p+12",
         "error_rate": "0x1.7590fa0fd51f2p-5",
         "detection_error_rate": "0x1.4dbec7dedbff7p-5",
-        "error_ci_halfwidth": "0x1.46164f1707b98p-8",
+        "detection_error_ci_halfwidth": "0x1.1fe95068610f5p-8",
+        "error_ci_halfwidth": "0x1.4232d432c10b1p-8",
         "fp_rate": "0x1.8b6c779e88688p-7",
         "fn_rate": "0x1.12b5dc2833050p-5",
         "reacquisition_fp_time": "0x1.36f942a5f74e5p+8",
@@ -47,7 +51,7 @@ GOLDEN = {
     # r = 5 <= tau: the optimal rule is degenerate
     5.0: {
         "aoi_time_average": "0x1.c2ff063389bc9p+1",
-        "aoi_ci_halfwidth": "0x1.4de0eeb6b0800p-5",
+        "aoi_ci_halfwidth": "0x1.8b8473b9b1c57p-5",
         "avg_r1": "0x1.35e1293c448d3p+3",
         "avg_r2": "0x1.b61e70dc3d30dp+1",
         "avg_r3": "0x1.87462443c5353p+2",
@@ -56,7 +60,8 @@ GOLDEN = {
         "time_r3": "0x1.7700000000000p+10",
         "error_rate": "0x1.9d39c18a26ecep-6",
         "detection_error_rate": "0x1.9d39c18a26ecep-6",
-        "error_ci_halfwidth": "0x1.70f79efd362e4p-9",
+        "detection_error_ci_halfwidth": "0x1.9975c7b7b37d9p-9",
+        "error_ci_halfwidth": "0x1.9975c7b7b37d9p-9",
         "fp_rate": "0x0.0p+0",
         "fn_rate": "0x1.9d39c18a26ecep-6",
         "reacquisition_fp_time": "0x0.0p+0",
@@ -75,7 +80,7 @@ MAP_RULE = DecisionRule.map_rule(DEFAULTS["lam"], DEFAULTS["nu"], DEFAULTS["r"])
 
 @pytest.fixture(scope="module")
 def summary(small_table):
-    [summary] = summarize(small_table, [MAP_RULE], resamples=300)
+    [summary] = summarize(small_table, [MAP_RULE])
     return summary
 
 
@@ -91,7 +96,7 @@ class TestSummarize:
     def test_confidence_intervals_positive_and_reproducible(self, small_table, summary):
         assert summary.aoi_ci_halfwidth > 0
         assert summary.error_ci_halfwidth > 0
-        [again] = summarize(small_table, [MAP_RULE], resamples=300)
+        [again] = summarize(small_table, [MAP_RULE])
         assert again.aoi_ci_halfwidth == summary.aoi_ci_halfwidth
         assert again.error_ci_halfwidth == summary.error_ci_halfwidth
 
@@ -100,21 +105,24 @@ class TestSummarize:
         assert summary.aoi_ci_halfwidth < 0.5
         assert abs(summary.aoi_time_average - 4.5045) < 3 * summary.aoi_ci_halfwidth
 
+    # the name is kept from when a resample count of 0 skipped the bootstrap
     def test_skipping_bootstrap(self, small_table):
-        [s] = summarize(small_table, [MAP_RULE], resamples=0)
+        [s] = summarize(small_table, [MAP_RULE], confidence=None)
         assert s.aoi_ci_halfwidth is None
         assert s.error_ci_halfwidth is None
+        assert s.detection_error_ci_halfwidth is None
 
     def test_confidence_domain(self, small_table):
-        with pytest.raises(ParameterError):
-            summarize(small_table, [MAP_RULE], resamples=10, confidence=1.5)
+        for confidence in (0.0, 1.0, 1.5, math.nan):
+            with pytest.raises(ParameterError, match="confidence must be in"):
+                summarize(small_table, [MAP_RULE], confidence=confidence)
 
     def test_simulate_keys_pinned(self, small_table, summary):
         d = project(run_row(small_table.params, summary), "simulate")
         assert list(d) == [
             "aoi_time_average", "aoi_ci_halfwidth", "avg_r1", "avg_r2", "avg_r3",
             "time_r1", "time_r2", "time_r3", "error_rate", "detection_error_rate",
-            "error_ci_halfwidth", "fp_rate", "fn_rate", "reacquisition_fp_time",
+            "detection_error_ci_halfwidth", "error_ci_halfwidth", "fp_rate", "fn_rate", "reacquisition_fp_time",
             "measured_time", "periods", "seed", "unstable_queue",
         ]
         # Python scalars, not numpy ones, which would print as np.float64(...)
@@ -124,7 +132,7 @@ class TestSummarize:
         tl = simulate(SimParams(lam=1.2, mu=1.0, nu=0.05, r=5.0, periods=50, master_seed=5))
         with pytest.raises(ParameterError):
             measure(tl.params)  # the optimal rule needs rho < 1
-        [s] = summarize(period_table(tl), [DecisionRule.with_threshold(3.0, 5.0)], resamples=0)
+        [s] = summarize(period_table(tl), [DecisionRule.with_threshold(3.0, 5.0)], confidence=None)
         assert s.unstable_queue
 
 
@@ -233,7 +241,7 @@ class TestDeliveryGroups:
 def test_summary_bit_identical_to_recorded(r):
     tl = simulate(SimParams(**{**DEFAULTS, "r": r}, periods=300, master_seed=SEED))
     rule = DecisionRule.map_rule(DEFAULTS["lam"], DEFAULTS["nu"], r)
-    [summary] = summarize(period_table(tl), [rule], resamples=50)
+    [summary] = summarize(period_table(tl), [rule])
     record = project(run_row(tl.params, summary), "simulate")
     floats = {key: float.hex(value) for key, value in record.items() if isinstance(value, float)}
     assert floats == GOLDEN[r]
@@ -246,24 +254,36 @@ def hex_fields(summary):
 
 class TestSummarizeRules:
     # 0, below, at and above the MAP threshold (~9.158), then r itself and
-    # one above it (degenerate), then one more, so passes mix both kinds
+    # one above it (degenerate), then one more, so calls mix both kinds
     TAUS = (0.0, 4.0, 9.158362006503506, 15.0, 20.0, 31.5, 7.25)
 
-    @pytest.mark.parametrize("per_pass", [1, 3, agemon.summary.RULES_PER_PASS])
-    @pytest.mark.parametrize("periods,resamples", [(300, 40), (1, 10), (300, 0)])
-    def test_equals_summarize_per_rule(self, monkeypatch, per_pass, periods, resamples):
+    # The case ids are those of the bootstrap these tests once covered, so
+    # they stay stable: "300-40" was 40 resamples, "1-10" and "300-0" are
+    # now runs without half-widths (one period has too little measured time
+    # for one), and the chunk sizes were rules per bootstrap pass
+    @pytest.mark.parametrize("chunk", [1, 3, 32])
+    @pytest.mark.parametrize("periods,confidence", [
+        pytest.param(300, 0.95, id="300-40"),
+        pytest.param(1, None, id="1-10"),
+        pytest.param(300, None, id="300-0"),
+    ])
+    def test_equals_summarize_per_rule(self, chunk, periods, confidence):
         table = period_table(simulate(SimParams(**DEFAULTS, periods=periods, master_seed=SEED)))
         rules = [DecisionRule.with_threshold(tau, DEFAULTS["r"]) for tau in self.TAUS]
-        # each rule alone, then all rules at once
-        expected = [hex_fields(summary) for rule in rules for summary in summarize(table, [rule], resamples)]
-        monkeypatch.setattr(agemon.summary, "RULES_PER_PASS", per_pass)
-        batched = summarize(table, rules, resamples=resamples)
+        # each rule alone, then the rules in chunks, then all at once
+        expected = [hex_fields(summary) for rule in rules for summary in summarize(table, [rule], confidence)]
+        chunked = [s for i in range(0, len(rules), chunk) for s in summarize(table, rules[i:i + chunk], confidence)]
+        assert [hex_fields(s) for s in chunked] == expected
+        batched = summarize(table, rules, confidence)
         assert [hex_fields(s) for s in batched] == expected
-        if resamples == 0:
-            assert all(s.aoi_ci_halfwidth is None and s.error_ci_halfwidth is None for s in batched)
+        halfwidths = [(s.aoi_ci_halfwidth, s.error_ci_halfwidth, s.detection_error_ci_halfwidth) for s in batched]
+        if confidence is None:
+            assert halfwidths == [(None, None, None)] * len(rules)
+        else:
+            assert all(hw > 0 for row in halfwidths for hw in row)
 
-    @pytest.mark.parametrize("resamples", [0, 20])
-    def test_scores_each_rule_once(self, monkeypatch, resamples):
+    @pytest.mark.parametrize("confidence", [pytest.param(None, id="0"), pytest.param(0.95, id="20")])
+    def test_scores_each_rule_once(self, monkeypatch, confidence):
         table = period_table(simulate(SimParams(**DEFAULTS, periods=50, master_seed=SEED)))
         rules = [DecisionRule.with_threshold(tau, DEFAULTS["r"]) for tau in self.TAUS]
         scored = []
@@ -274,8 +294,7 @@ class TestSummarizeRules:
             return error_columns(self, rule)
 
         monkeypatch.setattr(agemon.summary.PeriodTable, "error_columns", counted)
-        monkeypatch.setattr(agemon.summary, "RULES_PER_PASS", 3)  # three passes
-        summarize(table, rules, resamples=resamples)
+        summarize(table, rules, confidence)
         assert scored == rules
 
     @settings(max_examples=40, deadline=None)
@@ -286,16 +305,17 @@ class TestSummarizeRules:
         seed=st.integers(0, 2**32 - 1),
         scale=st.floats(1e-3, 1e6),
     )
-    # a full pass: the age row and RULES_PER_PASS rule rows
-    @example(k=agemon.summary.RULES_PER_PASS + 1, n=300, resamples=30, seed=SEED, scale=1.0)
+    # the age row and 32 rule rows, the most the library once stacked
+    @example(k=33, n=300, resamples=30, seed=SEED, scale=1.0)
     def test_bootstrap_equals_fancy_index_loop(self, k, n, resamples, seed, scale):
-        # the per-resample loop that the batched gather-and-reduce replaced.
-        # It always had the age row and at least one rule row: with one row,
-        # numerators[:, idx] is C-contiguous and its sum would be pairwise
+        # the reference bootstrap against the per-resample loop that its
+        # batched gather-and-reduce replaced. It always had the age row and
+        # at least one rule row: with one row, numerators[:, idx] is
+        # C-contiguous and its sum would be pairwise
         data = np.random.default_rng(seed)
         numerators = data.lognormal(sigma=3.0, size=(k, n)) * scale
         lengths = data.lognormal(sigma=2.0, size=n)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=sim.BOOTSTRAP_KEY))
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=reference.BOOTSTRAP_KEY))
         stats = np.empty((resamples, k))
         for b in range(resamples):
             idx = rng.integers(0, n, size=n)
@@ -306,23 +326,71 @@ class TestSummarizeRules:
         # one resample per batch, batches that do not divide `resamples`
         # (from 3 on), and one batch of every resample
         for batch in (1, resamples // 2 + 1, resamples):
-            with mock.patch.multiple(agemon.summary, _BOOTSTRAP_CELLS=batch * n * k, _BOOTSTRAP_MIN_SUMS=1):
-                got = _bootstrap_halfwidths(seed, numerators, lengths, resamples, 0.9)
+            with mock.patch.multiple(reference, _BOOTSTRAP_CELLS=batch * n * k, _BOOTSTRAP_MIN_SUMS=1):
+                got = bootstrap_halfwidths(seed, numerators, lengths, resamples, 0.9)
             assert got.tobytes() == expected.tobytes(), batch
-        assert _bootstrap_halfwidths(seed, numerators, lengths, resamples, 0.9).tobytes() == expected.tobytes()
+        assert bootstrap_halfwidths(seed, numerators, lengths, resamples, 0.9).tobytes() == expected.tobytes()
 
 
 def test_bootstrap_key_is_no_simulation_stream():
-    # a run of fewer than 2**32 periods has blocks [0, ceil(2**32 / PERIODS_PER_BLOCK))
+    # the reference bootstrap's index stream: a run of fewer than 2**32
+    # periods has blocks [0, ceil(2**32 / PERIODS_PER_BLOCK))
     blocks = range(-(-2**32 // sim.PERIODS_PER_BLOCK))
     kinds = (sim._CLOCKS, sim._FIRST_SERVICES, sim._GAPS, sim._REFILLS, sim._SERVICES)
-    block, kind = sim.BOOTSTRAP_KEY
+    block, kind = reference.BOOTSTRAP_KEY
     assert block not in blocks or kind not in kinds
     # and its draws are none of the first, a middle or the last block's
-    first = np.random.default_rng(np.random.SeedSequence(SEED, spawn_key=sim.BOOTSTRAP_KEY)).integers(0, 2**62, 4)
+    first = np.random.default_rng(np.random.SeedSequence(SEED, spawn_key=reference.BOOTSTRAP_KEY)).integers(0, 2**62, 4)
     for b in (0, 0x0B00, blocks[-1]):
         for k in kinds:
             assert not np.array_equal(sim._stream(SEED, b, k).integers(0, 2**62, 4), first), (b, k)
+
+
+class TestRatioHalfwidth:
+    def test_equals_the_textbook_formula(self, small_table, summary):
+        # z sd(a - R L) / (mean(L) sqrt(n)) over the periods with measured
+        # time, in plain numpy; the library sums over every period instead
+        measured = small_table.lengths > 0
+        lengths = small_table.lengths[measured]
+        fp, fn, reacq = small_table.error_columns(MAP_RULE)
+        z = 1.959963984540054
+        for numerator, got in [
+            (small_table.areas, summary.aoi_ci_halfwidth),
+            (fp + fn, summary.error_ci_halfwidth),
+            (fp - reacq + fn, summary.detection_error_ci_halfwidth),
+        ]:
+            a = numerator[measured]
+            residual = a - a.sum() / lengths.sum() * lengths
+            want = z * np.std(residual, ddof=1) / (lengths.mean() * math.sqrt(lengths.size))
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_fewer_than_two_measured_periods_fail_with_the_count(self):
+        # the first period delivers nothing, so only the second is measured:
+        # its residual is exactly 0 and a half-width would claim certainty
+        lost = (5.0, 1.0, [0.0], [])
+        delivered = (5.0, 1.0, [0.0, 1.0, 2.0], [0.5, 1.5, 2.5])
+        table = period_table(manual_timeline([lost, delivered]))
+        with pytest.raises(EmptyTimelineError, match=r"^1 of 2 periods have measured time .* at least 2$"):
+            summarize(table, [MAP_RULE])
+        [s] = summarize(table, [MAP_RULE], confidence=None)
+        assert s.aoi_ci_halfwidth is None
+        [s] = summarize(period_table(manual_timeline([delivered, lost, delivered])), [MAP_RULE])
+        assert 0 < s.aoi_ci_halfwidth < math.inf
+
+    def test_outage_fraction_halfwidth_covers_its_exact_value(self):
+        # The outage fraction, sum(r3 time) / sum(length), is a ratio with an
+        # exact value, r nu / (1 + r nu) = 1/11 at the defaults. Its 95%
+        # half-width covers it at 191 of seeds 0-199 (2000 periods each); the
+        # band [0.90, 0.99] reaches 3.2 binomial sd below the nominal 190 and
+        # 2.6 above it
+        exact = DEFAULTS["r"] * DEFAULTS["nu"] / (1.0 + DEFAULTS["r"] * DEFAULTS["nu"])
+        covered = 0
+        for seed in range(200):
+            table = period_table(simulate(SimParams(**DEFAULTS, periods=2000, master_seed=seed)))
+            outage = table.region_times[2]
+            halfwidth = _ratio_halfwidth(outage, table, int(np.count_nonzero(table.lengths)), 1.959963984540054)
+            covered += abs(outage.sum() / table.measured_time - exact) <= halfwidth
+        assert 180 <= covered <= 198
 
 
 def dyadic(low, high):
