@@ -554,6 +554,19 @@ class TestBytePins:
         assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == (
             "62e188885bf89208edaae5bb0e0fcf237a2fad8d326d61c7e97ee71a061a28a4")
 
+    # a conditioned run (require_delivery, recorded in the CSV comment)
+    # whose optimal rule is degenerate (tau ~ 9.16 >= r = 5); the CSV path
+    # in stdout's "wrote" line is hashed as <out>
+    def test_conditioned_simulate_stdout_and_csv(self, capsys, tmp_path):
+        out_csv = tmp_path / "cond.csv"
+        status, out, _ = run(capsys, "simulate", "--enforce-assumption3", "--recovery", "5", "--periods", "2000",
+                             "--seed", "20260810", "--out", str(out_csv))
+        assert status == 0
+        assert hashlib.sha256(out.replace(str(out_csv), "<out>").encode()).hexdigest() == (
+            "d7fb3609ff61f7c4031bf7cd17cd1614c6d982fd040a852eaf7824493ee51e67")
+        assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == (
+            "954c446142f804fdfa06296b9a2caf6297d6256be21dd9b65f8f1f91b9754fb3")
+
 
 def modules_after_importing_the_cli(package: str) -> str:
     """The modules of `package` that `import agemon.cli` loads in a fresh
