@@ -13,13 +13,13 @@ from .analytics import (
     pdf_z_given_r3,
     region_means_closed_form,
 )
-from .detector import DecisionRule, ErrorBreakdown, map_threshold
+from .detector import DecisionRule, map_threshold
 from .errors import EmptyTimelineError, OracleError, ParameterError, SimulationLimitError
 from .experiments import SweepSpec, monte_carlo_cross_check, run_sweep
 from .oracle import quadrature_error_rate
 from .report import render_svg, write_csv
 from .sim import EVENT_CAP, SimParams, Timeline, simulate
-from .summary import MetricsSummary, PeriodTable, RegionAverages, period_table, summarize
+from .summary import PeriodTable, period_table, summarize
 
 __version__ = "0.1.0"
 
@@ -27,12 +27,9 @@ __all__ = [
     "DecisionRule",
     "EVENT_CAP",
     "EmptyTimelineError",
-    "ErrorBreakdown",
-    "MetricsSummary",
     "OracleError",
     "ParameterError",
     "PeriodTable",
-    "RegionAverages",
     "SimParams",
     "SimulationLimitError",
     "SweepSpec",

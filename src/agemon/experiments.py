@@ -97,7 +97,7 @@ def measure(params: SimParams, taus=None, with_sim: bool = True, confidence: flo
     rules = [DecisionRule.with_threshold(tau, r) for tau in taus]
     summaries = summarize(period_table(simulate(params)), rules, confidence)
     return [
-        run_row(params, summary, tau=rule.tau, degenerate=rule.degenerate,
+        run_row(params, **summary, tau=rule.tau, degenerate=rule.degenerate,
                 aoi_analytic=aoi_analytic, err_analytic=err, **columns)
         for rule, err, summary in zip(rules, errs, summaries)
     ]

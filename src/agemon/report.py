@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import ParameterError
 from .sim import STREAM_CONTRACT, SimParams
-from .summary import MetricsSummary
 
 COLUMNS = (
     "swept_var", "swept_value", "lam", "mu", "nu", "r", "periods", "seed", "require_delivery",
@@ -80,25 +79,12 @@ CHARTS = {
 _EMPTY_ROW = dict.fromkeys(COLUMNS)
 
 
-def run_row(params: SimParams, summary: Optional[MetricsSummary] = None, **columns) -> dict:
-    """One run's row: the params' columns, then the summary's (None without
-    a summary), then `columns`: the closed forms, the rule, the swept point.
+def run_row(params: SimParams, **columns) -> dict:
+    """One run's row: the params' columns, then `columns`: a `summarize`
+    dict's empirical columns, the closed forms, the rule, the swept point.
     Every other column is None."""
     row = {**_EMPTY_ROW, "lam": params.lam, "mu": params.mu, "nu": params.nu, "r": params.r,
-           "require_delivery": params.require_delivery}
-    if summary is not None:
-        regions, error = summary.regions, summary.error
-        row.update(
-            periods=summary.periods, seed=summary.seed, unstable_queue=summary.unstable_queue,
-            measured_time=summary.measured_time, aoi_empirical=summary.aoi_time_average,
-            avg_r1=regions.avg_r1, avg_r2=regions.avg_r2, avg_r3=regions.avg_r3,
-            time_r1=regions.time_r1, time_r2=regions.time_r2, time_r3=regions.time_r3,
-            err_empirical=error.error_rate, err_detection=error.detection_error_rate,
-            fp_rate=error.fp_rate, fn_rate=error.fn_rate, reacquisition_fp_time=error.reacquisition_fp_time,
-            aoi_ci=summary.aoi_ci_halfwidth, err_ci=summary.error_ci_halfwidth,
-            err_detection_ci=summary.detection_error_ci_halfwidth,
-        )
-    row.update(columns)
+           "require_delivery": params.require_delivery, **columns}
     if len(row) > len(_EMPTY_ROW):
         raise ParameterError(f"unknown columns {sorted(row.keys() - _EMPTY_ROW.keys())}")
     return row

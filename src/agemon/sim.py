@@ -96,10 +96,16 @@ class SimParams:
         for name in ("lam", "mu", "nu", "r"):
             object.__setattr__(self, name, float(getattr(self, name)))
         for name in ("periods", "master_seed"):
+            value = getattr(self, name)
             try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
+                if isinstance(value, bool):  # operator.index would read it as 0 or 1
+                    raise TypeError
+                object.__setattr__(self, name, operator.index(value))
             except TypeError:
-                raise ParameterError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+                raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+        if not isinstance(self.require_delivery, (bool, np.bool_)):
+            raise ParameterError(f"require_delivery must be a bool, got {self.require_delivery!r}")
+        object.__setattr__(self, "require_delivery", bool(self.require_delivery))
         check_params(lam=self.lam, mu=self.mu, nu=self.nu, r=self.r)
         # far beyond any run's packet budget; rejected here by name
         if not 1 <= self.periods < 2**32:

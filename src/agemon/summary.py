@@ -1,5 +1,6 @@
 """One-stop empirical summary of a timeline: the per-period statistics
-table, age averages, detection error breakdown, and regenerative
+table, and `summarize`, which reads a run's empirical output columns off
+it: the age averages, the detection error rates and the regenerative
 confidence half-widths.
 
 The instantaneous age is the time since the generation of the freshest
@@ -18,7 +19,7 @@ temporary that spans the run.
 
 Every reported number is a column sum of the table or a ratio of such
 sums: the mean age sums the slice areas, the region averages sum the region
-columns, and a rule's error breakdown sums its per-slice columns from
+columns, and a rule's error rates sum its per-slice columns from
 `PeriodTable.error_columns`. Periods are the iid unit of the model (its
 renewal cycle), so each half-width is that of a ratio estimator over the
 same per-period (area, mismatch, length) columns rather than raw time.
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import DecisionRule, ErrorBreakdown
+from .detector import DecisionRule
 from .errors import EmptyTimelineError, ParameterError
 from .sim import SimParams, Timeline
 
@@ -48,53 +49,33 @@ def _age_area(length, start_age):
     return length * (start_age + 0.5 * length)
 
 
-@dataclass(frozen=True)
-class RegionAverages:
-    """Time-averaged age and total duration per region of the period cycle:
+@dataclass(frozen=True, eq=False)
+class PeriodTable:
+    """Per-period statistics over the measured span [first arrival, end of run].
+
+    Period p's slice of the span is [edges[0, p], edges[3, p]), and its
+    regions are [edges[k, p], edges[k + 1, p]) for k = 0, 1, 2:
 
     r1: from the first post-recovery generation until its delivery (for
         periods with no delivery, the whole pre-failure span),
     r2: normal operation, from the first delivery until the failure,
     r3: the outage, from the failure until recovery completes.
 
-    Averages are time-weighted across the whole run; a region nobody entered
-    has zero time and a NaN average.
-    """
-
-    avg_r1: float
-    avg_r2: float
-    avg_r3: float
-    time_r1: float
-    time_r2: float
-    time_r3: float
-
-    @property
-    def total_time(self) -> float:
-        return self.time_r1 + self.time_r2 + self.time_r3
-
-
-@dataclass(frozen=True, eq=False)
-class PeriodTable:
-    """Per-period statistics over the measured span [first arrival, end of run].
-
-    Period p's slice of the span is [edges[0, p], edges[3, p]), and its
-    regions (see RegionAverages) are [edges[k, p], edges[k + 1, p]) for
-    k = 0, 1, 2; slices before the first arrival are empty. Columns hold
-    each slice's length and age area and each region's time and age area
-    (0 when empty). The true state is failed exactly on r3, so
-    region_times[2] is also the failed time.
+    Slices before the first arrival are empty. Columns hold each slice's
+    length and age area and each region's time and age area (0 when
+    empty). The true state is failed exactly on r3, so region_times[2] is
+    also the failed time.
 
     Period p's deliveries are [heads[p], heads[p] + counts[p]) in storage
     order, and gaps[j] is the time from delivery j to the next one (the
     last to the end of the run). last_arrivals holds each period's last
     arrival from an earlier period and its last arrival of all (the same
     when it delivered nothing), -inf if none. `error_columns` adds one
-    decision rule's columns, and `error` sums them.
+    decision rule's columns.
     """
 
     params: SimParams
     measured_time: float
-    regions: RegionAverages
     lengths: np.ndarray
     areas: np.ndarray
     region_times: np.ndarray
@@ -110,9 +91,19 @@ class PeriodTable:
         return float(self.areas.sum()) / self.measured_time
 
     def error_columns(self, rule: DecisionRule) -> np.ndarray:
-        """Each slice's false-positive, false-negative and reacquisition
-        false-positive time under the rule, as the rows of a (3, periods)
-        array. Their sum over a slice, fp + fn, is its mismatch time."""
+        """Each slice's exact false-positive, false-negative and
+        reacquisition false-positive time under the rule, as the rows of a
+        (3, periods) array. Their sum over a slice, fp + fn, is its mismatch
+        time.
+
+        A false positive declares FAILED while the sensor works, a false
+        negative the other way around. The reacquisition false positives
+        are the part of fp inside r1, between a period's first generation
+        and its first delivery: right after a recovery z is still draining
+        the outage, so a false positive there is structural whenever
+        tau < r. The detection-scope error, fp - reacq + fn, scores those
+        spans as correct, matching the scope of the closed-form error rate.
+        """
         failed = self.region_times[2]
         if rule.degenerate:
             zeros = np.zeros_like(failed)
@@ -137,15 +128,6 @@ class PeriodTable:
         # r1 holds no arrival either: its estimate turns FAILED once, at flip
         reacq = np.where(self.region_times[0] > 0, np.clip(cut - flip, 0.0, None), 0.0)
         return np.vstack((fp, fn, reacq))
-
-    def error(self, rule: DecisionRule) -> ErrorBreakdown:
-        """Exact mismatch between the rule's estimate and the true state."""
-        return _breakdown(self.error_columns(rule), self.measured_time)
-
-
-def _breakdown(columns: np.ndarray, measured_time: float) -> ErrorBreakdown:
-    """The breakdown whose times are the sums of a rule's error columns."""
-    return ErrorBreakdown(*columns.sum(axis=1).tolist(), measured_time)
 
 
 def _period_sums(heads, counts, pieces, tails):
@@ -211,12 +193,9 @@ def period_table(timeline: Timeline) -> PeriodTable:
     )
     region_times = edges[1:] - edges[:3]
     region_areas = np.where(region_times > 0, region_areas, 0.0)
-    times = region_times.sum(axis=1).tolist()
-    sums = region_areas.sum(axis=1).tolist()
     return PeriodTable(
         params=timeline.params,
         measured_time=m1 - m0,
-        regions=RegionAverages(*(a / t if t > 0 else float("nan") for a, t in zip(sums, times)), *times),
         lengths=edges[3] - edges[0],
         areas=region_areas.sum(axis=0),
         region_times=region_times,
@@ -227,20 +206,6 @@ def period_table(timeline: Timeline) -> PeriodTable:
         counts=counts,
         gaps=gaps,
     )
-
-
-@dataclass(frozen=True)
-class MetricsSummary:
-    aoi_time_average: float
-    regions: RegionAverages
-    error: ErrorBreakdown
-    aoi_ci_halfwidth: float | None  # None when the half-widths were skipped
-    error_ci_halfwidth: float | None
-    detection_error_ci_halfwidth: float | None
-    measured_time: float
-    periods: int
-    seed: int
-    unstable_queue: bool
 
 
 def check_confidence(confidence: float | None) -> None:
@@ -265,20 +230,25 @@ def summarize(
     table: PeriodTable,
     rules: list[DecisionRule],
     confidence: float | None = 0.95,
-) -> list[MetricsSummary]:
-    """Each rule's empirical metrics on one table, plus regenerative ratio
-    half-widths at the given confidence for the mean age, the full-span
-    error and the detection-scope error.
+) -> list[dict]:
+    """Each rule's empirical columns of `report.COLUMNS` on one table, as a
+    dict of Python scalars: the run's size and seed, the mean age and the
+    region averages and times, the error rates and the reacquisition
+    false-positive time, and regenerative ratio half-widths at the given
+    confidence for the mean age, the full-span error and the
+    detection-scope error.
 
+    The region averages are time-weighted across the whole run; a region
+    nobody entered has zero time and a NaN average.
     confidence=None skips the half-widths (they become None). The periods
     are the model's iid cycles, so each half-width is that of a ratio of
     per-period sums (`_ratio_halfwidth`); it needs two or more periods with
     measured time, and fewer raise EmptyTimelineError. Each rule is scored
     once, by `PeriodTable.error_columns`, and its half-widths come from its
-    own columns, so a rule's summary does not depend on the rules beside it.
+    own columns, so a rule's columns do not depend on the rules beside it.
     """
     check_confidence(confidence)
-    params = table.params
+    params, span = table.params, table.measured_time
     aoi_hw = z = None
     if confidence is not None:
         measured = int(np.count_nonzero(table.lengths))
@@ -291,6 +261,14 @@ def summarize(
 
         z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
         aoi_hw = _ratio_halfwidth(table.areas, table, measured, z)
+    times = table.region_times.sum(axis=1).tolist()
+    region_areas = table.region_areas.sum(axis=1).tolist()
+    run = {
+        "periods": params.periods, "seed": params.master_seed, "unstable_queue": params.unstable_queue,
+        "measured_time": span, "aoi_empirical": table.aoi, "aoi_ci": aoi_hw,
+        **{f"avg_r{k}": a / t if t > 0 else float("nan") for k, a, t in zip((1, 2, 3), region_areas, times)},
+        **{f"time_r{k}": t for k, t in zip((1, 2, 3), times)},
+    }
     summaries = []
     for rule in rules:
         columns = table.error_columns(rule)
@@ -299,16 +277,10 @@ def summarize(
             fp, fn, reacq = columns
             err_hw = _ratio_halfwidth(fp + fn, table, measured, z)
             detection_hw = _ratio_halfwidth(fp - reacq + fn, table, measured, z)
-        summaries.append(MetricsSummary(
-            aoi_time_average=table.aoi,
-            regions=table.regions,
-            error=_breakdown(columns, table.measured_time),
-            aoi_ci_halfwidth=aoi_hw,
-            error_ci_halfwidth=err_hw,
-            detection_error_ci_halfwidth=detection_hw,
-            measured_time=table.measured_time,
-            periods=params.periods,
-            seed=params.master_seed,
-            unstable_queue=params.unstable_queue,
+        fp_time, fn_time, reacq_time = columns.sum(axis=1).tolist()
+        summaries.append(dict(
+            run, err_empirical=(fp_time + fn_time) / span,
+            err_detection=(fp_time - reacq_time + fn_time) / span, err_ci=err_hw, err_detection_ci=detection_hw,
+            fp_rate=fp_time / span, fn_rate=fn_time / span, reacquisition_fp_time=reacq_time,
         ))
     return summaries

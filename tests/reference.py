@@ -15,7 +15,7 @@ comparison checks the lockstep arithmetic independently.
 
 `estimated_state_trajectory` builds the detector's estimated state as
 explicit intervals, the oracle behind the interval-walk checks of
-`PeriodTable.error` and `.error_columns`. `age_pieces` cuts the age sawtooth
+`PeriodTable.error_columns`. `age_pieces` cuts the age sawtooth
 into the trapezoids that `period_table` integrates, so a test can add them
 up with `math.fsum`. `scan_optimal_threshold` finds the optimal threshold
 by a grid scan of the quadrature, independently of its closed form.

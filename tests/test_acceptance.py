@@ -26,7 +26,7 @@ from agemon import (
     summarize,
     SweepSpec,
 )
-from conftest import DEFAULTS, SEED, manual_timeline, sawtooth_timeline
+from conftest import DEFAULTS, MAP_RULE, SEED, empirical_columns, manual_timeline, sawtooth_timeline
 from reference import (
     block_count,
     block_traces,
@@ -59,7 +59,7 @@ def table_100k(timeline_100k):
 
 @pytest.fixture(scope="module")
 def error_default_rule(table_100k):
-    return table_100k.error(DecisionRule.map_rule(LAM, NU, R))
+    return empirical_columns(table_100k, MAP_RULE)
 
 
 def test_criterion_1_threshold_reproduction():
@@ -96,17 +96,15 @@ def test_criterion_3_threshold_optimality(table_100k, error_default_rule):
     best = scan_optimal_threshold(LAM, NU, R, grid)
     assert best == pytest.approx(9.16, abs=0.02)
     # empirical sweep on the pinned 10^5-period run, integer grid 1..20
-    sweep = {}
-    for t in range(1, 21):
-        rule = DecisionRule.with_threshold(float(t), R)
-        sweep[t] = table_100k.error(rule).error_rate
+    rules = [DecisionRule.with_threshold(float(t), R) for t in range(1, 21)]
+    sweep = {t: row["err_empirical"] for t, row in zip(range(1, 21), summarize(table_100k, rules, None))}
     empirical_best = min(sweep, key=sweep.get)
     assert empirical_best == 9  # grid point nearest 9.16
     # the optimal threshold also beats the coarse comparison rules empirically
-    e_map = error_default_rule.error_rate
-    for factor in (0.25, 0.5, 2.0, 4.0):
-        rival = table_100k.error(DecisionRule.with_threshold(factor * TAU, R)).error_rate
-        assert e_map <= rival
+    e_map = error_default_rule["err_empirical"]
+    rivals = [DecisionRule.with_threshold(factor * TAU, R) for factor in (0.25, 0.5, 2.0, 4.0)]
+    for rival in summarize(table_100k, rivals, None):
+        assert e_map <= rival["err_empirical"]
     note(
         f"criterion 3 PASS: quadrature argmin {best:.2f} (9.16 +- 0.02), "
         f"empirical sweep argmin {empirical_best} (nearest 9.16), "
@@ -132,16 +130,16 @@ def test_criterion_4_aoi_closed_form_vs_monte_carlo(table_100k):
 def test_criterion_5_error_rate_closed_form_vs_monte_carlo(error_default_rule):
     # the closed form scores the reacquisition span as ordinary working time,
     # so it is compared against the detection-scope rate
-    detection = error_default_rule.detection_error_rate
+    detection = error_default_rule["err_detection"]
     rel = abs(detection / ERROR_RATE_CF - 1.0)
     assert rel < 0.05
     # the full-span rate carries one structural false positive of about 1/mu
     # per period on top; check that prediction too
     full_predicted = ERROR_RATE_CF + (1.0 / MU) / (1.0 / NU + R)
-    assert error_default_rule.error_rate == pytest.approx(full_predicted, rel=0.02)
+    assert error_default_rule["err_empirical"] == pytest.approx(full_predicted, rel=0.02)
     note(
         f"criterion 5 PASS: detection-scope error {detection:.5f} vs {ERROR_RATE_CF:.5f} "
-        f"({100 * rel:.2f}% < 5%); full-span {error_default_rule.error_rate:.5f} matches "
+        f"({100 * rel:.2f}% < 5%); full-span {error_default_rule['err_empirical']:.5f} matches "
         f"closed form + reacquisition term {full_predicted:.5f} within 2%"
     )
 
@@ -181,9 +179,9 @@ def test_criterion_6_tradeoff_reproduction():
 
 
 def test_criterion_7_region_structure(table_100k):
-    regions = table_100k.regions
-    gap_32 = regions.avg_r3 - regions.avg_r2
-    gap_12 = regions.avg_r1 - regions.avg_r2
+    regions = empirical_columns(table_100k)
+    gap_32 = regions["avg_r3"] - regions["avg_r2"]
+    gap_12 = regions["avg_r1"] - regions["avg_r2"]
     assert gap_32 == pytest.approx(R / 2, rel=0.05)
     assert gap_12 == pytest.approx(R + 0.5 / MU, rel=0.05)
     note(
@@ -232,13 +230,15 @@ def test_criterion_8_exactness_properties():
         (3.0, 2.0, [0.0], [0.5]),
         (2.0, 2.0, [0.0], [1.0]),
     ])
-    breakdown = period_table(tl).error(DecisionRule.with_threshold(100.0, 2.0))
+    table, rule = period_table(tl), DecisionRule.with_threshold(100.0, 2.0)
+    row = empirical_columns(table, rule)
+    _, false_negative_time, _ = table.error_columns(rule).sum(axis=1).tolist()
     failed_time = sum(
         max(0.0, end - max(fail, tl.arrival_times[0]))
         for fail, end in zip(tl.failure_times, tl.recovery_ends)
     )
-    assert breakdown.error_rate == failed_time / breakdown.measured_time
-    assert breakdown.false_negative_time == failed_time
+    assert row["err_empirical"] == failed_time / row["measured_time"]
+    assert false_negative_time == failed_time
 
     # (d) identical seeds reproduce the run bit for bit, in any block order
     params = SimParams(**DEFAULTS, periods=60, master_seed=424242)
@@ -292,12 +292,11 @@ def test_ratio_halfwidths_agree_with_the_reference_bootstrap(table_100k):
     # and the detection-scope error 0.0001973 vs 0.0001988. At 1000
     # resamples the bootstrap's percentiles carry a few percent of noise of
     # their own, so they agree within 5%.
-    rule = DecisionRule.map_rule(LAM, NU, R)
-    [summary] = summarize(table_100k, [rule])
-    fp, fn, reacq = table_100k.error_columns(rule)
+    [summary] = summarize(table_100k, [MAP_RULE])
+    fp, fn, reacq = table_100k.error_columns(MAP_RULE)
     numerators = np.vstack((table_100k.areas, fp + fn, fp - reacq + fn))
     bootstrap = bootstrap_halfwidths(SEED, numerators, table_100k.lengths, 1000, 0.95)
-    ratio = [summary.aoi_ci_halfwidth, summary.error_ci_halfwidth, summary.detection_error_ci_halfwidth]
+    ratio = [summary["aoi_ci"], summary["err_ci"], summary["err_detection_ci"]]
     assert ratio == pytest.approx(bootstrap.tolist(), rel=0.05)
     note(
         "ratio half-widths (age, full-span error, detection-scope error) "

@@ -192,8 +192,16 @@ class TestReport:
         ]
 
 
+def optimal_rule(lam, nu, r):
+    return DecisionRule.with_threshold(map_threshold(lam, nu), r)
+
+
+# optimal_rule's cases keep the ids of the classmethod it replaced, so ids stay stable
+CASE_NAMES = {optimal_rule: "DecisionRule.map_rule"}
+
+
 @pytest.mark.parametrize("fn,fixed,fields,field,value", [
-    pytest.param(fn, fixed, fields, field, value, id=f"{fn.__qualname__}-{field}-{value}")
+    pytest.param(fn, fixed, fields, field, value, id=f"{CASE_NAMES.get(fn, fn.__qualname__)}-{field}-{value}")
     for fn, fixed, fields in (
         (failure_prior, (), ("nu", "r")),
         (error_rate_closed_form, (), ("lam", "nu", "r")),
@@ -204,7 +212,7 @@ class TestReport:
         (pdf_z_given_r3, (1.0,), ("lam", "nu", "r")),
         (aoi_mm1, (0.5,), ("mu",)),
         (map_threshold, (), ("lam", "nu")),
-        (DecisionRule.map_rule, (), ("lam", "nu", "r")),
+        (optimal_rule, (), ("lam", "nu", "r")),
     )
     for field in fields
     for value in (math.inf, math.nan)

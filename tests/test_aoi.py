@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agemon import EmptyTimelineError, period_table
-from conftest import manual_timeline, sawtooth_timeline
+from conftest import empirical_columns, manual_timeline, sawtooth_timeline
 
 
 class TestTrajectory:
@@ -120,32 +120,33 @@ class TestRegions:
             (1.0, 2.0, [0.0], []),
             (4.0, 2.0, [0.0, 2.0], [1.0, 3.5]),
         ])
-        regions = period_table(tl).regions
+        regions = empirical_columns(period_table(tl))
         # measured span starts at the first arrival 1.5
         # r1: [6, 7) from period 2 (no delivery: pre-failure span) and [9, 10) from period 3
-        assert regions.time_r1 == pytest.approx(2.0)
+        assert regions["time_r1"] == pytest.approx(2.0)
         # r2: [1.5, 4) and [10, 13)
-        assert regions.time_r2 == pytest.approx(2.5 + 3.0)
+        assert regions["time_r2"] == pytest.approx(2.5 + 3.0)
         # r3: [4, 6), [7, 9), [13, 15): the outage-only period still adds r
-        assert regions.time_r3 == pytest.approx(6.0)
+        assert regions["time_r3"] == pytest.approx(6.0)
         span = tl.recovery_ends[-1] - 1.5
-        assert regions.total_time == pytest.approx(span)
+        assert regions["time_r1"] + regions["time_r2"] + regions["time_r3"] == pytest.approx(span)
 
     def test_weighted_combination_is_overall_average(self, small_timeline):
         table = period_table(small_timeline)
-        regions = table.regions
+        regions = empirical_columns(table)
         overall = table.aoi
+        total_time = regions["time_r1"] + regions["time_r2"] + regions["time_r3"]
         combined = (
-            regions.avg_r1 * regions.time_r1
-            + regions.avg_r2 * regions.time_r2
-            + regions.avg_r3 * regions.time_r3
-        ) / regions.total_time
+            regions["avg_r1"] * regions["time_r1"]
+            + regions["avg_r2"] * regions["time_r2"]
+            + regions["avg_r3"] * regions["time_r3"]
+        ) / total_time
         assert combined == pytest.approx(overall, rel=1e-12)
-        assert regions.total_time == pytest.approx(
+        assert total_time == pytest.approx(
             small_timeline.end_time - small_timeline.arrival_times[0], rel=1e-12
         )
 
     def test_region_ordering_statistical(self, small_timeline):
         # outage and reacquisition run at much higher age than normal operation
-        regions = period_table(small_timeline).regions
-        assert regions.avg_r1 > regions.avg_r3 > regions.avg_r2
+        regions = empirical_columns(period_table(small_timeline))
+        assert regions["avg_r1"] > regions["avg_r3"] > regions["avg_r2"]

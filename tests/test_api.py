@@ -6,12 +6,9 @@ PUBLIC_NAMES = [
     "DecisionRule",
     "EVENT_CAP",
     "EmptyTimelineError",
-    "ErrorBreakdown",
-    "MetricsSummary",
     "OracleError",
     "ParameterError",
     "PeriodTable",
-    "RegionAverages",
     "SimParams",
     "SimulationLimitError",
     "SweepSpec",
@@ -37,6 +34,6 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_pinned():
-    assert len(PUBLIC_NAMES) == 30
+    assert len(PUBLIC_NAMES) == 27
     assert sorted(agemon.__all__) == PUBLIC_NAMES
     assert all(hasattr(agemon, name) for name in PUBLIC_NAMES)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from agemon import DecisionRule, EmptyTimelineError, ParameterError, map_threshold, period_table
-from conftest import manual_period, manual_timeline, sawtooth_timeline
+from conftest import MAP_RULE, empirical_columns, manual_period, manual_timeline, sawtooth_timeline
 from reference import (
     estimated_state_trajectory,
     naive_error_times,
@@ -41,9 +41,9 @@ class TestThreshold:
             map_threshold(lam, nu)
 
     def test_rule_constructors(self):
-        rule = DecisionRule.map_rule(0.5, 0.005, 20.0)
+        rule = DecisionRule.with_threshold(map_threshold(0.5, 0.005), 20.0)
         assert rule.tau == TAU_DEFAULT and not rule.degenerate
-        assert DecisionRule.map_rule(0.5, 0.005, 5.0).degenerate
+        assert DecisionRule.with_threshold(map_threshold(0.5, 0.005), 5.0).degenerate
         assert DecisionRule.with_threshold(20.0, 20.0).degenerate
         with pytest.raises(ParameterError):
             DecisionRule.with_threshold(-1.0, 20.0)
@@ -84,7 +84,7 @@ class TestEstimatedTrajectory:
         assert (starts[0], ends[0], failed[0]) == (1.0, tl.end_time, False)
 
     def test_contiguous_cover(self, small_timeline):
-        rule = DecisionRule.map_rule(0.5, 0.005, 20.0)
+        rule = MAP_RULE
         starts, ends, _ = estimated_state_trajectory(small_timeline, rule)
         assert np.array_equal(starts[1:], ends[:-1])
         assert starts[0] == small_timeline.arrival_times[0]
@@ -116,32 +116,40 @@ def random_manual_timelines():
         yield manual_timeline(specs), DecisionRule.with_threshold(float(rng.uniform(0.3, 6.0)), 1e9)
 
 
+def error_times(timeline, rule):
+    """The rule's whole-run false-positive, false-negative and reacquisition
+    false-positive times: its error columns' sums."""
+    return period_table(timeline).error_columns(rule).sum(axis=1).tolist()
+
+
 class TestEmpiricalError:
     def test_single_period_by_hand(self):
         # last arrival 3.4, failure at 5, recovery ends at 25, tau = 9.16:
         # the estimate turns FAILED at 12.56, so [5, 12.56] is missed outage
         tau = 9.16
         tl = manual_timeline([(5.0, 20.0, [0.0, 1.0, 1.5], [2.0, 2.4, 3.4])])
-        breakdown = period_table(tl).error(DecisionRule.with_threshold(tau, 20.0))
-        assert breakdown.false_negative_time == pytest.approx(3.4 + tau - 5.0)
-        assert breakdown.false_positive_time == pytest.approx(0.0, abs=1e-12)
-        assert breakdown.measured_time == pytest.approx(23.0)
-        assert breakdown.error_rate == pytest.approx((3.4 + tau - 5.0) / 23.0)
+        rule = DecisionRule.with_threshold(tau, 20.0)
+        fp, fn, _ = error_times(tl, rule)
+        row = empirical_columns(period_table(tl), rule)
+        assert fn == pytest.approx(3.4 + tau - 5.0)
+        assert fp == pytest.approx(0.0, abs=1e-12)
+        assert row["measured_time"] == pytest.approx(23.0)
+        assert row["err_empirical"] == pytest.approx((3.4 + tau - 5.0) / 23.0)
 
     def test_short_working_gap_no_false_positive(self):
         tau = 5.0
         tl = single_span_timeline([1.0, 4.0], T=10.0, r=100.0)
-        breakdown = period_table(tl).error(DecisionRule.with_threshold(tau, 1000.0))
-        assert breakdown.reacquisition_fp_time == 0.0
+        fp, _, reacq = error_times(tl, DecisionRule.with_threshold(tau, 1000.0))
+        assert reacq == 0.0
         # the only false positive is the tail of the final gap before failure
-        assert breakdown.false_positive_time == pytest.approx(10.0 - 4.0 - tau)
+        assert fp == pytest.approx(10.0 - 4.0 - tau)
 
     def test_long_working_gap_contributes_gap_minus_tau(self):
         tau = 2.0
         tl = single_span_timeline([1.0, 9.0], T=9.5, r=100.0)
-        breakdown = period_table(tl).error(DecisionRule.with_threshold(tau, 1000.0))
+        fp, _, _ = error_times(tl, DecisionRule.with_threshold(tau, 1000.0))
         # gap of 8 inside the working span -> 8 - tau, plus (9.5 - 9 - tau)+ = 0 tail
-        assert breakdown.false_positive_time == pytest.approx(8.0 - tau)
+        assert fp == pytest.approx(8.0 - tau)
 
     def test_degenerate_rule_counts_exact_outage_time(self):
         tl = manual_timeline([
@@ -150,21 +158,22 @@ class TestEmpiricalError:
         ])
         rule = DecisionRule.with_threshold(10.0, 2.0)
         assert rule.degenerate
-        breakdown = period_table(tl).error(rule)
+        fp, fn, _ = error_times(tl, rule)
+        row = empirical_columns(period_table(tl), rule)
         in_failure = sum(
             max(0.0, e - max(f, tl.arrival_times[0]))
             for f, e in zip(tl.failure_times, tl.recovery_ends)
         )
-        assert breakdown.false_negative_time == in_failure
-        assert breakdown.false_positive_time == 0.0
-        assert breakdown.error_rate == in_failure / breakdown.measured_time
+        assert fn == in_failure
+        assert fp == 0.0
+        assert row["err_empirical"] == in_failure / row["measured_time"]
 
     def test_matches_naive_interval_walk(self):
         for tl, rule in random_manual_timelines():
-            breakdown = period_table(tl).error(rule)
+            got_fp, got_fn, _ = error_times(tl, rule)
             fp, fn = naive_error_times(tl, rule)
-            assert breakdown.false_positive_time == pytest.approx(fp, abs=1e-10)
-            assert breakdown.false_negative_time == pytest.approx(fn, abs=1e-10)
+            assert got_fp == pytest.approx(fp, abs=1e-10)
+            assert got_fn == pytest.approx(fn, abs=1e-10)
 
     def test_time_shift_invariance(self):
         # dyadic values, shifted by a power of two: results are bit-identical
@@ -176,26 +185,20 @@ class TestEmpiricalError:
             start = shifted_periods[-1].recovery_end
         shifted = timeline_from_periods(base.params, shifted_periods)
         rule = DecisionRule.with_threshold(1.25, 2.0)
-        a = period_table(base).error(rule)
-        b = period_table(shifted).error(rule)
-        assert a.false_positive_time == b.false_positive_time
-        assert a.false_negative_time == b.false_negative_time
-        assert a.error_rate == b.error_rate
+        a, b = (error_times(tl, rule) for tl in (base, shifted))
+        assert a[:2] == b[:2]
+        a, b = (empirical_columns(period_table(tl), rule) for tl in (base, shifted))
+        assert a["err_empirical"] == b["err_empirical"]
 
     def test_reacquisition_split_consistency(self, small_timeline):
-        rule = DecisionRule.map_rule(0.5, 0.005, 20.0)
-        table = period_table(small_timeline)
-        breakdown = table.error(rule)
-        assert 0.0 <= breakdown.reacquisition_fp_time <= breakdown.false_positive_time
-        assert breakdown.detection_error_rate < breakdown.error_rate
-        assert breakdown.error_rate == pytest.approx(
-            (breakdown.false_positive_time + breakdown.false_negative_time)
-            / breakdown.measured_time
-        )
+        fp, fn, reacq = error_times(small_timeline, MAP_RULE)
+        row = empirical_columns(period_table(small_timeline), MAP_RULE)
+        assert 0.0 <= reacq <= fp
+        assert row["err_detection"] < row["err_empirical"]
+        assert row["err_empirical"] == pytest.approx((fp + fn) / row["measured_time"])
         # with tau < r, z exceeds tau during every reacquisition span, so the
         # reacquisition false-positive time is exactly the r1 time
-        regions = table.regions
-        assert breakdown.reacquisition_fp_time == pytest.approx(regions.time_r1, rel=1e-12)
+        assert row["reacquisition_fp_time"] == pytest.approx(row["time_r1"], rel=1e-12)
 
     def test_per_slice_mismatch_matches_naive_interval_walk(self):
         for tl, rule in random_manual_timelines():
@@ -232,13 +235,10 @@ class TestEmpiricalError:
             assert row == pytest.approx(want, abs=1e-12)
 
     def test_per_period_mismatch_sums_to_total(self, small_timeline):
-        rule = DecisionRule.map_rule(0.5, 0.005, 20.0)
         table = period_table(small_timeline)
-        fp, fn, reacq = table.error_columns(rule)
-        breakdown = table.error(rule)
-        assert (fp + fn).sum() == pytest.approx(
-            breakdown.false_positive_time + breakdown.false_negative_time, rel=1e-9
-        )
+        fp, fn, reacq = table.error_columns(MAP_RULE)
+        fp_time, fn_time, _ = error_times(small_timeline, MAP_RULE)
+        assert (fp + fn).sum() == pytest.approx(fp_time + fn_time, rel=1e-9)
         # each slice's mismatch fits in the slice, its missed outage in r3,
         # and its reacquisition false positives in its false positives, up to
         # rounding at the run's absolute times

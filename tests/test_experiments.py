@@ -156,3 +156,37 @@ def test_threshold_sweep_over_several_bootstrap_passes(per_pass):
     grid = [step * k for k in range(6)]
     rows = [row for i in range(0, len(grid), per_pass) for row in measure(params, grid[i:i + per_pass])]
     assert halfwidths(rows) == SWEEP_GOLDEN
+
+
+# (lam, mu, nu, r) and periods: the defaults, the dense regime (~1800
+# packets per period) and a sparse one whose optimal rule is degenerate
+TIME_SCALE_CONFIGS = [
+    pytest.param((0.5, 1.0, 0.005, 20.0), 3000, id="defaults"),
+    pytest.param((0.9, 1.0, 0.0005, 20.0), 300, id="dense"),
+    pytest.param((0.05, 1.0, 0.01, 3.0), 3000, id="sparse"),
+]
+SCALED_COLUMNS = ("measured_time", "aoi_empirical", "aoi_ci", "avg_r1", "avg_r2", "avg_r3",
+                  "time_r1", "time_r2", "time_r3", "reacquisition_fp_time", "tau")
+INVARIANT_COLUMNS = ("err_empirical", "err_detection", "err_ci", "err_detection_ci", "fp_rate", "fn_rate",
+                     "degenerate")
+
+
+@pytest.mark.parametrize("require_delivery", [False, True])
+@pytest.mark.parametrize("config,periods", TIME_SCALE_CONFIGS)
+def test_time_scale_relation(config, periods, require_delivery):
+    # Dividing the rates and multiplying r and the thresholds by a power of
+    # two c multiplies every time of the run by c bit for bit: each
+    # exponential draw is a standard draw times its scale, and every later
+    # step is a sum, difference, max, comparison or product. So the time
+    # and age columns scale by c and the error rates keep their bits
+    lam, mu, nu, r = config
+    taus = [map_threshold(lam, nu), r / 2]
+    base = measure(SimParams(*config, periods=periods, master_seed=SEED, require_delivery=require_delivery), taus)
+    for c in (2.0, 0.5, 1024.0, 2.0**-7):
+        params = SimParams(lam / c, mu / c, nu / c, r * c, periods=periods, master_seed=SEED,
+                           require_delivery=require_delivery)
+        scaled = measure(params, [tau * c for tau in taus])
+        for got, want in zip(scaled, base, strict=True):
+            assert [float.hex(got[k]) for k in SCALED_COLUMNS] == [
+                float.hex(c * want[k]) for k in SCALED_COLUMNS], c
+            assert [got[k] for k in INVARIANT_COLUMNS] == [want[k] for k in INVARIANT_COLUMNS], c

@@ -1,6 +1,7 @@
 import concurrent.futures
 import cProfile
 import dataclasses
+import json
 import math
 import random
 import re
@@ -15,6 +16,7 @@ from scipy import stats
 
 import agemon.sim as sim
 from agemon import ParameterError, SimParams, SimulationLimitError, Timeline, simulate
+from agemon.report import _params_comment, json_text, project, run_row
 from conftest import DEFAULTS, SEED
 from reference import (
     block_count,
@@ -35,17 +37,34 @@ class TestParams:
         dict(r=-1.0), dict(periods=0), dict(master_seed=-1), dict(master_seed=2**64),
         dict(lam=math.inf), dict(lam=-math.inf), dict(mu=math.inf), dict(nu=math.inf),
         dict(r=math.inf), dict(r=-math.inf), dict(r=math.nan), dict(periods=2**32),
+        # once taken for their truth value: "no" conditioned the run, and the
+        # CSV comment read require_delivery=no
+        dict(require_delivery="no"), dict(require_delivery=1), dict(require_delivery=None),
     ])
     def test_invalid_rejected(self, bad):
         with pytest.raises(ParameterError, match=next(iter(bad))):
             SimParams(**{**DEFAULTS, "periods": 10, **bad})
 
-    # once truncated silently: periods=2.7 ran 2 periods, master_seed=1.9 seeded 1
-    @pytest.mark.parametrize("bad", [dict(periods=2.7), dict(master_seed=1.9), dict(periods=np.float64(3.0))])
+    # once truncated silently: periods=2.7 ran 2 periods, master_seed=1.9
+    # seeded 1; and read as integers: periods=True ran 1 period,
+    # master_seed=False seeded 0
+    @pytest.mark.parametrize("bad", [
+        dict(periods=2.7), dict(master_seed=1.9), dict(periods=np.float64(3.0)),
+        dict(periods=True), dict(master_seed=False), dict(periods=np.True_),
+    ])
     def test_non_integral_count_or_seed_rejected(self, bad):
         name, value = next(iter(bad.items()))
         with pytest.raises(ParameterError, match=re.escape(f"{name} must be an integer, got {value!r}")):
             SimParams(**{**DEFAULTS, "periods": 10, **bad})
+
+    # a numpy bool was once kept as is, and json_text then failed on it
+    # after validate's 10^4-period simulation
+    @pytest.mark.parametrize("value", [np.True_, np.False_, True, False])
+    def test_bool_require_delivery_stored_as_python_bool(self, value):
+        p = SimParams(**DEFAULTS, periods=10, require_delivery=value)
+        assert p.require_delivery is bool(value)
+        assert json.loads(json_text(project(run_row(p), "validate")))["require_delivery"] is bool(value)
+        assert f" require_delivery={'true' if value else 'false'} " in _params_comment(p)
 
     def test_numpy_integers_accepted(self):
         p = SimParams(**DEFAULTS, periods=np.int32(7), master_seed=np.uint64(2**63))

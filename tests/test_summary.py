@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 import agemon.sim as sim
 import agemon.summary
 import reference
-from agemon import DecisionRule, EmptyTimelineError, ParameterError, SimParams, period_table, simulate, summarize
-from agemon.report import project, run_row
+from agemon import (
+    DecisionRule, EmptyTimelineError, ParameterError, SimParams, map_threshold, period_table, simulate, summarize,
+)
+from agemon.report import COLUMNS, project, run_row
 from agemon.experiments import measure
 from agemon.summary import _ratio_halfwidth
-from conftest import DEFAULTS, SEED, manual_timeline
+from conftest import DEFAULTS, MAP_RULE, SEED, empirical_columns, manual_timeline
 from reference import age_pieces, bootstrap_halfwidths
 
 # float.hex of every float of the optimal rule's summarize(...) in `simulate`'s
@@ -75,9 +77,6 @@ def small_table(small_timeline):
     return period_table(small_timeline)
 
 
-MAP_RULE = DecisionRule.map_rule(DEFAULTS["lam"], DEFAULTS["nu"], DEFAULTS["r"])
-
-
 @pytest.fixture(scope="module")
 def summary(small_table):
     [summary] = summarize(small_table, [MAP_RULE])
@@ -86,31 +85,31 @@ def summary(small_table):
 
 class TestSummarize:
     def test_matches_direct_metrics(self, small_table, summary):
-        assert summary.aoi_time_average == small_table.aoi
-        direct = small_table.error(MAP_RULE)
-        assert summary.error.error_rate == direct.error_rate
-        assert summary.measured_time == direct.measured_time
-        assert summary.periods == 2000
-        assert summary.seed == SEED
+        assert summary["aoi_empirical"] == small_table.aoi
+        fp, fn, _ = small_table.error_columns(MAP_RULE).sum(axis=1).tolist()
+        assert summary["err_empirical"] == (fp + fn) / small_table.measured_time
+        assert summary["measured_time"] == small_table.measured_time
+        assert summary["periods"] == 2000
+        assert summary["seed"] == SEED
 
     def test_confidence_intervals_positive_and_reproducible(self, small_table, summary):
-        assert summary.aoi_ci_halfwidth > 0
-        assert summary.error_ci_halfwidth > 0
+        assert summary["aoi_ci"] > 0
+        assert summary["err_ci"] > 0
         [again] = summarize(small_table, [MAP_RULE])
-        assert again.aoi_ci_halfwidth == summary.aoi_ci_halfwidth
-        assert again.error_ci_halfwidth == summary.error_ci_halfwidth
+        assert again["aoi_ci"] == summary["aoi_ci"]
+        assert again["err_ci"] == summary["err_ci"]
 
     def test_interval_contains_truth_at_this_seed(self, small_timeline, summary):
         # not a guarantee in general, but a sane-width check at 2000 periods
-        assert summary.aoi_ci_halfwidth < 0.5
-        assert abs(summary.aoi_time_average - 4.5045) < 3 * summary.aoi_ci_halfwidth
+        assert summary["aoi_ci"] < 0.5
+        assert abs(summary["aoi_empirical"] - 4.5045) < 3 * summary["aoi_ci"]
 
     # the name is kept from when a resample count of 0 skipped the bootstrap
     def test_skipping_bootstrap(self, small_table):
         [s] = summarize(small_table, [MAP_RULE], confidence=None)
-        assert s.aoi_ci_halfwidth is None
-        assert s.error_ci_halfwidth is None
-        assert s.detection_error_ci_halfwidth is None
+        assert s["aoi_ci"] is None
+        assert s["err_ci"] is None
+        assert s["err_detection_ci"] is None
 
     def test_confidence_domain(self, small_table):
         for confidence in (0.0, 1.0, 1.5, math.nan):
@@ -118,7 +117,7 @@ class TestSummarize:
                 summarize(small_table, [MAP_RULE], confidence=confidence)
 
     def test_simulate_keys_pinned(self, small_table, summary):
-        d = project(run_row(small_table.params, summary), "simulate")
+        d = project(run_row(small_table.params, **summary), "simulate")
         assert list(d) == [
             "aoi_time_average", "aoi_ci_halfwidth", "avg_r1", "avg_r2", "avg_r3",
             "time_r1", "time_r2", "time_r3", "error_rate", "detection_error_rate",
@@ -133,22 +132,41 @@ class TestSummarize:
         with pytest.raises(ParameterError):
             measure(tl.params)  # the optimal rule needs rho < 1
         [s] = summarize(period_table(tl), [DecisionRule.with_threshold(3.0, 5.0)], confidence=None)
-        assert s.unstable_queue
+        assert s["unstable_queue"]
+
+    def test_returns_the_rows_empirical_columns(self, small_table, summary):
+        # exactly these columns of report.COLUMNS, as Python scalars, with
+        # half-widths or without them
+        assert list(summary) == [
+            "periods", "seed", "unstable_queue", "measured_time", "aoi_empirical", "aoi_ci",
+            "avg_r1", "avg_r2", "avg_r3", "time_r1", "time_r2", "time_r3",
+            "err_empirical", "err_detection", "err_ci", "err_detection_ci",
+            "fp_rate", "fn_rate", "reacquisition_fp_time",
+        ]
+        assert set(summary) <= set(COLUMNS)
+        assert {type(v) for v in summary.values()} == {float, int, bool}
+        rules = [MAP_RULE, DecisionRule.with_threshold(30.0, DEFAULTS["r"])]
+        for row in summarize(small_table, rules, confidence=None):
+            assert list(row) == list(summary)
+            assert {type(v) for v in row.values()} == {float, int, bool, type(None)}
 
 
 def assert_totals_are_column_sums(table, rule):
-    """Every whole-run total of the table is, bit for bit, a column sum."""
-    assert table.aoi == float(table.areas.sum()) / table.measured_time
-    error = table.error(rule)
-    totals = [error.false_positive_time, error.false_negative_time, error.reacquisition_fp_time]
-    assert totals == [float(row.sum()) for row in table.error_columns(rule)]
-    regions = table.regions
-    assert [regions.time_r1, regions.time_r2, regions.time_r3] == [float(t.sum()) for t in table.region_times]
+    """Every whole-run total of summarize's columns is, bit for bit, a
+    column sum of the table or a ratio of one to the measured time; returns
+    the columns."""
+    span = table.measured_time
+    row = empirical_columns(table, rule)
+    assert row["aoi_empirical"] == table.aoi == float(table.areas.sum()) / span
+    fp, fn, reacq = [float(column.sum()) for column in table.error_columns(rule)]
+    assert [row["fp_rate"], row["fn_rate"], row["reacquisition_fp_time"]] == [fp / span, fn / span, reacq]
+    assert [row["time_r1"], row["time_r2"], row["time_r3"]] == [float(t.sum()) for t in table.region_times]
+    return row
 
 
 class TestPerPeriodStatistics:
     def test_sums_reproduce_whole_run(self, small_timeline, small_table):
-        rule = DecisionRule.map_rule(DEFAULTS["lam"], DEFAULTS["nu"], DEFAULTS["r"])
+        rule = MAP_RULE
         areas, columns, lengths = small_table.areas, small_table.error_columns(rule), small_table.lengths
         span = small_timeline.end_time - small_timeline.arrival_times[0]
         assert lengths.sum() == pytest.approx(span, rel=1e-12)
@@ -208,7 +226,7 @@ class TestDeliveryGroups:
         # Measured: 0.09x of 8 B per delivery, mostly per-period columns;
         # 1.09x when one clipped copy of every gap was made per rule.
         table = period_table(timeline)
-        rule = DecisionRule.map_rule(DEFAULTS["lam"], DEFAULTS["nu"], DEFAULTS["r"])
+        rule = MAP_RULE
         with mock.patch.object(agemon.summary, "_GROUP_DELIVERIES", self.GROUP):
             peak = traced_peak(lambda: table.error_columns(rule))
         assert peak < 0.25 * 8 * timeline.arrival_times.size
@@ -227,7 +245,9 @@ class TestDeliveryGroups:
         def columns():
             table = period_table(tl)
             fields = [getattr(table, f.name) for f in dataclasses.fields(table)]
-            return fields + [table.error_columns(rule) for rule in rules]
+            # and the columns that summarize reads off them
+            return fields + [table.error_columns(rule) for rule in rules] + [
+                hex_fields(row) for row in summarize(table, rules, confidence=None)]
 
         want = columns()
         for group in (1, 2**6):
@@ -240,16 +260,16 @@ class TestDeliveryGroups:
 @pytest.mark.parametrize("r", sorted(GOLDEN))
 def test_summary_bit_identical_to_recorded(r):
     tl = simulate(SimParams(**{**DEFAULTS, "r": r}, periods=300, master_seed=SEED))
-    rule = DecisionRule.map_rule(DEFAULTS["lam"], DEFAULTS["nu"], r)
+    rule = DecisionRule.with_threshold(map_threshold(DEFAULTS["lam"], DEFAULTS["nu"]), r)
     [summary] = summarize(period_table(tl), [rule])
-    record = project(run_row(tl.params, summary), "simulate")
+    record = project(run_row(tl.params, **summary), "simulate")
     floats = {key: float.hex(value) for key, value in record.items() if isinstance(value, float)}
     assert floats == GOLDEN[r]
 
 
 def hex_fields(summary):
-    """Every field of a MetricsSummary, floats as float.hex (NaN included)."""
-    return [float.hex(v) if isinstance(v, float) else v for v in dataclasses.astuple(summary)]
+    """Every column of a summarize dict, floats as float.hex (NaN included)."""
+    return [float.hex(v) if isinstance(v, float) else v for v in summary.values()]
 
 
 class TestSummarizeRules:
@@ -276,7 +296,7 @@ class TestSummarizeRules:
         assert [hex_fields(s) for s in chunked] == expected
         batched = summarize(table, rules, confidence)
         assert [hex_fields(s) for s in batched] == expected
-        halfwidths = [(s.aoi_ci_halfwidth, s.error_ci_halfwidth, s.detection_error_ci_halfwidth) for s in batched]
+        halfwidths = [(s["aoi_ci"], s["err_ci"], s["err_detection_ci"]) for s in batched]
         if confidence is None:
             assert halfwidths == [(None, None, None)] * len(rules)
         else:
@@ -355,9 +375,9 @@ class TestRatioHalfwidth:
         fp, fn, reacq = small_table.error_columns(MAP_RULE)
         z = 1.959963984540054
         for numerator, got in [
-            (small_table.areas, summary.aoi_ci_halfwidth),
-            (fp + fn, summary.error_ci_halfwidth),
-            (fp - reacq + fn, summary.detection_error_ci_halfwidth),
+            (small_table.areas, summary["aoi_ci"]),
+            (fp + fn, summary["err_ci"]),
+            (fp - reacq + fn, summary["err_detection_ci"]),
         ]:
             a = numerator[measured]
             residual = a - a.sum() / lengths.sum() * lengths
@@ -373,9 +393,9 @@ class TestRatioHalfwidth:
         with pytest.raises(EmptyTimelineError, match=r"^1 of 2 periods have measured time .* at least 2$"):
             summarize(table, [MAP_RULE])
         [s] = summarize(table, [MAP_RULE], confidence=None)
-        assert s.aoi_ci_halfwidth is None
+        assert s["aoi_ci"] is None
         [s] = summarize(period_table(manual_timeline([delivered, lost, delivered])), [MAP_RULE])
-        assert 0 < s.aoi_ci_halfwidth < math.inf
+        assert 0 < s["aoi_ci"] < math.inf
 
     def test_outage_fraction_halfwidth_covers_its_exact_value(self):
         # The outage fraction, sum(r3 time) / sum(length), is a ratio with an
@@ -435,8 +455,8 @@ class TestPeriodTableProperties:
         rule = DecisionRule.with_threshold(tau, r)
         span = table.measured_time
         assert table.lengths.sum() == pytest.approx(span, rel=1e-12)
-        assert_totals_are_column_sums(table, rule)
-        assert table.regions.total_time == pytest.approx(span, rel=1e-12)
+        row = assert_totals_are_column_sums(table, rule)
+        assert row["time_r1"] + row["time_r2"] + row["time_r3"] == pytest.approx(span, rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(specs=dyadic_timeline_specs(), data=st.data())
@@ -461,6 +481,6 @@ class TestPeriodTableProperties:
         assert more.aoi == base.aoi
         assert np.array_equal(more.areas, base.areas)
         assert np.array_equal(more.region_areas, base.region_areas)
-        assert np.array_equal(
-            dataclasses.astuple(more.regions), dataclasses.astuple(base.regions), equal_nan=True
-        )
+        regions = [f"{kind}_r{k}" for kind in ("avg", "time") for k in (1, 2, 3)]
+        more_row, base_row = empirical_columns(more), empirical_columns(base)
+        assert np.array_equal([more_row[k] for k in regions], [base_row[k] for k in regions], equal_nan=True)
