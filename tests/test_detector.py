@@ -84,8 +84,7 @@ class TestEstimatedTrajectory:
         assert (starts[0], ends[0], failed[0]) == (1.0, tl.end_time, False)
 
     def test_contiguous_cover(self, small_timeline):
-        rule = MAP_RULE
-        starts, ends, _ = estimated_state_trajectory(small_timeline, rule)
+        starts, ends, _ = estimated_state_trajectory(small_timeline, MAP_RULE)
         assert np.array_equal(starts[1:], ends[:-1])
         assert starts[0] == small_timeline.arrival_times[0]
         assert ends[-1] == small_timeline.end_time

@@ -160,17 +160,17 @@ def assert_totals_are_column_sums(table, rule):
     assert row["aoi_empirical"] == table.aoi == float(table.areas.sum()) / span
     fp, fn, reacq = [float(column.sum()) for column in table.error_columns(rule)]
     assert [row["fp_rate"], row["fn_rate"], row["reacquisition_fp_time"]] == [fp / span, fn / span, reacq]
+    assert [row["err_empirical"], row["err_detection"]] == [(fp + fn) / span, (fp - reacq + fn) / span]
     assert [row["time_r1"], row["time_r2"], row["time_r3"]] == [float(t.sum()) for t in table.region_times]
     return row
 
 
 class TestPerPeriodStatistics:
     def test_sums_reproduce_whole_run(self, small_timeline, small_table):
-        rule = MAP_RULE
-        areas, columns, lengths = small_table.areas, small_table.error_columns(rule), small_table.lengths
+        areas, columns, lengths = small_table.areas, small_table.error_columns(MAP_RULE), small_table.lengths
         span = small_timeline.end_time - small_timeline.arrival_times[0]
         assert lengths.sum() == pytest.approx(span, rel=1e-12)
-        assert_totals_are_column_sums(small_table, rule)
+        assert_totals_are_column_sums(small_table, MAP_RULE)
         assert np.all(lengths >= 0)
         assert np.all(areas >= 0)
         assert np.all(columns >= 0)
@@ -226,9 +226,8 @@ class TestDeliveryGroups:
         # Measured: 0.09x of 8 B per delivery, mostly per-period columns;
         # 1.09x when one clipped copy of every gap was made per rule.
         table = period_table(timeline)
-        rule = MAP_RULE
         with mock.patch.object(agemon.summary, "_GROUP_DELIVERIES", self.GROUP):
-            peak = traced_peak(lambda: table.error_columns(rule))
+            peak = traced_peak(lambda: table.error_columns(MAP_RULE))
         assert peak < 0.25 * 8 * timeline.arrival_times.size
 
     @pytest.mark.parametrize("require_delivery", [False, True])
