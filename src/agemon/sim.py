@@ -142,11 +142,18 @@ def _lindley_lockstep(departures: np.ndarray, services: np.ndarray, counts: np.n
     steps into (b, m) arrays, take two in-place ufunc calls per step and
     scatter the arrivals back. A block has at most max(1, _BLOCK_CELLS // m)
     steps and ends once a quarter of its periods have run out; a period's
-    steps past its end use index -1, which reads the inputs' last packet and
+    steps past its end use index -1, which reads the inputs' last slot and
     writes a spare slot past the end of the arrivals. The fewer periods left
     then finish one after another on Python floats. Every packet gets the
     same IEEE max and add, in its period's own order, as one period's serial
     recursion, whatever the blocks or the cutoff.
+
+    If `services` has one spare slot past the packets, the arrivals are
+    written over it and returned as a view of it, with no packet-length
+    array allocated: each block gathers its cells before it scatters to
+    them, and each serial tail reads its slice before it writes it, so no
+    service is overwritten before it is read. Otherwise, as for one period's
+    serial reference, the inputs are left as they are.
     """
     # any order of equal counts gives the same arrivals, so the sort need not
     # be stable (a stable one took 3.7x as long on 4096 periods)
@@ -162,7 +169,7 @@ def _lindley_lockstep(departures: np.ndarray, services: np.ndarray, counts: np.n
     # 15 MB higher than the first.
     size = max(_BLOCK_CELLS, counts.size) if steps else 0
     index_buffer, d_buffer, s_buffer = np.empty(size, dtype=np.int64), np.empty(size), np.empty(size)
-    arrivals = np.empty(departures.size + 1)
+    arrivals = services if services.size == departures.size + 1 else np.empty(departures.size + 1)
     last = np.full(counts.size, -np.inf)
     falling = (-active[:steps]).tolist()
     ends = heads + longest
@@ -259,6 +266,28 @@ def _clocks(params: SimParams) -> tuple[np.ndarray, np.ndarray]:
     return clocks, firsts
 
 
+def _prefix_mask(kept: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Mask of the first kept[p] slots of each of the back-to-back slices
+    of lengths[p] slots."""
+    runs = np.column_stack((kept, lengths - kept)).ravel()
+    return np.repeat(np.tile([True, False], kept.size), runs)
+
+
+def _prefix_lengths(values: np.ndarray, heads: np.ndarray, lengths: np.ndarray, bounds: np.ndarray,
+                    bases=0.0) -> np.ndarray:
+    """For each slice values[heads[p]:][:lengths[p]], whose entries never
+    decrease, how many of its entries x have x - bases[p] <= bounds[p]: a
+    prefix, found by one binary search over all slices at once."""
+    ends = heads + lengths
+    last = heads - 1  # the last entry known to pass
+    step = (1 << int(lengths.max()).bit_length()) >> 1
+    while step:
+        probe = last + step
+        last += step * ((probe < ends) & (values.take(probe, mode="clip") - bases <= bounds))
+        step >>= 1
+    return last + 1 - heads
+
+
 def _departures(clocks: np.ndarray, chunks: np.ndarray, total: float, gaps_rng, refills_rng,
                 lam: float) -> tuple[np.ndarray, np.ndarray, float]:
     """(departure times relative to each period start, back to back;
@@ -267,38 +296,52 @@ def _departures(clocks: np.ndarray, chunks: np.ndarray, total: float, gaps_rng, 
 
     Period p takes the next chunks[p] gaps of the block's stream k = 2.
     Its departures are 0 and its gaps' running sums up to its clock. The
-    running sum is taken over the whole block in draw order (one cumsum),
-    and each period subtracts the sum at its start. A period whose chunk
-    ends at or before its clock draws further chunks of the same size from
-    stream k = 3, continuing its own running sum, until one passes the
-    clock; such periods refill in period order.
+    gaps are drawn into one buffer behind a slot holding the sum before
+    them, scaled, and summed in place over the whole block in draw order
+    (one cumsum); each period subtracts the sum at its start. The sums
+    never decrease, so the gaps a period keeps, those with sums[o + i] -
+    sums[o] <= clock, are a prefix of its chunk, found for every period by
+    one binary search. One masked copy then takes each period's start slot
+    and kept sums, and one subtraction makes them relative, so the start
+    slot becomes the departure at 0. A period whose chunk ends at or before
+    its clock draws further chunks of the same size from stream k = 3,
+    continuing its own running sum, until one passes the clock; such
+    periods refill in period order.
     """
     scale = 1.0 / lam
-    slots = chunks + 1
-    heads = np.cumsum(slots) - slots
-    # a zero gap ahead of each chunk is the period's departure at 0
-    sums = np.insert(gaps_rng.exponential(scale, size=int(chunks.sum())), heads - np.arange(heads.size), 0.0)
+    offsets = np.cumsum(chunks) - chunks
+    # sums[offsets[p]] is the running sum before period p's first gap, and
+    # the chunks[p] slots after it the sums of its gaps
+    sums = np.empty(int(chunks.sum()) + 1)
     sums[0] = total
+    # exponential(scale) returns scale times this same draw, bit for bit
+    gaps_rng.standard_exponential(out=sums[1:])
+    sums[1:] *= scale
     np.cumsum(sums, out=sums)
     total = float(sums[-1])
-    sums -= np.repeat(sums[heads], slots)
-    # the running sums increase, so each period keeps a prefix of its slots
-    kept = sums <= np.repeat(clocks, slots)
-    counts = np.add.reduceat(kept, heads, dtype=np.int64)
-    departures = sums[kept]
-    exhausted = np.flatnonzero(kept[heads + chunks])
+    starts = sums[offsets]
+    kept = _prefix_lengths(sums, offsets + 1, chunks, clocks, starts)
+    # an exhausted period's last sum is also the next period's start slot,
+    # so it is not copied with its period but put back with the refill
+    exhausted = np.flatnonzero(kept == chunks)
+    lasts = sums[offsets[exhausted] + chunks[exhausted]] - starts[exhausted]
+    counts = np.minimum(kept + 1, chunks)
+    departures = sums[:-1][_prefix_mask(counts, chunks)]
+    del sums
+    departures -= np.repeat(starts, counts)
     if exhausted.size:
-        ends = np.cumsum(counts)[exhausted]
-        extra = [_refill(sums[heads[p] + chunks[p]], clocks[p], chunks[p], refills_rng, scale) for p in exhausted]
+        extra = [_refill(last, clocks[p], chunks[p], refills_rng, scale)
+                 for p, last in zip(exhausted.tolist(), lasts.tolist())]
         sizes = [part.size for part in extra]
-        departures = np.insert(departures, np.repeat(ends, sizes), np.concatenate(extra))
+        departures = np.insert(departures, np.repeat(np.cumsum(counts)[exhausted], sizes), np.concatenate(extra))
         counts[exhausted] += sizes
     return departures, counts, total
 
 
 def _refill(last: float, clock: float, chunk: int, rng: np.random.Generator, scale: float) -> np.ndarray:
-    """The departures after `last` (<= clock) of a period whose chunk ran out."""
-    parts = []
+    """`last` (<= clock), the last departure of a period whose chunk ran
+    out, and the departures after it."""
+    parts = [[last]]
     while last <= clock:
         run = np.cumsum(np.concatenate(([last], rng.exponential(scale, size=chunk))))[1:]
         parts.append(run[run <= clock])
@@ -343,8 +386,11 @@ def simulate(params: SimParams) -> Timeline:
     start_times = np.concatenate(([0.0], recovery_ends[:-1]))
     generated_counts = np.empty(n, dtype=np.int64)
     delivered_counts = np.empty(n, dtype=np.int64)
-    # grown in place run by run: a final concatenation of per-run parts
-    # would briefly hold the run's largest arrays twice
+    # A simulation of one run keeps that run's arrays. Those of several
+    # runs grow in place run by run: a final concatenation of per-run parts
+    # would briefly hold the largest arrays twice, and growing the first
+    # run's arrays, which sit among its temporaries, raised the peak RSS of
+    # 25 dense two-run simulations in one process from 110 to 112-121 MB.
     arrival_times = np.empty(0)
     arrival_generations = np.empty(0)
     for block, lo in enumerate(range(0, n, PERIODS_PER_BLOCK)):
@@ -360,21 +406,20 @@ def simulate(params: SimParams) -> Timeline:
             departures, counts, total = _departures(
                 times_to_failure[i:j], chunks[i - lo:j - lo], total, gaps_rng, refills_rng, params.lam,
             )
-            # each period's first service was drawn with its clock; every
-            # packet-length array is dropped as soon as it has been used, so
-            # the run's working set stays a few of them
             heads = np.cumsum(counts) - counts
-            services = np.insert(
-                services_rng.exponential(1.0 / params.mu, size=departures.size - (j - i)),
-                heads - np.arange(j - i), first_services[i:j],
-            )
-            arrivals = _lindley_lockstep(departures, services, counts)
-            del services
+            later = departures.size - (j - i)
+            # each period's first service was drawn with its clock; the
+            # spare slot at the end lets the lockstep solve the queues in
+            # place, so the services become the arrivals
+            arrivals = _lindley_lockstep(departures, np.insert(
+                services_rng.exponential(1.0 / params.mu, size=later),
+                np.append(heads - np.arange(j - i), later), np.append(first_services[i:j], 0.0),
+            ), counts)
             generated_counts[i:j] = counts
             # arrivals increase within a period, so the delivered packets
             # (a_k <= T) are a prefix of each period's packets
-            delivered = arrivals <= np.repeat(times_to_failure[i:j], counts)
-            delivered_counts[i:j] = np.add.reduceat(delivered, heads, dtype=np.int64)
+            delivered_counts[i:j] = _prefix_lengths(arrivals, heads, counts, times_to_failure[i:j])
+            delivered = _prefix_mask(delivered_counts[i:j], counts)
             generations = departures[delivered]
             del departures
             arrivals = arrivals[delivered]
@@ -383,6 +428,10 @@ def simulate(params: SimParams) -> Timeline:
             generations += offsets
             arrivals += offsets
             del offsets
+            if j - i == n:
+                # the only run: its arrays are the timeline's
+                arrival_times, arrival_generations = arrivals, generations
+                break
             kept = arrival_times.size
             # refcheck=False is safe: both arrays are locals and no view of
             # them outlives a statement. The check itself would fail under
