@@ -8,15 +8,12 @@ from .analytics import (
     aoi_mm1,
     error_rate_closed_form,
     failure_prior,
+    map_threshold,
     mean_aoi_closed_form,
-    pdf_z_given_r2,
-    pdf_z_given_r3,
     region_means_closed_form,
 )
-from .detector import DecisionRule, map_threshold
 from .errors import EmptyTimelineError, OracleError, ParameterError, SimulationLimitError
 from .experiments import SweepSpec, monte_carlo_cross_check, run_sweep
-from .oracle import quadrature_error_rate
 from .report import render_svg, write_csv
 from .sim import EVENT_CAP, SimParams, Timeline, simulate
 from .summary import PeriodTable, period_table, summarize
@@ -24,7 +21,6 @@ from .summary import PeriodTable, period_table, summarize
 __version__ = "0.1.0"
 
 __all__ = [
-    "DecisionRule",
     "EVENT_CAP",
     "EmptyTimelineError",
     "OracleError",
@@ -41,10 +37,7 @@ __all__ = [
     "map_threshold",
     "mean_aoi_closed_form",
     "monte_carlo_cross_check",
-    "pdf_z_given_r2",
-    "pdf_z_given_r3",
     "period_table",
-    "quadrature_error_rate",
     "region_means_closed_form",
     "render_svg",
     "run_sweep",

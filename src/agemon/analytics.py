@@ -1,5 +1,13 @@
-"""Closed-form expressions for the detector statistics, its error rate, and
-the mean age of information with failures and recoveries."""
+"""Closed-form expressions for the optimal detector, its error rate, and
+the mean age of information with failures and recoveries.
+
+The monitor never observes the sensor directly. It tracks the gap age
+z(t) = t - (last arrival at or before t) and declares a failure while z
+exceeds a threshold tau, so a rule is its threshold. The optimal threshold
+compares the prior-weighted densities of z under the two states; when it is
+at least the recovery duration the rule collapses to always declaring the
+sensor operational, the threshold tau = inf.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +15,13 @@ import math
 
 import numpy as np
 
-from .detector import map_threshold
 from .errors import ParameterError, check_params
+
+
+def map_threshold(lam: float, nu: float) -> float:
+    """Optimal gap-age threshold log(lam/nu + 2) / (lam + nu)."""
+    check_params(lam=lam, nu=nu)
+    return math.log(lam / nu + 2.0) / (lam + nu)
 
 
 def failure_prior(nu: float, r: float) -> float:
@@ -17,7 +30,11 @@ def failure_prior(nu: float, r: float) -> float:
     return r * nu / (1.0 + r * nu)
 
 
-# Each density branch once, unchecked, for a float or an array z and a = lam + nu.
+# The gap age's densities, each branch once, unchecked, for a float or an array
+# z and a = lam + nu. In normal operation z ~ Exp(a): neither a delivery nor a
+# failure for z seconds. In an outage z is the gap age at the failure plus a
+# uniform elapsed time in [0, r]: (1 - e^(-a z)) / r below r and
+# e^(-a z) (e^(a r) - 1) / r from r on, continuous at r.
 # numpy's exp/expm1 give a float the same bits as an array element; math's do not.
 def _working_density(z, a):
     return a * np.exp(-a * z)
@@ -53,44 +70,6 @@ def _check_outage_tail(a, r):
         raise ParameterError(
             f"(lam + nu) * r = {a * r:.6g} overflows exp in the outage density past r (limit ~709.78)"
         ) from None
-
-
-def pdf_z_given_r2(z, lam: float, nu: float):
-    """Density of the gap age during normal operation.
-
-    A gap age of z requires neither a new delivery nor a failure for z
-    seconds, so z is exponential with rate lam + nu:
-    f(z) = (lam + nu) * exp(-(lam + nu) z).
-    """
-    check_params(lam=lam, nu=nu)
-    z = np.asarray(z, dtype=np.float64)
-    if not np.all(z >= 0):
-        raise ParameterError("z must be >= 0")
-    out = _working_density(z, lam + nu)
-    return float(out) if out.ndim == 0 else out
-
-
-def pdf_z_given_r3(z, lam: float, nu: float, r: float):
-    """Density of the gap age during an outage.
-
-    During the outage z equals the gap age at the failure plus a uniform
-    elapsed time in [0, r]; convolving the two gives
-        (1 - exp(-(lam+nu) z)) / r                    for 0 <= z < r,
-        exp(-(lam+nu) z) (exp((lam+nu) r) - 1) / r    for z >= r,
-    continuous at z = r. Raises ParameterError for z >= r if (lam + nu) * r
-    overflows exp.
-    """
-    check_params(lam=lam, nu=nu, r=r)
-    if not r > 0:
-        raise ParameterError(f"r must be > 0, got {r}")
-    z = np.asarray(z, dtype=np.float64)
-    if not np.all(z >= 0):
-        raise ParameterError("z must be >= 0")
-    a = lam + nu
-    if np.any(z >= r):
-        _check_outage_tail(a, r)
-    out = _outage_density(z, a, r)
-    return float(out) if out.ndim == 0 else out
 
 
 def error_rate_closed_form(lam: float, nu: float, r: float) -> float:

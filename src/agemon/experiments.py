@@ -9,12 +9,12 @@ before anything that depends on lam); gaps and services are not coupled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytics import error_rate_closed_form, mean_aoi_closed_form
-from .detector import DecisionRule, map_threshold
+from .analytics import error_rate_closed_form, map_threshold, mean_aoi_closed_form
 from .errors import ParameterError, check_params
 from .oracle import quadrature_error_rates
 from .report import run_row
@@ -74,10 +74,14 @@ def measure(params: SimParams, taus=None, with_sim: bool = True, confidence: flo
     Whatever can fail without a simulation fails first: the confidence
     level, rho < 1, then the closed forms. err_analytic is the closed-form error
     rate at the optimal threshold and the quadrature at any other. With
-    `with_sim`, one simulation and one period table serve every threshold
-    and `summarize` every rule, so differences between rows are not
-    simulation noise; each row then also records its rule's tau and
-    degenerate. confidence=None skips the half-widths.
+    `with_sim`, one simulation and one period table serve every threshold,
+    so differences between rows are not simulation noise; each row then
+    also records its tau and whether it is degenerate. Only the optimal
+    threshold at tau >= r is: the optimal rule then always declares WORKING
+    (it is scored as tau = inf) and its closed form is the failed-time
+    prior. Every other threshold is scored as the rule "FAILED while
+    z > tau" that its quadrature integrates. confidence=None skips the
+    half-widths.
     """
     check_confidence(confidence)
     params.require_stable_queue()
@@ -94,12 +98,13 @@ def measure(params: SimParams, taus=None, with_sim: bool = True, confidence: flo
     if not with_sim:
         row = run_row(params, aoi_analytic=aoi_analytic, **columns)
         return [dict(row, err_analytic=err) for err in errs]
-    rules = [DecisionRule.with_threshold(tau, r) for tau in taus]
-    summaries = summarize(period_table(simulate(params)), rules, confidence)
+    degenerate = [tau == optimal and tau >= r for tau in taus]
+    scored = [math.inf if d else tau for tau, d in zip(taus, degenerate)]
+    summaries = summarize(period_table(simulate(params)), scored, confidence)
     return [
-        run_row(params, **summary, tau=rule.tau, degenerate=rule.degenerate,
+        run_row(params, **summary, tau=float(tau), degenerate=d,
                 aoi_analytic=aoi_analytic, err_analytic=err, **columns)
-        for rule, err, summary in zip(rules, errs, summaries)
+        for tau, d, err, summary in zip(taus, degenerate, errs, summaries)
     ]
 
 
@@ -122,11 +127,11 @@ def run_sweep(spec: SweepSpec, with_sim: bool = True, confidence: float | None =
     return rows
 
 
-def monte_carlo_cross_check(params: SimParams, rule: DecisionRule | None = None,
+def monte_carlo_cross_check(params: SimParams, tau: float | None = None,
                             confidence: float | None = 0.95) -> dict:
     """Simulate, measure, and compare against the closed forms; returns the
-    run's `measure` row for the rule (the optimal one by default) with the
-    relative deviations.
+    run's `measure` row for the threshold tau (the optimal one by default)
+    with the relative deviations.
 
     The closed-form error rate models the post-recovery reacquisition span
     as ordinary working time, so err_rel_dev compares it with the
@@ -144,7 +149,7 @@ def monte_carlo_cross_check(params: SimParams, rule: DecisionRule | None = None,
         raise ParameterError("cross checks need periods >= 10000")
     if not params.r > 0:
         raise ParameterError(f"cross checks need r > 0, got {params.r}")
-    [row] = measure(params, None if rule is None else [rule.tau], confidence=confidence)
+    [row] = measure(params, None if tau is None else [tau], confidence=confidence)
     row.update(aoi_rel_dev=row["aoi_empirical"] / row["aoi_analytic"] - 1.0,
                err_rel_dev=row["err_detection"] / row["err_analytic"] - 1.0)
     return row

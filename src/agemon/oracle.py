@@ -143,21 +143,16 @@ def _tail_chain(fn, ts, restart: float) -> tuple[list[float], list[float]]:
     return values, errs
 
 
-def quadrature_error_rate(lam: float, nu: float, r: float, tau: float) -> float:
-    """Error probability of an arbitrary threshold tau by adaptive quadrature:
+def quadrature_error_rates(lam: float, nu: float, r: float, taus) -> list[float]:
+    """Error probability of the rule "FAILED while z > tau" at each of `taus`
+    (any iterable, read once, all checked before any integral), by adaptive
+    quadrature:
 
         P(working) * integral_tau^inf density(z | working) dz     (false positives)
       + P(failed)  * integral_0^tau  density(z | failed)  dz      (false negatives)
 
-    The integrands are the unsimplified densities of pdf_z_given_r2/_r3,
-    evaluated on plain floats after one check of the parameters.
-    """
-    return quadrature_error_rates(lam, nu, r, [tau])[0]
-
-
-def quadrature_error_rates(lam: float, nu: float, r: float, taus) -> list[float]:
-    """quadrature_error_rate at each of `taus` (any iterable, read once), all
-    checked before any integral.
+    The integrands are the unsimplified gap-age densities of `analytics`,
+    evaluated unchecked after one check of the parameters.
 
     Each distinct threshold is computed once, over the sorted thresholds
     t_1 < ... < t_m, by three chains of integrals between consecutive ones:

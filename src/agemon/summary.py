@@ -19,7 +19,7 @@ temporary that spans the run.
 
 Every reported number is a column sum of the table or a ratio of such
 sums: the mean age sums the slice areas, the region averages sum the region
-columns, and a rule's error rates sum its per-slice columns from
+columns, and a threshold's error rates sum its per-slice columns from
 `PeriodTable.error_columns`. Periods are the iid unit of the model (its
 renewal cycle), so each half-width is that of a ratio estimator over the
 same per-period (area, mismatch, length) columns rather than raw time.
@@ -32,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import DecisionRule
-from .errors import EmptyTimelineError, ParameterError
+from .errors import EmptyTimelineError, ParameterError, check_params
 from .sim import SimParams, Timeline
 
 
@@ -71,7 +70,7 @@ class PeriodTable:
     last to the end of the run). last_arrivals holds each period's last
     arrival from an earlier period and its last arrival of all (the same
     when it delivered nothing), -inf if none. `error_columns` adds one
-    decision rule's columns.
+    threshold's columns.
     """
 
     params: SimParams
@@ -90,11 +89,12 @@ class PeriodTable:
     def aoi(self) -> float:
         return float(self.areas.sum()) / self.measured_time
 
-    def error_columns(self, rule: DecisionRule) -> np.ndarray:
+    def error_columns(self, tau: float) -> np.ndarray:
         """Each slice's exact false-positive, false-negative and
-        reacquisition false-positive time under the rule, as the rows of a
-        (3, periods) array. Their sum over a slice, fp + fn, is its mismatch
-        time.
+        reacquisition false-positive time under the rule that declares
+        FAILED while z > tau, as the rows of a (3, periods) array. Their sum
+        over a slice, fp + fn, is its mismatch time. tau = inf is the rule
+        that always declares WORKING.
 
         A false positive declares FAILED while the sensor works, a false
         negative the other way around. The reacquisition false positives
@@ -105,10 +105,10 @@ class PeriodTable:
         spans as correct, matching the scope of the closed-form error rate.
         """
         failed = self.region_times[2]
-        if rule.degenerate:
+        if tau == math.inf:  # exact, where the general path would meet -inf + inf
             zeros = np.zeros_like(failed)
             return np.vstack((zeros, failed, zeros))
-        tau, (start, cut, fail, end) = rule.tau, self.edges
+        start, cut, fail, end = self.edges
         before, last = self.last_arrivals
         delivered = self.counts > 0
         # the gap that starts before the slice turns FAILED here; it ends at
@@ -228,10 +228,10 @@ def _ratio_halfwidth(numerator, table: PeriodTable, measured: int, z: float) -> 
 
 def summarize(
     table: PeriodTable,
-    rules: list[DecisionRule],
+    taus,
     confidence: float | None = 0.95,
 ) -> list[dict]:
-    """Each rule's empirical columns of `report.COLUMNS` on one table, as a
+    """Each threshold's empirical columns of `report.COLUMNS` on one table, as a
     dict of Python scalars: the run's size and seed, the mean age and the
     region averages and times, the error rates and the reacquisition
     false-positive time, and regenerative ratio half-widths at the given
@@ -243,11 +243,16 @@ def summarize(
     confidence=None skips the half-widths (they become None). The periods
     are the model's iid cycles, so each half-width is that of a ratio of
     per-period sums (`_ratio_halfwidth`); it needs two or more periods with
-    measured time, and fewer raise EmptyTimelineError. Each rule is scored
-    once, by `PeriodTable.error_columns`, and its half-widths come from its
-    own columns, so a rule's columns do not depend on the rules beside it.
+    measured time, and fewer raise EmptyTimelineError. Each threshold is
+    scored once, by `PeriodTable.error_columns`, and its half-widths come
+    from its own columns, so its columns do not depend on the thresholds
+    beside it. `taus` may be any iterable; it is read once, and every
+    threshold is checked before any work.
     """
     check_confidence(confidence)
+    taus = [float(tau) for tau in taus]
+    for tau in taus:
+        check_params(tau=tau)
     params, span = table.params, table.measured_time
     aoi_hw = z = None
     if confidence is not None:
@@ -270,8 +275,8 @@ def summarize(
         **{f"time_r{k}": t for k, t in zip((1, 2, 3), times)},
     }
     summaries = []
-    for rule in rules:
-        columns = table.error_columns(rule)
+    for tau in taus:
+        columns = table.error_columns(tau)
         err_hw = detection_hw = None
         if z is not None:
             fp, fn, reacq = columns

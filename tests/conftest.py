@@ -3,15 +3,15 @@ import csv
 import numpy as np
 import pytest
 
-from agemon import DecisionRule, ParameterError, SimParams, map_threshold, simulate, summarize
+from agemon import ParameterError, SimParams, map_threshold, simulate, summarize
 from agemon.report import OUTPUTS
 from reference import PeriodTrace, timeline_from_periods
 
 # Standard configuration used throughout: lambda=0.5, mu=1, nu=1/200, r=20.
 DEFAULTS = dict(lam=0.5, mu=1.0, nu=0.005, r=20.0)
 SEED = 20260810
-# the optimal rule at the standard configuration
-MAP_RULE = DecisionRule.with_threshold(map_threshold(DEFAULTS["lam"], DEFAULTS["nu"]), DEFAULTS["r"])
+# the optimal threshold at the standard configuration, below r
+MAP_TAU = map_threshold(DEFAULTS["lam"], DEFAULTS["nu"])
 CSV_COLUMNS = tuple(OUTPUTS["csv"].values())
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
@@ -34,11 +34,10 @@ def read_csv(path) -> list[dict]:
     ]
 
 
-def empirical_columns(table, rule=None):
-    """summarize's columns for one rule, without half-widths. The region
-    columns do not depend on the rule, which is tau = 0 by default."""
-    rule = rule or DecisionRule.with_threshold(0.0, table.params.r)
-    [row] = summarize(table, [rule], confidence=None)
+def empirical_columns(table, tau=0.0):
+    """summarize's columns for one threshold, without half-widths. The
+    region columns do not depend on the threshold."""
+    [row] = summarize(table, [tau], confidence=None)
     return row
 
 

@@ -15,10 +15,13 @@ comparison checks the lockstep arithmetic independently.
 
 `estimated_state_trajectory` builds the detector's estimated state as
 explicit intervals, the oracle behind the interval-walk checks of
-`PeriodTable.error_columns`. `age_pieces` cuts the age sawtooth
-into the trapezoids that `period_table` integrates, so a test can add them
-up with `math.fsum`. `scan_optimal_threshold` finds the optimal threshold
+`PeriodTable.error_columns`; a threshold of inf always declares WORKING.
+`age_pieces` cuts the age sawtooth into the trapezoids that `period_table`
+integrates, so a test can add them up with `math.fsum`. `scan_optimal_threshold` finds the optimal threshold
 by a grid scan of the quadrature, independently of its closed form.
+`pdf_z_given_r2` and `pdf_z_given_r3` are the gap-age densities with their
+own argument checks, the integrands the quadrature must evaluate bit for
+bit, and `quadrature_error_rate` is the quadrature at one threshold.
 
 `bootstrap_halfwidths` is the percentile bootstrap over periods that the
 library's confidence half-widths came from before the regenerative ratio
@@ -27,6 +30,7 @@ estimator replaced it; tests check that the two agree.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -34,6 +38,8 @@ import numpy as np
 
 import agemon.sim as sim
 from agemon import EmptyTimelineError, ParameterError, SimParams, Timeline
+from agemon.analytics import _check_outage_tail, _outage_density, _working_density
+from agemon.errors import check_params
 from agemon.oracle import quadrature_error_rates
 from agemon.sim import _lindley_lockstep
 
@@ -208,9 +214,10 @@ def reference_timeline(params: SimParams) -> Timeline:
     return lay_end_to_end(params, [trace for block in blocks for trace in block_traces(params, block)])
 
 
-def estimated_state_trajectory(timeline: Timeline, rule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rule's estimate from the first arrival to the end of the last
-    period, as ordered, gap-free intervals (starts, ends, failed).
+def estimated_state_trajectory(timeline: Timeline, tau) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The estimate of the rule with threshold tau from the first arrival to
+    the end of the last period, as ordered, gap-free intervals (starts, ends,
+    failed); tau = inf gives one WORKING interval.
 
     z runs straight through failures and recoveries (the monitor cannot see
     them), so the estimate flips to FAILED at a + tau whenever the next
@@ -220,28 +227,28 @@ def estimated_state_trajectory(timeline: Timeline, rule) -> tuple[np.ndarray, np
     if arrivals.size == 0:
         raise EmptyTimelineError("timeline has no deliveries; nothing to estimate")
     end = timeline.end_time
-    if rule.degenerate:
+    if tau == math.inf:
         return np.array([arrivals[0]]), np.array([end]), np.array([False])
     nxt = np.append(arrivals[1:], end)
-    long = (nxt - arrivals) > rule.tau
+    long = (nxt - arrivals) > tau
     n = arrivals.size + int(long.sum())
     starts = np.empty(n)
     ends = np.empty(n)
     failed = np.zeros(n, dtype=bool)
     pos = np.arange(arrivals.size) + np.concatenate(([0], np.cumsum(long[:-1])))
     starts[pos] = arrivals
-    ends[pos] = np.minimum(arrivals + rule.tau, nxt)
+    ends[pos] = np.minimum(arrivals + tau, nxt)
     flip = pos[long] + 1
-    starts[flip] = arrivals[long] + rule.tau
+    starts[flip] = arrivals[long] + tau
     ends[flip] = nxt[long]
     failed[flip] = True
     return starts, ends, failed
 
 
-def naive_error_times(timeline, rule):
+def naive_error_times(timeline, tau):
     """Reference mismatch accounting: walk the estimated intervals and clip
     each against every true-failure interval."""
-    starts, ends, failed = estimated_state_trajectory(timeline, rule)
+    starts, ends, failed = estimated_state_trajectory(timeline, tau)
     fails, recoveries = timeline.failure_times, timeline.recovery_ends
     fp = fn = 0.0
     for lo, hi, is_failed in zip(starts.tolist(), ends.tolist(), failed.tolist()):
@@ -255,13 +262,13 @@ def naive_error_times(timeline, rule):
     return fp, fn
 
 
-def naive_slice_mismatch(timeline, rule) -> list[list[float]]:
+def naive_slice_mismatch(timeline, tau) -> list[list[float]]:
     """Reference per-period (false-positive, false-negative, reacquisition
     false-positive) times: walk the estimated intervals and clip each against
     every period's slice [start, recovery end) of the measured span, against
     the slice's failure [failure, recovery end) and against its r1, [start,
     first delivery), or [start, failure) when it delivers nothing."""
-    starts, ends, failed = estimated_state_trajectory(timeline, rule)
+    starts, ends, failed = estimated_state_trajectory(timeline, tau)
     arrivals = timeline.arrival_times.tolist()
     first, end = arrivals[0], timeline.end_time
 
@@ -310,7 +317,7 @@ def age_pieces(arrivals: list[float], ages: list[float], lo: float, hi: float) -
 # The bootstrap's resample indices: a sixth kind of draw, which no block of
 # the simulation draws
 BOOTSTRAP_KEY = (0, 5)
-# at the cap, the statistics array of 33 rows (the age and 32 rules) takes 264 MB
+# at the cap, the statistics array of 33 rows (the age and 32 thresholds) takes 264 MB
 MAX_RESAMPLES = 10**6
 
 # A batch of B resamples gathers (n periods, B, k rows) floats, at most
@@ -376,3 +383,46 @@ def scan_optimal_threshold(lam: float, nu: float, r: float, grid) -> float:
     if grid.size == 0:
         raise ParameterError("threshold grid must be non-empty")
     return float(grid[int(np.argmin(quadrature_error_rates(lam, nu, r, grid)))])
+
+
+def pdf_z_given_r2(z, lam: float, nu: float):
+    """Density of the gap age during normal operation.
+
+    A gap age of z requires neither a new delivery nor a failure for z
+    seconds, so z is exponential with rate lam + nu:
+    f(z) = (lam + nu) * exp(-(lam + nu) z).
+    """
+    check_params(lam=lam, nu=nu)
+    z = np.asarray(z, dtype=np.float64)
+    if not np.all(z >= 0):
+        raise ParameterError("z must be >= 0")
+    out = _working_density(z, lam + nu)
+    return float(out) if out.ndim == 0 else out
+
+
+def pdf_z_given_r3(z, lam: float, nu: float, r: float):
+    """Density of the gap age during an outage.
+
+    During the outage z equals the gap age at the failure plus a uniform
+    elapsed time in [0, r]; convolving the two gives
+        (1 - exp(-(lam+nu) z)) / r                    for 0 <= z < r,
+        exp(-(lam+nu) z) (exp((lam+nu) r) - 1) / r    for z >= r,
+    continuous at z = r. Raises ParameterError for z >= r if (lam + nu) * r
+    overflows exp.
+    """
+    check_params(lam=lam, nu=nu, r=r)
+    if not r > 0:
+        raise ParameterError(f"r must be > 0, got {r}")
+    z = np.asarray(z, dtype=np.float64)
+    if not np.all(z >= 0):
+        raise ParameterError("z must be >= 0")
+    a = lam + nu
+    if np.any(z >= r):
+        _check_outage_tail(a, r)
+    out = _outage_density(z, a, r)
+    return float(out) if out.ndim == 0 else out
+
+
+def quadrature_error_rate(lam: float, nu: float, r: float, tau: float) -> float:
+    """The quadrature error rate at one threshold: a one-point grid."""
+    return quadrature_error_rates(lam, nu, r, [tau])[0]

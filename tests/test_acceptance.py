@@ -3,6 +3,7 @@ line with the measured numbers once its assertions hold (run with -s to see
 them). The heavyweight fixtures are shared across criteria."""
 
 import concurrent.futures
+import math
 import random
 from unittest import mock
 
@@ -13,26 +14,25 @@ from scipy import optimize, stats
 import agemon.sim as sim
 
 from agemon import (
-    DecisionRule,
     SimParams,
     aoi_mm1,
     error_rate_closed_form,
     map_threshold,
     mean_aoi_closed_form,
     period_table,
-    quadrature_error_rate,
     run_sweep,
     simulate,
     summarize,
     SweepSpec,
 )
-from conftest import DEFAULTS, MAP_RULE, SEED, empirical_columns, manual_timeline, sawtooth_timeline
+from conftest import DEFAULTS, MAP_TAU, SEED, empirical_columns, manual_timeline, sawtooth_timeline
 from reference import (
     block_count,
     block_traces,
     bootstrap_halfwidths,
     lay_end_to_end,
     lindley_arrival_times,
+    quadrature_error_rate,
     scan_optimal_threshold,
 )
 
@@ -59,7 +59,7 @@ def table_100k(timeline_100k):
 
 @pytest.fixture(scope="module")
 def error_default_rule(table_100k):
-    return empirical_columns(table_100k, MAP_RULE)
+    return empirical_columns(table_100k, MAP_TAU)
 
 
 def test_criterion_1_threshold_reproduction():
@@ -96,13 +96,13 @@ def test_criterion_3_threshold_optimality(table_100k, error_default_rule):
     best = scan_optimal_threshold(LAM, NU, R, grid)
     assert best == pytest.approx(9.16, abs=0.02)
     # empirical sweep on the pinned 10^5-period run, integer grid 1..20
-    rules = [DecisionRule.with_threshold(float(t), R) for t in range(1, 21)]
-    sweep = {t: row["err_empirical"] for t, row in zip(range(1, 21), summarize(table_100k, rules, None))}
+    taus = [float(t) for t in range(1, 21)]
+    sweep = {t: row["err_empirical"] for t, row in zip(range(1, 21), summarize(table_100k, taus, None))}
     empirical_best = min(sweep, key=sweep.get)
     assert empirical_best == 9  # grid point nearest 9.16
     # the optimal threshold also beats the coarse comparison rules empirically
     e_map = error_default_rule["err_empirical"]
-    rivals = [DecisionRule.with_threshold(factor * TAU, R) for factor in (0.25, 0.5, 2.0, 4.0)]
+    rivals = [factor * TAU for factor in (0.25, 0.5, 2.0, 4.0)]
     for rival in summarize(table_100k, rivals, None):
         assert e_map <= rival["err_empirical"]
     note(
@@ -224,15 +224,15 @@ def test_criterion_8_exactness_properties():
     assert np.array_equal(split.areas, whole.areas)
     assert split.aoi == whole.aoi
 
-    # (c) degenerate rule: error == fraction of time failed, exactly
+    # (c) degenerate rule (tau = inf, always WORKING): error == fraction of time failed, exactly
     tl = manual_timeline([
         (4.0, 2.0, [0.0, 1.0], [1.5, 3.0]),
         (3.0, 2.0, [0.0], [0.5]),
         (2.0, 2.0, [0.0], [1.0]),
     ])
-    table, rule = period_table(tl), DecisionRule.with_threshold(100.0, 2.0)
-    row = empirical_columns(table, rule)
-    _, false_negative_time, _ = table.error_columns(rule).sum(axis=1).tolist()
+    table = period_table(tl)
+    row = empirical_columns(table, math.inf)
+    _, false_negative_time, _ = table.error_columns(math.inf).sum(axis=1).tolist()
     failed_time = sum(
         max(0.0, end - max(fail, tl.arrival_times[0]))
         for fail, end in zip(tl.failure_times, tl.recovery_ends)
@@ -292,8 +292,8 @@ def test_ratio_halfwidths_agree_with_the_reference_bootstrap(table_100k):
     # and the detection-scope error 0.0001973 vs 0.0001988. At 1000
     # resamples the bootstrap's percentiles carry a few percent of noise of
     # their own, so they agree within 5%.
-    [summary] = summarize(table_100k, [MAP_RULE])
-    fp, fn, reacq = table_100k.error_columns(MAP_RULE)
+    [summary] = summarize(table_100k, [MAP_TAU])
+    fp, fn, reacq = table_100k.error_columns(MAP_TAU)
     numerators = np.vstack((table_100k.areas, fp + fn, fp - reacq + fn))
     bootstrap = bootstrap_halfwidths(SEED, numerators, table_100k.lengths, 1000, 0.95)
     ratio = [summary["aoi_ci"], summary["err_ci"], summary["err_detection_ci"]]

@@ -1,9 +1,11 @@
+import pathlib
+import pkgutil
+
 import agemon
 
 # the whole public surface; a name added to or dropped from agemon.__all__
 # must be added to or dropped from this list too
 PUBLIC_NAMES = [
-    "DecisionRule",
     "EVENT_CAP",
     "EmptyTimelineError",
     "OracleError",
@@ -20,10 +22,7 @@ PUBLIC_NAMES = [
     "map_threshold",
     "mean_aoi_closed_form",
     "monte_carlo_cross_check",
-    "pdf_z_given_r2",
-    "pdf_z_given_r3",
     "period_table",
-    "quadrature_error_rate",
     "region_means_closed_form",
     "render_svg",
     "run_sweep",
@@ -34,6 +33,22 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_pinned():
-    assert len(PUBLIC_NAMES) == 27
+    assert len(PUBLIC_NAMES) == 23
     assert sorted(agemon.__all__) == PUBLIC_NAMES
     assert all(hasattr(agemon, name) for name in PUBLIC_NAMES)
+
+
+def test_readme_layout_names_every_module():
+    # README's Library layout table has one row per module of the package,
+    # so a deleted module cannot leave a stale row nor a new one go unlisted
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = text.splitlines()
+    start = lines.index("| module | contents |")
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append(line.strip("|").split("|")[0].strip().strip("`"))
+    modules = sorted(f"agemon.{info.name}" for info in pkgutil.iter_modules(agemon.__path__))
+    assert sorted(rows) == modules
+    assert len(rows) == len(set(rows))

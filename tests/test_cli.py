@@ -12,11 +12,11 @@ import pytest
 import agemon.cli
 import agemon.experiments
 import agemon.sim
-from agemon import ParameterError, SimParams, monte_carlo_cross_check, quadrature_error_rate
+from agemon import ParameterError, SimParams, monte_carlo_cross_check
 from agemon.cli import run_subcommand
 from agemon.report import OUTPUTS
 from conftest import DEFAULTS, read_csv
-from reference import MAX_RESAMPLES
+from reference import MAX_RESAMPLES, quadrature_error_rate
 
 FAST = ["--periods", "300"]
 NOTE = "note: --resamples {} is unused; the half-widths now come from the regenerative ratio estimator\n"

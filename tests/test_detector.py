@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from agemon import DecisionRule, EmptyTimelineError, ParameterError, map_threshold, period_table
-from conftest import MAP_RULE, empirical_columns, manual_period, manual_timeline, sawtooth_timeline
+from agemon import EmptyTimelineError, ParameterError, map_threshold, period_table, summarize
+from conftest import MAP_TAU, empirical_columns, manual_period, manual_timeline, sawtooth_timeline
 from reference import (
     estimated_state_trajectory,
     naive_error_times,
@@ -40,15 +40,12 @@ class TestThreshold:
         with pytest.raises(ParameterError, match=f"^{field} must be"):
             map_threshold(lam, nu)
 
-    def test_rule_constructors(self):
-        rule = DecisionRule.with_threshold(map_threshold(0.5, 0.005), 20.0)
-        assert rule.tau == TAU_DEFAULT and not rule.degenerate
-        assert DecisionRule.with_threshold(map_threshold(0.5, 0.005), 5.0).degenerate
-        assert DecisionRule.with_threshold(20.0, 20.0).degenerate
-        with pytest.raises(ParameterError):
-            DecisionRule.with_threshold(-1.0, 20.0)
-        with pytest.raises(ParameterError, match="tau must be >= 0"):
-            DecisionRule.with_threshold(math.nan, 20.0)
+    def test_summarize_rejects_an_invalid_threshold(self, small_timeline):
+        # every threshold is checked before any is scored; inf is valid
+        table = period_table(small_timeline)
+        for tau in (-1.0, -math.inf, math.nan):
+            with pytest.raises(ParameterError, match=f"^tau must be >= 0, got {tau}$"):
+                summarize(table, [MAP_TAU, math.inf, tau], confidence=None)
 
 
 def single_span_timeline(arrivals, T=None, r=50.0):
@@ -64,13 +61,13 @@ class TestEstimatedTrajectory:
     def test_short_gap_never_flips(self):
         tau = 4.0
         tl = single_span_timeline([0.5, 0.5 + 0.5 * tau], T=0.5 + 0.5 * tau + 0.1, r=tau)
-        _, _, failed = estimated_state_trajectory(tl, DecisionRule.with_threshold(tau, 100.0))
+        _, _, failed = estimated_state_trajectory(tl, tau)
         assert not failed[:2].any()
 
     def test_single_crossing(self):
         tau = 4.0
         tl = single_span_timeline([1.0, 1.0 + 2 * tau], T=1.0 + 2 * tau + 0.1, r=100.0)
-        starts, ends, failed = estimated_state_trajectory(tl, DecisionRule.with_threshold(tau, 1000.0))
+        starts, ends, failed = estimated_state_trajectory(tl, tau)
         intervals = list(zip(starts.tolist(), ends.tolist(), failed.tolist()))
         # working on [1, 1+tau), failed on [1+tau, 1+2tau), working again after
         assert intervals[0] == (1.0, 1.0 + tau, False)
@@ -79,12 +76,12 @@ class TestEstimatedTrajectory:
 
     def test_degenerate_single_interval(self):
         tl = single_span_timeline([1.0, 30.0], T=31.0, r=2.0)
-        starts, ends, failed = estimated_state_trajectory(tl, DecisionRule.with_threshold(5.0, 2.0))
+        starts, ends, failed = estimated_state_trajectory(tl, math.inf)
         assert starts.size == 1
         assert (starts[0], ends[0], failed[0]) == (1.0, tl.end_time, False)
 
     def test_contiguous_cover(self, small_timeline):
-        starts, ends, _ = estimated_state_trajectory(small_timeline, MAP_RULE)
+        starts, ends, _ = estimated_state_trajectory(small_timeline, MAP_TAU)
         assert np.array_equal(starts[1:], ends[:-1])
         assert starts[0] == small_timeline.arrival_times[0]
         assert ends[-1] == small_timeline.end_time
@@ -93,12 +90,12 @@ class TestEstimatedTrajectory:
     def test_empty_timeline(self):
         tl = manual_timeline([(1.0, 2.0, [0.0], [])])
         with pytest.raises(EmptyTimelineError):
-            estimated_state_trajectory(tl, DecisionRule.with_threshold(1.0, 2.0))
+            estimated_state_trajectory(tl, 1.0)
 
 
 def random_manual_timelines():
-    """25 draws of (timeline, rule): 1-5 random periods, any of which may
-    deliver nothing, and a non-degenerate threshold."""
+    """25 draws of (timeline, tau): 1-5 random periods, any of which may
+    deliver nothing, and a finite threshold."""
     rng = np.random.default_rng(17)
     for _ in range(25):
         specs = []
@@ -112,13 +109,13 @@ def random_manual_timelines():
             specs.append((T, float(rng.uniform(1.0, 8.0)), gens.tolist(), arrs.tolist()))
         if not any(len(s[3]) for s in specs):
             continue
-        yield manual_timeline(specs), DecisionRule.with_threshold(float(rng.uniform(0.3, 6.0)), 1e9)
+        yield manual_timeline(specs), float(rng.uniform(0.3, 6.0))
 
 
-def error_times(timeline, rule):
-    """The rule's whole-run false-positive, false-negative and reacquisition
-    false-positive times: its error columns' sums."""
-    return period_table(timeline).error_columns(rule).sum(axis=1).tolist()
+def error_times(timeline, tau):
+    """The whole-run false-positive, false-negative and reacquisition
+    false-positive times at threshold tau: its error columns' sums."""
+    return period_table(timeline).error_columns(tau).sum(axis=1).tolist()
 
 
 class TestEmpiricalError:
@@ -127,9 +124,8 @@ class TestEmpiricalError:
         # the estimate turns FAILED at 12.56, so [5, 12.56] is missed outage
         tau = 9.16
         tl = manual_timeline([(5.0, 20.0, [0.0, 1.0, 1.5], [2.0, 2.4, 3.4])])
-        rule = DecisionRule.with_threshold(tau, 20.0)
-        fp, fn, _ = error_times(tl, rule)
-        row = empirical_columns(period_table(tl), rule)
+        fp, fn, _ = error_times(tl, tau)
+        row = empirical_columns(period_table(tl), tau)
         assert fn == pytest.approx(3.4 + tau - 5.0)
         assert fp == pytest.approx(0.0, abs=1e-12)
         assert row["measured_time"] == pytest.approx(23.0)
@@ -138,7 +134,7 @@ class TestEmpiricalError:
     def test_short_working_gap_no_false_positive(self):
         tau = 5.0
         tl = single_span_timeline([1.0, 4.0], T=10.0, r=100.0)
-        fp, _, reacq = error_times(tl, DecisionRule.with_threshold(tau, 1000.0))
+        fp, _, reacq = error_times(tl, tau)
         assert reacq == 0.0
         # the only false positive is the tail of the final gap before failure
         assert fp == pytest.approx(10.0 - 4.0 - tau)
@@ -146,7 +142,7 @@ class TestEmpiricalError:
     def test_long_working_gap_contributes_gap_minus_tau(self):
         tau = 2.0
         tl = single_span_timeline([1.0, 9.0], T=9.5, r=100.0)
-        fp, _, _ = error_times(tl, DecisionRule.with_threshold(tau, 1000.0))
+        fp, _, _ = error_times(tl, tau)
         # gap of 8 inside the working span -> 8 - tau, plus (9.5 - 9 - tau)+ = 0 tail
         assert fp == pytest.approx(8.0 - tau)
 
@@ -155,10 +151,9 @@ class TestEmpiricalError:
             (4.0, 2.0, [0.0, 1.0], [1.5, 3.0]),
             (3.0, 2.0, [0.0], [0.5]),
         ])
-        rule = DecisionRule.with_threshold(10.0, 2.0)
-        assert rule.degenerate
-        fp, fn, _ = error_times(tl, rule)
-        row = empirical_columns(period_table(tl), rule)
+        # the rule that always declares WORKING
+        fp, fn, _ = error_times(tl, math.inf)
+        row = empirical_columns(period_table(tl), math.inf)
         in_failure = sum(
             max(0.0, e - max(f, tl.arrival_times[0]))
             for f, e in zip(tl.failure_times, tl.recovery_ends)
@@ -168,9 +163,9 @@ class TestEmpiricalError:
         assert row["err_empirical"] == in_failure / row["measured_time"]
 
     def test_matches_naive_interval_walk(self):
-        for tl, rule in random_manual_timelines():
-            got_fp, got_fn, _ = error_times(tl, rule)
-            fp, fn = naive_error_times(tl, rule)
+        for tl, tau in random_manual_timelines():
+            got_fp, got_fn, _ = error_times(tl, tau)
+            fp, fn = naive_error_times(tl, tau)
             assert got_fp == pytest.approx(fp, abs=1e-10)
             assert got_fn == pytest.approx(fn, abs=1e-10)
 
@@ -183,15 +178,15 @@ class TestEmpiricalError:
             shifted_periods.append(manual_period(start, T, r, gens, arrs))
             start = shifted_periods[-1].recovery_end
         shifted = timeline_from_periods(base.params, shifted_periods)
-        rule = DecisionRule.with_threshold(1.25, 2.0)
-        a, b = (error_times(tl, rule) for tl in (base, shifted))
+        tau = 1.25
+        a, b = (error_times(tl, tau) for tl in (base, shifted))
         assert a[:2] == b[:2]
-        a, b = (empirical_columns(period_table(tl), rule) for tl in (base, shifted))
+        a, b = (empirical_columns(period_table(tl), tau) for tl in (base, shifted))
         assert a["err_empirical"] == b["err_empirical"]
 
     def test_reacquisition_split_consistency(self, small_timeline):
-        fp, fn, reacq = error_times(small_timeline, MAP_RULE)
-        row = empirical_columns(period_table(small_timeline), MAP_RULE)
+        fp, fn, reacq = error_times(small_timeline, MAP_TAU)
+        row = empirical_columns(period_table(small_timeline), MAP_TAU)
         assert 0.0 <= reacq <= fp
         assert row["err_detection"] < row["err_empirical"]
         assert row["err_empirical"] == pytest.approx((fp + fn) / row["measured_time"])
@@ -200,9 +195,9 @@ class TestEmpiricalError:
         assert row["reacquisition_fp_time"] == pytest.approx(row["time_r1"], rel=1e-12)
 
     def test_per_slice_mismatch_matches_naive_interval_walk(self):
-        for tl, rule in random_manual_timelines():
-            got = period_table(tl).error_columns(rule)
-            for row, want in zip(got, naive_slice_mismatch(tl, rule)):
+        for tl, tau in random_manual_timelines():
+            got = period_table(tl).error_columns(tau)
+            for row, want in zip(got, naive_slice_mismatch(tl, tau)):
                 assert row == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("timeline", [
@@ -224,19 +219,18 @@ class TestEmpiricalError:
             (6.0, 0.0, [0.0, 0.5], [1.0, 1.5]),
         ]),
     ], ids=["no-delivery", "delivery-at-run-start", "delivery-at-period-start", "r0"])
-    @pytest.mark.parametrize("rule", [
-        *(DecisionRule.with_threshold(tau, 1e9) for tau in (0.0, 0.25, 1.0, 2.5, 6.0)),
-        DecisionRule.with_threshold(2.0, 2.0),
-    ], ids=["tau0", "tau0.25", "tau1", "tau2.5", "tau6", "degenerate"])
-    def test_per_slice_mismatch_edge_cases(self, timeline, rule):
-        got = period_table(timeline).error_columns(rule)
-        for row, want in zip(got, naive_slice_mismatch(timeline, rule)):
+    # tau = 2 is r of the first and the fourth timeline, scored as z > tau
+    @pytest.mark.parametrize("tau", [0.0, 0.25, 1.0, 2.0, 2.5, 6.0, math.inf],
+                             ids=["tau0", "tau0.25", "tau1", "tau2", "tau2.5", "tau6", "degenerate"])
+    def test_per_slice_mismatch_edge_cases(self, timeline, tau):
+        got = period_table(timeline).error_columns(tau)
+        for row, want in zip(got, naive_slice_mismatch(timeline, tau)):
             assert row == pytest.approx(want, abs=1e-12)
 
     def test_per_period_mismatch_sums_to_total(self, small_timeline):
         table = period_table(small_timeline)
-        fp, fn, reacq = table.error_columns(MAP_RULE)
-        fp_time, fn_time, _ = error_times(small_timeline, MAP_RULE)
+        fp, fn, reacq = table.error_columns(MAP_TAU)
+        fp_time, fn_time, _ = error_times(small_timeline, MAP_TAU)
         assert (fp + fn).sum() == pytest.approx(fp_time + fn_time, rel=1e-9)
         # each slice's mismatch fits in the slice, its missed outage in r3,
         # and its reacquisition false positives in its false positives, up to

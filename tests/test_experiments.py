@@ -8,16 +8,20 @@ from agemon import (
     SweepSpec,
     error_rate_closed_form,
     map_threshold,
-    quadrature_error_rate,
     run_sweep,
 )
 from agemon.experiments import MAX_GRID_POINTS, measure
 from agemon.oracle import quadrature_error_rates
 from conftest import DEFAULTS, SEED
+from reference import quadrature_error_rate
 
 # float.hex of (aoi_ci, err_detection_ci, err_ci) per row of a threshold
 # sweep at 300 periods, grid 0, tau*/2, ..., 5 tau*/2 with tau* the MAP
-# threshold (row 2); the last row exceeds r = 20, so its rule is degenerate.
+# threshold (row 2). The last row's threshold exceeds r = 20 but is not the
+# optimal one, so it is scored as "FAILED while z > tau", the rule its
+# quadrature integrates; its error half-widths were re-recorded when that
+# replaced scoring it as "always WORKING" (old entry: the failed-time
+# column's 0x1.61e1c7078acc4p-7 twice).
 # The bootstrap half-widths these replaced were recorded when the stream
 # contract changed to per-block streams, again when per-period sums replaced
 # run-wide prefix-sum differences and then when the bootstrap's stream key
@@ -29,7 +33,7 @@ SWEEP_GOLDEN = [
     ("0x1.1b6a48c3980afp-3", "0x1.1fe95068610f5p-8", "0x1.4232d432c10b1p-8"),
     ("0x1.1b6a48c3980afp-3", "0x1.ac94a6115729cp-8", "0x1.d1108591ff8bcp-8"),
     ("0x1.1b6a48c3980afp-3", "0x1.24cf248d9a3eep-7", "0x1.3718f928ee666p-7"),
-    ("0x1.1b6a48c3980afp-3", "0x1.61e1c7078acc4p-7", "0x1.61e1c7078acc4p-7"),
+    ("0x1.1b6a48c3980afp-3", "0x1.58644d0359952p-7", "0x1.61478f239fc37p-7"),
 ]
 
 
@@ -117,16 +121,51 @@ class TestMeasure:
         assert row["err_analytic"] == error_rate_closed_form(lam, nu, r)
 
     def test_analytic_only_rows_build_no_rule(self, monkeypatch):
-        monkeypatch.setattr(agemon.experiments, "DecisionRule", None)
+        # nothing is scored: neither a period table nor a summary is built
+        monkeypatch.setattr(agemon.experiments, "period_table", None)
+        monkeypatch.setattr(agemon.experiments, "summarize", None)
         rows = measure(fixed(), [1.0, 2.0, 30.0], with_sim=False, swept_var="threshold")
         assert [row["swept_var"] for row in rows] == ["threshold"] * 3
         assert all(row["tau"] is None and row["aoi_empirical"] is None for row in rows)
 
     def test_simulated_rows_record_their_rule(self):
         rows = measure(fixed(), [4.0, 25.0], confidence=None)
-        assert [(row["tau"], row["degenerate"]) for row in rows] == [(4.0, False), (25.0, True)]
+        # 25 >= r is not the optimal threshold, so its rule is not degenerate:
+        # it is scored as "FAILED while z > 25", like its quadrature (this
+        # pair read (25.0, True) when any tau >= r was scored as always WORKING)
+        assert [(row["tau"], row["degenerate"]) for row in rows] == [(4.0, False), (25.0, False)]
         # one simulation serves both rules
         assert rows[0]["aoi_empirical"] == rows[1]["aoi_empirical"]
+
+
+class TestScoringScope:
+    """A swept threshold is scored as the rule its quadrature integrates,
+    "FAILED while z > tau", whether or not it exceeds r; only the optimal
+    threshold at tau >= r is the degenerate "always WORKING" rule, whose
+    closed form is the failed-time prior."""
+
+    PERIODS = 20_000
+
+    def test_every_threshold_agrees_with_its_quadrature(self):
+        # tau = 20 once read 0.09157 against 0.08195 +- 0.00115 (8.4
+        # half-widths) when every tau >= r was scored as always WORKING
+        params = SimParams(**DEFAULTS, periods=self.PERIODS, master_seed=SEED)
+        optimal = map_threshold(params.lam, params.nu)
+        rows = measure(params, [optimal, 15.0, 19.99, 20.0, 21.0, 25.0, 1000.0])
+        assert not any(row["degenerate"] for row in rows)
+        for row in rows:
+            gap = abs(row["err_detection"] - row["err_analytic"])
+            assert gap <= 3 * row["err_detection_ci"], (row["tau"], gap / row["err_detection_ci"])
+
+    def test_only_the_optimal_threshold_at_or_above_r_is_degenerate(self):
+        # at r = 5 the optimal threshold (~9.16) collapses to always WORKING;
+        # tau = 10 once read 0.02458 against 0.02993 +- 0.00033 (16 half-widths)
+        params = SimParams(**{**DEFAULTS, "r": 5.0}, periods=self.PERIODS, master_seed=SEED)
+        optimal, swept = measure(params, [map_threshold(params.lam, params.nu), 10.0])
+        assert optimal["degenerate"] and not swept["degenerate"]
+        assert optimal["err_empirical"] == optimal["time_r3"] / optimal["measured_time"]
+        assert optimal["fp_rate"] == 0.0
+        assert abs(swept["err_detection"] - swept["err_analytic"]) <= 3 * swept["err_detection_ci"]
 
 
 def sweep_params():

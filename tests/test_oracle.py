@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import agemon.oracle
 from agemon import (
-    DecisionRule,
     OracleError,
     ParameterError,
     SimParams,
@@ -17,14 +16,11 @@ from agemon import (
     failure_prior,
     map_threshold,
     monte_carlo_cross_check,
-    pdf_z_given_r2,
-    pdf_z_given_r3,
-    quadrature_error_rate,
 )
 from agemon.analytics import _outage_density, _working_density
 from agemon.oracle import quadrature_error_rates
 from conftest import DEFAULTS, SEED
-from reference import scan_optimal_threshold
+from reference import pdf_z_given_r2, pdf_z_given_r3, quadrature_error_rate, scan_optimal_threshold
 
 LAM, NU, R = 0.5, 0.005, 20.0
 TAU = map_threshold(LAM, NU)
@@ -414,12 +410,11 @@ class TestCrossCheck:
         monkeypatch.setitem(monte_carlo_cross_check.__globals__, "simulate", no_simulation)
         params = SimParams(**{**DEFAULTS, "r": 1500.0}, periods=10_000, master_seed=SEED)
         with pytest.raises(ParameterError, match=re.escape("(lam + nu) * r = 757.5 overflows exp")):
-            monte_carlo_cross_check(params, rule=DecisionRule.with_threshold(2000.0, 1500.0), confidence=None)
+            monte_carlo_cross_check(params, tau=2000.0, confidence=None)
 
     def test_custom_rule_uses_quadrature_reference(self):
-        rule = DecisionRule.with_threshold(4.0, R)
         report = monte_carlo_cross_check(
-            SimParams(**DEFAULTS, periods=10_000, master_seed=SEED), rule=rule, confidence=None
+            SimParams(**DEFAULTS, periods=10_000, master_seed=SEED), tau=4.0, confidence=None
         )
         assert report["err_analytic"] == pytest.approx(quadrature_error_rate(LAM, NU, R, 4.0), rel=1e-9)
         # suboptimal threshold must measure worse than the optimal one

@@ -12,12 +12,12 @@ import agemon.sim as sim
 import agemon.summary
 import reference
 from agemon import (
-    DecisionRule, EmptyTimelineError, ParameterError, SimParams, map_threshold, period_table, simulate, summarize,
+    EmptyTimelineError, ParameterError, SimParams, map_threshold, period_table, simulate, summarize,
 )
 from agemon.report import COLUMNS, project, run_row
 from agemon.experiments import measure
 from agemon.summary import _ratio_halfwidth
-from conftest import DEFAULTS, MAP_RULE, SEED, empirical_columns, manual_timeline
+from conftest import DEFAULTS, MAP_TAU, SEED, empirical_columns, manual_timeline
 from reference import age_pieces, bootstrap_halfwidths
 
 # float.hex of every float of the optimal rule's summarize(...) in `simulate`'s
@@ -79,14 +79,14 @@ def small_table(small_timeline):
 
 @pytest.fixture(scope="module")
 def summary(small_table):
-    [summary] = summarize(small_table, [MAP_RULE])
+    [summary] = summarize(small_table, [MAP_TAU])
     return summary
 
 
 class TestSummarize:
     def test_matches_direct_metrics(self, small_table, summary):
         assert summary["aoi_empirical"] == small_table.aoi
-        fp, fn, _ = small_table.error_columns(MAP_RULE).sum(axis=1).tolist()
+        fp, fn, _ = small_table.error_columns(MAP_TAU).sum(axis=1).tolist()
         assert summary["err_empirical"] == (fp + fn) / small_table.measured_time
         assert summary["measured_time"] == small_table.measured_time
         assert summary["periods"] == 2000
@@ -95,7 +95,7 @@ class TestSummarize:
     def test_confidence_intervals_positive_and_reproducible(self, small_table, summary):
         assert summary["aoi_ci"] > 0
         assert summary["err_ci"] > 0
-        [again] = summarize(small_table, [MAP_RULE])
+        [again] = summarize(small_table, [MAP_TAU])
         assert again["aoi_ci"] == summary["aoi_ci"]
         assert again["err_ci"] == summary["err_ci"]
 
@@ -106,15 +106,34 @@ class TestSummarize:
 
     # the name is kept from when a resample count of 0 skipped the bootstrap
     def test_skipping_bootstrap(self, small_table):
-        [s] = summarize(small_table, [MAP_RULE], confidence=None)
+        [s] = summarize(small_table, [MAP_TAU], confidence=None)
         assert s["aoi_ci"] is None
         assert s["err_ci"] is None
         assert s["err_detection_ci"] is None
 
+    def test_infinite_threshold_always_declares_working(self, small_table):
+        # tau = inf scores every slice's failed time as missed and nothing
+        # else, bit for bit as the "always WORKING" rule did; the general
+        # path reaches the same columns at a huge finite threshold
+        failed = small_table.region_times[2]
+        zeros = np.zeros_like(failed)
+        always_working = small_table.error_columns(math.inf)
+        assert np.array_equal(always_working, np.vstack((zeros, failed, zeros)))
+        assert np.array_equal(small_table.error_columns(1e300), always_working)
+        [row] = summarize(small_table, [math.inf], confidence=None)
+        assert row["fp_rate"] == row["reacquisition_fp_time"] == 0.0
+        assert row["err_empirical"] == row["err_detection"] == row["time_r3"] / row["measured_time"]
+
+    def test_thresholds_read_once_from_any_iterable(self, small_table):
+        taus = [0.0, MAP_TAU, math.inf]
+        want = [hex_fields(row) for row in summarize(small_table, taus, confidence=None)]
+        for given in (iter(taus), np.array(taus)):
+            assert [hex_fields(row) for row in summarize(small_table, given, confidence=None)] == want
+
     def test_confidence_domain(self, small_table):
         for confidence in (0.0, 1.0, 1.5, math.nan):
             with pytest.raises(ParameterError, match="confidence must be in"):
-                summarize(small_table, [MAP_RULE], confidence=confidence)
+                summarize(small_table, [MAP_TAU], confidence=confidence)
 
     def test_simulate_keys_pinned(self, small_table, summary):
         d = project(run_row(small_table.params, **summary), "simulate")
@@ -131,7 +150,7 @@ class TestSummarize:
         tl = simulate(SimParams(lam=1.2, mu=1.0, nu=0.05, r=5.0, periods=50, master_seed=5))
         with pytest.raises(ParameterError):
             measure(tl.params)  # the optimal rule needs rho < 1
-        [s] = summarize(period_table(tl), [DecisionRule.with_threshold(3.0, 5.0)], confidence=None)
+        [s] = summarize(period_table(tl), [3.0], confidence=None)
         assert s["unstable_queue"]
 
     def test_returns_the_rows_empirical_columns(self, small_table, summary):
@@ -145,20 +164,19 @@ class TestSummarize:
         ]
         assert set(summary) <= set(COLUMNS)
         assert {type(v) for v in summary.values()} == {float, int, bool}
-        rules = [MAP_RULE, DecisionRule.with_threshold(30.0, DEFAULTS["r"])]
-        for row in summarize(small_table, rules, confidence=None):
+        for row in summarize(small_table, [MAP_TAU, 30.0, math.inf], confidence=None):
             assert list(row) == list(summary)
             assert {type(v) for v in row.values()} == {float, int, bool, type(None)}
 
 
-def assert_totals_are_column_sums(table, rule):
+def assert_totals_are_column_sums(table, tau):
     """Every whole-run total of summarize's columns is, bit for bit, a
     column sum of the table or a ratio of one to the measured time; returns
     the columns."""
     span = table.measured_time
-    row = empirical_columns(table, rule)
+    row = empirical_columns(table, tau)
     assert row["aoi_empirical"] == table.aoi == float(table.areas.sum()) / span
-    fp, fn, reacq = [float(column.sum()) for column in table.error_columns(rule)]
+    fp, fn, reacq = [float(column.sum()) for column in table.error_columns(tau)]
     assert [row["fp_rate"], row["fn_rate"], row["reacquisition_fp_time"]] == [fp / span, fn / span, reacq]
     assert [row["err_empirical"], row["err_detection"]] == [(fp + fn) / span, (fp - reacq + fn) / span]
     assert [row["time_r1"], row["time_r2"], row["time_r3"]] == [float(t.sum()) for t in table.region_times]
@@ -167,10 +185,10 @@ def assert_totals_are_column_sums(table, rule):
 
 class TestPerPeriodStatistics:
     def test_sums_reproduce_whole_run(self, small_timeline, small_table):
-        areas, columns, lengths = small_table.areas, small_table.error_columns(MAP_RULE), small_table.lengths
+        areas, columns, lengths = small_table.areas, small_table.error_columns(MAP_TAU), small_table.lengths
         span = small_timeline.end_time - small_timeline.arrival_times[0]
         assert lengths.sum() == pytest.approx(span, rel=1e-12)
-        assert_totals_are_column_sums(small_table, MAP_RULE)
+        assert_totals_are_column_sums(small_table, MAP_TAU)
         assert np.all(lengths >= 0)
         assert np.all(areas >= 0)
         assert np.all(columns >= 0)
@@ -227,7 +245,7 @@ class TestDeliveryGroups:
         # 1.09x when one clipped copy of every gap was made per rule.
         table = period_table(timeline)
         with mock.patch.object(agemon.summary, "_GROUP_DELIVERIES", self.GROUP):
-            peak = traced_peak(lambda: table.error_columns(MAP_RULE))
+            peak = traced_peak(lambda: table.error_columns(MAP_TAU))
         assert peak < 0.25 * 8 * timeline.arrival_times.size
 
     @pytest.mark.parametrize("require_delivery", [False, True])
@@ -239,14 +257,14 @@ class TestDeliveryGroups:
         tl = simulate(params)
         assert (tl.delivered_counts == 0).any() != require_delivery
         assert tl.delivered_counts.max() > 2**6
-        rules = [DecisionRule.with_threshold(tau, params.r) for tau in (0.5, 2.0, 4.0)]
+        taus = [0.5, 2.0, 4.0]
 
         def columns():
             table = period_table(tl)
             fields = [getattr(table, f.name) for f in dataclasses.fields(table)]
             # and the columns that summarize reads off them
-            return fields + [table.error_columns(rule) for rule in rules] + [
-                hex_fields(row) for row in summarize(table, rules, confidence=None)]
+            return fields + [table.error_columns(tau) for tau in taus] + [
+                hex_fields(row) for row in summarize(table, taus, confidence=None)]
 
         want = columns()
         for group in (1, 2**6):
@@ -259,8 +277,9 @@ class TestDeliveryGroups:
 @pytest.mark.parametrize("r", sorted(GOLDEN))
 def test_summary_bit_identical_to_recorded(r):
     tl = simulate(SimParams(**{**DEFAULTS, "r": r}, periods=300, master_seed=SEED))
-    rule = DecisionRule.with_threshold(map_threshold(DEFAULTS["lam"], DEFAULTS["nu"]), r)
-    [summary] = summarize(period_table(tl), [rule])
+    # the optimal rule; at tau >= r it collapses to always WORKING, tau = inf
+    tau = map_threshold(DEFAULTS["lam"], DEFAULTS["nu"])
+    [summary] = summarize(period_table(tl), [math.inf if tau >= r else tau])
     record = project(run_row(tl.params, **summary), "simulate")
     floats = {key: float.hex(value) for key, value in record.items() if isinstance(value, float)}
     assert floats == GOLDEN[r]
@@ -272,9 +291,10 @@ def hex_fields(summary):
 
 
 class TestSummarizeRules:
-    # 0, below, at and above the MAP threshold (~9.158), then r itself and
-    # one above it (degenerate), then one more, so calls mix both kinds
-    TAUS = (0.0, 4.0, 9.158362006503506, 15.0, 20.0, 31.5, 7.25)
+    # 0, below, at and above the MAP threshold (~9.158), then r itself, one
+    # above it and the always-WORKING inf, then one more, so calls mix the
+    # general path and the shortcut
+    TAUS = (0.0, 4.0, 9.158362006503506, 15.0, 20.0, 31.5, math.inf, 7.25)
 
     # The case ids are those of the bootstrap these tests once covered, so
     # they stay stable: "300-40" was 40 resamples, "1-10" and "300-0" are
@@ -288,7 +308,7 @@ class TestSummarizeRules:
     ])
     def test_equals_summarize_per_rule(self, chunk, periods, confidence):
         table = period_table(simulate(SimParams(**DEFAULTS, periods=periods, master_seed=SEED)))
-        rules = [DecisionRule.with_threshold(tau, DEFAULTS["r"]) for tau in self.TAUS]
+        rules = list(self.TAUS)
         # each rule alone, then the rules in chunks, then all at once
         expected = [hex_fields(summary) for rule in rules for summary in summarize(table, [rule], confidence)]
         chunked = [s for i in range(0, len(rules), chunk) for s in summarize(table, rules[i:i + chunk], confidence)]
@@ -304,13 +324,13 @@ class TestSummarizeRules:
     @pytest.mark.parametrize("confidence", [pytest.param(None, id="0"), pytest.param(0.95, id="20")])
     def test_scores_each_rule_once(self, monkeypatch, confidence):
         table = period_table(simulate(SimParams(**DEFAULTS, periods=50, master_seed=SEED)))
-        rules = [DecisionRule.with_threshold(tau, DEFAULTS["r"]) for tau in self.TAUS]
+        rules = list(self.TAUS)
         scored = []
         error_columns = agemon.summary.PeriodTable.error_columns
 
-        def counted(self, rule):
-            scored.append(rule)
-            return error_columns(self, rule)
+        def counted(self, tau):
+            scored.append(tau)
+            return error_columns(self, tau)
 
         monkeypatch.setattr(agemon.summary.PeriodTable, "error_columns", counted)
         summarize(table, rules, confidence)
@@ -371,7 +391,7 @@ class TestRatioHalfwidth:
         # time, in plain numpy; the library sums over every period instead
         measured = small_table.lengths > 0
         lengths = small_table.lengths[measured]
-        fp, fn, reacq = small_table.error_columns(MAP_RULE)
+        fp, fn, reacq = small_table.error_columns(MAP_TAU)
         z = 1.959963984540054
         for numerator, got in [
             (small_table.areas, summary["aoi_ci"]),
@@ -390,10 +410,10 @@ class TestRatioHalfwidth:
         delivered = (5.0, 1.0, [0.0, 1.0, 2.0], [0.5, 1.5, 2.5])
         table = period_table(manual_timeline([lost, delivered]))
         with pytest.raises(EmptyTimelineError, match=r"^1 of 2 periods have measured time .* at least 2$"):
-            summarize(table, [MAP_RULE])
-        [s] = summarize(table, [MAP_RULE], confidence=None)
+            summarize(table, [MAP_TAU])
+        [s] = summarize(table, [MAP_TAU], confidence=None)
         assert s["aoi_ci"] is None
-        [s] = summarize(period_table(manual_timeline([delivered, lost, delivered])), [MAP_RULE])
+        [s] = summarize(period_table(manual_timeline([delivered, lost, delivered])), [MAP_TAU])
         assert 0 < s["aoi_ci"] < math.inf
 
     def test_outage_fraction_halfwidth_covers_its_exact_value(self):
@@ -451,10 +471,9 @@ class TestPeriodTableProperties:
         tl = simulate(SimParams(lam=lam, mu=1.0, nu=nu, r=r, periods=periods, master_seed=seed))
         assume(tl.arrival_times.size > 0)
         table = period_table(tl)
-        rule = DecisionRule.with_threshold(tau, r)
         span = table.measured_time
         assert table.lengths.sum() == pytest.approx(span, rel=1e-12)
-        row = assert_totals_are_column_sums(table, rule)
+        row = assert_totals_are_column_sums(table, tau)
         assert row["time_r1"] + row["time_r2"] + row["time_r3"] == pytest.approx(span, rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
