@@ -12,7 +12,7 @@ from .analytics import (
     mean_aoi_closed_form,
     region_means_closed_form,
 )
-from .errors import EmptyTimelineError, OracleError, ParameterError, SimulationLimitError
+from .errors import EmptyTimelineError, ParameterError, SimulationLimitError
 from .experiments import SweepSpec, monte_carlo_cross_check, run_sweep
 from .report import render_svg, write_csv
 from .sim import EVENT_CAP, SimParams, Timeline, simulate
@@ -23,7 +23,6 @@ __version__ = "0.1.0"
 __all__ = [
     "EVENT_CAP",
     "EmptyTimelineError",
-    "OracleError",
     "ParameterError",
     "PeriodTable",
     "SimParams",

@@ -30,46 +30,41 @@ def failure_prior(nu: float, r: float) -> float:
     return r * nu / (1.0 + r * nu)
 
 
-# The gap age's densities, each branch once, unchecked, for a float or an array
-# z and a = lam + nu. In normal operation z ~ Exp(a): neither a delivery nor a
-# failure for z seconds. In an outage z is the gap age at the failure plus a
-# uniform elapsed time in [0, r]: (1 - e^(-a z)) / r below r and
-# e^(-a z) (e^(a r) - 1) / r from r on, continuous at r.
-# numpy's exp/expm1 give a float the same bits as an array element; math's do not.
-def _working_density(z, a):
-    return a * np.exp(-a * z)
+def error_rate(lam: float, nu: float, r: float, taus) -> list[float]:
+    """Long-run error probability of the rule "FAILED while z > tau" at each
+    of `taus` (any iterable, read once, every threshold checked before any
+    value is computed), in closed form.
 
+    In normal operation the gap age z is exponential with rate a = lam + nu
+    (neither a delivery nor a failure for z seconds), so a false positive
+    has probability exp(-a tau). In an outage z is the gap age at the
+    failure plus a uniform elapsed time in [0, r], with density
+    (1 - e^(-a z)) / r below r and e^(-a z) (e^(a r) - 1) / r from r on. A
+    false negative has probability F(tau), its integral from 0 to tau:
 
-def _outage_density_before(z, a, r):
-    return -np.expm1(-a * z) / r
+        F(tau) = (tau + expm1(-a tau) / a) / r                     for tau <= r,
+        F(tau) = 1 - exp(-a (tau - r)) (-expm1(-a r)) / (a r)      for tau > r,
 
-
-def _outage_density_after(z, a, r):
-    return np.exp(-a * z) * np.expm1(a * r) / r
-
-
-def _outage_density(z, a, r):
-    """The outage density at a float or an array z, each point on the branch
-    that z < r picks; a branch is evaluated only where it is taken."""
-    if isinstance(z, float):
-        return _outage_density_before(z, a, r) if z < r else _outage_density_after(z, a, r)
-    out = np.empty_like(z)
-    before = z < r
-    out[before] = _outage_density_before(z[before], a, r)
-    if not before.all():
-        out[~before] = _outage_density_after(z[~before], a, r)
-    return out
-
-
-def _check_outage_tail(a, r):
-    """Raise unless expm1(a r) is finite: past r the outage density would be
-    exp(-a z) * inf, inf or NaN."""
-    try:
-        math.expm1(a * r)
-    except OverflowError:
-        raise ParameterError(
-            f"(lam + nu) * r = {a * r:.6g} overflows exp in the outage density past r (limit ~709.78)"
-        ) from None
+    and the error rate is (1 - p) exp(-a tau) + p F(tau) with p the
+    failed-time prior. Each branch is evaluated only where it is taken.
+    Terms that underflow are 0 or subnormal, as they should be.
+    """
+    taus = [float(tau) for tau in taus]
+    check_params(lam=lam, nu=nu, r=r)
+    for tau in taus:
+        check_params(tau=tau)
+    if not r > 0:
+        raise ParameterError(f"r must be > 0, got {r}")
+    p = failure_prior(nu, r)
+    a = lam + nu
+    t = np.array(taus)
+    missed = np.empty_like(t)
+    below = t <= r
+    with np.errstate(under="ignore"):
+        head, tail = t[below], t[~below]
+        missed[below] = (head + np.expm1(-a * head) / a) / r
+        missed[~below] = 1.0 - np.exp(-a * (tail - r)) * (-math.expm1(-a * r)) / (a * r)
+        return ((1.0 - p) * np.exp(-a * t) + p * missed).tolist()
 
 
 def error_rate_closed_form(lam: float, nu: float, r: float) -> float:

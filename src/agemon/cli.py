@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .analytics import analytic_report
-from .errors import EmptyTimelineError, OracleError, ParameterError, SimulationLimitError
+from .errors import EmptyTimelineError, ParameterError, SimulationLimitError
 from .experiments import SweepSpec, measure, monte_carlo_cross_check, run_sweep
 from .report import CHARTS, json_text, project, render_svg, text_lines, write_csv
 from .sim import SimParams
@@ -63,7 +63,7 @@ _COMMAND_HELP = {
     "sweep-expected-t": "sweep the mean working time E[T] = 1/nu",
     "sweep-threshold": "sweep the detector threshold on one shared simulation",
     "tradeoff": "age/error pairs over the utilization grid",
-    "validate": "quadrature and Monte Carlo cross-check report",
+    "validate": "closed-form and Monte Carlo cross-check report",
 }
 
 
@@ -202,7 +202,7 @@ def run_subcommand(argv: list[str]) -> int:
         if args.command == "validate":
             return _cmd_validate(args)
         return _cmd_sweep(args, args.command)
-    except (ParameterError, EmptyTimelineError, OracleError, SimulationLimitError, OSError) as exc:
+    except (ParameterError, EmptyTimelineError, SimulationLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

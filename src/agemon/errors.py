@@ -24,10 +24,6 @@ class SimulationLimitError(RuntimeError):
     redraw-round cap was hit; the run is aborted rather than truncated."""
 
 
-class OracleError(RuntimeError):
-    """Numerical verification (quadrature) failed to converge; no guess is returned."""
-
-
 def check_params(**values: float) -> None:
     """Raise ParameterError naming the first of `values` outside the domain
     above, keyed by argument name; any other name must only be finite."""

@@ -14,9 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytics import error_rate_closed_form, map_threshold, mean_aoi_closed_form
+from .analytics import error_rate, error_rate_closed_form, map_threshold, mean_aoi_closed_form
 from .errors import ParameterError, check_params
-from .oracle import quadrature_error_rates
 from .report import run_row
 from .sim import SimParams, simulate
 from .summary import check_confidence, period_table, summarize
@@ -72,15 +71,16 @@ def measure(params: SimParams, taus=None, with_sim: bool = True, confidence: flo
     `columns` added.
 
     Whatever can fail without a simulation fails first: the confidence
-    level, rho < 1, then the closed forms. err_analytic is the closed-form error
-    rate at the optimal threshold and the quadrature at any other. With
+    level, rho < 1, then the closed forms. err_analytic is
+    `analytics.error_rate_closed_form` at the optimal threshold and
+    `analytics.error_rate` at any other. With
     `with_sim`, one simulation and one period table serve every threshold,
     so differences between rows are not simulation noise; each row then
     also records its tau and whether it is degenerate. Only the optimal
     threshold at tau >= r is: the optimal rule then always declares WORKING
     (it is scored as tau = inf) and its closed form is the failed-time
     prior. Every other threshold is scored as the rule "FAILED while
-    z > tau" that its quadrature integrates. confidence=None skips the
+    z > tau" whose error rate `error_rate` gives. confidence=None skips the
     half-widths.
     """
     check_confidence(confidence)
@@ -92,9 +92,7 @@ def measure(params: SimParams, taus=None, with_sim: bool = True, confidence: flo
     closed = error_rate_closed_form(lam, nu, r)
     errs = [closed] * len(taus)
     if any(tau != optimal for tau in taus):
-        # over every threshold, so that no value's chain depends on which one is optimal
-        quadrature = quadrature_error_rates(lam, nu, r, taus)
-        errs = [closed if tau == optimal else err for tau, err in zip(taus, quadrature)]
+        errs = [closed if tau == optimal else err for tau, err in zip(taus, error_rate(lam, nu, r, taus))]
     if not with_sim:
         row = run_row(params, aoi_analytic=aoi_analytic, **columns)
         return [dict(row, err_analytic=err) for err in errs]

@@ -256,14 +256,22 @@ def _clocks(params: SimParams) -> tuple[np.ndarray, np.ndarray]:
         hi = min(lo + PERIODS_PER_BLOCK, n)
         clock_rng = _stream(params.master_seed, block, _CLOCKS)
         first_rng = _stream(params.master_seed, block, _FIRST_SERVICES)
-        clocks[lo:hi] = clock_rng.exponential(1.0 / params.nu, size=hi - lo)
-        firsts[lo:hi] = first_rng.exponential(1.0 / params.mu, size=hi - lo)
+        clocks[lo:hi] = _exponential(clock_rng, 1.0 / params.nu, hi - lo)
+        firsts[lo:hi] = _exponential(first_rng, 1.0 / params.mu, hi - lo)
         lost = lo + np.flatnonzero(firsts[lo:hi] > clocks[lo:hi])
         while params.require_delivery and lost.size:
-            clocks[lost] = clock_rng.exponential(1.0 / params.nu, size=lost.size)
-            firsts[lost] = first_rng.exponential(1.0 / params.mu, size=lost.size)
+            clocks[lost] = _exponential(clock_rng, 1.0 / params.nu, lost.size)
+            firsts[lost] = _exponential(first_rng, 1.0 / params.mu, lost.size)
             lost = lost[firsts[lost] > clocks[lost]]
     return clocks, firsts
+
+
+def _exponential(rng: np.random.Generator, scale: float, size: int) -> np.ndarray:
+    """rng.exponential(scale, size), bit for bit: that draw is scale times
+    the standard one, and scaling in place skips a pass."""
+    out = rng.standard_exponential(size)
+    out *= scale
+    return out
 
 
 def _prefix_mask(kept: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -343,7 +351,7 @@ def _refill(last: float, clock: float, chunk: int, rng: np.random.Generator, sca
     out, and the departures after it."""
     parts = [[last]]
     while last <= clock:
-        run = np.cumsum(np.concatenate(([last], rng.exponential(scale, size=chunk))))[1:]
+        run = np.cumsum(np.concatenate(([last], _exponential(rng, scale, chunk))))[1:]
         parts.append(run[run <= clock])
         last = run[-1]
     return np.concatenate(parts)
@@ -412,7 +420,7 @@ def simulate(params: SimParams) -> Timeline:
             # spare slot at the end lets the lockstep solve the queues in
             # place, so the services become the arrivals
             arrivals = _lindley_lockstep(departures, np.insert(
-                services_rng.exponential(1.0 / params.mu, size=later),
+                _exponential(services_rng, 1.0 / params.mu, later),
                 np.append(heads - np.arange(j - i), later), np.append(first_services[i:j], 0.0),
             ), counts)
             generated_counts[i:j] = counts

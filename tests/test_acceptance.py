@@ -25,6 +25,7 @@ from agemon import (
     summarize,
     SweepSpec,
 )
+from agemon.analytics import error_rate
 from conftest import DEFAULTS, MAP_TAU, SEED, empirical_columns, manual_timeline, sawtooth_timeline
 from reference import (
     block_count,
@@ -33,6 +34,7 @@ from reference import (
     lay_end_to_end,
     lindley_arrival_times,
     quadrature_error_rate,
+    quadrature_error_rates,
     scan_optimal_threshold,
 )
 
@@ -73,21 +75,30 @@ def test_criterion_2_oracle_formula_agreement():
     nus = tuple(np.geomspace(0.001, 0.05, 5))
     rs = (5.0, 20.0, 50.0)
     checked = 0
-    worst = 0.0
+    worst = worst_grid = worst_optimal = 0.0
     for lam in lams:
         for nu in nus:
             for r in rs:
-                if map_threshold(lam, nu) >= r:
+                # error_rate against the quadrature on thresholds from 0 past r
+                tau = map_threshold(lam, nu)
+                taus = np.linspace(0.0, 2.0 * r, 9).tolist() + [tau, math.inf]
+                closed = error_rate(lam, nu, r, taus)
+                for got, want in zip(closed, quadrature_error_rates(lam, nu, r, taus)):
+                    worst_grid = max(worst_grid, abs(got / want - 1.0))
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0), (lam, nu, r)
+                if tau >= r:
                     continue
-                gap = abs(
-                    quadrature_error_rate(lam, nu, r, map_threshold(lam, nu))
-                    - error_rate_closed_form(lam, nu, r)
-                )
+                formula = error_rate_closed_form(lam, nu, r)
+                gap = abs(quadrature_error_rate(lam, nu, r, tau) - formula)
                 worst = max(worst, gap)
                 assert gap < 1e-6, (lam, nu, r, gap)
+                worst_optimal = max(worst_optimal, abs(closed[-2] / formula - 1.0))
+                assert closed[-2] == pytest.approx(formula, rel=1e-15, abs=0.0), (lam, nu, r)
                 checked += 1
     assert checked >= 40  # most of the 75 cells are non-degenerate
-    note(f"criterion 2 PASS: oracle vs formula on {checked} grid cells, worst gap {worst:.2e}")
+    note(f"criterion 2 PASS: oracle vs formula on {checked} grid cells, worst gap {worst:.2e}; "
+         f"error_rate vs oracle on 75 grids of 11 thresholds, worst relative gap {worst_grid:.2e}, "
+         f"and vs the optimal-rule formula {worst_optimal:.2e}")
 
 
 def test_criterion_3_threshold_optimality(table_100k, error_default_rule):

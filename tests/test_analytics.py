@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 
@@ -17,6 +19,7 @@ from agemon import (
     mean_aoi_closed_form,
     region_means_closed_form,
 )
+from agemon.analytics import error_rate
 from agemon.report import project
 from reference import pdf_z_given_r2, pdf_z_given_r3
 
@@ -129,6 +132,31 @@ class TestErrorRateClosedForm:
         assert error_rate_closed_form(LAM, NU, 5.0) == failure_prior(NU, 5.0)
 
 
+class TestErrorRate:
+    """`error_rate` at any threshold; tests/test_oracle.py checks its values
+    against the quadrature of the gap-age densities."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(-30, 30), lam=st.floats(1e-3, 10.0), nu=st.floats(1e-4, 1.0), r=st.floats(1e-2, 1e3),
+           taus=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e4), st.just(math.inf)), max_size=6))
+    def test_time_scale_holds_bit_for_bit(self, k, lam, nu, r, taus):
+        # rates divided by c and times multiplied by c leave the error rate
+        # unchanged; c = 2^k scales every operand, so every bit is kept
+        c = 2.0**k
+        taus = taus + [r, math.nextafter(r, math.inf)]
+        scaled = error_rate(lam / c, nu / c, r * c, [tau * c for tau in taus])
+        assert [float.hex(value) for value in scaled] == [float.hex(value) for value in error_rate(lam, nu, r, taus)]
+
+    @pytest.mark.parametrize("lam,nu,r", [(LAM, NU, R), (50.0, 0.01, 20.0), (1e-3, 1e-4, 1e3)])
+    def test_raises_no_floating_point_error(self, lam, nu, r):
+        # exp(-a tau) underflows far past a tau = 745, and so does the tail's
+        # product with it; at (lam + nu) r = 1000.2, expm1(a r) would overflow
+        taus = [0.0, 1e-300, 0.5 * r, r, math.nextafter(r, math.inf), 2.0 * r, 1e6, 1e300, math.inf]
+        with np.errstate(all="raise"):
+            values = error_rate(lam, nu, r, taus)
+        assert all(0.0 <= value <= 1.0 for value in values)
+
+
 class TestAoiClosedForms:
     def test_mm1_half_utilization(self):
         assert aoi_mm1(0.5, 1.0) == pytest.approx(3.5, rel=1e-15)
@@ -199,7 +227,7 @@ def optimal_rule(lam, nu, r):
 
 # optimal_rule's cases keep the ids of the classmethod it replaced, so ids stay
 # stable. The densities keep their checks in tests/reference.py, where the
-# oracle's integrands are compared with them.
+# quadrature's integrands are compared with them.
 CASE_NAMES = {optimal_rule: "DecisionRule.map_rule"}
 
 

@@ -8,7 +8,6 @@ import agemon
 PUBLIC_NAMES = [
     "EVENT_CAP",
     "EmptyTimelineError",
-    "OracleError",
     "ParameterError",
     "PeriodTable",
     "SimParams",
@@ -33,7 +32,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_pinned():
-    assert len(PUBLIC_NAMES) == 23
+    assert len(PUBLIC_NAMES) == 22
     assert sorted(agemon.__all__) == PUBLIC_NAMES
     assert all(hasattr(agemon, name) for name in PUBLIC_NAMES)
 

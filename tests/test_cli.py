@@ -12,7 +12,8 @@ import pytest
 import agemon.cli
 import agemon.experiments
 import agemon.sim
-from agemon import ParameterError, SimParams, monte_carlo_cross_check
+from agemon import ParameterError, SimParams, failure_prior, monte_carlo_cross_check
+from agemon.analytics import error_rate
 from agemon.cli import run_subcommand
 from agemon.report import OUTPUTS
 from conftest import DEFAULTS, read_csv
@@ -154,7 +155,7 @@ class TestErrors:
         assert message in err
 
     def test_threshold_sweep_at_zero_recovery_fails_before_simulating(self, capsys, monkeypatch):
-        # the quadrature's outage density divides by r
+        # the outage's gap-age distribution divides by r
         def no_simulation(params):
             raise AssertionError("simulated before the analytic column was checked")
 
@@ -338,21 +339,25 @@ class TestSweeps:
         assert status == 0
         rows = read_csv(out_csv)
         assert [r["swept_value"] for r in rows] == [15.0, 17.5, 20.0, 22.5, 25.0]
-        # a grid value is a chain of segment integrals: its one-point value to rounding
         for r in rows:
             one_point = quadrature_error_rate(DEFAULTS["lam"], DEFAULTS["nu"], DEFAULTS["r"], r["swept_value"])
-            assert abs(r["err_analytic"] - one_point) <= 1e-13
+            assert r["err_analytic"] == pytest.approx(one_point, rel=1e-12, abs=0.0)
 
     def test_threshold_sweep_past_an_overflowing_outage_tail(self, capsys, tmp_path):
-        # (lam + nu) * r = 1000.2: past r the outage density overflows exp
+        # (lam + nu) * r = 1000.2: past r the outage density overflows exp,
+        # and thresholds above r once failed with "error: (lam + nu) * r =
+        # 1000.2 overflows exp"; the closed form's tail stays finite
+        lam, nu, r = 50.0, 0.01, 20.0
         argv = ["sweep-threshold", "--analytic-only", "--lambda", "50", "--mu", "100", "--nu", "0.01",
                 "--recovery", "20", "--out", str(tmp_path / "thr.csv")]
         status, _, err = run(capsys, *argv, "--grid", "5:30:5")
-        assert status == 1
-        assert err.startswith("error: (lam + nu) * r = 1000.2")
-        status, _, err = run(capsys, *argv, "--grid", "5:20:5")
         assert status == 0 and err == ""
-        assert len(read_csv(tmp_path / "thr.csv")) == 4
+        rows = read_csv(tmp_path / "thr.csv")
+        assert [row["swept_value"] for row in rows] == [5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
+        assert [row["err_analytic"] for row in rows] == error_rate(lam, nu, r, [row["swept_value"] for row in rows])
+        assert all(0.0 < row["err_analytic"] < 1.0 for row in rows)
+        # above r, exp(-a (tau - r)) <= e^-250: the closed form is the failed-time prior
+        assert [row["err_analytic"] for row in rows if row["swept_value"] > r] == [failure_prior(nu, r)] * 2
 
     def test_rho_sweep_analytic_only(self, capsys, tmp_path):
         out_csv = tmp_path / "rho.csv"
@@ -510,7 +515,9 @@ class TestBytePins:
     # hash with a half-width, and the analytic-only CSV, whose header and
     # empty cells gained err_detection_ci, was recorded again when the
     # regenerative ratio half-widths replaced the bootstrap; the rho
-    # sweep's SVG kept its bytes
+    # sweep's SVG kept its bytes. Both threshold sweeps' CSVs were recorded
+    # again when analytics.error_rate replaced the quadrature off the
+    # optimal threshold: only err_analytic moved, by at most 2.2e-16 relative
     def test_dense_simulate_stdout(self, capsys):
         status, out, _ = run(capsys, "simulate", "--lambda", "0.9", "--nu", "0.0005",
                              "--periods", "200", "--seed", "20260810")
@@ -524,11 +531,11 @@ class TestBytePins:
                            "--seed", "20260810", "--out", str(out_csv))
         assert status == 0
         assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == (
-            "2d36f69b7ac85138131bfb059316667f7b9a03d12551c78530b3c11982ce65a0")
+            "d9c5243e4e74ba5dc137541927ba151d475d71d71b4065174bf709e20356e54f")
 
     # every other way a run becomes rows: the cross-check report, a sweep
     # with one simulation per point and its chart, and a threshold grid's
-    # closed forms alone (spanning r, so all three quadrature chains)
+    # closed forms alone (spanning r, so both branches of error_rate)
     def test_validate_json(self, capsys, tmp_path):
         out = tmp_path / "report.json"
         status, _, _ = run(capsys, "validate", "--periods", "10000", "--seed", "20260810", "--out", str(out))
@@ -552,7 +559,7 @@ class TestBytePins:
                            "--seed", "20260810", "--out", str(out_csv))
         assert status == 0
         assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == (
-            "62e188885bf89208edaae5bb0e0fcf237a2fad8d326d61c7e97ee71a061a28a4")
+            "1d528de355444de87aba55b7280c1c358aa6810a8263cf640969fdf1a16f3431")
 
     # a conditioned run (require_delivery, recorded in the CSV comment)
     # whose optimal rule is degenerate (tau ~ 9.16 >= r = 5); the CSV path
@@ -582,6 +589,28 @@ def test_importing_the_cli_leaves_scipy_unimported():
     # scipy.integrate costs more to import than agemon and numpy together;
     # only a quadrature imports it
     assert modules_after_importing_the_cli("scipy") == "[]\n"
+
+
+def test_sweep_and_simulate_run_with_scipy_refused(tmp_path):
+    # a meta-path finder refuses every scipy module, so any import of one
+    # fails; the package needs only numpy
+    code = (
+        "import sys\n"
+        "class RefuseScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] == 'scipy':\n"
+        "            raise ImportError(f'{name} is refused')\n"
+        "sys.meta_path.insert(0, RefuseScipy())\n"
+        "from agemon.cli import run_subcommand\n"
+        f"print(run_subcommand(['sweep-threshold', '--analytic-only', '--out', {str(tmp_path / 'thr.csv')!r}]),\n"
+        "      run_subcommand(['simulate', '--periods', '300']))\n"
+    )
+    src = str(pathlib.Path(agemon.cli.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert done.stderr == ""
+    assert done.stdout.splitlines()[-1] == "0 0"
+    assert len(read_csv(tmp_path / "thr.csv")) == 20
 
 
 def test_importing_the_cli_leaves_statistics_unimported():

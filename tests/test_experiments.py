@@ -10,16 +10,16 @@ from agemon import (
     map_threshold,
     run_sweep,
 )
+from agemon.analytics import error_rate
 from agemon.experiments import MAX_GRID_POINTS, measure
-from agemon.oracle import quadrature_error_rates
 from conftest import DEFAULTS, SEED
-from reference import quadrature_error_rate
+from reference import quadrature_error_rates
 
 # float.hex of (aoi_ci, err_detection_ci, err_ci) per row of a threshold
 # sweep at 300 periods, grid 0, tau*/2, ..., 5 tau*/2 with tau* the MAP
 # threshold (row 2). The last row's threshold exceeds r = 20 but is not the
-# optimal one, so it is scored as "FAILED while z > tau", the rule its
-# quadrature integrates; its error half-widths were re-recorded when that
+# optimal one, so it is scored as "FAILED while z > tau", the rule whose
+# error rate analytics.error_rate gives; its error half-widths were re-recorded when that
 # replaced scoring it as "always WORKING" (old entry: the failed-time
 # column's 0x1.61e1c7078acc4p-7 twice).
 # The bootstrap half-widths these replaced were recorded when the stream
@@ -108,15 +108,16 @@ class TestRunSweep:
 
 class TestMeasure:
     def test_closed_form_at_the_optimal_threshold_quadrature_elsewhere(self):
+        # err_analytic is error_rate_closed_form at the optimal threshold and
+        # error_rate, which the quadrature checks, at any other
         lam, nu, r = DEFAULTS["lam"], DEFAULTS["nu"], DEFAULTS["r"]
         optimal = map_threshold(lam, nu)
         grid = [4.0, optimal, 30.0]
         rows = measure(fixed(), grid, with_sim=False)
         assert rows[1]["err_analytic"] == error_rate_closed_form(lam, nu, r)
-        # the other values keep the bits of the whole grid's chains
-        whole = quadrature_error_rates(lam, nu, r, grid)
-        assert [rows[0]["err_analytic"], rows[2]["err_analytic"]] == [whole[0], whole[2]]
-        assert abs(whole[0] - quadrature_error_rate(lam, nu, r, 4.0)) <= 1e-13
+        assert [rows[0]["err_analytic"], rows[2]["err_analytic"]] == error_rate(lam, nu, r, [4.0, 30.0])
+        for row, want in zip(rows, quadrature_error_rates(lam, nu, r, grid)):
+            assert row["err_analytic"] == pytest.approx(want, rel=1e-12, abs=0.0)
         [row] = measure(fixed(), with_sim=False)
         assert row["err_analytic"] == error_rate_closed_form(lam, nu, r)
 
@@ -131,7 +132,7 @@ class TestMeasure:
     def test_simulated_rows_record_their_rule(self):
         rows = measure(fixed(), [4.0, 25.0], confidence=None)
         # 25 >= r is not the optimal threshold, so its rule is not degenerate:
-        # it is scored as "FAILED while z > 25", like its quadrature (this
+        # it is scored as "FAILED while z > 25", like its err_analytic (this
         # pair read (25.0, True) when any tau >= r was scored as always WORKING)
         assert [(row["tau"], row["degenerate"]) for row in rows] == [(4.0, False), (25.0, False)]
         # one simulation serves both rules
@@ -139,8 +140,8 @@ class TestMeasure:
 
 
 class TestScoringScope:
-    """A swept threshold is scored as the rule its quadrature integrates,
-    "FAILED while z > tau", whether or not it exceeds r; only the optimal
+    """A swept threshold is scored as the rule whose error rate
+    `analytics.error_rate` gives, "FAILED while z > tau", whether or not it exceeds r; only the optimal
     threshold at tau >= r is the degenerate "always WORKING" rule, whose
     closed form is the failed-time prior."""
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import agemon.oracle
+import agemon.analytics
+import reference
 from agemon import (
-    OracleError,
     ParameterError,
     SimParams,
     error_rate_closed_form,
@@ -17,13 +17,25 @@ from agemon import (
     map_threshold,
     monte_carlo_cross_check,
 )
-from agemon.analytics import _outage_density, _working_density
-from agemon.oracle import quadrature_error_rates
+from agemon.analytics import error_rate
 from conftest import DEFAULTS, SEED
-from reference import pdf_z_given_r2, pdf_z_given_r3, quadrature_error_rate, scan_optimal_threshold
+from reference import (
+    OracleError,
+    _outage_density,
+    _working_density,
+    pdf_z_given_r2,
+    pdf_z_given_r3,
+    quadrature_error_rate,
+    quadrature_error_rates,
+    scan_optimal_threshold,
+)
 
 LAM, NU, R = 0.5, 0.005, 20.0
 TAU = map_threshold(LAM, NU)
+# analytics.error_rate against the quadrature, relative, on every grid; and
+# against error_rate_closed_form at the optimal threshold
+QUADRATURE_RTOL = 1e-12
+CLOSED_FORM_RTOL = 1e-15
 # a grid value sums segment integrals where the one-point value takes one
 # integral; the two agree to rounding, well inside _QUAD_ABSTOL
 GRID_ATOL = 1e-13
@@ -82,8 +94,8 @@ def test_integrands_equal_public_densities(monkeypatch, lam, nu, r):
         on_arrays.append(density)
         return np.zeros_like(lo), np.zeros_like(lo), np.ones(lo.shape, dtype=bool)
 
-    monkeypatch.setattr(agemon.oracle, "_quad", record_quad)
-    monkeypatch.setattr(agemon.oracle, "_kronrod21", record_kronrod)
+    monkeypatch.setattr(reference, "_quad", record_quad)
+    monkeypatch.setattr(reference, "_kronrod21", record_kronrod)
     # on floats: fp over [2r, inf), the outage over [r, inf) and [2r, inf);
     # on arrays: fp over [r/2, 2r], the outage over [0, r/2] and [0, r]
     quadrature_error_rates(lam, nu, r, [0.5 * r, 2.0 * r])
@@ -126,19 +138,44 @@ def test_grid_values_depend_only_on_the_set_of_thresholds(point, data):
     by_tau = {tau: float.hex(value) for tau, value in zip(taus, got)}
     again = quadrature_error_rates(lam, nu, r, shuffled)
     assert [float.hex(value) for value in again] == [by_tau[tau] for tau in shuffled]
+    # the closed form is elementwise: each value has its one-point bits
+    closed = error_rate(lam, nu, r, shuffled)
+    assert [float.hex(value) for value in closed] == [
+        float.hex(error_rate(lam, nu, r, [tau])[0]) for tau in shuffled]
+    for value, tau in zip(closed, shuffled):
+        assert value == pytest.approx(float.fromhex(by_tau[tau]), rel=QUADRATURE_RTOL, abs=0.0)
+
+
+# the GOLDEN points, a long recovery, and (lam + nu) r = 500.1 and 700.14,
+# the largest below ~709.78, past which the quadrature's outage density
+# overflows exp beyond r
+AGREEMENT_POINTS = sorted(GOLDEN) + [(1e-3, 1e-4, 1e3), (50.0, 0.01, 10.0), (50.0, 0.01, 14.0)]
+
+
+@pytest.mark.parametrize("lam,nu,r", AGREEMENT_POINTS)
+def test_error_rate_agrees_with_the_quadrature(lam, nu, r):
+    # from 0 past r, r from both sides, the optimal threshold, a far tail and inf
+    taus = np.linspace(0.0, 3.0 * r, 61).tolist() + [
+        math.nextafter(r, 0.0), r, math.nextafter(r, math.inf), map_threshold(lam, nu), 1e6, math.inf]
+    closed, quadrature = error_rate(lam, nu, r, taus), quadrature_error_rates(lam, nu, r, taus)
+    for tau, got, want in zip(taus, closed, quadrature):
+        assert got == pytest.approx(want, rel=QUADRATURE_RTOL, abs=0.0), tau
+    # every working second is a false positive at 0, none is at inf
+    assert closed[0] == 1.0 - failure_prior(nu, r) and closed[-1] == failure_prior(nu, r)
 
 
 def test_thresholds_read_once_from_any_iterable():
     taus = [1.0, 5.0, 30.0]
-    want = quadrature_error_rates(LAM, NU, R, taus)
-    assert len(want) == 3
-    for given_taus in ((tau for tau in taus), tuple(taus), np.array(taus)):
-        assert quadrature_error_rates(LAM, NU, R, given_taus) == want
+    for rates in (quadrature_error_rates, error_rate):
+        want = rates(LAM, NU, R, taus)
+        assert len(want) == 3 and all(type(value) is float for value in want)
+        for given_taus in ((tau for tau in taus), tuple(taus), np.array(taus)):
+            assert rates(LAM, NU, R, given_taus) == want
 
 
 def test_error_bound_sums_every_integral_a_value_adds(monkeypatch):
-    real_quad, real_kronrod = agemon.oracle._quad, agemon.oracle._kronrod21
-    loose = 0.4 * agemon.oracle._QUAD_MAX_ERR
+    real_quad, real_kronrod = reference._quad, reference._kronrod21
+    loose = 0.4 * reference._QUAD_MAX_ERR
 
     def loose_quad(fn, lo, hi):
         return real_quad(fn, lo, hi)[0], loose
@@ -147,8 +184,8 @@ def test_error_bound_sums_every_integral_a_value_adds(monkeypatch):
         values, errs, stops = real_kronrod(density, lo, hi)
         return values, np.full_like(errs, loose), stops
 
-    monkeypatch.setattr(agemon.oracle, "_quad", loose_quad)
-    monkeypatch.setattr(agemon.oracle, "_kronrod21", loose_kronrod)
+    monkeypatch.setattr(reference, "_quad", loose_quad)
+    monkeypatch.setattr(reference, "_kronrod21", loose_kronrod)
     # one point below r adds two integrals: fp to infinity and fn from 0
     quadrature_error_rate(LAM, NU, R, R / 2)
     # on the grid, r/4's fp adds the segment [r/4, r/2] to r/2's fp: three
@@ -161,7 +198,7 @@ def integrals(monkeypatch):
     """(lo, hi, how) of every integral taken: "first step" for each segment
     whose _kronrod21 value is kept, "quad" for each _quad call."""
     taken = []
-    real_quad, real_kronrod = agemon.oracle._quad, agemon.oracle._kronrod21
+    real_quad, real_kronrod = reference._quad, reference._kronrod21
 
     def counted_quad(fn, lo, hi):
         taken.append((lo, hi, "quad"))
@@ -172,8 +209,8 @@ def integrals(monkeypatch):
         taken.extend((a, b, "first step") for a, b in zip(lo[stops].tolist(), hi[stops].tolist()))
         return values, errs, stops
 
-    monkeypatch.setattr(agemon.oracle, "_quad", counted_quad)
-    monkeypatch.setattr(agemon.oracle, "_kronrod21", counted_kronrod)
+    monkeypatch.setattr(reference, "_quad", counted_quad)
+    monkeypatch.setattr(reference, "_kronrod21", counted_kronrod)
     return taken
 
 
@@ -203,10 +240,18 @@ def test_scan_grid_integrates_only_to_infinity_adaptively(integrals):
 
 
 @pytest.mark.parametrize("bad", [math.nan, -1.0])
-def test_grid_checks_every_threshold_before_integrating(integrals, bad):
+def test_grid_checks_every_threshold_before_integrating(integrals, monkeypatch, bad):
     with pytest.raises(ParameterError, match="tau must be >= 0"):
         quadrature_error_rates(LAM, NU, R, [0.0, 5.0, 30.0, bad])
     assert integrals == []
+
+    # the closed form too checks the last threshold before any value
+    def no_values(nu, r):
+        raise AssertionError("computed a value before checking every threshold")
+
+    monkeypatch.setattr(agemon.analytics, "failure_prior", no_values)
+    with pytest.raises(ParameterError, match="tau must be >= 0"):
+        error_rate(LAM, NU, R, [0.0, 5.0, 30.0, bad])
 
 
 # the GOLDEN points and two with extreme lam + nu: 50.01 and 1.1e-3
@@ -216,8 +261,8 @@ KERNEL_POINTS = sorted(GOLDEN) + [(50.0, 0.01, 3.0), (1e-3, 1e-4, 1e3)]
 def quadpack(density, lo, hi):
     from scipy import integrate
 
-    return integrate.quad(density, lo, hi, epsabs=agemon.oracle._QUAD_EPSABS,
-                          epsrel=agemon.oracle._QUAD_EPSREL, limit=300, full_output=1)
+    return integrate.quad(density, lo, hi, epsabs=reference._QUAD_EPSABS,
+                          epsrel=reference._QUAD_EPSREL, limit=300, full_output=1)
 
 
 @pytest.mark.parametrize("lam,nu,r", KERNEL_POINTS)
@@ -231,7 +276,7 @@ def test_kronrod21_is_quadpacks_first_step(lam, nu, r, branch):
     lo = np.concatenate((rng.uniform(0.0, 3.0 * r, 75), rng.uniform(0.0, 3.0 / a, 75)))
     # log-uniform widths from 1e-6 to 40 decay lengths 1/a
     hi = lo + np.exp(rng.uniform(math.log(1e-6 / a), math.log(40.0 / a), lo.size))
-    values, errs, stops = agemon.oracle._kronrod21(density, lo, hi)
+    values, errs, stops = reference._kronrod21(density, lo, hi)
     one_step = []
     for i in range(lo.size):
         value, abserr, info = quadpack(density, float(lo[i]), float(hi[i]))[:3]
@@ -250,7 +295,7 @@ def test_segment_beyond_one_step_goes_to_quad_with_its_bits(integrals):
     quadrature_error_rates(LAM, NU, R, [1.0, wide])
     assert (1.0, wide, "quad") in integrals and (1.0, wide, "first step") not in integrals
     density = lambda z: _working_density(z, LAM + NU)
-    [value], _ = agemon.oracle._integrals(density, [1.0], [wide])
+    [value], _ = reference._integrals(density, [1.0], [wide])
     assert float.hex(value) == float.hex(quadpack(density, 1.0, wide)[0])
 
 
@@ -259,7 +304,7 @@ def test_density_on_the_abscissae_equals_public_densities(monkeypatch, lam, nu, 
     # the kernel's values are QUADPACK's only if its one evaluation on the
     # (21, m) abscissae gives each float the density's bits at that float
     evaluated = []
-    real = agemon.oracle._kronrod21
+    real = reference._kronrod21
 
     def record(density, lo, hi):
         def recorded(z):
@@ -267,7 +312,7 @@ def test_density_on_the_abscissae_equals_public_densities(monkeypatch, lam, nu, 
             return evaluated[-1][1]
         return real(recorded, lo, hi)
 
-    monkeypatch.setattr(agemon.oracle, "_kronrod21", record)
+    monkeypatch.setattr(reference, "_kronrod21", record)
     # fp's segments; the outage's up to r, over [0, r], and above r
     quadrature_error_rates(lam, nu, r, np.linspace(0.0, 2.0 * r, 41))
     (z, f), *outage = evaluated
@@ -284,6 +329,9 @@ def test_overflowing_outage_tail_fails_fast(integrals):
     with pytest.raises(ParameterError, match=re.escape("(lam + nu) * r = 1000.2")):
         quadrature_error_rates(50.0, 0.01, 20.0, [5.0, 30.0])
     assert integrals == []
+    # the closed form's tail, exp(-a (tau - r)) (-expm1(-a r)) / (a r), stays
+    # finite; 30 lies e^-500 past r, where the error rate is the prior
+    assert error_rate(50.0, 0.01, 20.0, [30.0]) == [failure_prior(0.01, 20.0)]
     # thresholds at or below r never evaluate the density past r
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -293,7 +341,9 @@ def test_overflowing_outage_tail_fails_fast(integrals):
 
 class TestQuadrature:
     def test_agrees_with_closed_form_at_map_threshold(self):
-        assert abs(quadrature_error_rate(LAM, NU, R, TAU) - error_rate_closed_form(LAM, NU, R)) < 1e-6
+        closed = error_rate_closed_form(LAM, NU, R)
+        assert abs(quadrature_error_rate(LAM, NU, R, TAU) - closed) < 1e-6
+        assert error_rate(LAM, NU, R, [TAU])[0] == pytest.approx(closed, rel=CLOSED_FORM_RTOL, abs=0.0)
 
     def test_zero_threshold_always_declares_failure(self):
         # every working second is a false positive
@@ -327,11 +377,22 @@ class TestQuadrature:
         ((LAM, NU, math.inf, 5.0), "r must be finite"),
         ((LAM, NU, math.nan, 5.0), "r must be finite"),
         ((0.0, NU, R, 5.0), "lam must be > 0"),
+        # the order of the checks: the rates, then the thresholds, then r > 0
+        ((math.nan, NU, R, -1.0), "lam must be finite"),
+        ((LAM, NU, 0.0, -1.0), "tau must be >= 0"),
+        ((LAM, NU, 0.0, 5.0), "r must be > 0"),
+        ((LAM, NU, -1.0, 5.0), "r must be >= 0"),
     ])
     def test_non_finite_input_rejected_before_integrating(self, args, message):
-        # used to end in "quadrature ... did not converge (abserr=nan)"
-        with pytest.raises(ParameterError, match=message):
-            quadrature_error_rate(*args)
+        # used to end in "quadrature ... did not converge (abserr=nan)"; the
+        # closed form makes the same checks in the same order
+        *point, tau = args
+        messages = []
+        for rates in (quadrature_error_rates, error_rate):
+            with pytest.raises(ParameterError, match=message) as raised:
+                rates(*point, [tau])
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
 
     def test_infinite_threshold_is_the_failure_prior(self):
         assert quadrature_error_rate(LAM, NU, R, math.inf) == pytest.approx(failure_prior(NU, R), rel=1e-12)
@@ -401,22 +462,27 @@ class TestCrossCheck:
         assert report["seed"] == SEED and report["periods"] == 10_000
 
     def test_custom_rule_fails_before_simulating(self, monkeypatch):
-        # (lam + nu) * r = 757.5: the rule's quadrature past r overflows exp,
-        # which the check raises before anything is simulated
+        # a rule's error rate checks its threshold before anything is simulated
         def no_simulation(params):
-            raise AssertionError("simulated before the rule's quadrature")
+            raise AssertionError("simulated before the rule's error rate")
 
         # the `simulate` that monte_carlo_cross_check calls, wherever it lives
         monkeypatch.setitem(monte_carlo_cross_check.__globals__, "simulate", no_simulation)
         params = SimParams(**{**DEFAULTS, "r": 1500.0}, periods=10_000, master_seed=SEED)
-        with pytest.raises(ParameterError, match=re.escape("(lam + nu) * r = 757.5 overflows exp")):
+        with pytest.raises(ParameterError, match="tau must be >= 0"):
+            monte_carlo_cross_check(params, tau=math.nan, confidence=None)
+        # (lam + nu) * r = 757.5 once failed here too, because the quadrature's
+        # outage density past r overflowed exp; the closed form does not
+        with pytest.raises(AssertionError, match="simulated before"):
             monte_carlo_cross_check(params, tau=2000.0, confidence=None)
 
     def test_custom_rule_uses_quadrature_reference(self):
         report = monte_carlo_cross_check(
             SimParams(**DEFAULTS, periods=10_000, master_seed=SEED), tau=4.0, confidence=None
         )
-        assert report["err_analytic"] == pytest.approx(quadrature_error_rate(LAM, NU, R, 4.0), rel=1e-9)
+        assert report["err_analytic"] == error_rate(LAM, NU, R, [4.0])[0]
+        assert report["err_analytic"] == pytest.approx(quadrature_error_rate(LAM, NU, R, 4.0),
+                                                       rel=QUADRATURE_RTOL, abs=0.0)
         # suboptimal threshold must measure worse than the optimal one
         best = monte_carlo_cross_check(
             SimParams(**DEFAULTS, periods=10_000, master_seed=SEED), confidence=None
