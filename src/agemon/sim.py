@@ -4,8 +4,10 @@ M/M/1 FCFS queue and intermittently fails.
 A run is a sequence of periods on one absolute clock. Each period starts
 with the first update generated after the previous recovery and contains:
 
-* a working span of random length T ~ Exp(nu) in which updates are
-  generated with Exp(lam) gaps and served FCFS with Exp(mu) service times,
+* a working span of random length T ~ Exp(nu), holding one update at its
+  start and a Poisson(lam * T) number of further updates at uniform times
+  (the law of Exp(lam) generation gaps cut at T), served FCFS with Exp(mu)
+  service times,
 * a deterministic outage of r seconds starting at the failure. Updates
   still queued or in service at the failure are discarded; updates whose
   service completed by then were delivered to the monitor.
@@ -30,8 +32,8 @@ import numpy as np
 
 from .errors import ParameterError, SimulationLimitError, check_params
 
-# Gaps a period may draw in its first chunk, 1.25 * lam * T, checked for
-# every period of the run before any gap is drawn; guards pathological
+# Updates a period may expect, lam * T, checked as a float for every
+# period of the run before any count is drawn; guards pathological
 # parameters (e.g. enormous lam * T). Hitting it is an error, never a
 # silent truncation.
 EVENT_CAP = 10**9
@@ -46,8 +48,8 @@ MAX_EXPECTED_PACKETS = 10**9
 # at 10^3 and 0.34 s at 10^4 (2-vCPU Xeon); their number grows as 1/mu.
 MAX_REDRAW_ROUNDS = 10**3
 
-# Gaps drawn for one run of periods, whose queues are then solved at once
-# and only their deliveries kept; bounds the transient memory held for
+# Packets drawn for one run of periods, whose queues are then solved at
+# once and only their deliveries kept; bounds the transient memory held for
 # discarded generations and services, whatever the number of periods.
 BLOCK_PACKETS = 1 << 20
 
@@ -56,7 +58,7 @@ BLOCK_PACKETS = 1 << 20
 PERIODS_PER_BLOCK = 4096
 
 # Version of the seed-to-stream contract, recorded in CSV headers.
-STREAM_CONTRACT = 3
+STREAM_CONTRACT = 4
 
 # Periods still queueing below which `_lindley_lockstep` stops its numpy
 # steps: inside a block one costs ~1 us (two ufunc calls) however many
@@ -70,7 +72,7 @@ _LOCKSTEP_MIN_PERIODS = 8
 _BLOCK_CELLS = 2**14
 
 # The kinds of draw k of a block's streams spawn_key=(block, k)
-_CLOCKS, _FIRST_SERVICES, _GAPS, _REFILLS, _SERVICES = range(5)
+_CLOCKS, _FIRST_SERVICES, _GAPS, _COUNTS, _SERVICES = range(5)
 
 
 @dataclass(frozen=True)
@@ -281,80 +283,52 @@ def _prefix_mask(kept: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(np.tile([True, False], kept.size), runs)
 
 
-def _prefix_lengths(values: np.ndarray, heads: np.ndarray, lengths: np.ndarray, bounds: np.ndarray,
-                    bases=0.0) -> np.ndarray:
+def _prefix_lengths(values: np.ndarray, heads: np.ndarray, lengths: np.ndarray,
+                    bounds: np.ndarray) -> np.ndarray:
     """For each slice values[heads[p]:][:lengths[p]], whose entries never
-    decrease, how many of its entries x have x - bases[p] <= bounds[p]: a
-    prefix, found by one binary search over all slices at once."""
+    decrease, how many of its entries are <= bounds[p]: a prefix, found by
+    one binary search over all slices at once."""
     ends = heads + lengths
     last = heads - 1  # the last entry known to pass
     step = (1 << int(lengths.max()).bit_length()) >> 1
     while step:
         probe = last + step
-        last += step * ((probe < ends) & (values.take(probe, mode="clip") - bases <= bounds))
+        last += step * ((probe < ends) & (values.take(probe, mode="clip") <= bounds))
         step >>= 1
     return last + 1 - heads
 
 
-def _departures(clocks: np.ndarray, chunks: np.ndarray, total: float, gaps_rng, refills_rng,
-                lam: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """(departure times relative to each period start, back to back;
-    generations per period; the block's running gap sum after them) of
-    consecutive periods of one block, given the running sum before them.
+def _departures(clocks: np.ndarray, counts: np.ndarray, total: float,
+                gaps_rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    """(departure times relative to each period start, back to back; the
+    block's running spacing sum after them) of consecutive periods of one
+    block, given the running sum before them.
 
-    Period p takes the next chunks[p] gaps of the block's stream k = 2.
-    Its departures are 0 and its gaps' running sums up to its clock. The
-    gaps are drawn into one buffer behind a slot holding the sum before
-    them, scaled, and summed in place over the whole block in draw order
-    (one cumsum); each period subtracts the sum at its start. The sums
-    never decrease, so the gaps a period keeps, those with sums[o + i] -
-    sums[o] <= clock, are a prefix of its chunk, found for every period by
-    one binary search. One masked copy then takes each period's start slot
-    and kept sums, and one subtraction makes them relative, so the start
-    slot becomes the departure at 0. A period whose chunk ends at or before
-    its clock draws further chunks of the same size from stream k = 3,
-    continuing its own running sum, until one passes the clock; such
-    periods refill in period order.
+    Period p, of counts[p] = N + 1 updates, takes the next N + 1 standard
+    exponential spacings of the block's stream k = 2. They are drawn into
+    one buffer behind a slot holding the sum before them and summed in place
+    over the whole block in draw order (one cumsum); C_i is the period's
+    i-th sum less the sum at its start, so C_0 = 0. Its departures are
+    min(T, C_i * (T / C_{N+1})) for i = 0..N: 0, then N sorted uniform times
+    on [0, T]. The clip holds a departure at T when rounding pushes it past
+    (its last spacings can be lost below half an ulp of the running sum),
+    and a span C_{N+1} that rounds to 0 puts every departure at 0. Every
+    slot of the buffer but the last becomes a departure, in place.
     """
-    scale = 1.0 / lam
-    offsets = np.cumsum(chunks) - chunks
-    # sums[offsets[p]] is the running sum before period p's first gap, and
-    # the chunks[p] slots after it the sums of its gaps
-    sums = np.empty(int(chunks.sum()) + 1)
+    sums = np.empty(int(counts.sum()) + 1)
     sums[0] = total
-    # exponential(scale) returns scale times this same draw, bit for bit
     gaps_rng.standard_exponential(out=sums[1:])
-    sums[1:] *= scale
     np.cumsum(sums, out=sums)
     total = float(sums[-1])
-    starts = sums[offsets]
-    kept = _prefix_lengths(sums, offsets + 1, chunks, clocks, starts)
-    # an exhausted period's last sum is also the next period's start slot,
-    # so it is not copied with its period but put back with the refill
-    exhausted = np.flatnonzero(kept == chunks)
-    lasts = sums[offsets[exhausted] + chunks[exhausted]] - starts[exhausted]
-    counts = np.minimum(kept + 1, chunks)
-    departures = sums[:-1][_prefix_mask(counts, chunks)]
-    del sums
-    departures -= np.repeat(starts, counts)
-    if exhausted.size:
-        extra = [_refill(last, clocks[p], chunks[p], refills_rng, scale)
-                 for p, last in zip(exhausted.tolist(), lasts.tolist())]
-        sizes = [part.size for part in extra]
-        departures = np.insert(departures, np.repeat(np.cumsum(counts)[exhausted], sizes), np.concatenate(extra))
-        counts[exhausted] += sizes
-    return departures, counts, total
-
-
-def _refill(last: float, clock: float, chunk: int, rng: np.random.Generator, scale: float) -> np.ndarray:
-    """`last` (<= clock), the last departure of a period whose chunk ran
-    out, and the departures after it."""
-    parts = [[last]]
-    while last <= clock:
-        run = np.cumsum(np.concatenate(([last], _exponential(rng, scale, chunk))))[1:]
-        parts.append(run[run <= clock])
-        last = run[-1]
-    return np.concatenate(parts)
+    # each period's start sum, then the sum after its last spacing
+    marks = sums[np.cumsum(np.append(0, counts))]
+    spans = marks[1:] - marks[:-1]
+    scales = np.divide(clocks, spans, out=np.zeros(clocks.size), where=spans > 0)
+    departures = sums[:-1]
+    departures -= np.repeat(marks[:-1], counts)
+    departures *= np.repeat(scales, counts)
+    np.minimum(departures, np.repeat(clocks, counts), out=departures)
+    return departures, total
 
 
 def simulate(params: SimParams) -> Timeline:
@@ -363,8 +337,10 @@ def simulate(params: SimParams) -> Timeline:
     The result is a pure function of (master_seed, params), and block b
     only draws from its own streams, so blocks built in any order and laid
     end to end reproduce it bit for bit. All clocks are drawn first, then
-    each block's gaps and services in runs of about BLOCK_PACKETS gaps;
-    each run's periods are queued in lockstep as soon as it is drawn.
+    each block's update counts (one Poisson call per block, from stream
+    k = 3), then its spacings and services in runs of about BLOCK_PACKETS
+    packets; each run's periods are queued in lockstep as soon as it is
+    drawn.
     """
     n = params.periods
     expected = n * (1.0 + params.lam / params.nu)
@@ -380,11 +356,11 @@ def simulate(params: SimParams) -> Timeline:
             f"over the cap MAX_REDRAW_ROUNDS = {MAX_REDRAW_ROUNDS}"
         )
     times_to_failure, first_services = _clocks(params)
-    # the float product: no chunk size is converted or allocated before this
-    longest = 1.25 * params.lam * float(times_to_failure.max())
+    # the float product, before any count is drawn
+    longest = params.lam * float(times_to_failure.max())
     if longest > EVENT_CAP:
         raise SimulationLimitError(
-            f"a period would draw {longest:.3g} gaps, over the per-period "
+            f"a period expects {longest:.3g} updates, lam * T, over the per-period "
             f"generation cap EVENT_CAP = {EVENT_CAP}"
         )
     # T_0, r, T_1, r, ... added left to right: each failure is start + T and
@@ -403,17 +379,18 @@ def simulate(params: SimParams) -> Timeline:
     arrival_generations = np.empty(0)
     for block, lo in enumerate(range(0, n, PERIODS_PER_BLOCK)):
         hi = min(lo + PERIODS_PER_BLOCK, n)
-        gaps_rng, refills_rng, services_rng = (
-            _stream(params.master_seed, block, kind) for kind in (_GAPS, _REFILLS, _SERVICES)
+        gaps_rng, counts_rng, services_rng = (
+            _stream(params.master_seed, block, kind) for kind in (_GAPS, _COUNTS, _SERVICES)
         )
-        chunks = (1.25 * params.lam * times_to_failure[lo:hi]).astype(np.int64) + 8
-        # runs of consecutive periods that draw about BLOCK_PACKETS gaps
-        cuts = lo + 1 + np.flatnonzero(np.diff((np.cumsum(chunks) - chunks) // BLOCK_PACKETS))
+        # the update at the period start and a Poisson number after it
+        generated_counts[lo:hi] = counts_rng.poisson(params.lam * times_to_failure[lo:hi]) + 1
+        # runs of consecutive periods of about BLOCK_PACKETS packets
+        heads = np.cumsum(generated_counts[lo:hi]) - generated_counts[lo:hi]
+        cuts = lo + 1 + np.flatnonzero(np.diff(heads // BLOCK_PACKETS))
         total = 0.0
         for i, j in zip((lo, *cuts.tolist()), (*cuts.tolist(), hi)):
-            departures, counts, total = _departures(
-                times_to_failure[i:j], chunks[i - lo:j - lo], total, gaps_rng, refills_rng, params.lam,
-            )
+            counts = generated_counts[i:j]
+            departures, total = _departures(times_to_failure[i:j], counts, total, gaps_rng)
             heads = np.cumsum(counts) - counts
             later = departures.size - (j - i)
             # each period's first service was drawn with its clock; the
@@ -423,7 +400,6 @@ def simulate(params: SimParams) -> Timeline:
                 _exponential(services_rng, 1.0 / params.mu, later),
                 np.append(heads - np.arange(j - i), later), np.append(first_services[i:j], 0.0),
             ), counts)
-            generated_counts[i:j] = counts
             # arrivals increase within a period, so the delivered packets
             # (a_k <= T) are a prefix of each period's packets
             delivered_counts[i:j] = _prefix_lengths(arrivals, heads, counts, times_to_failure[i:j])

@@ -52,8 +52,8 @@ from agemon.sim import _lindley_lockstep
 
 def block_streams(master_seed: int, block: int) -> tuple[np.random.Generator, ...]:
     """Block `block`'s streams, SeedSequence(master_seed, spawn_key=(block, k))
-    for k = 0 (clocks), 1 (first services), 2 (gaps), 3 (refill gaps) and
-    4 (the other services)."""
+    for k = 0 (clocks), 1 (first services), 2 (spacings), 3 (update counts)
+    and 4 (the other services)."""
     return tuple(
         np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(block, k)))
         for k in range(5)
@@ -64,16 +64,25 @@ def block_count(params: SimParams) -> int:
     return -(-params.periods // sim.PERIODS_PER_BLOCK)
 
 
+def uniform_departures(T: float, sums) -> np.ndarray:
+    """A period's departures from the running sums of its N + 1 spacings,
+    sums[0] being the sum before them: min(T, C_i * (T / C_{N+1})) for
+    i = 0..N with C_i = sums[i] - sums[0], or all 0 if C_{N+1} is 0."""
+    C = [float(s) - float(sums[0]) for s in sums]
+    scale = T / C[-1] if C[-1] > 0 else 0.0
+    return np.array([min(T, c * scale) for c in C[:-1]])
+
+
 def block_draws(params: SimParams, block: int) -> tuple[list, dict]:
     """(time to failure, relative departures, services) of each period of
-    `block`, in period order, and how many first-update redraws and chunk
-    refills the block needed."""
+    `block`, in period order, and how many first-update redraws and periods
+    with no update after the first the block has."""
     lo = block * sim.PERIODS_PER_BLOCK
     size = min(sim.PERIODS_PER_BLOCK, params.periods - lo)
-    clocks, firsts, gaps, refills, services = block_streams(params.master_seed, block)
+    clocks, firsts, spacings, updates, services = block_streams(params.master_seed, block)
     T = [clocks.exponential(1.0 / params.nu) for _ in range(size)]
     first = [firsts.exponential(1.0 / params.mu) for _ in range(size)]
-    counts = {"redraws": 0, "refills": 0}
+    coverage = {"redraws": 0, "empty": 0}
     # conditioning: every period whose first update is lost redraws its
     # clock and first service, round after round, in period order
     lost = [p for p in range(size) if params.require_delivery and first[p] > T[p]]
@@ -81,24 +90,18 @@ def block_draws(params: SimParams, block: int) -> tuple[list, dict]:
         for p in lost:
             T[p] = clocks.exponential(1.0 / params.nu)
             first[p] = firsts.exponential(1.0 / params.mu)
-        counts["redraws"] += len(lost)
+        coverage["redraws"] += len(lost)
         lost = [p for p in lost if first[p] > T[p]]
-    total = 0.0  # the running sum of the block's gaps, in draw order
+    total = 0.0  # the running sum of the block's spacings, in draw order
     draws = []
     for p in range(size):
-        chunk = int(1.25 * params.lam * T[p]) + 8
-        sums = np.cumsum([total, *gaps.exponential(1.0 / params.lam, size=chunk)])
+        n = int(updates.poisson(params.lam * T[p]))
+        coverage["empty"] += n == 0
+        sums = np.cumsum([total, *spacings.standard_exponential(size=n + 1)])
         total = sums[-1]
-        relative = list(sums - sums[0])
-        while relative[-1] <= T[p]:
-            # the chunk ran out before the failure: refill, continuing the sum
-            more = refills.exponential(1.0 / params.lam, size=chunk)
-            relative.extend(np.cumsum([relative[-1], *more])[1:])
-            counts["refills"] += 1
-        departures = np.array([d for d in relative if d <= T[p]])
-        later = services.exponential(1.0 / params.mu, size=departures.size - 1)
-        draws.append((T[p], departures, np.array([first[p], *later])))
-    return draws, counts
+        later = services.exponential(1.0 / params.mu, size=n)
+        draws.append((T[p], uniform_departures(T[p], sums), np.array([first[p], *later])))
+    return draws, coverage
 
 
 def lindley_arrival_times(departures, services) -> np.ndarray:

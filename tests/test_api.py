@@ -2,6 +2,9 @@ import pathlib
 import pkgutil
 
 import agemon
+import agemon.sim as sim
+from agemon import SimParams, write_csv
+from conftest import CSV_COLUMNS, DEFAULTS
 
 # the whole public surface; a name added to or dropped from agemon.__all__
 # must be added to or dropped from this list too
@@ -37,10 +40,14 @@ def test_public_names_pinned():
     assert all(hasattr(agemon, name) for name in PUBLIC_NAMES)
 
 
+def readme_text() -> str:
+    return (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+
+
 def test_readme_layout_names_every_module():
     # README's Library layout table has one row per module of the package,
     # so a deleted module cannot leave a stale row nor a new one go unlisted
-    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    text = readme_text()
     lines = text.splitlines()
     start = lines.index("| module | contents |")
     rows = []
@@ -51,3 +58,17 @@ def test_readme_layout_names_every_module():
     modules = sorted(f"agemon.{info.name}" for info in pkgutil.iter_modules(agemon.__path__))
     assert sorted(rows) == modules
     assert len(rows) == len(set(rows))
+
+
+def test_readme_and_csv_comment_name_the_stream_contract(tmp_path):
+    # README's contract paragraph and the comment line of every CSV state
+    # the version in force, so a bump of sim.STREAM_CONTRACT cannot leave
+    # either stale
+    version = sim.STREAM_CONTRACT
+    paragraph = readme_text().split("Reproducibility contract, version ", 1)[1].split("\n\n", 1)[0]
+    assert paragraph.startswith(f"{version} (`sim.STREAM_CONTRACT`;")
+    assert f"`contract={version}`" in paragraph
+    row = dict.fromkeys(CSV_COLUMNS) | dict(swept_var="rho", swept_value=0.5, seed=1)
+    path = write_csv([row], tmp_path / "out.csv", SimParams(**DEFAULTS, periods=10))
+    comment = path.read_text(encoding="utf-8").splitlines()[0]
+    assert comment.startswith("# ") and comment.split()[-1] == f"contract={version}"

@@ -292,7 +292,7 @@ class TestSimulate:
         status, out, _ = run(capsys, *argv, "--seed", "2")
         assert status == 0
         printed = dict(line.split(" = ") for line in out.splitlines())
-        assert printed["aoi_ci_halfwidth"] == "1.8620833193907258"
+        assert printed["aoi_ci_halfwidth"] == "0.6187590613842889"
         assert printed["error_ci_halfwidth"] == "0.30196925759148346"
         assert printed["detection_error_ci_halfwidth"] == "0.30196925759148346"
 
@@ -517,13 +517,15 @@ class TestBytePins:
     # regenerative ratio half-widths replaced the bootstrap; the rho
     # sweep's SVG kept its bytes. Both threshold sweeps' CSVs were recorded
     # again when analytics.error_rate replaced the quadrature off the
-    # optimal threshold: only err_analytic moved, by at most 2.2e-16 relative
+    # optimal threshold: only err_analytic moved, by at most 2.2e-16 relative.
+    # Every hash was recorded again under stream contract 4 (Poisson counts
+    # at uniform times); the analytic-only CSV moved only in its comment line
     def test_dense_simulate_stdout(self, capsys):
         status, out, _ = run(capsys, "simulate", "--lambda", "0.9", "--nu", "0.0005",
                              "--periods", "200", "--seed", "20260810")
         assert status == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "abb32687caaa22cb1930657a5b2c3003ee0c9a25c4713669b6767da980ac7bf9")
+            "2eca5c05c691a69de8b2c53f6002009f5cf4997a1cce7f26fd8d424783fec4f6")
 
     def test_threshold_sweep_csv(self, capsys, tmp_path):
         out_csv = tmp_path / "thr.csv"
@@ -531,7 +533,7 @@ class TestBytePins:
                            "--seed", "20260810", "--out", str(out_csv))
         assert status == 0
         assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == (
-            "d9c5243e4e74ba5dc137541927ba151d475d71d71b4065174bf709e20356e54f")
+            "115d06e2df94801c4c2f42963245454fc97a3c1d69489aab22a0d4680ae99f77")
 
     # every other way a run becomes rows: the cross-check report, a sweep
     # with one simulation per point and its chart, and a threshold grid's
@@ -541,7 +543,7 @@ class TestBytePins:
         status, _, _ = run(capsys, "validate", "--periods", "10000", "--seed", "20260810", "--out", str(out))
         assert status == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "c31198d41deff9dedd2eb120ea367ed7962e1df5464867bfe6079e5976a3ab06")
+            "aeef2c00da6b31c5bc985f901aa842d9e07094a9d6b4ad774b73f4ca33d3ac6a")
 
     def test_rho_sweep_csv_and_svg(self, capsys, tmp_path):
         out_csv, out_svg = tmp_path / "rho.csv", tmp_path / "rho.svg"
@@ -549,9 +551,9 @@ class TestBytePins:
                            "--out", str(out_csv), "--svg", str(out_svg))
         assert status == 0
         assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == (
-            "567749cf7a79b0805703fe2880a67fe0d5c3922c7591da4b2dda7e75dd43ccca")
+            "1b0931ba96b56e4a180c64d70e796c0b1bf6227432938343030beb57aff8b170")
         assert hashlib.sha256(out_svg.read_bytes()).hexdigest() == (
-            "095c7fce0758810b4c583d05a7889c281a9c303603d43655136f34468a040447")
+            "a6105a758999483c1f0d4442a909eb2e19ea3e4bcfbe8931294297f286ab98f4")
 
     def test_analytic_only_threshold_sweep_csv(self, capsys, tmp_path):
         out_csv = tmp_path / "thr.csv"
@@ -559,7 +561,7 @@ class TestBytePins:
                            "--seed", "20260810", "--out", str(out_csv))
         assert status == 0
         assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == (
-            "1d528de355444de87aba55b7280c1c358aa6810a8263cf640969fdf1a16f3431")
+            "080191fbbc4bdbaa6f6bbeeafdffcd0db7502e368fe058a2ae67522224098d87")
 
     # a conditioned run (require_delivery, recorded in the CSV comment)
     # whose optimal rule is degenerate (tau ~ 9.16 >= r = 5); the CSV path
@@ -570,9 +572,9 @@ class TestBytePins:
                              "--seed", "20260810", "--out", str(out_csv))
         assert status == 0
         assert hashlib.sha256(out.replace(str(out_csv), "<out>").encode()).hexdigest() == (
-            "d7fb3609ff61f7c4031bf7cd17cd1614c6d982fd040a852eaf7824493ee51e67")
+            "ef0e119a9222a22cdfcb8fc2ef06b493fafdf9bfdc912cb3fbedb2824640b6e2")
         assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == (
-            "954c446142f804fdfa06296b9a2caf6297d6256be21dd9b65f8f1f91b9754fb3")
+            "5731416015e5b5ebb4caf86270d5ccb89bf72f60fa2365aac5dc15302f255b8a")
 
 
 def modules_after_importing_the_cli(package: str) -> str:

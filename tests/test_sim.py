@@ -28,6 +28,7 @@ from reference import (
     lindley_arrival_times,
     reference_timeline,
     timeline_from_periods,
+    uniform_departures,
 )
 
 
@@ -420,8 +421,8 @@ class TestBatchedSimulate:
         periods_per_block=st.sampled_from([1, 4, 16, sim.PERIODS_PER_BLOCK]),
     )
     # rho >= 1; periods with no delivery (see the require_delivery test),
-    # then the same run conditioned over several blocks; one period; a
-    # refill in the last of seven blocks; 300 periods queued at once, in
+    # then the same run conditioned over several blocks; one period; seven
+    # blocks cut into runs of a few periods; 300 periods queued at once, in
     # numpy steps and then serial tails
     @example(lam=1.5, mu=1.0, nu=0.05, r=5.0, periods=20, seed=3,
              require_delivery=False, block_packets=64, periods_per_block=4096)
@@ -501,8 +502,9 @@ class TestBatchedSimulate:
 
 
 class TestStreamContract:
-    # 400 periods in 25 blocks of 16 whose draws include a chunk refill and
-    # first-update redraws (counted by the reference below)
+    # 400 periods in 25 blocks of 16 whose draws include periods with no
+    # update after the first and first-update redraws (counted by the
+    # reference below)
     PINNED = SimParams(lam=1.0, mu=1.0, nu=0.04, r=5.0, periods=400, master_seed=SEED,
                        require_delivery=True)
     # float.hex of the sum of every float field and the sum of every count
@@ -512,10 +514,10 @@ class TestStreamContract:
         "failure_times": "0x1.2b85e2194f082p+21",
         "recovery_ends": "0x1.2bc462194f082p+21",
         "times_to_failure": "0x1.361923067631fp+13",
-        "arrival_times": "0x1.7b28f446f88abp+25",
-        "arrival_generations": "0x1.7adf39efc0ec9p+25",
-        "delivered_counts": 8413,
-        "generated_counts": 10398,
+        "arrival_times": "0x1.7e49434f353a0p+25",
+        "arrival_generations": "0x1.7dfb564332e19p+25",
+        "delivered_counts": 8456,
+        "generated_counts": 10481,
     }
 
     # 1/lam and 1/mu of the benchmark's workloads and of the test
@@ -524,10 +526,12 @@ class TestStreamContract:
 
     @pytest.mark.parametrize("scale", SCALES)
     def test_exponential_is_scaled_standard_draw(self, scale):
-        """simulate draws gaps with standard_exponential(out=...) into a
-        slice of its buffer and scales them in place; that gives the draws
-        of exponential(scale) only while numpy computes those as scale
-        times the standard draw."""
+        """simulate draws clocks and services with standard_exponential and
+        scales them in place, and its spacings with standard_exponential(
+        out=...) into a slice of its buffer; the reference draws clocks and
+        services with exponential(scale), and spacings period by period.
+        They agree only while numpy computes exponential(scale) as scale
+        times the standard draw, whatever the call's size or output buffer."""
         size = 1000
         drawn = sim._stream(SEED, 0, 2).exponential(scale, size=size)
         scaled = sim._stream(SEED, 0, 2).standard_exponential(size) * scale
@@ -540,10 +544,16 @@ class TestStreamContract:
     def test_multi_block_run_pinned(self):
         coverage = [block_draws(self.PINNED, block)[1] for block in range(block_count(self.PINNED))]
         assert len(coverage) == 25
-        assert sum(c["refills"] for c in coverage) >= 1
+        assert sum(c["empty"] for c in coverage) >= 1
         assert sum(c["redraws"] for c in coverage) >= 1
         timeline = simulate(self.PINNED)
         assert pinned_sums(timeline) == self.GOLDEN
+        # the same run with every block cut into several runs
+        with mock.patch.object(sim, "BLOCK_PACKETS", 64), \
+                mock.patch.object(sim, "_departures", wraps=sim._departures) as runs:
+            cut = simulate(self.PINNED)
+        assert runs.call_count > 2 * len(coverage)
+        assert_same_timeline(cut, timeline)
 
     @pytest.mark.parametrize("require_delivery", [False, True])
     def test_failure_clocks_shared_across_a_rho_sweep(self, require_delivery):
@@ -555,6 +565,56 @@ class TestStreamContract:
         clocks = [simulate(dataclasses.replace(base, lam=rho * base.mu)).times_to_failure
                   for rho in (0.05, 0.5, 0.95)]
         assert all(np.array_equal(clocks[0], other) for other in clocks[1:])
+
+
+class FixedSpacings:
+    """Stands in for a block's spacing stream: each draw takes the next of
+    the given values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def standard_exponential(self, out):
+        out[...] = self.values[:out.size]
+        self.values = self.values[out.size:]
+        return out
+
+
+class TestUniformDepartures:
+    """Edges of the departures min(T, C_i * (T / C_{N+1})) that rounding
+    reaches once a block's running spacing sum is large."""
+
+    def test_lone_update_departs_at_zero_when_its_span_rounds_away(self):
+        # at a running sum of 2**20 half an ulp is 2**-33, so the first
+        # period's only spacing is lost and its span reads 0: T / 0 would
+        # give 0 * inf = NaN
+        total, spacings = 2.0**20, [2.0**-40, 3.0]
+        assert (total + spacings[0]) - total == 0.0
+        with np.errstate(all="raise"):
+            departures, after = sim._departures(np.array([5.0, 7.0]), np.array([1, 1]), total,
+                                                FixedSpacings(spacings))
+        assert departures.tolist() == [0.0, 0.0]
+        assert after == total + 3.0
+        assert uniform_departures(5.0, [total, total + spacings[0]]).tolist() == [0.0]
+
+    def test_no_departure_past_the_failure_when_the_last_spacing_rounds_away(self):
+        # 200 periods at running sums of 1e6-8e6, each with 1-19 updates
+        # after its first and a last spacing of 1e-12, below half an ulp of
+        # the sum: the last departure is C_N * (T / C_N), which can round
+        # past T, and the clip holds it at T
+        rng = np.random.default_rng(SEED)
+        past = 0
+        for _ in range(200):
+            total, n, T = rng.uniform(1e6, 8e6), int(rng.integers(1, 20)), rng.exponential(200.0)
+            spacings = np.append(rng.standard_exponential(n), 1e-12)
+            departures, _ = sim._departures(np.array([T]), np.array([n + 1]), total, FixedSpacings(spacings))
+            sums = np.cumsum([total, *spacings])
+            assert departures.tolist() == uniform_departures(T, sums).tolist()
+            assert departures[0] == 0.0 and np.all(np.diff(departures) >= 0) and departures[-1] <= T
+            spans = sums - total
+            past += spans[-2] * (T / spans[-1]) > T
+        # the unclipped product passes T in some of them
+        assert past >= 1
 
 
 def first_periods(timeline, n):
@@ -639,6 +699,33 @@ class TestDistributions:
         result = stats.kstest(medium_timeline.times_to_failure, "expon",
                               args=(0, 1.0 / DEFAULTS["nu"]))
         assert result.pvalue > 0.01
+
+    def test_updates_are_poisson_at_uniform_times(self):
+        """The law simulate draws, on which a score of lam such as (G - 1)/lam
+        - T rests: given its clock T, a period's updates after the first
+        number G - 1 ~ Poisson(lam T) and sit at uniform times on [0, T].
+        Over 10^4 default periods G - 1 - lam T has mean 0 within 3 standard
+        errors, and variance lam E[T] = 100 within 7%: about 3 standard
+        errors of the sample variance, whose variance is lam/nu + 6
+        (lam/nu)^2 - (lam/nu)^2 over the periods. The departures after each
+        period's first, over T, pass a KS test of uniformity."""
+        lam, nu = DEFAULTS["lam"], DEFAULTS["nu"]
+        drawn, departures = [], sim._departures
+
+        def recorded(clocks, counts, total, rng):
+            out, total = departures(clocks, counts, total, rng)
+            drawn.append((np.repeat(clocks, counts), out, np.cumsum(counts) - counts))
+            return out, total
+
+        with mock.patch.object(sim, "_departures", recorded):
+            tl = simulate(SimParams(**DEFAULTS, periods=10**4, master_seed=SEED))
+        excess = tl.generated_counts - 1 - lam * tl.times_to_failure
+        assert abs(excess.mean()) < 3 * excess.std(ddof=1) / math.sqrt(excess.size)
+        assert abs(excess.var(ddof=1) / (lam / nu) - 1) < 0.07
+        uniforms = [np.delete(out / clocks, heads) for clocks, out, heads in drawn]
+        sample = np.concatenate(uniforms)
+        assert sample.size == (tl.generated_counts - 1).sum()
+        assert stats.kstest(sample, "uniform").pvalue > 0.01
 
     def test_departures_poisson_in_steady_state(self):
         """With rho < 1 the delivery stream deep inside the working span is

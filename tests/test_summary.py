@@ -33,30 +33,30 @@ from reference import age_pieces, bootstrap_halfwidths
 # Every later change must reproduce them
 GOLDEN = {
     20.0: {
-        "aoi_time_average": "0x1.1fc125ced74d2p+2",
-        "aoi_ci_halfwidth": "0x1.1b6a48c3980afp-3",
-        "avg_r1": "0x1.8b73a67dfceadp+4",
-        "avg_r2": "0x1.b61e70dc3d318p+1",
-        "avg_r3": "0x1.b86fdeeeaf682p+3",
+        "aoi_time_average": "0x1.1e43ceffcb709p+2",
+        "aoi_ci_halfwidth": "0x1.0b60373870690p-3",
+        "avg_r1": "0x1.8245193cca94ap+4",
+        "avg_r2": "0x1.b537a79a86726p+1",
+        "avg_r3": "0x1.b39d0b563c2adp+3",
         "time_r1": "0x1.36f942a5f74e5p+8",
         "time_r2": "0x1.c27d2e954ba52p+15",
         "time_r3": "0x1.7700000000000p+12",
-        "error_rate": "0x1.7590fa0fd51f2p-5",
-        "detection_error_rate": "0x1.4dbec7dedbff7p-5",
-        "detection_error_ci_halfwidth": "0x1.1fe95068610f5p-8",
-        "error_ci_halfwidth": "0x1.4232d432c10b1p-8",
-        "fp_rate": "0x1.8b6c779e88688p-7",
-        "fn_rate": "0x1.12b5dc2833050p-5",
+        "error_rate": "0x1.7b68ceeb2b6efp-5",
+        "detection_error_rate": "0x1.53969cba324f5p-5",
+        "detection_error_ci_halfwidth": "0x1.0606b7126c0b5p-8",
+        "error_ci_halfwidth": "0x1.2928ee9f4e090p-8",
+        "fp_rate": "0x1.93ffaa5c6c620p-7",
+        "fn_rate": "0x1.1668e45410567p-5",
         "reacquisition_fp_time": "0x1.36f942a5f74e5p+8",
         "measured_time": "0x1.f3cb211a9793bp+15",
     },
     # r = 5 <= tau: the optimal rule is degenerate
     5.0: {
-        "aoi_time_average": "0x1.c2ff063389bc9p+1",
-        "aoi_ci_halfwidth": "0x1.8b8473b9b1c57p-5",
-        "avg_r1": "0x1.35e1293c448d3p+3",
-        "avg_r2": "0x1.b61e70dc3d30dp+1",
-        "avg_r3": "0x1.87462443c5353p+2",
+        "aoi_time_average": "0x1.c1405da92f6e6p+1",
+        "aoi_ci_halfwidth": "0x1.5eb77b9c3e7b8p-5",
+        "avg_r1": "0x1.23840eb9dfdffp+3",
+        "avg_r2": "0x1.b537a79a8673ap+1",
+        "avg_r3": "0x1.7da07d12deb9fp+2",
         "time_r1": "0x1.36f942a5f74adp+8",
         "time_r2": "0x1.c27d2e954ba52p+15",
         "time_r3": "0x1.7700000000000p+10",
@@ -375,7 +375,7 @@ def test_bootstrap_key_is_no_simulation_stream():
     # the reference bootstrap's index stream: a run of fewer than 2**32
     # periods has blocks [0, ceil(2**32 / PERIODS_PER_BLOCK))
     blocks = range(-(-2**32 // sim.PERIODS_PER_BLOCK))
-    kinds = (sim._CLOCKS, sim._FIRST_SERVICES, sim._GAPS, sim._REFILLS, sim._SERVICES)
+    kinds = (sim._CLOCKS, sim._FIRST_SERVICES, sim._GAPS, sim._COUNTS, sim._SERVICES)
     block, kind = reference.BOOTSTRAP_KEY
     assert block not in blocks or kind not in kinds
     # and its draws are none of the first, a middle or the last block's
