@@ -576,6 +576,21 @@ class TestBytePins:
         assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == (
             "5731416015e5b5ebb4caf86270d5ccb89bf72f60fa2365aac5dc15302f255b8a")
 
+    # the closed-form report as text and JSON: at the defaults, where the
+    # optimal rule is degenerate (tau ~ 9.16 >= r = 5) and without outages
+    @pytest.mark.parametrize("argv,digest", [
+        ([], "d33ca065176f68dde571c1bf107c9e06f8c13222649d672191c8cb36de8c6236"),
+        (["--json"], "0437806270e9cf828848bf8d79e309cbdec14333f06181b4d9fb27e5066a41a5"),
+        (["--recovery", "5"], "6cc26f4ad0dc46ec9ce68439960d7212f4d7189f21d062129d074584de975e8f"),
+        (["--recovery", "5", "--json"], "b988c147752dfb4c09e869d05aafc04452d0f491e05b93ab6d66ccdb2abd3e78"),
+        (["--recovery", "0"], "1739a3c7583ad69219faa4e5d0ff6a8f4445ab9bb1e5ff75f06aeb859cc8bde4"),
+        (["--recovery", "0", "--json"], "830d9b54353c641d53ae58cbca07b7b2f03e5d2a4d70612901c7042a4ca58c50"),
+    ])
+    def test_analytic_stdout(self, capsys, argv, digest):
+        status, out, _ = run(capsys, "analytic", *argv)
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 def modules_after_importing_the_cli(package: str) -> str:
     """The modules of `package` that `import agemon.cli` loads in a fresh
