@@ -4,7 +4,6 @@ age-of-information metrics, timing-based failure detection, and Monte Carlo
 validation of the analytical expressions."""
 
 from .analytics import (
-    analytic_report,
     aoi_mm1,
     error_rate_closed_form,
     failure_prior,
@@ -29,7 +28,6 @@ __all__ = [
     "SimulationLimitError",
     "SweepSpec",
     "Timeline",
-    "analytic_report",
     "aoi_mm1",
     "error_rate_closed_form",
     "failure_prior",

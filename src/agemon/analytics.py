@@ -114,22 +114,3 @@ def region_means_closed_form(lam: float, mu: float, nu: float, r: float) -> tupl
     base = aoi_mm1(lam / mu, mu)
     return base + r + 0.5 / mu, base, base + 0.5 * r
 
-
-def analytic_report(lam: float, mu: float, nu: float, r: float) -> dict:
-    """Every closed form at one parameter point, keyed by its column in
-    `report.COLUMNS` (the rule is the optimal one)."""
-    # before aoi_mm1's lam / mu below
-    check_params(lam=lam, mu=mu, nu=nu, r=r)
-    tau = map_threshold(lam, nu)
-    return dict(
-        lam=lam,
-        mu=mu,
-        nu=nu,
-        r=r,
-        tau=tau,
-        degenerate=tau >= r,
-        err_analytic=error_rate_closed_form(lam, nu, r),
-        aoi_mm1=aoi_mm1(lam / mu, mu),
-        aoi_analytic=mean_aoi_closed_form(lam, mu, nu, r),
-        prior_s1=failure_prior(nu, r),
-    )

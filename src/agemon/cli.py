@@ -13,7 +13,6 @@ import os
 import sys
 from pathlib import Path
 
-from .analytics import analytic_report
 from .errors import EmptyTimelineError, ParameterError, SimulationLimitError
 from .experiments import SweepSpec, measure, monte_carlo_cross_check, run_sweep
 from .report import CHARTS, json_text, project, render_svg, text_lines, write_csv
@@ -144,7 +143,8 @@ def _confidence(args: argparse.Namespace) -> float | None:
 
 
 def _cmd_analytic(args: argparse.Namespace) -> int:
-    record = project(analytic_report(args.lam, args.mu, args.nu, args.recovery), "analytic")
+    [row] = measure(_params(args), with_sim=False)
+    record = project(row, "analytic")
     print(json_text(record) if args.json else text_lines(record))
     return 0
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytics import error_rate, error_rate_closed_form, map_threshold, mean_aoi_closed_form
+from .analytics import aoi_mm1, error_rate, error_rate_closed_form, failure_prior, map_threshold, mean_aoi_closed_form
 from .errors import ParameterError, check_params
 from .report import run_row
 from .sim import SimParams, simulate
@@ -71,39 +71,39 @@ def measure(params: SimParams, taus=None, with_sim: bool = True, confidence: flo
     `columns` added.
 
     Whatever can fail without a simulation fails first: the confidence
-    level, rho < 1, then the closed forms. err_analytic is
+    level, rho < 1, then the closed forms. Every row holds the closed forms,
+    its tau and whether it is degenerate. err_analytic is
     `analytics.error_rate_closed_form` at the optimal threshold and
-    `analytics.error_rate` at any other. With
-    `with_sim`, one simulation and one period table serve every threshold,
-    so differences between rows are not simulation noise; each row then
-    also records its tau and whether it is degenerate. Only the optimal
-    threshold at tau >= r is: the optimal rule then always declares WORKING
+    `analytics.error_rate` at any other. Only the optimal threshold at
+    tau >= r is degenerate: the optimal rule then always declares WORKING
     (it is scored as tau = inf) and its closed form is the failed-time
     prior. Every other threshold is scored as the rule "FAILED while
-    z > tau" whose error rate `error_rate` gives. confidence=None skips the
+    z > tau" whose error rate `error_rate` gives. With `with_sim`, one
+    simulation and one period table serve every threshold, so differences
+    between rows are not simulation noise. confidence=None skips the
     half-widths.
     """
     check_confidence(confidence)
     params.require_stable_queue()
-    lam, nu, r = params.lam, params.nu, params.r
-    aoi_analytic = mean_aoi_closed_form(lam, params.mu, nu, r)
+    lam, mu, nu, r = params.lam, params.mu, params.nu, params.r
+    base = run_row(params, aoi_analytic=mean_aoi_closed_form(lam, mu, nu, r), aoi_mm1=aoi_mm1(params.rho, mu),
+                   prior_s1=failure_prior(nu, r), **columns)
     optimal = map_threshold(lam, nu)
     taus = [optimal] if taus is None else list(taus)
     closed = error_rate_closed_form(lam, nu, r)
     errs = [closed] * len(taus)
     if any(tau != optimal for tau in taus):
         errs = [closed if tau == optimal else err for tau, err in zip(taus, error_rate(lam, nu, r, taus))]
-    if not with_sim:
-        row = run_row(params, aoi_analytic=aoi_analytic, **columns)
-        return [dict(row, err_analytic=err) for err in errs]
     degenerate = [tau == optimal and tau >= r for tau in taus]
-    scored = [math.inf if d else tau for tau, d in zip(taus, degenerate)]
-    summaries = summarize(period_table(simulate(params)), scored, confidence)
-    return [
-        run_row(params, **summary, tau=float(tau), degenerate=d,
-                aoi_analytic=aoi_analytic, err_analytic=err, **columns)
-        for tau, d, err, summary in zip(taus, degenerate, errs, summaries)
-    ]
+    rows = [dict(base, tau=float(tau), degenerate=d, err_analytic=err)
+            for tau, d, err in zip(taus, degenerate, errs)]
+    if with_sim:
+        scored = [math.inf if d else tau for tau, d in zip(taus, degenerate)]
+        for row, summary in zip(rows, summarize(period_table(simulate(params)), scored, confidence)):
+            row.update(summary)
+            if len(row) > len(base):  # run_row's check, for summarize's columns
+                raise ParameterError(f"unknown columns {sorted(row.keys() - base.keys())}")
+    return rows
 
 
 def run_sweep(spec: SweepSpec, with_sim: bool = True, confidence: float | None = 0.95) -> list[dict]:

@@ -11,7 +11,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 from agemon import (
     ParameterError,
-    analytic_report,
+    SimParams,
     aoi_mm1,
     error_rate_closed_form,
     failure_prior,
@@ -20,6 +20,7 @@ from agemon import (
     region_means_closed_form,
 )
 from agemon.analytics import error_rate
+from agemon.experiments import measure
 from agemon.report import project
 from reference import pdf_z_given_r2, pdf_z_given_r3
 
@@ -198,9 +199,16 @@ class TestAoiClosedForms:
             assert r3 - r2 == pytest.approx(r / 2, rel=1e-12)
 
 
+def analytic_row(lam, mu, nu, r):
+    """The closed forms' row at one point, as `agemon analytic` builds it:
+    the analytic-only `measure` row of the optimal threshold."""
+    [row] = measure(SimParams(lam, mu, nu, r), with_sim=False)
+    return row
+
+
 class TestReport:
     def test_standard_configuration(self):
-        report = analytic_report(LAM, MU, NU, R)
+        report = analytic_row(LAM, MU, NU, R)
         assert report["tau"] == pytest.approx(9.16, abs=0.005)
         assert not report["degenerate"]
         assert report["err_analytic"] == pytest.approx(ERROR_RATE_DEFAULT, rel=1e-14)
@@ -210,7 +218,7 @@ class TestReport:
         assert 0.0 < report["err_analytic"] < 1.0
 
     def test_analytic_keys_pinned(self):
-        d = project(analytic_report(LAM, MU, NU, R), "analytic")
+        d = project(analytic_row(LAM, MU, NU, R), "analytic")
         assert d["aoi_mm1"] == 3.5
         assert list(d) == [
             "lam", "mu", "nu", "r", "tau", "degenerate",
@@ -220,15 +228,15 @@ class TestReport:
 
 def optimal_rule(lam, nu, r):
     """The optimal rule's threshold and whether it is degenerate, as
-    `analytic_report` publishes them."""
-    report = analytic_report(lam, MU, nu, r)
+    `agemon analytic` publishes them."""
+    report = analytic_row(lam, MU, nu, r)
     return report["tau"], report["degenerate"]
 
 
-# optimal_rule's cases keep the ids of the classmethod it replaced, so ids stay
-# stable. The densities keep their checks in tests/reference.py, where the
-# quadrature's integrands are compared with them.
-CASE_NAMES = {optimal_rule: "DecisionRule.map_rule"}
+# analytic_row's and optimal_rule's cases keep the ids of the library calls
+# they replaced, so ids stay stable. The densities keep their checks in
+# tests/reference.py, where the quadrature's integrands are compared with them.
+CASE_NAMES = {analytic_row: "analytic_report", optimal_rule: "DecisionRule.map_rule"}
 
 
 @pytest.mark.parametrize("fn,fixed,fields,field,value", [
@@ -238,7 +246,7 @@ CASE_NAMES = {optimal_rule: "DecisionRule.map_rule"}
         (error_rate_closed_form, (), ("lam", "nu", "r")),
         (mean_aoi_closed_form, (), ("lam", "mu", "nu", "r")),
         (region_means_closed_form, (), ("lam", "mu", "nu", "r")),
-        (analytic_report, (), ("lam", "mu", "nu", "r")),
+        (analytic_row, (), ("lam", "mu", "nu", "r")),
         (pdf_z_given_r2, (1.0,), ("lam", "nu")),
         (pdf_z_given_r3, (1.0,), ("lam", "nu", "r")),
         (aoi_mm1, (0.5,), ("mu",)),

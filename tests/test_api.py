@@ -17,7 +17,6 @@ PUBLIC_NAMES = [
     "SimulationLimitError",
     "SweepSpec",
     "Timeline",
-    "analytic_report",
     "aoi_mm1",
     "error_rate_closed_form",
     "failure_prior",
@@ -35,7 +34,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_pinned():
-    assert len(PUBLIC_NAMES) == 22
+    assert len(PUBLIC_NAMES) == 21
     assert sorted(agemon.__all__) == PUBLIC_NAMES
     assert all(hasattr(agemon, name) for name in PUBLIC_NAMES)
 

@@ -138,6 +138,14 @@ class TestErrors:
         assert status == 1 and out == ""
         assert "error: mu must be > 0" in err
 
+    # analytic builds SimParams like every other command, so it checks the
+    # run flags it does not use; both exited 0 when it did not
+    @pytest.mark.parametrize("argv,name", [(["--periods", "0"], "periods"), (["--seed", "-1"], "master_seed")])
+    def test_analytic_checks_the_run_flags(self, capsys, argv, name):
+        status, out, err = run(capsys, "analytic", *argv)
+        assert status == 1 and out == ""
+        assert err.startswith(f"error: {name} must be")
+
     def test_non_finite_recovery_rejected(self, capsys):
         status, out, err = run(capsys, "analytic", "--recovery", "inf", "--json")
         assert status == 1 and out == ""

@@ -127,7 +127,16 @@ class TestMeasure:
         monkeypatch.setattr(agemon.experiments, "summarize", None)
         rows = measure(fixed(), [1.0, 2.0, 30.0], with_sim=False, swept_var="threshold")
         assert [row["swept_var"] for row in rows] == ["threshold"] * 3
-        assert all(row["tau"] is None and row["aoi_empirical"] is None for row in rows)
+        assert [row["tau"] for row in rows] == [1.0, 2.0, 30.0]
+        assert all(row["aoi_empirical"] is None for row in rows)
+
+    def test_unknown_summary_column_rejected(self, monkeypatch):
+        # a summary column outside report.COLUMNS fails as run_row's would
+        summarize = agemon.experiments.summarize
+        monkeypatch.setattr(agemon.experiments, "summarize",
+                            lambda *args: [dict(s, err_anlytic=0.0) for s in summarize(*args)])
+        with pytest.raises(ParameterError, match=r"unknown columns \['err_anlytic'\]"):
+            measure(fixed(), confidence=None)
 
     def test_simulated_rows_record_their_rule(self):
         rows = measure(fixed(), [4.0, 25.0], confidence=None)
@@ -230,3 +239,21 @@ def test_time_scale_relation(config, periods, require_delivery):
             assert [float.hex(got[k]) for k in SCALED_COLUMNS] == [
                 float.hex(c * want[k]) for k in SCALED_COLUMNS], c
             assert [got[k] for k in INVARIANT_COLUMNS] == [want[k] for k in INVARIANT_COLUMNS], c
+
+
+@pytest.mark.parametrize("config", [p.values[0] for p in TIME_SCALE_CONFIGS],
+                         ids=[p.id for p in TIME_SCALE_CONFIGS])
+def test_time_scale_relation_of_the_closed_forms(config):
+    # the same relation on analytic-only rows: the ages and the thresholds
+    # scale by c, the prior, the degenerate flag and the error rates keep
+    # their bits
+    lam, mu, nu, r = config
+    taus = [map_threshold(lam, nu), r / 2, 2 * r]
+    base = measure(SimParams(*config), taus, with_sim=False)
+    for c in (2.0, 0.5, 1024.0, 2.0**-7):
+        scaled = measure(SimParams(lam / c, mu / c, nu / c, r * c), [tau * c for tau in taus], with_sim=False)
+        for got, want in zip(scaled, base, strict=True):
+            assert [float.hex(got[k]) for k in ("aoi_mm1", "aoi_analytic", "tau")] == [
+                float.hex(c * want[k]) for k in ("aoi_mm1", "aoi_analytic", "tau")], c
+            assert [got[k] for k in ("prior_s1", "degenerate", "err_analytic")] == [
+                want[k] for k in ("prior_s1", "degenerate", "err_analytic")], c
