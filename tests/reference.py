@@ -5,13 +5,13 @@ many periods at once. The reference draws each period one after another,
 in plain scalar code, from its block's streams
 SeedSequence(master_seed, spawn_key=(block, k)), builds it as one
 `PeriodTrace` object and lays the traces end to end; tests require the two
-to agree bit for bit. It queues each period alone through the library's
-`_lindley_lockstep`: one period is below the lockstep's cutoff of
-`_LOCKSTEP_MIN_PERIODS`, so it is solved on the serial Python-float path.
-`simulate` queues a run of up to PERIODS_PER_BLOCK periods at once and takes
-mostly the numpy steps, in blocks that gather (steps, periods) cells at a
-time. So besides the stream contract, the blocking and the flattening, the
-comparison checks the lockstep arithmetic independently.
+to agree bit for bit. It queues each period alone by its own scalar
+recursion, `lindley_arrival_times`, and runs no production queue code.
+`simulate` queues a run of up to PERIODS_PER_BLOCK periods at once, mostly
+in numpy steps that gather (steps, periods) cells at a time, and finishes
+the last few periods on Python floats. So besides the stream contract, the
+blocking and the flattening, the comparison checks both paths of the
+lockstep arithmetic against an independent recursion.
 
 `estimated_state_trajectory` builds the detector's estimated state as
 explicit intervals, the oracle behind the interval-walk checks of
@@ -47,7 +47,6 @@ import agemon.sim as sim
 from agemon import EmptyTimelineError, ParameterError, SimParams, Timeline
 from agemon.analytics import failure_prior
 from agemon.errors import check_params
-from agemon.sim import _lindley_lockstep
 
 
 def block_streams(master_seed: int, block: int) -> tuple[np.random.Generator, ...]:
@@ -110,7 +109,11 @@ def lindley_arrival_times(departures, services) -> np.ndarray:
     services = np.asarray(services, dtype=np.float64)
     if departures.size != services.size:
         raise ParameterError("departures and services must have equal length")
-    return _lindley_lockstep(departures, services, np.array([departures.size]))
+    arrivals, a = [], -math.inf
+    for d, s in zip(departures.tolist(), services.tolist()):
+        a = max(d, a) + s
+        arrivals.append(a)
+    return np.array(arrivals, dtype=np.float64)
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,7 +32,6 @@ from reference import (
     block_traces,
     bootstrap_halfwidths,
     lay_end_to_end,
-    lindley_arrival_times,
     quadrature_error_rate,
     quadrature_error_rates,
     scan_optimal_threshold,
@@ -202,13 +201,14 @@ def test_criterion_7_region_structure(table_100k):
 
 
 def test_criterion_8_exactness_properties():
-    # (a) Lindley recursion == event-driven queue on shared draws, exactly
+    # (a) the production Lindley kernel == event-driven queue on shared
+    # draws, exactly
     rng = np.random.default_rng(3)
     for _ in range(20):
         n = int(rng.integers(1, 80))
         d = np.cumsum(rng.exponential(2.0, size=n))
         s = rng.exponential(1.0, size=n)
-        direct = lindley_arrival_times(d, s)
+        direct = sim._lindley_lockstep(d, np.append(s, 0.0), np.array([n]))
         waiting, busy, out, i = [], None, [], 0
         pending = list(zip(d.tolist(), s.tolist()))
         while i < len(pending) or waiting or busy is not None:

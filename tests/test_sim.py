@@ -137,7 +137,7 @@ class TestLindley:
             monkeypatch.setattr(sim, "_LOCKSTEP_MIN_PERIODS", cutoff)
         d = [np.cumsum(rng.exponential(2.0, size=c)) for c in counts]
         s = [rng.exponential(1.0, size=c) for c in counts]
-        arrivals = sim._lindley_lockstep(np.concatenate(d), np.concatenate(s), counts)
+        arrivals = sim._lindley_lockstep(np.concatenate(d), np.append(np.concatenate(s), 0.0), counts)
         for p, got in enumerate(np.split(arrivals, np.cumsum(counts)[:-1])):
             assert np.array_equal(got, event_driven_arrivals(d[p], s[p])), p
 
@@ -146,7 +146,7 @@ class TestLindley:
         rng = np.random.default_rng(seed)
         d = [np.cumsum(rng.exponential(2.0, size=c)) for c in counts]
         s = [rng.exponential(1.0, size=c) for c in counts]
-        arrivals = sim._lindley_lockstep(np.concatenate(d), np.concatenate(s), np.asarray(counts))
+        arrivals = sim._lindley_lockstep(np.concatenate(d), np.append(np.concatenate(s), 0.0), np.asarray(counts))
         assert arrivals.size == sum(counts)
         for p, got in enumerate(np.split(arrivals, np.cumsum(counts)[:-1])):
             assert np.array_equal(got, event_driven_arrivals(d[p], s[p])), p
@@ -191,38 +191,40 @@ class TestLindley:
         periods, length = 4096, 100
         rng = np.random.default_rng(11)
         departures = np.cumsum(rng.exponential(2.0, size=(periods, length)), axis=1).ravel()
-        services = rng.exponential(1.0, size=periods * length)
+        services = np.append(rng.exponential(1.0, size=periods * length), 0.0)
         counts = np.full(periods, length)
-        sim._lindley_lockstep(departures[:16 * length], services[:16 * length], counts[:16])
+        sim._lindley_lockstep(departures[:16 * length], services[:16 * length + 1].copy(), counts[:16])
         tracemalloc.start()
         try:
-            arrivals = sim._lindley_lockstep(departures, services, counts)
+            sim._lindley_lockstep(departures, services, counts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        output = arrivals.nbytes + 8  # and the spare slot
-        assert peak - output < 4 * 8 * sim._BLOCK_CELLS + 16 * 8 * periods
+        # the arrivals overwrite the services, so the output is no new array
+        assert peak < 4 * 8 * sim._BLOCK_CELLS + 16 * 8 * periods
 
     @pytest.mark.parametrize("cells", [None, 1, 10**9])
     @pytest.mark.parametrize("shape", sorted(SHAPES) + ["ragged"])
     def test_spare_slot_solves_in_place(self, monkeypatch, shape, cells):
-        # simulate passes services with one spare slot past the packets and
-        # the arrivals overwrite them; a call without it, as one period's
-        # reference makes, must leave its inputs as they were
+        # the services have one spare slot past the packets and the arrivals
+        # overwrite them; the departures are left as they were
         if cells is not None:
             monkeypatch.setattr(sim, "_BLOCK_CELLS", cells)
         counts = np.asarray(self.SHAPES.get(shape, np.random.default_rng(8).integers(1, 300, size=96)))
         rng = np.random.default_rng(13)
         departures = np.concatenate([np.cumsum(rng.exponential(2.0, size=c)) for c in counts])
         services = rng.exponential(1.0, size=departures.size)
-        inputs = departures.tobytes(), services.tobytes()
-        fresh = sim._lindley_lockstep(departures, services, counts)
-        assert (departures.tobytes(), services.tobytes()) == inputs
+        inputs = departures.tobytes()
         spare = np.append(services, 0.0)
         in_place = sim._lindley_lockstep(departures, spare, counts)
         assert np.shares_memory(in_place, spare)
-        assert in_place.tobytes() == fresh.tobytes()
-        assert departures.tobytes() == inputs[0]
+        assert departures.tobytes() == inputs
+
+    def test_missing_spare_slot_rejected(self):
+        # without it, a block's steps past a period's end would write the
+        # last live service
+        with pytest.raises(ParameterError, match="spare slot"):
+            sim._lindley_lockstep(np.zeros(3), np.ones(3), np.array([3]))
 
     def test_reference_leaves_its_inputs(self):
         departures = np.cumsum(np.random.default_rng(14).exponential(2.0, size=50))
