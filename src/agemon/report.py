@@ -18,7 +18,7 @@ import csv
 import json
 import math
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -129,9 +129,10 @@ def _params_comment(params: SimParams) -> str:
     )
 
 
-def write_csv(rows: Sequence[dict], path, params: Optional[SimParams] = None) -> Path:
-    """Write the CSV projection of rows (grid order) to `path`; returns the
-    path written. Cells are formatted a column at a time."""
+def write_csv(rows: Sequence[dict], path, params: SimParams) -> Path:
+    """Write the CSV projection of rows (grid order) to `path`, after a
+    comment line recording `params`, the run's fixed configuration; returns
+    the path written. Cells are formatted a column at a time."""
     if not rows:
         raise ParameterError("refusing to write an empty CSV")
     projection = OUTPUTS["csv"]
@@ -139,8 +140,7 @@ def write_csv(rows: Sequence[dict], path, params: Optional[SimParams] = None) ->
     path = Path(path)
     try:
         with path.open("w", encoding="utf-8", newline="") as fh:
-            if params is not None:
-                fh.write(_params_comment(params) + "\n")
+            fh.write(_params_comment(params) + "\n")
             writer = csv.writer(fh)
             writer.writerow(projection.values())
             writer.writerows(zip(*cells))

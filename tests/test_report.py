@@ -8,6 +8,9 @@ from agemon.report import CHARTS, COLUMNS, OUTPUTS, _cells, run_row
 from conftest import CSV_COLUMNS, CSV_HEADER, DEFAULTS, read_csv
 
 
+PARAMS = SimParams(**DEFAULTS, periods=10, master_seed=42)
+
+
 def row(swept_var, swept_value, **values):
     """A row with the CSV's columns, None where not given."""
     return dict.fromkeys(CSV_COLUMNS) | dict(swept_var=swept_var, swept_value=swept_value, **values)
@@ -31,18 +34,17 @@ class TestCsv:
     def test_header_is_pinned(self, tmp_path):
         assert CSV_HEADER == ("swept_var,swept_value,aoi_analytic,aoi_empirical,"
                               "aoi_ci,err_analytic,err_empirical,err_detection,err_detection_ci,err_ci,fp_rate,fn_rate,seed")
-        path = write_csv(sample_rows(), tmp_path / "out.csv")
+        path = write_csv(sample_rows(), tmp_path / "out.csv", PARAMS)
         lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == CSV_HEADER
+        assert lines[1] == CSV_HEADER
 
     def test_round_trip(self, tmp_path):
         rows = sample_rows()
-        path = write_csv(rows, tmp_path / "out.csv", SimParams(**DEFAULTS, periods=10, master_seed=42))
+        path = write_csv(rows, tmp_path / "out.csv", PARAMS)
         assert read_csv(path) == rows
 
     def test_params_comment_recorded(self, tmp_path):
-        params = SimParams(**DEFAULTS, periods=10, master_seed=42)
-        path = write_csv(sample_rows(), tmp_path / "out.csv", params)
+        path = write_csv(sample_rows(), tmp_path / "out.csv", PARAMS)
         first = path.read_text(encoding="utf-8").splitlines()[0]
         assert first.startswith("#")
         for token in ("lambda=0.5", "mu=1.0", "nu=0.005", "recovery=20.0", "periods=10", "seed=42",
@@ -56,8 +58,8 @@ class TestCsv:
             | {"seed": np.int64(row["seed"])}
             for row in rows
         ]
-        python_csv = write_csv(rows, tmp_path / "python.csv")
-        numpy_csv = write_csv(numpy_rows, tmp_path / "numpy.csv")
+        python_csv = write_csv(rows, tmp_path / "python.csv", PARAMS)
+        numpy_csv = write_csv(numpy_rows, tmp_path / "numpy.csv", PARAMS)
         assert read_csv(numpy_csv) == rows
         assert numpy_csv.read_bytes() == python_csv.read_bytes()
         assert _cells([np.bool_(True), np.bool_(False)]) == ["true", "false"]
@@ -68,31 +70,31 @@ class TestCsv:
 
     def test_analytic_only_row_leaves_empirical_empty(self, tmp_path):
         analytic = row("rho", 0.5, aoi_analytic=4.5045, err_analytic=0.0416)
-        path = write_csv([analytic], tmp_path / "out.csv")
-        data_line = path.read_text(encoding="utf-8").splitlines()[1]
+        path = write_csv([analytic], tmp_path / "out.csv", PARAMS)
+        data_line = path.read_text(encoding="utf-8").splitlines()[2]
         assert data_line == "rho,0.5,4.5045,,,0.0416,,,,,,,"
         assert read_csv(path) == [analytic]
 
     def test_full_precision_survives(self, tmp_path):
         value = 0.1234567890123456789
         written = row("threshold", value, err_analytic=1.0 / 3.0)
-        path = write_csv([written], tmp_path / "x.csv")
+        path = write_csv([written], tmp_path / "x.csv", PARAMS)
         back = read_csv(path)[0]
         assert back["swept_value"] == written["swept_value"]
         assert back["err_analytic"] == written["err_analytic"]
 
     def test_row_count_matches(self, tmp_path):
-        path = write_csv(sample_rows(), tmp_path / "out.csv")
+        path = write_csv(sample_rows(), tmp_path / "out.csv", PARAMS)
         assert len(read_csv(path)) == 3
 
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ParameterError):
-            write_csv([], tmp_path / "out.csv")
+            write_csv([], tmp_path / "out.csv", PARAMS)
 
     def test_io_error_names_path(self, tmp_path):
         target = tmp_path / "missing" / "out.csv"
         with pytest.raises(OSError) as info:
-            write_csv(sample_rows(), target)
+            write_csv(sample_rows(), target, PARAMS)
         assert str(target) in str(info.value)
 
 
