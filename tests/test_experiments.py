@@ -214,10 +214,19 @@ TIME_SCALE_CONFIGS = [
     pytest.param((0.9, 1.0, 0.0005, 20.0), 300, id="dense"),
     pytest.param((0.05, 1.0, 0.01, 3.0), 3000, id="sparse"),
 ]
+# the closed forms' columns, which analytic-only rows hold as well
+SCALED_CLOSED_FORMS = ("tau", "aoi_mm1", "aoi_analytic")
+INVARIANT_CLOSED_FORMS = ("degenerate", "prior_s1", "err_analytic")
 SCALED_COLUMNS = ("measured_time", "aoi_empirical", "aoi_ci", "avg_r1", "avg_r2", "avg_r3",
-                  "time_r1", "time_r2", "time_r3", "reacquisition_fp_time", "tau")
+                  "time_r1", "time_r2", "time_r3", "reacquisition_fp_time", *SCALED_CLOSED_FORMS)
 INVARIANT_COLUMNS = ("err_empirical", "err_detection", "err_ci", "err_detection_ci", "fp_rate", "fn_rate",
-                     "degenerate")
+                     *INVARIANT_CLOSED_FORMS)
+
+
+def assert_time_scaled(scaled_rows, rows, c, scaled_columns, invariant_columns):
+    for got, want in zip(scaled_rows, rows, strict=True):
+        assert [float.hex(got[k]) for k in scaled_columns] == [float.hex(c * want[k]) for k in scaled_columns], c
+        assert [got[k] for k in invariant_columns] == [want[k] for k in invariant_columns], c
 
 
 @pytest.mark.parametrize("require_delivery", [False, True])
@@ -227,33 +236,16 @@ def test_time_scale_relation(config, periods, require_delivery):
     # two c multiplies every time of the run by c bit for bit: each
     # exponential draw is a standard draw times its scale, and every later
     # step is a sum, difference, max, comparison or product. So the time
-    # and age columns scale by c and the error rates keep their bits
+    # and age columns scale by c and the error rates keep their bits, in
+    # simulated and in analytic-only rows
     lam, mu, nu, r = config
     taus = [map_threshold(lam, nu), r / 2]
-    base = measure(SimParams(*config, periods=periods, master_seed=SEED, require_delivery=require_delivery), taus)
+    params = SimParams(*config, periods=periods, master_seed=SEED, require_delivery=require_delivery)
+    base, closed = measure(params, taus), measure(params, taus, with_sim=False)
     for c in (2.0, 0.5, 1024.0, 2.0**-7):
         params = SimParams(lam / c, mu / c, nu / c, r * c, periods=periods, master_seed=SEED,
                            require_delivery=require_delivery)
-        scaled = measure(params, [tau * c for tau in taus])
-        for got, want in zip(scaled, base, strict=True):
-            assert [float.hex(got[k]) for k in SCALED_COLUMNS] == [
-                float.hex(c * want[k]) for k in SCALED_COLUMNS], c
-            assert [got[k] for k in INVARIANT_COLUMNS] == [want[k] for k in INVARIANT_COLUMNS], c
-
-
-@pytest.mark.parametrize("config", [p.values[0] for p in TIME_SCALE_CONFIGS],
-                         ids=[p.id for p in TIME_SCALE_CONFIGS])
-def test_time_scale_relation_of_the_closed_forms(config):
-    # the same relation on analytic-only rows: the ages and the thresholds
-    # scale by c, the prior, the degenerate flag and the error rates keep
-    # their bits
-    lam, mu, nu, r = config
-    taus = [map_threshold(lam, nu), r / 2, 2 * r]
-    base = measure(SimParams(*config), taus, with_sim=False)
-    for c in (2.0, 0.5, 1024.0, 2.0**-7):
-        scaled = measure(SimParams(lam / c, mu / c, nu / c, r * c), [tau * c for tau in taus], with_sim=False)
-        for got, want in zip(scaled, base, strict=True):
-            assert [float.hex(got[k]) for k in ("aoi_mm1", "aoi_analytic", "tau")] == [
-                float.hex(c * want[k]) for k in ("aoi_mm1", "aoi_analytic", "tau")], c
-            assert [got[k] for k in ("prior_s1", "degenerate", "err_analytic")] == [
-                want[k] for k in ("prior_s1", "degenerate", "err_analytic")], c
+        scaled_taus = [tau * c for tau in taus]
+        assert_time_scaled(measure(params, scaled_taus), base, c, SCALED_COLUMNS, INVARIANT_COLUMNS)
+        assert_time_scaled(measure(params, scaled_taus, with_sim=False), closed, c,
+                           SCALED_CLOSED_FORMS, INVARIANT_CLOSED_FORMS)
