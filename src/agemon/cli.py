@@ -67,16 +67,20 @@ _COMMAND_HELP = {
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The agemon parser. It lists every subcommand but defines the flags of
-    `command` only, the one subcommand a command line can name."""
+    """The agemon parser. When `command` names a subcommand, it builds that
+    subparser alone, with its flags; otherwise it lists every subcommand,
+    without flags, for the top-level help and the invalid-choice error."""
     parser = argparse.ArgumentParser(
         prog="agemon",
         description="Freshness and failure-detection metrics for an update stream "
                     "from an intermittently failing sensor behind an M/M/1 queue.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in _COMMAND_HELP.items():
-        p = sub.add_parser(name, help=help_text)
+    names = [command] if command in _COMMAND_HELP else list(_COMMAND_HELP)
+    if names == [command]:  # the usage line still names every subcommand
+        sub.metavar = "{" + ",".join(_COMMAND_HELP) + "}"
+    for name in names:
+        p = sub.add_parser(name, help=_COMMAND_HELP[name])
         if name != command:
             continue
         _add_param_flags(p)

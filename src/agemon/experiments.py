@@ -81,8 +81,11 @@ def measure(params: SimParams, taus=None, with_sim: bool = True, confidence: flo
     z > tau" whose error rate `error_rate` gives. With `with_sim`, one
     simulation and one period table serve every threshold, so differences
     between rows are not simulation noise. confidence=None skips the
-    half-widths.
+    half-widths. Rows without a simulation refuse `require_delivery`: the
+    closed forms describe unconditioned runs.
     """
+    if params.require_delivery and not with_sim:
+        raise ParameterError("require_delivery needs a simulation: the closed forms describe unconditioned runs")
     check_confidence(confidence)
     params.require_stable_queue()
     lam, mu, nu, r = params.lam, params.mu, params.nu, params.r

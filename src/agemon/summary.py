@@ -14,8 +14,8 @@ locates each period's own arrival gaps: a per-period integral is one piece
 from the last earlier arrival plus one `np.add.reduceat` of its own gaps.
 The per-delivery terms of those sums are built over groups of whole
 periods with a bounded number of deliveries, so beyond the timeline the
-table holds one per-delivery array (the gaps) and no stage holds a
-temporary that spans the run.
+table holds one per-delivery array (the gaps, each period's last one cut
+at its slice end) and no stage holds a temporary that spans the run.
 
 Every reported number is a column sum of the table or a ratio of such
 sums: the mean age sums the slice areas, the region averages sum the region
@@ -40,6 +40,9 @@ from .sim import SimParams, Timeline
 # built over; bounds their temporaries. Not part of any contract: any value
 # gives the same table.
 _GROUP_DELIVERIES = 2**16
+# Per-period cells of a chunk of thresholds that `summarize` scores in one
+# call, bounding its (3, thresholds, periods) columns; any value, same bits.
+_SCORE_CELLS = 2**16
 
 
 def _age_area(length, start_age):
@@ -65,12 +68,12 @@ class PeriodTable:
     empty). The true state is failed exactly on r3, so region_times[2] is
     also the failed time.
 
-    Period p's deliveries are [heads[p], heads[p] + counts[p]) in storage
-    order, and gaps[j] is the time from delivery j to the next one (the
-    last to the end of the run). last_arrivals holds each period's last
-    arrival from an earlier period and its last arrival of all (the same
-    when it delivered nothing), -inf if none. `error_columns` adds one
-    threshold's columns.
+    Period p's deliveries are the counts[p] after those of the periods
+    before it in storage order, and gaps[j] is the time from delivery j to
+    the next one in its period, a period's last to its slice end
+    edges[3, p]. last_arrivals holds each period's last arrival from an
+    earlier period and its last arrival of all (the same when it delivered
+    nothing), -inf if none. `error_columns` scores thresholds on them.
     """
 
     params: SimParams
@@ -81,7 +84,6 @@ class PeriodTable:
     region_areas: np.ndarray
     edges: np.ndarray
     last_arrivals: np.ndarray
-    heads: np.ndarray
     counts: np.ndarray
     gaps: np.ndarray
 
@@ -89,12 +91,13 @@ class PeriodTable:
     def aoi(self) -> float:
         return float(self.areas.sum()) / self.measured_time
 
-    def error_columns(self, tau: float) -> np.ndarray:
+    def error_columns(self, taus) -> np.ndarray:
         """Each slice's exact false-positive, false-negative and
         reacquisition false-positive time under the rule that declares
-        FAILED while z > tau, as the rows of a (3, periods) array. Their sum
-        over a slice, fp + fn, is its mismatch time. tau = inf is the rule
-        that always declares WORKING.
+        FAILED while z > tau, as the rows fp, fn and reacq of a (3, periods)
+        array for one threshold and of a (3, k, periods) array for a
+        sequence of k. Their sum over a slice, fp + fn, is its mismatch time.
+        tau = inf is the rule that always declares WORKING.
 
         A false positive declares FAILED while the sensor works, a false
         negative the other way around. The reacquisition false positives
@@ -103,55 +106,62 @@ class PeriodTable:
         the outage, so a false positive there is structural whenever
         tau < r. The detection-scope error, fp - reacq + fn, scores those
         spans as correct, matching the scope of the closed-form error rate.
+
+        Each threshold's columns are, bit for bit, those it has when scored
+        alone; the per-delivery terms of all pass through one group's buffer.
         """
+        taus = np.asarray(taus, dtype=float)
         failed = self.region_times[2]
-        if tau == math.inf:  # exact, where the general path would meet -inf + inf
-            zeros = np.zeros_like(failed)
-            return np.vstack((zeros, failed, zeros))
+        # tau = inf is exact, where the general path would meet -inf + inf
+        columns = np.zeros((3, taus.size, failed.size))
+        columns[1] = failed
+        scored = taus.reshape(-1) < math.inf
+        tau = taus.reshape(-1)[scored, None]
         start, cut, fail, end = self.edges
         before, last = self.last_arrivals
-        delivered = self.counts > 0
         # the gap that starts before the slice turns FAILED here; it ends at
         # the first delivery, or runs through a slice that has none
         flip = np.maximum(start, before + tau)
-        est_failed = np.clip(np.where(delivered, cut, end) - flip, 0.0, None)
-        # and of the slice's own gaps, the last one cut at the slice end
-        def beyond(lo, hi):
-            part = self.gaps[lo:hi] - tau
+        est_failed = np.clip(np.where(self.counts > 0, cut, end) - flip, 0.0, None)
+        # and of the slice's own gaps, the last one already cut at the slice end
+        buffer = np.empty(min(self.gaps.size, max(_GROUP_DELIVERIES, int(self.counts.max()))))
+
+        def beyond(lo, hi, i):
+            part = np.subtract(self.gaps[lo:hi], tau[i, 0], out=buffer[:hi - lo])
             return np.maximum(part, 0.0, out=part)
 
-        tails = np.clip(end[delivered] - last[delivered] - tau, 0.0, None)
-        est_failed[delivered] += _period_sums(self.heads, self.counts, beyond, tails)
+        _add_period_sums(est_failed, self.counts, beyond)
         # r3 holds no arrival: the estimate reads WORKING until last arrival + tau
         fn = np.where(failed > 0, np.clip(np.minimum(end, last + tau) - fail, 0.0, None), 0.0)
-        fp = np.clip(est_failed - (failed - fn), 0.0, None)
+        columns[0, scored] = np.clip(est_failed - (failed - fn), 0.0, None)
+        columns[1, scored] = fn
         # r1 holds no arrival either: its estimate turns FAILED once, at flip
-        reacq = np.where(self.region_times[0] > 0, np.clip(cut - flip, 0.0, None), 0.0)
-        return np.vstack((fp, fn, reacq))
+        columns[2, scored] = np.where(self.region_times[0] > 0, np.clip(cut - flip, 0.0, None), 0.0)
+        return columns.reshape((3, *taus.shape, failed.size))
 
 
-def _period_sums(heads, counts, pieces, tails):
-    """Each delivered period's sum of pieces(lo, hi), a fresh array of one
-    term per delivery in [lo, hi), with its last term replaced by tails[i].
+def _add_period_sums(sums, counts, pieces):
+    """Add to sums[i, p], for each row i of the (rows, periods) array
+    `sums`, period p's sum of pieces(lo, hi, i), an array of one term per
+    delivery in [lo, hi) of its deliveries, if it has any.
 
     The deliveries are taken in groups of whole periods with at most
-    _GROUP_DELIVERIES of them (a longer period alone), so no temporary
-    spans the run. Each period is one `np.add.reduceat` segment of its own
-    terms, whatever group it falls in, so the grouping changes no bit.
+    _GROUP_DELIVERIES of them (a longer period alone), each group's rows in
+    turn, so no temporary spans the run. Each period is one
+    `np.add.reduceat` segment of its own terms, whatever group it falls in,
+    so the grouping changes no bit.
     """
     delivered = np.flatnonzero(counts)
-    starts = heads[delivered]
-    ends = starts + counts[delivered]
-    sums = np.empty(delivered.size)
+    ends = np.cumsum(counts)[delivered]
+    starts = ends - counts[delivered]
     a = 0
     while a < delivered.size:
         b = max(a + 1, int(np.searchsorted(ends, starts[a] + _GROUP_DELIVERIES, side="right")))
-        lo = starts[a]
-        part = pieces(lo, ends[b - 1])
-        part[ends[a:b] - 1 - lo] = tails[a:b]
-        sums[a:b] = np.add.reduceat(part, starts[a:b] - lo)
+        lo, hi = starts[a], ends[b - 1]
+        offsets = starts[a:b] - lo
+        for i, row in enumerate(sums):
+            row[delivered[a:b]] += np.add.reduceat(pieces(lo, hi, i), offsets)
         a = b
-    return sums
 
 
 def period_table(timeline: Timeline) -> PeriodTable:
@@ -167,7 +177,6 @@ def period_table(timeline: Timeline) -> PeriodTable:
         raise EmptyTimelineError("zero-length measured span has no average")
     gaps = np.empty_like(arrivals)
     np.subtract(arrivals[1:], arrivals[:-1], out=gaps[:-1])
-    gaps[-1] = m1 - arrivals[-1]
     counts = timeline.delivered_counts
     heads = np.cumsum(counts) - counts
     delivered = counts > 0
@@ -184,13 +193,13 @@ def period_table(timeline: Timeline) -> PeriodTable:
     region_areas = np.zeros((3, edges.shape[1]))
     # r1 and r3 hold no arrival: one trapezoid each, from the last one before them
     region_areas[::2] = _age_area(edges[1::2] - edges[::2], ages + (edges[::2] - arrivals[at]))
-    # r2 is the sum of the period's own gap trapezoids, the last one cut at the failure
+    # r2 is the sum of the period's own gap trapezoids, the last one cut at
+    # the failure; the table keeps that gap cut at the slice end
     tails = at[1][delivered]
-    region_areas[1][delivered] = _period_sums(
-        heads, counts,
-        lambda lo, hi: _age_area(gaps[lo:hi], arrivals[lo:hi] - generations[lo:hi]),
-        _age_area(edges[2][delivered] - arrivals[tails], ages[1][delivered]),
-    )
+    gaps[tails] = edges[2][delivered] - arrivals[tails]
+    _add_period_sums(region_areas[1:2], counts,
+                     lambda lo, hi, _: _age_area(gaps[lo:hi], arrivals[lo:hi] - generations[lo:hi]))
+    gaps[tails] = edges[3][delivered] - arrivals[tails]
     region_times = edges[1:] - edges[:3]
     region_areas = np.where(region_times > 0, region_areas, 0.0)
     return PeriodTable(
@@ -202,7 +211,6 @@ def period_table(timeline: Timeline) -> PeriodTable:
         region_areas=region_areas,
         edges=edges,
         last_arrivals=np.where(last >= 0, arrivals[at], -np.inf),
-        heads=heads,
         counts=counts,
         gaps=gaps,
     )
@@ -243,11 +251,12 @@ def summarize(
     confidence=None skips the half-widths (they become None). The periods
     are the model's iid cycles, so each half-width is that of a ratio of
     per-period sums (`_ratio_halfwidth`); it needs two or more periods with
-    measured time, and fewer raise EmptyTimelineError. Each threshold is
-    scored once, by `PeriodTable.error_columns`, and its half-widths come
-    from its own columns, so its columns do not depend on the thresholds
-    beside it. `taus` may be any iterable; it is read once, and every
-    threshold is checked before any work.
+    measured time, and fewer raise EmptyTimelineError. The thresholds are
+    scored by `PeriodTable.error_columns` in chunks of at most
+    max(1, _SCORE_CELLS // periods), each threshold once, and its
+    half-widths come from its own columns, so its columns do not depend on
+    the thresholds beside it. `taus` may be any iterable; it is read once,
+    and every threshold is checked before any work.
     """
     check_confidence(confidence)
     taus = [float(tau) for tau in taus]
@@ -274,18 +283,23 @@ def summarize(
         **{f"avg_r{k}": a / t if t > 0 else float("nan") for k, a, t in zip((1, 2, 3), region_areas, times)},
         **{f"time_r{k}": t for k, t in zip((1, 2, 3), times)},
     }
-    summaries = []
-    for tau in taus:
-        columns = table.error_columns(tau)
+
+    def summary(columns):  # one threshold's (3, periods) fp, fn and reacq columns
         err_hw = detection_hw = None
         if z is not None:
             fp, fn, reacq = columns
             err_hw = _ratio_halfwidth(fp + fn, table, measured, z)
             detection_hw = _ratio_halfwidth(fp - reacq + fn, table, measured, z)
         fp_time, fn_time, reacq_time = columns.sum(axis=1).tolist()
-        summaries.append(dict(
+        return dict(
             run, err_empirical=(fp_time + fn_time) / span,
             err_detection=(fp_time - reacq_time + fn_time) / span, err_ci=err_hw, err_detection_ci=detection_hw,
             fp_rate=fp_time / span, fn_rate=fn_time / span, reacquisition_fp_time=reacq_time,
-        ))
+        )
+
+    # a chunk's columns are dropped before the next chunk is scored
+    step = max(1, _SCORE_CELLS // table.lengths.size)
+    summaries = []
+    for i in range(0, len(taus), step):
+        summaries += map(summary, table.error_columns(taus[i:i + step]).swapaxes(0, 1))
     return summaries

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -67,6 +68,33 @@ class TestParser:
         assert set(listed) == set(COMMAND_FLAGS)
         text = " ".join(out.split())  # argparse wraps long help lines
         assert all(help_text in text for help_text in agemon.cli._COMMAND_HELP.values())
+
+
+    # a command line that names a subcommand builds that subparser alone;
+    # any other lists every subcommand
+    @pytest.mark.parametrize("argv,parsers", [
+        (["analytic", "--json"], 2), (["sweep-threshold", "--help"], 2), (["frobnicate"], 8), ([], 8),
+    ])
+    def test_builds_the_named_subparser_alone(self, capsys, monkeypatch, argv, parsers):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        run(capsys, *argv)
+        assert len(built) == parsers
+        assert parsers == 2 or len(built) == 1 + len(agemon.cli._COMMAND_HELP)
+
+    def test_usage_line_names_every_subcommand(self, capsys):
+        # a top-level error after a named subcommand prints the same usage
+        # as the full listing does
+        status, _, err = run(capsys, "analytic", "surplus")
+        _, _, listed = run(capsys, "frobnicate")
+        assert status == 2 and "unrecognized arguments: surplus" in err
+        assert err.partition("agemon: error:")[0] == listed.partition("agemon: error:")[0]
 
 
 ANALYTIC_KEYS = ["lam", "mu", "nu", "r", "tau", "degenerate", "error_rate", "aoi_mm1", "mean_aoi", "prior_s1"]
@@ -145,6 +173,19 @@ class TestErrors:
         status, out, err = run(capsys, "analytic", *argv)
         assert status == 1 and out == ""
         assert err.startswith(f"error: {name} must be")
+
+    # the closed forms describe unconditioned runs, so a command that
+    # prints them alone refuses a conditioned one; both once exited 0
+    @pytest.mark.parametrize("argv", [
+        ["analytic"], ["sweep-threshold", "--analytic-only"], ["sweep-rho", "--analytic-only"],
+    ])
+    def test_closed_forms_alone_refuse_conditioning(self, capsys, tmp_path, argv):
+        out = tmp_path / "out.csv"
+        extra = [] if argv == ["analytic"] else ["--out", str(out)]
+        status, stdout, err = run(capsys, *argv, "--enforce-assumption3", *extra)
+        assert status == 1 and stdout == "" and not out.exists()
+        assert err.startswith("error: require_delivery needs a simulation: the closed forms describe "
+                              "unconditioned runs")
 
     def test_non_finite_recovery_rejected(self, capsys):
         status, out, err = run(capsys, "analytic", "--recovery", "inf", "--json")

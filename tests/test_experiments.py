@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,15 @@ class TestMeasure:
         assert [row["tau"] for row in rows] == [1.0, 2.0, 30.0]
         assert all(row["aoi_empirical"] is None for row in rows)
 
+    def test_analytic_only_rows_refuse_conditioning(self, monkeypatch):
+        # the closed forms describe unconditioned runs; nothing is computed
+        monkeypatch.setattr(agemon.experiments, "mean_aoi_closed_form", None)
+        conditioned = SimParams(**DEFAULTS, periods=10, master_seed=SEED, require_delivery=True)
+        for call in (lambda: measure(conditioned, with_sim=False),
+                     lambda: run_sweep(SweepSpec("rho", 0.2, 0.8, 0.2, conditioned), with_sim=False)):
+            with pytest.raises(ParameterError, match="closed forms describe unconditioned runs"):
+                call()
+
     def test_unknown_summary_column_rejected(self, monkeypatch):
         # a summary column outside report.COLUMNS fails as run_row's would
         summarize = agemon.experiments.summarize
@@ -241,11 +252,12 @@ def test_time_scale_relation(config, periods, require_delivery):
     lam, mu, nu, r = config
     taus = [map_threshold(lam, nu), r / 2]
     params = SimParams(*config, periods=periods, master_seed=SEED, require_delivery=require_delivery)
-    base, closed = measure(params, taus), measure(params, taus, with_sim=False)
+    # the closed forms describe unconditioned runs, so they are measured without the conditioning
+    base, closed = measure(params, taus), measure(replace(params, require_delivery=False), taus, with_sim=False)
     for c in (2.0, 0.5, 1024.0, 2.0**-7):
         params = SimParams(lam / c, mu / c, nu / c, r * c, periods=periods, master_seed=SEED,
                            require_delivery=require_delivery)
         scaled_taus = [tau * c for tau in taus]
         assert_time_scaled(measure(params, scaled_taus), base, c, SCALED_COLUMNS, INVARIANT_COLUMNS)
-        assert_time_scaled(measure(params, scaled_taus, with_sim=False), closed, c,
+        assert_time_scaled(measure(replace(params, require_delivery=False), scaled_taus, with_sim=False), closed, c,
                            SCALED_CLOSED_FORMS, INVARIANT_CLOSED_FORMS)

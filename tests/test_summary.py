@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -248,6 +249,22 @@ class TestDeliveryGroups:
             peak = traced_peak(lambda: table.error_columns(MAP_TAU))
         assert peak < 0.25 * 8 * timeline.arrival_times.size
 
+    def test_scoring_many_thresholds_peaks_at_a_chunk(self, timeline):
+        # 200 thresholds are scored in chunks of k = _SCORE_CELLS // periods
+        # (21 here) through one group buffer, so above the group buffer and
+        # the per-period allowance of one threshold the peak is a few of one
+        # chunk's (3, k, periods) columns (1.5 MB), never one per threshold
+        # (200 x 3 x 3000 x 8 B = 14.4 MB) nor per delivery. Measured at the
+        # default group: 0.52 + 0.59 MB + 2.5 chunks; 43 MB with no chunks.
+        table = period_table(timeline)
+        taus = np.linspace(0.5, 30.0, 200).tolist()
+        k = agemon.summary._SCORE_CELLS // table.lengths.size
+        assert len(taus) > 9 * k
+        chunk = 3 * k * table.lengths.size * 8
+        peak = traced_peak(lambda: summarize(table, taus))
+        group = 8 * agemon.summary._GROUP_DELIVERIES
+        assert peak < group + 0.25 * 8 * timeline.arrival_times.size + 3 * chunk
+
     @pytest.mark.parametrize("require_delivery", [False, True])
     def test_group_size_changes_no_bit(self, require_delivery):
         # two blocks; at nu = 0.04 about 4% of faithful periods deliver
@@ -272,6 +289,45 @@ class TestDeliveryGroups:
                 got = columns()
             for a, b in zip(got, want, strict=True):
                 assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+class TestBatchScoring:
+    # A call's thresholds are scored together (summarize in chunks of
+    # _SCORE_CELLS // periods), and each must read exactly as if it were
+    # scored alone, whatever the group and chunk sizes
+    @pytest.fixture(scope="class", params=[False, True], ids=["faithful", "conditioned"])
+    def table(self, request):
+        # the regime of test_group_size_changes_no_bit: at nu = 0.04 about 4%
+        # of faithful periods deliver nothing, none of the conditioned ones,
+        # and many deliver more than 2**6
+        params = SimParams(lam=1.0, mu=1.0, nu=0.04, r=5.0, periods=1000, master_seed=SEED,
+                           require_delivery=request.param)
+        table = period_table(simulate(params))
+        assert (table.counts == 0).any() != request.param
+        assert table.counts.max() > 2**6
+        return table
+
+    def test_each_threshold_reads_as_if_scored_alone(self, table):
+        gaps = np.sort(table.gaps)
+        inside = [float(gaps[gaps.size // 2]), float(gaps[-gaps.size // 50]), 0.5 * float(gaps[-1])]
+        # unsorted, with duplicates, 0, inf and one above every gap; 11 of
+        # them, so chunks of 2 leave a partial last chunk
+        taus = [inside[1], 0.0, math.inf, 2.0 * float(gaps[-1]), inside[0], inside[1], 4.0, math.inf,
+                inside[2], 0.0, 1.0]
+        alone = [table.error_columns(tau) for tau in taus]
+        rows = [hex_fields(summary) for tau in taus for summary in summarize(table, [tau])]
+        periods = table.lengths.size
+        for group in (1, 2**6):
+            with mock.patch.multiple(agemon.summary, _GROUP_DELIVERIES=group, _SCORE_CELLS=2 * periods):
+                batch = table.error_columns(taus)
+                assert [hex_fields(summary) for summary in summarize(table, taus)] == rows
+            assert batch.shape == (3, len(taus), periods)
+            for k, want in enumerate(alone):
+                assert batch[:, k].tobytes() == want.tobytes(), (group, taus[k])
+        # and tau = inf raises no floating-point warning beside finite ones
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table.error_columns(taus)
 
 
 @pytest.mark.parametrize("r", sorted(GOLDEN))
@@ -328,9 +384,10 @@ class TestSummarizeRules:
         scored = []
         error_columns = agemon.summary.PeriodTable.error_columns
 
-        def counted(self, tau):
-            scored.append(tau)
-            return error_columns(self, tau)
+        # thresholds are scored in chunks: count the thresholds, not the calls
+        def counted(self, taus):
+            scored.extend(taus)
+            return error_columns(self, taus)
 
         monkeypatch.setattr(agemon.summary.PeriodTable, "error_columns", counted)
         summarize(table, rules, confidence)
