@@ -17,8 +17,8 @@ import numpy as np
 from .analytics import aoi_mm1, error_rate, error_rate_closed_form, failure_prior, map_threshold, mean_aoi_closed_form
 from .errors import ParameterError, check_params
 from .report import run_row
-from .sim import SimParams, simulate
-from .summary import check_confidence, period_table, summarize
+from .sim import SimParams
+from .summary import check_confidence, simulate_table, summarize
 
 SWEEP_VARIABLES = ("rho", "expected_T", "threshold")
 # checked before a grid is allocated; far above any grid the CLI uses by default
@@ -79,10 +79,11 @@ def measure(params: SimParams, taus=None, with_sim: bool = True, confidence: flo
     (it is scored as tau = inf) and its closed form is the failed-time
     prior. Every other threshold is scored as the rule "FAILED while
     z > tau" whose error rate `error_rate` gives. With `with_sim`, one
-    simulation and one period table serve every threshold, so differences
-    between rows are not simulation noise. confidence=None skips the
-    half-widths. Rows without a simulation refuse `require_delivery`: the
-    closed forms describe unconditioned runs.
+    simulation's period table, built run by run by `summary.simulate_table`
+    with no Timeline, serves every threshold, so differences between rows
+    are not simulation noise. confidence=None skips the half-widths. Rows
+    without a simulation refuse `require_delivery`: the closed forms
+    describe unconditioned runs.
     """
     if params.require_delivery and not with_sim:
         raise ParameterError("require_delivery needs a simulation: the closed forms describe unconditioned runs")
@@ -102,7 +103,7 @@ def measure(params: SimParams, taus=None, with_sim: bool = True, confidence: flo
             for tau, d, err in zip(taus, degenerate, errs)]
     if with_sim:
         scored = [math.inf if d else tau for tau, d in zip(taus, degenerate)]
-        for row, summary in zip(rows, summarize(period_table(simulate(params)), scored, confidence)):
+        for row, summary in zip(rows, summarize(simulate_table(params), scored, confidence)):
             row.update(summary)
             if len(row) > len(base):  # run_row's check, for summarize's columns
                 raise ParameterError(f"unknown columns {sorted(row.keys() - base.keys())}")

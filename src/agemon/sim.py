@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,8 +39,9 @@ from .errors import ParameterError, SimulationLimitError, check_params
 EVENT_CAP = 10**9
 
 # Expected packets per run, periods * (1 + lam/nu), allowed before anything
-# is drawn. The deliveries alone take 16 bytes each in a Timeline, so a run
-# beyond it could not be held in memory.
+# is drawn. The deliveries alone take 16 bytes each in a Timeline and 8 in
+# the period table `measure` builds without one, so a run beyond it could
+# not be held in memory.
 MAX_EXPECTED_PACKETS = 10**9
 
 # Expected rounds, (mu + nu) / mu, in which require_delivery redraws a lost
@@ -70,6 +71,12 @@ _LOCKSTEP_MIN_PERIODS = 8
 # departure and service buffers take 8 * _BLOCK_CELLS bytes each (8 bytes
 # per period if there are more periods). Not part of the contract either.
 _BLOCK_CELLS = 2**14
+
+# Packets of a group of whole periods (a longer period makes a group of
+# its own) over which a run draws its later services and compacts its
+# deliveries, and `summary` builds its per-delivery terms; bounds their
+# temporaries. Not part of any contract: any value gives the same bits.
+_GROUP_PACKETS = 2**14
 
 # The kinds of draw k of a block's streams spawn_key=(block, k)
 _CLOCKS, _FIRST_SERVICES, _GAPS, _COUNTS, _SERVICES = range(5)
@@ -310,8 +317,9 @@ def _departures(clocks: np.ndarray, counts: np.ndarray, total: float,
     min(T, C_i * (T / C_{N+1})) for i = 0..N: 0, then N sorted uniform times
     on [0, T]. The clip holds a departure at T when rounding pushes it past
     (its last spacings can be lost below half an ulp of the running sum),
-    and a span C_{N+1} that rounds to 0 puts every departure at 0. Every
-    slot of the buffer but the last becomes a departure, in place.
+    and a span C_{N+1} that rounds to 0 puts every departure at 0. The
+    buffer, less its last slot, becomes the departures in place and is
+    returned as an array of its own.
     """
     sums = np.empty(int(counts.sum()) + 1)
     sums[0] = total
@@ -322,23 +330,88 @@ def _departures(clocks: np.ndarray, counts: np.ndarray, total: float,
     marks = sums[np.cumsum(np.append(0, counts))]
     spans = marks[1:] - marks[:-1]
     scales = np.divide(clocks, spans, out=np.zeros(clocks.size), where=spans > 0)
-    departures = sums[:-1]
+    # no view of the buffer exists (see _grow for refcheck=False)
+    sums.resize(sums.size - 1, refcheck=False)
+    departures = sums
     departures -= np.repeat(marks[:-1], counts)
     departures *= np.repeat(scales, counts)
     np.minimum(departures, np.repeat(clocks, counts), out=departures)
     return departures, total
 
 
-def simulate(params: SimParams) -> Timeline:
-    """Run `params.periods` abutting periods starting at t = 0.
+def _groups(counts: np.ndarray):
+    """(a, b, lo, hi) for consecutive groups of whole slices of back-to-back
+    items: slices a..b-1, of counts[a:b] items each, hold items lo..hi-1, at
+    most _GROUP_PACKETS of them unless one slice alone holds more."""
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    a = 0
+    while a < counts.size:
+        b = max(a + 1, int(np.searchsorted(ends, starts[a] + _GROUP_PACKETS, side="right")))
+        yield a, b, int(starts[a]), int(ends[b - 1])
+        a = b
 
-    The result is a pure function of (master_seed, params), and block b
-    only draws from its own streams, so blocks built in any order and laid
-    end to end reproduce it bit for bit. All clocks are drawn first, then
-    each block's update counts (one Poisson call per block, from stream
-    k = 3), then its spacings and services in runs of about BLOCK_PACKETS
-    packets; each run's periods are queued in lockstep as soon as it is
-    drawn.
+
+def _services(rng: np.random.Generator, scale: float, firsts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The services of consecutive periods of one block, back to back: each
+    period's first service (drawn with its clock), then its later ones,
+    drawn from the block's stream k = 4 in period order; and one spare slot
+    past them for `_lindley_lockstep`. Each group of whole periods draws its
+    later services into one reused buffer and scatters them into place."""
+    services = np.empty(int(counts.sum()) + 1)
+    services[-1] = 0.0
+    drawn = np.empty(min(services.size, max(_GROUP_PACKETS, int(counts.max()))))
+    for a, b, lo, hi in _groups(counts):
+        heads = np.cumsum(counts[a:b]) - counts[a:b]
+        later = np.ones(hi - lo, dtype=bool)
+        later[heads] = False
+        part = drawn[:hi - lo - (b - a)]
+        rng.standard_exponential(out=part)
+        part *= scale  # _exponential's draw, bit for bit
+        group = services[lo:hi]
+        group[later] = part
+        group[heads] = firsts[a:b]
+    return services
+
+
+def _compact(buffers, counts, kept, offsets) -> int:
+    """Move the first kept[p] values of each of the back-to-back slices of
+    counts[p] values of every buffer to its front, in place, offsets[p]
+    added; return their number. Group by group, so no temporary spans the
+    run."""
+    size = 0
+    for a, b, lo, hi in _groups(counts):
+        delivered = _prefix_mask(kept[a:b], counts[a:b])
+        shifts = np.repeat(offsets[a:b], kept[a:b])
+        for values in buffers:
+            part = values[lo:hi][delivered]
+            part += shifts
+            values[size:size + part.size] = part
+        size += shifts.size
+    return size
+
+
+def _grow(array: np.ndarray, part: np.ndarray) -> None:
+    """Append part to array in place. refcheck=False is safe: callers hold
+    no view of `array` across the call. The check itself would fail under
+    any sys.setprofile hook (cProfile, sampling profilers), which holds the
+    bound resize method and so one more array reference."""
+    size = array.size
+    array.resize(size + part.size, refcheck=False)
+    array[size:] = part
+
+
+def _simulation(params: SimParams):
+    """(the per-period arrays, as a Timeline with no deliveries; the run
+    loop, a generator).
+
+    Every limit is checked and every clock drawn before this returns. The
+    run loop fills generated_counts and delivered_counts and yields, run
+    by run, (i, j, generations, arrivals): the absolute generation and
+    arrival times of the deliveries of periods i..j-1: the run's two
+    packet buffers, compacted in place and shrunk to the deliveries. A
+    consumer may write over them; the loop drops them before it draws the
+    next run.
     """
     n = params.periods
     expected = n * (1.0 + params.lam / params.nu)
@@ -365,75 +438,81 @@ def simulate(params: SimParams) -> Timeline:
     # each recovery end failure + r, as one period after another computes them
     bounds = np.cumsum(np.column_stack((times_to_failure, np.full(n, params.r))))
     failure_times, recovery_ends = bounds.reshape(n, 2).T.copy()
-    start_times = np.concatenate(([0.0], recovery_ends[:-1]))
-    generated_counts = np.empty(n, dtype=np.int64)
-    delivered_counts = np.empty(n, dtype=np.int64)
-    # A simulation of one run keeps that run's arrays. Those of several
-    # runs grow in place run by run: a final concatenation of per-run parts
-    # would briefly hold the largest arrays twice, and growing the first
-    # run's arrays, which sit among its temporaries, raised the peak RSS of
-    # 25 dense two-run simulations in one process from 110 to 112-121 MB.
-    arrival_times = np.empty(0)
-    arrival_generations = np.empty(0)
+    periods = Timeline(
+        params=params,
+        start_times=np.concatenate(([0.0], recovery_ends[:-1])),
+        failure_times=failure_times,
+        recovery_ends=recovery_ends,
+        times_to_failure=times_to_failure,
+        arrival_times=np.empty(0),
+        arrival_generations=np.empty(0),
+        delivered_counts=np.empty(n, dtype=np.int64),
+        generated_counts=np.empty(n, dtype=np.int64),
+    )
+    return periods, _runs(periods, first_services)
+
+
+def _runs(periods: Timeline, first_services: np.ndarray):
+    """The run loop of `_simulation`."""
+    params = periods.params
+    n = params.periods
+    clocks, generated_counts = periods.times_to_failure, periods.generated_counts
     for block, lo in enumerate(range(0, n, PERIODS_PER_BLOCK)):
         hi = min(lo + PERIODS_PER_BLOCK, n)
         gaps_rng, counts_rng, services_rng = (
             _stream(params.master_seed, block, kind) for kind in (_GAPS, _COUNTS, _SERVICES)
         )
         # the update at the period start and a Poisson number after it
-        generated_counts[lo:hi] = counts_rng.poisson(params.lam * times_to_failure[lo:hi]) + 1
+        generated_counts[lo:hi] = counts_rng.poisson(params.lam * clocks[lo:hi]) + 1
         # runs of consecutive periods of about BLOCK_PACKETS packets
         heads = np.cumsum(generated_counts[lo:hi]) - generated_counts[lo:hi]
         cuts = lo + 1 + np.flatnonzero(np.diff(heads // BLOCK_PACKETS))
         total = 0.0
         for i, j in zip((lo, *cuts.tolist()), (*cuts.tolist(), hi)):
             counts = generated_counts[i:j]
-            departures, total = _departures(times_to_failure[i:j], counts, total, gaps_rng)
-            heads = np.cumsum(counts) - counts
-            later = departures.size - (j - i)
-            # each period's first service was drawn with its clock; the
-            # spare slot at the end lets the lockstep solve the queues in
-            # place, so the services become the arrivals
-            arrivals = _lindley_lockstep(departures, np.insert(
-                _exponential(services_rng, 1.0 / params.mu, later),
-                np.append(heads - np.arange(j - i), later), np.append(first_services[i:j], 0.0),
-            ), counts)
+            # the departures are laid out before the services are allocated,
+            # so a run holds at most two packet-length arrays
+            generations, total = _departures(clocks[i:j], counts, total, gaps_rng)
+            arrivals = _services(services_rng, 1.0 / params.mu, first_services[i:j], counts)
+            # the services become the arrivals in place
+            _lindley_lockstep(generations, arrivals, counts)
             # arrivals increase within a period, so the delivered packets
             # (a_k <= T) are a prefix of each period's packets
-            delivered_counts[i:j] = _prefix_lengths(arrivals, heads, counts, times_to_failure[i:j])
-            delivered = _prefix_mask(delivered_counts[i:j], counts)
-            generations = departures[delivered]
-            del departures
-            arrivals = arrivals[delivered]
-            del delivered
-            offsets = np.repeat(start_times[i:j], delivered_counts[i:j])
-            generations += offsets
-            arrivals += offsets
-            del offsets
-            if j - i == n:
-                # the only run: its arrays are the timeline's
-                arrival_times, arrival_generations = arrivals, generations
-                break
-            kept = arrival_times.size
-            # refcheck=False is safe: both arrays are locals and no view of
-            # them outlives a statement. The check itself would fail under
-            # any sys.setprofile hook (cProfile, sampling profilers), which
-            # holds the bound resize method and so one more array reference.
-            arrival_times.resize(kept + arrivals.size, refcheck=False)
-            arrival_generations.resize(kept + arrivals.size, refcheck=False)
-            arrival_times[kept:] = arrivals
-            arrival_generations[kept:] = generations
-            # freed before the next run is drawn, so no two runs' packet
+            kept = periods.delivered_counts[i:j]
+            kept[:] = _prefix_lengths(arrivals, np.cumsum(counts) - counts, counts, clocks[i:j])
+            size = _compact((generations, arrivals), counts, kept, periods.start_times[i:j])
+            # no view of either buffer exists (see _grow for refcheck=False)
+            generations.resize(size, refcheck=False)
+            arrivals.resize(size, refcheck=False)
+            yield i, j, generations, arrivals
+            # dropped before the next run is drawn, so no two runs' packet
             # arrays are live at once and the next run's reuse their memory
-            del arrivals, generations
-    return Timeline(
-        params=params,
-        start_times=start_times,
-        failure_times=failure_times,
-        recovery_ends=recovery_ends,
-        times_to_failure=times_to_failure,
-        arrival_times=arrival_times,
-        arrival_generations=arrival_generations,
-        delivered_counts=delivered_counts,
-        generated_counts=generated_counts,
-    )
+            del generations, arrivals
+
+
+def simulate(params: SimParams) -> Timeline:
+    """Run `params.periods` abutting periods starting at t = 0.
+
+    The result is a pure function of (master_seed, params), and block b
+    only draws from its own streams, so blocks built in any order and laid
+    end to end reproduce it bit for bit. All clocks are drawn first, then
+    each block's update counts (one Poisson call per block, from stream
+    k = 3), then its spacings and services in runs of about BLOCK_PACKETS
+    packets; each run's periods are queued in lockstep as soon as it is
+    drawn (`_simulation`).
+    """
+    timeline, runs = _simulation(params)
+    # A simulation of one run keeps that run's arrays. Those of several
+    # runs grow in place run by run: a final concatenation of per-run parts
+    # would briefly hold the largest arrays twice, and growing the first
+    # run's arrays, which sit among its temporaries, raised the peak RSS of
+    # 25 dense two-run simulations in one process from 110 to 112-121 MB.
+    arrival_times, arrival_generations = timeline.arrival_times, timeline.arrival_generations
+    for i, j, generations, arrivals in runs:
+        if j - i == params.periods:
+            arrival_times, arrival_generations = arrivals, generations
+        else:
+            _grow(arrival_times, arrivals)
+            _grow(arrival_generations, generations)
+        del generations, arrivals
+    return replace(timeline, arrival_times=arrival_times, arrival_generations=arrival_generations)

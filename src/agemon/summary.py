@@ -12,10 +12,15 @@ there is no time discretization anywhere.
 Deliveries are stored period after period, so cumsum(delivered_counts)
 locates each period's own arrival gaps: a per-period integral is one piece
 from the last earlier arrival plus one `np.add.reduceat` of its own gaps.
-The per-delivery terms of those sums are built over groups of whole
-periods with a bounded number of deliveries, so beyond the timeline the
-table holds one per-delivery array (the gaps, each period's last one cut
-at its slice end) and no stage holds a temporary that spans the run.
+The table is built in two parts: `_run_rows` reads each period's first
+and last arrival, its age at the last one and its r2 area off a run's
+deliveries, and writes their gaps; `_finish` clips the edges and adds the
+r1 and r3 trapezoids in O(periods). `period_table` reads a timeline as
+one run; `simulate_table` reads each simulated run as soon as it is
+queued, and no Timeline is built. The per-delivery terms are built over
+groups of whole periods with a bounded number of deliveries, so the table
+holds one per-delivery array (the gaps, each period's last one cut at its
+slice end) and no stage holds a temporary that spans the run.
 
 Every reported number is a column sum of the table or a ratio of such
 sums: the mean age sums the slice areas, the region averages sum the region
@@ -32,14 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sim
 from .errors import EmptyTimelineError, ParameterError, check_params
 from .sim import SimParams, Timeline
 
-
-# Deliveries per group of whole periods that the per-delivery terms are
-# built over; bounds their temporaries. Not part of any contract: any value
-# gives the same table.
-_GROUP_DELIVERIES = 2**16
 # Per-period cells of a chunk of thresholds that `summarize` scores in one
 # call, bounding its (3, thresholds, periods) columns; any value, same bits.
 _SCORE_CELLS = 2**16
@@ -124,7 +125,7 @@ class PeriodTable:
         flip = np.maximum(start, before + tau)
         est_failed = np.clip(np.where(self.counts > 0, cut, end) - flip, 0.0, None)
         # and of the slice's own gaps, the last one already cut at the slice end
-        buffer = np.empty(min(self.gaps.size, max(_GROUP_DELIVERIES, int(self.counts.max()))))
+        buffer = np.empty(min(self.gaps.size, max(sim._GROUP_PACKETS, int(self.counts.max()))))
 
         def beyond(lo, hi, i):
             part = np.subtract(self.gaps[lo:hi], tau[i, 0], out=buffer[:hi - lo])
@@ -145,75 +146,120 @@ def _add_period_sums(sums, counts, pieces):
     `sums`, period p's sum of pieces(lo, hi, i), an array of one term per
     delivery in [lo, hi) of its deliveries, if it has any.
 
-    The deliveries are taken in groups of whole periods with at most
-    _GROUP_DELIVERIES of them (a longer period alone), each group's rows in
-    turn, so no temporary spans the run. Each period is one
-    `np.add.reduceat` segment of its own terms, whatever group it falls in,
-    so the grouping changes no bit.
+    The deliveries are taken in groups of whole periods (`sim._groups`),
+    each group's rows in turn, so no temporary spans the run. Each period
+    is one `np.add.reduceat` segment of its own terms, whatever group it
+    falls in, so the grouping changes no bit.
     """
     delivered = np.flatnonzero(counts)
-    ends = np.cumsum(counts)[delivered]
-    starts = ends - counts[delivered]
-    a = 0
-    while a < delivered.size:
-        b = max(a + 1, int(np.searchsorted(ends, starts[a] + _GROUP_DELIVERIES, side="right")))
-        lo, hi = starts[a], ends[b - 1]
-        offsets = starts[a:b] - lo
+    starts = np.cumsum(counts)[delivered] - counts[delivered]
+    for a, b, lo, hi in sim._groups(counts[delivered]):
         for i, row in enumerate(sums):
-            row[delivered[a:b]] += np.add.reduceat(pieces(lo, hi, i), offsets)
-        a = b
+            row[delivered[a:b]] += np.add.reduceat(pieces(lo, hi, i), starts[a:b] - lo)
 
 
-def period_table(timeline: Timeline) -> PeriodTable:
-    """The rule-independent columns of a timeline's period table. Ages are
-    integrated from reset ages, not absolute generation times, which stays
-    well conditioned on long runs."""
-    arrivals, generations = timeline.arrival_times, timeline.arrival_generations
-    if arrivals.size == 0:
+def _run_rows(arrivals, generations, counts, failures, ends, rows, gaps) -> None:
+    """Read one run's rows off its deliveries: consecutive periods with
+    counts[p] deliveries each, period after period.
+
+    For each period that delivered, rows (4, periods) gets its first
+    arrival, its last arrival, the age at its last arrival and its r2 area:
+    the sum of its own gap trapezoids from its first arrival, the last gap
+    cut at its failure. `gaps` gets each delivery's gap to the next one in
+    its period, the last one cut at the period's recovery end (its slice
+    end). `gaps` may be `generations` itself: a group's ages are read
+    before its gaps are written over them.
+    """
+    delivered = np.flatnonzero(counts)
+    last = np.cumsum(counts)[delivered] - 1
+    starts = last + 1 - counts[delivered]
+    rows[0, delivered] = arrivals[starts]
+    rows[1, delivered] = arrivals[last]
+    rows[2, delivered] = arrivals[last] - generations[last]
+    for a, b, lo, hi in sim._groups(counts[delivered]):
+        ages = arrivals[lo:hi] - generations[lo:hi]
+        part = gaps[lo:hi]
+        np.subtract(arrivals[lo + 1:hi], arrivals[lo:hi - 1], out=part[:-1])
+        tails, group = last[a:b], delivered[a:b]
+        part[tails - lo] = failures[group] - arrivals[tails]
+        rows[3, group] += np.add.reduceat(_age_area(part, ages), starts[a:b] - lo)
+        part[tails - lo] = ends[group] - arrivals[tails]
+
+
+def _finish(periods: Timeline, rows, gaps) -> PeriodTable:
+    """The period table from the per-period arrays of `periods` (its
+    deliveries are not read), the rows `_run_rows` read off every run and
+    the gaps, in O(periods): the edges clipped to the measured span [first
+    arrival, end of run], the r1 and r3 trapezoids and the region masks."""
+    counts = periods.delivered_counts
+    delivered = counts > 0
+    if not delivered.any():
         raise EmptyTimelineError("timeline has no deliveries; the age is undefined")
+    firsts, lasts, last_ages, r2 = rows
     # the age is undefined before the first arrival
-    m0, m1 = float(arrivals[0]), timeline.end_time
+    first = int(delivered.argmax())
+    m0, m1 = float(firsts[first]), periods.end_time
     if not m1 > m0:
         raise EmptyTimelineError("zero-length measured span has no average")
-    gaps = np.empty_like(arrivals)
-    np.subtract(arrivals[1:], arrivals[:-1], out=gaps[:-1])
-    counts = timeline.delivered_counts
-    heads = np.cumsum(counts) - counts
-    delivered = counts > 0
     # r1 ends at the first delivery, or at the failure when nothing was delivered
-    cut = np.where(delivered, arrivals[np.minimum(heads, arrivals.size - 1)], timeline.failure_times)
-    edges = np.clip(
-        np.vstack((timeline.start_times, cut, timeline.failure_times, timeline.recovery_ends)), m0, m1
-    )
-    # the last arrival before the period's own deliveries and its last one
-    # (the same one when it has none); -1 before the first arrival
-    last = np.vstack((heads, heads + counts)) - 1
-    at = np.maximum(last, 0)
-    ages = arrivals[at] - generations[at]
-    region_areas = np.zeros((3, edges.shape[1]))
+    cut = np.where(delivered, firsts, periods.failure_times)
+    edges = np.clip(np.vstack((periods.start_times, cut, periods.failure_times, periods.recovery_ends)), m0, m1)
+    # the last period that delivered before each period and up to it (the
+    # same one when it delivered nothing); -1 before the first delivery
+    through = np.maximum.accumulate(np.where(delivered, np.arange(counts.size), -1))
+    last = np.vstack((np.append(-1, through[:-1]), through))
+    # -1 reads the first delivering period: those regions are empty
+    at = np.maximum(last, first)
+    region_areas = np.zeros((3, counts.size))
     # r1 and r3 hold no arrival: one trapezoid each, from the last one before them
-    region_areas[::2] = _age_area(edges[1::2] - edges[::2], ages + (edges[::2] - arrivals[at]))
-    # r2 is the sum of the period's own gap trapezoids, the last one cut at
-    # the failure; the table keeps that gap cut at the slice end
-    tails = at[1][delivered]
-    gaps[tails] = edges[2][delivered] - arrivals[tails]
-    _add_period_sums(region_areas[1:2], counts,
-                     lambda lo, hi, _: _age_area(gaps[lo:hi], arrivals[lo:hi] - generations[lo:hi]))
-    gaps[tails] = edges[3][delivered] - arrivals[tails]
+    region_areas[::2] = _age_area(edges[1::2] - edges[::2], last_ages[at] + (edges[::2] - lasts[at]))
+    region_areas[1] = r2
     region_times = edges[1:] - edges[:3]
     region_areas = np.where(region_times > 0, region_areas, 0.0)
     return PeriodTable(
-        params=timeline.params,
+        params=periods.params,
         measured_time=m1 - m0,
         lengths=edges[3] - edges[0],
         areas=region_areas.sum(axis=0),
         region_times=region_times,
         region_areas=region_areas,
         edges=edges,
-        last_arrivals=np.where(last >= 0, arrivals[at], -np.inf),
+        last_arrivals=np.where(last >= 0, lasts[at], -np.inf),
         counts=counts,
         gaps=gaps,
     )
+
+
+def period_table(timeline: Timeline) -> PeriodTable:
+    """The rule-independent columns of a timeline's period table: the
+    timeline read as one run, into a fresh `gaps`, so the timeline's arrays
+    are left as they are. Ages are integrated from reset ages, not absolute
+    generation times, which stays well conditioned on long runs."""
+    rows = np.zeros((4, timeline.delivered_counts.size))
+    gaps = np.empty_like(timeline.arrival_times)
+    _run_rows(timeline.arrival_times, timeline.arrival_generations, timeline.delivered_counts,
+              timeline.failure_times, timeline.recovery_ends, rows, gaps)
+    return _finish(timeline, rows, gaps)
+
+
+def simulate_table(params: SimParams) -> PeriodTable:
+    """period_table(simulate(params)), bit for bit, with no Timeline: each
+    run's rows are read off its deliveries as soon as it is queued, and its
+    gaps are written over its generations, which become (or are appended
+    to) the table's `gaps`. Beyond the per-period columns the table keeps 8
+    bytes per delivery, and a run holds at most its two packet buffers."""
+    periods, runs = sim._simulation(params)
+    rows = np.zeros((4, params.periods))
+    gaps = np.empty(0)
+    for i, j, generations, arrivals in runs:
+        _run_rows(arrivals, generations, periods.delivered_counts[i:j], periods.failure_times[i:j],
+                  periods.recovery_ends[i:j], rows[:, i:j], generations)
+        if j - i == params.periods:
+            gaps = generations
+        else:
+            sim._grow(gaps, generations)
+        del generations, arrivals
+    return _finish(periods, rows, gaps)
 
 
 def check_confidence(confidence: float | None) -> None:

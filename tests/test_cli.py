@@ -154,7 +154,7 @@ class TestErrors:
         def no_simulation(params):
             raise AssertionError("simulated before rho was checked")
 
-        monkeypatch.setattr(agemon.experiments, "simulate", no_simulation)
+        monkeypatch.setattr(agemon.experiments, "simulate_table", no_simulation)
         status, _, err = run(capsys, "simulate", "--lambda", "2.0", *FAST)
         assert status == 1
         assert "rho" in err
@@ -208,7 +208,7 @@ class TestErrors:
         def no_simulation(params):
             raise AssertionError("simulated before the analytic column was checked")
 
-        monkeypatch.setattr(agemon.experiments, "simulate", no_simulation)
+        monkeypatch.setattr(agemon.experiments, "simulate_table", no_simulation)
         status, _, err = run(capsys, "sweep-threshold", *FAST, "--recovery", "0")
         assert status == 1
         assert "error:" in err and "r must be > 0" in err
@@ -218,7 +218,7 @@ class TestErrors:
         def no_simulation(params):
             raise AssertionError("simulated before the recovery was checked")
 
-        monkeypatch.setattr(agemon.experiments, "simulate", no_simulation)
+        monkeypatch.setattr(agemon.experiments, "simulate_table", no_simulation)
         status, _, err = run(capsys, "validate", "--periods", "10000", "--recovery", "0")
         assert status == 1
         assert "error:" in err and "r > 0" in err
@@ -228,7 +228,7 @@ class TestErrors:
         def no_simulation(params):
             raise AssertionError("simulated before the resample count was checked")
 
-        monkeypatch.setattr(agemon.experiments, "simulate", no_simulation)
+        monkeypatch.setattr(agemon.experiments, "simulate_table", no_simulation)
         status, _, err = run(capsys, *argv, "--resamples", "-5")
         assert status == 1
         assert "error: resamples must be >= 0, got -5" in err
@@ -240,7 +240,7 @@ class TestErrors:
         def reached(params):
             raise ParameterError("reached the simulation")
 
-        monkeypatch.setattr(agemon.experiments, "simulate", reached)
+        monkeypatch.setattr(agemon.experiments, "simulate_table", reached)
         status, _, err = run(capsys, *argv, "--resamples", "1000000000000")
         assert status == 1
         assert err == NOTE.format(1000000000000) + "error: reached the simulation\n"
@@ -251,7 +251,7 @@ class TestErrors:
         def reached(params):
             raise ParameterError("reached the simulation")
 
-        monkeypatch.setattr(agemon.experiments, "simulate", reached)
+        monkeypatch.setattr(agemon.experiments, "simulate_table", reached)
         status, _, err = run(capsys, *argv, "--resamples", str(MAX_RESAMPLES))
         assert status == 1
         assert "error: reached the simulation" in err

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import agemon.experiments
+import agemon.sim
+import agemon.summary
 from agemon import (
     ParameterError,
     SimParams,
@@ -14,6 +16,7 @@ from agemon import (
 )
 from agemon.analytics import error_rate
 from agemon.experiments import MAX_GRID_POINTS, measure
+from agemon.summary import simulate_table
 from conftest import DEFAULTS, SEED
 from reference import quadrature_error_rates
 
@@ -123,9 +126,24 @@ class TestMeasure:
         [row] = measure(fixed(), with_sim=False)
         assert row["err_analytic"] == error_rate_closed_form(lam, nu, r)
 
+    def test_simulation_is_reached_through_simulate_table(self, monkeypatch):
+        # The tests that stub the simulation out patch this name
+        # (test_cli's, test_oracle's and the one below); if measure reached
+        # the simulation another way, those stubs would check nothing. It
+        # builds no Timeline: simulate and period_table are never called.
+        calls = []
+        monkeypatch.setattr(agemon.experiments, "simulate_table",
+                            lambda params: calls.append(params) or simulate_table(params))
+        monkeypatch.setattr(agemon.sim, "simulate", None)
+        monkeypatch.setattr(agemon.summary, "period_table", None)
+        params = fixed()
+        rows = measure(params, [1.0, 2.0])
+        assert calls == [params]
+        assert [row["aoi_empirical"] for row in rows] == [simulate_table(params).aoi] * 2
+
     def test_analytic_only_rows_build_no_rule(self, monkeypatch):
         # nothing is scored: neither a period table nor a summary is built
-        monkeypatch.setattr(agemon.experiments, "period_table", None)
+        monkeypatch.setattr(agemon.experiments, "simulate_table", None)
         monkeypatch.setattr(agemon.experiments, "summarize", None)
         rows = measure(fixed(), [1.0, 2.0, 30.0], with_sim=False, swept_var="threshold")
         assert [row["swept_var"] for row in rows] == ["threshold"] * 3

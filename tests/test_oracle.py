@@ -466,8 +466,8 @@ class TestCrossCheck:
         def no_simulation(params):
             raise AssertionError("simulated before the rule's error rate")
 
-        # the `simulate` that monte_carlo_cross_check calls, wherever it lives
-        monkeypatch.setitem(monte_carlo_cross_check.__globals__, "simulate", no_simulation)
+        # the simulation that monte_carlo_cross_check reaches, wherever it lives
+        monkeypatch.setitem(monte_carlo_cross_check.__globals__, "simulate_table", no_simulation)
         params = SimParams(**{**DEFAULTS, "r": 1500.0}, periods=10_000, master_seed=SEED)
         with pytest.raises(ParameterError, match="tau must be >= 0"):
             monte_carlo_cross_check(params, tau=math.nan, confidence=None)

@@ -484,12 +484,14 @@ class TestBatchedSimulate:
     def test_default_run_working_set(self):
         # One unpatched simulate at the defaults: 3000 periods, one run. Its
         # traced peak above the returned arrays, in units of the run's
-        # packet bytes (8 bytes per generated packet): at most three
-        # packet-length float arrays are live at once, and two of them
-        # become the timeline's delivered arrivals and generations. Measured
-        # at this seed: 1.24x with the gaps summed in their draw buffer, the
-        # services solved in place and the run's arrays kept as the
-        # timeline's; 2.04x when slot-length temporaries laid out the
+        # packet bytes (8 bytes per generated packet): at most two
+        # packet-length float arrays are live at once, the departures and
+        # the services, and they become the timeline's delivered
+        # generations and arrivals in place. Measured at this seed: 0.33x
+        # with the later services drawn group by group into the laid-out
+        # buffer and the deliveries compacted in place; 1.22x with one
+        # run-length draw laid out by np.insert and masked copies of the
+        # deliveries; 2.04x when slot-length temporaries laid out the
         # departures and the timeline was a zero-filled copy of the run.
         params = SimParams(**DEFAULTS, periods=3000, master_seed=SEED)
         simulate(SimParams(**DEFAULTS, periods=1))
@@ -500,7 +502,7 @@ class TestBatchedSimulate:
         finally:
             tracemalloc.stop()
         own = sum(getattr(tl, f.name).nbytes for f in dataclasses.fields(tl) if f.name != "params")
-        assert peak - own < 1.5 * 8 * int(tl.generated_counts.sum())
+        assert peak - own < 0.5 * 8 * int(tl.generated_counts.sum())
 
 
 class TestStreamContract:
@@ -712,11 +714,12 @@ class TestDistributions:
         (lam/nu)^2 - (lam/nu)^2 over the periods. The departures after each
         period's first, over T, pass a KS test of uniformity."""
         lam, nu = DEFAULTS["lam"], DEFAULTS["nu"]
-        drawn, departures = [], sim._departures
+        uniforms, departures = [], sim._departures
 
         def recorded(clocks, counts, total, rng):
             out, total = departures(clocks, counts, total, rng)
-            drawn.append((np.repeat(clocks, counts), out, np.cumsum(counts) - counts))
+            # read now: the run compacts its deliveries into `out` in place
+            uniforms.append(np.delete(out / np.repeat(clocks, counts), np.cumsum(counts) - counts))
             return out, total
 
         with mock.patch.object(sim, "_departures", recorded):
@@ -724,7 +727,6 @@ class TestDistributions:
         excess = tl.generated_counts - 1 - lam * tl.times_to_failure
         assert abs(excess.mean()) < 3 * excess.std(ddof=1) / math.sqrt(excess.size)
         assert abs(excess.var(ddof=1) / (lam / nu) - 1) < 0.07
-        uniforms = [np.delete(out / clocks, heads) for clocks, out, heads in drawn]
         sample = np.concatenate(uniforms)
         assert sample.size == (tl.generated_counts - 1).sum()
         assert stats.kstest(sample, "uniform").pvalue > 0.01

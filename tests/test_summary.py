@@ -17,7 +17,7 @@ from agemon import (
 )
 from agemon.report import COLUMNS, project, run_row
 from agemon.experiments import measure
-from agemon.summary import _ratio_halfwidth
+from agemon.summary import _ratio_halfwidth, simulate_table
 from conftest import DEFAULTS, MAP_TAU, SEED, empirical_columns, manual_timeline
 from reference import age_pieces, bootstrap_halfwidths
 
@@ -234,18 +234,42 @@ class TestDeliveryGroups:
 
     def test_period_table_holds_one_delivery_array(self, timeline):
         # Above its inputs the table keeps `gaps` (1x of 8 B per delivery)
-        # and a few per-period columns. Measured: 1.26x with the terms built
+        # and a few per-period columns. Measured: 1.28x with the terms built
         # per group; 3.2x when ages, gaps, the concatenated copy np.diff
         # makes and the trapezoids of the whole run were live at once.
-        with mock.patch.object(agemon.summary, "_GROUP_DELIVERIES", self.GROUP):
+        with mock.patch.object(sim, "_GROUP_PACKETS", self.GROUP):
             peak = traced_peak(lambda: period_table(timeline))
         assert peak < 1.5 * 8 * timeline.arrival_times.size
+
+    def test_run_by_run_table_peak(self, timeline):
+        # simulate_table at 3000 default periods (one run), in units of 8 B
+        # per generated packet: the run's departures and services (2x),
+        # the lockstep's block buffers and per-period arrays. Measured:
+        # 2.41x; 3.31x for period_table(simulate()), which a simulate_table
+        # that built the Timeline first would take.
+        params = timeline.params
+        peak = traced_peak(lambda: simulate_table(params))
+        assert peak < 2.75 * 8 * int(timeline.generated_counts.sum())
+
+    # 3000 default periods in 74 or 19 runs
+    @pytest.mark.parametrize("block", [2**12, 2**14])
+    def test_run_by_run_table_holds_no_run_past_its_turn(self, timeline, block):
+        # Above the table's own arrays the peak is the lockstep's block
+        # buffers, one run's buffers and per-period temporaries, whatever
+        # the number of runs. Measured: 0.19x and 0.23x of 8 B per delivery
+        # with 74 and 19 runs; 2.2x for both with every run's buffers
+        # referenced to the end, and 2.2x with a Timeline built first.
+        with mock.patch.object(sim, "BLOCK_PACKETS", block):
+            table = simulate_table(timeline.params)
+            peak = traced_peak(lambda: simulate_table(timeline.params))
+        own = sum(value.nbytes for value in vars(table).values() if isinstance(value, np.ndarray))
+        assert peak - own < 0.5 * 8 * table.gaps.size
 
     def test_error_columns_peak_at_a_group(self, timeline):
         # Measured: 0.09x of 8 B per delivery, mostly per-period columns;
         # 1.09x when one clipped copy of every gap was made per rule.
         table = period_table(timeline)
-        with mock.patch.object(agemon.summary, "_GROUP_DELIVERIES", self.GROUP):
+        with mock.patch.object(sim, "_GROUP_PACKETS", self.GROUP):
             peak = traced_peak(lambda: table.error_columns(MAP_TAU))
         assert peak < 0.25 * 8 * timeline.arrival_times.size
 
@@ -262,7 +286,7 @@ class TestDeliveryGroups:
         assert len(taus) > 9 * k
         chunk = 3 * k * table.lengths.size * 8
         peak = traced_peak(lambda: summarize(table, taus))
-        group = 8 * agemon.summary._GROUP_DELIVERIES
+        group = 8 * sim._GROUP_PACKETS
         assert peak < group + 0.25 * 8 * timeline.arrival_times.size + 3 * chunk
 
     @pytest.mark.parametrize("require_delivery", [False, True])
@@ -285,10 +309,86 @@ class TestDeliveryGroups:
 
         want = columns()
         for group in (1, 2**6):
-            with mock.patch.object(agemon.summary, "_GROUP_DELIVERIES", group):
+            with mock.patch.object(sim, "_GROUP_PACKETS", group):
                 got = columns()
             for a, b in zip(got, want, strict=True):
                 assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+class TestRunByRunTable:
+    """simulate_table(params) builds period_table(simulate(params)) run by
+    run with no Timeline, and must equal it field for field, bit for bit,
+    whatever the runs, blocks and groups."""
+
+    @staticmethod
+    def table_or_message(build):
+        try:
+            return build()
+        except EmptyTimelineError as error:
+            return str(error)
+
+    def assert_same(self, params):
+        want = self.table_or_message(lambda: period_table(simulate(params)))
+        got = self.table_or_message(lambda: simulate_table(params))
+        if isinstance(want, str):
+            assert got == want
+            return
+        for field in dataclasses.fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field.name
+            else:
+                assert a == b, field.name
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lam=st.floats(0.05, 2.0),
+        mu=st.floats(0.2, 2.0),
+        nu=st.floats(0.01, 1.0),
+        r=st.floats(0.0, 30.0),
+        periods=st.integers(1, 60),
+        seed=st.integers(0, 2**64 - 1),
+        require_delivery=st.booleans(),
+        block_packets=st.sampled_from([1, 7, 64, sim.BLOCK_PACKETS]),
+        periods_per_block=st.sampled_from([1, 4, 16]),
+        group=st.sampled_from([1, 7, sim._GROUP_PACKETS]),
+    )
+    # rho = 4 >= 1
+    @example(lam=2.0, mu=0.5, nu=0.05, r=5.0, periods=40, seed=SEED, require_delivery=False,
+             block_packets=64, periods_per_block=16, group=7)
+    # runs of one period, the first six of which deliver nothing
+    @example(lam=0.05, mu=0.2, nu=0.5, r=1.0, periods=40, seed=13, require_delivery=False,
+             block_packets=1, periods_per_block=16, group=1)
+    def test_equals_period_table_of_simulate(self, lam, mu, nu, r, periods, seed, require_delivery,
+                                             block_packets, periods_per_block, group):
+        params = SimParams(lam=lam, mu=mu, nu=nu, r=r, periods=periods, master_seed=seed,
+                           require_delivery=require_delivery)
+        with mock.patch.object(sim, "BLOCK_PACKETS", block_packets), \
+                mock.patch.object(sim, "PERIODS_PER_BLOCK", periods_per_block), \
+                mock.patch.object(sim, "_GROUP_PACKETS", group):
+            self.assert_same(params)
+
+    def test_first_delivery_in_a_later_run(self):
+        # the measured span starts in the seventh of 40 one-period runs
+        params = SimParams(lam=0.05, mu=0.2, nu=0.5, r=1.0, periods=40, master_seed=13)
+        with mock.patch.object(sim, "BLOCK_PACKETS", 1), \
+                mock.patch.object(sim, "_departures", wraps=sim._departures) as runs:
+            counts = simulate(params).delivered_counts
+            assert runs.call_count == 40
+            assert counts[:6].tolist() == [0] * 6 and counts[6] > 0
+            self.assert_same(params)
+
+    def test_run_without_deliveries_raises_as_period_table(self):
+        params = SimParams(lam=0.01, mu=0.01, nu=5.0, r=1.0, periods=3, master_seed=SEED)
+        assert simulate(params).delivered_counts.sum() == 0
+        for build in (lambda: period_table(simulate(params)), lambda: simulate_table(params)):
+            with pytest.raises(EmptyTimelineError, match=r"^timeline has no deliveries; the age is undefined$"):
+                build()
+
+    def test_multi_block_default_table(self):
+        # 9000 default periods: three blocks, one run each, and the
+        # default group
+        self.assert_same(SimParams(**DEFAULTS, periods=9000, master_seed=SEED))
 
 
 class TestBatchScoring:
@@ -318,7 +418,8 @@ class TestBatchScoring:
         rows = [hex_fields(summary) for tau in taus for summary in summarize(table, [tau])]
         periods = table.lengths.size
         for group in (1, 2**6):
-            with mock.patch.multiple(agemon.summary, _GROUP_DELIVERIES=group, _SCORE_CELLS=2 * periods):
+            with mock.patch.object(sim, "_GROUP_PACKETS", group), \
+                    mock.patch.object(agemon.summary, "_SCORE_CELLS", 2 * periods):
                 batch = table.error_columns(taus)
                 assert [hex_fields(summary) for summary in summarize(table, taus)] == rows
             assert batch.shape == (3, len(taus), periods)
