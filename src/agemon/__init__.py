@@ -14,8 +14,8 @@ from .analytics import (
 from .errors import EmptyTimelineError, ParameterError, SimulationLimitError
 from .experiments import SweepSpec, monte_carlo_cross_check, run_sweep
 from .report import render_svg, write_csv
-from .sim import EVENT_CAP, SimParams, Timeline, simulate
-from .summary import PeriodTable, period_table, summarize
+from .sim import EVENT_CAP, SimParams
+from .summary import PeriodTable, simulate_table, summarize
 
 __version__ = "0.1.0"
 
@@ -27,18 +27,16 @@ __all__ = [
     "SimParams",
     "SimulationLimitError",
     "SweepSpec",
-    "Timeline",
     "aoi_mm1",
     "error_rate_closed_form",
     "failure_prior",
     "map_threshold",
     "mean_aoi_closed_form",
     "monte_carlo_cross_check",
-    "period_table",
     "region_means_closed_form",
     "render_svg",
     "run_sweep",
-    "simulate",
+    "simulate_table",
     "summarize",
     "write_csv",
 ]

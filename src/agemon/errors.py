@@ -16,7 +16,7 @@ class ParameterError(ValueError):
 
 
 class EmptyTimelineError(ValueError):
-    """An operation needs at least one delivered update and the timeline has none."""
+    """An operation needs at least one delivered update and the run has none."""
 
 
 class SimulationLimitError(RuntimeError):

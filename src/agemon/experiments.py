@@ -79,11 +79,11 @@ def measure(params: SimParams, taus=None, with_sim: bool = True, confidence: flo
     (it is scored as tau = inf) and its closed form is the failed-time
     prior. Every other threshold is scored as the rule "FAILED while
     z > tau" whose error rate `error_rate` gives. With `with_sim`, one
-    simulation's period table, built run by run by `summary.simulate_table`
-    with no Timeline, serves every threshold, so differences between rows
-    are not simulation noise. confidence=None skips the half-widths. Rows
-    without a simulation refuse `require_delivery`: the closed forms
-    describe unconditioned runs.
+    simulation's period table, built run by run by `summary.simulate_table`,
+    serves every threshold, so differences between rows are not simulation
+    noise. confidence=None skips the half-widths. Rows without a
+    simulation refuse `require_delivery`: the closed forms describe
+    unconditioned runs.
     """
     if params.require_delivery and not with_sim:
         raise ParameterError("require_delivery needs a simulation: the closed forms describe unconditioned runs")

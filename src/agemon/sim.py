@@ -16,17 +16,18 @@ The next period starts exactly at recovery completion.
 
 Periods are cut into blocks of PERIODS_PER_BLOCK, and block b draws only
 from its streams SeedSequence(master_seed, spawn_key=(b, k)), one per kind
-of draw k. `simulate` draws each stream in a few array calls per block,
-queues many periods in lockstep and keeps only the delivered packets. The
-test suite keeps a serial reference (tests/reference.py: each period drawn
-after the one before it) and checks that `simulate` reproduces it bit for bit.
+of draw k. `_simulation` draws each stream in a few array calls per block,
+queues many periods in lockstep and keeps only the delivered packets, run by
+run, for `summary.simulate_table` to read. The test suite keeps a serial
+reference (tests/reference.py: each period drawn after the one before it)
+and checks that the run loop reproduces it bit for bit.
 """
 
 from __future__ import annotations
 
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,9 +40,8 @@ from .errors import ParameterError, SimulationLimitError, check_params
 EVENT_CAP = 10**9
 
 # Expected packets per run, periods * (1 + lam/nu), allowed before anything
-# is drawn. The deliveries alone take 16 bytes each in a Timeline and 8 in
-# the period table `measure` builds without one, so a run beyond it could
-# not be held in memory.
+# is drawn. The deliveries alone take 8 bytes each in the period table, so
+# a run beyond it could not be held in memory.
 MAX_EXPECTED_PACKETS = 10**9
 
 # Expected rounds, (mu + nu) / mu, in which require_delivery redraws a lost
@@ -216,30 +216,20 @@ def _lindley_lockstep(departures: np.ndarray, services: np.ndarray, counts: np.n
 
 
 @dataclass(frozen=True, eq=False)
-class Timeline:
-    """Abutting periods on one absolute clock, as flat arrays.
-
-    Per-period arrays are indexed by period; arrival_times and
-    arrival_generations hold every delivery, period after period
-    (delivered_counts[p] of them for period p). generated_counts[p] counts
-    all of period p's updates, so generated - delivered were discarded.
-    The true sensor state is failed exactly on the union of
-    [failure_times[p], recovery_ends[p]) and working elsewhere.
-    """
+class _Periods:
+    """A run's per-period arrays, indexed by period. generated_counts[p]
+    counts all of period p's updates and delivered_counts[p] those
+    delivered, so generated - delivered were discarded. The true sensor
+    state is failed exactly on the union of [failure_times[p],
+    recovery_ends[p]) and working elsewhere."""
 
     params: SimParams
     start_times: np.ndarray
     failure_times: np.ndarray
     recovery_ends: np.ndarray
     times_to_failure: np.ndarray
-    arrival_times: np.ndarray
-    arrival_generations: np.ndarray
     delivered_counts: np.ndarray
     generated_counts: np.ndarray
-
-    @property
-    def end_time(self) -> float:
-        return float(self.recovery_ends[-1])
 
 
 def _stream(master_seed: int, block: int, kind: int) -> np.random.Generator:
@@ -402,8 +392,8 @@ def _grow(array: np.ndarray, part: np.ndarray) -> None:
 
 
 def _simulation(params: SimParams):
-    """(the per-period arrays, as a Timeline with no deliveries; the run
-    loop, a generator).
+    """(the per-period arrays, as a `_Periods` record; the run loop, a
+    generator).
 
     Every limit is checked and every clock drawn before this returns. The
     run loop fills generated_counts and delivered_counts and yields, run
@@ -438,22 +428,22 @@ def _simulation(params: SimParams):
     # each recovery end failure + r, as one period after another computes them
     bounds = np.cumsum(np.column_stack((times_to_failure, np.full(n, params.r))))
     failure_times, recovery_ends = bounds.reshape(n, 2).T.copy()
-    periods = Timeline(
+    periods = _Periods(
         params=params,
         start_times=np.concatenate(([0.0], recovery_ends[:-1])),
         failure_times=failure_times,
         recovery_ends=recovery_ends,
         times_to_failure=times_to_failure,
-        arrival_times=np.empty(0),
-        arrival_generations=np.empty(0),
         delivered_counts=np.empty(n, dtype=np.int64),
         generated_counts=np.empty(n, dtype=np.int64),
     )
     return periods, _runs(periods, first_services)
 
 
-def _runs(periods: Timeline, first_services: np.ndarray):
-    """The run loop of `_simulation`."""
+def _runs(periods: _Periods, first_services: np.ndarray):
+    """The run loop of `_simulation`: each block draws its counts in one
+    Poisson call (stream k = 3), then its spacings and services in runs of
+    about BLOCK_PACKETS packets, each run queued as soon as it is drawn."""
     params = periods.params
     n = params.periods
     clocks, generated_counts = periods.times_to_failure, periods.generated_counts
@@ -489,30 +479,3 @@ def _runs(periods: Timeline, first_services: np.ndarray):
             # arrays are live at once and the next run's reuse their memory
             del generations, arrivals
 
-
-def simulate(params: SimParams) -> Timeline:
-    """Run `params.periods` abutting periods starting at t = 0.
-
-    The result is a pure function of (master_seed, params), and block b
-    only draws from its own streams, so blocks built in any order and laid
-    end to end reproduce it bit for bit. All clocks are drawn first, then
-    each block's update counts (one Poisson call per block, from stream
-    k = 3), then its spacings and services in runs of about BLOCK_PACKETS
-    packets; each run's periods are queued in lockstep as soon as it is
-    drawn (`_simulation`).
-    """
-    timeline, runs = _simulation(params)
-    # A simulation of one run keeps that run's arrays. Those of several
-    # runs grow in place run by run: a final concatenation of per-run parts
-    # would briefly hold the largest arrays twice, and growing the first
-    # run's arrays, which sit among its temporaries, raised the peak RSS of
-    # 25 dense two-run simulations in one process from 110 to 112-121 MB.
-    arrival_times, arrival_generations = timeline.arrival_times, timeline.arrival_generations
-    for i, j, generations, arrivals in runs:
-        if j - i == params.periods:
-            arrival_times, arrival_generations = arrivals, generations
-        else:
-            _grow(arrival_times, arrivals)
-            _grow(arrival_generations, generations)
-        del generations, arrivals
-    return replace(timeline, arrival_times=arrival_times, arrival_generations=arrival_generations)

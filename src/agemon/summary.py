@@ -1,7 +1,7 @@
-"""One-stop empirical summary of a timeline: the per-period statistics
-table, and `summarize`, which reads a run's empirical output columns off
-it: the age averages, the detection error rates and the regenerative
-confidence half-widths.
+"""One-stop empirical summary of a simulation: `simulate_table`, its
+per-period statistics table, and `summarize`, which reads a run's
+empirical output columns off it: the age averages, the detection error
+rates and the regenerative confidence half-widths.
 
 The instantaneous age is the time since the generation of the freshest
 delivered update: a sawtooth that climbs with slope 1 and drops to the
@@ -15,12 +15,11 @@ from the last earlier arrival plus one `np.add.reduceat` of its own gaps.
 The table is built in two parts: `_run_rows` reads each period's first
 and last arrival, its age at the last one and its r2 area off a run's
 deliveries, and writes their gaps; `_finish` clips the edges and adds the
-r1 and r3 trapezoids in O(periods). `period_table` reads a timeline as
-one run; `simulate_table` reads each simulated run as soon as it is
-queued, and no Timeline is built. The per-delivery terms are built over
-groups of whole periods with a bounded number of deliveries, so the table
-holds one per-delivery array (the gaps, each period's last one cut at its
-slice end) and no stage holds a temporary that spans the run.
+r1 and r3 trapezoids in O(periods). `simulate_table` reads each
+simulated run as soon as it is queued. The per-delivery terms are built
+over groups of whole periods with a bounded number of deliveries, so the
+table holds one per-delivery array (the gaps, each period's last one cut
+at its slice end) and no stage holds a temporary that spans the run.
 
 Every reported number is a column sum of the table or a ratio of such
 sums: the mean age sums the slice areas, the region averages sum the region
@@ -39,7 +38,7 @@ import numpy as np
 
 from . import sim
 from .errors import EmptyTimelineError, ParameterError, check_params
-from .sim import SimParams, Timeline
+from .sim import SimParams
 
 # Per-period cells of a chunk of thresholds that `summarize` scores in one
 # call, bounding its (3, thresholds, periods) columns; any value, same bits.
@@ -186,11 +185,11 @@ def _run_rows(arrivals, generations, counts, failures, ends, rows, gaps) -> None
         part[tails - lo] = ends[group] - arrivals[tails]
 
 
-def _finish(periods: Timeline, rows, gaps) -> PeriodTable:
-    """The period table from the per-period arrays of `periods` (its
-    deliveries are not read), the rows `_run_rows` read off every run and
-    the gaps, in O(periods): the edges clipped to the measured span [first
-    arrival, end of run], the r1 and r3 trapezoids and the region masks."""
+def _finish(periods: sim._Periods, rows, gaps) -> PeriodTable:
+    """The period table from the per-period arrays of `periods`, the rows
+    `_run_rows` read off every run and the gaps, in O(periods): the edges
+    clipped to the measured span [first arrival, end of run], the r1 and r3
+    trapezoids and the region masks."""
     counts = periods.delivered_counts
     delivered = counts > 0
     if not delivered.any():
@@ -198,7 +197,7 @@ def _finish(periods: Timeline, rows, gaps) -> PeriodTable:
     firsts, lasts, last_ages, r2 = rows
     # the age is undefined before the first arrival
     first = int(delivered.argmax())
-    m0, m1 = float(firsts[first]), periods.end_time
+    m0, m1 = float(firsts[first]), float(periods.recovery_ends[-1])
     if not m1 > m0:
         raise EmptyTimelineError("zero-length measured span has no average")
     # r1 ends at the first delivery, or at the failure when nothing was delivered
@@ -230,24 +229,14 @@ def _finish(periods: Timeline, rows, gaps) -> PeriodTable:
     )
 
 
-def period_table(timeline: Timeline) -> PeriodTable:
-    """The rule-independent columns of a timeline's period table: the
-    timeline read as one run, into a fresh `gaps`, so the timeline's arrays
-    are left as they are. Ages are integrated from reset ages, not absolute
-    generation times, which stays well conditioned on long runs."""
-    rows = np.zeros((4, timeline.delivered_counts.size))
-    gaps = np.empty_like(timeline.arrival_times)
-    _run_rows(timeline.arrival_times, timeline.arrival_generations, timeline.delivered_counts,
-              timeline.failure_times, timeline.recovery_ends, rows, gaps)
-    return _finish(timeline, rows, gaps)
-
-
 def simulate_table(params: SimParams) -> PeriodTable:
-    """period_table(simulate(params)), bit for bit, with no Timeline: each
-    run's rows are read off its deliveries as soon as it is queued, and its
-    gaps are written over its generations, which become (or are appended
-    to) the table's `gaps`. Beyond the per-period columns the table keeps 8
-    bytes per delivery, and a run holds at most its two packet buffers."""
+    """The rule-independent columns of the period table of a simulation of
+    `params`: each run's rows are read off its deliveries as soon as it is
+    queued, and its gaps are written over its generations, which become (or
+    are appended to) the table's `gaps`. Beyond the per-period columns the
+    table keeps 8 bytes per delivery, and a run holds at most its two packet
+    buffers. Ages are integrated from reset ages, not absolute generation
+    times, which stays well conditioned on long runs."""
     periods, runs = sim._simulation(params)
     rows = np.zeros((4, params.periods))
     gaps = np.empty(0)

@@ -3,9 +3,9 @@ import csv
 import numpy as np
 import pytest
 
-from agemon import ParameterError, SimParams, map_threshold, simulate, summarize
+from agemon import ParameterError, SimParams, map_threshold, summarize
 from agemon.report import OUTPUTS
-from reference import PeriodTrace, timeline_from_periods
+from reference import PeriodTrace, simulate, timeline_from_periods
 
 # Standard configuration used throughout: lambda=0.5, mu=1, nu=1/200, r=20.
 DEFAULTS = dict(lam=0.5, mu=1.0, nu=0.005, r=20.0)

@@ -1,23 +1,32 @@
 """Serial reference implementations that the library is checked against.
 
-`simulate` draws each of a block's streams in a few array calls and queues
-many periods at once. The reference draws each period one after another,
+A `Timeline` is a simulation as flat arrays: the per-period arrays of the
+library's run loop, `sim._simulation`, and every delivery's arrival and
+generation time. `simulate` collects the run loop's runs into one, and
+`period_table` reads a timeline as one run with the library's row builder,
+`summary._run_rows` and `summary._finish`, so a hand-built timeline
+exercises the production table too. `summary.simulate_table`, the
+library's only simulation pipeline, must equal period_table(simulate())
+bit for bit.
+
+The run loop draws each of a block's streams in a few array calls and
+queues many periods at once. The reference draws each period one after another,
 in plain scalar code, from its block's streams
 SeedSequence(master_seed, spawn_key=(block, k)), builds it as one
 `PeriodTrace` object and lays the traces end to end; tests require the two
 to agree bit for bit. It queues each period alone by its own scalar
 recursion, `lindley_arrival_times`, and runs no production queue code.
-`simulate` queues a run of up to PERIODS_PER_BLOCK periods at once, mostly
-in numpy steps that gather (steps, periods) cells at a time, and finishes
-the last few periods on Python floats. So besides the stream contract, the
-blocking and the flattening, the comparison checks both paths of the
-lockstep arithmetic against an independent recursion.
+The run loop queues a run of up to PERIODS_PER_BLOCK periods at once,
+mostly in numpy steps that gather (steps, periods) cells at a time, and
+finishes the last few periods on Python floats. So besides the stream
+contract, the blocking and the flattening, the comparison checks both
+paths of the lockstep arithmetic against an independent recursion.
 
 `estimated_state_trajectory` builds the detector's estimated state as
 explicit intervals, the oracle behind the interval-walk checks of
 `PeriodTable.error_columns`; a threshold of inf always declares WORKING.
-`age_pieces` cuts the age sawtooth into the trapezoids that `period_table`
-integrates, so a test can add them up with `math.fsum`.
+`age_pieces` cuts the age sawtooth into the trapezoids that the row
+builder integrates, so a test can add them up with `math.fsum`.
 
 `quadrature_error_rates` is the error rate of any thresholds by adaptive
 quadrature of the unsimplified gap-age densities, the independent route that
@@ -37,16 +46,61 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import accumulate
 
 import numpy as np
 from scipy import integrate
 
 import agemon.sim as sim
-from agemon import EmptyTimelineError, ParameterError, SimParams, Timeline
+import agemon.summary as summary
+from agemon import EmptyTimelineError, ParameterError, PeriodTable, SimParams
 from agemon.analytics import failure_prior
 from agemon.errors import check_params
+
+
+@dataclass(frozen=True, eq=False)
+class Timeline:
+    """Abutting periods on one absolute clock, as flat arrays.
+
+    The per-period arrays are those of the run loop's record,
+    `sim._Periods`; arrival_times and arrival_generations hold every
+    delivery, period after period (delivered_counts[p] of them for period
+    p).
+    """
+
+    params: SimParams
+    start_times: np.ndarray
+    failure_times: np.ndarray
+    recovery_ends: np.ndarray
+    times_to_failure: np.ndarray
+    arrival_times: np.ndarray
+    arrival_generations: np.ndarray
+    delivered_counts: np.ndarray
+    generated_counts: np.ndarray
+
+    @property
+    def end_time(self) -> float:
+        return float(self.recovery_ends[-1])
+
+
+def simulate(params: SimParams) -> Timeline:
+    """The library's simulation of `params` as a Timeline: the run loop's
+    per-period arrays and its runs' deliveries, joined run after run."""
+    periods, runs = sim._simulation(params)
+    _, _, generations, arrivals = zip(*runs)
+    return Timeline(**{field.name: getattr(periods, field.name) for field in fields(periods)},
+                    arrival_times=np.concatenate(arrivals), arrival_generations=np.concatenate(generations))
+
+
+def period_table(timeline: Timeline) -> PeriodTable:
+    """A timeline's period table, read by the library's row builder as one
+    run into a fresh `gaps`, so the timeline's arrays are left as they are."""
+    rows = np.zeros((4, timeline.delivered_counts.size))
+    gaps = np.empty_like(timeline.arrival_times)
+    summary._run_rows(timeline.arrival_times, timeline.arrival_generations, timeline.delivered_counts,
+                      timeline.failure_times, timeline.recovery_ends, rows, gaps)
+    return summary._finish(timeline, rows, gaps)
 
 
 def block_streams(master_seed: int, block: int) -> tuple[np.random.Generator, ...]:

@@ -19,9 +19,8 @@ from agemon import (
     error_rate_closed_form,
     map_threshold,
     mean_aoi_closed_form,
-    period_table,
     run_sweep,
-    simulate,
+    simulate_table,
     summarize,
     SweepSpec,
 )
@@ -32,9 +31,11 @@ from reference import (
     block_traces,
     bootstrap_halfwidths,
     lay_end_to_end,
+    period_table,
     quadrature_error_rate,
     quadrature_error_rates,
     scan_optimal_threshold,
+    simulate,
 )
 
 LAM, MU, NU, R = DEFAULTS["lam"], DEFAULTS["mu"], DEFAULTS["nu"], DEFAULTS["r"]
@@ -127,8 +128,7 @@ def test_criterion_4_aoi_closed_form_vs_monte_carlo(table_100k):
     rel = abs(aoi / MEAN_AOI_CF - 1.0)
     assert rel < 0.02
     # shorter working spans break the steady-state premise: deviation grows
-    short = simulate(SimParams(lam=LAM, mu=MU, nu=0.05, r=R, periods=100_000, master_seed=SEED))
-    aoi_short = period_table(short).aoi
+    aoi_short = simulate_table(SimParams(lam=LAM, mu=MU, nu=0.05, r=R, periods=100_000, master_seed=SEED)).aoi
     rel_short = abs(aoi_short / mean_aoi_closed_form(LAM, MU, 0.05, R) - 1.0)
     assert rel_short > rel
     note(

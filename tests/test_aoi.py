@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agemon import EmptyTimelineError, period_table
+from agemon import EmptyTimelineError
 from conftest import empirical_columns, manual_timeline, sawtooth_timeline
+from reference import period_table
 
 
 class TestTrajectory:

@@ -1,5 +1,7 @@
 import pathlib
 import pkgutil
+import re
+from itertools import takewhile
 
 import agemon
 import agemon.sim as sim
@@ -16,25 +18,23 @@ PUBLIC_NAMES = [
     "SimParams",
     "SimulationLimitError",
     "SweepSpec",
-    "Timeline",
     "aoi_mm1",
     "error_rate_closed_form",
     "failure_prior",
     "map_threshold",
     "mean_aoi_closed_form",
     "monte_carlo_cross_check",
-    "period_table",
     "region_means_closed_form",
     "render_svg",
     "run_sweep",
-    "simulate",
+    "simulate_table",
     "summarize",
     "write_csv",
 ]
 
 
 def test_public_names_pinned():
-    assert len(PUBLIC_NAMES) == 21
+    assert len(PUBLIC_NAMES) == 19
     assert sorted(agemon.__all__) == PUBLIC_NAMES
     assert all(hasattr(agemon, name) for name in PUBLIC_NAMES)
 
@@ -43,20 +43,27 @@ def readme_text() -> str:
     return (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
 
 
+def readme_layout() -> list[str]:
+    """The rows of README's Library layout table."""
+    lines = readme_text().splitlines()
+    start = lines.index("| module | contents |")
+    return list(takewhile(lambda line: line.startswith("|"), lines[start + 2:]))
+
+
 def test_readme_layout_names_every_module():
     # README's Library layout table has one row per module of the package,
     # so a deleted module cannot leave a stale row nor a new one go unlisted
-    text = readme_text()
-    lines = text.splitlines()
-    start = lines.index("| module | contents |")
-    rows = []
-    for line in lines[start + 2:]:
-        if not line.startswith("|"):
-            break
-        rows.append(line.strip("|").split("|")[0].strip().strip("`"))
+    rows = [line.strip("|").split("|")[0].strip().strip("`") for line in readme_layout()]
     modules = sorted(f"agemon.{info.name}" for info in pkgutil.iter_modules(agemon.__path__))
     assert sorted(rows) == modules
     assert len(rows) == len(set(rows))
+
+
+def test_readme_layout_names_every_public_name():
+    # and it names, as code, every name of agemon.__all__, so a change to
+    # the public surface cannot leave the table stale
+    table = "\n".join(readme_layout())
+    assert [name for name in agemon.__all__ if not re.search(rf"`{name}\b", table)] == []
 
 
 def test_readme_and_csv_comment_name_the_stream_contract(tmp_path):

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from agemon import EmptyTimelineError, ParameterError, map_threshold, period_table, summarize
+from agemon import EmptyTimelineError, ParameterError, map_threshold, summarize
 from conftest import MAP_TAU, empirical_columns, manual_period, manual_timeline, sawtooth_timeline
 from reference import (
     estimated_state_trajectory,
     naive_error_times,
     naive_slice_mismatch,
+    period_table,
     timeline_from_periods,
 )
 

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 import agemon.experiments
-import agemon.sim
-import agemon.summary
 from agemon import (
     ParameterError,
     SimParams,
@@ -129,13 +127,10 @@ class TestMeasure:
     def test_simulation_is_reached_through_simulate_table(self, monkeypatch):
         # The tests that stub the simulation out patch this name
         # (test_cli's, test_oracle's and the one below); if measure reached
-        # the simulation another way, those stubs would check nothing. It
-        # builds no Timeline: simulate and period_table are never called.
+        # the simulation another way, those stubs would check nothing.
         calls = []
         monkeypatch.setattr(agemon.experiments, "simulate_table",
                             lambda params: calls.append(params) or simulate_table(params))
-        monkeypatch.setattr(agemon.sim, "simulate", None)
-        monkeypatch.setattr(agemon.summary, "period_table", None)
         params = fixed()
         rows = measure(params, [1.0, 2.0])
         assert calls == [params]

@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import agemon.sim as sim
-from agemon import ParameterError, SimParams, SimulationLimitError, Timeline, simulate
+from agemon import ParameterError, SimParams, SimulationLimitError, simulate_table
 from agemon.report import _params_comment, json_text, project, run_row
 from conftest import DEFAULTS, SEED
 from reference import (
+    Timeline,
     block_count,
     block_draws,
     block_streams,
@@ -27,6 +28,7 @@ from reference import (
     lay_end_to_end,
     lindley_arrival_times,
     reference_timeline,
+    simulate,
     timeline_from_periods,
     uniform_departures,
 )
@@ -450,59 +452,34 @@ class TestBatchedSimulate:
             assert np.all(batched.delivered_counts > 0)
 
     def test_runs_under_a_profiler(self):
-        # a sys.setprofile hook holds a reference to the arrays simulate
-        # grows in place after each run
+        # a sys.setprofile hook holds a reference to the `gaps` array that
+        # simulate_table grows in place after each run
         with mock.patch.object(sim, "BLOCK_PACKETS", self.BUDGET):
-            profiled = cProfile.Profile().runcall(simulate, self.MULTI_BLOCK)
-            plain = simulate(self.MULTI_BLOCK)
-        assert_same_timeline(profiled, plain)
+            profiled = cProfile.Profile().runcall(simulate_table, self.MULTI_BLOCK)
+            plain = simulate_table(self.MULTI_BLOCK)
+        assert profiled.gaps.tobytes() == plain.gaps.tobytes()
+        assert profiled.areas.tobytes() == plain.areas.tobytes()
 
     def test_transient_memory_is_a_few_runs(self):
-        # The traced peak above the returned arrays, in units of one run's
-        # gaps (8 * BLOCK_PACKETS bytes), is what simulate holds for the
-        # draws, services and lockstep temporaries of the runs in flight.
-        # Measured at this seed: 1.7x with each packet-length array freed
-        # as soon as it is used; 4.0x with each run queued as soon as it is
-        # drawn and its arrays freed before the next is drawn; 5.5x while
-        # the previous run's arrays stayed referenced; 11.7x when runs were
-        # collected until BLOCK_PACKETS packets were pending and
-        # concatenated before queueing.
+        # The traced peak of simulate_table above the table's arrays, in
+        # units of one run's gaps (8 * BLOCK_PACKETS bytes), is what the run
+        # loop holds for the draws, services and lockstep temporaries of the
+        # run in flight. Measured at this seed: 1.5x, half of it the
+        # lockstep's block buffers; 9.9x with every run's buffers kept
+        # referenced to the end.
         block = 2**16
         params = SimParams(**DEFAULTS, periods=3000, master_seed=SEED)
-        # a process's first call allocates numpy state (~1.3x more) untraced here
-        simulate(SimParams(**DEFAULTS, periods=1))
+        # a process's first call allocates numpy state untraced here
+        simulate_table(SimParams(**DEFAULTS, periods=1))
         with mock.patch.object(sim, "BLOCK_PACKETS", block):
             tracemalloc.start()
             try:
-                tl = simulate(params)
+                table = simulate_table(params)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        own = sum(getattr(tl, f.name).nbytes for f in dataclasses.fields(tl) if f.name != "params")
-        assert peak - own < 8 * (8 * block)
-
-    def test_default_run_working_set(self):
-        # One unpatched simulate at the defaults: 3000 periods, one run. Its
-        # traced peak above the returned arrays, in units of the run's
-        # packet bytes (8 bytes per generated packet): at most two
-        # packet-length float arrays are live at once, the departures and
-        # the services, and they become the timeline's delivered
-        # generations and arrivals in place. Measured at this seed: 0.33x
-        # with the later services drawn group by group into the laid-out
-        # buffer and the deliveries compacted in place; 1.22x with one
-        # run-length draw laid out by np.insert and masked copies of the
-        # deliveries; 2.04x when slot-length temporaries laid out the
-        # departures and the timeline was a zero-filled copy of the run.
-        params = SimParams(**DEFAULTS, periods=3000, master_seed=SEED)
-        simulate(SimParams(**DEFAULTS, periods=1))
-        tracemalloc.start()
-        try:
-            tl = simulate(params)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        own = sum(getattr(tl, f.name).nbytes for f in dataclasses.fields(tl) if f.name != "params")
-        assert peak - own < 0.5 * 8 * int(tl.generated_counts.sum())
+        own = sum(value.nbytes for value in vars(table).values() if isinstance(value, np.ndarray))
+        assert peak - own < 3 * (8 * block)
 
 
 class TestStreamContract:

@@ -12,14 +12,12 @@ from hypothesis import strategies as st
 import agemon.sim as sim
 import agemon.summary
 import reference
-from agemon import (
-    EmptyTimelineError, ParameterError, SimParams, map_threshold, period_table, simulate, summarize,
-)
+from agemon import EmptyTimelineError, ParameterError, SimParams, map_threshold, simulate_table, summarize
 from agemon.report import COLUMNS, project, run_row
 from agemon.experiments import measure
-from agemon.summary import _ratio_halfwidth, simulate_table
+from agemon.summary import _ratio_halfwidth
 from conftest import DEFAULTS, MAP_TAU, SEED, empirical_columns, manual_timeline
-from reference import age_pieces, bootstrap_halfwidths
+from reference import age_pieces, bootstrap_halfwidths, period_table, simulate
 
 # float.hex of every float of the optimal rule's summarize(...) in `simulate`'s
 # output at 300 periods. The metric paths reproduced the earlier per-function paths bit
@@ -148,10 +146,10 @@ class TestSummarize:
         assert {type(v) for v in d.values()} <= {float, int, bool}
 
     def test_explicit_rule_on_unstable_queue(self):
-        tl = simulate(SimParams(lam=1.2, mu=1.0, nu=0.05, r=5.0, periods=50, master_seed=5))
+        table = simulate_table(SimParams(lam=1.2, mu=1.0, nu=0.05, r=5.0, periods=50, master_seed=5))
         with pytest.raises(ParameterError):
-            measure(tl.params)  # the optimal rule needs rho < 1
-        [s] = summarize(period_table(tl), [3.0], confidence=None)
+            measure(table.params)  # the optimal rule needs rho < 1
+        [s] = summarize(table, [3.0], confidence=None)
         assert s["unstable_queue"]
 
     def test_returns_the_rows_empirical_columns(self, small_table, summary):
@@ -229,17 +227,8 @@ class TestDeliveryGroups:
     def timeline(self):
         # ~295k deliveries in 3000 periods; a warm-up call keeps the first
         # call's numpy allocations out of the measurements
-        period_table(simulate(SimParams(**DEFAULTS, periods=2, master_seed=SEED)))
+        simulate_table(SimParams(**DEFAULTS, periods=2, master_seed=SEED))
         return simulate(SimParams(**DEFAULTS, periods=3000, master_seed=SEED))
-
-    def test_period_table_holds_one_delivery_array(self, timeline):
-        # Above its inputs the table keeps `gaps` (1x of 8 B per delivery)
-        # and a few per-period columns. Measured: 1.28x with the terms built
-        # per group; 3.2x when ages, gaps, the concatenated copy np.diff
-        # makes and the trapezoids of the whole run were live at once.
-        with mock.patch.object(sim, "_GROUP_PACKETS", self.GROUP):
-            peak = traced_peak(lambda: period_table(timeline))
-        assert peak < 1.5 * 8 * timeline.arrival_times.size
 
     def test_run_by_run_table_peak(self, timeline):
         # simulate_table at 3000 default periods (one run), in units of 8 B
@@ -268,7 +257,7 @@ class TestDeliveryGroups:
     def test_error_columns_peak_at_a_group(self, timeline):
         # Measured: 0.09x of 8 B per delivery, mostly per-period columns;
         # 1.09x when one clipped copy of every gap was made per rule.
-        table = period_table(timeline)
+        table = simulate_table(timeline.params)
         with mock.patch.object(sim, "_GROUP_PACKETS", self.GROUP):
             peak = traced_peak(lambda: table.error_columns(MAP_TAU))
         assert peak < 0.25 * 8 * timeline.arrival_times.size
@@ -280,7 +269,7 @@ class TestDeliveryGroups:
         # chunk's (3, k, periods) columns (1.5 MB), never one per threshold
         # (200 x 3 x 3000 x 8 B = 14.4 MB) nor per delivery. Measured at the
         # default group: 0.52 + 0.59 MB + 2.5 chunks; 43 MB with no chunks.
-        table = period_table(timeline)
+        table = simulate_table(timeline.params)
         taus = np.linspace(0.5, 30.0, 200).tolist()
         k = agemon.summary._SCORE_CELLS // table.lengths.size
         assert len(taus) > 9 * k
@@ -295,13 +284,13 @@ class TestDeliveryGroups:
         # nothing and many deliver more than 2**6
         params = SimParams(lam=1.0, mu=1.0, nu=0.04, r=5.0, periods=sim.PERIODS_PER_BLOCK + 500,
                            master_seed=SEED, require_delivery=require_delivery)
-        tl = simulate(params)
-        assert (tl.delivered_counts == 0).any() != require_delivery
-        assert tl.delivered_counts.max() > 2**6
+        counts = simulate_table(params).counts
+        assert (counts == 0).any() != require_delivery
+        assert counts.max() > 2**6
         taus = [0.5, 2.0, 4.0]
 
         def columns():
-            table = period_table(tl)
+            table = simulate_table(params)
             fields = [getattr(table, f.name) for f in dataclasses.fields(table)]
             # and the columns that summarize reads off them
             return fields + [table.error_columns(tau) for tau in taus] + [
@@ -391,6 +380,42 @@ class TestRunByRunTable:
         self.assert_same(SimParams(**DEFAULTS, periods=9000, master_seed=SEED))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(-30, 30),
+    lam=st.floats(0.05, 2.0),
+    mu=st.floats(0.2, 2.0),
+    nu=st.floats(0.01, 1.0),
+    r=st.just(0.0) | st.floats(0.0, 30.0),
+    periods=st.integers(1, 60),
+    seed=st.integers(0, 2**64 - 1),
+    require_delivery=st.booleans(),
+    taus=st.lists(st.just(0.0) | st.just(math.inf) | st.floats(0.0, 40.0), min_size=1, max_size=4),
+)
+def test_simulate_table_time_scale(k, lam, mu, nu, r, periods, seed, require_delivery, taus):
+    # Dividing the rates and multiplying r by c = 2^k multiplies every time
+    # of the run by c bit for bit (each exponential draw is a standard draw
+    # times its scale, every later step a sum, difference, max, comparison
+    # or product), so every time column of the table scales by c, every age
+    # area by c^2, and the error columns at thresholds times c by c; a run
+    # that raises raises the same at both scales
+    c = 2.0**k
+    params = SimParams(lam, mu, nu, r, periods=periods, master_seed=seed, require_delivery=require_delivery)
+    scaled = SimParams(lam / c, mu / c, nu / c, r * c, periods=periods, master_seed=seed,
+                       require_delivery=require_delivery)
+    table = TestRunByRunTable.table_or_message(lambda: simulate_table(params))
+    got = TestRunByRunTable.table_or_message(lambda: simulate_table(scaled))
+    if isinstance(table, str):
+        assert got == table
+        return
+    assert got.measured_time == c * table.measured_time
+    for name, scale in [("lengths", c), ("region_times", c), ("edges", c), ("last_arrivals", c), ("gaps", c),
+                        ("areas", c * c), ("region_areas", c * c), ("counts", 1)]:
+        assert getattr(got, name).tobytes() == (scale * getattr(table, name)).tobytes(), name
+    scaled_taus = [c * tau for tau in taus]
+    assert got.error_columns(scaled_taus).tobytes() == (c * table.error_columns(taus)).tobytes()
+
+
 class TestBatchScoring:
     # A call's thresholds are scored together (summarize in chunks of
     # _SCORE_CELLS // periods), and each must read exactly as if it were
@@ -402,7 +427,7 @@ class TestBatchScoring:
         # and many deliver more than 2**6
         params = SimParams(lam=1.0, mu=1.0, nu=0.04, r=5.0, periods=1000, master_seed=SEED,
                            require_delivery=request.param)
-        table = period_table(simulate(params))
+        table = simulate_table(params)
         assert (table.counts == 0).any() != request.param
         assert table.counts.max() > 2**6
         return table
@@ -433,11 +458,11 @@ class TestBatchScoring:
 
 @pytest.mark.parametrize("r", sorted(GOLDEN))
 def test_summary_bit_identical_to_recorded(r):
-    tl = simulate(SimParams(**{**DEFAULTS, "r": r}, periods=300, master_seed=SEED))
+    table = simulate_table(SimParams(**{**DEFAULTS, "r": r}, periods=300, master_seed=SEED))
     # the optimal rule; at tau >= r it collapses to always WORKING, tau = inf
     tau = map_threshold(DEFAULTS["lam"], DEFAULTS["nu"])
-    [summary] = summarize(period_table(tl), [math.inf if tau >= r else tau])
-    record = project(run_row(tl.params, **summary), "simulate")
+    [summary] = summarize(table, [math.inf if tau >= r else tau])
+    record = project(run_row(table.params, **summary), "simulate")
     floats = {key: float.hex(value) for key, value in record.items() if isinstance(value, float)}
     assert floats == GOLDEN[r]
 
@@ -464,7 +489,7 @@ class TestSummarizeRules:
         pytest.param(300, None, id="300-0"),
     ])
     def test_equals_summarize_per_rule(self, chunk, periods, confidence):
-        table = period_table(simulate(SimParams(**DEFAULTS, periods=periods, master_seed=SEED)))
+        table = simulate_table(SimParams(**DEFAULTS, periods=periods, master_seed=SEED))
         rules = list(self.TAUS)
         # each rule alone, then the rules in chunks, then all at once
         expected = [hex_fields(summary) for rule in rules for summary in summarize(table, [rule], confidence)]
@@ -480,7 +505,7 @@ class TestSummarizeRules:
 
     @pytest.mark.parametrize("confidence", [pytest.param(None, id="0"), pytest.param(0.95, id="20")])
     def test_scores_each_rule_once(self, monkeypatch, confidence):
-        table = period_table(simulate(SimParams(**DEFAULTS, periods=50, master_seed=SEED)))
+        table = simulate_table(SimParams(**DEFAULTS, periods=50, master_seed=SEED))
         rules = list(self.TAUS)
         scored = []
         error_columns = agemon.summary.PeriodTable.error_columns
@@ -583,7 +608,7 @@ class TestRatioHalfwidth:
         exact = DEFAULTS["r"] * DEFAULTS["nu"] / (1.0 + DEFAULTS["r"] * DEFAULTS["nu"])
         covered = 0
         for seed in range(200):
-            table = period_table(simulate(SimParams(**DEFAULTS, periods=2000, master_seed=seed)))
+            table = simulate_table(SimParams(**DEFAULTS, periods=2000, master_seed=seed))
             outage = table.region_times[2]
             halfwidth = _ratio_halfwidth(outage, table, int(np.count_nonzero(table.lengths)), 1.959963984540054)
             covered += abs(outage.sum() / table.measured_time - exact) <= halfwidth
