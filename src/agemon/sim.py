@@ -16,11 +16,13 @@ The next period starts exactly at recovery completion.
 
 Periods are cut into blocks of PERIODS_PER_BLOCK, and block b draws only
 from its streams SeedSequence(master_seed, spawn_key=(b, k)), one per kind
-of draw k. `_simulation` draws each stream in a few array calls per block,
-queues many periods in lockstep and keeps only the delivered packets, run by
-run, for `summary.simulate_table` to read. The test suite keeps a serial
-reference (tests/reference.py: each period drawn after the one before it)
-and checks that the run loop reproduces it bit for bit.
+of draw k. `_simulation` draws each stream in a few array calls per block:
+every clock and count first, then the packets run by run into one buffer
+sized to them. It queues many periods in lockstep and packs each run's
+delivered packets behind the earlier runs', for `summary.simulate_table` to
+read. The test suite keeps a serial reference (tests/reference.py: each
+period drawn after the one before it) and checks that the run loop
+reproduces it bit for bit.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from .errors import ParameterError, SimulationLimitError, check_params
 EVENT_CAP = 10**9
 
 # Expected packets per run, periods * (1 + lam/nu), allowed before anything
-# is drawn. The deliveries alone take 8 bytes each in the period table, so
-# a run beyond it could not be held in memory.
+# is drawn. The packet buffer takes 8 bytes per generated packet, so a run
+# beyond it could not be held in memory.
 MAX_EXPECTED_PACKETS = 10**9
 
 # Expected rounds, (mu + nu) / mu, in which require_delivery redraws a lost
@@ -51,7 +53,9 @@ MAX_REDRAW_ROUNDS = 10**3
 
 # Packets drawn for one run of periods, whose queues are then solved at
 # once and only their deliveries kept; bounds the transient memory held for
-# discarded generations and services, whatever the number of periods.
+# a run's services, whatever the number of periods. Its departures are drawn
+# into the simulation's one packet buffer, 8 bytes per generated packet,
+# whose slots of discarded packets stay allocated with the deliveries'.
 BLOCK_PACKETS = 1 << 20
 
 # Periods that share one set of streams. Part of the stream contract:
@@ -67,15 +71,13 @@ STREAM_CONTRACT = 4
 # the contract: any value gives the same arrivals.
 _LOCKSTEP_MIN_PERIODS = 8
 
-# Cells (steps x periods) of one `_lindley_lockstep` block: its index,
-# departure and service buffers take 8 * _BLOCK_CELLS bytes each (8 bytes
-# per period if there are more periods). Not part of the contract either.
-_BLOCK_CELLS = 2**14
-
 # Packets of a group of whole periods (a longer period makes a group of
 # its own) over which a run draws its later services and compacts its
-# deliveries, and `summary` builds its per-delivery terms; bounds their
-# temporaries. Not part of any contract: any value gives the same bits.
+# deliveries, and `summary` builds its per-delivery terms; and cells (steps
+# x periods) of one `_lindley_lockstep` block, whose index, departure and
+# service buffers take 8 * _GROUP_PACKETS bytes each (8 bytes per period if
+# there are more periods). Bounds all of their temporaries. Not part of any
+# contract: any value gives the same bits.
 _GROUP_PACKETS = 2**14
 
 # The kinds of draw k of a block's streams spawn_key=(block, k)
@@ -149,7 +151,7 @@ def _lindley_lockstep(departures: np.ndarray, services: np.ndarray, counts: np.n
     _LOCKSTEP_MIN_PERIODS periods have a k-th packet, the steps run in numpy
     blocks: the m periods still queueing, longest first, gather their next b
     steps into (b, m) arrays, take two in-place ufunc calls per step and
-    scatter the arrivals back. A block has at most max(1, _BLOCK_CELLS // m)
+    scatter the arrivals back. A block has at most max(1, _GROUP_PACKETS // m)
     steps and ends once a quarter of its periods have run out; a period's
     steps past its end use index -1, which reads the inputs' last slot and
     writes a spare slot past the end of the arrivals. The fewer periods left
@@ -174,7 +176,7 @@ def _lindley_lockstep(departures: np.ndarray, services: np.ndarray, counts: np.n
     active = np.searchsorted(-longest, -np.arange(longest[0]), side="left")
     steps = int(np.searchsorted(-active, -_LOCKSTEP_MIN_PERIODS, side="right"))
     # one block's indices, departures and services, reused block after block
-    size = max(_BLOCK_CELLS, counts.size) if steps else 0
+    size = max(_GROUP_PACKETS, counts.size) if steps else 0
     index_buffer, d_buffer, s_buffer = np.empty(size, dtype=np.int64), np.empty(size), np.empty(size)
     arrivals = services
     last = np.full(counts.size, -np.inf)
@@ -183,7 +185,7 @@ def _lindley_lockstep(departures: np.ndarray, services: np.ndarray, counts: np.n
     k = 0
     while k < steps:
         m = -falling[k]
-        stop = min(k + max(1, _BLOCK_CELLS // m), bisect_left(falling, -(3 * m // 4), k + 1))
+        stop = min(k + max(1, _GROUP_PACKETS // m), bisect_left(falling, -(3 * m // 4), k + 1))
         b = stop - k
         idx = index_buffer[:b * m].reshape(b, m)
         np.add(np.arange(k, stop)[:, None], heads[:m], out=idx)
@@ -293,40 +295,35 @@ def _prefix_lengths(values: np.ndarray, heads: np.ndarray, lengths: np.ndarray,
     return last + 1 - heads
 
 
-def _departures(clocks: np.ndarray, counts: np.ndarray, total: float,
-                gaps_rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """(departure times relative to each period start, back to back; the
-    block's running spacing sum after them) of consecutive periods of one
-    block, given the running sum before them.
+def _departures(clocks: np.ndarray, counts: np.ndarray, sums: np.ndarray,
+                gaps_rng: np.random.Generator) -> np.ndarray:
+    """The departure times relative to each period start, back to back, of
+    consecutive periods of one block, drawn into `sums`: counts.sum() + 1
+    slots, the first holding the block's running spacing sum before them.
 
     Period p, of counts[p] = N + 1 updates, takes the next N + 1 standard
     exponential spacings of the block's stream k = 2. They are drawn into
-    one buffer behind a slot holding the sum before them and summed in place
-    over the whole block in draw order (one cumsum); C_i is the period's
-    i-th sum less the sum at its start, so C_0 = 0. Its departures are
-    min(T, C_i * (T / C_{N+1})) for i = 0..N: 0, then N sorted uniform times
-    on [0, T]. The clip holds a departure at T when rounding pushes it past
-    (its last spacings can be lost below half an ulp of the running sum),
-    and a span C_{N+1} that rounds to 0 puts every departure at 0. The
-    buffer, less its last slot, becomes the departures in place and is
-    returned as an array of its own.
+    the slots behind the first and summed in place over the whole block in
+    draw order (one cumsum); C_i is the period's i-th sum less the sum at
+    its start, so C_0 = 0. Its departures are min(T, C_i * (T / C_{N+1}))
+    for i = 0..N: 0, then N sorted uniform times on [0, T]. The clip holds
+    a departure at T when rounding pushes it past (its last spacings can be
+    lost below half an ulp of the running sum), and a span C_{N+1} that
+    rounds to 0 puts every departure at 0. The slots less the last become
+    the departures in place and are returned as a view; the last keeps the
+    running sum after them.
     """
-    sums = np.empty(int(counts.sum()) + 1)
-    sums[0] = total
     gaps_rng.standard_exponential(out=sums[1:])
     np.cumsum(sums, out=sums)
-    total = float(sums[-1])
     # each period's start sum, then the sum after its last spacing
     marks = sums[np.cumsum(np.append(0, counts))]
     spans = marks[1:] - marks[:-1]
     scales = np.divide(clocks, spans, out=np.zeros(clocks.size), where=spans > 0)
-    # no view of the buffer exists (see _grow for refcheck=False)
-    sums.resize(sums.size - 1, refcheck=False)
-    departures = sums
+    departures = sums[:-1]
     departures -= np.repeat(marks[:-1], counts)
     departures *= np.repeat(scales, counts)
     np.minimum(departures, np.repeat(clocks, counts), out=departures)
-    return departures, total
+    return departures
 
 
 def _groups(counts: np.ndarray):
@@ -364,44 +361,38 @@ def _services(rng: np.random.Generator, scale: float, firsts: np.ndarray, counts
     return services
 
 
-def _compact(buffers, counts, kept, offsets) -> int:
-    """Move the first kept[p] values of each of the back-to-back slices of
-    counts[p] values of every buffer to its front, in place, offsets[p]
-    added; return their number. Group by group, so no temporary spans the
-    run."""
+def _compact(moves, counts, kept, offsets) -> int:
+    """For each (values, front) of `moves`, move the first kept[p] of each
+    of the back-to-back slices of counts[p] values of `values` to the front
+    of `front`, offsets[p] added; return their number. Group by group, so no
+    temporary spans the run. `front` may overlap `values` if it starts no
+    later: a group is copied out before it is written, and its deliveries
+    land no later than its own slot."""
     size = 0
     for a, b, lo, hi in _groups(counts):
         delivered = _prefix_mask(kept[a:b], counts[a:b])
         shifts = np.repeat(offsets[a:b], kept[a:b])
-        for values in buffers:
+        for values, front in moves:
             part = values[lo:hi][delivered]
             part += shifts
-            values[size:size + part.size] = part
+            front[size:size + part.size] = part
         size += shifts.size
     return size
 
 
-def _grow(array: np.ndarray, part: np.ndarray) -> None:
-    """Append part to array in place. refcheck=False is safe: callers hold
-    no view of `array` across the call. The check itself would fail under
-    any sys.setprofile hook (cProfile, sampling profilers), which holds the
-    bound resize method and so one more array reference."""
-    size = array.size
-    array.resize(size + part.size, refcheck=False)
-    array[size:] = part
-
-
 def _simulation(params: SimParams):
     """(the per-period arrays, as a `_Periods` record; the run loop, a
-    generator).
+    generator; the packet buffer, a slot per generated packet and one more).
 
-    Every limit is checked and every clock drawn before this returns. The
-    run loop fills generated_counts and delivered_counts and yields, run
-    by run, (i, j, generations, arrivals): the absolute generation and
-    arrival times of the deliveries of periods i..j-1: the run's two
-    packet buffers, compacted in place and shrunk to the deliveries. A
-    consumer may write over them; the loop drops them before it draws the
-    next run.
+    Every limit is checked and every clock and count drawn before this
+    returns. The run loop fills delivered_counts and yields, run by run,
+    (i, j, generations, arrivals): the absolute generation and arrival
+    times of the deliveries of periods i..j-1. The generations are the
+    buffer's slots after the earlier runs' deliveries, so the loop leaves
+    every delivery's in the buffer's prefix, in order; the arrivals are the
+    front of the run's services. A consumer may write over either: the loop
+    writes no yielded slot again, and drops the services before it draws
+    the next run.
     """
     n = params.periods
     expected = n * (1.0 + params.lam / params.nu)
@@ -424,6 +415,12 @@ def _simulation(params: SimParams):
             f"a period expects {longest:.3g} updates, lam * T, over the per-period "
             f"generation cap EVENT_CAP = {EVENT_CAP}"
         )
+    generated_counts = np.empty(n, dtype=np.int64)
+    for block, lo in enumerate(range(0, n, PERIODS_PER_BLOCK)):
+        hi = min(lo + PERIODS_PER_BLOCK, n)
+        # the update at the period start and a Poisson number after it
+        counts_rng = _stream(params.master_seed, block, _COUNTS)
+        generated_counts[lo:hi] = counts_rng.poisson(params.lam * times_to_failure[lo:hi]) + 1
     # T_0, r, T_1, r, ... added left to right: each failure is start + T and
     # each recovery end failure + r, as one period after another computes them
     bounds = np.cumsum(np.column_stack((times_to_failure, np.full(n, params.r))))
@@ -435,47 +432,49 @@ def _simulation(params: SimParams):
         recovery_ends=recovery_ends,
         times_to_failure=times_to_failure,
         delivered_counts=np.empty(n, dtype=np.int64),
-        generated_counts=np.empty(n, dtype=np.int64),
+        generated_counts=generated_counts,
     )
-    return periods, _runs(periods, first_services)
+    buffer = np.empty(int(generated_counts.sum()) + 1)
+    return periods, _runs(periods, first_services, buffer), buffer
 
 
-def _runs(periods: _Periods, first_services: np.ndarray):
-    """The run loop of `_simulation`: each block draws its counts in one
-    Poisson call (stream k = 3), then its spacings and services in runs of
-    about BLOCK_PACKETS packets, each run queued as soon as it is drawn."""
+def _runs(periods: _Periods, first_services: np.ndarray, buffer: np.ndarray):
+    """The run loop of `_simulation`: each block draws its spacings and
+    services in runs of about BLOCK_PACKETS packets, each run queued as soon
+    as it is drawn. The run of packets [p, p + size) draws its departures
+    into buffer[p:p + size + 1], whose first slot holds the running spacing
+    sum before it and whose last is the next run's first, and packs its
+    deliveries into buffer[d:], d being the earlier runs' deliveries: d <= p,
+    so no slot is written before it is read."""
     params = periods.params
     n = params.periods
     clocks, generated_counts = periods.times_to_failure, periods.generated_counts
+    p = d = 0
     for block, lo in enumerate(range(0, n, PERIODS_PER_BLOCK)):
         hi = min(lo + PERIODS_PER_BLOCK, n)
-        gaps_rng, counts_rng, services_rng = (
-            _stream(params.master_seed, block, kind) for kind in (_GAPS, _COUNTS, _SERVICES)
-        )
-        # the update at the period start and a Poisson number after it
-        generated_counts[lo:hi] = counts_rng.poisson(params.lam * clocks[lo:hi]) + 1
+        gaps_rng, services_rng = (_stream(params.master_seed, block, kind) for kind in (_GAPS, _SERVICES))
         # runs of consecutive periods of about BLOCK_PACKETS packets
         heads = np.cumsum(generated_counts[lo:hi]) - generated_counts[lo:hi]
         cuts = lo + 1 + np.flatnonzero(np.diff(heads // BLOCK_PACKETS))
-        total = 0.0
+        buffer[p] = 0.0  # the block's spacing sum starts afresh
         for i, j in zip((lo, *cuts.tolist()), (*cuts.tolist(), hi)):
             counts = generated_counts[i:j]
+            size = int(counts.sum())
             # the departures are laid out before the services are allocated,
-            # so a run holds at most two packet-length arrays
-            generations, total = _departures(clocks[i:j], counts, total, gaps_rng)
+            # so a run holds at most one packet-length array of its own
+            departures = _departures(clocks[i:j], counts, buffer[p:p + size + 1], gaps_rng)
             arrivals = _services(services_rng, 1.0 / params.mu, first_services[i:j], counts)
             # the services become the arrivals in place
-            _lindley_lockstep(generations, arrivals, counts)
+            _lindley_lockstep(departures, arrivals, counts)
             # arrivals increase within a period, so the delivered packets
             # (a_k <= T) are a prefix of each period's packets
             kept = periods.delivered_counts[i:j]
             kept[:] = _prefix_lengths(arrivals, np.cumsum(counts) - counts, counts, clocks[i:j])
-            size = _compact((generations, arrivals), counts, kept, periods.start_times[i:j])
-            # no view of either buffer exists (see _grow for refcheck=False)
-            generations.resize(size, refcheck=False)
-            arrivals.resize(size, refcheck=False)
-            yield i, j, generations, arrivals
-            # dropped before the next run is drawn, so no two runs' packet
-            # arrays are live at once and the next run's reuse their memory
-            del generations, arrivals
-
+            delivered = _compact(((departures, buffer[d:]), (arrivals, arrivals)), counts, kept,
+                                 periods.start_times[i:j])
+            yield i, j, buffer[d:d + delivered], arrivals[:delivered]
+            # dropped before the next run is drawn, so no two runs' services
+            # are live at once and the next run's reuse their memory
+            del arrivals
+            p += size
+            d += delivered

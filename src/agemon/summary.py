@@ -16,10 +16,12 @@ The table is built in two parts: `_run_rows` reads each period's first
 and last arrival, its age at the last one and its r2 area off a run's
 deliveries, and writes their gaps; `_finish` clips the edges and adds the
 r1 and r3 trapezoids in O(periods). `simulate_table` reads each
-simulated run as soon as it is queued. The per-delivery terms are built
-over groups of whole periods with a bounded number of deliveries, so the
-table holds one per-delivery array (the gaps, each period's last one cut
-at its slice end) and no stage holds a temporary that spans the run.
+simulated run as soon as it is queued and writes its gaps (each period's
+last one cut at its slice end) over its generations, a slice of the
+simulation's one packet buffer, whose prefix becomes the table's `gaps`.
+The per-delivery terms are built over groups of whole periods with a
+bounded number of deliveries, so no stage holds a temporary that spans
+the run.
 
 Every reported number is a column sum of the table or a ratio of such
 sums: the mean age sums the slice areas, the region averages sum the region
@@ -232,23 +234,19 @@ def _finish(periods: sim._Periods, rows, gaps) -> PeriodTable:
 def simulate_table(params: SimParams) -> PeriodTable:
     """The rule-independent columns of the period table of a simulation of
     `params`: each run's rows are read off its deliveries as soon as it is
-    queued, and its gaps are written over its generations, which become (or
-    are appended to) the table's `gaps`. Beyond the per-period columns the
-    table keeps 8 bytes per delivery, and a run holds at most its two packet
-    buffers. Ages are integrated from reset ages, not absolute generation
-    times, which stays well conditioned on long runs."""
-    periods, runs = sim._simulation(params)
+    queued, and its gaps written over its generations, which the run loop
+    packs run after run into the packet buffer's prefix, the table's
+    `gaps`. The table keeps that buffer, 8 bytes per generated packet, and
+    a run holds at most its services besides. Ages are integrated from
+    reset ages, not absolute generation times, which stays well
+    conditioned on long runs."""
+    periods, runs, buffer = sim._simulation(params)
     rows = np.zeros((4, params.periods))
-    gaps = np.empty(0)
     for i, j, generations, arrivals in runs:
         _run_rows(arrivals, generations, periods.delivered_counts[i:j], periods.failure_times[i:j],
                   periods.recovery_ends[i:j], rows[:, i:j], generations)
-        if j - i == params.periods:
-            gaps = generations
-        else:
-            sim._grow(gaps, generations)
         del generations, arrivals
-    return _finish(periods, rows, gaps)
+    return _finish(periods, rows, buffer[:int(periods.delivered_counts.sum())])
 
 
 def check_confidence(confidence: float | None) -> None:

@@ -87,7 +87,7 @@ class Timeline:
 def simulate(params: SimParams) -> Timeline:
     """The library's simulation of `params` as a Timeline: the run loop's
     per-period arrays and its runs' deliveries, joined run after run."""
-    periods, runs = sim._simulation(params)
+    periods, runs, _ = sim._simulation(params)
     _, _, generations, arrivals = zip(*runs)
     return Timeline(**{field.name: getattr(periods, field.name) for field in fields(periods)},
                     arrival_times=np.concatenate(arrivals), arrival_generations=np.concatenate(generations))

@@ -352,6 +352,45 @@ class TestSimulate:
         run(capsys, "simulate", *FAST, "--seed", "2", "--out", str(b))
         assert read_csv(a)[0]["aoi_empirical"] != read_csv(b)[0]["aoi_empirical"]
 
+    # printed times and averages scale by c, rates and the rest are equal
+    SCALED_OUTPUTS = {"aoi_time_average", "aoi_ci_halfwidth", "avg_r1", "avg_r2", "avg_r3", "time_r1",
+                      "time_r2", "time_r3", "reacquisition_fp_time", "measured_time"}
+    SCALED_COLUMNS = {"aoi_analytic", "aoi_empirical", "aoi_ci"}
+
+    @pytest.mark.parametrize("c", [2.0, 2.0**-3])
+    def test_time_scale(self, capsys, tmp_path, c):
+        # the defaults, and lam, mu and nu divided by c with the recovery
+        # times c: every time and age comes out times c and every rate,
+        # half-width of a rate, swept rho and seed the same, bit for bit
+        base = DEFAULTS
+        scaled = dict(lam=base["lam"] / c, mu=base["mu"] / c, nu=base["nu"] / c, r=base["r"] * c)
+        runs = []
+        for name, rates in (("base", base), ("scaled", scaled)):
+            out_csv = tmp_path / f"{name}.csv"
+            status, out, _ = run(capsys, "simulate", "--periods", "2000", "--lambda", repr(rates["lam"]),
+                                 "--mu", repr(rates["mu"]), "--nu", repr(rates["nu"]),
+                                 "--recovery", repr(rates["r"]), "--out", str(out_csv))
+            assert status == 0
+            printed = dict(line.split(" = ") for line in out.splitlines()[:-1])
+            [row] = read_csv(out_csv)
+            runs.append((printed, row))
+        (printed, row), (printed_c, row_c) = runs
+        assert set(printed) == set(OUTPUTS["simulate"].values()) and set(printed_c) == set(printed)
+        assert self.SCALED_OUTPUTS < set(printed)
+        for key, value in printed.items():
+            if key in self.SCALED_OUTPUTS:
+                assert float(printed_c[key]).hex() == (c * float(value)).hex(), key
+            else:
+                assert printed_c[key] == value, key
+        assert self.SCALED_COLUMNS < set(row)
+
+        def bits(value):
+            return value.hex() if isinstance(value, float) else value
+
+        for column, value in row.items():
+            expected = c * value if column in self.SCALED_COLUMNS else value
+            assert bits(row_c[column]) == bits(expected), column
+
     def test_rerun_reproduces_empirical_columns(self, capsys, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

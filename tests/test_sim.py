@@ -161,7 +161,7 @@ class TestLindley:
         counts = np.random.default_rng(8).integers(1, 300, size=96)
         if cutoff is not None:
             monkeypatch.setattr(sim, "_LOCKSTEP_MIN_PERIODS", cutoff)
-        monkeypatch.setattr(sim, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(sim, "_GROUP_PACKETS", cells)
         self.assert_lockstep_is_serial(counts.tolist(), seed=9)
 
     MIN = sim._LOCKSTEP_MIN_PERIODS
@@ -182,13 +182,13 @@ class TestLindley:
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_lockstep_edge_shapes(self, monkeypatch, shape, cells):
         if cells is not None:
-            monkeypatch.setattr(sim, "_BLOCK_CELLS", cells)
+            monkeypatch.setattr(sim, "_GROUP_PACKETS", cells)
         self.assert_lockstep_is_serial(self.SHAPES[shape], seed=10)
 
     def test_lockstep_memory_is_one_block(self):
         # 4096 periods of equal length make the widest blocks. Beyond its
         # inputs and output the lockstep holds per-period arrays and one
-        # block's buffers (index, departures, services, 8 * _BLOCK_CELLS
+        # block's buffers (index, departures, services, 8 * _GROUP_PACKETS
         # bytes each), never a copy of the run's 409600 packets (3.3 MB).
         periods, length = 4096, 100
         rng = np.random.default_rng(11)
@@ -203,7 +203,7 @@ class TestLindley:
         finally:
             tracemalloc.stop()
         # the arrivals overwrite the services, so the output is no new array
-        assert peak < 4 * 8 * sim._BLOCK_CELLS + 16 * 8 * periods
+        assert peak < 4 * 8 * sim._GROUP_PACKETS + 16 * 8 * periods
 
     @pytest.mark.parametrize("cells", [None, 1, 10**9])
     @pytest.mark.parametrize("shape", sorted(SHAPES) + ["ragged"])
@@ -211,7 +211,7 @@ class TestLindley:
         # the services have one spare slot past the packets and the arrivals
         # overwrite them; the departures are left as they were
         if cells is not None:
-            monkeypatch.setattr(sim, "_BLOCK_CELLS", cells)
+            monkeypatch.setattr(sim, "_GROUP_PACKETS", cells)
         counts = np.asarray(self.SHAPES.get(shape, np.random.default_rng(8).integers(1, 300, size=96)))
         rng = np.random.default_rng(13)
         departures = np.concatenate([np.cumsum(rng.exponential(2.0, size=c)) for c in counts])
@@ -452,8 +452,9 @@ class TestBatchedSimulate:
             assert np.all(batched.delivered_counts > 0)
 
     def test_runs_under_a_profiler(self):
-        # a sys.setprofile hook holds a reference to the `gaps` array that
-        # simulate_table grows in place after each run
+        # a table of several runs, each packing its deliveries behind the
+        # last run's in one buffer, is the same under a sys.setprofile hook
+        # (which holds references to the arrays of the calls it sees)
         with mock.patch.object(sim, "BLOCK_PACKETS", self.BUDGET):
             profiled = cProfile.Profile().runcall(simulate_table, self.MULTI_BLOCK)
             plain = simulate_table(self.MULTI_BLOCK)
@@ -462,11 +463,11 @@ class TestBatchedSimulate:
 
     def test_transient_memory_is_a_few_runs(self):
         # The traced peak of simulate_table above the table's arrays, in
-        # units of one run's gaps (8 * BLOCK_PACKETS bytes), is what the run
-        # loop holds for the draws, services and lockstep temporaries of the
-        # run in flight. Measured at this seed: 1.5x, half of it the
-        # lockstep's block buffers; 9.9x with every run's buffers kept
-        # referenced to the end.
+        # units of one run's packets (8 * BLOCK_PACKETS bytes), is what the
+        # run loop holds for the services and lockstep temporaries of the
+        # run in flight, and the packet buffer's slots of discarded packets.
+        # Measured at this seed: 2.0x, 0.75x of it the lockstep's block
+        # buffers; 5.6x with every run's services kept referenced to the end.
         block = 2**16
         params = SimParams(**DEFAULTS, periods=3000, master_seed=SEED)
         # a process's first call allocates numpy state untraced here
@@ -536,6 +537,17 @@ class TestStreamContract:
         assert runs.call_count > 2 * len(coverage)
         assert_same_timeline(cut, timeline)
 
+    @mock.patch.object(sim, "PERIODS_PER_BLOCK", 16)
+    def test_counts_are_drawn_with_the_clocks(self):
+        # every block's counts, redraws and all, are in the record before
+        # its run loop is advanced, and the packet buffer is sized to them
+        periods, runs, buffer = sim._simulation(self.PINNED)
+        expected = [departures.size for block in range(block_count(self.PINNED))
+                    for _, departures, _ in block_draws(self.PINNED, block)[0]]
+        assert periods.generated_counts.tolist() == expected
+        assert buffer.size == sum(expected) + 1
+        runs.close()
+
     @pytest.mark.parametrize("require_delivery", [False, True])
     def test_failure_clocks_shared_across_a_rho_sweep(self, require_delivery):
         """Clocks do not depend on lam, nor do the redraws that condition
@@ -571,9 +583,14 @@ class TestUniformDepartures:
         # give 0 * inf = NaN
         total, spacings = 2.0**20, [2.0**-40, 3.0]
         assert (total + spacings[0]) - total == 0.0
+        # the caller's slots: the running sum before the two periods, then
+        # one per spacing
+        sums = np.array([total, np.nan, np.nan])
         with np.errstate(all="raise"):
-            departures, after = sim._departures(np.array([5.0, 7.0]), np.array([1, 1]), total,
-                                                FixedSpacings(spacings))
+            departures = sim._departures(np.array([5.0, 7.0]), np.array([1, 1]), sums,
+                                         FixedSpacings(spacings))
+        after = sums[-1]
+        assert np.shares_memory(departures, sums)
         assert departures.tolist() == [0.0, 0.0]
         assert after == total + 3.0
         assert uniform_departures(5.0, [total, total + spacings[0]]).tolist() == [0.0]
@@ -588,7 +605,8 @@ class TestUniformDepartures:
         for _ in range(200):
             total, n, T = rng.uniform(1e6, 8e6), int(rng.integers(1, 20)), rng.exponential(200.0)
             spacings = np.append(rng.standard_exponential(n), 1e-12)
-            departures, _ = sim._departures(np.array([T]), np.array([n + 1]), total, FixedSpacings(spacings))
+            slots = np.append(total, np.full(n + 1, np.nan))
+            departures = sim._departures(np.array([T]), np.array([n + 1]), slots, FixedSpacings(spacings))
             sums = np.cumsum([total, *spacings])
             assert departures.tolist() == uniform_departures(T, sums).tolist()
             assert departures[0] == 0.0 and np.all(np.diff(departures) >= 0) and departures[-1] <= T
@@ -612,7 +630,7 @@ class TestBlockPrefix:
     same seed, bit for bit: for any n without conditioning, and for n a
     multiple of PERIODS_PER_BLOCK under require_delivery (whose redraws go
     in rounds over a whole block). A small BLOCK_PACKETS makes a block span
-    several runs, so the runs' hand-over and growth are both covered."""
+    several runs, so the runs' hand-over and packing are both covered."""
 
     @staticmethod
     def assert_prefix(params, n, more, block_packets):
@@ -693,11 +711,11 @@ class TestDistributions:
         lam, nu = DEFAULTS["lam"], DEFAULTS["nu"]
         uniforms, departures = [], sim._departures
 
-        def recorded(clocks, counts, total, rng):
-            out, total = departures(clocks, counts, total, rng)
-            # read now: the run compacts its deliveries into `out` in place
+        def recorded(clocks, counts, sums, rng):
+            out = departures(clocks, counts, sums, rng)
+            # read now: the run compacts its deliveries over `out` in place
             uniforms.append(np.delete(out / np.repeat(clocks, counts), np.cumsum(counts) - counts))
-            return out, total
+            return out
 
         with mock.patch.object(sim, "_departures", recorded):
             tl = simulate(SimParams(**DEFAULTS, periods=10**4, master_seed=SEED))

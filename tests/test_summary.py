@@ -232,10 +232,10 @@ class TestDeliveryGroups:
 
     def test_run_by_run_table_peak(self, timeline):
         # simulate_table at 3000 default periods (one run), in units of 8 B
-        # per generated packet: the run's departures and services (2x),
-        # the lockstep's block buffers and per-period arrays. Measured:
-        # 2.41x; 3.31x for period_table(simulate()), which a simulate_table
-        # that built the Timeline first would take.
+        # per generated packet: the packet buffer and the run's services
+        # (2x), the lockstep's block buffers and per-period arrays.
+        # Measured: 2.41x; 4.04x for period_table(simulate()), which a
+        # simulate_table that built the Timeline first would take.
         params = timeline.params
         peak = traced_peak(lambda: simulate_table(params))
         assert peak < 2.75 * 8 * int(timeline.generated_counts.sum())
@@ -244,10 +244,11 @@ class TestDeliveryGroups:
     @pytest.mark.parametrize("block", [2**12, 2**14])
     def test_run_by_run_table_holds_no_run_past_its_turn(self, timeline, block):
         # Above the table's own arrays the peak is the lockstep's block
-        # buffers, one run's buffers and per-period temporaries, whatever
-        # the number of runs. Measured: 0.19x and 0.23x of 8 B per delivery
-        # with 74 and 19 runs; 2.2x for both with every run's buffers
-        # referenced to the end, and 2.2x with a Timeline built first.
+        # buffers, one run's services and per-period temporaries, whatever
+        # the number of runs, and the packet buffer's slots of discarded
+        # packets. Measured: 0.21x and 0.26x of 8 B per delivery with 74
+        # and 19 runs; 1.2x for both with every run's services referenced
+        # to the end.
         with mock.patch.object(sim, "BLOCK_PACKETS", block):
             table = simulate_table(timeline.params)
             peak = traced_peak(lambda: simulate_table(timeline.params))
