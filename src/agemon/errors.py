@@ -20,8 +20,9 @@ class EmptyTimelineError(ValueError):
 
 
 class SimulationLimitError(RuntimeError):
-    """A run's packet budget, a period's event cap or the conditioning's
-    redraw-round cap was hit; the run is aborted rather than truncated."""
+    """A run's packet budget, a table's threshold cells, a period's event
+    cap or the conditioning's redraw-round cap was hit; the run is aborted
+    rather than truncated."""
 
 
 def check_params(**values: float) -> None:

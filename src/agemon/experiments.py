@@ -103,7 +103,7 @@ def measure(params: SimParams, taus=None, with_sim: bool = True, confidence: flo
             for tau, d, err in zip(taus, degenerate, errs)]
     if with_sim:
         scored = [math.inf if d else tau for tau, d in zip(taus, degenerate)]
-        for row, summary in zip(rows, summarize(simulate_table(params), scored, confidence)):
+        for row, summary in zip(rows, summarize(simulate_table(params, scored), confidence)):
             row.update(summary)
             if len(row) > len(base):  # run_row's check, for summarize's columns
                 raise ParameterError(f"unknown columns {sorted(row.keys() - base.keys())}")

@@ -17,10 +17,10 @@ The next period starts exactly at recovery completion.
 Periods are cut into blocks of PERIODS_PER_BLOCK, and block b draws only
 from its streams SeedSequence(master_seed, spawn_key=(b, k)), one per kind
 of draw k. `_simulation` draws each stream in a few array calls per block:
-every clock and count first, then the packets run by run into one buffer
-sized to them. It queues many periods in lockstep and packs each run's
-delivered packets behind the earlier runs', for `summary.simulate_table` to
-read. The test suite keeps a serial reference (tests/reference.py: each
+every clock and count first, then the packets run by run, each run into a
+buffer of its own. It queues many periods in lockstep and packs each run's
+delivered packets into the front of its buffer, for `summary.simulate_table`
+to read before the next run is drawn. The test suite keeps a serial reference (tests/reference.py: each
 period drawn after the one before it) and checks that the run loop
 reproduces it bit for bit.
 """
@@ -41,9 +41,9 @@ from .errors import ParameterError, SimulationLimitError, check_params
 # silent truncation.
 EVENT_CAP = 10**9
 
-# Expected packets per run, periods * (1 + lam/nu), allowed before anything
-# is drawn. The packet buffer takes 8 bytes per generated packet, so a run
-# beyond it could not be held in memory.
+# Expected packets per simulation, periods * (1 + lam/nu), allowed before
+# anything is drawn; a budget of 8-byte cells, which `summary.simulate_table`
+# also applies to its thresholds' per-period rows.
 MAX_EXPECTED_PACKETS = 10**9
 
 # Expected rounds, (mu + nu) / mu, in which require_delivery redraws a lost
@@ -52,10 +52,10 @@ MAX_EXPECTED_PACKETS = 10**9
 MAX_REDRAW_ROUNDS = 10**3
 
 # Packets drawn for one run of periods, whose queues are then solved at
-# once and only their deliveries kept; bounds the transient memory held for
-# a run's services, whatever the number of periods. Its departures are drawn
-# into the simulation's one packet buffer, 8 bytes per generated packet,
-# whose slots of discarded packets stay allocated with the deliveries'.
+# once and only their deliveries kept; bounds the memory held for a run,
+# whatever the number of periods: its departures, drawn into a buffer of its
+# own that then holds its deliveries' generations, and its services, 8 bytes
+# per packet each.
 BLOCK_PACKETS = 1 << 20
 
 # Periods that share one set of streams. Part of the stream contract:
@@ -382,17 +382,14 @@ def _compact(moves, counts, kept, offsets) -> int:
 
 def _simulation(params: SimParams):
     """(the per-period arrays, as a `_Periods` record; the run loop, a
-    generator; the packet buffer, a slot per generated packet and one more).
+    generator).
 
     Every limit is checked and every clock and count drawn before this
     returns. The run loop fills delivered_counts and yields, run by run,
     (i, j, generations, arrivals): the absolute generation and arrival
-    times of the deliveries of periods i..j-1. The generations are the
-    buffer's slots after the earlier runs' deliveries, so the loop leaves
-    every delivery's in the buffer's prefix, in order; the arrivals are the
-    front of the run's services. A consumer may write over either: the loop
-    writes no yielded slot again, and drops the services before it draws
-    the next run.
+    times of the deliveries of periods i..j-1, the fronts of the run's
+    departure and service buffers. A consumer may write over either: the
+    loop writes neither again, and drops both before it draws the next run.
     """
     n = params.periods
     expected = n * (1.0 + params.lam / params.nu)
@@ -434,35 +431,34 @@ def _simulation(params: SimParams):
         delivered_counts=np.empty(n, dtype=np.int64),
         generated_counts=generated_counts,
     )
-    buffer = np.empty(int(generated_counts.sum()) + 1)
-    return periods, _runs(periods, first_services, buffer), buffer
+    return periods, _runs(periods, first_services)
 
 
-def _runs(periods: _Periods, first_services: np.ndarray, buffer: np.ndarray):
+def _runs(periods: _Periods, first_services: np.ndarray):
     """The run loop of `_simulation`: each block draws its spacings and
     services in runs of about BLOCK_PACKETS packets, each run queued as soon
-    as it is drawn. The run of packets [p, p + size) draws its departures
-    into buffer[p:p + size + 1], whose first slot holds the running spacing
-    sum before it and whose last is the next run's first, and packs its
-    deliveries into buffer[d:], d being the earlier runs' deliveries: d <= p,
-    so no slot is written before it is read."""
+    as it is drawn. A run of `size` packets draws its departures into a
+    buffer of size + 1 slots, whose first slot holds the block's running
+    spacing sum before it and whose last keeps the sum after it for the
+    next run, and packs its deliveries into the buffer's front."""
     params = periods.params
     n = params.periods
     clocks, generated_counts = periods.times_to_failure, periods.generated_counts
-    p = d = 0
     for block, lo in enumerate(range(0, n, PERIODS_PER_BLOCK)):
         hi = min(lo + PERIODS_PER_BLOCK, n)
         gaps_rng, services_rng = (_stream(params.master_seed, block, kind) for kind in (_GAPS, _SERVICES))
         # runs of consecutive periods of about BLOCK_PACKETS packets
-        heads = np.cumsum(generated_counts[lo:hi]) - generated_counts[lo:hi]
-        cuts = lo + 1 + np.flatnonzero(np.diff(heads // BLOCK_PACKETS))
-        buffer[p] = 0.0  # the block's spacing sum starts afresh
+        block_counts = generated_counts[lo:hi]
+        cuts = lo + 1 + np.flatnonzero(np.diff((np.cumsum(block_counts) - block_counts) // BLOCK_PACKETS))
+        spacing_sum = 0.0  # the block's spacing sum starts afresh
         for i, j in zip((lo, *cuts.tolist()), (*cuts.tolist(), hi)):
             counts = generated_counts[i:j]
-            size = int(counts.sum())
+            buffer = np.empty(int(counts.sum()) + 1)
+            buffer[0] = spacing_sum
             # the departures are laid out before the services are allocated,
-            # so a run holds at most one packet-length array of its own
-            departures = _departures(clocks[i:j], counts, buffer[p:p + size + 1], gaps_rng)
+            # so a run holds at most two packet-length arrays
+            departures = _departures(clocks[i:j], counts, buffer, gaps_rng)
+            spacing_sum = buffer[-1]
             arrivals = _services(services_rng, 1.0 / params.mu, first_services[i:j], counts)
             # the services become the arrivals in place
             _lindley_lockstep(departures, arrivals, counts)
@@ -470,11 +466,9 @@ def _runs(periods: _Periods, first_services: np.ndarray, buffer: np.ndarray):
             # (a_k <= T) are a prefix of each period's packets
             kept = periods.delivered_counts[i:j]
             kept[:] = _prefix_lengths(arrivals, np.cumsum(counts) - counts, counts, clocks[i:j])
-            delivered = _compact(((departures, buffer[d:]), (arrivals, arrivals)), counts, kept,
+            delivered = _compact(((departures, buffer), (arrivals, arrivals)), counts, kept,
                                  periods.start_times[i:j])
-            yield i, j, buffer[d:d + delivered], arrivals[:delivered]
-            # dropped before the next run is drawn, so no two runs' services
+            yield i, j, buffer[:delivered], arrivals[:delivered]
+            # dropped before the next run is drawn, so no two runs' buffers
             # are live at once and the next run's reuse their memory
-            del arrivals
-            p += size
-            d += delivered
+            del buffer, departures, arrivals

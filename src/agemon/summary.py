@@ -9,17 +9,16 @@ system time of each update on its arrival. Every age metric integrates that
 piecewise-linear trajectory in closed form per segment with `_age_area`;
 there is no time discretization anywhere.
 
-Deliveries are stored period after period, so cumsum(delivered_counts)
+A run's deliveries are stored period after period, so cumsum(counts)
 locates each period's own arrival gaps: a per-period integral is one piece
 from the last earlier arrival plus one `np.add.reduceat` of its own gaps.
 The table is built in two parts: `_run_rows` reads each period's first
-and last arrival, its age at the last one and its r2 area off a run's
-deliveries, and writes their gaps; `_finish` clips the edges and adds the
-r1 and r3 trapezoids in O(periods). `simulate_table` reads each
-simulated run as soon as it is queued and writes its gaps (each period's
-last one cut at its slice end) over its generations, a slice of the
-simulation's one packet buffer, whose prefix becomes the table's `gaps`.
-The per-delivery terms are built over groups of whole periods with a
+and last arrival, its age at the last one, its r2 area and, for each
+finite threshold, the sum of its gaps' excess over it off a run's
+deliveries; `_finish` clips the edges and adds the r1 and r3 trapezoids
+in O(periods). `simulate_table` takes its thresholds up front and reads
+each simulated run as soon as it is queued, so no delivery outlives its
+run. The per-delivery terms are built over groups of whole periods with a
 bounded number of deliveries, so no stage holds a temporary that spans
 the run.
 
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sim
-from .errors import EmptyTimelineError, ParameterError, check_params
+from .errors import EmptyTimelineError, ParameterError, SimulationLimitError, check_params
 from .sim import SimParams
 
 # Per-period cells of a chunk of thresholds that `summarize` scores in one
@@ -70,12 +69,14 @@ class PeriodTable:
     empty). The true state is failed exactly on r3, so region_times[2] is
     also the failed time.
 
-    Period p's deliveries are the counts[p] after those of the periods
-    before it in storage order, and gaps[j] is the time from delivery j to
-    the next one in its period, a period's last to its slice end
-    edges[3, p]. last_arrivals holds each period's last arrival from an
-    earlier period and its last arrival of all (the same when it delivered
-    nothing), -inf if none. `error_columns` scores thresholds on them.
+    Period p delivered counts[p] updates. last_arrivals holds each
+    period's last arrival from an earlier period and its last arrival of
+    all (the same when it delivered nothing), -inf if none. The table was
+    built for the thresholds `taus`, and hinges[i, p] is period p's sum of
+    max(gap - tau, 0) over its gaps for the i-th finite one of them: a gap
+    runs from a delivery to the next one in its period, a period's last to
+    its slice end edges[3, p]. `error_columns` scores the thresholds on
+    them.
     """
 
     params: SimParams
@@ -87,19 +88,20 @@ class PeriodTable:
     edges: np.ndarray
     last_arrivals: np.ndarray
     counts: np.ndarray
-    gaps: np.ndarray
+    taus: np.ndarray
+    hinges: np.ndarray
 
     @property
     def aoi(self) -> float:
         return float(self.areas.sum()) / self.measured_time
 
-    def error_columns(self, taus) -> np.ndarray:
+    def error_columns(self, chunk: slice = slice(None)) -> np.ndarray:
         """Each slice's exact false-positive, false-negative and
         reacquisition false-positive time under the rule that declares
-        FAILED while z > tau, as the rows fp, fn and reacq of a (3, periods)
-        array for one threshold and of a (3, k, periods) array for a
-        sequence of k. Their sum over a slice, fp + fn, is its mismatch time.
-        tau = inf is the rule that always declares WORKING.
+        FAILED while z > tau, for each tau of taus[chunk], as the rows fp,
+        fn and reacq of a (3, thresholds, periods) array. Their sum over a
+        slice, fp + fn, is its mismatch time. tau = inf is the rule that
+        always declares WORKING.
 
         A false positive declares FAILED while the sensor works, a false
         negative the other way around. The reacquisition false positives
@@ -109,67 +111,47 @@ class PeriodTable:
         tau < r. The detection-scope error, fp - reacq + fn, scores those
         spans as correct, matching the scope of the closed-form error rate.
 
-        Each threshold's columns are, bit for bit, those it has when scored
-        alone; the per-delivery terms of all pass through one group's buffer.
+        Each threshold's columns are, bit for bit, those it has in a table
+        built for it alone, whatever the chunk.
         """
-        taus = np.asarray(taus, dtype=float)
+        taus = self.taus[chunk]
         failed = self.region_times[2]
         # tau = inf is exact, where the general path would meet -inf + inf
         columns = np.zeros((3, taus.size, failed.size))
         columns[1] = failed
-        scored = taus.reshape(-1) < math.inf
-        tau = taus.reshape(-1)[scored, None]
+        scored = taus < math.inf
+        tau = taus[scored, None]
         start, cut, fail, end = self.edges
         before, last = self.last_arrivals
         # the gap that starts before the slice turns FAILED here; it ends at
         # the first delivery, or runs through a slice that has none
         flip = np.maximum(start, before + tau)
         est_failed = np.clip(np.where(self.counts > 0, cut, end) - flip, 0.0, None)
-        # and of the slice's own gaps, the last one already cut at the slice end
-        buffer = np.empty(min(self.gaps.size, max(sim._GROUP_PACKETS, int(self.counts.max()))))
-
-        def beyond(lo, hi, i):
-            part = np.subtract(self.gaps[lo:hi], tau[i, 0], out=buffer[:hi - lo])
-            return np.maximum(part, 0.0, out=part)
-
-        _add_period_sums(est_failed, self.counts, beyond)
+        # and the slice's own gaps beyond tau, summed as the table was built:
+        # a finite threshold's hinge row counts the finite ones before it
+        hinge_rows = np.cumsum(self.taus < math.inf) - 1
+        est_failed += self.hinges[hinge_rows[chunk][scored]]
         # r3 holds no arrival: the estimate reads WORKING until last arrival + tau
         fn = np.where(failed > 0, np.clip(np.minimum(end, last + tau) - fail, 0.0, None), 0.0)
         columns[0, scored] = np.clip(est_failed - (failed - fn), 0.0, None)
         columns[1, scored] = fn
         # r1 holds no arrival either: its estimate turns FAILED once, at flip
         columns[2, scored] = np.where(self.region_times[0] > 0, np.clip(cut - flip, 0.0, None), 0.0)
-        return columns.reshape((3, *taus.shape, failed.size))
+        return columns
 
 
-def _add_period_sums(sums, counts, pieces):
-    """Add to sums[i, p], for each row i of the (rows, periods) array
-    `sums`, period p's sum of pieces(lo, hi, i), an array of one term per
-    delivery in [lo, hi) of its deliveries, if it has any.
-
-    The deliveries are taken in groups of whole periods (`sim._groups`),
-    each group's rows in turn, so no temporary spans the run. Each period
-    is one `np.add.reduceat` segment of its own terms, whatever group it
-    falls in, so the grouping changes no bit.
-    """
-    delivered = np.flatnonzero(counts)
-    starts = np.cumsum(counts)[delivered] - counts[delivered]
-    for a, b, lo, hi in sim._groups(counts[delivered]):
-        for i, row in enumerate(sums):
-            row[delivered[a:b]] += np.add.reduceat(pieces(lo, hi, i), starts[a:b] - lo)
-
-
-def _run_rows(arrivals, generations, counts, failures, ends, rows, gaps) -> None:
+def _run_rows(arrivals, generations, counts, failures, ends, rows, taus, hinges) -> None:
     """Read one run's rows off its deliveries: consecutive periods with
     counts[p] deliveries each, period after period.
 
     For each period that delivered, rows (4, periods) gets its first
     arrival, its last arrival, the age at its last arrival and its r2 area:
     the sum of its own gap trapezoids from its first arrival, the last gap
-    cut at its failure. `gaps` gets each delivery's gap to the next one in
-    its period, the last one cut at the period's recovery end (its slice
-    end). `gaps` may be `generations` itself: a group's ages are read
-    before its gaps are written over them.
+    cut at its failure. Row i of hinges (thresholds, periods) gets its sum
+    of max(gap - taus[i], 0), the last gap cut at its recovery end (its
+    slice end). Each period is one `np.add.reduceat` segment, whatever
+    group it falls in. The gaps are written over `generations`: a group's
+    ages are read before its gaps are written.
     """
     delivered = np.flatnonzero(counts)
     last = np.cumsum(counts)[delivered] - 1
@@ -179,17 +161,21 @@ def _run_rows(arrivals, generations, counts, failures, ends, rows, gaps) -> None
     rows[2, delivered] = arrivals[last] - generations[last]
     for a, b, lo, hi in sim._groups(counts[delivered]):
         ages = arrivals[lo:hi] - generations[lo:hi]
-        part = gaps[lo:hi]
-        np.subtract(arrivals[lo + 1:hi], arrivals[lo:hi - 1], out=part[:-1])
-        tails, group = last[a:b], delivered[a:b]
-        part[tails - lo] = failures[group] - arrivals[tails]
-        rows[3, group] += np.add.reduceat(_age_area(part, ages), starts[a:b] - lo)
-        part[tails - lo] = ends[group] - arrivals[tails]
+        gaps = generations[lo:hi]
+        np.subtract(arrivals[lo + 1:hi], arrivals[lo:hi - 1], out=gaps[:-1])
+        tails, group, segments = last[a:b], delivered[a:b], starts[a:b] - lo
+        gaps[tails - lo] = failures[group] - arrivals[tails]
+        rows[3, group] += np.add.reduceat(_age_area(gaps, ages), segments)
+        gaps[tails - lo] = ends[group] - arrivals[tails]
+        for tau, row in zip(taus, hinges):
+            beyond = np.subtract(gaps, tau, out=ages)  # the ages are spent
+            row[group] += np.add.reduceat(np.maximum(beyond, 0.0, out=beyond), segments)
 
 
-def _finish(periods: sim._Periods, rows, gaps) -> PeriodTable:
-    """The period table from the per-period arrays of `periods`, the rows
-    `_run_rows` read off every run and the gaps, in O(periods): the edges
+def _finish(periods: sim._Periods, rows, taus, hinges) -> PeriodTable:
+    """The period table from the per-period arrays of `periods` and the
+    rows and hinges `_run_rows` read off every run for `taus`, in
+    O(periods): the edges
     clipped to the measured span [first arrival, end of run], the r1 and r3
     trapezoids and the region masks."""
     counts = periods.delivered_counts
@@ -227,26 +213,38 @@ def _finish(periods: sim._Periods, rows, gaps) -> PeriodTable:
         edges=edges,
         last_arrivals=np.where(last >= 0, lasts[at], -np.inf),
         counts=counts,
-        gaps=gaps,
+        taus=taus,
+        hinges=hinges,
     )
 
 
-def simulate_table(params: SimParams) -> PeriodTable:
-    """The rule-independent columns of the period table of a simulation of
-    `params`: each run's rows are read off its deliveries as soon as it is
-    queued, and its gaps written over its generations, which the run loop
-    packs run after run into the packet buffer's prefix, the table's
-    `gaps`. The table keeps that buffer, 8 bytes per generated packet, and
-    a run holds at most its services besides. Ages are integrated from
-    reset ages, not absolute generation times, which stays well
-    conditioned on long runs."""
-    periods, runs, buffer = sim._simulation(params)
-    rows = np.zeros((4, params.periods))
+def simulate_table(params: SimParams, taus) -> PeriodTable:
+    """The period table of a simulation of `params`, built to score the
+    thresholds `taus` (any iterable, read once): each run's rows and
+    hinges are read off its deliveries as soon as it is queued, and the run
+    is dropped before the next is drawn. Beyond its per-period columns the
+    table holds 8 bytes per finite threshold and period, and a run holds its
+    packet buffer and services besides. Every threshold, and the hinges'
+    cells against sim.MAX_EXPECTED_PACKETS, is checked before anything is
+    drawn. Ages are integrated from reset ages, not absolute generation
+    times, which stays well conditioned on long runs."""
+    taus = np.array([float(tau) for tau in taus])
+    for tau in taus.tolist():
+        check_params(tau=tau)
+    finite = taus[taus < math.inf]
+    cells = finite.size * params.periods
+    if cells > sim.MAX_EXPECTED_PACKETS:
+        raise SimulationLimitError(
+            f"the table's {finite.size} finite thresholds take {cells} cells, thresholds * periods, "
+            f"over the cap MAX_EXPECTED_PACKETS = {sim.MAX_EXPECTED_PACKETS}"
+        )
+    periods, runs = sim._simulation(params)
+    rows, hinges = np.zeros((4, params.periods)), np.zeros((finite.size, params.periods))
     for i, j, generations, arrivals in runs:
         _run_rows(arrivals, generations, periods.delivered_counts[i:j], periods.failure_times[i:j],
-                  periods.recovery_ends[i:j], rows[:, i:j], generations)
+                  periods.recovery_ends[i:j], rows[:, i:j], finite, hinges[:, i:j])
         del generations, arrivals
-    return _finish(periods, rows, buffer[:int(periods.delivered_counts.sum())])
+    return _finish(periods, rows, taus, hinges)
 
 
 def check_confidence(confidence: float | None) -> None:
@@ -267,14 +265,10 @@ def _ratio_halfwidth(numerator, table: PeriodTable, measured: int, z: float) -> 
     return z * math.sqrt(float(residual @ residual) * measured / (measured - 1)) / table.measured_time
 
 
-def summarize(
-    table: PeriodTable,
-    taus,
-    confidence: float | None = 0.95,
-) -> list[dict]:
-    """Each threshold's empirical columns of `report.COLUMNS` on one table, as a
-    dict of Python scalars: the run's size and seed, the mean age and the
-    region averages and times, the error rates and the reacquisition
+def summarize(table: PeriodTable, confidence: float | None = 0.95) -> list[dict]:
+    """Each of the table's thresholds' empirical columns of `report.COLUMNS`,
+    as a dict of Python scalars: the run's size and seed, the mean age and
+    the region averages and times, the error rates and the reacquisition
     false-positive time, and regenerative ratio half-widths at the given
     confidence for the mean age, the full-span error and the
     detection-scope error.
@@ -288,13 +282,9 @@ def summarize(
     scored by `PeriodTable.error_columns` in chunks of at most
     max(1, _SCORE_CELLS // periods), each threshold once, and its
     half-widths come from its own columns, so its columns do not depend on
-    the thresholds beside it. `taus` may be any iterable; it is read once,
-    and every threshold is checked before any work.
+    the thresholds beside it.
     """
     check_confidence(confidence)
-    taus = [float(tau) for tau in taus]
-    for tau in taus:
-        check_params(tau=tau)
     params, span = table.params, table.measured_time
     aoi_hw = z = None
     if confidence is not None:
@@ -333,6 +323,6 @@ def summarize(
     # a chunk's columns are dropped before the next chunk is scored
     step = max(1, _SCORE_CELLS // table.lengths.size)
     summaries = []
-    for i in range(0, len(taus), step):
-        summaries += map(summary, table.error_columns(taus[i:i + step]).swapaxes(0, 1))
+    for i in range(0, table.taus.size, step):
+        summaries += map(summary, table.error_columns(slice(i, i + step)).swapaxes(0, 1))
     return summaries

@@ -34,11 +34,26 @@ def read_csv(path) -> list[dict]:
     ]
 
 
+def table_rows(table, taus, confidence=None):
+    """summarize's rows for `taus`, thresholds that `table` was built for,
+    without half-widths by default."""
+    rows = summarize(table, confidence)
+    position = table.taus.tolist().index
+    return [rows[position(tau)] for tau in taus]
+
+
 def empirical_columns(table, tau=0.0):
-    """summarize's columns for one threshold, without half-widths. The
-    region columns do not depend on the threshold."""
-    [row] = summarize(table, [tau], confidence=None)
+    """summarize's columns for tau, a threshold that `table` was built for,
+    without half-widths. The region columns do not depend on the threshold."""
+    [row] = table_rows(table, [tau])
     return row
+
+
+def tau_columns(table, tau):
+    """error_columns' (3, periods) fp, fn and reacq columns for tau, a
+    threshold that `table` was built for."""
+    i = table.taus.tolist().index(tau)
+    return table.error_columns(slice(i, i + 1))[:, 0]
 
 
 def manual_period(start, T, r, generations, arrivals, discarded=0):

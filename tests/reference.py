@@ -87,20 +87,23 @@ class Timeline:
 def simulate(params: SimParams) -> Timeline:
     """The library's simulation of `params` as a Timeline: the run loop's
     per-period arrays and its runs' deliveries, joined run after run."""
-    periods, runs, _ = sim._simulation(params)
+    periods, runs = sim._simulation(params)
     _, _, generations, arrivals = zip(*runs)
     return Timeline(**{field.name: getattr(periods, field.name) for field in fields(periods)},
                     arrival_times=np.concatenate(arrivals), arrival_generations=np.concatenate(generations))
 
 
-def period_table(timeline: Timeline) -> PeriodTable:
-    """A timeline's period table, read by the library's row builder as one
-    run into a fresh `gaps`, so the timeline's arrays are left as they are."""
-    rows = np.zeros((4, timeline.delivered_counts.size))
-    gaps = np.empty_like(timeline.arrival_times)
-    summary._run_rows(timeline.arrival_times, timeline.arrival_generations, timeline.delivered_counts,
-                      timeline.failure_times, timeline.recovery_ends, rows, gaps)
-    return summary._finish(timeline, rows, gaps)
+def period_table(timeline: Timeline, taus) -> PeriodTable:
+    """A timeline's period table for the thresholds `taus`, read by the
+    library's row builder as one run; the builder writes its gaps over a
+    copy of the generations, so the timeline's arrays are left as they are."""
+    taus = np.array([float(tau) for tau in taus])
+    finite = taus[taus < math.inf]
+    periods = timeline.delivered_counts.size
+    rows, hinges = np.zeros((4, periods)), np.zeros((finite.size, periods))
+    summary._run_rows(timeline.arrival_times, timeline.arrival_generations.copy(), timeline.delivered_counts,
+                      timeline.failure_times, timeline.recovery_ends, rows, finite, hinges)
+    return summary._finish(timeline, rows, taus, hinges)
 
 
 def block_streams(master_seed: int, block: int) -> tuple[np.random.Generator, ...]:

@@ -21,11 +21,19 @@ from agemon import (
     mean_aoi_closed_form,
     run_sweep,
     simulate_table,
-    summarize,
     SweepSpec,
 )
 from agemon.analytics import error_rate
-from conftest import DEFAULTS, MAP_TAU, SEED, empirical_columns, manual_timeline, sawtooth_timeline
+from conftest import (
+    DEFAULTS,
+    MAP_TAU,
+    SEED,
+    empirical_columns,
+    manual_timeline,
+    sawtooth_timeline,
+    table_rows,
+    tau_columns,
+)
 from reference import (
     block_count,
     block_traces,
@@ -40,6 +48,10 @@ from reference import (
 
 LAM, MU, NU, R = DEFAULTS["lam"], DEFAULTS["mu"], DEFAULTS["nu"], DEFAULTS["r"]
 TAU = map_threshold(LAM, NU)
+# the thresholds scored on the pinned 10^5-period run: the optimal one, the
+# integer grid 1..20 and the coarse comparison rules
+SWEEP = [float(t) for t in range(1, 21)]
+RIVALS = [factor * TAU for factor in (0.25, 0.5, 2.0, 4.0)]
 ERROR_RATE_CF = 0.041628918211379574
 MEAN_AOI_CF = 4.504545454545454
 
@@ -56,7 +68,7 @@ def timeline_100k():
 
 @pytest.fixture(scope="module")
 def table_100k(timeline_100k):
-    return period_table(timeline_100k)
+    return period_table(timeline_100k, [MAP_TAU, *SWEEP, *RIVALS])
 
 
 @pytest.fixture(scope="module")
@@ -107,14 +119,12 @@ def test_criterion_3_threshold_optimality(table_100k, error_default_rule):
     best = scan_optimal_threshold(LAM, NU, R, grid)
     assert best == pytest.approx(9.16, abs=0.02)
     # empirical sweep on the pinned 10^5-period run, integer grid 1..20
-    taus = [float(t) for t in range(1, 21)]
-    sweep = {t: row["err_empirical"] for t, row in zip(range(1, 21), summarize(table_100k, taus, None))}
+    sweep = {t: row["err_empirical"] for t, row in zip(range(1, 21), table_rows(table_100k, SWEEP))}
     empirical_best = min(sweep, key=sweep.get)
     assert empirical_best == 9  # grid point nearest 9.16
     # the optimal threshold also beats the coarse comparison rules empirically
     e_map = error_default_rule["err_empirical"]
-    rivals = [factor * TAU for factor in (0.25, 0.5, 2.0, 4.0)]
-    for rival in summarize(table_100k, rivals, None):
+    for rival in table_rows(table_100k, RIVALS):
         assert e_map <= rival["err_empirical"]
     note(
         f"criterion 3 PASS: quadrature argmin {best:.2f} (9.16 +- 0.02), "
@@ -128,7 +138,7 @@ def test_criterion_4_aoi_closed_form_vs_monte_carlo(table_100k):
     rel = abs(aoi / MEAN_AOI_CF - 1.0)
     assert rel < 0.02
     # shorter working spans break the steady-state premise: deviation grows
-    aoi_short = simulate_table(SimParams(lam=LAM, mu=MU, nu=0.05, r=R, periods=100_000, master_seed=SEED)).aoi
+    aoi_short = simulate_table(SimParams(lam=LAM, mu=MU, nu=0.05, r=R, periods=100_000, master_seed=SEED), ()).aoi
     rel_short = abs(aoi_short / mean_aoi_closed_form(LAM, MU, 0.05, R) - 1.0)
     assert rel_short > rel
     note(
@@ -189,7 +199,7 @@ def test_criterion_6_tradeoff_reproduction():
 
 
 def test_criterion_7_region_structure(table_100k):
-    regions = empirical_columns(table_100k)
+    regions = empirical_columns(table_100k, MAP_TAU)
     gap_32 = regions["avg_r3"] - regions["avg_r2"]
     gap_12 = regions["avg_r1"] - regions["avg_r2"]
     assert gap_32 == pytest.approx(R / 2, rel=0.05)
@@ -230,7 +240,7 @@ def test_criterion_8_exactness_properties():
     ages = [0.5, 0.25, 1.0, 0.75]
     whole_timeline = sawtooth_timeline(times, ages, 8.0)
     split_timeline = sawtooth_timeline(times, ages, 8.0, cuts=[0.5, 1.5, 3.0, 6.0])
-    whole, split = period_table(whole_timeline), period_table(split_timeline)
+    whole, split = period_table(whole_timeline, ()), period_table(split_timeline, ())
     assert split_timeline.arrival_times.size == whole_timeline.arrival_times.size + 4
     assert np.array_equal(split.areas, whole.areas)
     assert split.aoi == whole.aoi
@@ -241,9 +251,9 @@ def test_criterion_8_exactness_properties():
         (3.0, 2.0, [0.0], [0.5]),
         (2.0, 2.0, [0.0], [1.0]),
     ])
-    table = period_table(tl)
+    table = period_table(tl, [math.inf])
     row = empirical_columns(table, math.inf)
-    _, false_negative_time, _ = table.error_columns(math.inf).sum(axis=1).tolist()
+    _, false_negative_time, _ = tau_columns(table, math.inf).sum(axis=1).tolist()
     failed_time = sum(
         max(0.0, end - max(fail, tl.arrival_times[0]))
         for fail, end in zip(tl.failure_times, tl.recovery_ends)
@@ -303,8 +313,8 @@ def test_ratio_halfwidths_agree_with_the_reference_bootstrap(table_100k):
     # and the detection-scope error 0.0001973 vs 0.0001988. At 1000
     # resamples the bootstrap's percentiles carry a few percent of noise of
     # their own, so they agree within 5%.
-    [summary] = summarize(table_100k, [MAP_TAU])
-    fp, fn, reacq = table_100k.error_columns(MAP_TAU)
+    [summary] = table_rows(table_100k, [MAP_TAU], confidence=0.95)
+    fp, fn, reacq = tau_columns(table_100k, MAP_TAU)
     numerators = np.vstack((table_100k.areas, fp + fn, fp - reacq + fn))
     bootstrap = bootstrap_halfwidths(SEED, numerators, table_100k.lengths, 1000, 0.95)
     ratio = [summary["aoi_ci"], summary["err_ci"], summary["err_detection_ci"]]

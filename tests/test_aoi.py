@@ -14,7 +14,7 @@ class TestTrajectory:
         # 2 at 2.0, climbs to 2.4 just before the reset at 2.4, drops to 1.4
         # there, and is 4.0 at the failure at 5 and 24 at the recovery end
         tl = manual_timeline([(5.0, 20.0, [0.0, 1.0, 1.5], [2.0, 2.4])])
-        table = period_table(tl)
+        table = period_table(tl, ())
         assert tl.arrival_times[0] == 2.0
         assert tl.end_time == 25.0
         assert table.measured_time == 23.0
@@ -25,7 +25,7 @@ class TestTrajectory:
     def test_single_delivery_linear(self):
         # age 1 at the arrival at 1.0, rising linearly to 3 at the end, 3.0
         tl = manual_timeline([(2.0, 1.0, [0.0], [1.0])])
-        table = period_table(tl)
+        table = period_table(tl, ())
         assert tl.end_time == 3.0
         assert float(table.areas.sum()) == 2.0 * (1.0 + 3.0) / 2
         assert table.aoi == 2.0
@@ -34,18 +34,18 @@ class TestTrajectory:
         # the update generated at 1.0 arrives at once: the age restarts from
         # 0 at 1.0 and is 1.0 at the failure at 2.0
         tl = manual_timeline([(2.0, 1.0, [0.0, 1.0], [0.5, 1.0])])
-        table = period_table(tl)
+        table = period_table(tl, ())
         assert table.region_areas[2, 0] == 1.0 * (1.0 + 2.0) / 2
         assert float(table.areas.sum()) == 0.5 * (0.5 + 1.0) / 2 + 2.0 * (0.0 + 2.0) / 2
 
     def test_no_deliveries(self):
         tl = manual_timeline([(1.0, 2.0, [0.0], [])])
         with pytest.raises(EmptyTimelineError):
-            period_table(tl)
+            period_table(tl, ())
 
     def test_everywhere_nonnegative(self, small_timeline):
         assert np.all(small_timeline.arrival_times - small_timeline.arrival_generations >= 0)
-        table = period_table(small_timeline)
+        table = period_table(small_timeline, ())
         assert np.all(table.areas >= 0)
         assert np.all(table.region_areas >= 0)
 
@@ -53,23 +53,23 @@ class TestTrajectory:
 class TestTimeAverage:
     def test_trapezoid_by_hand(self):
         # span [2, 2.4] starting at age 2: (2 + 2.4)/2
-        table = period_table(sawtooth_timeline([2.0], [2.0], 2.4))
+        table = period_table(sawtooth_timeline([2.0], [2.0], 2.4), ())
         assert table.aoi == pytest.approx(2.2)
 
     def test_pedestal(self):
         # age A over length L with no resets averages A + L/2
-        table = period_table(sawtooth_timeline([0.0], [7.0], 5.0))
+        table = period_table(sawtooth_timeline([0.0], [7.0], 5.0), ())
         assert table.aoi == pytest.approx(7.0 + 2.5)
 
     def test_deterministic_sawtooth(self):
         # resets to age y every g seconds: average y + g/2
         y, g, teeth = 1.5, 4.0, 50
-        table = period_table(sawtooth_timeline(g * np.arange(teeth), np.full(teeth, y), g * teeth))
+        table = period_table(sawtooth_timeline(g * np.arange(teeth), np.full(teeth, y), g * teeth), ())
         assert table.aoi == pytest.approx(y + g / 2)
 
     def test_zero_span(self):
         with pytest.raises(EmptyTimelineError):
-            period_table(sawtooth_timeline([1.0], [1.0], 1.0))
+            period_table(sawtooth_timeline([1.0], [1.0], 1.0), ())
 
     def test_split_additivity_exact_on_dyadic_grid(self):
         # all values are small dyadics, so every intermediate float op is
@@ -78,7 +78,7 @@ class TestTimeAverage:
         ages = [0.5, 0.25, 1.0, 0.75]
         base_timeline = sawtooth_timeline(times, ages, 8.0)
         split_timeline = sawtooth_timeline(times, ages, 8.0, cuts=[0.5, 1.5, 3.0, 6.0])
-        base, split = period_table(base_timeline), period_table(split_timeline)
+        base, split = period_table(base_timeline, ()), period_table(split_timeline, ())
         assert split_timeline.arrival_times.size == base_timeline.arrival_times.size + 4
         assert np.array_equal(split.areas, base.areas)
         assert split.aoi == base.aoi
@@ -91,15 +91,15 @@ class TestTimeAverage:
         ages = rng.uniform(0.0, 10.0, size=times.size)
         end = float(times[-1] + gaps[-1])
         cuts = rng.uniform(0.0, end, size=7)
-        assert period_table(sawtooth_timeline(times, ages, end, cuts)).aoi == pytest.approx(
-            period_table(sawtooth_timeline(times, ages, end)).aoi, rel=1e-12
+        assert period_table(sawtooth_timeline(times, ages, end, cuts), ()).aoi == pytest.approx(
+            period_table(sawtooth_timeline(times, ages, end), ()).aoi, rel=1e-12
         )
 
 
 class TestIntervalAreas:
     def test_matches_segment_sum(self, small_timeline):
         # the slices' areas add up to the trapezoids of every arrival gap
-        table = period_table(small_timeline)
+        table = period_table(small_timeline, ())
         arrivals = small_timeline.arrival_times
         gaps = np.diff(arrivals, append=small_timeline.end_time)
         ages = arrivals - small_timeline.arrival_generations
@@ -109,7 +109,7 @@ class TestIntervalAreas:
         # the outage r3 = [2.4, 4.4) lies inside the segment after the last
         # arrival: age from 1.4 to 3.4 over 2 s
         tl = manual_timeline([(2.4, 2.0, [0.0, 1.0, 1.5], [2.0, 2.4])])
-        area = period_table(tl).region_areas[2]
+        area = period_table(tl, ()).region_areas[2]
         assert area[0] == pytest.approx(2.0 * (1.4 + 3.4) / 2)
 
 
@@ -121,7 +121,7 @@ class TestRegions:
             (1.0, 2.0, [0.0], []),
             (4.0, 2.0, [0.0, 2.0], [1.0, 3.5]),
         ])
-        regions = empirical_columns(period_table(tl))
+        regions = empirical_columns(period_table(tl, [0.0]))
         # measured span starts at the first arrival 1.5
         # r1: [6, 7) from period 2 (no delivery: pre-failure span) and [9, 10) from period 3
         assert regions["time_r1"] == pytest.approx(2.0)
@@ -133,7 +133,7 @@ class TestRegions:
         assert regions["time_r1"] + regions["time_r2"] + regions["time_r3"] == pytest.approx(span)
 
     def test_weighted_combination_is_overall_average(self, small_timeline):
-        table = period_table(small_timeline)
+        table = period_table(small_timeline, [0.0])
         regions = empirical_columns(table)
         overall = table.aoi
         total_time = regions["time_r1"] + regions["time_r2"] + regions["time_r3"]
@@ -149,5 +149,5 @@ class TestRegions:
 
     def test_region_ordering_statistical(self, small_timeline):
         # outage and reacquisition run at much higher age than normal operation
-        regions = empirical_columns(period_table(small_timeline))
+        regions = empirical_columns(period_table(small_timeline, [0.0]))
         assert regions["avg_r1"] > regions["avg_r3"] > regions["avg_r2"]

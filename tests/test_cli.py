@@ -151,7 +151,7 @@ class TestErrors:
         assert "error:" in err and "lam" in err
 
     def test_unstable_rho_named(self, capsys, monkeypatch):
-        def no_simulation(params):
+        def no_simulation(params, taus):
             raise AssertionError("simulated before rho was checked")
 
         monkeypatch.setattr(agemon.experiments, "simulate_table", no_simulation)
@@ -205,7 +205,7 @@ class TestErrors:
 
     def test_threshold_sweep_at_zero_recovery_fails_before_simulating(self, capsys, monkeypatch):
         # the outage's gap-age distribution divides by r
-        def no_simulation(params):
+        def no_simulation(params, taus):
             raise AssertionError("simulated before the analytic column was checked")
 
         monkeypatch.setattr(agemon.experiments, "simulate_table", no_simulation)
@@ -215,7 +215,7 @@ class TestErrors:
 
     def test_validate_at_zero_recovery_fails_before_simulating(self, capsys, monkeypatch):
         # the closed-form error rate is 0 at r = 0 and divides err_rel_dev
-        def no_simulation(params):
+        def no_simulation(params, taus):
             raise AssertionError("simulated before the recovery was checked")
 
         monkeypatch.setattr(agemon.experiments, "simulate_table", no_simulation)
@@ -225,7 +225,7 @@ class TestErrors:
 
     @SIMULATING
     def test_negative_resamples_fails_before_simulating(self, capsys, monkeypatch, argv):
-        def no_simulation(params):
+        def no_simulation(params, taus):
             raise AssertionError("simulated before the resample count was checked")
 
         monkeypatch.setattr(agemon.experiments, "simulate_table", no_simulation)
@@ -237,7 +237,7 @@ class TestErrors:
     def test_oversized_resamples_are_unused(self, capsys, monkeypatch, argv):
         # 10^12 resamples once simulated first, then failed allocating
         # 14.6 TiB; the count is unused now, so nothing is allocated for it
-        def reached(params):
+        def reached(params, taus):
             raise ParameterError("reached the simulation")
 
         monkeypatch.setattr(agemon.experiments, "simulate_table", reached)
@@ -248,7 +248,7 @@ class TestErrors:
     # the cap of the bootstrap that --resamples once sized
     @SIMULATING
     def test_resamples_at_the_cap_reach_the_simulation(self, capsys, monkeypatch, argv):
-        def reached(params):
+        def reached(params, taus):
             raise ParameterError("reached the simulation")
 
         monkeypatch.setattr(agemon.experiments, "simulate_table", reached)

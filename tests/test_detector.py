@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from agemon import EmptyTimelineError, ParameterError, map_threshold, summarize
-from conftest import MAP_TAU, empirical_columns, manual_period, manual_timeline, sawtooth_timeline
+from unittest import mock
+
+import agemon.sim as sim
+from agemon import EmptyTimelineError, ParameterError, map_threshold, simulate_table, summarize
+from conftest import MAP_TAU, empirical_columns, manual_period, manual_timeline, sawtooth_timeline, tau_columns
 from reference import (
     estimated_state_trajectory,
     naive_error_times,
@@ -42,11 +45,12 @@ class TestThreshold:
             map_threshold(lam, nu)
 
     def test_summarize_rejects_an_invalid_threshold(self, small_timeline):
-        # every threshold is checked before any is scored; inf is valid
-        table = period_table(small_timeline)
-        for tau in (-1.0, -math.inf, math.nan):
-            with pytest.raises(ParameterError, match=f"^tau must be >= 0, got {tau}$"):
-                summarize(table, [MAP_TAU, math.inf, tau], confidence=None)
+        # every threshold is checked when the table is built for it, before
+        # anything is simulated; inf is valid
+        with mock.patch.object(sim, "_simulation", side_effect=AssertionError("simulated")):
+            for tau in (-1.0, -math.inf, math.nan):
+                with pytest.raises(ParameterError, match=f"^tau must be >= 0, got {tau}$"):
+                    summarize(simulate_table(small_timeline.params, [MAP_TAU, math.inf, tau]), confidence=None)
 
 
 def single_span_timeline(arrivals, T=None, r=50.0):
@@ -116,7 +120,7 @@ def random_manual_timelines():
 def error_times(timeline, tau):
     """The whole-run false-positive, false-negative and reacquisition
     false-positive times at threshold tau: its error columns' sums."""
-    return period_table(timeline).error_columns(tau).sum(axis=1).tolist()
+    return tau_columns(period_table(timeline, [tau]), tau).sum(axis=1).tolist()
 
 
 class TestEmpiricalError:
@@ -126,7 +130,7 @@ class TestEmpiricalError:
         tau = 9.16
         tl = manual_timeline([(5.0, 20.0, [0.0, 1.0, 1.5], [2.0, 2.4, 3.4])])
         fp, fn, _ = error_times(tl, tau)
-        row = empirical_columns(period_table(tl), tau)
+        row = empirical_columns(period_table(tl, [tau]), tau)
         assert fn == pytest.approx(3.4 + tau - 5.0)
         assert fp == pytest.approx(0.0, abs=1e-12)
         assert row["measured_time"] == pytest.approx(23.0)
@@ -154,7 +158,7 @@ class TestEmpiricalError:
         ])
         # the rule that always declares WORKING
         fp, fn, _ = error_times(tl, math.inf)
-        row = empirical_columns(period_table(tl), math.inf)
+        row = empirical_columns(period_table(tl, [math.inf]), math.inf)
         in_failure = sum(
             max(0.0, e - max(f, tl.arrival_times[0]))
             for f, e in zip(tl.failure_times, tl.recovery_ends)
@@ -182,12 +186,12 @@ class TestEmpiricalError:
         tau = 1.25
         a, b = (error_times(tl, tau) for tl in (base, shifted))
         assert a[:2] == b[:2]
-        a, b = (empirical_columns(period_table(tl), tau) for tl in (base, shifted))
+        a, b = (empirical_columns(period_table(tl, [tau]), tau) for tl in (base, shifted))
         assert a["err_empirical"] == b["err_empirical"]
 
     def test_reacquisition_split_consistency(self, small_timeline):
         fp, fn, reacq = error_times(small_timeline, MAP_TAU)
-        row = empirical_columns(period_table(small_timeline), MAP_TAU)
+        row = empirical_columns(period_table(small_timeline, [MAP_TAU]), MAP_TAU)
         assert 0.0 <= reacq <= fp
         assert row["err_detection"] < row["err_empirical"]
         assert row["err_empirical"] == pytest.approx((fp + fn) / row["measured_time"])
@@ -197,7 +201,7 @@ class TestEmpiricalError:
 
     def test_per_slice_mismatch_matches_naive_interval_walk(self):
         for tl, tau in random_manual_timelines():
-            got = period_table(tl).error_columns(tau)
+            got = tau_columns(period_table(tl, [tau]), tau)
             for row, want in zip(got, naive_slice_mismatch(tl, tau)):
                 assert row == pytest.approx(want, abs=1e-12)
 
@@ -224,13 +228,13 @@ class TestEmpiricalError:
     @pytest.mark.parametrize("tau", [0.0, 0.25, 1.0, 2.0, 2.5, 6.0, math.inf],
                              ids=["tau0", "tau0.25", "tau1", "tau2", "tau2.5", "tau6", "degenerate"])
     def test_per_slice_mismatch_edge_cases(self, timeline, tau):
-        got = period_table(timeline).error_columns(tau)
+        got = tau_columns(period_table(timeline, [tau]), tau)
         for row, want in zip(got, naive_slice_mismatch(timeline, tau)):
             assert row == pytest.approx(want, abs=1e-12)
 
     def test_per_period_mismatch_sums_to_total(self, small_timeline):
-        table = period_table(small_timeline)
-        fp, fn, reacq = table.error_columns(MAP_TAU)
+        table = period_table(small_timeline, [MAP_TAU])
+        fp, fn, reacq = tau_columns(table, MAP_TAU)
         fp_time, fn_time, _ = error_times(small_timeline, MAP_TAU)
         assert (fp + fn).sum() == pytest.approx(fp_time + fn_time, rel=1e-9)
         # each slice's mismatch fits in the slice, its missed outage in r3,

@@ -130,11 +130,11 @@ class TestMeasure:
         # the simulation another way, those stubs would check nothing.
         calls = []
         monkeypatch.setattr(agemon.experiments, "simulate_table",
-                            lambda params: calls.append(params) or simulate_table(params))
+                            lambda params, taus: calls.append(params) or simulate_table(params, taus))
         params = fixed()
         rows = measure(params, [1.0, 2.0])
         assert calls == [params]
-        assert [row["aoi_empirical"] for row in rows] == [simulate_table(params).aoi] * 2
+        assert [row["aoi_empirical"] for row in rows] == [simulate_table(params, ()).aoi] * 2
 
     def test_analytic_only_rows_build_no_rule(self, monkeypatch):
         # nothing is scored: neither a period table nor a summary is built

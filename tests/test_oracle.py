@@ -463,7 +463,7 @@ class TestCrossCheck:
 
     def test_custom_rule_fails_before_simulating(self, monkeypatch):
         # a rule's error rate checks its threshold before anything is simulated
-        def no_simulation(params):
+        def no_simulation(params, taus):
             raise AssertionError("simulated before the rule's error rate")
 
         # the simulation that monte_carlo_cross_check reaches, wherever it lives

@@ -17,7 +17,7 @@ from scipy import stats
 import agemon.sim as sim
 from agemon import ParameterError, SimParams, SimulationLimitError, simulate_table
 from agemon.report import _params_comment, json_text, project, run_row
-from conftest import DEFAULTS, SEED
+from conftest import DEFAULTS, MAP_TAU, SEED
 from reference import (
     Timeline,
     block_count,
@@ -320,6 +320,24 @@ class TestGeneratePeriod:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    def test_threshold_cells_trip_before_simulating(self, monkeypatch):
+        # each finite threshold takes a cell per period of the table (16 MB
+        # here), counted against MAX_EXPECTED_PACKETS before anything is
+        # drawn or allocated; tau = inf takes none
+        monkeypatch.setattr(sim, "_simulation", lambda params: pytest.fail("simulated"))
+        monkeypatch.setattr(sim, "MAX_EXPECTED_PACKETS", 2 * 10**6 - 1)
+        params, taus = SimParams(**DEFAULTS, periods=10**6), [1.0, math.inf, 2.0]
+        tracemalloc.start()
+        try:
+            with pytest.raises(SimulationLimitError, match=r"2 finite thresholds take 2000000 cells.* = 1999999$"):
+                simulate_table(params, taus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        monkeypatch.setattr(sim, "MAX_EXPECTED_PACKETS", 2 * 10**6)
+        with pytest.raises(pytest.fail.Exception, match="simulated"):
+            simulate_table(params, taus)
 
     def test_conditioning_refuses_endless_redraws_before_drawing(self, monkeypatch):
         # mu = 1e-12, nu = 1: a period would be redrawn ~10^12 times before
@@ -452,35 +470,55 @@ class TestBatchedSimulate:
             assert np.all(batched.delivered_counts > 0)
 
     def test_runs_under_a_profiler(self):
-        # a table of several runs, each packing its deliveries behind the
-        # last run's in one buffer, is the same under a sys.setprofile hook
-        # (which holds references to the arrays of the calls it sees)
+        # a table of several runs, each written over its own buffer's
+        # generations, is the same under a sys.setprofile hook (which holds
+        # references to the arrays of the calls it sees); tau = 0 sums every
+        # gap of a period
+        taus = (0.0, 2.0)
         with mock.patch.object(sim, "BLOCK_PACKETS", self.BUDGET):
-            profiled = cProfile.Profile().runcall(simulate_table, self.MULTI_BLOCK)
-            plain = simulate_table(self.MULTI_BLOCK)
-        assert profiled.gaps.tobytes() == plain.gaps.tobytes()
+            profiled = cProfile.Profile().runcall(simulate_table, self.MULTI_BLOCK, taus)
+            plain = simulate_table(self.MULTI_BLOCK, taus)
+        assert profiled.hinges.tobytes() == plain.hinges.tobytes()
         assert profiled.areas.tobytes() == plain.areas.tobytes()
+
+    @staticmethod
+    def traced_table_peak(params, block):
+        """simulate_table(params, [MAP_TAU]) in runs of `block` packets: (the
+        table, the traced peak of building it)."""
+        with mock.patch.object(sim, "BLOCK_PACKETS", block):
+            tracemalloc.start()
+            try:
+                table = simulate_table(params, [MAP_TAU])
+                return table, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
     def test_transient_memory_is_a_few_runs(self):
         # The traced peak of simulate_table above the table's arrays, in
         # units of one run's packets (8 * BLOCK_PACKETS bytes), is what the
-        # run loop holds for the services and lockstep temporaries of the
-        # run in flight, and the packet buffer's slots of discarded packets.
-        # Measured at this seed: 2.0x, 0.75x of it the lockstep's block
-        # buffers; 5.6x with every run's services kept referenced to the end.
+        # run loop holds for the run in flight: its departure buffer and its
+        # services, the lockstep's block buffers and a ufunc buffer. Measured
+        # at this seed: 2.95x, 0.75x of it the lockstep's block buffers and
+        # 0.24x the ufunc buffer; 10.0x with every run's buffers kept
+        # referenced to the end.
         block = 2**16
-        params = SimParams(**DEFAULTS, periods=3000, master_seed=SEED)
         # a process's first call allocates numpy state untraced here
-        simulate_table(SimParams(**DEFAULTS, periods=1))
-        with mock.patch.object(sim, "BLOCK_PACKETS", block):
-            tracemalloc.start()
-            try:
-                table = simulate_table(params)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        simulate_table(SimParams(**DEFAULTS, periods=1), ())
+        table, peak = self.traced_table_peak(SimParams(**DEFAULTS, periods=3000, master_seed=SEED), block)
         own = sum(value.nbytes for value in vars(table).values() if isinstance(value, np.ndarray))
         assert peak - own < 3 * (8 * block)
+
+    def test_peak_grows_by_periods_not_packets(self):
+        # With runs of 2**12 packets, from 3000 to 12000 default periods
+        # (~101 packets each) the traced peak of simulate_table grows by its
+        # per-period arrays only, never by a term per packet. Measured: 261 B
+        # per added period (33 cells of 8 B), against the bound of 404 B;
+        # 1067 B when the table kept every delivery's gap, 8 B per packet.
+        simulate_table(SimParams(**DEFAULTS, periods=1), ())
+        peaks = [self.traced_table_peak(SimParams(**DEFAULTS, periods=periods, master_seed=SEED), 2**12)[1]
+                 for periods in (3000, 12000)]
+        packets = 9000 * (1.0 + DEFAULTS["lam"] / DEFAULTS["nu"])
+        assert peaks[1] - peaks[0] < 0.5 * 8 * packets
 
 
 class TestStreamContract:
@@ -540,12 +578,11 @@ class TestStreamContract:
     @mock.patch.object(sim, "PERIODS_PER_BLOCK", 16)
     def test_counts_are_drawn_with_the_clocks(self):
         # every block's counts, redraws and all, are in the record before
-        # its run loop is advanced, and the packet buffer is sized to them
-        periods, runs, buffer = sim._simulation(self.PINNED)
+        # its run loop is advanced
+        periods, runs = sim._simulation(self.PINNED)
         expected = [departures.size for block in range(block_count(self.PINNED))
                     for _, departures, _ in block_draws(self.PINNED, block)[0]]
         assert periods.generated_counts.tolist() == expected
-        assert buffer.size == sum(expected) + 1
         runs.close()
 
     @pytest.mark.parametrize("require_delivery", [False, True])

@@ -16,7 +16,7 @@ from agemon import EmptyTimelineError, ParameterError, SimParams, map_threshold,
 from agemon.report import COLUMNS, project, run_row
 from agemon.experiments import measure
 from agemon.summary import _ratio_halfwidth
-from conftest import DEFAULTS, MAP_TAU, SEED, empirical_columns, manual_timeline
+from conftest import DEFAULTS, MAP_TAU, SEED, empirical_columns, manual_timeline, tau_columns
 from reference import age_pieces, bootstrap_halfwidths, period_table, simulate
 
 # float.hex of every float of the optimal rule's summarize(...) in `simulate`'s
@@ -73,19 +73,19 @@ GOLDEN = {
 
 @pytest.fixture(scope="module")
 def small_table(small_timeline):
-    return period_table(small_timeline)
+    return period_table(small_timeline, [MAP_TAU])
 
 
 @pytest.fixture(scope="module")
 def summary(small_table):
-    [summary] = summarize(small_table, [MAP_TAU])
+    [summary] = summarize(small_table)
     return summary
 
 
 class TestSummarize:
     def test_matches_direct_metrics(self, small_table, summary):
         assert summary["aoi_empirical"] == small_table.aoi
-        fp, fn, _ = small_table.error_columns(MAP_TAU).sum(axis=1).tolist()
+        fp, fn, _ = tau_columns(small_table, MAP_TAU).sum(axis=1).tolist()
         assert summary["err_empirical"] == (fp + fn) / small_table.measured_time
         assert summary["measured_time"] == small_table.measured_time
         assert summary["periods"] == 2000
@@ -94,7 +94,7 @@ class TestSummarize:
     def test_confidence_intervals_positive_and_reproducible(self, small_table, summary):
         assert summary["aoi_ci"] > 0
         assert summary["err_ci"] > 0
-        [again] = summarize(small_table, [MAP_TAU])
+        [again] = summarize(small_table)
         assert again["aoi_ci"] == summary["aoi_ci"]
         assert again["err_ci"] == summary["err_ci"]
 
@@ -105,34 +105,36 @@ class TestSummarize:
 
     # the name is kept from when a resample count of 0 skipped the bootstrap
     def test_skipping_bootstrap(self, small_table):
-        [s] = summarize(small_table, [MAP_TAU], confidence=None)
+        [s] = summarize(small_table, confidence=None)
         assert s["aoi_ci"] is None
         assert s["err_ci"] is None
         assert s["err_detection_ci"] is None
 
-    def test_infinite_threshold_always_declares_working(self, small_table):
+    def test_infinite_threshold_always_declares_working(self, small_timeline):
         # tau = inf scores every slice's failed time as missed and nothing
         # else, bit for bit as the "always WORKING" rule did; the general
         # path reaches the same columns at a huge finite threshold
-        failed = small_table.region_times[2]
+        table = period_table(small_timeline, [math.inf, 1e300])
+        failed = table.region_times[2]
         zeros = np.zeros_like(failed)
-        always_working = small_table.error_columns(math.inf)
+        always_working = tau_columns(table, math.inf)
         assert np.array_equal(always_working, np.vstack((zeros, failed, zeros)))
-        assert np.array_equal(small_table.error_columns(1e300), always_working)
-        [row] = summarize(small_table, [math.inf], confidence=None)
+        assert np.array_equal(tau_columns(table, 1e300), always_working)
+        row = empirical_columns(table, math.inf)
         assert row["fp_rate"] == row["reacquisition_fp_time"] == 0.0
         assert row["err_empirical"] == row["err_detection"] == row["time_r3"] / row["measured_time"]
 
     def test_thresholds_read_once_from_any_iterable(self, small_table):
         taus = [0.0, MAP_TAU, math.inf]
-        want = [hex_fields(row) for row in summarize(small_table, taus, confidence=None)]
+        want = [hex_fields(row) for row in summarize(simulate_table(small_table.params, taus), confidence=None)]
         for given in (iter(taus), np.array(taus)):
-            assert [hex_fields(row) for row in summarize(small_table, given, confidence=None)] == want
+            table = simulate_table(small_table.params, given)
+            assert [hex_fields(row) for row in summarize(table, confidence=None)] == want
 
     def test_confidence_domain(self, small_table):
         for confidence in (0.0, 1.0, 1.5, math.nan):
             with pytest.raises(ParameterError, match="confidence must be in"):
-                summarize(small_table, [MAP_TAU], confidence=confidence)
+                summarize(small_table, confidence=confidence)
 
     def test_simulate_keys_pinned(self, small_table, summary):
         d = project(run_row(small_table.params, **summary), "simulate")
@@ -146,13 +148,13 @@ class TestSummarize:
         assert {type(v) for v in d.values()} <= {float, int, bool}
 
     def test_explicit_rule_on_unstable_queue(self):
-        table = simulate_table(SimParams(lam=1.2, mu=1.0, nu=0.05, r=5.0, periods=50, master_seed=5))
+        table = simulate_table(SimParams(lam=1.2, mu=1.0, nu=0.05, r=5.0, periods=50, master_seed=5), [3.0])
         with pytest.raises(ParameterError):
             measure(table.params)  # the optimal rule needs rho < 1
-        [s] = summarize(table, [3.0], confidence=None)
+        [s] = summarize(table, confidence=None)
         assert s["unstable_queue"]
 
-    def test_returns_the_rows_empirical_columns(self, small_table, summary):
+    def test_returns_the_rows_empirical_columns(self, small_timeline, summary):
         # exactly these columns of report.COLUMNS, as Python scalars, with
         # half-widths or without them
         assert list(summary) == [
@@ -163,7 +165,7 @@ class TestSummarize:
         ]
         assert set(summary) <= set(COLUMNS)
         assert {type(v) for v in summary.values()} == {float, int, bool}
-        for row in summarize(small_table, [MAP_TAU, 30.0, math.inf], confidence=None):
+        for row in summarize(period_table(small_timeline, [MAP_TAU, 30.0, math.inf]), confidence=None):
             assert list(row) == list(summary)
             assert {type(v) for v in row.values()} == {float, int, bool, type(None)}
 
@@ -175,7 +177,7 @@ def assert_totals_are_column_sums(table, tau):
     span = table.measured_time
     row = empirical_columns(table, tau)
     assert row["aoi_empirical"] == table.aoi == float(table.areas.sum()) / span
-    fp, fn, reacq = [float(column.sum()) for column in table.error_columns(tau)]
+    fp, fn, reacq = [float(column.sum()) for column in tau_columns(table, tau)]
     assert [row["fp_rate"], row["fn_rate"], row["reacquisition_fp_time"]] == [fp / span, fn / span, reacq]
     assert [row["err_empirical"], row["err_detection"]] == [(fp + fn) / span, (fp - reacq + fn) / span]
     assert [row["time_r1"], row["time_r2"], row["time_r3"]] == [float(t.sum()) for t in table.region_times]
@@ -184,7 +186,7 @@ def assert_totals_are_column_sums(table, tau):
 
 class TestPerPeriodStatistics:
     def test_sums_reproduce_whole_run(self, small_timeline, small_table):
-        areas, columns, lengths = small_table.areas, small_table.error_columns(MAP_TAU), small_table.lengths
+        areas, columns, lengths = small_table.areas, tau_columns(small_table, MAP_TAU), small_table.lengths
         span = small_timeline.end_time - small_timeline.arrival_times[0]
         assert lengths.sum() == pytest.approx(span, rel=1e-12)
         assert_totals_are_column_sums(small_table, MAP_TAU)
@@ -219,65 +221,58 @@ def traced_peak(call):
 
 
 class TestDeliveryGroups:
-    # the per-delivery terms are built over groups of whole periods; a small
-    # group makes one group's temporaries negligible next to a run's arrays
-    GROUP = 2**10
-
     @pytest.fixture(scope="class")
     def timeline(self):
         # ~295k deliveries in 3000 periods; a warm-up call keeps the first
         # call's numpy allocations out of the measurements
-        simulate_table(SimParams(**DEFAULTS, periods=2, master_seed=SEED))
+        simulate_table(SimParams(**DEFAULTS, periods=2, master_seed=SEED), [MAP_TAU])
         return simulate(SimParams(**DEFAULTS, periods=3000, master_seed=SEED))
 
     def test_run_by_run_table_peak(self, timeline):
         # simulate_table at 3000 default periods (one run), in units of 8 B
-        # per generated packet: the packet buffer and the run's services
+        # per generated packet: the run's departure buffer and services
         # (2x), the lockstep's block buffers and per-period arrays.
         # Measured: 2.41x; 4.04x for period_table(simulate()), which a
         # simulate_table that built the Timeline first would take.
         params = timeline.params
-        peak = traced_peak(lambda: simulate_table(params))
+        peak = traced_peak(lambda: simulate_table(params, [MAP_TAU]))
         assert peak < 2.75 * 8 * int(timeline.generated_counts.sum())
 
     # 3000 default periods in 74 or 19 runs
     @pytest.mark.parametrize("block", [2**12, 2**14])
     def test_run_by_run_table_holds_no_run_past_its_turn(self, timeline, block):
         # Above the table's own arrays the peak is the lockstep's block
-        # buffers, one run's services and per-period temporaries, whatever
-        # the number of runs, and the packet buffer's slots of discarded
-        # packets. Measured: 0.21x and 0.26x of 8 B per delivery with 74
-        # and 19 runs; 1.2x for both with every run's services referenced
-        # to the end.
+        # buffers, one run's departure buffer and services and per-period
+        # temporaries, whatever the number of runs. Measured: 0.21x and
+        # 0.29x of 8 B per delivery with 74 and 19 runs.
         with mock.patch.object(sim, "BLOCK_PACKETS", block):
-            table = simulate_table(timeline.params)
-            peak = traced_peak(lambda: simulate_table(timeline.params))
+            table = simulate_table(timeline.params, [MAP_TAU])
+            peak = traced_peak(lambda: simulate_table(timeline.params, [MAP_TAU]))
         own = sum(value.nbytes for value in vars(table).values() if isinstance(value, np.ndarray))
-        assert peak - own < 0.5 * 8 * table.gaps.size
+        assert peak - own < 0.5 * 8 * int(table.counts.sum())
 
     def test_error_columns_peak_at_a_group(self, timeline):
-        # Measured: 0.09x of 8 B per delivery, mostly per-period columns;
-        # 1.09x when one clipped copy of every gap was made per rule.
-        table = simulate_table(timeline.params)
-        with mock.patch.object(sim, "_GROUP_PACKETS", self.GROUP):
-            peak = traced_peak(lambda: table.error_columns(MAP_TAU))
-        assert peak < 0.25 * 8 * timeline.arrival_times.size
+        # error_columns reads only per-period columns: its peak is a few of
+        # them, below the group of per-delivery terms it once walked (0.25x
+        # of 8 B per delivery, 49 cells per period here). Measured: 8.3
+        # cells of 8 B per period (0.084x of 8 B per delivery).
+        table = simulate_table(timeline.params, [MAP_TAU])
+        peak = traced_peak(table.error_columns)
+        assert peak < 12 * 8 * table.lengths.size
 
     def test_scoring_many_thresholds_peaks_at_a_chunk(self, timeline):
         # 200 thresholds are scored in chunks of k = _SCORE_CELLS // periods
-        # (21 here) through one group buffer, so above the group buffer and
-        # the per-period allowance of one threshold the peak is a few of one
-        # chunk's (3, k, periods) columns (1.5 MB), never one per threshold
-        # (200 x 3 x 3000 x 8 B = 14.4 MB) nor per delivery. Measured at the
-        # default group: 0.52 + 0.59 MB + 2.5 chunks; 43 MB with no chunks.
-        table = simulate_table(timeline.params)
+        # (21 here), so above the per-period allowance of one threshold the
+        # peak is a few of one chunk's (3, k, periods) columns (1.5 MB),
+        # never one per threshold (200 x 3 x 3000 x 8 B = 14.4 MB) nor per
+        # delivery. Measured: 0.59 MB + 2.5 chunks; 43 MB with no chunks.
         taus = np.linspace(0.5, 30.0, 200).tolist()
+        table = simulate_table(timeline.params, taus)
         k = agemon.summary._SCORE_CELLS // table.lengths.size
         assert len(taus) > 9 * k
         chunk = 3 * k * table.lengths.size * 8
-        peak = traced_peak(lambda: summarize(table, taus))
-        group = 8 * sim._GROUP_PACKETS
-        assert peak < group + 0.25 * 8 * timeline.arrival_times.size + 3 * chunk
+        peak = traced_peak(lambda: summarize(table))
+        assert peak < 0.25 * 8 * timeline.arrival_times.size + 3 * chunk
 
     @pytest.mark.parametrize("require_delivery", [False, True])
     def test_group_size_changes_no_bit(self, require_delivery):
@@ -285,17 +280,17 @@ class TestDeliveryGroups:
         # nothing and many deliver more than 2**6
         params = SimParams(lam=1.0, mu=1.0, nu=0.04, r=5.0, periods=sim.PERIODS_PER_BLOCK + 500,
                            master_seed=SEED, require_delivery=require_delivery)
-        counts = simulate_table(params).counts
+        counts = simulate_table(params, ()).counts
         assert (counts == 0).any() != require_delivery
         assert counts.max() > 2**6
         taus = [0.5, 2.0, 4.0]
 
         def columns():
-            table = simulate_table(params)
+            table = simulate_table(params, taus)
             fields = [getattr(table, f.name) for f in dataclasses.fields(table)]
             # and the columns that summarize reads off them
-            return fields + [table.error_columns(tau) for tau in taus] + [
-                hex_fields(row) for row in summarize(table, taus, confidence=None)]
+            return fields + [tau_columns(table, tau) for tau in taus] + [
+                hex_fields(row) for row in summarize(table, confidence=None)]
 
         want = columns()
         for group in (1, 2**6):
@@ -310,6 +305,9 @@ class TestRunByRunTable:
     run with no Timeline, and must equal it field for field, bit for bit,
     whatever the runs, blocks and groups."""
 
+    # unsorted, with a duplicate, 0 and inf
+    TAUS = (1.0, 0.0, 4.0, math.inf, 0.25, 1.0)
+
     @staticmethod
     def table_or_message(build):
         try:
@@ -318,8 +316,8 @@ class TestRunByRunTable:
             return str(error)
 
     def assert_same(self, params):
-        want = self.table_or_message(lambda: period_table(simulate(params)))
-        got = self.table_or_message(lambda: simulate_table(params))
+        want = self.table_or_message(lambda: period_table(simulate(params), self.TAUS))
+        got = self.table_or_message(lambda: simulate_table(params, self.TAUS))
         if isinstance(want, str):
             assert got == want
             return
@@ -371,7 +369,7 @@ class TestRunByRunTable:
     def test_run_without_deliveries_raises_as_period_table(self):
         params = SimParams(lam=0.01, mu=0.01, nu=5.0, r=1.0, periods=3, master_seed=SEED)
         assert simulate(params).delivered_counts.sum() == 0
-        for build in (lambda: period_table(simulate(params)), lambda: simulate_table(params)):
+        for build in (lambda: period_table(simulate(params), ()), lambda: simulate_table(params, ())):
             with pytest.raises(EmptyTimelineError, match=r"^timeline has no deliveries; the age is undefined$"):
                 build()
 
@@ -404,65 +402,68 @@ def test_simulate_table_time_scale(k, lam, mu, nu, r, periods, seed, require_del
     params = SimParams(lam, mu, nu, r, periods=periods, master_seed=seed, require_delivery=require_delivery)
     scaled = SimParams(lam / c, mu / c, nu / c, r * c, periods=periods, master_seed=seed,
                        require_delivery=require_delivery)
-    table = TestRunByRunTable.table_or_message(lambda: simulate_table(params))
-    got = TestRunByRunTable.table_or_message(lambda: simulate_table(scaled))
+    table = TestRunByRunTable.table_or_message(lambda: simulate_table(params, taus))
+    got = TestRunByRunTable.table_or_message(lambda: simulate_table(scaled, [c * tau for tau in taus]))
     if isinstance(table, str):
         assert got == table
         return
     assert got.measured_time == c * table.measured_time
-    for name, scale in [("lengths", c), ("region_times", c), ("edges", c), ("last_arrivals", c), ("gaps", c),
-                        ("areas", c * c), ("region_areas", c * c), ("counts", 1)]:
+    for name, scale in [("lengths", c), ("region_times", c), ("edges", c), ("last_arrivals", c), ("taus", c),
+                        ("hinges", c), ("areas", c * c), ("region_areas", c * c), ("counts", 1)]:
         assert getattr(got, name).tobytes() == (scale * getattr(table, name)).tobytes(), name
-    scaled_taus = [c * tau for tau in taus]
-    assert got.error_columns(scaled_taus).tobytes() == (c * table.error_columns(taus)).tobytes()
+    assert got.error_columns().tobytes() == (c * table.error_columns()).tobytes()
 
 
 class TestBatchScoring:
-    # A call's thresholds are scored together (summarize in chunks of
-    # _SCORE_CELLS // periods), and each must read exactly as if it were
-    # scored alone, whatever the group and chunk sizes
+    # A table's thresholds are scored together (summarize in chunks of
+    # _SCORE_CELLS // periods), and each must read exactly as in a table
+    # built for it alone, whatever the group and chunk sizes
     @pytest.fixture(scope="class", params=[False, True], ids=["faithful", "conditioned"])
-    def table(self, request):
+    def params(self, request):
         # the regime of test_group_size_changes_no_bit: at nu = 0.04 about 4%
         # of faithful periods deliver nothing, none of the conditioned ones,
         # and many deliver more than 2**6
         params = SimParams(lam=1.0, mu=1.0, nu=0.04, r=5.0, periods=1000, master_seed=SEED,
                            require_delivery=request.param)
-        table = simulate_table(params)
-        assert (table.counts == 0).any() != request.param
-        assert table.counts.max() > 2**6
-        return table
+        counts = simulate_table(params, ()).counts
+        assert (counts == 0).any() != request.param
+        assert counts.max() > 2**6
+        return params
 
-    def test_each_threshold_reads_as_if_scored_alone(self, table):
-        gaps = np.sort(table.gaps)
+    def test_each_threshold_reads_as_if_scored_alone(self, params):
+        timeline = simulate(params)
+        # each delivery's gap to the next arrival, the last one's to the run's end
+        gaps = np.sort(np.diff(timeline.arrival_times, append=timeline.end_time))
         inside = [float(gaps[gaps.size // 2]), float(gaps[-gaps.size // 50]), 0.5 * float(gaps[-1])]
         # unsorted, with duplicates, 0, inf and one above every gap; 11 of
         # them, so chunks of 2 leave a partial last chunk
         taus = [inside[1], 0.0, math.inf, 2.0 * float(gaps[-1]), inside[0], inside[1], 4.0, math.inf,
                 inside[2], 0.0, 1.0]
-        alone = [table.error_columns(tau) for tau in taus]
-        rows = [hex_fields(summary) for tau in taus for summary in summarize(table, [tau])]
-        periods = table.lengths.size
+        alone = [simulate_table(params, [tau]) for tau in taus]
+        rows = [hex_fields(summary) for table in alone for summary in summarize(table)]
+        periods = params.periods
         for group in (1, 2**6):
             with mock.patch.object(sim, "_GROUP_PACKETS", group), \
                     mock.patch.object(agemon.summary, "_SCORE_CELLS", 2 * periods):
-                batch = table.error_columns(taus)
-                assert [hex_fields(summary) for summary in summarize(table, taus)] == rows
+                table = simulate_table(params, taus)
+                batch = table.error_columns()
+                assert [hex_fields(summary) for summary in summarize(table)] == rows
             assert batch.shape == (3, len(taus), periods)
             for k, want in enumerate(alone):
-                assert batch[:, k].tobytes() == want.tobytes(), (group, taus[k])
+                assert batch[:, k].tobytes() == want.error_columns()[:, 0].tobytes(), (group, taus[k])
         # and tau = inf raises no floating-point warning beside finite ones
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table.error_columns(taus)
+            simulate_table(params, taus).error_columns()
 
 
 @pytest.mark.parametrize("r", sorted(GOLDEN))
 def test_summary_bit_identical_to_recorded(r):
-    table = simulate_table(SimParams(**{**DEFAULTS, "r": r}, periods=300, master_seed=SEED))
     # the optimal rule; at tau >= r it collapses to always WORKING, tau = inf
     tau = map_threshold(DEFAULTS["lam"], DEFAULTS["nu"])
-    [summary] = summarize(table, [math.inf if tau >= r else tau])
+    table = simulate_table(SimParams(**{**DEFAULTS, "r": r}, periods=300, master_seed=SEED),
+                           [math.inf if tau >= r else tau])
+    [summary] = summarize(table)
     record = project(run_row(table.params, **summary), "simulate")
     floats = {key: float.hex(value) for key, value in record.items() if isinstance(value, float)}
     assert floats == GOLDEN[r]
@@ -490,13 +491,15 @@ class TestSummarizeRules:
         pytest.param(300, None, id="300-0"),
     ])
     def test_equals_summarize_per_rule(self, chunk, periods, confidence):
-        table = simulate_table(SimParams(**DEFAULTS, periods=periods, master_seed=SEED))
+        params = SimParams(**DEFAULTS, periods=periods, master_seed=SEED)
         rules = list(self.TAUS)
         # each rule alone, then the rules in chunks, then all at once
-        expected = [hex_fields(summary) for rule in rules for summary in summarize(table, [rule], confidence)]
-        chunked = [s for i in range(0, len(rules), chunk) for s in summarize(table, rules[i:i + chunk], confidence)]
+        expected = [hex_fields(summary) for rule in rules
+                    for summary in summarize(simulate_table(params, [rule]), confidence)]
+        chunked = [s for i in range(0, len(rules), chunk)
+                   for s in summarize(simulate_table(params, rules[i:i + chunk]), confidence)]
         assert [hex_fields(s) for s in chunked] == expected
-        batched = summarize(table, rules, confidence)
+        batched = summarize(simulate_table(params, rules), confidence)
         assert [hex_fields(s) for s in batched] == expected
         halfwidths = [(s["aoi_ci"], s["err_ci"], s["err_detection_ci"]) for s in batched]
         if confidence is None:
@@ -506,18 +509,18 @@ class TestSummarizeRules:
 
     @pytest.mark.parametrize("confidence", [pytest.param(None, id="0"), pytest.param(0.95, id="20")])
     def test_scores_each_rule_once(self, monkeypatch, confidence):
-        table = simulate_table(SimParams(**DEFAULTS, periods=50, master_seed=SEED))
         rules = list(self.TAUS)
+        table = simulate_table(SimParams(**DEFAULTS, periods=50, master_seed=SEED), rules)
         scored = []
         error_columns = agemon.summary.PeriodTable.error_columns
 
         # thresholds are scored in chunks: count the thresholds, not the calls
-        def counted(self, taus):
-            scored.extend(taus)
-            return error_columns(self, taus)
+        def counted(self, chunk=slice(None)):
+            scored.extend(self.taus[chunk].tolist())
+            return error_columns(self, chunk)
 
         monkeypatch.setattr(agemon.summary.PeriodTable, "error_columns", counted)
-        summarize(table, rules, confidence)
+        summarize(table, confidence)
         assert scored == rules
 
     @settings(max_examples=40, deadline=None)
@@ -575,7 +578,7 @@ class TestRatioHalfwidth:
         # time, in plain numpy; the library sums over every period instead
         measured = small_table.lengths > 0
         lengths = small_table.lengths[measured]
-        fp, fn, reacq = small_table.error_columns(MAP_TAU)
+        fp, fn, reacq = tau_columns(small_table, MAP_TAU)
         z = 1.959963984540054
         for numerator, got in [
             (small_table.areas, summary["aoi_ci"]),
@@ -592,12 +595,12 @@ class TestRatioHalfwidth:
         # its residual is exactly 0 and a half-width would claim certainty
         lost = (5.0, 1.0, [0.0], [])
         delivered = (5.0, 1.0, [0.0, 1.0, 2.0], [0.5, 1.5, 2.5])
-        table = period_table(manual_timeline([lost, delivered]))
+        table = period_table(manual_timeline([lost, delivered]), [MAP_TAU])
         with pytest.raises(EmptyTimelineError, match=r"^1 of 2 periods have measured time .* at least 2$"):
-            summarize(table, [MAP_TAU])
-        [s] = summarize(table, [MAP_TAU], confidence=None)
+            summarize(table)
+        [s] = summarize(table, confidence=None)
         assert s["aoi_ci"] is None
-        [s] = summarize(period_table(manual_timeline([delivered, lost, delivered])), [MAP_TAU])
+        [s] = summarize(period_table(manual_timeline([delivered, lost, delivered]), [MAP_TAU]))
         assert 0 < s["aoi_ci"] < math.inf
 
     def test_outage_fraction_halfwidth_covers_its_exact_value(self):
@@ -609,7 +612,7 @@ class TestRatioHalfwidth:
         exact = DEFAULTS["r"] * DEFAULTS["nu"] / (1.0 + DEFAULTS["r"] * DEFAULTS["nu"])
         covered = 0
         for seed in range(200):
-            table = simulate_table(SimParams(**DEFAULTS, periods=2000, master_seed=seed))
+            table = simulate_table(SimParams(**DEFAULTS, periods=2000, master_seed=seed), ())
             outage = table.region_times[2]
             halfwidth = _ratio_halfwidth(outage, table, int(np.count_nonzero(table.lengths)), 1.959963984540054)
             covered += abs(outage.sum() / table.measured_time - exact) <= halfwidth
@@ -654,7 +657,7 @@ class TestPeriodTableProperties:
     def test_column_sums_reproduce_whole_run(self, lam, nu, r, periods, seed, tau):
         tl = simulate(SimParams(lam=lam, mu=1.0, nu=nu, r=r, periods=periods, master_seed=seed))
         assume(tl.arrival_times.size > 0)
-        table = period_table(tl)
+        table = period_table(tl, [tau])
         span = table.measured_time
         assert table.lengths.sum() == pytest.approx(span, rel=1e-12)
         row = assert_totals_are_column_sums(table, tau)
@@ -678,7 +681,7 @@ class TestPeriodTableProperties:
             arrivals[: k + 1] + [(arrivals[k] + following) / 2] + arrivals[k + 1:],
         )
         base_timeline, more_timeline = manual_timeline(specs), manual_timeline(split)
-        base, more = period_table(base_timeline), period_table(more_timeline)
+        base, more = period_table(base_timeline, [0.0]), period_table(more_timeline, [0.0])
         assert more_timeline.arrival_times.size == base_timeline.arrival_times.size + 1
         assert more.aoi == base.aoi
         assert np.array_equal(more.areas, base.areas)
