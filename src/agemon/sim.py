@@ -18,11 +18,11 @@ Periods are cut into blocks of PERIODS_PER_BLOCK, and block b draws only
 from its streams SeedSequence(master_seed, spawn_key=(b, k)), one per kind
 of draw k. `_simulation` draws each stream in a few array calls per block:
 every clock and count first, then the packets run by run, each run into a
-buffer of its own. It queues many periods in lockstep and packs each run's
-delivered packets into the front of its buffer, for `summary.simulate_table`
-to read before the next run is drawn. The test suite keeps a serial reference (tests/reference.py: each
-period drawn after the one before it) and checks that the run loop
-reproduces it bit for bit.
+buffer of its own. It queues many periods in lockstep and hands each run's
+departures and arrivals over where the lockstep leaves them, for
+`summary.simulate_table` to read before the next run is drawn. The test
+suite keeps a serial reference (tests/reference.py: each period drawn after
+the one before it) and checks that the run loop reproduces it bit for bit.
 """
 
 from __future__ import annotations
@@ -52,10 +52,9 @@ MAX_EXPECTED_PACKETS = 10**9
 MAX_REDRAW_ROUNDS = 10**3
 
 # Packets drawn for one run of periods, whose queues are then solved at
-# once and only their deliveries kept; bounds the memory held for a run,
-# whatever the number of periods: its departures, drawn into a buffer of its
-# own that then holds its deliveries' generations, and its services, 8 bytes
-# per packet each.
+# once; bounds the memory held for a run, whatever the number of periods:
+# its departures, drawn into a buffer of its own, and its services, which
+# become its arrivals, 8 bytes per packet each.
 BLOCK_PACKETS = 1 << 20
 
 # Periods that share one set of streams. Part of the stream contract:
@@ -72,12 +71,12 @@ STREAM_CONTRACT = 4
 _LOCKSTEP_MIN_PERIODS = 8
 
 # Packets of a group of whole periods (a longer period makes a group of
-# its own) over which a run draws its later services and compacts its
-# deliveries, and `summary` builds its per-delivery terms; and cells (steps
-# x periods) of one `_lindley_lockstep` block, whose index, departure and
-# service buffers take 8 * _GROUP_PACKETS bytes each (8 bytes per period if
-# there are more periods). Bounds all of their temporaries. Not part of any
-# contract: any value gives the same bits.
+# its own) over which a run draws its later services and `summary` shifts
+# its packets to the period starts and builds its per-delivery terms in
+# place; and cells (steps x periods) of one `_lindley_lockstep` block,
+# whose index, departure and service buffers take 8 * _GROUP_PACKETS bytes
+# each (8 bytes per period if there are more periods). Bounds all of their
+# temporaries. Not part of any contract: any value gives the same bits.
 _GROUP_PACKETS = 2**14
 
 # The kinds of draw k of a block's streams spawn_key=(block, k)
@@ -273,13 +272,6 @@ def _exponential(rng: np.random.Generator, scale: float, size: int) -> np.ndarra
     return out
 
 
-def _prefix_mask(kept: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Mask of the first kept[p] slots of each of the back-to-back slices
-    of lengths[p] slots."""
-    runs = np.column_stack((kept, lengths - kept)).ravel()
-    return np.repeat(np.tile([True, False], kept.size), runs)
-
-
 def _prefix_lengths(values: np.ndarray, heads: np.ndarray, lengths: np.ndarray,
                     bounds: np.ndarray) -> np.ndarray:
     """For each slice values[heads[p]:][:lengths[p]], whose entries never
@@ -316,13 +308,18 @@ def _departures(clocks: np.ndarray, counts: np.ndarray, sums: np.ndarray,
     gaps_rng.standard_exponential(out=sums[1:])
     np.cumsum(sums, out=sums)
     # each period's start sum, then the sum after its last spacing
-    marks = sums[np.cumsum(np.append(0, counts))]
+    ends = np.cumsum(counts)
+    marks = sums[np.append(0, ends)]
     spans = marks[1:] - marks[:-1]
     scales = np.divide(clocks, spans, out=np.zeros(clocks.size), where=spans > 0)
     departures = sums[:-1]
     departures -= np.repeat(marks[:-1], counts)
     departures *= np.repeat(scales, counts)
-    np.minimum(departures, np.repeat(clocks, counts), out=departures)
+    # a period's departures never decrease, so only one whose last passes
+    # its clock has any to clip
+    for p in np.flatnonzero(departures[ends - 1] > clocks).tolist():
+        period = departures[ends[p] - counts[p]:ends[p]]
+        np.minimum(period, clocks[p], out=period)
     return departures
 
 
@@ -361,35 +358,18 @@ def _services(rng: np.random.Generator, scale: float, firsts: np.ndarray, counts
     return services
 
 
-def _compact(moves, counts, kept, offsets) -> int:
-    """For each (values, front) of `moves`, move the first kept[p] of each
-    of the back-to-back slices of counts[p] values of `values` to the front
-    of `front`, offsets[p] added; return their number. Group by group, so no
-    temporary spans the run. `front` may overlap `values` if it starts no
-    later: a group is copied out before it is written, and its deliveries
-    land no later than its own slot."""
-    size = 0
-    for a, b, lo, hi in _groups(counts):
-        delivered = _prefix_mask(kept[a:b], counts[a:b])
-        shifts = np.repeat(offsets[a:b], kept[a:b])
-        for values, front in moves:
-            part = values[lo:hi][delivered]
-            part += shifts
-            front[size:size + part.size] = part
-        size += shifts.size
-    return size
-
-
 def _simulation(params: SimParams):
     """(the per-period arrays, as a `_Periods` record; the run loop, a
     generator).
 
     Every limit is checked and every clock and count drawn before this
     returns. The run loop fills delivered_counts and yields, run by run,
-    (i, j, generations, arrivals): the absolute generation and arrival
-    times of the deliveries of periods i..j-1, the fronts of the run's
-    departure and service buffers. A consumer may write over either: the
-    loop writes neither again, and drops both before it draws the next run.
+    (i, j, departures, arrivals): the generation and arrival times of every
+    packet of periods i..j-1, exactly generated_counts[i:j].sum() of each,
+    relative to each period's start, period after period; the first
+    delivered_counts[p] packets of period p were delivered. A consumer may
+    write over either: the loop writes neither again, and drops both before
+    it draws the next run.
     """
     n = params.periods
     expected = n * (1.0 + params.lam / params.nu)
@@ -440,7 +420,8 @@ def _runs(periods: _Periods, first_services: np.ndarray):
     as it is drawn. A run of `size` packets draws its departures into a
     buffer of size + 1 slots, whose first slot holds the block's running
     spacing sum before it and whose last keeps the sum after it for the
-    next run, and packs its deliveries into the buffer's front."""
+    next run, and yields views of exactly `size` departures and arrivals,
+    neither spare slot included."""
     params = periods.params
     n = params.periods
     clocks, generated_counts = periods.times_to_failure, periods.generated_counts
@@ -459,16 +440,14 @@ def _runs(periods: _Periods, first_services: np.ndarray):
             # so a run holds at most two packet-length arrays
             departures = _departures(clocks[i:j], counts, buffer, gaps_rng)
             spacing_sum = buffer[-1]
-            arrivals = _services(services_rng, 1.0 / params.mu, first_services[i:j], counts)
+            services = _services(services_rng, 1.0 / params.mu, first_services[i:j], counts)
             # the services become the arrivals in place
-            _lindley_lockstep(departures, arrivals, counts)
+            arrivals = _lindley_lockstep(departures, services, counts)
             # arrivals increase within a period, so the delivered packets
             # (a_k <= T) are a prefix of each period's packets
-            kept = periods.delivered_counts[i:j]
-            kept[:] = _prefix_lengths(arrivals, np.cumsum(counts) - counts, counts, clocks[i:j])
-            delivered = _compact(((departures, buffer), (arrivals, arrivals)), counts, kept,
-                                 periods.start_times[i:j])
-            yield i, j, buffer[:delivered], arrivals[:delivered]
+            periods.delivered_counts[i:j] = _prefix_lengths(arrivals, np.cumsum(counts) - counts, counts,
+                                                            clocks[i:j])
+            yield i, j, departures, arrivals
             # dropped before the next run is drawn, so no two runs' buffers
             # are live at once and the next run's reuse their memory
-            del buffer, departures, arrivals
+            del buffer, departures, services, arrivals

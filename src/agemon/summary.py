@@ -9,18 +9,18 @@ system time of each update on its arrival. Every age metric integrates that
 piecewise-linear trajectory in closed form per segment with `_age_area`;
 there is no time discretization anywhere.
 
-A run's deliveries are stored period after period, so cumsum(counts)
-locates each period's own arrival gaps: a per-period integral is one piece
-from the last earlier arrival plus one `np.add.reduceat` of its own gaps.
-The table is built in two parts: `_run_rows` reads each period's first
-and last arrival, its age at the last one, its r2 area and, for each
-finite threshold, the sum of its gaps' excess over it off a run's
-deliveries; `_finish` clips the edges and adds the r1 and r3 trapezoids
-in O(periods). `simulate_table` takes its thresholds up front and reads
-each simulated run as soon as it is queued, so no delivery outlives its
-run. The per-delivery terms are built over groups of whole periods with a
-bounded number of deliveries, so no stage holds a temporary that spans
-the run.
+A run's packets are stored period after period, each period's deliveries
+first, so cumsum(counts) locates each period's own arrival gaps: a
+per-period integral is one piece from the last earlier arrival plus one
+`np.add.reduceat` of its own gaps. The table is built in two parts:
+`_run_rows` reads each period's first and last arrival, its age at the
+last one, its r2 area and, for each finite threshold, the sum of its gaps'
+excess over it off a run's packets where the run loop leaves them;
+`_finish` clips the edges and adds the r1 and r3 trapezoids in
+O(periods). `simulate_table` takes its thresholds up front and reads each
+simulated run as soon as it is queued, so no packet outlives its run. The
+per-delivery terms are built in place over groups of whole periods with a
+bounded number of packets, so no stage holds a temporary that spans the run.
 
 Every reported number is a column sum of the table or a ratio of such
 sums: the mean age sums the slice areas, the region averages sum the region
@@ -140,36 +140,53 @@ class PeriodTable:
         return columns
 
 
-def _run_rows(arrivals, generations, counts, failures, ends, rows, taus, hinges) -> None:
-    """Read one run's rows off its deliveries: consecutive periods with
-    counts[p] deliveries each, period after period.
+def _run_rows(departures, arrivals, counts, kept, starts, failures, ends, rows, taus, hinges) -> None:
+    """Read one run's rows off its packets: consecutive periods of counts[p]
+    packets each, back to back, whose generation and arrival times
+    `departures` and `arrivals` hold relative to the period's start
+    starts[p], and whose first kept[p] were delivered.
 
     For each period that delivered, rows (4, periods) gets its first
     arrival, its last arrival, the age at its last arrival and its r2 area:
     the sum of its own gap trapezoids from its first arrival, the last gap
     cut at its failure. Row i of hinges (thresholds, periods) gets its sum
     of max(gap - taus[i], 0), the last gap cut at its recovery end (its
-    slice end). Each period is one `np.add.reduceat` segment, whatever
-    group it falls in. The gaps are written over `generations`: a group's
-    ages are read before its gaps are written.
+    slice end). Group by group of whole periods, the starts are added to
+    the packets in place, the gaps are written over the departures once
+    the ages are read, and each period's delivered prefix is one
+    `np.add.reduceat` segment, whatever group it falls in.
     """
-    delivered = np.flatnonzero(counts)
-    last = np.cumsum(counts)[delivered] - 1
-    starts = last + 1 - counts[delivered]
-    rows[0, delivered] = arrivals[starts]
-    rows[1, delivered] = arrivals[last]
-    rows[2, delivered] = arrivals[last] - generations[last]
-    for a, b, lo, hi in sim._groups(counts[delivered]):
-        ages = arrivals[lo:hi] - generations[lo:hi]
-        gaps = generations[lo:hi]
-        np.subtract(arrivals[lo + 1:hi], arrivals[lo:hi - 1], out=gaps[:-1])
-        tails, group, segments = last[a:b], delivered[a:b], starts[a:b] - lo
-        gaps[tails - lo] = failures[group] - arrivals[tails]
-        rows[3, group] += np.add.reduceat(_age_area(gaps, ages), segments)
-        gaps[tails - lo] = ends[group] - arrivals[tails]
+    for a, b, lo, hi in sim._groups(counts):
+        generations, times = departures[lo:hi], arrivals[lo:hi]
+        ages = np.repeat(starts[a:b], counts[a:b])
+        generations += ages
+        times += ages
+        np.subtract(times, generations, out=ages)
+        delivering = np.flatnonzero(kept[a:b])
+        if not delivering.size:
+            continue
+        group = a + delivering
+        heads = (np.cumsum(counts[a:b]) - counts[a:b])[delivering]
+        tails = heads + kept[group] - 1
+        rows[0, group] = times[heads]
+        rows[1, group] = times[tails]
+        rows[2, group] = ages[tails]
+        gaps = generations  # spent: the ages hold all the rows need of them
+        np.subtract(times[1:], times[:-1], out=gaps[:-1])
+        gaps[tails] = failures[group] - times[tails]
+        # _age_area's trapezoids in its operand order
+        terms = np.multiply(gaps, 0.5)
+        terms += ages
+        terms *= gaps
+        # each delivered prefix, and the undelivered tail or empty span after
+        # it (dropped); the last segment of reduceat runs to the group's end
+        bounds = np.column_stack((heads, tails + 1)).ravel()
+        bounds = bounds[:-1] if bounds[-1] == hi - lo else bounds
+        rows[3, group] = np.add.reduceat(terms, bounds)[::2]
+        gaps[tails] = ends[group] - times[tails]
         for tau, row in zip(taus, hinges):
-            beyond = np.subtract(gaps, tau, out=ages)  # the ages are spent
-            row[group] += np.add.reduceat(np.maximum(beyond, 0.0, out=beyond), segments)
+            beyond = np.subtract(gaps, tau, out=terms)
+            row[group] = np.add.reduceat(np.maximum(beyond, 0.0, out=beyond), bounds)[::2]
 
 
 def _finish(periods: sim._Periods, rows, taus, hinges) -> PeriodTable:
@@ -240,10 +257,11 @@ def simulate_table(params: SimParams, taus) -> PeriodTable:
         )
     periods, runs = sim._simulation(params)
     rows, hinges = np.zeros((4, params.periods)), np.zeros((finite.size, params.periods))
-    for i, j, generations, arrivals in runs:
-        _run_rows(arrivals, generations, periods.delivered_counts[i:j], periods.failure_times[i:j],
-                  periods.recovery_ends[i:j], rows[:, i:j], finite, hinges[:, i:j])
-        del generations, arrivals
+    for i, j, departures, arrivals in runs:
+        _run_rows(departures, arrivals, periods.generated_counts[i:j], periods.delivered_counts[i:j],
+                  periods.start_times[i:j], periods.failure_times[i:j], periods.recovery_ends[i:j],
+                  rows[:, i:j], finite, hinges[:, i:j])
+        del departures, arrivals
     return _finish(periods, rows, taus, hinges)
 
 

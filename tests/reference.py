@@ -2,7 +2,8 @@
 
 A `Timeline` is a simulation as flat arrays: the per-period arrays of the
 library's run loop, `sim._simulation`, and every delivery's arrival and
-generation time. `simulate` collects the run loop's runs into one, and
+generation time. `simulate` collects the run loop's runs into one, keeping
+each period's delivered packets and adding its start time itself, and
 `period_table` reads a timeline as one run with the library's row builder,
 `summary._run_rows` and `summary._finish`, so a hand-built timeline
 exercises the production table too. `summary.simulate_table`, the
@@ -86,22 +87,32 @@ class Timeline:
 
 def simulate(params: SimParams) -> Timeline:
     """The library's simulation of `params` as a Timeline: the run loop's
-    per-period arrays and its runs' deliveries, joined run after run."""
+    per-period arrays and its runs' deliveries, joined run after run. Each
+    run yields every packet of its periods relative to their starts; period
+    p keeps its first delivered_counts[p] packets, its start time added."""
     periods, runs = sim._simulation(params)
-    _, _, generations, arrivals = zip(*runs)
+    generations, arrivals = [], []
+    for i, j, departures, times in runs:
+        heads = np.cumsum(periods.generated_counts[i:j]) - periods.generated_counts[i:j]
+        for head, kept, start in zip(heads.tolist(), periods.delivered_counts[i:j].tolist(),
+                                     periods.start_times[i:j].tolist()):
+            generations.append(departures[head:head + kept] + start)
+            arrivals.append(times[head:head + kept] + start)
     return Timeline(**{field.name: getattr(periods, field.name) for field in fields(periods)},
                     arrival_times=np.concatenate(arrivals), arrival_generations=np.concatenate(generations))
 
 
 def period_table(timeline: Timeline, taus) -> PeriodTable:
     """A timeline's period table for the thresholds `taus`, read by the
-    library's row builder as one run; the builder writes its gaps over a
-    copy of the generations, so the timeline's arrays are left as they are."""
+    library's row builder as one run whose every packet was delivered, at
+    start times of 0 (its times are absolute already); the builder writes
+    over copies of the times, so the timeline's arrays are left as they are."""
     taus = np.array([float(tau) for tau in taus])
     finite = taus[taus < math.inf]
     periods = timeline.delivered_counts.size
     rows, hinges = np.zeros((4, periods)), np.zeros((finite.size, periods))
-    summary._run_rows(timeline.arrival_times, timeline.arrival_generations.copy(), timeline.delivered_counts,
+    summary._run_rows(timeline.arrival_generations.copy(), timeline.arrival_times.copy(),
+                      timeline.delivered_counts, timeline.delivered_counts, np.zeros(periods),
                       timeline.failure_times, timeline.recovery_ends, rows, finite, hinges)
     return summary._finish(timeline, rows, taus, hinges)
 

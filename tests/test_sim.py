@@ -498,7 +498,7 @@ class TestBatchedSimulate:
         # units of one run's packets (8 * BLOCK_PACKETS bytes), is what the
         # run loop holds for the run in flight: its departure buffer and its
         # services, the lockstep's block buffers and a ufunc buffer. Measured
-        # at this seed: 2.95x, 0.75x of it the lockstep's block buffers and
+        # at this seed: 2.96x, 0.75x of it the lockstep's block buffers and
         # 0.24x the ufunc buffer; 10.0x with every run's buffers kept
         # referenced to the end.
         block = 2**16
@@ -511,8 +511,8 @@ class TestBatchedSimulate:
     def test_peak_grows_by_periods_not_packets(self):
         # With runs of 2**12 packets, from 3000 to 12000 default periods
         # (~101 packets each) the traced peak of simulate_table grows by its
-        # per-period arrays only, never by a term per packet. Measured: 261 B
-        # per added period (33 cells of 8 B), against the bound of 404 B;
+        # per-period arrays only, never by a term per packet. Measured: 260 B
+        # per added period (32 cells of 8 B), against the bound of 404 B;
         # 1067 B when the table kept every delivery's gap, 8 B per packet.
         simulate_table(SimParams(**DEFAULTS, periods=1), ())
         peaks = [self.traced_table_peak(SimParams(**DEFAULTS, periods=periods, master_seed=SEED), 2**12)[1]
@@ -652,6 +652,35 @@ class TestUniformDepartures:
         # the unclipped product passes T in some of them
         assert past >= 1
 
+    def test_only_the_periods_past_their_clock_are_clipped(self):
+        # one call of 60 periods at a running sum of 4e6, each with 1-19
+        # updates after its first; the last 0-3 of its spacings (never all)
+        # are 1e-12, below half an ulp of the sum, so as many of its last
+        # departures can round past T. Each period, clipped or not, reads
+        # as the reference's
+        rng = np.random.default_rng(SEED)
+        total, counts, spacings, clocks = 4e6, [], [], []
+        for _ in range(60):
+            n = int(rng.integers(1, 20))
+            lost = int(rng.integers(0, min(n, 3) + 1))
+            counts.append(n + 1)
+            spacings += [*rng.standard_exponential(n + 1 - lost), *[1e-12] * lost]
+            clocks.append(rng.exponential(200.0))
+        slots = np.append(total, np.full(len(spacings), np.nan))
+        departures = sim._departures(np.array(clocks), np.array(counts), slots, FixedSpacings(spacings))
+        sums = np.cumsum([total, *spacings])
+        heads = np.cumsum(counts) - counts
+        past = []
+        for T, head, count in zip(clocks, heads, counts):
+            period = departures[head:head + count]
+            assert period.tolist() == uniform_departures(T, sums[head:head + count + 1]).tolist()
+            spans = sums[head:head + count + 1] - sums[head]
+            past.append(int(np.sum(spans[:-1] * (T / spans[-1]) > T)))
+        # the unclipped products pass T in some periods only, by more than
+        # one departure in some
+        assert 0 < sum(p > 0 for p in past) < len(past)
+        assert max(past) > 1
+
 
 def first_periods(timeline, n):
     """The array fields of a timeline's first n periods."""
@@ -750,7 +779,7 @@ class TestDistributions:
 
         def recorded(clocks, counts, sums, rng):
             out = departures(clocks, counts, sums, rng)
-            # read now: the run compacts its deliveries over `out` in place
+            # read now: the table shifts `out` and writes its gaps over it in place
             uniforms.append(np.delete(out / np.repeat(clocks, counts), np.cumsum(counts) - counts))
             return out
 

@@ -232,8 +232,8 @@ class TestDeliveryGroups:
         # simulate_table at 3000 default periods (one run), in units of 8 B
         # per generated packet: the run's departure buffer and services
         # (2x), the lockstep's block buffers and per-period arrays.
-        # Measured: 2.41x; 4.04x for period_table(simulate()), which a
-        # simulate_table that built the Timeline first would take.
+        # Measured: 2.41x; 6.35x for period_table(simulate()), which builds
+        # the whole Timeline first, one period's deliveries at a time.
         params = timeline.params
         peak = traced_peak(lambda: simulate_table(params, [MAP_TAU]))
         assert peak < 2.75 * 8 * int(timeline.generated_counts.sum())
@@ -372,6 +372,35 @@ class TestRunByRunTable:
         for build in (lambda: period_table(simulate(params), ()), lambda: simulate_table(params, ())):
             with pytest.raises(EmptyTimelineError, match=r"^timeline has no deliveries; the age is undefined$"):
                 build()
+
+    # one run of 200 periods each, the last one delivered in full: the
+    # defaults, two of whose periods deliver nothing, and conditioned at
+    # lam = 0.95, whose queues are mostly still busy at the failure
+    EDGES = {
+        "defaults": SimParams(**DEFAULTS, periods=200, master_seed=SEED),
+        "conditioned": SimParams(**{**DEFAULTS, "lam": 0.95}, periods=200, master_seed=SEED,
+                                 require_delivery=True),
+    }
+
+    @pytest.mark.parametrize("group", [1, 7, 10**9])
+    @pytest.mark.parametrize("case", sorted(EDGES))
+    def test_row_pass_edges(self, case, group):
+        # the run loop's packets are read in place, group by group of whole
+        # periods, each period's delivered prefix one reduceat segment; the
+        # reference keeps each period's deliveries itself and reads them as
+        # one run of deliveries only
+        params = self.EDGES[case]
+        with mock.patch.object(sim, "_GROUP_PACKETS", group):
+            timeline = simulate(params)
+            generated, delivered = timeline.generated_counts, timeline.delivered_counts
+            ends = [b - 1 for _, b, _, _ in sim._groups(generated)]
+            self.assert_same(params)
+        # a group that ends in a period delivered in full (reduceat's end
+        # bound dropped), periods with undelivered tails and, unconditioned,
+        # a period with no delivery
+        assert (delivered[ends] == generated[ends]).any()
+        assert ((delivered > 0) & (delivered < generated)).any()
+        assert (delivered == 0).any() != params.require_delivery
 
     def test_multi_block_default_table(self):
         # 9000 default periods: three blocks, one run each, and the
