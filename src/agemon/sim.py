@@ -75,8 +75,10 @@ _LOCKSTEP_MIN_PERIODS = 8
 # its packets to the period starts and builds its per-delivery terms in
 # place; and cells (steps x periods) of one `_lindley_lockstep` block,
 # whose index, departure and service buffers take 8 * _GROUP_PACKETS bytes
-# each (8 bytes per period if there are more periods). Bounds all of their
-# temporaries. Not part of any contract: any value gives the same bits.
+# each (8 bytes per period if there are more periods); and per-period cells
+# of a chunk of thresholds that `summary.summarize` scores in one call.
+# Bounds all of their temporaries. Not part of any contract: any value gives
+# the same bits.
 _GROUP_PACKETS = 2**14
 
 # The kinds of draw k of a block's streams spawn_key=(block, k)

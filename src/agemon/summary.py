@@ -14,7 +14,7 @@ first, so cumsum(counts) locates each period's own arrival gaps: a
 per-period integral is one piece from the last earlier arrival plus one
 `np.add.reduceat` of its own gaps. The table is built in two parts:
 `_run_rows` reads each period's first and last arrival, its age at the
-last one, its r2 area and, for each finite threshold, the sum of its gaps'
+last one, its r2 area and, for each threshold, the sum of its gaps'
 excess over it off a run's packets where the run loop leaves them;
 `_finish` clips the edges and adds the r1 and r3 trapezoids in
 O(periods). `simulate_table` takes its thresholds up front and reads each
@@ -41,15 +41,14 @@ from . import sim
 from .errors import EmptyTimelineError, ParameterError, SimulationLimitError, check_params
 from .sim import SimParams
 
-# Per-period cells of a chunk of thresholds that `summarize` scores in one
-# call, bounding its (3, thresholds, periods) columns; any value, same bits.
-_SCORE_CELLS = 2**16
-
 
 def _age_area(length, start_age):
     """Integral of the slope-1 age over `length` seconds from `start_age`:
-    the trapezoid length * (start_age + length/2)."""
-    return length * (start_age + 0.5 * length)
+    the trapezoid length * (start_age + length/2), in one new array."""
+    area = np.multiply(length, 0.5)
+    area += start_age
+    area *= length
+    return area
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,14 +68,14 @@ class PeriodTable:
     empty). The true state is failed exactly on r3, so region_times[2] is
     also the failed time.
 
-    Period p delivered counts[p] updates. last_arrivals holds each
-    period's last arrival from an earlier period and its last arrival of
-    all (the same when it delivered nothing), -inf if none. The table was
-    built for the thresholds `taus`, and hinges[i, p] is period p's sum of
-    max(gap - tau, 0) over its gaps for the i-th finite one of them: a gap
-    runs from a delivery to the next one in its period, a period's last to
-    its slice end edges[3, p]. `error_columns` scores the thresholds on
-    them.
+    Period p delivered counts[p] updates. last_arrivals[p] is the last
+    arrival up to the end of period p, its own or an earlier period's; the
+    periods before the first delivery, whose slices are empty, read the
+    span's start edges[0, 0] there. The table was built for the thresholds
+    `taus`, and hinges[i, p] is period p's sum of max(gap - taus[i], 0)
+    over its gaps (0 at tau = inf): a gap runs from a delivery to the next
+    one in its period, a period's last to its slice end edges[3, p].
+    `error_columns` scores the thresholds on them.
     """
 
     params: SimParams
@@ -112,32 +111,27 @@ class PeriodTable:
         spans as correct, matching the scope of the closed-form error rate.
 
         Each threshold's columns are, bit for bit, those it has in a table
-        built for it alone, whatever the chunk.
+        built for it alone, whatever the chunk. No time in the table is a
+        sentinel, so tau = inf takes the same path as every other threshold:
+        an arrival plus inf is inf, never NaN.
         """
-        taus = self.taus[chunk]
+        tau = self.taus[chunk, None]
         failed = self.region_times[2]
-        # tau = inf is exact, where the general path would meet -inf + inf
-        columns = np.zeros((3, taus.size, failed.size))
-        columns[1] = failed
-        scored = taus < math.inf
-        tau = taus[scored, None]
         start, cut, fail, end = self.edges
-        before, last = self.last_arrivals
+        last = self.last_arrivals
+        before = np.concatenate((last[:1], last[:-1]))
         # the gap that starts before the slice turns FAILED here; it ends at
         # the first delivery, or runs through a slice that has none
         flip = np.maximum(start, before + tau)
         est_failed = np.clip(np.where(self.counts > 0, cut, end) - flip, 0.0, None)
-        # and the slice's own gaps beyond tau, summed as the table was built:
-        # a finite threshold's hinge row counts the finite ones before it
-        hinge_rows = np.cumsum(self.taus < math.inf) - 1
-        est_failed += self.hinges[hinge_rows[chunk][scored]]
+        # and the slice's own gaps beyond tau, summed as the table was built
+        est_failed += self.hinges[chunk]
         # r3 holds no arrival: the estimate reads WORKING until last arrival + tau
-        fn = np.where(failed > 0, np.clip(np.minimum(end, last + tau) - fail, 0.0, None), 0.0)
-        columns[0, scored] = np.clip(est_failed - (failed - fn), 0.0, None)
-        columns[1, scored] = fn
+        fn = np.clip(np.minimum(end, last + tau) - fail, 0.0, None)
+        fp = np.clip(est_failed - (failed - fn), 0.0, None)
         # r1 holds no arrival either: its estimate turns FAILED once, at flip
-        columns[2, scored] = np.where(self.region_times[0] > 0, np.clip(cut - flip, 0.0, None), 0.0)
-        return columns
+        reacq = np.clip(cut - flip, 0.0, None)
+        return np.stack((fp, fn, reacq))
 
 
 def _run_rows(departures, arrivals, counts, kept, starts, failures, ends, rows, taus, hinges) -> None:
@@ -174,10 +168,7 @@ def _run_rows(departures, arrivals, counts, kept, starts, failures, ends, rows, 
         gaps = generations  # spent: the ages hold all the rows need of them
         np.subtract(times[1:], times[:-1], out=gaps[:-1])
         gaps[tails] = failures[group] - times[tails]
-        # _age_area's trapezoids in its operand order
-        terms = np.multiply(gaps, 0.5)
-        terms += ages
-        terms *= gaps
+        terms = _age_area(gaps, ages)
         # each delivered prefix, and the undelivered tail or empty span after
         # it (dropped); the last segment of reduceat runs to the group's end
         bounds = np.column_stack((heads, tails + 1)).ravel()
@@ -211,9 +202,8 @@ def _finish(periods: sim._Periods, rows, taus, hinges) -> PeriodTable:
     # the last period that delivered before each period and up to it (the
     # same one when it delivered nothing); -1 before the first delivery
     through = np.maximum.accumulate(np.where(delivered, np.arange(counts.size), -1))
-    last = np.vstack((np.append(-1, through[:-1]), through))
     # -1 reads the first delivering period: those regions are empty
-    at = np.maximum(last, first)
+    at = np.maximum(np.vstack((np.append(-1, through[:-1]), through)), first)
     region_areas = np.zeros((3, counts.size))
     # r1 and r3 hold no arrival: one trapezoid each, from the last one before them
     region_areas[::2] = _age_area(edges[1::2] - edges[::2], last_ages[at] + (edges[::2] - lasts[at]))
@@ -228,7 +218,7 @@ def _finish(periods: sim._Periods, rows, taus, hinges) -> PeriodTable:
         region_times=region_times,
         region_areas=region_areas,
         edges=edges,
-        last_arrivals=np.where(last >= 0, lasts[at], -np.inf),
+        last_arrivals=np.where(through >= 0, lasts[at[1]], m0),
         counts=counts,
         taus=taus,
         hinges=hinges,
@@ -240,7 +230,7 @@ def simulate_table(params: SimParams, taus) -> PeriodTable:
     thresholds `taus` (any iterable, read once): each run's rows and
     hinges are read off its deliveries as soon as it is queued, and the run
     is dropped before the next is drawn. Beyond its per-period columns the
-    table holds 8 bytes per finite threshold and period, and a run holds its
+    table holds 8 bytes per threshold and period, and a run holds its
     packet buffer and services besides. Every threshold, and the hinges'
     cells against sim.MAX_EXPECTED_PACKETS, is checked before anything is
     drawn. Ages are integrated from reset ages, not absolute generation
@@ -248,19 +238,18 @@ def simulate_table(params: SimParams, taus) -> PeriodTable:
     taus = np.array([float(tau) for tau in taus])
     for tau in taus.tolist():
         check_params(tau=tau)
-    finite = taus[taus < math.inf]
-    cells = finite.size * params.periods
+    cells = taus.size * params.periods
     if cells > sim.MAX_EXPECTED_PACKETS:
         raise SimulationLimitError(
-            f"the table's {finite.size} finite thresholds take {cells} cells, thresholds * periods, "
+            f"the table's {taus.size} thresholds take {cells} cells, thresholds * periods, "
             f"over the cap MAX_EXPECTED_PACKETS = {sim.MAX_EXPECTED_PACKETS}"
         )
     periods, runs = sim._simulation(params)
-    rows, hinges = np.zeros((4, params.periods)), np.zeros((finite.size, params.periods))
+    rows, hinges = np.zeros((4, params.periods)), np.zeros((taus.size, params.periods))
     for i, j, departures, arrivals in runs:
         _run_rows(departures, arrivals, periods.generated_counts[i:j], periods.delivered_counts[i:j],
                   periods.start_times[i:j], periods.failure_times[i:j], periods.recovery_ends[i:j],
-                  rows[:, i:j], finite, hinges[:, i:j])
+                  rows[:, i:j], taus, hinges[:, i:j])
         del departures, arrivals
     return _finish(periods, rows, taus, hinges)
 
@@ -296,9 +285,10 @@ def summarize(table: PeriodTable, confidence: float | None = 0.95) -> list[dict]
     confidence=None skips the half-widths (they become None). The periods
     are the model's iid cycles, so each half-width is that of a ratio of
     per-period sums (`_ratio_halfwidth`); it needs two or more periods with
-    measured time, and fewer raise EmptyTimelineError. The thresholds are
-    scored by `PeriodTable.error_columns` in chunks of at most
-    max(1, _SCORE_CELLS // periods), each threshold once, and its
+    measured time, and fewer raise EmptyTimelineError. The thresholds'
+    columns come from `PeriodTable.error_columns` in chunks of at most
+    max(1, sim._GROUP_PACKETS // periods) thresholds (the cells that bound
+    the run loop's temporaries too), each threshold once, and its
     half-widths come from its own columns, so its columns do not depend on
     the thresholds beside it.
     """
@@ -338,8 +328,8 @@ def summarize(table: PeriodTable, confidence: float | None = 0.95) -> list[dict]
             fp_rate=fp_time / span, fn_rate=fn_time / span, reacquisition_fp_time=reacq_time,
         )
 
-    # a chunk's columns are dropped before the next chunk is scored
-    step = max(1, _SCORE_CELLS // table.lengths.size)
+    # a chunk's columns are dropped before the next chunk's are built
+    step = max(1, sim._GROUP_PACKETS // table.lengths.size)
     summaries = []
     for i in range(0, table.taus.size, step):
         summaries += map(summary, table.error_columns(slice(i, i + step)).swapaxes(0, 1))

@@ -108,12 +108,11 @@ def period_table(timeline: Timeline, taus) -> PeriodTable:
     start times of 0 (its times are absolute already); the builder writes
     over copies of the times, so the timeline's arrays are left as they are."""
     taus = np.array([float(tau) for tau in taus])
-    finite = taus[taus < math.inf]
     periods = timeline.delivered_counts.size
-    rows, hinges = np.zeros((4, periods)), np.zeros((finite.size, periods))
+    rows, hinges = np.zeros((4, periods)), np.zeros((taus.size, periods))
     summary._run_rows(timeline.arrival_generations.copy(), timeline.arrival_times.copy(),
                       timeline.delivered_counts, timeline.delivered_counts, np.zeros(periods),
-                      timeline.failure_times, timeline.recovery_ends, rows, finite, hinges)
+                      timeline.failure_times, timeline.recovery_ends, rows, taus, hinges)
     return summary._finish(timeline, rows, taus, hinges)
 
 

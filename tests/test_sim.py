@@ -321,21 +321,21 @@ class TestGeneratePeriod:
         assert peak < 4 * 2**20
 
     def test_threshold_cells_trip_before_simulating(self, monkeypatch):
-        # each finite threshold takes a cell per period of the table (16 MB
-        # here), counted against MAX_EXPECTED_PACKETS before anything is
-        # drawn or allocated; tau = inf takes none
+        # each threshold, tau = inf included, takes a cell per period of the
+        # table (24 MB here), counted against MAX_EXPECTED_PACKETS before
+        # anything is drawn or allocated
         monkeypatch.setattr(sim, "_simulation", lambda params: pytest.fail("simulated"))
-        monkeypatch.setattr(sim, "MAX_EXPECTED_PACKETS", 2 * 10**6 - 1)
+        monkeypatch.setattr(sim, "MAX_EXPECTED_PACKETS", 3 * 10**6 - 1)
         params, taus = SimParams(**DEFAULTS, periods=10**6), [1.0, math.inf, 2.0]
         tracemalloc.start()
         try:
-            with pytest.raises(SimulationLimitError, match=r"2 finite thresholds take 2000000 cells.* = 1999999$"):
+            with pytest.raises(SimulationLimitError, match=r"3 thresholds take 3000000 cells.* = 2999999$"):
                 simulate_table(params, taus)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        monkeypatch.setattr(sim, "MAX_EXPECTED_PACKETS", 2 * 10**6)
+        monkeypatch.setattr(sim, "MAX_EXPECTED_PACKETS", 3 * 10**6)
         with pytest.raises(pytest.fail.Exception, match="simulated"):
             simulate_table(params, taus)
 

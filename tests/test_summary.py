@@ -110,19 +110,42 @@ class TestSummarize:
         assert s["err_ci"] is None
         assert s["err_detection_ci"] is None
 
+    # a faithful run at lam = 0.1, nu = 0.5: a third of its periods deliver
+    # nothing, and at this seed none of the first four delivers, so the
+    # measured span starts in period 4 and periods 0-3 have empty slices
+    EMPTY_START = SimParams(lam=0.1, mu=1.0, nu=0.5, r=2.0, periods=40, master_seed=3)
+
     def test_infinite_threshold_always_declares_working(self, small_timeline):
         # tau = inf scores every slice's failed time as missed and nothing
         # else, bit for bit as the "always WORKING" rule did; the general
-        # path reaches the same columns at a huge finite threshold
-        table = period_table(small_timeline, [math.inf, 1e300])
-        failed = table.region_times[2]
-        zeros = np.zeros_like(failed)
-        always_working = tau_columns(table, math.inf)
-        assert np.array_equal(always_working, np.vstack((zeros, failed, zeros)))
-        assert np.array_equal(tau_columns(table, 1e300), always_working)
-        row = empirical_columns(table, math.inf)
-        assert row["fp_rate"] == row["reacquisition_fp_time"] == 0.0
-        assert row["err_empirical"] == row["err_detection"] == row["time_r3"] / row["measured_time"]
+        # path reaches the same columns at a huge finite threshold, also in
+        # the empty slices before the first delivery
+        taus = [math.inf, 1e300]
+        for table in (period_table(small_timeline, taus), simulate_table(self.EMPTY_START, taus)):
+            failed = table.region_times[2]
+            zeros = np.zeros_like(failed)
+            always_working = tau_columns(table, math.inf)
+            assert always_working.tobytes() == np.stack((zeros, failed, zeros)).tobytes()
+            assert tau_columns(table, 1e300).tobytes() == always_working.tobytes()
+            row = empirical_columns(table, math.inf)
+            assert row["fp_rate"] == row["reacquisition_fp_time"] == 0.0
+            assert row["err_empirical"] == row["err_detection"] == row["time_r3"] / row["measured_time"]
+
+    def test_every_threshold_has_a_hinge_row_and_no_arrival_is_a_sentinel(self):
+        taus = [0.0, math.inf, 1.5, math.inf, 1e300]
+        table = simulate_table(self.EMPTY_START, taus)
+        periods = self.EMPTY_START.periods
+        first = int(np.flatnonzero(table.counts)[0])
+        assert first == 4
+        assert table.hinges.shape == (len(taus), periods)
+        assert not table.hinges[[1, 3]].any()
+        assert table.last_arrivals.shape == (periods,)
+        assert np.isfinite(table.last_arrivals).all()
+        # before the first delivery the last arrival reads the span's start,
+        # and from then on it never decreases and never passes a slice's end
+        assert (table.last_arrivals[:first] == table.edges[0, 0]).all()
+        assert (np.diff(table.last_arrivals) >= 0).all()
+        assert (table.last_arrivals <= table.edges[3]).all()
 
     def test_thresholds_read_once_from_any_iterable(self, small_table):
         taus = [0.0, MAP_TAU, math.inf]
@@ -261,14 +284,14 @@ class TestDeliveryGroups:
         assert peak < 12 * 8 * table.lengths.size
 
     def test_scoring_many_thresholds_peaks_at_a_chunk(self, timeline):
-        # 200 thresholds are scored in chunks of k = _SCORE_CELLS // periods
-        # (21 here), so above the per-period allowance of one threshold the
-        # peak is a few of one chunk's (3, k, periods) columns (1.5 MB),
+        # 200 thresholds are scored in chunks of k = _GROUP_PACKETS // periods
+        # (5 here), so above the per-period allowance of one threshold the
+        # peak is a few of one chunk's (3, k, periods) columns (0.36 MB),
         # never one per threshold (200 x 3 x 3000 x 8 B = 14.4 MB) nor per
-        # delivery. Measured: 0.59 MB + 2.5 chunks; 43 MB with no chunks.
+        # delivery. Measured: 1.28 MB, 0.38 MB + 2.5 chunks; 43 MB with no chunks.
         taus = np.linspace(0.5, 30.0, 200).tolist()
         table = simulate_table(timeline.params, taus)
-        k = agemon.summary._SCORE_CELLS // table.lengths.size
+        k = sim._GROUP_PACKETS // table.lengths.size
         assert len(taus) > 9 * k
         chunk = 3 * k * table.lengths.size * 8
         peak = traced_peak(lambda: summarize(table))
@@ -445,7 +468,7 @@ def test_simulate_table_time_scale(k, lam, mu, nu, r, periods, seed, require_del
 
 class TestBatchScoring:
     # A table's thresholds are scored together (summarize in chunks of
-    # _SCORE_CELLS // periods), and each must read exactly as in a table
+    # _GROUP_PACKETS // periods), and each must read exactly as in a table
     # built for it alone, whatever the group and chunk sizes
     @pytest.fixture(scope="class", params=[False, True], ids=["faithful", "conditioned"])
     def params(self, request):
@@ -471,9 +494,9 @@ class TestBatchScoring:
         alone = [simulate_table(params, [tau]) for tau in taus]
         rows = [hex_fields(summary) for table in alone for summary in summarize(table)]
         periods = params.periods
-        for group in (1, 2**6):
-            with mock.patch.object(sim, "_GROUP_PACKETS", group), \
-                    mock.patch.object(agemon.summary, "_SCORE_CELLS", 2 * periods):
+        # chunks of 1, 1 and 2 thresholds; the last leaves a partial chunk
+        for group in (1, 2**6, 2 * periods):
+            with mock.patch.object(sim, "_GROUP_PACKETS", group):
                 table = simulate_table(params, taus)
                 batch = table.error_columns()
                 assert [hex_fields(summary) for summary in summarize(table)] == rows
