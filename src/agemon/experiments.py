@@ -129,11 +129,10 @@ def run_sweep(spec: SweepSpec, with_sim: bool = True, confidence: float | None =
     return rows
 
 
-def monte_carlo_cross_check(params: SimParams, tau: float | None = None,
-                            confidence: float | None = 0.95) -> dict:
+def monte_carlo_cross_check(params: SimParams, confidence: float | None = 0.95) -> dict:
     """Simulate, measure, and compare against the closed forms; returns the
-    run's `measure` row for the threshold tau (the optimal one by default)
-    with the relative deviations.
+    run's `measure` row for the optimal threshold with the relative
+    deviations.
 
     The closed-form error rate models the post-recovery reacquisition span
     as ordinary working time, so err_rel_dev compares it with the
@@ -151,7 +150,7 @@ def monte_carlo_cross_check(params: SimParams, tau: float | None = None,
         raise ParameterError("cross checks need periods >= 10000")
     if not params.r > 0:
         raise ParameterError(f"cross checks need r > 0, got {params.r}")
-    [row] = measure(params, None if tau is None else [tau], confidence=confidence)
+    [row] = measure(params, confidence=confidence)
     row.update(aoi_rel_dev=row["aoi_empirical"] / row["aoi_analytic"] - 1.0,
                err_rel_dev=row["err_detection"] / row["err_analytic"] - 1.0)
     return row

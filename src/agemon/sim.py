@@ -256,20 +256,21 @@ def _clocks(params: SimParams) -> tuple[np.ndarray, np.ndarray]:
         hi = min(lo + PERIODS_PER_BLOCK, n)
         clock_rng = _stream(params.master_seed, block, _CLOCKS)
         first_rng = _stream(params.master_seed, block, _FIRST_SERVICES)
-        clocks[lo:hi] = _exponential(clock_rng, 1.0 / params.nu, hi - lo)
-        firsts[lo:hi] = _exponential(first_rng, 1.0 / params.mu, hi - lo)
+        _exponential(clock_rng, 1.0 / params.nu, clocks[lo:hi])
+        _exponential(first_rng, 1.0 / params.mu, firsts[lo:hi])
         lost = lo + np.flatnonzero(firsts[lo:hi] > clocks[lo:hi])
         while params.require_delivery and lost.size:
-            clocks[lost] = _exponential(clock_rng, 1.0 / params.nu, lost.size)
-            firsts[lost] = _exponential(first_rng, 1.0 / params.mu, lost.size)
+            clocks[lost] = _exponential(clock_rng, 1.0 / params.nu, np.empty(lost.size))
+            firsts[lost] = _exponential(first_rng, 1.0 / params.mu, np.empty(lost.size))
             lost = lost[firsts[lost] > clocks[lost]]
     return clocks, firsts
 
 
-def _exponential(rng: np.random.Generator, scale: float, size: int) -> np.ndarray:
-    """rng.exponential(scale, size), bit for bit: that draw is scale times
-    the standard one, and scaling in place skips a pass."""
-    out = rng.standard_exponential(size)
+def _exponential(rng: np.random.Generator, scale: float, out: np.ndarray) -> np.ndarray:
+    """rng.exponential(scale, out.size) drawn into `out` and returned, bit
+    for bit: that draw is scale times the standard one, and scaling in
+    place skips a pass."""
+    rng.standard_exponential(out=out)
     out *= scale
     return out
 
@@ -351,11 +352,8 @@ def _services(rng: np.random.Generator, scale: float, firsts: np.ndarray, counts
         heads = np.cumsum(counts[a:b]) - counts[a:b]
         later = np.ones(hi - lo, dtype=bool)
         later[heads] = False
-        part = drawn[:hi - lo - (b - a)]
-        rng.standard_exponential(out=part)
-        part *= scale  # _exponential's draw, bit for bit
         group = services[lo:hi]
-        group[later] = part
+        group[later] = _exponential(rng, scale, drawn[:hi - lo - (b - a)])
         group[heads] = firsts[a:b]
     return services
 

@@ -32,7 +32,6 @@ same per-period (area, mismatch, length) columns rather than raw time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,15 +260,17 @@ def check_confidence(confidence: float | None) -> None:
         raise ParameterError(f"confidence must be in (0, 1) or None, got {confidence}")
 
 
-def _ratio_halfwidth(numerator, table: PeriodTable, measured: int, z: float) -> float:
-    """Regenerative half-width of numerator.sum() / measured_time over the
-    `measured` periods with measured time: z * sd(a - R * L) / (mean(L) *
-    sqrt(n)), the residual sd taken with n - 1 degrees of freedom (Crane &
+def _ratio_halfwidth(numerators, table: PeriodTable, measured: int, z: float) -> np.ndarray:
+    """Regenerative half-width of each row's sum / measured_time, for a
+    (k, periods) block of per-period numerators or one column: z * sd(a -
+    R * L) / (mean(L) * sqrt(n)) over the `measured` periods with measured
+    time, the residual sd taken with n - 1 degrees of freedom (Crane &
     Iglehart, 1975; Asmussen & Glynn, Stochastic Simulation, ch. IV). A
     period before the first delivery has a = L = 0, so its residual is 0
-    and summing over every period gives the same sum of squares."""
-    residual = numerator - (float(numerator.sum()) / table.measured_time) * table.lengths
-    return z * math.sqrt(float(residual @ residual) * measured / (measured - 1)) / table.measured_time
+    and summing over every period gives the same sum of squares. Each row
+    reads only its own numerators, so it is, bit for bit, the row alone."""
+    residual = numerators - numerators.sum(axis=-1, keepdims=True) / table.measured_time * table.lengths
+    return z * np.sqrt(np.vecdot(residual, residual) * measured / (measured - 1)) / table.measured_time
 
 
 def summarize(table: PeriodTable, confidence: float | None = 0.95) -> list[dict]:
@@ -288,9 +289,10 @@ def summarize(table: PeriodTable, confidence: float | None = 0.95) -> list[dict]
     measured time, and fewer raise EmptyTimelineError. The thresholds'
     columns come from `PeriodTable.error_columns` in chunks of at most
     max(1, sim._GROUP_PACKETS // periods) thresholds (the cells that bound
-    the run loop's temporaries too), each threshold once, and its
-    half-widths come from its own columns, so its columns do not depend on
-    the thresholds beside it.
+    the run loop's temporaries too), each threshold once. A chunk's sums
+    and half-widths are array operations over its thresholds, and each
+    threshold's row reads only its own columns, so its numbers do not
+    depend on the thresholds beside it.
     """
     check_confidence(confidence)
     params, span = table.params, table.measured_time
@@ -305,7 +307,7 @@ def summarize(table: PeriodTable, confidence: float | None = 0.95) -> list[dict]
         from statistics import NormalDist  # imported here: `import agemon.cli` stays lean
 
         z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
-        aoi_hw = _ratio_halfwidth(table.areas, table, measured, z)
+        aoi_hw = float(_ratio_halfwidth(table.areas, table, measured, z))
     times = table.region_times.sum(axis=1).tolist()
     region_areas = table.region_areas.sum(axis=1).tolist()
     run = {
@@ -315,22 +317,19 @@ def summarize(table: PeriodTable, confidence: float | None = 0.95) -> list[dict]
         **{f"time_r{k}": t for k, t in zip((1, 2, 3), times)},
     }
 
-    def summary(columns):  # one threshold's (3, periods) fp, fn and reacq columns
-        err_hw = detection_hw = None
-        if z is not None:
-            fp, fn, reacq = columns
-            err_hw = _ratio_halfwidth(fp + fn, table, measured, z)
-            detection_hw = _ratio_halfwidth(fp - reacq + fn, table, measured, z)
-        fp_time, fn_time, reacq_time = columns.sum(axis=1).tolist()
-        return dict(
-            run, err_empirical=(fp_time + fn_time) / span,
-            err_detection=(fp_time - reacq_time + fn_time) / span, err_ci=err_hw, err_detection_ci=detection_hw,
-            fp_rate=fp_time / span, fn_rate=fn_time / span, reacquisition_fp_time=reacq_time,
-        )
-
     # a chunk's columns are dropped before the next chunk's are built
     step = max(1, sim._GROUP_PACKETS // table.lengths.size)
     summaries = []
     for i in range(0, table.taus.size, step):
-        summaries += map(summary, table.error_columns(slice(i, i + step)).swapaxes(0, 1))
+        columns = table.error_columns(slice(i, i + step))
+        fp, fn, reacq = columns
+        err_hw = detection_hw = [None] * fp.shape[0]
+        if z is not None:
+            err_hw = _ratio_halfwidth(fp + fn, table, measured, z).tolist()
+            detection_hw = _ratio_halfwidth(fp - reacq + fn, table, measured, z).tolist()
+        summaries += [
+            dict(run, err_empirical=(p + n) / span, err_detection=(p - q + n) / span, err_ci=e, err_detection_ci=d,
+                 fp_rate=p / span, fn_rate=n / span, reacquisition_fp_time=q)
+            for p, n, q, e, d in zip(*columns.sum(axis=2).tolist(), err_hw, detection_hw)
+        ]
     return summaries

@@ -18,6 +18,7 @@ from agemon import (
     monte_carlo_cross_check,
 )
 from agemon.analytics import error_rate
+from agemon.experiments import measure
 from conftest import DEFAULTS, SEED
 from reference import (
     OracleError,
@@ -466,20 +467,18 @@ class TestCrossCheck:
         def no_simulation(params, taus):
             raise AssertionError("simulated before the rule's error rate")
 
-        # the simulation that monte_carlo_cross_check reaches, wherever it lives
-        monkeypatch.setitem(monte_carlo_cross_check.__globals__, "simulate_table", no_simulation)
+        # the simulation that measure reaches, wherever it lives
+        monkeypatch.setitem(measure.__globals__, "simulate_table", no_simulation)
         params = SimParams(**{**DEFAULTS, "r": 1500.0}, periods=10_000, master_seed=SEED)
         with pytest.raises(ParameterError, match="tau must be >= 0"):
-            monte_carlo_cross_check(params, tau=math.nan, confidence=None)
+            measure(params, [math.nan], confidence=None)
         # (lam + nu) * r = 757.5 once failed here too, because the quadrature's
         # outage density past r overflowed exp; the closed form does not
         with pytest.raises(AssertionError, match="simulated before"):
-            monte_carlo_cross_check(params, tau=2000.0, confidence=None)
+            measure(params, [2000.0], confidence=None)
 
     def test_custom_rule_uses_quadrature_reference(self):
-        report = monte_carlo_cross_check(
-            SimParams(**DEFAULTS, periods=10_000, master_seed=SEED), tau=4.0, confidence=None
-        )
+        [report] = measure(SimParams(**DEFAULTS, periods=10_000, master_seed=SEED), [4.0], confidence=None)
         assert report["err_analytic"] == error_rate(LAM, NU, R, [4.0])[0]
         assert report["err_analytic"] == pytest.approx(quadrature_error_rate(LAM, NU, R, 4.0),
                                                        rel=QUADRATURE_RTOL, abs=0.0)

@@ -492,14 +492,17 @@ class TestBatchScoring:
         taus = [inside[1], 0.0, math.inf, 2.0 * float(gaps[-1]), inside[0], inside[1], 4.0, math.inf,
                 inside[2], 0.0, 1.0]
         alone = [simulate_table(params, [tau]) for tau in taus]
-        rows = [hex_fields(summary) for table in alone for summary in summarize(table)]
+        # with half-widths at two levels, and without them
+        confidences = (0.95, None, 0.5)
+        rows = {c: [hex_fields(summary) for table in alone for summary in summarize(table, c)] for c in confidences}
         periods = params.periods
         # chunks of 1, 1 and 2 thresholds; the last leaves a partial chunk
         for group in (1, 2**6, 2 * periods):
             with mock.patch.object(sim, "_GROUP_PACKETS", group):
                 table = simulate_table(params, taus)
                 batch = table.error_columns()
-                assert [hex_fields(summary) for summary in summarize(table)] == rows
+                for c in confidences:
+                    assert [hex_fields(summary) for summary in summarize(table, c)] == rows[c], (group, c)
             assert batch.shape == (3, len(taus), periods)
             for k, want in enumerate(alone):
                 assert batch[:, k].tobytes() == want.error_columns()[:, 0].tobytes(), (group, taus[k])
@@ -641,6 +644,25 @@ class TestRatioHalfwidth:
             residual = a - a.sum() / lengths.sum() * lengths
             want = z * np.std(residual, ddof=1) / (lengths.mean() * math.sqrt(lengths.size))
             assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("conditioned", [False, True], ids=["faithful", "conditioned"])
+    def test_block_rows_equal_each_row_alone(self, conditioned):
+        # at nu = mu half the faithful periods deliver nothing; at this seed
+        # the first four do, so the block's rows start with empty periods
+        params = SimParams(lam=1.0, mu=1.0, nu=1.0, r=5.0, periods=200, master_seed=5,
+                           require_delivery=conditioned)
+        table = simulate_table(params, [0.0, 0.5, 2.0, math.inf])
+        assert (table.lengths[:4] == 0).all() != conditioned
+        fp, fn, reacq = table.error_columns()
+        block = np.vstack((table.areas, table.region_times, fp + fn, fp - reacq + fn))
+        measured, z = int(np.count_nonzero(table.lengths)), 1.959963984540054
+        got = _ratio_halfwidth(block, table, measured, z)
+        assert got.shape == (block.shape[0],)
+        for row, halfwidth in zip(block, got.tolist()):
+            # one row alone, as a scalar: its sum, its residual's dot product
+            residual = row - (float(row.sum()) / table.measured_time) * table.lengths
+            alone = z * math.sqrt(float(residual @ residual) * measured / (measured - 1)) / table.measured_time
+            assert float.hex(halfwidth) == float.hex(alone)
 
     def test_fewer_than_two_measured_periods_fail_with_the_count(self):
         # the first period delivers nothing, so only the second is measured:
