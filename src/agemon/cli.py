@@ -131,19 +131,19 @@ def _params(args: argparse.Namespace) -> SimParams:
     )
 
 
-def _confidence(args: argparse.Namespace) -> float | None:
-    """The half-widths' confidence level, None under --resamples 0. Any
+def _halfwidths(args: argparse.Namespace) -> bool:
+    """Whether to report the 95% half-widths: not under --resamples 0. Any
     other count is unused and says so once on stderr; a negative one is an
     error."""
     if args.resamples is None:
-        return 0.95
+        return True
     if args.resamples < 0:
         raise ParameterError(f"resamples must be >= 0, got {args.resamples}")
     if args.resamples == 0:
-        return None
+        return False
     print(f"note: --resamples {args.resamples} is unused; the half-widths now come from the "
           f"regenerative ratio estimator", file=sys.stderr)
-    return 0.95
+    return True
 
 
 def _cmd_analytic(args: argparse.Namespace) -> int:
@@ -155,7 +155,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     params = _params(args)
-    [row] = measure(params, confidence=_confidence(args), swept_var="rho", swept_value=params.rho)
+    [row] = measure(params, halfwidths=_halfwidths(args), swept_var="rho", swept_value=params.rho)
     print(text_lines(project(row, "simulate")))
     if args.out:
         path = write_csv([row], _resolve(args.out), params)
@@ -167,7 +167,7 @@ def _cmd_sweep(args: argparse.Namespace, command: str) -> int:
     variable, _ = _SWEEP_DEFAULTS[command]
     start, stop, step = _parse_grid(args.grid)
     spec = SweepSpec(variable=variable, start=start, stop=stop, step=step, fixed=_params(args))
-    rows = run_sweep(spec, with_sim=not args.analytic_only, confidence=_confidence(args))
+    rows = run_sweep(spec, with_sim=not args.analytic_only, halfwidths=_halfwidths(args))
     out = _resolve(args.out) if args.out else _resolve(f"{command}.csv")
     path = write_csv(rows, out, spec.fixed)
     print(f"wrote {path}")
@@ -180,7 +180,7 @@ def _cmd_sweep(args: argparse.Namespace, command: str) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    text = json_text(project(monte_carlo_cross_check(_params(args), confidence=_confidence(args)), "validate"))
+    text = json_text(project(monte_carlo_cross_check(_params(args), halfwidths=_halfwidths(args)), "validate"))
     print(text)
     if args.out:
         path = _resolve(args.out)

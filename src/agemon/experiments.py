@@ -18,7 +18,7 @@ from .analytics import aoi_mm1, error_rate, error_rate_closed_form, failure_prio
 from .errors import ParameterError, check_params
 from .report import run_row
 from .sim import SimParams
-from .summary import check_confidence, simulate_table, summarize
+from .summary import simulate_table, summarize
 
 SWEEP_VARIABLES = ("rho", "expected_T", "threshold")
 # checked before a grid is allocated; far above any grid the CLI uses by default
@@ -64,30 +64,28 @@ class SweepSpec:
         return values[values <= self.stop + 1e-9 * self.step]
 
 
-def measure(params: SimParams, taus=None, with_sim: bool = True, confidence: float | None = 0.95,
+def measure(params: SimParams, taus=None, with_sim: bool = True, *, halfwidths: bool = True,
             **columns) -> list[dict]:
     """A run's rows: one `report.run_row` per threshold of `taus` (any
     iterable), or one for the optimal threshold when taus is None, each with
     `columns` added.
 
-    Whatever can fail without a simulation fails first: the confidence
-    level, rho < 1, then the closed forms. Every row holds the closed forms,
-    its tau and whether it is degenerate. err_analytic is
-    `analytics.error_rate_closed_form` at the optimal threshold and
-    `analytics.error_rate` at any other. Only the optimal threshold at
-    tau >= r is degenerate: the optimal rule then always declares WORKING
-    (it is scored as tau = inf) and its closed form is the failed-time
-    prior. Every other threshold is scored as the rule "FAILED while
-    z > tau" whose error rate `error_rate` gives. With `with_sim`, one
-    simulation's period table, built run by run by `summary.simulate_table`,
-    serves every threshold, so differences between rows are not simulation
-    noise. confidence=None skips the half-widths. Rows without a
-    simulation refuse `require_delivery`: the closed forms describe
-    unconditioned runs.
+    Whatever can fail without a simulation fails first: rho < 1, then the
+    closed forms. Every row holds the closed forms, its tau and whether it
+    is degenerate. err_analytic is `analytics.error_rate_closed_form` at
+    the optimal threshold and `analytics.error_rate` at any other. Only the
+    optimal threshold at tau >= r is degenerate: the optimal rule then
+    always declares WORKING (it is scored as tau = inf) and its closed form
+    is the failed-time prior. Every other threshold is scored as the rule
+    "FAILED while z > tau" whose error rate `error_rate` gives. With
+    `with_sim`, one simulation's period table, built run by run by
+    `summary.simulate_table`, serves every threshold, so differences
+    between rows are not simulation noise. halfwidths=False skips the 95%
+    half-widths. Rows without a simulation refuse `require_delivery`: the
+    closed forms describe unconditioned runs.
     """
     if params.require_delivery and not with_sim:
         raise ParameterError("require_delivery needs a simulation: the closed forms describe unconditioned runs")
-    check_confidence(confidence)
     params.require_stable_queue()
     lam, mu, nu, r = params.lam, params.mu, params.nu, params.r
     base = run_row(params, aoi_analytic=mean_aoi_closed_form(lam, mu, nu, r), aoi_mm1=aoi_mm1(params.rho, mu),
@@ -103,19 +101,19 @@ def measure(params: SimParams, taus=None, with_sim: bool = True, confidence: flo
             for tau, d, err in zip(taus, degenerate, errs)]
     if with_sim:
         scored = [math.inf if d else tau for tau, d in zip(taus, degenerate)]
-        for row, summary in zip(rows, summarize(simulate_table(params, scored), confidence)):
+        for row, summary in zip(rows, summarize(simulate_table(params, scored), halfwidths=halfwidths)):
             row.update(summary)
             if len(row) > len(base):  # run_row's check, for summarize's columns
                 raise ParameterError(f"unknown columns {sorted(row.keys() - base.keys())}")
     return rows
 
 
-def run_sweep(spec: SweepSpec, with_sim: bool = True, confidence: float | None = 0.95) -> list[dict]:
+def run_sweep(spec: SweepSpec, with_sim: bool = True, *, halfwidths: bool = True) -> list[dict]:
     """Evaluate every grid point in grid order, one `report.run_row` each. A
     threshold sweep scores every threshold on one simulation."""
     grid = spec.grid().tolist()
     if spec.variable == "threshold":
-        rows = measure(spec.fixed, grid, with_sim, confidence, swept_var="threshold")
+        rows = measure(spec.fixed, grid, with_sim, halfwidths=halfwidths, swept_var="threshold")
         for row, value in zip(rows, grid):
             row["swept_value"] = value
         return rows
@@ -125,11 +123,11 @@ def run_sweep(spec: SweepSpec, with_sim: bool = True, confidence: float | None =
             params = replace(spec.fixed, lam=value * spec.fixed.mu)
         else:
             params = replace(spec.fixed, nu=1.0 / value)
-        rows += measure(params, with_sim=with_sim, confidence=confidence, swept_var=spec.variable, swept_value=value)
+        rows += measure(params, with_sim=with_sim, halfwidths=halfwidths, swept_var=spec.variable, swept_value=value)
     return rows
 
 
-def monte_carlo_cross_check(params: SimParams, confidence: float | None = 0.95) -> dict:
+def monte_carlo_cross_check(params: SimParams, *, halfwidths: bool = True) -> dict:
     """Simulate, measure, and compare against the closed forms; returns the
     run's `measure` row for the optimal threshold with the relative
     deviations.
@@ -150,7 +148,7 @@ def monte_carlo_cross_check(params: SimParams, confidence: float | None = 0.95) 
         raise ParameterError("cross checks need periods >= 10000")
     if not params.r > 0:
         raise ParameterError(f"cross checks need r > 0, got {params.r}")
-    [row] = measure(params, confidence=confidence)
+    [row] = measure(params, halfwidths=halfwidths)
     row.update(aoi_rel_dev=row["aoi_empirical"] / row["aoi_analytic"] - 1.0,
                err_rel_dev=row["err_detection"] / row["err_analytic"] - 1.0)
     return row

@@ -155,8 +155,6 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 170, 36, 56
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi == lo:
-        return [lo]
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
@@ -178,10 +176,12 @@ def render_svg(rows: Sequence[dict], x_column: str, y_columns: Sequence[str], pa
     ys = [p[1] for _, pts in series for p in pts]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
+    # a constant axis spans [v, v + max(1, |v|)]: a fixed 1 would round away
+    # once |v| >= 2**53 and leave a zero span to divide by
     if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+        x_hi = x_lo + max(1.0, abs(x_lo))
     if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+        y_hi = y_lo + max(1.0, abs(y_lo))
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 

@@ -1,7 +1,7 @@
 """One-stop empirical summary of a simulation: `simulate_table`, its
 per-period statistics table, and `summarize`, which reads a run's
 empirical output columns off it: the age averages, the detection error
-rates and the regenerative confidence half-widths.
+rates and their 95% regenerative half-widths.
 
 The instantaneous age is the time since the generation of the freshest
 delivered update: a sawtooth that climbs with slope 1 and drops to the
@@ -37,8 +37,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sim
-from .errors import EmptyTimelineError, ParameterError, SimulationLimitError, check_params
+from .errors import EmptyTimelineError, SimulationLimitError, check_params
 from .sim import SimParams
+
+# the standard normal's 0.975 quantile, NormalDist().inv_cdf(0.975) bit for
+# bit: every half-width is a 95% one
+_Z = 1.9599639845400536
 
 
 def _age_area(length, start_age):
@@ -253,13 +257,6 @@ def simulate_table(params: SimParams, taus) -> PeriodTable:
     return _finish(periods, rows, taus, hinges)
 
 
-def check_confidence(confidence: float | None) -> None:
-    """Reject a confidence level outside (0, 1); None (no half-widths) is
-    valid. Callers run this before any work."""
-    if confidence is not None and not 0 < confidence < 1:
-        raise ParameterError(f"confidence must be in (0, 1) or None, got {confidence}")
-
-
 def _ratio_halfwidth(numerators, table: PeriodTable, measured: int, z: float) -> np.ndarray:
     """Regenerative half-width of each row's sum / measured_time, for a
     (k, periods) block of per-period numerators or one column: z * sd(a -
@@ -273,17 +270,16 @@ def _ratio_halfwidth(numerators, table: PeriodTable, measured: int, z: float) ->
     return z * np.sqrt(np.vecdot(residual, residual) * measured / (measured - 1)) / table.measured_time
 
 
-def summarize(table: PeriodTable, confidence: float | None = 0.95) -> list[dict]:
+def summarize(table: PeriodTable, *, halfwidths: bool = True) -> list[dict]:
     """Each of the table's thresholds' empirical columns of `report.COLUMNS`,
     as a dict of Python scalars: the run's size and seed, the mean age and
     the region averages and times, the error rates and the reacquisition
-    false-positive time, and regenerative ratio half-widths at the given
-    confidence for the mean age, the full-span error and the
-    detection-scope error.
+    false-positive time, and 95% regenerative ratio half-widths for the mean
+    age, the full-span error and the detection-scope error.
 
     The region averages are time-weighted across the whole run; a region
     nobody entered has zero time and a NaN average.
-    confidence=None skips the half-widths (they become None). The periods
+    halfwidths=False skips the half-widths (they become None). The periods
     are the model's iid cycles, so each half-width is that of a ratio of
     per-period sums (`_ratio_halfwidth`); it needs two or more periods with
     measured time, and fewer raise EmptyTimelineError. The thresholds'
@@ -294,20 +290,16 @@ def summarize(table: PeriodTable, confidence: float | None = 0.95) -> list[dict]
     threshold's row reads only its own columns, so its numbers do not
     depend on the thresholds beside it.
     """
-    check_confidence(confidence)
     params, span = table.params, table.measured_time
-    aoi_hw = z = None
-    if confidence is not None:
+    aoi_hw = None
+    if halfwidths:
         measured = int(np.count_nonzero(table.lengths))
         if measured < 2:
             raise EmptyTimelineError(
                 f"{measured} of {table.lengths.size} periods have measured time (from the first "
                 f"delivery on); a half-width needs at least 2"
             )
-        from statistics import NormalDist  # imported here: `import agemon.cli` stays lean
-
-        z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
-        aoi_hw = float(_ratio_halfwidth(table.areas, table, measured, z))
+        aoi_hw = float(_ratio_halfwidth(table.areas, table, measured, _Z))
     times = table.region_times.sum(axis=1).tolist()
     region_areas = table.region_areas.sum(axis=1).tolist()
     run = {
@@ -324,9 +316,9 @@ def summarize(table: PeriodTable, confidence: float | None = 0.95) -> list[dict]
         columns = table.error_columns(slice(i, i + step))
         fp, fn, reacq = columns
         err_hw = detection_hw = [None] * fp.shape[0]
-        if z is not None:
-            err_hw = _ratio_halfwidth(fp + fn, table, measured, z).tolist()
-            detection_hw = _ratio_halfwidth(fp - reacq + fn, table, measured, z).tolist()
+        if halfwidths:
+            err_hw = _ratio_halfwidth(fp + fn, table, measured, _Z).tolist()
+            detection_hw = _ratio_halfwidth(fp - reacq + fn, table, measured, _Z).tolist()
         summaries += [
             dict(run, err_empirical=(p + n) / span, err_detection=(p - q + n) / span, err_ci=e, err_detection_ci=d,
                  fp_rate=p / span, fn_rate=n / span, reacquisition_fp_time=q)

@@ -34,10 +34,10 @@ def read_csv(path) -> list[dict]:
     ]
 
 
-def table_rows(table, taus, confidence=None):
+def table_rows(table, taus, halfwidths=False):
     """summarize's rows for `taus`, thresholds that `table` was built for,
     without half-widths by default."""
-    rows = summarize(table, confidence)
+    rows = summarize(table, halfwidths=halfwidths)
     position = table.taus.tolist().index
     return [rows[position(tau)] for tau in taus]
 

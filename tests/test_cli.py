@@ -197,6 +197,7 @@ class TestErrors:
         (["sweep-threshold", "--grid", "20:nan:20"], "stop must be finite"),
         (["simulate", *FAST, "--resamples", "-5"], "resamples must be >= 0"),
         (["sweep-threshold", "--grid", "0:1e300:1e-300", "--analytic-only"], "more than the 1000000 allowed"),
+        (["sweep-threshold", "--grid", "a:b:c"], "grid must be numeric, got 'a:b:c'"),
     ])
     def test_bad_sweep_input_fails_with_named_field(self, capsys, argv, message):
         status, _, err = run(capsys, *argv)
@@ -282,6 +283,15 @@ class TestErrors:
         status, _, err = run(capsys, "simulate", *FAST, "--out", str(tmp_path / "no" / "x.csv"))
         assert status == 1
         assert "x.csv" in err
+
+    def test_unwritable_report(self, capsys, monkeypatch, tmp_path):
+        # the closed-form row stands in for the cross-check: nothing is simulated
+        monkeypatch.setattr(agemon.cli, "monte_carlo_cross_check",
+                            lambda params, **_: agemon.experiments.measure(params, with_sim=False)[0])
+        path = tmp_path / "no" / "x.json"
+        status, out, err = run(capsys, "validate", "--out", str(path))
+        assert status == 1 and json.loads(out)["lam"] == 0.5
+        assert err.startswith(f"error: could not write report {path}: ")
 
 
 class TestSimulate:

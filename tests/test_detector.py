@@ -50,7 +50,7 @@ class TestThreshold:
         with mock.patch.object(sim, "_simulation", side_effect=AssertionError("simulated")):
             for tau in (-1.0, -math.inf, math.nan):
                 with pytest.raises(ParameterError, match=f"^tau must be >= 0, got {tau}$"):
-                    summarize(simulate_table(small_timeline.params, [MAP_TAU, math.inf, tau]), confidence=None)
+                    summarize(simulate_table(small_timeline.params, [MAP_TAU, math.inf, tau]), halfwidths=False)
 
 
 def single_span_timeline(arrivals, T=None, r=50.0):

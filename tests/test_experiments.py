@@ -10,7 +10,9 @@ from agemon import (
     SweepSpec,
     error_rate_closed_form,
     map_threshold,
+    monte_carlo_cross_check,
     run_sweep,
+    summarize,
 )
 from agemon.analytics import error_rate
 from agemon.experiments import MAX_GRID_POINTS, measure
@@ -84,7 +86,7 @@ class TestRunSweep:
 
     def test_rho_sweep_rows_record_seed(self):
         spec = SweepSpec(variable="rho", start=0.3, stop=0.7, step=0.2, fixed=fixed())
-        rows = run_sweep(spec, confidence=None)
+        rows = run_sweep(spec, halfwidths=False)
         assert [r["swept_value"] for r in rows] == pytest.approx([0.3, 0.5, 0.7])
         assert all(r["seed"] == 11 for r in rows)
         assert all(r["aoi_ci"] is None for r in rows)  # half-widths skipped
@@ -92,7 +94,7 @@ class TestRunSweep:
 
     def test_threshold_sweep_shares_one_timeline(self):
         spec = SweepSpec(variable="threshold", start=2.0, stop=12.0, step=5.0, fixed=fixed())
-        rows = run_sweep(spec, confidence=None)
+        rows = run_sweep(spec, halfwidths=False)
         assert len({r["aoi_empirical"] for r in rows}) == 1
         assert len({r["err_empirical"] for r in rows}) == 3
 
@@ -158,12 +160,24 @@ class TestMeasure:
         # a summary column outside report.COLUMNS fails as run_row's would
         summarize = agemon.experiments.summarize
         monkeypatch.setattr(agemon.experiments, "summarize",
-                            lambda *args: [dict(s, err_anlytic=0.0) for s in summarize(*args)])
+                            lambda *args, **kwargs: [dict(s, err_anlytic=0.0) for s in summarize(*args, **kwargs)])
         with pytest.raises(ParameterError, match=r"unknown columns \['err_anlytic'\]"):
-            measure(fixed(), confidence=None)
+            measure(fixed(), halfwidths=False)
+
+    def test_a_positional_level_is_refused(self, monkeypatch):
+        # the half-widths are always 95% ones, switched by the keyword-only
+        # `halfwidths`: a level passed where it once went fails at the call,
+        # before anything is simulated
+        monkeypatch.setattr(agemon.experiments, "simulate_table", None)
+        spec = SweepSpec("threshold", 1.0, 2.0, 1.0, fixed())
+        for call in (lambda: measure(fixed(), None, True, 0.99), lambda: run_sweep(spec, True, 0.95),
+                     lambda: monte_carlo_cross_check(replace(fixed(), periods=10_000), 0.95),
+                     lambda: summarize(simulate_table(fixed(), [4.0]), 0.99)):
+            with pytest.raises(TypeError, match="positional argument"):
+                call()
 
     def test_simulated_rows_record_their_rule(self):
-        rows = measure(fixed(), [4.0, 25.0], confidence=None)
+        rows = measure(fixed(), [4.0, 25.0], halfwidths=False)
         # 25 >= r is not the optimal threshold, so its rule is not degenerate:
         # it is scored as "FAILED while z > 25", like its err_analytic (this
         # pair read (25.0, True) when any tau >= r was scored as always WORKING)

@@ -1,3 +1,4 @@
+import math
 import pathlib
 
 import numpy as np
@@ -116,6 +117,28 @@ class TestSvg:
     def test_two_rows_minimum(self, tmp_path):
         with pytest.raises(ParameterError):
             render_svg(sample_rows()[:1], "swept_value", ["aoi_analytic"], tmp_path / "d.svg")
+        # and two plottable points in some series
+        rows = sample_rows()
+        rows[0]["aoi_empirical"] = rows[1]["aoi_empirical"] = None
+        with pytest.raises(ParameterError, match="no series has 2 or more plottable points"):
+            render_svg(rows, "swept_value", ["aoi_empirical"], tmp_path / "d.svg")
+        assert not (tmp_path / "d.svg").exists()
+
+    # a constant axis was widened by 1.0, which rounds away at |value| >=
+    # 2**53 and raised ZeroDivisionError
+    @pytest.mark.parametrize("x,y", [((1e17, 1e17), (1.0, 2.0)), ((1.0, 2.0), (3e16, 3e16))], ids=["x", "y"])
+    def test_constant_axis_far_from_zero(self, tmp_path, x, y):
+        rows = [row("rho", a, aoi_empirical=b) for a, b in zip(x, y)]
+        path = render_svg(rows, "swept_value", ["aoi_empirical"], tmp_path / "h.svg")
+        points = path.read_text(encoding="utf-8").split('points="')[1].split('"')[0]
+        coords = [float(c) for point in points.split() for c in point.split(",")]
+        assert len(coords) == 4 and all(map(math.isfinite, coords))
+
+    def test_missing_directory_named(self, tmp_path):
+        path = tmp_path / "no" / "i.svg"
+        with pytest.raises(OSError) as raised:
+            render_svg(sample_rows(), "swept_value", ["aoi_analytic"], path)
+        assert str(raised.value).startswith(f"could not write SVG {path}: ")
 
     def test_two_rows_single_segment(self, tmp_path):
         path = render_svg(sample_rows()[:2], "swept_value", ["aoi_analytic"], tmp_path / "e.svg")

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+from statistics import NormalDist
 from unittest import mock
 
 import numpy as np
@@ -105,7 +106,7 @@ class TestSummarize:
 
     # the name is kept from when a resample count of 0 skipped the bootstrap
     def test_skipping_bootstrap(self, small_table):
-        [s] = summarize(small_table, confidence=None)
+        [s] = summarize(small_table, halfwidths=False)
         assert s["aoi_ci"] is None
         assert s["err_ci"] is None
         assert s["err_detection_ci"] is None
@@ -149,15 +150,10 @@ class TestSummarize:
 
     def test_thresholds_read_once_from_any_iterable(self, small_table):
         taus = [0.0, MAP_TAU, math.inf]
-        want = [hex_fields(row) for row in summarize(simulate_table(small_table.params, taus), confidence=None)]
+        want = [hex_fields(row) for row in summarize(simulate_table(small_table.params, taus), halfwidths=False)]
         for given in (iter(taus), np.array(taus)):
             table = simulate_table(small_table.params, given)
-            assert [hex_fields(row) for row in summarize(table, confidence=None)] == want
-
-    def test_confidence_domain(self, small_table):
-        for confidence in (0.0, 1.0, 1.5, math.nan):
-            with pytest.raises(ParameterError, match="confidence must be in"):
-                summarize(small_table, confidence=confidence)
+            assert [hex_fields(row) for row in summarize(table, halfwidths=False)] == want
 
     def test_simulate_keys_pinned(self, small_table, summary):
         d = project(run_row(small_table.params, **summary), "simulate")
@@ -174,7 +170,7 @@ class TestSummarize:
         table = simulate_table(SimParams(lam=1.2, mu=1.0, nu=0.05, r=5.0, periods=50, master_seed=5), [3.0])
         with pytest.raises(ParameterError):
             measure(table.params)  # the optimal rule needs rho < 1
-        [s] = summarize(table, confidence=None)
+        [s] = summarize(table, halfwidths=False)
         assert s["unstable_queue"]
 
     def test_returns_the_rows_empirical_columns(self, small_timeline, summary):
@@ -188,7 +184,7 @@ class TestSummarize:
         ]
         assert set(summary) <= set(COLUMNS)
         assert {type(v) for v in summary.values()} == {float, int, bool}
-        for row in summarize(period_table(small_timeline, [MAP_TAU, 30.0, math.inf]), confidence=None):
+        for row in summarize(period_table(small_timeline, [MAP_TAU, 30.0, math.inf]), halfwidths=False):
             assert list(row) == list(summary)
             assert {type(v) for v in row.values()} == {float, int, bool, type(None)}
 
@@ -313,7 +309,7 @@ class TestDeliveryGroups:
             fields = [getattr(table, f.name) for f in dataclasses.fields(table)]
             # and the columns that summarize reads off them
             return fields + [tau_columns(table, tau) for tau in taus] + [
-                hex_fields(row) for row in summarize(table, confidence=None)]
+                hex_fields(row) for row in summarize(table, halfwidths=False)]
 
         want = columns()
         for group in (1, 2**6):
@@ -492,17 +488,18 @@ class TestBatchScoring:
         taus = [inside[1], 0.0, math.inf, 2.0 * float(gaps[-1]), inside[0], inside[1], 4.0, math.inf,
                 inside[2], 0.0, 1.0]
         alone = [simulate_table(params, [tau]) for tau in taus]
-        # with half-widths at two levels, and without them
-        confidences = (0.95, None, 0.5)
-        rows = {c: [hex_fields(summary) for table in alone for summary in summarize(table, c)] for c in confidences}
+        # with half-widths and without them
+        switches = (True, False)
+        rows = {c: [hex_fields(summary) for table in alone for summary in summarize(table, halfwidths=c)]
+                for c in switches}
         periods = params.periods
         # chunks of 1, 1 and 2 thresholds; the last leaves a partial chunk
         for group in (1, 2**6, 2 * periods):
             with mock.patch.object(sim, "_GROUP_PACKETS", group):
                 table = simulate_table(params, taus)
                 batch = table.error_columns()
-                for c in confidences:
-                    assert [hex_fields(summary) for summary in summarize(table, c)] == rows[c], (group, c)
+                for c in switches:
+                    assert [hex_fields(summary) for summary in summarize(table, halfwidths=c)] == rows[c], (group, c)
             assert batch.shape == (3, len(taus), periods)
             for k, want in enumerate(alone):
                 assert batch[:, k].tobytes() == want.error_columns()[:, 0].tobytes(), (group, taus[k])
@@ -540,30 +537,30 @@ class TestSummarizeRules:
     # now runs without half-widths (one period has too little measured time
     # for one), and the chunk sizes were rules per bootstrap pass
     @pytest.mark.parametrize("chunk", [1, 3, 32])
-    @pytest.mark.parametrize("periods,confidence", [
-        pytest.param(300, 0.95, id="300-40"),
-        pytest.param(1, None, id="1-10"),
-        pytest.param(300, None, id="300-0"),
+    @pytest.mark.parametrize("periods,halfwidths", [
+        pytest.param(300, True, id="300-40"),
+        pytest.param(1, False, id="1-10"),
+        pytest.param(300, False, id="300-0"),
     ])
-    def test_equals_summarize_per_rule(self, chunk, periods, confidence):
+    def test_equals_summarize_per_rule(self, chunk, periods, halfwidths):
         params = SimParams(**DEFAULTS, periods=periods, master_seed=SEED)
         rules = list(self.TAUS)
         # each rule alone, then the rules in chunks, then all at once
         expected = [hex_fields(summary) for rule in rules
-                    for summary in summarize(simulate_table(params, [rule]), confidence)]
+                    for summary in summarize(simulate_table(params, [rule]), halfwidths=halfwidths)]
         chunked = [s for i in range(0, len(rules), chunk)
-                   for s in summarize(simulate_table(params, rules[i:i + chunk]), confidence)]
+                   for s in summarize(simulate_table(params, rules[i:i + chunk]), halfwidths=halfwidths)]
         assert [hex_fields(s) for s in chunked] == expected
-        batched = summarize(simulate_table(params, rules), confidence)
+        batched = summarize(simulate_table(params, rules), halfwidths=halfwidths)
         assert [hex_fields(s) for s in batched] == expected
-        halfwidths = [(s["aoi_ci"], s["err_ci"], s["err_detection_ci"]) for s in batched]
-        if confidence is None:
-            assert halfwidths == [(None, None, None)] * len(rules)
+        widths = [(s["aoi_ci"], s["err_ci"], s["err_detection_ci"]) for s in batched]
+        if halfwidths:
+            assert all(hw > 0 for row in widths for hw in row)
         else:
-            assert all(hw > 0 for row in halfwidths for hw in row)
+            assert widths == [(None, None, None)] * len(rules)
 
-    @pytest.mark.parametrize("confidence", [pytest.param(None, id="0"), pytest.param(0.95, id="20")])
-    def test_scores_each_rule_once(self, monkeypatch, confidence):
+    @pytest.mark.parametrize("halfwidths", [pytest.param(False, id="0"), pytest.param(True, id="20")])
+    def test_scores_each_rule_once(self, monkeypatch, halfwidths):
         rules = list(self.TAUS)
         table = simulate_table(SimParams(**DEFAULTS, periods=50, master_seed=SEED), rules)
         scored = []
@@ -575,7 +572,7 @@ class TestSummarizeRules:
             return error_columns(self, chunk)
 
         monkeypatch.setattr(agemon.summary.PeriodTable, "error_columns", counted)
-        summarize(table, confidence)
+        summarize(table, halfwidths=halfwidths)
         assert scored == rules
 
     @settings(max_examples=40, deadline=None)
@@ -645,6 +642,10 @@ class TestRatioHalfwidth:
             want = z * np.std(residual, ddof=1) / (lengths.mean() * math.sqrt(lengths.size))
             assert got == pytest.approx(want, rel=1e-12)
 
+    def test_every_halfwidth_is_a_95_percent_one(self):
+        # the constant the library keeps, so that it imports no statistics
+        assert float.hex(agemon.summary._Z) == float.hex(NormalDist().inv_cdf(0.975))
+
     @pytest.mark.parametrize("conditioned", [False, True], ids=["faithful", "conditioned"])
     def test_block_rows_equal_each_row_alone(self, conditioned):
         # at nu = mu half the faithful periods deliver nothing; at this seed
@@ -672,7 +673,7 @@ class TestRatioHalfwidth:
         table = period_table(manual_timeline([lost, delivered]), [MAP_TAU])
         with pytest.raises(EmptyTimelineError, match=r"^1 of 2 periods have measured time .* at least 2$"):
             summarize(table)
-        [s] = summarize(table, confidence=None)
+        [s] = summarize(table, halfwidths=False)
         assert s["aoi_ci"] is None
         [s] = summarize(period_table(manual_timeline([delivered, lost, delivered]), [MAP_TAU]))
         assert 0 < s["aoi_ci"] < math.inf
