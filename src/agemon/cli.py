@@ -52,7 +52,7 @@ def _add_output_flags(parser: argparse.ArgumentParser, svg: bool = True, out: st
         parser.add_argument("--svg", help="SVG chart output path")
     parser.add_argument("--resamples", type=int,
                         help="deprecated and unused: the 95%% half-widths come from the ratio "
-                             "estimator; 0 still skips them")
+                             "estimator")
 
 
 _COMMAND_HELP = {
@@ -131,19 +131,15 @@ def _params(args: argparse.Namespace) -> SimParams:
     )
 
 
-def _halfwidths(args: argparse.Namespace) -> bool:
-    """Whether to report the 95% half-widths: not under --resamples 0. Any
-    other count is unused and says so once on stderr; a negative one is an
-    error."""
+def _check_resamples(args: argparse.Namespace) -> None:
+    """--resamples is unused: a count says so once on stderr, and a
+    negative one is an error."""
     if args.resamples is None:
-        return True
+        return
     if args.resamples < 0:
         raise ParameterError(f"resamples must be >= 0, got {args.resamples}")
-    if args.resamples == 0:
-        return False
     print(f"note: --resamples {args.resamples} is unused; the half-widths now come from the "
           f"regenerative ratio estimator", file=sys.stderr)
-    return True
 
 
 def _cmd_analytic(args: argparse.Namespace) -> int:
@@ -155,7 +151,8 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     params = _params(args)
-    [row] = measure(params, halfwidths=_halfwidths(args), swept_var="rho", swept_value=params.rho)
+    _check_resamples(args)
+    [row] = measure(params, swept_var="rho", swept_value=params.rho)
     print(text_lines(project(row, "simulate")))
     if args.out:
         path = write_csv([row], _resolve(args.out), params)
@@ -167,7 +164,8 @@ def _cmd_sweep(args: argparse.Namespace, command: str) -> int:
     variable, _ = _SWEEP_DEFAULTS[command]
     start, stop, step = _parse_grid(args.grid)
     spec = SweepSpec(variable=variable, start=start, stop=stop, step=step, fixed=_params(args))
-    rows = run_sweep(spec, with_sim=not args.analytic_only, halfwidths=_halfwidths(args))
+    _check_resamples(args)
+    rows = run_sweep(spec, with_sim=not args.analytic_only)
     out = _resolve(args.out) if args.out else _resolve(f"{command}.csv")
     path = write_csv(rows, out, spec.fixed)
     print(f"wrote {path}")
@@ -180,7 +178,9 @@ def _cmd_sweep(args: argparse.Namespace, command: str) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    text = json_text(project(monte_carlo_cross_check(_params(args), halfwidths=_halfwidths(args)), "validate"))
+    params = _params(args)
+    _check_resamples(args)
+    text = json_text(project(monte_carlo_cross_check(params), "validate"))
     print(text)
     if args.out:
         path = _resolve(args.out)

@@ -64,26 +64,29 @@ class SweepSpec:
         return values[values <= self.stop + 1e-9 * self.step]
 
 
-def measure(params: SimParams, taus=None, with_sim: bool = True, *, halfwidths: bool = True,
-            **columns) -> list[dict]:
+def measure(params: SimParams, taus=None, with_sim: bool = True, **columns) -> list[dict]:
     """A run's rows: one `report.run_row` per threshold of `taus` (any
     iterable), or one for the optimal threshold when taus is None, each with
     `columns` added.
 
-    Whatever can fail without a simulation fails first: rho < 1, then the
-    closed forms. Every row holds the closed forms, its tau and whether it
-    is degenerate. err_analytic is `analytics.error_rate_closed_form` at
-    the optimal threshold and `analytics.error_rate` at any other. Only the
-    optimal threshold at tau >= r is degenerate: the optimal rule then
-    always declares WORKING (it is scored as tau = inf) and its closed form
-    is the failed-time prior. Every other threshold is scored as the rule
+    Whatever can fail without a simulation fails first: a `taus` with no
+    threshold, rho < 1, then the closed forms. Every row holds the closed
+    forms, its tau and whether it is degenerate. err_analytic is
+    `analytics.error_rate_closed_form` at the optimal threshold and
+    `analytics.error_rate` at any other. Only the optimal threshold at
+    tau >= r is degenerate: the optimal rule then always declares WORKING
+    (it is scored as tau = inf) and its closed form is the failed-time
+    prior. Every other threshold is scored as the rule
     "FAILED while z > tau" whose error rate `error_rate` gives. With
     `with_sim`, one simulation's period table, built run by run by
     `summary.simulate_table`, serves every threshold, so differences
-    between rows are not simulation noise. halfwidths=False skips the 95%
-    half-widths. Rows without a simulation refuse `require_delivery`: the
-    closed forms describe unconditioned runs.
+    between rows are not simulation noise, and each row gets the 95%
+    half-widths of `summary.summarize`. Rows without a simulation refuse
+    `require_delivery`: the closed forms describe unconditioned runs.
     """
+    taus = None if taus is None else list(taus)
+    if taus == []:
+        raise ParameterError("taus must hold at least one threshold, got none")
     if params.require_delivery and not with_sim:
         raise ParameterError("require_delivery needs a simulation: the closed forms describe unconditioned runs")
     params.require_stable_queue()
@@ -91,7 +94,7 @@ def measure(params: SimParams, taus=None, with_sim: bool = True, *, halfwidths: 
     base = run_row(params, aoi_analytic=mean_aoi_closed_form(lam, mu, nu, r), aoi_mm1=aoi_mm1(params.rho, mu),
                    prior_s1=failure_prior(nu, r), **columns)
     optimal = map_threshold(lam, nu)
-    taus = [optimal] if taus is None else list(taus)
+    taus = [optimal] if taus is None else taus
     closed = error_rate_closed_form(lam, nu, r)
     errs = [closed] * len(taus)
     if any(tau != optimal for tau in taus):
@@ -101,19 +104,20 @@ def measure(params: SimParams, taus=None, with_sim: bool = True, *, halfwidths: 
             for tau, d, err in zip(taus, degenerate, errs)]
     if with_sim:
         scored = [math.inf if d else tau for tau, d in zip(taus, degenerate)]
-        for row, summary in zip(rows, summarize(simulate_table(params, scored), halfwidths=halfwidths)):
+        for row, summary in zip(rows, summarize(simulate_table(params, scored))):
             row.update(summary)
             if len(row) > len(base):  # run_row's check, for summarize's columns
                 raise ParameterError(f"unknown columns {sorted(row.keys() - base.keys())}")
     return rows
 
 
-def run_sweep(spec: SweepSpec, with_sim: bool = True, *, halfwidths: bool = True) -> list[dict]:
-    """Evaluate every grid point in grid order, one `report.run_row` each. A
-    threshold sweep scores every threshold on one simulation."""
+def run_sweep(spec: SweepSpec, with_sim: bool = True) -> list[dict]:
+    """Evaluate every grid point in grid order, one `report.run_row` each,
+    with 95% half-widths when simulated. A threshold sweep scores every
+    threshold on one simulation."""
     grid = spec.grid().tolist()
     if spec.variable == "threshold":
-        rows = measure(spec.fixed, grid, with_sim, halfwidths=halfwidths, swept_var="threshold")
+        rows = measure(spec.fixed, grid, with_sim, swept_var="threshold")
         for row, value in zip(rows, grid):
             row["swept_value"] = value
         return rows
@@ -123,11 +127,11 @@ def run_sweep(spec: SweepSpec, with_sim: bool = True, *, halfwidths: bool = True
             params = replace(spec.fixed, lam=value * spec.fixed.mu)
         else:
             params = replace(spec.fixed, nu=1.0 / value)
-        rows += measure(params, with_sim=with_sim, halfwidths=halfwidths, swept_var=spec.variable, swept_value=value)
+        rows += measure(params, with_sim=with_sim, swept_var=spec.variable, swept_value=value)
     return rows
 
 
-def monte_carlo_cross_check(params: SimParams, *, halfwidths: bool = True) -> dict:
+def monte_carlo_cross_check(params: SimParams) -> dict:
     """Simulate, measure, and compare against the closed forms; returns the
     run's `measure` row for the optimal threshold with the relative
     deviations.
@@ -136,8 +140,8 @@ def monte_carlo_cross_check(params: SimParams, *, halfwidths: bool = True) -> di
     as ordinary working time, so err_rel_dev compares it with the
     detection-scope empirical rate, err_detection; the full-span rate
     err_empirical exceeds it by about (1/mu) / (1/nu + r). Each rate has
-    its own half-width, err_detection_ci and err_ci (validate publishes the
-    detection-scope rate and its half-width as err_empirical and
+    its own 95% half-width, err_detection_ci and err_ci (validate publishes
+    the detection-scope rate and its half-width as err_empirical and
     err_ci_halfwidth, and the full-span rate as err_empirical_full).
 
     Needs at least 10^4 periods; with fewer the Monte Carlo noise swamps the
@@ -148,7 +152,7 @@ def monte_carlo_cross_check(params: SimParams, *, halfwidths: bool = True) -> di
         raise ParameterError("cross checks need periods >= 10000")
     if not params.r > 0:
         raise ParameterError(f"cross checks need r > 0, got {params.r}")
-    [row] = measure(params, halfwidths=halfwidths)
+    [row] = measure(params)
     row.update(aoi_rel_dev=row["aoi_empirical"] / row["aoi_analytic"] - 1.0,
                err_rel_dev=row["err_detection"] / row["err_analytic"] - 1.0)
     return row

@@ -270,7 +270,7 @@ def _ratio_halfwidth(numerators, table: PeriodTable, measured: int, z: float) ->
     return z * np.sqrt(np.vecdot(residual, residual) * measured / (measured - 1)) / table.measured_time
 
 
-def summarize(table: PeriodTable, *, halfwidths: bool = True) -> list[dict]:
+def summarize(table: PeriodTable) -> list[dict]:
     """Each of the table's thresholds' empirical columns of `report.COLUMNS`,
     as a dict of Python scalars: the run's size and seed, the mean age and
     the region averages and times, the error rates and the reacquisition
@@ -278,12 +278,11 @@ def summarize(table: PeriodTable, *, halfwidths: bool = True) -> list[dict]:
     age, the full-span error and the detection-scope error.
 
     The region averages are time-weighted across the whole run; a region
-    nobody entered has zero time and a NaN average.
-    halfwidths=False skips the half-widths (they become None). The periods
-    are the model's iid cycles, so each half-width is that of a ratio of
-    per-period sums (`_ratio_halfwidth`); it needs two or more periods with
-    measured time, and fewer raise EmptyTimelineError. The thresholds'
-    columns come from `PeriodTable.error_columns` in chunks of at most
+    nobody entered has zero time and a NaN average. The periods are the
+    model's iid cycles, so each half-width is that of a ratio of per-period
+    sums (`_ratio_halfwidth`); it needs two or more periods with measured
+    time, and fewer raise EmptyTimelineError. The thresholds' columns come
+    from `PeriodTable.error_columns` in chunks of at most
     max(1, sim._GROUP_PACKETS // periods) thresholds (the cells that bound
     the run loop's temporaries too), each threshold once. A chunk's sums
     and half-widths are array operations over its thresholds, and each
@@ -291,20 +290,18 @@ def summarize(table: PeriodTable, *, halfwidths: bool = True) -> list[dict]:
     depend on the thresholds beside it.
     """
     params, span = table.params, table.measured_time
-    aoi_hw = None
-    if halfwidths:
-        measured = int(np.count_nonzero(table.lengths))
-        if measured < 2:
-            raise EmptyTimelineError(
-                f"{measured} of {table.lengths.size} periods have measured time (from the first "
-                f"delivery on); a half-width needs at least 2"
-            )
-        aoi_hw = float(_ratio_halfwidth(table.areas, table, measured, _Z))
+    measured = int(np.count_nonzero(table.lengths))
+    if measured < 2:
+        raise EmptyTimelineError(
+            f"{measured} of {table.lengths.size} periods have measured time (from the first "
+            f"delivery on); a half-width needs at least 2"
+        )
     times = table.region_times.sum(axis=1).tolist()
     region_areas = table.region_areas.sum(axis=1).tolist()
     run = {
         "periods": params.periods, "seed": params.master_seed, "unstable_queue": params.unstable_queue,
-        "measured_time": span, "aoi_empirical": table.aoi, "aoi_ci": aoi_hw,
+        "measured_time": span, "aoi_empirical": table.aoi,
+        "aoi_ci": float(_ratio_halfwidth(table.areas, table, measured, _Z)),
         **{f"avg_r{k}": a / t if t > 0 else float("nan") for k, a, t in zip((1, 2, 3), region_areas, times)},
         **{f"time_r{k}": t for k, t in zip((1, 2, 3), times)},
     }
@@ -315,10 +312,8 @@ def summarize(table: PeriodTable, *, halfwidths: bool = True) -> list[dict]:
     for i in range(0, table.taus.size, step):
         columns = table.error_columns(slice(i, i + step))
         fp, fn, reacq = columns
-        err_hw = detection_hw = [None] * fp.shape[0]
-        if halfwidths:
-            err_hw = _ratio_halfwidth(fp + fn, table, measured, _Z).tolist()
-            detection_hw = _ratio_halfwidth(fp - reacq + fn, table, measured, _Z).tolist()
+        err_hw = _ratio_halfwidth(fp + fn, table, measured, _Z).tolist()
+        detection_hw = _ratio_halfwidth(fp - reacq + fn, table, measured, _Z).tolist()
         summaries += [
             dict(run, err_empirical=(p + n) / span, err_detection=(p - q + n) / span, err_ci=e, err_detection_ci=d,
                  fp_rate=p / span, fn_rate=n / span, reacquisition_fp_time=q)

@@ -34,17 +34,16 @@ def read_csv(path) -> list[dict]:
     ]
 
 
-def table_rows(table, taus, halfwidths=False):
-    """summarize's rows for `taus`, thresholds that `table` was built for,
-    without half-widths by default."""
-    rows = summarize(table, halfwidths=halfwidths)
+def table_rows(table, taus):
+    """summarize's rows for `taus`, thresholds that `table` was built for."""
+    rows = summarize(table)
     position = table.taus.tolist().index
     return [rows[position(tau)] for tau in taus]
 
 
 def empirical_columns(table, tau=0.0):
-    """summarize's columns for tau, a threshold that `table` was built for,
-    without half-widths. The region columns do not depend on the threshold."""
+    """summarize's columns for tau, a threshold that `table` was built for.
+    The region columns do not depend on the threshold."""
     [row] = table_rows(table, [tau])
     return row
 

@@ -169,7 +169,7 @@ def test_criterion_6_tradeoff_reproduction():
         variable="rho", start=0.05, stop=0.95, step=0.05,
         fixed=SimParams(**DEFAULTS, periods=10_000, master_seed=SEED),
     )
-    rows = run_sweep(spec, halfwidths=False)
+    rows = run_sweep(spec)
     assert len(rows) == 19
     # the M/M/1 age-minimising utilization; the outage penalty does not
     # depend on lam, so it also minimises the failure-adjusted age
@@ -313,7 +313,7 @@ def test_ratio_halfwidths_agree_with_the_reference_bootstrap(table_100k):
     # and the detection-scope error 0.0001973 vs 0.0001988. At 1000
     # resamples the bootstrap's percentiles carry a few percent of noise of
     # their own, so they agree within 5%.
-    [summary] = table_rows(table_100k, [MAP_TAU], halfwidths=True)
+    [summary] = table_rows(table_100k, [MAP_TAU])
     fp, fn, reacq = tau_columns(table_100k, MAP_TAU)
     numerators = np.vstack((table_100k.areas, fp + fn, fp - reacq + fn))
     bootstrap = bootstrap_halfwidths(SEED, numerators, table_100k.lengths, 1000, 0.95)

@@ -260,8 +260,7 @@ class TestErrors:
     @pytest.mark.parametrize("lam", ["0.5", "2.0"])
     def test_run_without_deliveries(self, capsys, lam):
         # failures within ~0.01 s leave no time to deliver anything
-        status, _, err = run(capsys, "simulate", "--lambda", lam, "--nu", "100",
-                             "--periods", "1", "--resamples", "0")
+        status, _, err = run(capsys, "simulate", "--lambda", lam, "--nu", "100", "--periods", "1")
         assert status == 1
         assert "error:" in err and ("deliveries" in err or "rho" in err)
 
@@ -275,7 +274,7 @@ class TestErrors:
     ])
     def test_simulation_limit_names_the_cap(self, capsys, monkeypatch, argv, cap):
         monkeypatch.setattr(agemon.sim, "EVENT_CAP", 10)
-        status, _, err = run(capsys, "simulate", *argv, "--resamples", "0")
+        status, _, err = run(capsys, "simulate", *argv)
         assert status == 1
         assert err.startswith("error:") and cap in err
 
@@ -531,7 +530,8 @@ class TestValidate:
     def test_resamples_flag_has_help(self, capsys, command):
         status, out, _ = run(capsys, command, "--help")
         assert status == 0
-        assert re.search(r"--resamples RESAMPLES\s+deprecated and unused: the 95% half-widths", out)
+        assert re.search(r"--resamples RESAMPLES\s+deprecated and unused: the 95% half-widths\s+come\s+from"
+                         r"\s+the\s+ratio\s+estimator\n", out)
 
     def test_writes_json_report(self, capsys, tmp_path):
         out = tmp_path / "report.json"
@@ -556,32 +556,17 @@ class TestValidate:
     def test_conditioned_run_says_so(self, capsys, tmp_path):
         # compared with the unconditioned closed forms, so the report flags it
         out = tmp_path / "report.json"
-        status, stdout, _ = run(capsys, "validate", "--periods", "10000", "--resamples", "0",
-                                "--enforce-assumption3", "--out", str(out))
+        status, stdout, _ = run(capsys, "validate", "--periods", "10000", "--enforce-assumption3", "--out", str(out))
         assert status == 0
         data = json.loads(out.read_text(encoding="utf-8"))
         assert data["require_delivery"] is True
         assert json.loads(stdout.split("wrote")[0]) == data
 
-    def test_without_resamples_json_is_strict(self, capsys, tmp_path):
-        # no bootstrap: the half-widths are missing, written as null, not NaN
-        def reject(constant):
-            raise ValueError(f"non-standard JSON constant {constant}")
-
-        out = tmp_path / "report.json"
-        status, _, _ = run(
-            capsys, "validate", "--periods", "10000", "--resamples", "0", "--out", str(out)
-        )
-        assert status == 0
-        data = json.loads(out.read_text(encoding="utf-8"), parse_constant=reject)
-        assert data["aoi_ci_halfwidth"] is None
-        assert data["err_ci_halfwidth"] is None
-        assert isinstance(data["aoi_empirical"], float)
-
 
 class TestResamplesFlag:
-    # --resamples is deprecated: 0 still skips the half-widths, any other
-    # count is unused and says so once, a negative one is an error (TestErrors)
+    # --resamples is deprecated: every count, 0 included, is unused and says
+    # so once, and a negative one is an error (TestErrors). The name is kept
+    # from when 0 skipped the half-widths
     @pytest.mark.parametrize("argv", [
         ["simulate", "--periods", "300"],
         ["sweep-threshold", "--periods", "300", "--grid", "4:8:2"],
@@ -592,16 +577,11 @@ class TestResamplesFlag:
         status, plain, err = run(capsys, *argv)
         assert status == 0 and err == ""
         written = (tmp_path / "out").read_bytes()
-        status, out, err = run(capsys, *argv, "--resamples", "7")
-        assert status == 0 and out == plain and (tmp_path / "out").read_bytes() == written
-        assert err == NOTE.format(7)
-        status, out, err = run(capsys, *argv, "--resamples", "0")
-        assert status == 0 and err == ""
-        skipped = (tmp_path / "out").read_text(encoding="utf-8")
-        if argv[0] == "validate":
-            assert json.loads(skipped)["err_ci_halfwidth"] is None
-        else:
-            assert all(r["aoi_ci"] is None and r["err_detection_ci"] is None for r in read_csv(tmp_path / "out"))
+        for count in (7, 0):
+            (tmp_path / "out").unlink()
+            status, out, err = run(capsys, *argv, "--resamples", str(count))
+            assert status == 0 and out == plain and (tmp_path / "out").read_bytes() == written
+            assert err == NOTE.format(count)
 
 
 class TestBytePins:
@@ -690,20 +670,22 @@ class TestBytePins:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def modules_after_importing_the_cli(package: str) -> str:
+def modules_after_importing_the_cli(package: str, argv: tuple[str, ...] = ()) -> str:
     """The modules of `package` that `import agemon.cli` loads in a fresh
-    interpreter, as printed by it."""
+    interpreter, then by running the command `argv` if one is given, as the
+    last line it prints."""
     src = str(pathlib.Path(agemon.cli.__file__).parents[1])
-    code = f"import sys, agemon.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == {package!r}))"
+    run = f"assert agemon.cli.run_subcommand({list(argv)!r}) == 0; " if argv else ""
+    code = f"import sys, agemon.cli; {run}print(sorted(m for m in sys.modules if m.partition('.')[0] == {package!r}))"
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, check=True)
-    return done.stdout
+    return done.stdout.splitlines()[-1]
 
 
 def test_importing_the_cli_leaves_scipy_unimported():
     # scipy.integrate costs more to import than agemon and numpy together;
     # only a quadrature imports it
-    assert modules_after_importing_the_cli("scipy") == "[]\n"
+    assert modules_after_importing_the_cli("scipy") == "[]"
 
 
 def test_sweep_and_simulate_run_with_scipy_refused(tmp_path):
@@ -729,6 +711,7 @@ def test_sweep_and_simulate_run_with_scipy_refused(tmp_path):
 
 
 def test_importing_the_cli_leaves_statistics_unimported():
-    # statistics (with fractions and decimal) gives the half-widths' normal
-    # quantile; only a run that forms half-widths imports it
-    assert modules_after_importing_the_cli("statistics") == "[]\n"
+    # statistics (with fractions and decimal) once gave the half-widths'
+    # normal quantile; summary._Z is that quantile as a constant, so neither
+    # the import nor a run, which always forms half-widths, loads it
+    assert modules_after_importing_the_cli("statistics", ("simulate", "--periods", "300")) == "[]"

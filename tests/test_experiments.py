@@ -86,15 +86,15 @@ class TestRunSweep:
 
     def test_rho_sweep_rows_record_seed(self):
         spec = SweepSpec(variable="rho", start=0.3, stop=0.7, step=0.2, fixed=fixed())
-        rows = run_sweep(spec, halfwidths=False)
+        rows = run_sweep(spec)
         assert [r["swept_value"] for r in rows] == pytest.approx([0.3, 0.5, 0.7])
         assert all(r["seed"] == 11 for r in rows)
-        assert all(r["aoi_ci"] is None for r in rows)  # half-widths skipped
+        assert all(r["aoi_ci"] > 0 and r["err_detection_ci"] > 0 for r in rows)
         assert all(r["fp_rate"] is not None and r["fn_rate"] is not None for r in rows)
 
     def test_threshold_sweep_shares_one_timeline(self):
         spec = SweepSpec(variable="threshold", start=2.0, stop=12.0, step=5.0, fixed=fixed())
-        rows = run_sweep(spec, halfwidths=False)
+        rows = run_sweep(spec)
         assert len({r["aoi_empirical"] for r in rows}) == 1
         assert len({r["err_empirical"] for r in rows}) == 3
 
@@ -147,6 +147,20 @@ class TestMeasure:
         assert [row["tau"] for row in rows] == [1.0, 2.0, 30.0]
         assert all(row["aoi_empirical"] is None for row in rows)
 
+    def test_no_thresholds_fail_before_anything_is_computed(self, monkeypatch):
+        # an empty taus once ran a whole simulation to return no row, and
+        # failed at a one-period run for want of a half-width nobody asked for
+        def reached(*args):
+            raise AssertionError("computed something for no threshold")
+
+        monkeypatch.setattr(agemon.experiments, "mean_aoi_closed_form", reached)
+        monkeypatch.setattr(agemon.experiments, "simulate_table", reached)
+        for taus, with_sim in (([], True), (iter(()), True), ((), False)):
+            with pytest.raises(ParameterError, match="^taus must hold at least one threshold"):
+                measure(replace(fixed(), periods=1), taus, with_sim)
+        # the table itself still takes no threshold
+        assert simulate_table(fixed(), []).hinges.shape == (0, fixed().periods)
+
     def test_analytic_only_rows_refuse_conditioning(self, monkeypatch):
         # the closed forms describe unconditioned runs; nothing is computed
         monkeypatch.setattr(agemon.experiments, "mean_aoi_closed_form", None)
@@ -162,12 +176,12 @@ class TestMeasure:
         monkeypatch.setattr(agemon.experiments, "summarize",
                             lambda *args, **kwargs: [dict(s, err_anlytic=0.0) for s in summarize(*args, **kwargs)])
         with pytest.raises(ParameterError, match=r"unknown columns \['err_anlytic'\]"):
-            measure(fixed(), halfwidths=False)
+            measure(fixed())
 
     def test_a_positional_level_is_refused(self, monkeypatch):
-        # the half-widths are always 95% ones, switched by the keyword-only
-        # `halfwidths`: a level passed where it once went fails at the call,
-        # before anything is simulated
+        # the half-widths are always 95% ones and take no argument: a level
+        # passed where it once went fails at the call, before anything is
+        # simulated
         monkeypatch.setattr(agemon.experiments, "simulate_table", None)
         spec = SweepSpec("threshold", 1.0, 2.0, 1.0, fixed())
         for call in (lambda: measure(fixed(), None, True, 0.99), lambda: run_sweep(spec, True, 0.95),
@@ -177,7 +191,7 @@ class TestMeasure:
                 call()
 
     def test_simulated_rows_record_their_rule(self):
-        rows = measure(fixed(), [4.0, 25.0], halfwidths=False)
+        rows = measure(fixed(), [4.0, 25.0])
         # 25 >= r is not the optimal threshold, so its rule is not degenerate:
         # it is scored as "FAILED while z > 25", like its err_analytic (this
         # pair read (25.0, True) when any tau >= r was scored as always WORKING)

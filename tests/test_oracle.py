@@ -471,19 +471,17 @@ class TestCrossCheck:
         monkeypatch.setitem(measure.__globals__, "simulate_table", no_simulation)
         params = SimParams(**{**DEFAULTS, "r": 1500.0}, periods=10_000, master_seed=SEED)
         with pytest.raises(ParameterError, match="tau must be >= 0"):
-            measure(params, [math.nan], halfwidths=False)
+            measure(params, [math.nan])
         # (lam + nu) * r = 757.5 once failed here too, because the quadrature's
         # outage density past r overflowed exp; the closed form does not
         with pytest.raises(AssertionError, match="simulated before"):
-            measure(params, [2000.0], halfwidths=False)
+            measure(params, [2000.0])
 
     def test_custom_rule_uses_quadrature_reference(self):
-        [report] = measure(SimParams(**DEFAULTS, periods=10_000, master_seed=SEED), [4.0], halfwidths=False)
+        [report] = measure(SimParams(**DEFAULTS, periods=10_000, master_seed=SEED), [4.0])
         assert report["err_analytic"] == error_rate(LAM, NU, R, [4.0])[0]
         assert report["err_analytic"] == pytest.approx(quadrature_error_rate(LAM, NU, R, 4.0),
                                                        rel=QUADRATURE_RTOL, abs=0.0)
         # suboptimal threshold must measure worse than the optimal one
-        best = monte_carlo_cross_check(
-            SimParams(**DEFAULTS, periods=10_000, master_seed=SEED), halfwidths=False
-        )
+        best = monte_carlo_cross_check(SimParams(**DEFAULTS, periods=10_000, master_seed=SEED))
         assert report["err_detection"] > best["err_detection"]

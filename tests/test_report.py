@@ -1,3 +1,4 @@
+import json
 import math
 import pathlib
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from agemon import ParameterError, SimParams, render_svg, write_csv
-from agemon.report import CHARTS, COLUMNS, OUTPUTS, _cells, run_row
+from agemon.report import CHARTS, COLUMNS, OUTPUTS, _cells, json_text, run_row
 from conftest import CSV_COLUMNS, CSV_HEADER, DEFAULTS, read_csv
 
 
@@ -157,6 +158,23 @@ class TestSvg:
         path = render_svg(rows, "swept_value", ["aoi_empirical"], tmp_path / "g.svg")
         points = path.read_text(encoding="utf-8").split('points="')[1].split('"')[0]
         assert len(points.split()) == 2
+
+
+class TestJson:
+    def test_json_is_strict(self):
+        # NaN, inf and None are written as null, so strict parsers accept
+        # the text; a non-finite float json_text does not clean (inside a
+        # list) is refused rather than written as NaN
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        record = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "none": None,
+                  "float": 0.25, "np": np.float64(-math.inf), "int": 3, "bool": True}
+        text = json_text(record)
+        assert json.loads(text, parse_constant=reject) == {
+            "nan": None, "inf": None, "-inf": None, "none": None, "float": 0.25, "np": None, "int": 3, "bool": True}
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            json_text({"nested": [math.nan]})
 
 
 class TestSchema:

@@ -104,13 +104,6 @@ class TestSummarize:
         assert summary["aoi_ci"] < 0.5
         assert abs(summary["aoi_empirical"] - 4.5045) < 3 * summary["aoi_ci"]
 
-    # the name is kept from when a resample count of 0 skipped the bootstrap
-    def test_skipping_bootstrap(self, small_table):
-        [s] = summarize(small_table, halfwidths=False)
-        assert s["aoi_ci"] is None
-        assert s["err_ci"] is None
-        assert s["err_detection_ci"] is None
-
     # a faithful run at lam = 0.1, nu = 0.5: a third of its periods deliver
     # nothing, and at this seed none of the first four delivers, so the
     # measured span starts in period 4 and periods 0-3 have empty slices
@@ -150,10 +143,10 @@ class TestSummarize:
 
     def test_thresholds_read_once_from_any_iterable(self, small_table):
         taus = [0.0, MAP_TAU, math.inf]
-        want = [hex_fields(row) for row in summarize(simulate_table(small_table.params, taus), halfwidths=False)]
+        want = [hex_fields(row) for row in summarize(simulate_table(small_table.params, taus))]
         for given in (iter(taus), np.array(taus)):
             table = simulate_table(small_table.params, given)
-            assert [hex_fields(row) for row in summarize(table, halfwidths=False)] == want
+            assert [hex_fields(row) for row in summarize(table)] == want
 
     def test_simulate_keys_pinned(self, small_table, summary):
         d = project(run_row(small_table.params, **summary), "simulate")
@@ -170,12 +163,12 @@ class TestSummarize:
         table = simulate_table(SimParams(lam=1.2, mu=1.0, nu=0.05, r=5.0, periods=50, master_seed=5), [3.0])
         with pytest.raises(ParameterError):
             measure(table.params)  # the optimal rule needs rho < 1
-        [s] = summarize(table, halfwidths=False)
+        [s] = summarize(table)
         assert s["unstable_queue"]
 
     def test_returns_the_rows_empirical_columns(self, small_timeline, summary):
-        # exactly these columns of report.COLUMNS, as Python scalars, with
-        # half-widths or without them
+        # exactly these columns of report.COLUMNS, as Python scalars, for
+        # every threshold
         assert list(summary) == [
             "periods", "seed", "unstable_queue", "measured_time", "aoi_empirical", "aoi_ci",
             "avg_r1", "avg_r2", "avg_r3", "time_r1", "time_r2", "time_r3",
@@ -184,15 +177,14 @@ class TestSummarize:
         ]
         assert set(summary) <= set(COLUMNS)
         assert {type(v) for v in summary.values()} == {float, int, bool}
-        for row in summarize(period_table(small_timeline, [MAP_TAU, 30.0, math.inf]), halfwidths=False):
+        for row in summarize(period_table(small_timeline, [MAP_TAU, 30.0, math.inf])):
             assert list(row) == list(summary)
-            assert {type(v) for v in row.values()} == {float, int, bool, type(None)}
+            assert {type(v) for v in row.values()} == {float, int, bool}
 
 
 def assert_totals_are_column_sums(table, tau):
     """Every whole-run total of summarize's columns is, bit for bit, a
-    column sum of the table or a ratio of one to the measured time; returns
-    the columns."""
+    column sum of the table or a ratio of one to the measured time."""
     span = table.measured_time
     row = empirical_columns(table, tau)
     assert row["aoi_empirical"] == table.aoi == float(table.areas.sum()) / span
@@ -200,7 +192,6 @@ def assert_totals_are_column_sums(table, tau):
     assert [row["fp_rate"], row["fn_rate"], row["reacquisition_fp_time"]] == [fp / span, fn / span, reacq]
     assert [row["err_empirical"], row["err_detection"]] == [(fp + fn) / span, (fp - reacq + fn) / span]
     assert [row["time_r1"], row["time_r2"], row["time_r3"]] == [float(t.sum()) for t in table.region_times]
-    return row
 
 
 class TestPerPeriodStatistics:
@@ -309,7 +300,7 @@ class TestDeliveryGroups:
             fields = [getattr(table, f.name) for f in dataclasses.fields(table)]
             # and the columns that summarize reads off them
             return fields + [tau_columns(table, tau) for tau in taus] + [
-                hex_fields(row) for row in summarize(table, halfwidths=False)]
+                hex_fields(row) for row in summarize(table)]
 
         want = columns()
         for group in (1, 2**6):
@@ -488,18 +479,14 @@ class TestBatchScoring:
         taus = [inside[1], 0.0, math.inf, 2.0 * float(gaps[-1]), inside[0], inside[1], 4.0, math.inf,
                 inside[2], 0.0, 1.0]
         alone = [simulate_table(params, [tau]) for tau in taus]
-        # with half-widths and without them
-        switches = (True, False)
-        rows = {c: [hex_fields(summary) for table in alone for summary in summarize(table, halfwidths=c)]
-                for c in switches}
+        rows = [hex_fields(summary) for table in alone for summary in summarize(table)]
         periods = params.periods
         # chunks of 1, 1 and 2 thresholds; the last leaves a partial chunk
         for group in (1, 2**6, 2 * periods):
             with mock.patch.object(sim, "_GROUP_PACKETS", group):
                 table = simulate_table(params, taus)
                 batch = table.error_columns()
-                for c in switches:
-                    assert [hex_fields(summary) for summary in summarize(table, halfwidths=c)] == rows[c], (group, c)
+                assert [hex_fields(summary) for summary in summarize(table)] == rows, group
             assert batch.shape == (3, len(taus), periods)
             for k, want in enumerate(alone):
                 assert batch[:, k].tobytes() == want.error_columns()[:, 0].tobytes(), (group, taus[k])
@@ -533,36 +520,34 @@ class TestSummarizeRules:
     TAUS = (0.0, 4.0, 9.158362006503506, 15.0, 20.0, 31.5, math.inf, 7.25)
 
     # The case ids are those of the bootstrap these tests once covered, so
-    # they stay stable: "300-40" was 40 resamples, "1-10" and "300-0" are
-    # now runs without half-widths (one period has too little measured time
-    # for one), and the chunk sizes were rules per bootstrap pass
+    # they stay stable: "300-40" was 40 resamples, "1-10" a one-period run
+    # and "300-0" a run without half-widths; the chunk sizes were rules per
+    # bootstrap pass. Every run now has half-widths, so "1-10" is the
+    # fewest periods that have them and "300-0" a conditioned run
     @pytest.mark.parametrize("chunk", [1, 3, 32])
-    @pytest.mark.parametrize("periods,halfwidths", [
-        pytest.param(300, True, id="300-40"),
-        pytest.param(1, False, id="1-10"),
-        pytest.param(300, False, id="300-0"),
+    @pytest.mark.parametrize("periods,require_delivery", [
+        pytest.param(300, False, id="300-40"),
+        pytest.param(2, False, id="1-10"),
+        pytest.param(300, True, id="300-0"),
     ])
-    def test_equals_summarize_per_rule(self, chunk, periods, halfwidths):
-        params = SimParams(**DEFAULTS, periods=periods, master_seed=SEED)
+    def test_equals_summarize_per_rule(self, chunk, periods, require_delivery):
+        params = SimParams(**DEFAULTS, periods=periods, master_seed=SEED, require_delivery=require_delivery)
         rules = list(self.TAUS)
         # each rule alone, then the rules in chunks, then all at once
-        expected = [hex_fields(summary) for rule in rules
-                    for summary in summarize(simulate_table(params, [rule]), halfwidths=halfwidths)]
-        chunked = [s for i in range(0, len(rules), chunk)
-                   for s in summarize(simulate_table(params, rules[i:i + chunk]), halfwidths=halfwidths)]
+        expected = [hex_fields(summary) for rule in rules for summary in summarize(simulate_table(params, [rule]))]
+        chunked = [s for i in range(0, len(rules), chunk) for s in summarize(simulate_table(params, rules[i:i + chunk]))]
         assert [hex_fields(s) for s in chunked] == expected
-        batched = summarize(simulate_table(params, rules), halfwidths=halfwidths)
+        batched = summarize(simulate_table(params, rules))
         assert [hex_fields(s) for s in batched] == expected
-        widths = [(s["aoi_ci"], s["err_ci"], s["err_detection_ci"]) for s in batched]
-        if halfwidths:
-            assert all(hw > 0 for row in widths for hw in row)
-        else:
-            assert widths == [(None, None, None)] * len(rules)
+        assert all(s[key] > 0 for s in batched for key in ("aoi_ci", "err_ci", "err_detection_ci"))
 
-    @pytest.mark.parametrize("halfwidths", [pytest.param(False, id="0"), pytest.param(True, id="20")])
-    def test_scores_each_rule_once(self, monkeypatch, halfwidths):
+    # The case ids were resample counts: "0" now scores the thresholds in
+    # one chunk, "20" one threshold per chunk
+    @pytest.mark.parametrize("group", [pytest.param(sim._GROUP_PACKETS, id="0"), pytest.param(1, id="20")])
+    def test_scores_each_rule_once(self, monkeypatch, group):
         rules = list(self.TAUS)
         table = simulate_table(SimParams(**DEFAULTS, periods=50, master_seed=SEED), rules)
+        monkeypatch.setattr(sim, "_GROUP_PACKETS", group)
         scored = []
         error_columns = agemon.summary.PeriodTable.error_columns
 
@@ -572,7 +557,7 @@ class TestSummarizeRules:
             return error_columns(self, chunk)
 
         monkeypatch.setattr(agemon.summary.PeriodTable, "error_columns", counted)
-        summarize(table, halfwidths=halfwidths)
+        summarize(table)
         assert scored == rules
 
     @settings(max_examples=40, deadline=None)
@@ -673,8 +658,6 @@ class TestRatioHalfwidth:
         table = period_table(manual_timeline([lost, delivered]), [MAP_TAU])
         with pytest.raises(EmptyTimelineError, match=r"^1 of 2 periods have measured time .* at least 2$"):
             summarize(table)
-        [s] = summarize(table, halfwidths=False)
-        assert s["aoi_ci"] is None
         [s] = summarize(period_table(manual_timeline([delivered, lost, delivered]), [MAP_TAU]))
         assert 0 < s["aoi_ci"] < math.inf
 
@@ -735,8 +718,13 @@ class TestPeriodTableProperties:
         table = period_table(tl, [tau])
         span = table.measured_time
         assert table.lengths.sum() == pytest.approx(span, rel=1e-12)
-        row = assert_totals_are_column_sums(table, tau)
-        assert row["time_r1"] + row["time_r2"] + row["time_r3"] == pytest.approx(span, rel=1e-12)
+        assert sum(table.region_times.sum(axis=1).tolist()) == pytest.approx(span, rel=1e-12)
+        # summarize needs two measured periods for its half-widths
+        if np.count_nonzero(table.lengths) < 2:
+            with pytest.raises(EmptyTimelineError, match="a half-width needs at least 2$"):
+                summarize(table)
+        else:
+            assert_totals_are_column_sums(table, tau)
 
     @settings(max_examples=60, deadline=None)
     @given(specs=dyadic_timeline_specs(), data=st.data())
@@ -761,6 +749,5 @@ class TestPeriodTableProperties:
         assert more.aoi == base.aoi
         assert np.array_equal(more.areas, base.areas)
         assert np.array_equal(more.region_areas, base.region_areas)
-        regions = [f"{kind}_r{k}" for kind in ("avg", "time") for k in (1, 2, 3)]
-        more_row, base_row = empirical_columns(more), empirical_columns(base)
-        assert np.array_equal([more_row[k] for k in regions], [base_row[k] for k in regions], equal_nan=True)
+        # and so the region averages: one period is too few for summarize
+        assert np.array_equal(more.region_times, base.region_times)
