@@ -159,7 +159,7 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 
 
 def render_svg(rows: Sequence[dict], x_column: str, y_columns: Sequence[str], path, title: str = "") -> Path:
-    """Line chart of the rows' y_columns against x_column; deterministic bytes."""
+    """Line chart of the rows' y_columns against x_column, finite points only; deterministic bytes."""
     if len(rows) < 2:
         raise ParameterError("an SVG chart needs at least 2 rows")
     for name in (x_column, *y_columns):
@@ -167,7 +167,8 @@ def render_svg(rows: Sequence[dict], x_column: str, y_columns: Sequence[str], pa
             raise ParameterError(f"unknown column {name!r}")
     series = []
     for name in y_columns:
-        pts = [(r[x_column], r[name]) for r in rows if r[x_column] is not None and r[name] is not None]
+        pts = [(r[x_column], r[name]) for r in rows if r[x_column] is not None and r[name] is not None
+               and math.isfinite(r[x_column]) and math.isfinite(r[name])]
         if len(pts) >= 2:
             series.append((name, pts))
     if not series:

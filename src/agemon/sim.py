@@ -17,9 +17,9 @@ The next period starts exactly at recovery completion.
 Periods are cut into blocks of PERIODS_PER_BLOCK, and block b draws only
 from its streams SeedSequence(master_seed, spawn_key=(b, k)), one per kind
 of draw k. `_simulation` draws each stream in a few array calls per block:
-every clock and count first, then the packets run by run, each run into a
-buffer of its own. It queues many periods in lockstep and hands each run's
-departures and arrivals over where the lockstep leaves them, for
+every clock and count first, one `_block_draws` call per block, then the
+packets run by run, each run into a buffer of its own. It queues many
+periods in lockstep and hands each run's departures and arrivals over where the lockstep leaves them, for
 `summary.simulate_table` to read before the next run is drawn. The test
 suite keeps a serial reference (tests/reference.py: each period drawn after
 the one before it) and checks that the run loop reproduces it bit for bit.
@@ -35,8 +35,8 @@ import numpy as np
 
 from .errors import ParameterError, SimulationLimitError, check_params
 
-# Updates a period may expect, lam * T, checked as a float for every
-# period of the run before any count is drawn; guards pathological
+# Updates a period may expect, lam * T, checked as a float against each
+# block's largest before the block's counts are drawn; guards pathological
 # parameters (e.g. enormous lam * T). Hitting it is an error, never a
 # silent truncation.
 EVENT_CAP = 10**9
@@ -239,31 +239,40 @@ def _stream(master_seed: int, block: int, kind: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(block, kind)))
 
 
-def _clocks(params: SimParams) -> tuple[np.ndarray, np.ndarray]:
-    """(time to failure, first service) of every period.
+def _check_limit(value: float, cap: str, what: str) -> None:
+    """Raise SimulationLimitError "<what>, over the cap <cap> = <its value>"
+    if `value` passes the module constant named `cap`, read at the call."""
+    if value > globals()[cap]:
+        raise SimulationLimitError(f"{what}, over the cap {cap} = {globals()[cap]}")
+
+
+def _block_draws(params: SimParams, block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(time to failure, first service, generated count) of every period of
+    block b.
 
     Block b draws one clock per period from stream (b, 0) and one first
     service per period from (b, 1). With params.require_delivery the
     periods whose first update is lost (first service > clock) redraw both
-    from the same streams, in rounds over the periods still lost, in
-    period order. The rest of a period depends only on its clock, so this
-    conditions the whole period on one delivery.
+    from the same streams, in rounds over the periods still lost, in period
+    order. The rest of a period depends only on its clock, so this
+    conditions the whole period on one delivery. Once the block's largest
+    lam * T is within EVENT_CAP, each count, the update at the period start
+    and a Poisson(lam * T) number after it, is drawn from (b, 3).
     """
-    n = params.periods
-    clocks = np.empty(n)
-    firsts = np.empty(n)
-    for block, lo in enumerate(range(0, n, PERIODS_PER_BLOCK)):
-        hi = min(lo + PERIODS_PER_BLOCK, n)
-        clock_rng = _stream(params.master_seed, block, _CLOCKS)
-        first_rng = _stream(params.master_seed, block, _FIRST_SERVICES)
-        _exponential(clock_rng, 1.0 / params.nu, clocks[lo:hi])
-        _exponential(first_rng, 1.0 / params.mu, firsts[lo:hi])
-        lost = lo + np.flatnonzero(firsts[lo:hi] > clocks[lo:hi])
-        while params.require_delivery and lost.size:
-            clocks[lost] = _exponential(clock_rng, 1.0 / params.nu, np.empty(lost.size))
-            firsts[lost] = _exponential(first_rng, 1.0 / params.mu, np.empty(lost.size))
-            lost = lost[firsts[lost] > clocks[lost]]
-    return clocks, firsts
+    size = min(PERIODS_PER_BLOCK, params.periods - block * PERIODS_PER_BLOCK)
+    clock_rng, first_rng = (_stream(params.master_seed, block, kind) for kind in (_CLOCKS, _FIRST_SERVICES))
+    clocks = _exponential(clock_rng, 1.0 / params.nu, np.empty(size))
+    firsts = _exponential(first_rng, 1.0 / params.mu, np.empty(size))
+    lost = np.flatnonzero(firsts > clocks)
+    while params.require_delivery and lost.size:
+        clocks[lost] = _exponential(clock_rng, 1.0 / params.nu, np.empty(lost.size))
+        firsts[lost] = _exponential(first_rng, 1.0 / params.mu, np.empty(lost.size))
+        lost = lost[firsts[lost] > clocks[lost]]
+    # the float product, before any count is drawn
+    longest = params.lam * float(clocks.max())
+    _check_limit(longest, "EVENT_CAP", f"a period expects {longest:.3g} updates, lam * T")
+    counts_rng = _stream(params.master_seed, block, _COUNTS)
+    return clocks, firsts, counts_rng.poisson(params.lam * clocks) + 1
 
 
 def _exponential(rng: np.random.Generator, scale: float, out: np.ndarray) -> np.ndarray:
@@ -363,41 +372,28 @@ def _simulation(params: SimParams):
     generator).
 
     Every limit is checked and every clock and count drawn before this
-    returns. The run loop fills delivered_counts and yields, run by run,
-    (i, j, departures, arrivals): the generation and arrival times of every
-    packet of periods i..j-1, exactly generated_counts[i:j].sum() of each,
-    relative to each period's start, period after period; the first
-    delivered_counts[p] packets of period p were delivered. A consumer may
-    write over either: the loop writes neither again, and drops both before
-    it draws the next run.
+    returns: the run's packets and redraw rounds before any draw, then one
+    `_block_draws` call per block, written into the run's arrays. The run
+    loop fills delivered_counts and yields, run by run, (i, j, departures,
+    arrivals): the generation and arrival times of every packet of periods
+    i..j-1, exactly generated_counts[i:j].sum() of each, relative to each
+    period's start, period after period; the first delivered_counts[p]
+    packets of period p were delivered. A consumer may write over either:
+    the loop writes neither again, and drops both before it draws the next
+    run.
     """
     n = params.periods
     expected = n * (1.0 + params.lam / params.nu)
-    if expected > MAX_EXPECTED_PACKETS:
-        raise SimulationLimitError(
-            f"the run expects {expected:.3g} packets, periods * (1 + lam/nu), "
-            f"over the cap MAX_EXPECTED_PACKETS = {MAX_EXPECTED_PACKETS}"
-        )
-    rounds = (params.mu + params.nu) / params.mu
-    if params.require_delivery and rounds > MAX_REDRAW_ROUNDS:
-        raise SimulationLimitError(
-            f"conditioning on a delivery expects {rounds:.3g} redraw rounds, (mu + nu) / mu, "
-            f"over the cap MAX_REDRAW_ROUNDS = {MAX_REDRAW_ROUNDS}"
-        )
-    times_to_failure, first_services = _clocks(params)
-    # the float product, before any count is drawn
-    longest = params.lam * float(times_to_failure.max())
-    if longest > EVENT_CAP:
-        raise SimulationLimitError(
-            f"a period expects {longest:.3g} updates, lam * T, over the per-period "
-            f"generation cap EVENT_CAP = {EVENT_CAP}"
-        )
+    _check_limit(expected, "MAX_EXPECTED_PACKETS", f"the run expects {expected:.3g} packets, periods * (1 + lam/nu)")
+    if params.require_delivery:
+        rounds = (params.mu + params.nu) / params.mu
+        _check_limit(rounds, "MAX_REDRAW_ROUNDS",
+                     f"conditioning on a delivery expects {rounds:.3g} redraw rounds, (mu + nu) / mu")
+    times_to_failure, first_services = np.empty(n), np.empty(n)
     generated_counts = np.empty(n, dtype=np.int64)
     for block, lo in enumerate(range(0, n, PERIODS_PER_BLOCK)):
-        hi = min(lo + PERIODS_PER_BLOCK, n)
-        # the update at the period start and a Poisson number after it
-        counts_rng = _stream(params.master_seed, block, _COUNTS)
-        generated_counts[lo:hi] = counts_rng.poisson(params.lam * times_to_failure[lo:hi]) + 1
+        span = slice(lo, lo + PERIODS_PER_BLOCK)
+        times_to_failure[span], first_services[span], generated_counts[span] = _block_draws(params, block)
     # T_0, r, T_1, r, ... added left to right: each failure is start + T and
     # each recovery end failure + r, as one period after another computes them
     bounds = np.cumsum(np.column_stack((times_to_failure, np.full(n, params.r))))

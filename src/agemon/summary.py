@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sim
-from .errors import EmptyTimelineError, SimulationLimitError, check_params
+from .errors import EmptyTimelineError, check_params
 from .sim import SimParams
 
 # the standard normal's 0.975 quantile, NormalDist().inv_cdf(0.975) bit for
@@ -78,7 +78,7 @@ class PeriodTable:
     `taus`, and hinges[i, p] is period p's sum of max(gap - taus[i], 0)
     over its gaps (0 at tau = inf): a gap runs from a delivery to the next
     one in its period, a period's last to its slice end edges[3, p].
-    `error_columns` scores the thresholds on them.
+    `error_columns` scores the thresholds on them. Every array is read-only.
     """
 
     params: SimParams
@@ -186,9 +186,9 @@ def _run_rows(departures, arrivals, counts, kept, starts, failures, ends, rows, 
 def _finish(periods: sim._Periods, rows, taus, hinges) -> PeriodTable:
     """The period table from the per-period arrays of `periods` and the
     rows and hinges `_run_rows` read off every run for `taus`, in
-    O(periods): the edges
-    clipped to the measured span [first arrival, end of run], the r1 and r3
-    trapezoids and the region masks."""
+    O(periods) and with every array read-only: the edges clipped to the
+    measured span [first arrival, end of run], the r1 and r3 trapezoids and
+    the region masks."""
     counts = periods.delivered_counts
     delivered = counts > 0
     if not delivered.any():
@@ -213,7 +213,7 @@ def _finish(periods: sim._Periods, rows, taus, hinges) -> PeriodTable:
     region_areas[1] = r2
     region_times = edges[1:] - edges[:3]
     region_areas = np.where(region_times > 0, region_areas, 0.0)
-    return PeriodTable(
+    table = PeriodTable(
         params=periods.params,
         measured_time=m1 - m0,
         lengths=edges[3] - edges[0],
@@ -226,6 +226,10 @@ def _finish(periods: sim._Periods, rows, taus, hinges) -> PeriodTable:
         taus=taus,
         hinges=hinges,
     )
+    for value in vars(table).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return table
 
 
 def simulate_table(params: SimParams, taus) -> PeriodTable:
@@ -242,11 +246,8 @@ def simulate_table(params: SimParams, taus) -> PeriodTable:
     for tau in taus.tolist():
         check_params(tau=tau)
     cells = taus.size * params.periods
-    if cells > sim.MAX_EXPECTED_PACKETS:
-        raise SimulationLimitError(
-            f"the table's {taus.size} thresholds take {cells} cells, thresholds * periods, "
-            f"over the cap MAX_EXPECTED_PACKETS = {sim.MAX_EXPECTED_PACKETS}"
-        )
+    sim._check_limit(cells, "MAX_EXPECTED_PACKETS", f"the table's {taus.size} thresholds take {cells} cells, "
+                     "thresholds * periods")
     periods, runs = sim._simulation(params)
     rows, hinges = np.zeros((4, params.periods)), np.zeros((taus.size, params.periods))
     for i, j, departures, arrivals in runs:

@@ -332,9 +332,7 @@ class TestSimulate:
         assert row["err_empirical"] == 0.0 and row["err_analytic"] == 0.0
         assert row["aoi_analytic"] is not None
 
-    # The name is kept from the bootstrap, which failed here when a resample
-    # drew only the period before the first delivery
-    def test_resamples_of_empty_periods_fail_with_a_count(self, capsys):
+    def test_one_measured_period_fails_with_a_count(self, capsys):
         # Two periods at nu = 0.5: at seed 1 the first one delivers nothing,
         # so only one period has measured time, and its residual sd of
         # exactly 0 would read as certainty. Warnings are errors here, so a
@@ -565,14 +563,13 @@ class TestValidate:
 
 class TestResamplesFlag:
     # --resamples is deprecated: every count, 0 included, is unused and says
-    # so once, and a negative one is an error (TestErrors). The name is kept
-    # from when 0 skipped the half-widths
+    # so once, and a negative one is an error (TestErrors)
     @pytest.mark.parametrize("argv", [
         ["simulate", "--periods", "300"],
         ["sweep-threshold", "--periods", "300", "--grid", "4:8:2"],
         ["validate", "--periods", "10000"],
     ], ids=["simulate", "sweep-threshold", "validate"])
-    def test_a_count_is_unused_and_zero_skips_the_halfwidths(self, capsys, tmp_path, argv):
+    def test_every_count_is_unused_and_moves_no_byte(self, capsys, tmp_path, argv):
         argv = [*argv, "--out", str(tmp_path / "out")]
         status, plain, err = run(capsys, *argv)
         assert status == 0 and err == ""

@@ -66,7 +66,7 @@ class TestCsv:
         assert numpy_csv.read_bytes() == python_csv.read_bytes()
         assert _cells([np.bool_(True), np.bool_(False)]) == ["true", "false"]
 
-    def test_skipped_bootstrap_empty_and_nan_halfwidth_written(self):
+    def test_none_is_an_empty_cell_and_nan_reads_nan(self):
         # None (no half-width) is an empty cell; a NaN reads nan
         assert _cells([None, float("nan"), 0.5]) == ["", "nan", "0.5"]
 
@@ -153,11 +153,15 @@ class TestSvg:
             render_svg(sample_rows(), "swept_value", ["nope"], tmp_path / "f.svg")
 
     def test_none_points_skipped(self, tmp_path):
-        rows = sample_rows()
-        rows[1]["aoi_empirical"] = None
-        path = render_svg(rows, "swept_value", ["aoi_empirical"], tmp_path / "g.svg")
-        points = path.read_text(encoding="utf-8").split('points="')[1].split('"')[0]
-        assert len(points.split()) == 2
+        # a None or non-finite y (avg_r1..avg_r3 are NaN for a region with no
+        # time) is left out, never written as nan or inf, ticks included
+        for value in (None, math.nan, math.inf, -math.inf):
+            rows = sample_rows()
+            rows[1]["aoi_empirical"] = value
+            path = render_svg(rows, "swept_value", ["aoi_empirical"], tmp_path / "g.svg")
+            text = path.read_text(encoding="utf-8")
+            assert len(text.split('points="')[1].split('"')[0].split()) == 2
+            assert "nan" not in text and "inf" not in text
 
 
 class TestJson:

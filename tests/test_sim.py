@@ -307,7 +307,7 @@ class TestGeneratePeriod:
         # expects 1e18 packets: refused before any draw
         (SimParams(lam=1e9, mu=1.0, nu=1e-9, r=1.0, periods=1), "MAX_EXPECTED_PACKETS"),
         # expects 8e8 packets, within the run's budget, but this seed's
-        # clock (~2.7e9 s) asks for a 3.4e9-gap chunk
+        # clock (~2.7e9 s) expects lam * T ~ 2.7e9 updates, over EVENT_CAP
         (SimParams(lam=1.0, mu=1.0, nu=1.25e-9, r=1.0, periods=1, master_seed=2), "EVENT_CAP"),
     ])
     def test_limits_trip_before_allocating(self, params, cap):
@@ -342,7 +342,7 @@ class TestGeneratePeriod:
     def test_conditioning_refuses_endless_redraws_before_drawing(self, monkeypatch):
         # mu = 1e-12, nu = 1: a period would be redrawn ~10^12 times before
         # it delivers
-        monkeypatch.setattr(sim, "_clocks", lambda params: pytest.fail("drew clocks"))
+        monkeypatch.setattr(sim, "_block_draws", lambda params, block: pytest.fail("drew clocks"))
         params = SimParams(lam=1e-13, mu=1e-12, nu=1.0, r=1.0, periods=100, require_delivery=True)
         with pytest.raises(SimulationLimitError, match=r"1e\+12 redraw rounds.*MAX_REDRAW_ROUNDS = 1000"):
             simulate(params)
@@ -498,13 +498,15 @@ class TestBatchedSimulate:
         # units of one run's packets (8 * BLOCK_PACKETS bytes), is what the
         # run loop holds for the run in flight: its departure buffer and its
         # services, the lockstep's block buffers and a ufunc buffer. Measured
-        # at this seed: 2.96x, 0.75x of it the lockstep's block buffers and
-        # 0.24x the ufunc buffer; 10.0x with every run's buffers kept
-        # referenced to the end.
+        # at this seed, alone in a fresh process: 2.99x, 0.75x of it the
+        # lockstep's block buffers and 0.24x the ufunc buffer; 10.0x with
+        # every run's buffers kept referenced to the end.
         block = 2**16
-        # a process's first call allocates numpy state untraced here
-        simulate_table(SimParams(**DEFAULTS, periods=1), ())
-        table, peak = self.traced_table_peak(SimParams(**DEFAULTS, periods=3000, master_seed=SEED), block)
+        params = SimParams(**DEFAULTS, periods=3000, master_seed=SEED)
+        # a process's first call allocates numpy state that would be traced
+        # here, some of it only at this size: the warm-up is this very call
+        self.traced_table_peak(params, block)
+        table, peak = self.traced_table_peak(params, block)
         own = sum(value.nbytes for value in vars(table).values() if isinstance(value, np.ndarray))
         assert peak - own < 3 * (8 * block)
 

@@ -703,6 +703,14 @@ def dyadic_timeline_specs(draw):
 
 
 class TestPeriodTableProperties:
+    def test_arrays_are_read_only(self):
+        table = simulate_table(SimParams(**DEFAULTS, periods=300, master_seed=SEED), [MAP_TAU])
+        summaries = summarize(table)
+        with pytest.raises(ValueError, match="read-only"):
+            table.hinges[:] = 0
+        assert not any(value.flags.writeable for value in vars(table).values() if isinstance(value, np.ndarray))
+        assert summarize(table) == summaries
+
     @settings(max_examples=60, deadline=None)
     @given(
         lam=st.floats(0.05, 0.95),
