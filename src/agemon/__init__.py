@@ -14,13 +14,12 @@ from .analytics import (
 from .errors import EmptyTimelineError, ParameterError, SimulationLimitError
 from .experiments import SweepSpec, monte_carlo_cross_check, run_sweep
 from .report import render_svg, write_csv
-from .sim import EVENT_CAP, SimParams
+from .sim import SimParams
 from .summary import PeriodTable, simulate_table, summarize
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EVENT_CAP",
     "EmptyTimelineError",
     "ParameterError",
     "PeriodTable",

@@ -42,7 +42,7 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help=f"master seed (default {DEFAULT_SEED})")
     parser.add_argument("--enforce-assumption3", dest="require_delivery", action="store_true",
-                        help="resample each period until at least one update is "
+                        help="draw each period conditioned on its first update being "
                              "delivered before the failure (conditioned runs)")
 
 
@@ -165,6 +165,8 @@ def _cmd_sweep(args: argparse.Namespace, command: str) -> int:
     start, stop, step = _parse_grid(args.grid)
     spec = SweepSpec(variable=variable, start=start, stop=stop, step=step, fixed=_params(args))
     _check_resamples(args)
+    if args.svg and spec.grid().size < 2:  # one row per point; render_svg checks only after the run
+        raise ParameterError("an SVG chart needs at least 2 rows")
     rows = run_sweep(spec, with_sim=not args.analytic_only)
     out = _resolve(args.out) if args.out else _resolve(f"{command}.csv")
     path = write_csv(rows, out, spec.fixed)

@@ -35,21 +35,12 @@ import numpy as np
 
 from .errors import ParameterError, SimulationLimitError, check_params
 
-# Updates a period may expect, lam * T, checked as a float against each
-# block's largest before the block's counts are drawn; guards pathological
-# parameters (e.g. enormous lam * T). Hitting it is an error, never a
-# silent truncation.
-EVENT_CAP = 10**9
-
-# Expected packets per simulation, periods * (1 + lam/nu), allowed before
-# anything is drawn; a budget of 8-byte cells, which `summary.simulate_table`
-# also applies to its thresholds' per-period rows.
+# Expected packets allowed per run, periods * (1 + lam/nu), checked before
+# anything is drawn, and per period, lam * T, checked as a float against
+# each block's largest before its counts are drawn: a budget of 8-byte
+# cells, which `summary.simulate_table` also applies to its thresholds'
+# per-period rows. Hitting it is an error, never a silent truncation.
 MAX_EXPECTED_PACKETS = 10**9
-
-# Expected rounds, (mu + nu) / mu, in which require_delivery redraws a lost
-# period, checked before any draw. For 100 periods the rounds take 0.034 s
-# at 10^3 and 0.34 s at 10^4 (2-vCPU Xeon); their number grows as 1/mu.
-MAX_REDRAW_ROUNDS = 10**3
 
 # Packets drawn for one run of periods, whose queues are then solved at
 # once; bounds the memory held for a run, whatever the number of periods:
@@ -62,7 +53,7 @@ BLOCK_PACKETS = 1 << 20
 PERIODS_PER_BLOCK = 4096
 
 # Version of the seed-to-stream contract, recorded in CSV headers.
-STREAM_CONTRACT = 4
+STREAM_CONTRACT = 5
 
 # Periods still queueing below which `_lindley_lockstep` stops its numpy
 # steps: inside a block one costs ~1 us (two ufunc calls) however many
@@ -91,8 +82,8 @@ class SimParams:
 
     lam, mu, nu are rates (1/seconds) for update generation, service and
     failure; r is the deterministic recovery duration in seconds. With
-    require_delivery=True each period is resampled until at least one
-    update is delivered before the failure, i.e. outage-only periods are
+    require_delivery=True each period is drawn conditioned on its first
+    update being delivered before the failure, so outage-only periods are
     conditioned away (off by default: faithful runs keep them).
     """
 
@@ -248,31 +239,26 @@ def _check_limit(value: float, cap: str, what: str) -> None:
 
 def _block_draws(params: SimParams, block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(time to failure, first service, generated count) of every period of
-    block b.
+    block b, one draw each per period from streams (b, 0), (b, 1) and (b, 3).
 
-    Block b draws one clock per period from stream (b, 0) and one first
-    service per period from (b, 1). With params.require_delivery the
-    periods whose first update is lost (first service > clock) redraw both
-    from the same streams, in rounds over the periods still lost, in period
-    order. The rest of a period depends only on its clock, so this
-    conditions the whole period on one delivery. Once the block's largest
-    lam * T is within EVENT_CAP, each count, the update at the period start
-    and a Poisson(lam * T) number after it, is drawn from (b, 3).
+    With params.require_delivery each period is conditioned on its first
+    update being delivered, first service S <= clock T. Given that, S ~
+    Exp(mu + nu) and T - S ~ Exp(nu) (memorylessness), so S is drawn at rate
+    mu + nu and added to the Exp(nu) draw; the rest of a period depends only
+    on its clock. Each count, the update at the period start and a
+    Poisson(lam * T) number after it, is drawn once the block's largest
+    lam * T is within MAX_EXPECTED_PACKETS.
     """
     size = min(PERIODS_PER_BLOCK, params.periods - block * PERIODS_PER_BLOCK)
-    clock_rng, first_rng = (_stream(params.master_seed, block, kind) for kind in (_CLOCKS, _FIRST_SERVICES))
-    clocks = _exponential(clock_rng, 1.0 / params.nu, np.empty(size))
-    firsts = _exponential(first_rng, 1.0 / params.mu, np.empty(size))
-    lost = np.flatnonzero(firsts > clocks)
-    while params.require_delivery and lost.size:
-        clocks[lost] = _exponential(clock_rng, 1.0 / params.nu, np.empty(lost.size))
-        firsts[lost] = _exponential(first_rng, 1.0 / params.mu, np.empty(lost.size))
-        lost = lost[firsts[lost] > clocks[lost]]
+    clocks = _exponential(_stream(params.master_seed, block, _CLOCKS), 1.0 / params.nu, np.empty(size))
+    rate = params.mu + params.nu if params.require_delivery else params.mu
+    firsts = _exponential(_stream(params.master_seed, block, _FIRST_SERVICES), 1.0 / rate, np.empty(size))
+    if params.require_delivery:
+        clocks += firsts
     # the float product, before any count is drawn
     longest = params.lam * float(clocks.max())
-    _check_limit(longest, "EVENT_CAP", f"a period expects {longest:.3g} updates, lam * T")
-    counts_rng = _stream(params.master_seed, block, _COUNTS)
-    return clocks, firsts, counts_rng.poisson(params.lam * clocks) + 1
+    _check_limit(longest, "MAX_EXPECTED_PACKETS", f"a period expects {longest:.3g} updates, lam * T")
+    return clocks, firsts, _stream(params.master_seed, block, _COUNTS).poisson(params.lam * clocks) + 1
 
 
 def _exponential(rng: np.random.Generator, scale: float, out: np.ndarray) -> np.ndarray:
@@ -372,23 +358,19 @@ def _simulation(params: SimParams):
     generator).
 
     Every limit is checked and every clock and count drawn before this
-    returns: the run's packets and redraw rounds before any draw, then one
-    `_block_draws` call per block, written into the run's arrays. The run
-    loop fills delivered_counts and yields, run by run, (i, j, departures,
-    arrivals): the generation and arrival times of every packet of periods
-    i..j-1, exactly generated_counts[i:j].sum() of each, relative to each
-    period's start, period after period; the first delivered_counts[p]
-    packets of period p were delivered. A consumer may write over either:
-    the loop writes neither again, and drops both before it draws the next
-    run.
+    returns: the run's packets before any draw, then one `_block_draws`
+    call per block, written into the run's arrays, then the run's end time,
+    which must be finite. The run loop fills delivered_counts and yields, run by run, (i, j,
+    departures, arrivals): the generation and arrival times of every packet
+    of periods i..j-1, exactly generated_counts[i:j].sum() of each,
+    relative to each period's start, period after period; the first
+    delivered_counts[p] packets of period p were delivered. A consumer may
+    write over either: the loop writes neither again, and drops both before
+    it draws the next run.
     """
     n = params.periods
     expected = n * (1.0 + params.lam / params.nu)
     _check_limit(expected, "MAX_EXPECTED_PACKETS", f"the run expects {expected:.3g} packets, periods * (1 + lam/nu)")
-    if params.require_delivery:
-        rounds = (params.mu + params.nu) / params.mu
-        _check_limit(rounds, "MAX_REDRAW_ROUNDS",
-                     f"conditioning on a delivery expects {rounds:.3g} redraw rounds, (mu + nu) / mu")
     times_to_failure, first_services = np.empty(n), np.empty(n)
     generated_counts = np.empty(n, dtype=np.int64)
     for block, lo in enumerate(range(0, n, PERIODS_PER_BLOCK)):
@@ -396,7 +378,10 @@ def _simulation(params: SimParams):
         times_to_failure[span], first_services[span], generated_counts[span] = _block_draws(params, block)
     # T_0, r, T_1, r, ... added left to right: each failure is start + T and
     # each recovery end failure + r, as one period after another computes them
-    bounds = np.cumsum(np.column_stack((times_to_failure, np.full(n, params.r))))
+    with np.errstate(over="ignore"):  # an end past float64 is refused below
+        bounds = np.cumsum(np.column_stack((times_to_failure, np.full(n, params.r))))
+    if not np.isfinite(bounds[-1]):
+        raise ParameterError(f"the run's end time, the sum of its {n} clocks and recoveries, left the float64 range")
     failure_times, recovery_ends = bounds.reshape(n, 2).T.copy()
     periods = _Periods(
         params=params,

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sim
-from .errors import EmptyTimelineError, check_params
+from .errors import EmptyTimelineError, ParameterError, check_params
 from .sim import SimParams
 
 # the standard normal's 0.975 quantile, NormalDist().inv_cdf(0.975) bit for
@@ -232,6 +232,7 @@ def _finish(periods: sim._Periods, rows, taus, hinges) -> PeriodTable:
     return table
 
 
+@np.errstate(over="ignore")  # an age area past float64 is inf, for summarize to refuse
 def simulate_table(params: SimParams, taus) -> PeriodTable:
     """The period table of a simulation of `params`, built to score the
     thresholds `taus` (any iterable, read once): each run's rows and
@@ -271,6 +272,15 @@ def _ratio_halfwidth(numerators, table: PeriodTable, measured: int, z: float) ->
     return z * np.sqrt(np.vecdot(residual, residual) * measured / (measured - 1)) / table.measured_time
 
 
+def _check_range(**values) -> None:
+    """Raise ParameterError naming each of `values` that is not finite (age
+    areas grow as the square of a run's times, their half-widths faster)."""
+    out = [name for name, value in values.items() if not np.isfinite(value).all()]
+    if out:
+        raise ParameterError(f"{', '.join(out)} left the float64 range: the run's times are too long")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # every reported number is checked
 def summarize(table: PeriodTable) -> list[dict]:
     """Each of the table's thresholds' empirical columns of `report.COLUMNS`,
     as a dict of Python scalars: the run's size and seed, the mean age and
@@ -288,7 +298,8 @@ def summarize(table: PeriodTable) -> list[dict]:
     the run loop's temporaries too), each threshold once. A chunk's sums
     and half-widths are array operations over its thresholds, and each
     threshold's row reads only its own columns, so its numbers do not
-    depend on the thresholds beside it.
+    depend on the thresholds beside it. A column past float64 (inf or NaN)
+    raises ParameterError naming it.
     """
     params, span = table.params, table.measured_time
     measured = int(np.count_nonzero(table.lengths))
@@ -306,6 +317,7 @@ def summarize(table: PeriodTable) -> list[dict]:
         **{f"avg_r{k}": a / t if t > 0 else float("nan") for k, a, t in zip((1, 2, 3), region_areas, times)},
         **{f"time_r{k}": t for k, t in zip((1, 2, 3), times)},
     }
+    _check_range(aoi_empirical=run["aoi_empirical"], aoi_ci=run["aoi_ci"])  # bounds every region's area too
 
     # a chunk's columns are dropped before the next chunk's are built
     step = max(1, sim._GROUP_PACKETS // table.lengths.size)
@@ -315,6 +327,7 @@ def summarize(table: PeriodTable) -> list[dict]:
         fp, fn, reacq = columns
         err_hw = _ratio_halfwidth(fp + fn, table, measured, _Z).tolist()
         detection_hw = _ratio_halfwidth(fp - reacq + fn, table, measured, _Z).tolist()
+        _check_range(err_ci=err_hw, err_detection_ci=detection_hw)
         summaries += [
             dict(run, err_empirical=(p + n) / span, err_detection=(p - q + n) / span, err_ci=e, err_detection_ci=d,
                  fp_rate=p / span, fn_rate=n / span, reacquisition_fp_time=q)

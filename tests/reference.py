@@ -141,23 +141,19 @@ def uniform_departures(T: float, sums) -> np.ndarray:
 
 def block_draws(params: SimParams, block: int) -> tuple[list, dict]:
     """(time to failure, relative departures, services) of each period of
-    `block`, in period order, and how many first-update redraws and periods
-    with no update after the first the block has."""
+    `block`, in period order, and how many periods with no update after the
+    first the block has."""
     lo = block * sim.PERIODS_PER_BLOCK
     size = min(sim.PERIODS_PER_BLOCK, params.periods - lo)
     clocks, firsts, spacings, updates, services = block_streams(params.master_seed, block)
     T = [clocks.exponential(1.0 / params.nu) for _ in range(size)]
-    first = [firsts.exponential(1.0 / params.mu) for _ in range(size)]
-    coverage = {"redraws": 0, "empty": 0}
-    # conditioning: every period whose first update is lost redraws its
-    # clock and first service, round after round, in period order
-    lost = [p for p in range(size) if params.require_delivery and first[p] > T[p]]
-    while lost:
-        for p in lost:
-            T[p] = clocks.exponential(1.0 / params.nu)
-            first[p] = firsts.exponential(1.0 / params.mu)
-        coverage["redraws"] += len(lost)
-        lost = [p for p in lost if first[p] > T[p]]
+    coverage = {"empty": 0}
+    if params.require_delivery:
+        # conditioned on S <= T: S ~ Exp(mu + nu), and T - S ~ Exp(nu)
+        first = [firsts.exponential(1.0 / (params.mu + params.nu)) for _ in range(size)]
+        T = [t + s for t, s in zip(T, first)]
+    else:
+        first = [firsts.exponential(1.0 / params.mu) for _ in range(size)]
     total = 0.0  # the running sum of the block's spacings, in draw order
     draws = []
     for p in range(size):

@@ -1,3 +1,4 @@
+import ast
 import pathlib
 import pkgutil
 import re
@@ -11,7 +12,6 @@ from conftest import CSV_COLUMNS, DEFAULTS
 # the whole public surface; a name added to or dropped from agemon.__all__
 # must be added to or dropped from this list too
 PUBLIC_NAMES = [
-    "EVENT_CAP",
     "EmptyTimelineError",
     "ParameterError",
     "PeriodTable",
@@ -34,7 +34,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_pinned():
-    assert len(PUBLIC_NAMES) == 19
+    assert len(PUBLIC_NAMES) == 18
     assert sorted(agemon.__all__) == PUBLIC_NAMES
     assert all(hasattr(agemon, name) for name in PUBLIC_NAMES)
 
@@ -78,3 +78,32 @@ def test_readme_and_csv_comment_name_the_stream_contract(tmp_path):
     path = write_csv([row], tmp_path / "out.csv", SimParams(**DEFAULTS, periods=10))
     comment = path.read_text(encoding="utf-8").splitlines()[0]
     assert comment.startswith("# ") and comment.split()[-1] == f"contract={version}"
+
+
+def checked_caps() -> set[str]:
+    """The cap names that `sim._check_limit` is called with anywhere in the
+    package, read from its sources; a cap passed as anything but a string
+    literal fails here."""
+    caps = set()
+    for path in pathlib.Path(agemon.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "func", None)
+            if getattr(name, "attr", getattr(name, "id", None)) == "_check_limit":
+                caps.add(ast.literal_eval(node.args[1]))
+    return caps
+
+
+def readme_caps() -> set[str]:
+    """The `sim.<NAME>` caps of README's caps list: the bullets after the
+    one paragraph that introduces `sim._check_limit`."""
+    blocks = readme_text().split("\n\n")
+    [at] = [i for i, block in enumerate(blocks) if "`sim._check_limit`" in block]
+    assert blocks[at + 1].startswith("* ")
+    return set(re.findall(r"`sim\.([A-Za-z_]+)", blocks[at + 1]))
+
+
+def test_readme_caps_list_names_every_checked_cap():
+    # a cap added to or dropped from the code cannot leave README's list stale
+    caps = checked_caps()
+    assert caps and caps == readme_caps()
+    assert all(name.isupper() and isinstance(getattr(sim, name, None), int) for name in caps)

@@ -264,16 +264,40 @@ class TestErrors:
         assert status == 1
         assert "error:" in err and ("deliveries" in err or "rho" in err)
 
-    # stable queues: simulate rejects rho >= 1 before it runs
-    @pytest.mark.parametrize("argv, cap", [
-        (["--lambda", "5", "--mu", "10", "--nu", "0.01", "--periods", "1"], "EVENT_CAP = 10"),
-        (["--lambda", "1e9", "--mu", "2e9", "--nu", "1e-9", "--periods", "1"], "MAX_EXPECTED_PACKETS"),
-        # 1001 expected redraw rounds: over the cap, yet quick to draw
-        (["--lambda", "1e-4", "--mu", "1e-3", "--nu", "1", "--periods", "1", "--enforce-assumption3"],
-         "MAX_REDRAW_ROUNDS = 1000"),
+    def test_one_point_sweep_refuses_a_chart_before_simulating(self, capsys, monkeypatch, tmp_path):
+        # it once simulated its only point and wrote its CSV, then failed
+        def no_simulation(params, taus):
+            raise AssertionError("simulated before the chart was checked")
+
+        monkeypatch.setattr(agemon.experiments, "simulate_table", no_simulation)
+        out_csv = tmp_path / "x.csv"
+        status, out, err = run(capsys, "sweep-rho", *FAST, "--grid", "0.5:0.5000001:0.1", "--out", str(out_csv),
+                               "--svg", str(tmp_path / "x.svg"))
+        assert status == 1 and out == "" and not out_csv.exists()
+        assert err == "error: an SVG chart needs at least 2 rows\n"
+
+    # a run whose numbers leave float64 printed inf or nan and exited 0
+    # (at 1e76 every number still fits: TestMeasure). Tier-1 turns a
+    # RuntimeWarning on the way into an error
+    @pytest.mark.parametrize("recovery, left", [
+        ("1e78", "aoi_ci"),
+        ("1e155", "aoi_empirical, aoi_ci"),
+        ("1e306", "the run's end time, the sum of its 200 clocks and recoveries,"),
     ])
-    def test_simulation_limit_names_the_cap(self, capsys, monkeypatch, argv, cap):
-        monkeypatch.setattr(agemon.sim, "EVENT_CAP", 10)
+    def test_run_out_of_float_range(self, capsys, recovery, left):
+        status, out, err = run(capsys, "simulate", "--periods", "200", "--recovery", recovery)
+        assert status == 1 and out == ""
+        assert err.startswith(f"error: {left} left the float64 range")
+
+    # stable queues: simulate rejects rho >= 1 before it runs. The first
+    # run expects 8e8 packets, within the cap, but this seed's clock expects
+    # lam * T ~ 2.7e9 updates of its one period
+    @pytest.mark.parametrize("argv, cap", [
+        (["--lambda", "1", "--mu", "2", "--nu", "1.25e-9", "--recovery", "1", "--periods", "1", "--seed", "2"],
+         "a period expects 2.7e+09 updates, lam * T, over the cap MAX_EXPECTED_PACKETS = 1000000000"),
+        (["--lambda", "1e9", "--mu", "2e9", "--nu", "1e-9", "--periods", "1"], "MAX_EXPECTED_PACKETS"),
+    ])
+    def test_simulation_limit_names_the_cap(self, capsys, argv, cap):
         status, _, err = run(capsys, "simulate", *argv)
         assert status == 1
         assert err.startswith("error:") and cap in err
@@ -594,7 +618,10 @@ class TestBytePins:
     # again when analytics.error_rate replaced the quadrature off the
     # optimal threshold: only err_analytic moved, by at most 2.2e-16 relative.
     # Every hash was recorded again under stream contract 4 (Poisson counts
-    # at uniform times); the analytic-only CSV moved only in its comment line
+    # at uniform times); the analytic-only CSV moved only in its comment line.
+    # Under contract 5 (conditioned periods drawn from their exact law) every
+    # CSV was recorded again: each unconditioned one moved only in its
+    # comment line's contract=5
     def test_dense_simulate_stdout(self, capsys):
         status, out, _ = run(capsys, "simulate", "--lambda", "0.9", "--nu", "0.0005",
                              "--periods", "200", "--seed", "20260810")
@@ -608,7 +635,7 @@ class TestBytePins:
                            "--seed", "20260810", "--out", str(out_csv))
         assert status == 0
         assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == (
-            "115d06e2df94801c4c2f42963245454fc97a3c1d69489aab22a0d4680ae99f77")
+            "25fa673569b4d101ade7c67a9bcdc974cd74cfba56920997927f0976a2c07c2a")
 
     # every other way a run becomes rows: the cross-check report, a sweep
     # with one simulation per point and its chart, and a threshold grid's
@@ -626,7 +653,7 @@ class TestBytePins:
                            "--out", str(out_csv), "--svg", str(out_svg))
         assert status == 0
         assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == (
-            "1b0931ba96b56e4a180c64d70e796c0b1bf6227432938343030beb57aff8b170")
+            "9237f1a86b4fbb8f2563d4204b8001342c567ca6ad63518977f99ee8a9ca0050")
         assert hashlib.sha256(out_svg.read_bytes()).hexdigest() == (
             "a6105a758999483c1f0d4442a909eb2e19ea3e4bcfbe8931294297f286ab98f4")
 
@@ -636,7 +663,7 @@ class TestBytePins:
                            "--seed", "20260810", "--out", str(out_csv))
         assert status == 0
         assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == (
-            "080191fbbc4bdbaa6f6bbeeafdffcd0db7502e368fe058a2ae67522224098d87")
+            "38042bdf7d17f97d392cc0483e0692f2193e3fe26845e350fc4c729dac5650fa")
 
     # a conditioned run (require_delivery, recorded in the CSV comment)
     # whose optimal rule is degenerate (tau ~ 9.16 >= r = 5); the CSV path
@@ -647,9 +674,9 @@ class TestBytePins:
                              "--seed", "20260810", "--out", str(out_csv))
         assert status == 0
         assert hashlib.sha256(out.replace(str(out_csv), "<out>").encode()).hexdigest() == (
-            "ef0e119a9222a22cdfcb8fc2ef06b493fafdf9bfdc912cb3fbedb2824640b6e2")
+            "e37aa38e71eaeaab5e59f1eb63a477bd268a19331ba9951606764e32b46ec860")
         assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == (
-            "5731416015e5b5ebb4caf86270d5ccb89bf72f60fa2365aac5dc15302f255b8a")
+            "1bc4f46171083a05313699b33ad309d7402b801e4cfa528b0370b7519d025c66")
 
     # the closed-form report as text and JSON: at the defaults, where the
     # optimal rule is degenerate (tau ~ 9.16 >= r = 5) and without outages

@@ -190,6 +190,15 @@ class TestMeasure:
             with pytest.raises(TypeError, match="positional argument"):
                 call()
 
+    def test_a_run_out_of_float_range_is_refused(self):
+        # its r3 age areas, about r^2 / 2, pass float64; measure once
+        # returned inf and nan
+        params = replace(fixed(seed=SEED), r=1e155)
+        with pytest.raises(ParameterError, match=r"^aoi_empirical, aoi_ci left the float64 range"):
+            measure(params)
+        [row] = measure(replace(params, r=1e76))
+        assert np.isfinite([row["aoi_empirical"], row["aoi_ci"], row["err_ci"]]).all()
+
     def test_simulated_rows_record_their_rule(self):
         rows = measure(fixed(), [4.0, 25.0])
         # 25 >= r is not the optimal threshold, so its rule is not degenerate:

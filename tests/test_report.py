@@ -50,7 +50,7 @@ class TestCsv:
         first = path.read_text(encoding="utf-8").splitlines()[0]
         assert first.startswith("#")
         for token in ("lambda=0.5", "mu=1.0", "nu=0.005", "recovery=20.0", "periods=10", "seed=42",
-                      "contract=4"):
+                      "contract=5"):
             assert token in first
 
     def test_numpy_scalars_written_as_python_scalars(self, tmp_path):

@@ -383,12 +383,13 @@ class TestRunByRunTable:
             with pytest.raises(EmptyTimelineError, match=r"^timeline has no deliveries; the age is undefined$"):
                 build()
 
-    # one run of 200 periods each, the last one delivered in full: the
-    # defaults, two of whose periods deliver nothing, and conditioned at
-    # lam = 0.95, whose queues are mostly still busy at the failure
+    # one run each, whose last period is delivered in full: 200 default
+    # periods, two of which deliver nothing, and 197 periods conditioned at
+    # lam = 0.95, whose queues are mostly still busy at the failure (the
+    # conditioned run's 200th period is not delivered in full)
     EDGES = {
         "defaults": SimParams(**DEFAULTS, periods=200, master_seed=SEED),
-        "conditioned": SimParams(**{**DEFAULTS, "lam": 0.95}, periods=200, master_seed=SEED,
+        "conditioned": SimParams(**{**DEFAULTS, "lam": 0.95}, periods=197, master_seed=SEED,
                                  require_delivery=True),
     }
 
