@@ -704,16 +704,53 @@ class TestBlockPrefix:
         n=st.integers(1, 40),
         more=st.integers(1, 40),
         seed=st.integers(0, 2**64 - 1),
-        require_delivery=st.booleans(),
         block_packets=st.sampled_from([1, 7, 64]),
         periods_per_block=st.sampled_from([4, 16, sim.PERIODS_PER_BLOCK]),
     )
-    def test_run_is_a_prefix(self, lam, mu, nu, r, n, more, seed, require_delivery, block_packets,
-                             periods_per_block):
-        params = SimParams(lam=lam, mu=mu, nu=nu, r=r, periods=1, master_seed=seed,
-                           require_delivery=require_delivery)
+    def test_unconditioned_run_is_a_prefix(self, lam, mu, nu, r, n, more, seed, block_packets,
+                                           periods_per_block):
+        params = SimParams(lam=lam, mu=mu, nu=nu, r=r, periods=1, master_seed=seed)
         with mock.patch.object(sim, "PERIODS_PER_BLOCK", periods_per_block):
             self.assert_prefix(params, n, more, block_packets)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        lam=st.floats(0.05, 2.0),
+        mu=st.floats(0.2, 2.0),
+        nu=st.floats(0.01, 1.0),
+        r=st.floats(0.0, 30.0),
+        n=st.integers(1, 40),
+        more=st.integers(1, 40),
+        seed=st.integers(0, 2**64 - 1),
+        block_packets=st.sampled_from([1, 7, 64]),
+        periods_per_block=st.sampled_from([4, 16, sim.PERIODS_PER_BLOCK]),
+    )
+    def test_conditioned_run_is_a_prefix(self, lam, mu, nu, r, n, more, seed, block_packets,
+                                         periods_per_block):
+        # conditioned periods are drawn from their exact law, with no redraw
+        # rounds over a block, so n need not fall on a block boundary
+        params = SimParams(lam=lam, mu=mu, nu=nu, r=r, periods=1, master_seed=seed, require_delivery=True)
+        with mock.patch.object(sim, "PERIODS_PER_BLOCK", periods_per_block):
+            self.assert_prefix(params, n, more, block_packets)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        lam=st.floats(0.05, 2.0),
+        mu=st.floats(0.2, 2.0),
+        nu=st.floats(0.01, 1.0),
+        r=st.floats(0.0, 30.0),
+        blocks=st.integers(1, 4),
+        more=st.integers(1, 40),
+        seed=st.integers(0, 2**64 - 1),
+        block_packets=st.sampled_from([1, 7, 64]),
+    )
+    @mock.patch.object(sim, "PERIODS_PER_BLOCK", 8)
+    def test_conditioned_run_is_a_prefix_at_block_boundaries(self, lam, mu, nu, r, blocks, more, seed,
+                                                             block_packets):
+        # whole blocks of conditioned periods inside a run that goes on into
+        # the next block
+        params = SimParams(lam=lam, mu=mu, nu=nu, r=r, periods=1, master_seed=seed, require_delivery=True)
+        self.assert_prefix(params, blocks * sim.PERIODS_PER_BLOCK, more, block_packets)
 
     @pytest.mark.parametrize("require_delivery", [False, True])
     def test_default_block_is_a_prefix(self, require_delivery):
